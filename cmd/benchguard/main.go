@@ -4,8 +4,9 @@
 // them into CI):
 //
 //	benchguard -parse bench.txt -out BENCH_plan.json
-//	    Parse `go test -bench` output into a JSON summary (ns/op, B/op,
-//	    allocs/op per benchmark, averaged over -count repetitions).
+//	    Parse `go test -bench` output into a JSON summary: per benchmark,
+//	    the median ns/op, B/op and allocs/op over the -count repetitions,
+//	    plus the per-run ns/op samples the median was taken from.
 //
 //	benchguard -new BENCH_plan.json -require-speedup 10 \
 //	    -speedup-pair BenchmarkHeuristicPlanNaive5k:BenchmarkHeuristicPlan5k
@@ -48,14 +49,20 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"adept/internal/stats"
 )
 
-// Metrics is one benchmark's averaged result.
+// Metrics is one benchmark's result: each figure is the median over Runs
+// repetitions, so one descheduled run cannot move a gate.
 type Metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Runs        int     `json:"runs"`
+	// NsSamples holds the per-run ns/op values in run order, kept so a
+	// reader can see the spread behind the median.
+	NsSamples []float64 `json:"ns_samples,omitempty"`
 }
 
 // File is the BENCH_plan.json schema.
@@ -245,6 +252,7 @@ func main() {
 			b.BytesPerOp = min(b.BytesPerOp, c.BytesPerOp)
 			b.AllocsPerOp = min(b.AllocsPerOp, c.AllocsPerOp)
 			b.Runs = c.Runs
+			b.NsSamples = nil // per-metric minima are no run's samples
 		}
 		data, err := json.MarshalIndent(merged, "", "  ")
 		if err != nil {
@@ -281,15 +289,16 @@ func loadFile(path string) *File {
 }
 
 // parseBenchOutput reads standard `go test -bench -benchmem` output.
-// Repeated lines for the same benchmark (-count > 1) are averaged.
+// Repeated lines for the same benchmark (-count > 1) are kept as samples
+// and summarised by their median.
 func parseBenchOutput(path string) (*File, error) {
 	in, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
-	f := &File{Benchmarks: map[string]*Metrics{}}
-	sums := map[string]*Metrics{}
+	type samples struct{ ns, bytes, allocs []float64 }
+	runs := map[string]*samples{}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -303,10 +312,10 @@ func parseBenchOutput(path string) (*File, error) {
 				name = name[:i]
 			}
 		}
-		m := sums[name]
+		m := runs[name]
 		if m == nil {
-			m = &Metrics{}
-			sums[name] = m
+			m = &samples{}
+			runs[name] = m
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -315,25 +324,29 @@ func parseBenchOutput(path string) (*File, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				m.NsPerOp += v
+				m.ns = append(m.ns, v)
 			case "B/op":
-				m.BytesPerOp += v
+				m.bytes = append(m.bytes, v)
 			case "allocs/op":
-				m.AllocsPerOp += v
+				m.allocs = append(m.allocs, v)
 			}
 		}
-		m.Runs++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for name, m := range sums {
-		runs := float64(m.Runs)
+	f := &File{Benchmarks: map[string]*Metrics{}}
+	for name, m := range runs {
+		if len(m.ns) == 0 || len(m.bytes) != len(m.ns) || len(m.allocs) != len(m.ns) {
+			return nil, fmt.Errorf("%s: %s has %d ns/op, %d B/op and %d allocs/op values (need -benchmem output)",
+				path, name, len(m.ns), len(m.bytes), len(m.allocs))
+		}
 		f.Benchmarks[name] = &Metrics{
-			NsPerOp:     m.NsPerOp / runs,
-			BytesPerOp:  m.BytesPerOp / runs,
-			AllocsPerOp: m.AllocsPerOp / runs,
-			Runs:        m.Runs,
+			NsPerOp:     stats.Median(m.ns),
+			BytesPerOp:  stats.Median(m.bytes),
+			AllocsPerOp: stats.Median(m.allocs),
+			Runs:        len(m.ns),
+			NsSamples:   m.ns,
 		}
 	}
 	return f, nil

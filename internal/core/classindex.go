@@ -8,14 +8,14 @@ import (
 )
 
 // ClassIndex buckets a node pool into (rated power, link bandwidth)
-// equivalence classes with multiplicity counts. It is the foundation of
-// class-collapsed planning: every planner quantity that depends only on a
-// node's spec — sort keys, scheduling/servicing powers, prediction
-// throughputs — is identical across a class's members, so the heuristic's
-// Θ(n) spec scans collapse to Θ(C) class scans, and a 1M-node cluster grid
-// with ~40 distinct specs plans in class space. Node identity (names) is
-// recovered by counted expansion: within a class, members are spent in
-// ascending name order, matching the node-space planner's sort tie-break.
+// equivalence classes with multiplicity counts. It is what newClassPool
+// builds the planner's sorted pool from: every planner quantity that
+// depends only on a node's spec — sort keys, scheduling/servicing powers,
+// prediction throughputs — is identical across a class's members, so a
+// class becomes one run of the pool and a 1M-node cluster grid with ~40
+// distinct specs costs ~40 run visits per spec scan. Node identity (names)
+// is recovered by counted expansion: within a class, members are spent in
+// ascending name order, sort_nodes' tie-break.
 //
 // Equivalence is exact: two nodes share a class iff their Power and raw
 // LinkBandwidth have identical float64 bit patterns. Near-duplicates
@@ -50,21 +50,6 @@ func (cl *NodeClass) link(def float64) float64 {
 		return cl.LinkBandwidth
 	}
 	return def
-}
-
-// minNames2 returns the two smallest member names ("" for the second when
-// the class is a singleton) without sorting the member list.
-func (cl *NodeClass) minNames2() (string, string) {
-	n1, n2 := "", ""
-	for _, name := range cl.names {
-		switch {
-		case n1 == "" || name < n1:
-			n1, n2 = name, n1
-		case n2 == "" || name < n2:
-			n2 = name
-		}
-	}
-	return n1, n2
 }
 
 // node materialises a platform.Node of this class with the given name.

@@ -99,9 +99,8 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 	}
 
 	// 7. Class-collapse invariants: expand(collapse(pool)) preserves the
-	// spec multiset, and the forced class-space planner agrees with the
-	// node-space planner (1e-9 on throughput; bit-identical XML whenever
-	// class planning engages or the pool repeats specs).
+	// spec multiset, and planning the class-built pool yields the plan of
+	// the node-built pool, byte for byte.
 	checkClassRoundTrip(t, req.Platform.Nodes, label)
 	classVsNode(t, req, label)
 }
@@ -116,8 +115,8 @@ func platformJSON(t *testing.T, p *platform.Platform) string {
 }
 
 // applyLinkPattern mutates the platform's per-node link bandwidths by one
-// of four deterministic patterns, so the fuzz battery covers heterogeneous
-// links without a second generation pass:
+// of four deterministic patterns (linkSel's low two bits), so the fuzz
+// battery covers heterogeneous links without a second generation pass:
 //
 //	0: untouched (whatever the scenario family generated — the two
 //	   heterogeneous-link families arrive with links already set);
@@ -125,8 +124,22 @@ func platformJSON(t *testing.T, p *platform.Platform) string {
 //	2: three link classes round-robin (default, B/2, B/16);
 //	3: every node explicitly pinned to B — semantically uniform, but
 //	   through the explicit-override code path.
+//
+// Bit 4 overlays the sort-key collision: every odd node still on the raw
+// default gets an explicit override equal to it, so one spec is listed two
+// ways — distinct classes the planner must rank identically.
 func applyLinkPattern(plat *platform.Platform, linkSel uint8) {
 	b := plat.Bandwidth
+	defer func() {
+		if linkSel&(1<<4) == 0 {
+			return
+		}
+		for i := 1; i < len(plat.Nodes); i += 2 {
+			if plat.Nodes[i].LinkBandwidth == 0 {
+				plat.Nodes[i].LinkBandwidth = b
+			}
+		}
+	}()
 	switch linkSel % 4 {
 	case 0:
 	case 1:
@@ -186,9 +199,10 @@ func applyPowerPattern(plat *platform.Platform, powSel uint8) {
 // fuzzRequest decodes raw fuzz inputs into a planning request over a
 // scenario-family platform. ok is false for inputs outside the model's
 // domain (they are skipped, not failures). linkSel's low two bits select
-// the per-node link-bandwidth mutation (applyLinkPattern); its next two
-// bits select the power mutation (applyPowerPattern), so the checked-in
-// corpus keeps its meaning while new seeds reach the class boundaries.
+// the per-node link-bandwidth mutation and bit 4 its collision overlay
+// (applyLinkPattern); bits 2–3 select the power mutation
+// (applyPowerPattern), so the checked-in corpus keeps its meaning while new
+// seeds reach the class boundaries.
 func fuzzRequest(familyIdx, nRaw uint8, seed, wappMilli, demandMilli int64, bwSel, linkSel uint8) (core.Request, bool) {
 	families := scenario.Families()
 	spec := scenario.Spec{
@@ -247,6 +261,12 @@ func FuzzPlanInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(50), int64(8), int64(59582), int64(0), uint8(1), uint8(1<<2))
 	f.Add(uint8(5), uint8(60), int64(9), int64(1333330), int64(0), uint8(0), uint8(2<<2|2))
 	f.Add(uint8(2), uint8(33), int64(10), int64(59582), int64(40000), uint8(1), uint8(3<<2))
+	// Sort-key collisions: the 8-node homogeneous pool with every other
+	// node pinned explicitly to the default link (TestClassSortKeyCollision's
+	// platform), and a level-snapped heterogeneous-link pool with the same
+	// overlay.
+	f.Add(uint8(1), uint8(6), int64(11), int64(2000000), int64(0), uint8(1), uint8(1<<4|1<<2))
+	f.Add(uint8(5), uint8(45), int64(12), int64(2000000), int64(30000), uint8(1), uint8(1<<4|2<<2))
 	f.Fuzz(func(t *testing.T, familyIdx, nRaw uint8, seed, wappMilli, demandMilli int64, bwSel, linkSel uint8) {
 		req, ok := fuzzRequest(familyIdx, nRaw, seed, wappMilli, demandMilli, bwSel, linkSel)
 		if !ok {

@@ -56,41 +56,46 @@ import (
 // that reproduce the paper's linear scans bit-for-bit, including their
 // tie-breaking towards lower node IDs.
 //
-// Two further levers make million-node pools plannable in under a second:
-// the O(n) candidate scans (sort keys, best-star, one-agent/one-server)
-// shard across GOMAXPROCS with index-tie-broken merges (parscan.go), and
-// pools whose nodes repeat a small set of (power, link) specs collapse to
-// spec equivalence classes and plan in class space (classindex.go,
-// heuristic_class.go). Both are bit-transparent: parallel scans merge to
-// the sequential result exactly, and class planning engages only when it
-// can reproduce node-space decisions (falling back on sort-key collisions).
+// There is one planner body. It runs over a sortedPool (pool.go): the
+// sort_nodes order stored as runs of consecutive nodes sharing one
+// (power, link) spec, with every spec scan — sort keys, Steps 3–7,
+// the supported_children target, the star and pair snapshots — written
+// once over runs and addressing candidates by sorted position. A pool
+// built from the node list has one run per node; a pool built from a
+// ClassIndex (classindex.go) has one run per spec class, which is what
+// makes million-node catalogue fleets plannable in under a second. Which
+// of the two is built is derived from the input (classMinNodes,
+// classMinCompression) and cannot change the plan: the scans break every
+// tie by position, float accumulations run in sorted order at either
+// granularity, and the scans that shard across GOMAXPROCS (parscan.go)
+// merge to the sequential result exactly.
 type Heuristic struct {
 	// naive, when set, plans through the Θ(n)-per-query NaiveEvaluator.
 	// Kept for benchmarks and the property tests that pin the incremental
 	// evaluator to the reference; NewHeuristic always builds the fast one.
 	naive bool
-	// mode selects between node-space and class-collapsed planning.
+	// mode selects the granularity of the sorted pool.
 	mode poolMode
 }
 
-// poolMode selects how PlanContext treats the node pool.
+// poolMode selects how PlanContext builds the sorted pool.
 type poolMode int
 
 const (
-	// poolAuto plans in class space when the pool is large and compresses
-	// well (see classMinNodes, classMinCompression), node space otherwise.
+	// poolAuto builds the pool from spec classes when it is large and
+	// compresses well (see classMinNodes, classMinCompression), from the
+	// node list otherwise.
 	poolAuto poolMode = iota
-	// poolNodesOnly always plans over concrete nodes.
+	// poolNodesOnly always builds one run per node.
 	poolNodesOnly
-	// poolClassesOnly always plans over spec classes (still falling back to
-	// node space on a sort-key collision between distinct classes).
+	// poolClassesOnly always builds the pool from spec classes.
 	poolClassesOnly
 )
 
-// Auto-mode thresholds: class planning engages at classMinNodes nodes when
-// the pool has at most n/classMinCompression distinct specs. Below the node
-// floor the node-space planner finishes in microseconds anyway; above it,
-// the capped index build keeps the probe O(n/classMinCompression) on
+// Auto-mode thresholds: the class-backed pool engages at classMinNodes
+// nodes when the pool has at most n/classMinCompression distinct specs.
+// Below the node floor a per-node pool plans in microseconds anyway; above
+// it, the capped index build keeps the probe O(n/classMinCompression) on
 // incompressible pools.
 const (
 	classMinNodes       = 4096
@@ -105,18 +110,17 @@ func NewHeuristic() *Heuristic { return &Heuristic{} }
 // NewHeuristicNaive returns the Algorithm 1 planner backed by the
 // full-recompute NaiveEvaluator: the pre-incremental cost profile, retained
 // as the benchmark and property-test reference. It produces the same
-// deployments as NewHeuristic. Plans in node space only.
+// deployments as NewHeuristic. Always plans at node granularity.
 func NewHeuristicNaive() *Heuristic { return &Heuristic{naive: true, mode: poolNodesOnly} }
 
-// NewHeuristicNodeSpace returns the planner pinned to node-space planning:
+// NewHeuristicNodeSpace returns the planner pinned to node granularity:
 // the class collapse never engages. The differential battery uses it as the
 // reference side.
 func NewHeuristicNodeSpace() *Heuristic { return &Heuristic{mode: poolNodesOnly} }
 
-// NewHeuristicClassSpace returns the planner pinned to class-collapsed
-// planning regardless of pool size or compressibility (it still degrades to
-// node space when distinct classes share a sort key, which class blocks
-// cannot represent). The differential battery uses it as the subject side.
+// NewHeuristicClassSpace returns the planner pinned to class granularity
+// regardless of pool size or compressibility. The differential battery uses
+// it as the subject side.
 func NewHeuristicClassSpace() *Heuristic { return &Heuristic{mode: poolClassesOnly} }
 
 // Name implements Planner.
@@ -137,8 +141,8 @@ func (p *Heuristic) newEvaluator(req Request) PlacementEvaluator {
 	return NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
 }
 
-// classIndexFor decides whether this plan runs in class space and, if so,
-// builds the index. nil means node space.
+// classIndexFor decides whether this plan's pool is built from spec classes
+// and, if so, builds the index. nil means one run per node.
 func (p *Heuristic) classIndexFor(req Request) *ClassIndex {
 	nodes := req.Platform.Nodes
 	switch p.mode {
@@ -154,39 +158,24 @@ func (p *Heuristic) classIndexFor(req Request) *ClassIndex {
 	}
 }
 
-// poolSource is the growth loop's view of the sorted non-root pool: node i
-// in sort order, on demand. The node path wraps the sorted slice; the class
-// path materialises nodes lazily from the class expansion.
-type poolSource interface {
-	at(i int) platform.Node
-	size() int
-}
-
-// slicePool adapts a sorted node slice to poolSource.
-type slicePool []platform.Node
-
-func (s slicePool) at(i int) platform.Node { return s[i] }
-func (s slicePool) size() int              { return len(s) }
-
-// growthOp is one recorded growth decision: attach pool node poolIdx under
-// agent parent, or promote node id to an agent. The best deployment is a
-// prefix of the op log, replayed after growth ends.
+// growthOp is one recorded growth decision: attach the node at sorted
+// position pos under agent parent, or promote node id to an agent. The best
+// deployment is a prefix of the op log, replayed after growth ends.
 type growthOp struct {
 	promote bool
 	parent  int // attach: parent agent hierarchy ID
-	poolIdx int // attach: index into the sorted pool
+	pos     int // attach: sorted position of the attached node
 	id      int // promote: hierarchy ID of the promoted server
 }
 
 // growth is the planner's working state: the hierarchy under construction,
 // its evaluator mirror, and the heap-backed placement indexes.
 type growth struct {
-	req      Request
-	h        *hierarchy.Hierarchy
-	ev       PlacementEvaluator
-	target   float64
-	pool     poolSource // sorted non-root pool
-	poolSize int
+	req    Request
+	h      *hierarchy.Hierarchy
+	ev     PlacementEvaluator
+	target float64
+	pool   *sortedPool // positions 0 and 1 are the seed; growth consumes 2..n-1
 
 	nodes    []evalNode // driver mirror: role/degree/power/stamp per hierarchy ID
 	gateCap  []int      // per-ID supported_children at the target rate (agents)
@@ -232,7 +221,7 @@ func (g *growth) ensure(id int) {
 // its supported_children count.
 func (g *growth) registerAgent(id int) {
 	n := &g.nodes[id]
-	g.gateCap[id] = supportedChildren(g.req.Costs, n.bw, n.power, g.target, g.poolSize)
+	g.gateCap[id] = supportedChildren(g.req.Costs, n.bw, n.power, g.target, g.pool.n-1)
 	g.pushOpen(id)
 	// Binary-insert to keep pass 3 scanning agents in ascending ID order,
 	// matching the hierarchy.Agents() order of the reference algorithm.
@@ -262,10 +251,10 @@ func (g *growth) pushOpen(id int) {
 	g.open.push(heapEnt{val: slack, id: id, stamp: n.stamp})
 }
 
-// attach places pool node poolIdx as a server under parent, updating the
-// hierarchy, the evaluator, and every placement index.
-func (g *growth) attach(parent, poolIdx int) error {
-	node := g.pool.at(poolIdx)
+// attach places the node at sorted position pos as a server under parent,
+// updating the hierarchy, the evaluator, and every placement index.
+func (g *growth) attach(parent, pos int) error {
+	node := g.pool.at(pos)
 	id, err := g.h.AddServer(parent, node.Name, node.Power, node.LinkBandwidth)
 	if err != nil {
 		return err
@@ -284,7 +273,7 @@ func (g *growth) attach(parent, poolIdx int) error {
 		g.deficient--
 	}
 	g.pushOpen(parent)
-	g.ops = append(g.ops, growthOp{parent: parent, poolIdx: poolIdx})
+	g.ops = append(g.ops, growthOp{parent: parent, pos: pos})
 	return nil
 }
 
@@ -316,22 +305,22 @@ func (g *growth) promotable(w, bw float64) bool {
 	return calcSchPow(g.req.Costs, bw, w, 2) >= g.target
 }
 
-// seedGrowth mirrors the seed deployment (root + strongest server) into a
-// fresh growth state and indexes the root for gated placement. Both
-// placement heaps are max-heaps: pass 1 takes the most slack, pass 2 the
-// most power. Shared by the node-space and class-space paths.
-func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float64, pool poolSource, rootID int, root platform.Node, firstServerID int) *growth {
+// seedGrowth mirrors the seed deployment (root + strongest server, sorted
+// positions 0 and 1) into a fresh growth state and indexes the root for
+// gated placement. Both placement heaps are max-heaps: pass 1 takes the
+// most slack, pass 2 the most power.
+func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float64, pool *sortedPool, rootID, firstServerID int) *growth {
 	bw := req.Platform.Bandwidth
 	g := &growth{
 		req: req, h: h, ev: p.newEvaluator(req), target: target,
-		pool: pool, poolSize: pool.size(),
+		pool:  pool,
 		open:  lazyHeap{max: true},
 		promo: lazyHeap{max: true},
 	}
+	root, first := pool.at(0), pool.at(1)
 	g.ev.AddAgent(rootID, -1, root.Power, root.LinkBandwidth)
 	g.ensure(rootID)
 	g.nodes[rootID] = evalNode{power: root.Power, bw: root.Link(bw), role: roleAgent, stamp: 1}
-	first := pool.at(0)
 	g.ev.AddServer(firstServerID, rootID, first.Power, first.LinkBandwidth)
 	g.ensure(firstServerID)
 	firstBW := first.Link(bw)
@@ -346,8 +335,7 @@ func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float
 
 // run executes the greedy growth loop (Steps 10–38) over the seeded state,
 // returning the best op-log mark seen. The context is polled once per
-// iteration, so cancellation latency is one placement step. Shared by the
-// node-space and class-space paths.
+// iteration, so cancellation latency is one placement step.
 func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 	req := g.req
 	h := g.h
@@ -359,9 +347,19 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 	}
 	best := bestMark{ops: 0, capped: evalCapped(), nodes: h.Len()}
 
-	next := 1 // index of the next unused node in the pool
+	// The phase and the counters are flushed on every exit: an interrupted
+	// plan is the one whose trace an operator most wants to read.
 	endGrow := tr.Phase("grow")
-	for next < g.poolSize {
+	defer func() {
+		endGrow()
+		tr.Count("iterations", g.stats.iterations)
+		tr.Count("candidate_scans", g.stats.candidateScans)
+		tr.Count("evaluator_ops", g.stats.evaluatorOps)
+		tr.Count("promotions", g.stats.promotions)
+	}()
+	n := g.pool.n
+	next := 2 // sorted position of the next unused node
+	for next < n {
 		if err := CheckContext(ctx, name); err != nil {
 			return best, err
 		}
@@ -378,7 +376,7 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 			break
 		}
 
-		parent, promoted, err := g.placeNext(g.poolSize - next)
+		parent, promoted, err := g.placeNext(next)
 		if err != nil {
 			return best, err
 		}
@@ -393,7 +391,7 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 		// A promoted agent must end with at least two children to satisfy
 		// the paper's shape invariant; feed it a second server immediately
 		// when available (inner while of Steps 18–24).
-		if promoted && next < g.poolSize {
+		if promoted && next < n {
 			if err := g.attach(parent, next); err != nil {
 				return best, err
 			}
@@ -406,25 +404,16 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 			}
 		}
 	}
-	endGrow()
-	tr.Count("iterations", g.stats.iterations)
-	tr.Count("candidate_scans", g.stats.candidateScans)
-	tr.Count("evaluator_ops", g.stats.evaluatorOps)
-	tr.Count("promotions", g.stats.promotions)
 	return best, nil
 }
 
-// finishGrown materialises the best growth snapshot: the live hierarchy
-// when it is the best, otherwise a replay of the op-log prefix (Steps 28–34
-// generalised — IDs are assigned sequentially, so the replay reproduces the
-// original hierarchy exactly). root and first are the seed deployment's two
-// nodes. Shared by the node-space and class-space paths.
-func (p *Heuristic) finishGrown(ctx context.Context, req Request, g *growth, best bestMark, root, first platform.Node) (*Plan, error) {
-	if best.ops == len(g.ops) {
-		return Finalize(p.Name(), req, g.h)
-	}
-	endReplay := obs.TraceFrom(ctx).Phase("replay")
-	replay := hierarchy.New(deploymentName(req))
+// replay rebuilds the deployment reached after the first upto growth ops
+// (Steps 28–34 generalised — IDs are assigned sequentially, so the replay
+// reproduces the original hierarchy exactly).
+func (g *growth) replay(ctx context.Context, upto int) (*hierarchy.Hierarchy, error) {
+	defer obs.TraceFrom(ctx).Phase("replay")()
+	root, first := g.pool.at(0), g.pool.at(1)
+	replay := hierarchy.New(deploymentName(g.req))
 	replayRoot, err := replay.AddRoot(root.Name, root.Power, root.LinkBandwidth)
 	if err != nil {
 		return nil, err
@@ -432,25 +421,24 @@ func (p *Heuristic) finishGrown(ctx context.Context, req Request, g *growth, bes
 	if _, err := replay.AddServer(replayRoot, first.Name, first.Power, first.LinkBandwidth); err != nil {
 		return nil, err
 	}
-	for _, op := range g.ops[:best.ops] {
+	for _, op := range g.ops[:upto] {
 		if op.promote {
 			if err := replay.PromoteToAgent(op.id); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		nd := g.pool.at(op.poolIdx)
+		nd := g.pool.at(op.pos)
 		if _, err := replay.AddServer(op.parent, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 			return nil, err
 		}
 	}
-	endReplay()
-	return Finalize(p.Name(), req, replay)
+	return replay, nil
 }
 
 // PlanContext implements Planner; the context is polled once per growth
 // iteration, so cancellation latency is one placement step.
-func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error) {
+func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -459,32 +447,34 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	if err := CheckContext(ctx, p.Name()); err != nil {
 		return nil, err
 	}
-	// Class-collapsed path: when the pool compresses to few spec classes
-	// (or the mode forces it) and the class ranking is collision-free, plan
-	// in class space. Otherwise fall through to node space.
-	if ix := p.classIndexFor(req); ix != nil {
-		if cs, ok := newClassSort(req.Costs, req.Platform.Bandwidth, ix); ok {
-			plan, err := p.planClassed(ctx, req, cs)
-			if plan != nil {
-				plan.ClassPlanned = true
-				plan.PoolClasses = ix.NumClasses()
-			}
-			return plan, err
-		}
-	}
 	c := req.Costs
 	bw := req.Platform.Bandwidth
 	wapp := req.Wapp
 	tr := obs.TraceFrom(ctx)
 	tr.Count("pool_nodes", int64(len(req.Platform.Nodes)))
-	uniform := req.Platform.HasUniformLinks()
 
+	// Steps 1–2, at the granularity the input calls for. Everything below
+	// sees only the sorted pool.
+	ix := p.classIndexFor(req)
 	endSort := tr.Phase("sort_nodes")
-	sorted := sortNodes(c, bw, req.Platform.Nodes)
+	var pool *sortedPool
+	if ix != nil {
+		tr.Count("pool_classes", int64(ix.NumClasses()))
+		pool = newClassPool(c, bw, ix)
+		defer func() {
+			if plan != nil {
+				plan.ClassPlanned = true
+				plan.PoolClasses = ix.NumClasses()
+			}
+		}()
+	} else {
+		pool = newNodePool(c, bw, req.Platform.Nodes)
+	}
+	root, first := pool.at(0), pool.at(1)
 	endSort()
-	root := sorted[0]
+	n := pool.n
 	rootBW := root.Link(bw)
-	pool := sorted[1:]
+	uniform := pool.uniformLinks(bw)
 
 	h := hierarchy.New(deploymentName(req))
 	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
@@ -496,13 +486,13 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	// child versus the servicing power of the best prospective server. Each
 	// node's own link bandwidth enters its term.
 	virMaxSchPow := calcSchPow(c, rootBW, root.Power, 1)
-	virMaxSerPow := calcHierSerPow(c, pool[0].Link(bw), wapp, []float64{pool[0].Power})
+	virMaxSerPow := calcHierSerPow(c, first.Link(bw), wapp, []float64{first.Power})
 	minSerCV := virMaxSerPow
 	if req.Demand.Bounded() && float64(req.Demand) < minSerCV {
 		minSerCV = float64(req.Demand)
 	}
 
-	firstServerID, err := h.AddServer(rootID, pool[0].Name, pool[0].Power, pool[0].LinkBandwidth)
+	firstServerID, err := h.AddServer(rootID, first.Name, first.Power, first.LinkBandwidth)
 	if err != nil {
 		return nil, err
 	}
@@ -514,9 +504,9 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	if virMaxSchPow < minSerCV {
 		if !uniform {
 			floor := req.Demand.Cap(h.Evaluate(c, bw, wapp).Rho)
-			if pr, ps, ok := bestPair(c, req, sorted, bw, floor); ok {
+			if pr, ps, ok := bestPair(req, pool, floor); ok {
 				tr.Set("snapshot_win", "pair")
-				return buildPairNodes(p.Name(), req, sorted[pr], sorted[ps])
+				return buildPairNodes(p.Name(), req, pool.peek(pr), pool.peek(ps))
 			}
 		}
 		tr.Set("snapshot_win", "seed")
@@ -528,26 +518,8 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	// transfer charged at the pool's slowest link), capped by the client
 	// demand. Agents that cannot schedule at this rate should not be given
 	// more children.
-	allPowers := make([]float64, len(pool))
-	parFill(len(pool), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			allPowers[i] = pool[i].Power
-		}
-	})
-	minPoolBW := parReduce(len(pool),
-		func() float64 { return math.Inf(1) },
-		func(m *float64, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if nbw := pool[i].Link(bw); nbw < *m {
-					*m = nbw
-				}
-			}
-		},
-		func(dst *float64, src float64) {
-			if src < *dst {
-				*dst = src
-			}
-		})
+	allPowers := pool.poolPowers()
+	minPoolBW := pool.poolMin(bw, func(_, nbw float64) float64 { return nbw })
 	target := calcHierSerPow(c, minPoolBW, wapp, allPowers)
 	if req.Demand.Bounded() && float64(req.Demand) < target {
 		target = float64(req.Demand)
@@ -563,7 +535,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 		target = calcSchPow(c, rootBW, root.Power, 2)
 	}
 
-	g := p.seedGrowth(req, h, target, slicePool(pool), rootID, root, firstServerID)
+	g := p.seedGrowth(req, h, target, pool, rootID, firstServerID)
 	best, err := g.run(ctx, p.Name())
 	if err != nil {
 		return nil, err
@@ -574,100 +546,86 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	// flat star; on hub-dominated platforms (one very strong node, weak
 	// leaves) that star is the better deployment — promotion caps ρ_sched
 	// at a weak agent's throughput long before the hub's own capacity is
-	// spent. Score the full star as one more candidate snapshot (O(n),
-	// computed exactly as baseline.Star's evaluation would) and take it on
-	// strict improvement. This keeps the planner's predicted ρ at or above
-	// the star baseline on every platform, which the fuzz harness asserts.
-	starSched := calcSchPow(c, rootBW, root.Power, len(pool))
+	// spent. Score the full star as one more candidate snapshot (computed
+	// exactly as baseline.Star's evaluation would) and take it on strict
+	// improvement. This keeps the planner's predicted ρ at or above the
+	// star baseline on every platform, which the fuzz harness asserts.
+	//
 	// Under heterogeneous links the sorted pool's tail is no longer
 	// guaranteed to carry the prediction minimum (the sort key mixes power
-	// and link), so scan all pool nodes; on uniform platforms the loop's
-	// minimum is exactly the old tail value. (Float min is associative, so
-	// the sharded reduction is exact.)
-	poolPredMin := parReduce(len(pool),
-		func() float64 { return math.Inf(1) },
-		func(m *float64, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if t := model.ServerPredictionThroughput(c, pool[i].Link(bw), pool[i].Power); t < *m {
-					*m = t
-				}
-			}
-		},
-		func(dst *float64, src float64) {
-			if src < *dst {
-				*dst = src
-			}
-		})
-	if poolPredMin < starSched {
-		starSched = poolPredMin
-	}
+	// and link), so scan the whole pool; on uniform platforms the minimum
+	// is exactly the old tail value.
+	starSched := math.Min(calcSchPow(c, rootBW, root.Power, n-1),
+		pool.poolMin(bw, func(w, nbw float64) float64 { return model.ServerPredictionThroughput(c, nbw, w) }))
 	starService := calcHierSerPow(c, minPoolBW, wapp, allPowers)
 	starCapped := req.Demand.Cap(math.Min(starSched, starService))
-	starRootIdx := 0 // index into sorted; 0 is the default (paper) root
+	starRootPos := 0 // sorted position; 0 is the default (paper) root
 
 	// Under heterogeneous links the best star does not necessarily root at
 	// the sorted head: when service-limited, the ideal star root is the
 	// node whose removal from the serving set costs least — often a weak
 	// node on a fast link, freeing every strong node to serve. Score the
-	// star over every root in O(n) total (power sum, then min/second-min
-	// of the prediction throughputs and link bandwidths for O(1)
-	// exclusion). Gated to non-uniform platforms: uniform planning keeps
-	// the paper's sorted-head star bit for bit.
+	// star over every root in one pass (power sum, then min/second-min of
+	// the prediction throughputs and link bandwidths for O(1) exclusion).
+	// Every member of a run scores identically, so its first position
+	// stands for all of them. Gated to non-uniform platforms: uniform
+	// planning keeps the paper's sorted-head star bit for bit.
 	if !uniform {
 		totalPow := root.Power
-		for _, nd := range pool {
-			//adeptvet:allow floataccum fixed left-to-right fold over the sorted pool; the class twin mirrors it term for term
-			totalPow += nd.Power
+		for _, w := range allPowers {
+			//adeptvet:allow floataccum fixed left-to-right fold in sorted order, the same terms whichever way the pool was built
+			totalPow += w
 		}
 		type starAgg struct{ pred, link min2 }
-		agg := parReduce(len(sorted),
+		agg := parReduce(len(pool.runs),
 			func() starAgg { return starAgg{pred: newMin2(), link: newMin2()} },
 			func(s *starAgg, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					nbw := sorted[i].Link(bw)
-					s.pred.fold(model.ServerPredictionThroughput(c, nbw, sorted[i].Power), i)
-					s.link.fold(nbw, i)
+				for j := lo; j < hi; j++ {
+					r := &pool.runs[j]
+					nbw := r.bw(bw)
+					pred := model.ServerPredictionThroughput(c, nbw, r.power)
+					for pos := r.start; pos < r.lead(); pos++ {
+						s.pred.fold(pred, pos)
+						s.link.fold(nbw, pos)
+					}
 				}
 			},
 			func(dst *starAgg, src starAgg) {
 				dst.pred.mergeAfter(src.pred)
 				dst.link.mergeAfter(src.link)
 			})
-		am := parReduce(len(sorted),
+		am := parReduce(len(pool.runs),
 			func() argMax { return argMax{v: starCapped, i: -1} },
 			func(m *argMax, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					nd := sorted[i]
-					sched := math.Min(calcSchPow(c, nd.Link(bw), nd.Power, len(sorted)-1), agg.pred.excl(i))
-					service := serviceFromAggregates(c, agg.link.excl(i), wapp, len(sorted)-1, totalPow-nd.Power)
-					m.fold(req.Demand.Cap(math.Min(sched, service)), i)
+				for j := lo; j < hi; j++ {
+					r := &pool.runs[j]
+					sched := math.Min(calcSchPow(c, r.bw(bw), r.power, n-1), agg.pred.excl(r.start))
+					service := serviceFromAggregates(c, agg.link.excl(r.start), wapp, n-1, totalPow-r.power)
+					m.fold(req.Demand.Cap(math.Min(sched, service)), r.start)
 				}
 			},
 			func(dst *argMax, src argMax) { dst.mergeAfter(src) })
 		if am.i >= 0 {
-			starCapped, starRootIdx = am.v, am.i
+			starCapped, starRootPos = am.v, am.i
 		}
 	}
 
 	// Heterogeneous-links fallback: the best one-agent/one-server pair.
-	// Steps 3–7's shortcut builds (sorted[0], pool[0]), which under uniform
+	// Steps 3–7's shortcut builds the sorted head pair, which under uniform
 	// links is the optimal pair (both rankings are power rankings). With
 	// per-node links the optimal pair decouples — the best root is a node
 	// whose *link* sustains degree 1 (agent link terms scale with degree,
 	// so a modest node on the fast LAN beats a giant behind the WAN), while
 	// the best server maximises min(prediction, single-server service),
-	// which barely depends on its link (server messages are tiny). Both
-	// rankings are root-independent, so scoring the top-two servers against
-	// every root costs O(n) and recovers exactly the deployments the
-	// exhaustive optimum picks on small multi-cluster pools. Taken only on
-	// strict improvement over both the grown tree and the star snapshot,
-	// and gated to non-uniform platforms: uniform planning stays
+	// which barely depends on its link (server messages are tiny). Taken
+	// only on strict improvement over both the grown tree and the star
+	// snapshot, and gated to non-uniform platforms: uniform planning stays
 	// bit-identical.
 	if !uniform {
-		if pr, ps, ok := bestPair(c, req, sorted, bw, math.Max(best.capped, starCapped)); ok {
+		if pr, ps, ok := bestPair(req, pool, math.Max(best.capped, starCapped)); ok {
 			endSnapshots()
 			tr.Set("snapshot_win", "pair")
-			return buildPairNodes(p.Name(), req, sorted[pr], sorted[ps])
+			return buildPairNodes(p.Name(), req, pool.peek(pr), pool.peek(ps))
 		}
 	}
 	endSnapshots()
@@ -675,15 +633,16 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 	if starCapped > best.capped {
 		tr.Set("snapshot_win", "star")
 		star := hierarchy.New(deploymentName(req))
-		rootNd := sorted[starRootIdx]
+		rootNd := pool.at(starRootPos)
 		starRoot, err := star.AddRoot(rootNd.Name, rootNd.Power, rootNd.LinkBandwidth)
 		if err != nil {
 			return nil, err
 		}
-		for i, nd := range sorted {
-			if i == starRootIdx {
+		for i := 0; i < n; i++ {
+			if i == starRootPos {
 				continue
 			}
+			nd := pool.at(i)
 			if _, err := star.AddServer(starRoot, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 				return nil, err
 			}
@@ -691,13 +650,20 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 		return Finalize(p.Name(), req, star)
 	}
 
+	// The grown tree wins: the live hierarchy when its last state is the
+	// best, otherwise the best op-log prefix replayed.
 	tr.Set("snapshot_win", "grown")
-	return p.finishGrown(ctx, req, g, best, root, pool[0])
+	if best.ops < len(g.ops) {
+		if h, err = g.replay(ctx, best.ops); err != nil {
+			return nil, err
+		}
+	}
+	return Finalize(p.Name(), req, h)
 }
 
-// placeNext decides where the next pool node goes. It returns the parent
-// agent ID and whether that parent was just promoted from a server.
-// A negative parent means growth must stop.
+// placeNext decides where the node at sorted position next goes. It returns
+// the parent agent ID and whether that parent was just promoted from a
+// server. A negative parent means growth must stop.
 //
 // Three passes, in the spirit of Steps 15–26:
 //
@@ -719,15 +685,15 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error)
 //     the move strictly improves the demand-capped throughput, evaluated
 //     with one evaluator what-if per agent. (The what-ifs pop lazy-heap
 //     state, so this scan must stay sequential.)
-func (g *growth) placeNext(remaining int) (parent int, promoted bool, err error) {
+func (g *growth) placeNext(next int) (parent int, promoted bool, err error) {
 	// Pass 1: gated attachment under the agent that keeps the most slack.
 	if e, ok := g.open.peek(g.nodes, roleAgent); ok {
 		return e.id, false, nil
 	}
 
-	// Pass 2 (Steps 16–17): promotion. Needs at least two pool nodes so the
-	// new agent can reach the two-children invariant.
-	if remaining >= 2 {
+	// Pass 2 (Steps 16–17): promotion. Needs at least two unused nodes so
+	// the new agent can reach the two-children invariant.
+	if g.pool.n-next >= 2 {
 		if e, ok := g.promo.peek(g.nodes, roleServer); ok {
 			if err := g.promote(e.id); err != nil {
 				return -1, false, err
@@ -738,12 +704,12 @@ func (g *growth) placeNext(remaining int) (parent int, promoted bool, err error)
 
 	// Pass 3: ungated attachment, accepted only on strict improvement. The
 	// pool is sorted by scheduling power (computed at each node's own
-	// link), so the next unused pool node is the strongest candidate
-	// remaining under that ranking.
+	// link), so the next unused node is the strongest candidate remaining
+	// under that ranking.
 	g.stats.evaluatorOps++
 	sched, service := g.ev.Eval()
 	cur := g.req.Demand.Cap(math.Min(sched, service))
-	nextNode := g.pool.at(g.poolSize - remaining)
+	nextNode := g.pool.at(next)
 	bestParent := -1
 	bestRho := cur
 	g.stats.candidateScans += int64(len(g.agentIDs))
@@ -760,60 +726,62 @@ func deploymentName(req Request) string {
 	return fmt.Sprintf("%s-wapp%.3g", req.Platform.Name, req.Wapp)
 }
 
-// bestPair scans every one-agent/one-server pair over the sorted node
-// slice and returns the (root, server) indices of the best one whose
-// demand-capped ρ strictly exceeds floor. The best root is the node whose
-// own link sustains degree 1 best; the best server maximises
-// min(prediction throughput, lone-server servicing power) — a ranking
-// independent of the root choice, so the top-two servers scored against
-// every root cover all candidate pairs in O(n). Both scans shard across
-// cores with index-tie-broken merges, reproducing the sequential pick
-// exactly.
-func bestPair(c model.Costs, req Request, sorted []platform.Node, bw float64, floor float64) (rootIdx, servIdx int, ok bool) {
-	wapp := req.Wapp
-	serverScore := func(nd platform.Node) float64 {
-		nbw := nd.Link(bw)
-		return math.Min(model.ServerPredictionThroughput(c, nbw, nd.Power),
-			calcHierSerPow(c, nbw, wapp, []float64{nd.Power}))
-	}
-	top := parReduce(len(sorted), newTop2,
+// bestPair scans every one-agent/one-server pair of the pool and returns
+// the sorted positions of the best one whose demand-capped ρ strictly
+// exceeds floor. The best root is the node whose own link sustains degree 1
+// best; the best server maximises min(prediction throughput, lone-server
+// servicing power) — a ranking independent of the root choice, so the
+// top-two servers scored against every root cover all candidate pairs in
+// one pass over the runs. Within a run only the first two members are
+// distinct candidates: the first may be the best server itself and so pair
+// with the runner-up, the second pairs with the best like every later
+// member. Both scans shard across cores with position-tie-broken merges,
+// reproducing the sequential pick exactly.
+func bestPair(req Request, pool *sortedPool, floor float64) (rootPos, servPos int, ok bool) {
+	c, bw, wapp := req.Costs, req.Platform.Bandwidth, req.Wapp
+	top := parReduce(len(pool.runs), newTop2,
 		func(m *top2, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				m.fold(serverScore(sorted[i]), i)
+			for j := lo; j < hi; j++ {
+				r := &pool.runs[j]
+				nbw := r.bw(bw)
+				score := math.Min(model.ServerPredictionThroughput(c, nbw, r.power),
+					calcHierSerPow(c, nbw, wapp, []float64{r.power}))
+				for pos := r.start; pos < r.lead(); pos++ {
+					m.fold(score, pos)
+				}
 			}
 		},
 		func(dst *top2, src top2) { dst.mergeAfter(src) })
-	s1, s2 := top.i1, top.i2
-	am := parReduce(len(sorted),
+	am := parReduce(len(pool.runs),
 		func() argMax { return argMax{v: floor, i: -1} },
 		func(m *argMax, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				srv, sv := s1, top.v1
-				if i == s1 {
-					srv, sv = s2, top.v2
+			for j := lo; j < hi; j++ {
+				r := &pool.runs[j]
+				rootSch := calcSchPow(c, r.bw(bw), r.power, 1)
+				for pos := r.start; pos < r.lead(); pos++ {
+					sv := top.v1
+					if pos == top.i1 {
+						if top.i2 < 0 {
+							continue
+						}
+						sv = top.v2
+					}
+					m.fold(req.Demand.Cap(math.Min(rootSch, sv)), pos)
 				}
-				if srv < 0 {
-					continue
-				}
-				nd := sorted[i]
-				rho := math.Min(calcSchPow(c, nd.Link(bw), nd.Power, 1), sv)
-				m.fold(req.Demand.Cap(rho), i)
 			}
 		},
 		func(dst *argMax, src argMax) { dst.mergeAfter(src) })
 	if am.i < 0 {
 		return -1, -1, false
 	}
-	servIdx = s1
-	if am.i == s1 {
-		servIdx = s2
+	if am.i == top.i1 {
+		return am.i, top.i2, true
 	}
-	return am.i, servIdx, true
+	return am.i, top.i1, true
 }
 
 // buildPairNodes materialises and finalises a one-agent/one-server
-// deployment from concrete nodes. Shared by the node-space and class-space
-// pair scans.
+// deployment from concrete nodes.
 func buildPairNodes(name string, req Request, root, serv platform.Node) (*Plan, error) {
 	pair := hierarchy.New(deploymentName(req))
 	pairRoot, err := pair.AddRoot(root.Name, root.Power, root.LinkBandwidth)

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"adept/internal/core"
 	"adept/internal/hierarchy"
 	"adept/internal/model"
+	"adept/internal/obs"
 	"adept/internal/platform"
 	"adept/internal/workload"
 )
@@ -200,5 +203,47 @@ func TestHeuristicPlanIsValidAndWithinPlatform(t *testing.T) {
 	}
 	if plan.Eval.Rho <= 0 || math.IsInf(plan.Eval.Rho, 0) {
 		t.Errorf("nonsensical throughput %g", plan.Eval.Rho)
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its limit+1-th
+// Err poll on: the planner polls once up front and once per growth
+// iteration, so it interrupts a plan deterministically mid-growth.
+type cancelAfter struct {
+	context.Context
+	polls, limit int
+}
+
+func (c *cancelAfter) Err() error {
+	c.polls++
+	if c.polls > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledPlanKeepsItsTrace interrupts a plan in its fourth growth
+// iteration and asserts the trace still closes the grow phase and carries
+// the work counters: the interrupted plan is the one worth reading.
+func TestCancelledPlanKeepsItsTrace(t *testing.T) {
+	tr := obs.NewTraceRecorder()
+	ctx := &cancelAfter{Context: obs.ContextWithTrace(context.Background(), tr), limit: 4}
+	_, err := core.NewHeuristic().PlanContext(ctx, testRequest(t, 60, 400, 310))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlanContext error = %v, want context.Canceled", err)
+	}
+	trace := tr.Trace()
+	grow := false
+	for _, ph := range trace.Phases {
+		grow = grow || ph.Name == "grow"
+	}
+	if !grow {
+		t.Errorf("cancelled plan's trace has no grow phase: %+v", trace.Phases)
+	}
+	if got := trace.Counters["iterations"]; got != 3 {
+		t.Errorf("iterations counter = %d, want 3", got)
+	}
+	if trace.Counters["evaluator_ops"] == 0 {
+		t.Errorf("cancelled plan's trace has no evaluator_ops: %+v", trace.Counters)
 	}
 }

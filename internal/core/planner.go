@@ -10,16 +10,15 @@
 // throughput ρ = min(ρ_sched, ρ_service), preferring the deployment using
 // the fewest resources when several reach the maximum.
 //
-// For fleet-scale pools the heuristic collapses the node list into
-// (power, link bandwidth) equivalence classes and plans over classes with
-// multiplicity counts (classindex.go, heuristic_class.go): million-node
-// platforms drawn from a machine catalogue plan in well under a second,
-// with the result provably identical to node-space planning — bit for bit
-// whenever the class path engages, to 1e-9 in predicted throughput
-// otherwise. Pools that do not compress plan in node space as before, and
-// the remaining O(n) candidate scans shard across GOMAXPROCS with
-// deterministic tie-breaking (parscan.go), bit-identical at any
-// parallelism.
+// The heuristic plans over one structure, the sorted pool (pool.go): the
+// sort_nodes order stored as runs of consecutive nodes sharing one (power,
+// link bandwidth) spec, with every spec scan written once over runs. Large
+// pools drawn from a machine catalogue build it from spec equivalence
+// classes (classindex.go) — a few dozen runs for a million nodes, planned
+// in well under a second; other pools build it with one run per node. The
+// plan is the same, byte for byte, whichever way the pool was built, and
+// the scans that shard across GOMAXPROCS (parscan.go) break ties by sorted
+// position, bit-identical at any parallelism.
 package core
 
 import (
@@ -78,8 +77,8 @@ type Plan struct {
 	NodesUsed int
 	// Planner names the algorithm that produced the plan.
 	Planner string
-	// ClassPlanned reports that the plan was computed in class-collapsed
-	// space (see ClassIndex); false means node-space planning.
+	// ClassPlanned reports that the planner's pool was built from spec
+	// equivalence classes (see ClassIndex); false means one run per node.
 	ClassPlanned bool
 	// PoolClasses is the number of (power, link) spec equivalence classes
 	// in the pool when ClassPlanned is set; zero otherwise.

@@ -12,7 +12,8 @@
 # observability instrumentation), and BenchmarkObsStoreSample (one
 # time-series sampling tick over the daemon's SLO source mix — the
 # per-second background cost of the SLO engine), writes
-# BENCH_plan.json, and gates:
+# BENCH_plan.json (per benchmark: the median of COUNT runs, with the
+# per-run ns/op samples beside it), and gates:
 #
 #   1. the 5k incremental-vs-naive speedup must be >= 10x, and the
 #      heterogeneous (cluster-grid) 5k plan must stay within 2x ns/op of
@@ -28,13 +29,13 @@
 #      comparison; CI keeps a best-ever rolling baseline in the actions
 #      cache and widens the ns tolerance for runner variance).
 #
-# Knobs: BENCHTIME (default 3x), COUNT (default 1), BENCH_BASELINE,
+# Knobs: BENCHTIME (default 3x), COUNT (default 5), BENCH_BASELINE,
 # BENCH_NS_TOL, BENCH_ALLOCS_TOL.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-3x}"
-COUNT="${COUNT:-1}"
+COUNT="${COUNT:-5}"
 BASELINE="${BENCH_BASELINE:-BENCH_plan_baseline.json}"
 NS_TOL="${BENCH_NS_TOL:-0.20}"
 ALLOCS_TOL="${BENCH_ALLOCS_TOL:-0.20}"
