@@ -58,9 +58,10 @@
 //
 // -platform-dir both preloads *.json platforms at startup and receives
 // the write-through journal of later PUT /v1/platforms calls (atomic
-// temp-file renames). -queue bounds jobs waiting for a planner worker;
-// when it is full the daemon answers 429 with Retry-After instead of
-// blocking (see cmd/adeptload for measuring this under load).
+// temp-file renames). -workers bounds concurrent planner runs and -queue
+// the requests waiting for one of those slots; when both are full the
+// daemon answers 429 with Retry-After instead of blocking (see
+// cmd/adeptload for measuring this under load).
 //
 // Example session:
 //
@@ -140,11 +141,6 @@ func run() error {
 		sloCfg = &cfg
 	}
 
-	// The registry is built here rather than inside service.New so the
-	// journal methods (LoadDir/PersistTo) stay reachable on the concrete
-	// type after the server has abstracted it behind RegistryStore.
-	registry := service.NewRegistry()
-
 	srv, err := service.New(service.Config{
 		CacheSize:      *cacheSize,
 		Workers:        *workers,
@@ -153,29 +149,29 @@ func run() error {
 		Logger:         logger,
 		SLO:            sloCfg,
 		SampleInterval: *sampleEvery,
-		Registry:       registry,
 	})
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 
-	// Hold /readyz at 503 until the registry preload below has finished;
-	// liveness (/healthz) answers 200 the moment the listener is up.
+	// The server owns its registry, empty and unjournalled as built. Hold
+	// /readyz at 503 until the preload below has filled it and switched
+	// its journal on; liveness (/healthz) answers 200 the moment the
+	// listener is up.
 	srv.SetReady(false)
 
 	if *platformDir != "" {
-		// The platform dir is both the startup preload and the journal:
+		// The platform dir is both the journal and the startup preload:
 		// PUT /v1/platforms/* writes through to it (atomic temp-file
 		// rename), so a restart pointed here keeps its registrations.
-		if err := os.MkdirAll(*platformDir, 0o755); err != nil {
+		// PersistTo creates the directory; LoadDir does not re-journal
+		// what it reads.
+		if err := srv.Registry().PersistTo(*platformDir); err != nil {
 			return err
 		}
-		names, err := registry.LoadDir(*platformDir)
+		names, err := srv.Registry().LoadDir(*platformDir)
 		if err != nil {
-			return err
-		}
-		if err := registry.PersistTo(*platformDir); err != nil {
 			return err
 		}
 		logger.Info("platforms loaded", "count", len(names), "dir", *platformDir, "names", fmt.Sprint(names))

@@ -575,3 +575,72 @@ func TestInvalidateHandlerAuth(t *testing.T) {
 		t.Errorf("own-origin echo applied (version %d, want 3)", v)
 	}
 }
+
+// TestRetainedResponsesLRU pins the forwarder's retained-response store on
+// its own (the three-peer tests only ever retain a handful): at capacity
+// it evicts the least recently used response, a hit refreshes recency, and
+// every hit hands out a private copy.
+func TestRetainedResponsesLRU(t *testing.T) {
+	self := "http://a.local"
+	n := newUnitNode(t, self, []string{self}, "", nil, nil)
+	key := func(i int) service.CacheKey { return service.CacheKey(fmt.Sprintf("key-%03d", i)) }
+	retain := func(i int) {
+		n.remoteMu.Lock()
+		n.remote.Put(key(i), &service.PlanResponse{Key: string(key(i)), Peer: "http://owner.local", Cached: true})
+		n.remoteMu.Unlock()
+	}
+	for i := 0; i < remoteFillCapacity; i++ {
+		retain(i)
+	}
+
+	first, ok := n.retained(key(0)) // refreshes key 0: key 1 is now the oldest
+	if !ok || first.Key != string(key(0)) {
+		t.Fatalf("retained(key 0) = %+v, %v", first, ok)
+	}
+	first.Peer = "scribbled"
+	if again, _ := n.retained(key(0)); again == first || again.Peer != "http://owner.local" {
+		t.Errorf("retained handed out the stored response, not a private copy: %+v", again)
+	}
+
+	retain(remoteFillCapacity) // one past capacity
+	if _, ok := n.retained(key(1)); ok {
+		t.Error("least recently used response survived at capacity")
+	}
+	for _, i := range []int{0, 2, remoteFillCapacity} {
+		if _, ok := n.retained(key(i)); !ok {
+			t.Errorf("key %d evicted, want retained", i)
+		}
+	}
+	if got := n.remote.Len(); got != remoteFillCapacity {
+		t.Errorf("retained %d responses, want the capacity %d", got, remoteFillCapacity)
+	}
+}
+
+// TestOversizedBodyIs413 sends one byte more than the body limit to every
+// endpoint that reads a platform-sized body. The limit used to truncate
+// silently, so the client was told its JSON was malformed (or, on the
+// webhook, that its signature was bad).
+func TestOversizedBodyIs413(t *testing.T) {
+	peer := newTestCluster(t, 1)[0]
+	big := append([]byte(`{"platform_name":"`), bytes.Repeat([]byte("a"), maxWebhookBody)...)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/plan"},
+		{http.MethodPost, "/v1/plan/batch"},
+		{http.MethodPut, "/v1/platforms/big"},
+		{http.MethodPost, "/v1/cluster/invalidate"},
+	} {
+		rec := httptest.NewRecorder()
+		peer.srv.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, bytes.NewReader(big)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a %d-byte body: status %d, want 413: %.200s",
+				tc.method, tc.path, len(big), rec.Code, rec.Body)
+		}
+	}
+	// A body exactly at the limit is still read in full and judged on its
+	// content.
+	rec := httptest.NewRecorder()
+	peer.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(big[:maxWebhookBody])))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("body at the limit: status %d, want 400 (malformed JSON)", rec.Code)
+	}
+}

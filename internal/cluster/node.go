@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adept/internal/lru"
 	"adept/internal/obs"
 	"adept/internal/service"
 )
@@ -37,21 +38,13 @@ type Config struct {
 	// timeout only costs a local replan, while a generous timeout stalls
 	// every request routed at a dead peer.
 	ForwardTimeout time.Duration
-	// DeliveryAttempts is how many times one invalidation webhook is
-	// tried per peer before being dropped (default 3; version-checked
-	// application makes redelivery and loss both safe).
-	DeliveryAttempts int
-	// RetryBase seeds the exponential backoff between delivery attempts
-	// (default 100ms: 100ms, 200ms, 400ms, ...).
+	// RetryBase seeds the exponential backoff between the deliveryAttempts
+	// tries of one invalidation webhook (default 100ms: 100ms, 200ms, ...).
 	RetryBase time.Duration
-	// RemoteFillCapacity bounds the LRU of forwarded responses retained
-	// locally (default 256 entries; 0 keeps the default, negative
-	// disables fill-back).
-	RemoteFillCapacity int
 	// Registry receives peer invalidations; Cache is consulted for key
 	// ownership reporting. Both are the server's own stores.
-	Registry service.RegistryStore
-	Cache    service.CacheStore
+	Registry *service.Registry
+	Cache    *service.PlanCache
 	// Client issues all peer HTTP exchanges (http.DefaultClient-alike
 	// when nil; tests inject RoundTrippers here).
 	Client *http.Client
@@ -59,12 +52,17 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// defaults for the zero Config values.
+// defaults for the zero Config values, and the peer layer's fixed limits.
 const (
-	defaultForwardTimeout   = 2 * time.Second
-	defaultDeliveryAttempts = 3
-	defaultRetryBase        = 100 * time.Millisecond
-	defaultRemoteFill       = 256
+	defaultForwardTimeout = 2 * time.Second
+	defaultRetryBase      = 100 * time.Millisecond
+	// deliveryAttempts is how many times one invalidation webhook is tried
+	// per peer before being dropped (version-checked application makes
+	// redelivery and loss both safe).
+	deliveryAttempts = 3
+	// remoteFillCapacity bounds the LRU of forwarded responses retained
+	// locally.
+	remoteFillCapacity = 256
 	// probeTimeout bounds one /healthz probe issued by the status
 	// endpoint.
 	probeTimeout = time.Second
@@ -95,9 +93,12 @@ type Node struct {
 	peerErrors atomic.Uint64
 
 	healthMu sync.Mutex
-	health   map[string]*peerHealth
+	health   map[string]peerHealth // absent = zero value = healthy
 
-	remote *remoteFill
+	// remote retains forwarded plan responses by content address. Entries
+	// are immutable; a hit hands out a private shallow copy.
+	remoteMu sync.Mutex
+	remote   lru.Cache[service.CacheKey, *service.PlanResponse]
 
 	// now and sleep are injection points for tests; production uses the
 	// wall clock. Both are function values, never called at plan-shaping
@@ -130,27 +131,14 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	self := false
-	for _, p := range ring.Peers() {
-		if p == cfg.Self {
-			self = true
-			break
-		}
-	}
-	if !self {
+	if !slices.Contains(ring.Peers(), cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q is not in the peer list %v", cfg.Self, ring.Peers())
 	}
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = defaultForwardTimeout
 	}
-	if cfg.DeliveryAttempts <= 0 {
-		cfg.DeliveryAttempts = defaultDeliveryAttempts
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = defaultRetryBase
-	}
-	if cfg.RemoteFillCapacity == 0 {
-		cfg.RemoteFillCapacity = defaultRemoteFill
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
@@ -165,15 +153,13 @@ func New(cfg Config) (*Node, error) {
 		ring:   ring,
 		client: cfg.Client,
 		logger: cfg.Logger,
-		health: make(map[string]*peerHealth, len(ring.Peers())),
+		health: make(map[string]peerHealth, len(ring.Peers())),
 		now:    time.Now,
 		sleep:  sleepCtx,
 		ctx:    ctx,
 		cancel: cancel,
 	}
-	if cfg.RemoteFillCapacity > 0 {
-		n.remote = newRemoteFill(cfg.RemoteFillCapacity)
-	}
+	n.remote.Init(remoteFillCapacity)
 	return n, nil
 }
 
@@ -217,10 +203,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (n *Node) peerOpen(peer string) bool {
 	n.healthMu.Lock()
 	defer n.healthMu.Unlock()
-	h, ok := n.health[peer]
-	if !ok {
-		return false
-	}
+	h := n.health[peer]
 	return h.failures > 0 && n.now().Before(h.openUntil)
 }
 
@@ -229,11 +212,7 @@ func (n *Node) peerOpen(peer string) bool {
 func (n *Node) noteFailure(peer string) {
 	n.healthMu.Lock()
 	defer n.healthMu.Unlock()
-	h, ok := n.health[peer]
-	if !ok {
-		h = &peerHealth{}
-		n.health[peer] = h
-	}
+	h := n.health[peer]
 	h.failures++
 	backoff := breakerBase
 	for i := 1; i < h.failures && backoff < breakerMax; i++ {
@@ -243,6 +222,7 @@ func (n *Node) noteFailure(peer string) {
 		backoff = breakerMax
 	}
 	h.openUntil = n.now().Add(backoff)
+	n.health[peer] = h
 }
 
 // noteSuccess closes peer's breaker.
@@ -256,11 +236,7 @@ func (n *Node) noteSuccess(peer string) {
 func (n *Node) peerFailures(peer string) int {
 	n.healthMu.Lock()
 	defer n.healthMu.Unlock()
-	h, ok := n.health[peer]
-	if !ok {
-		return 0
-	}
-	return h.failures
+	return n.health[peer].failures
 }
 
 // ForwardPlan answers the plan request on the peer owning key, or
@@ -276,8 +252,8 @@ func (n *Node) ForwardPlan(ctx context.Context, key service.CacheKey, pr *servic
 		return nil, false
 	}
 	cacheable := !pr.NoCache && !pr.Trace
-	if cacheable && n.remote != nil {
-		if resp, ok := n.remote.get(key); ok {
+	if cacheable {
+		if resp, ok := n.retained(key); ok {
 			n.remoteHits.Add(1)
 			return resp, true
 		}
@@ -302,7 +278,7 @@ func (n *Node) ForwardPlan(ctx context.Context, key service.CacheKey, pr *servic
 	n.noteSuccess(owner)
 	n.forwards.Add(1)
 	resp.Peer = owner
-	if cacheable && n.remote != nil {
+	if cacheable {
 		// Retain a copy normalized to what a cache-served answer looks
 		// like: content addresses are immutable, so the copy never goes
 		// stale, and the flags must not claim a fresh planning run.
@@ -311,39 +287,58 @@ func (n *Node) ForwardPlan(ctx context.Context, key service.CacheKey, pr *servic
 		fill.Coalesced = false
 		fill.Variants = nil
 		fill.Trace = nil
-		n.remote.put(key, &fill)
+		n.remoteMu.Lock()
+		n.remote.Put(key, &fill)
+		n.remoteMu.Unlock()
 	}
 	return resp, true
 }
 
-// forwardOnce performs one forwarded /v1/plan exchange with peer.
+// exchange performs one HTTP exchange with a peer under timeout and
+// returns the response body. A non-nil body is sent as JSON; header is
+// alternating names and values. Anything but a 200 is an error.
+func (n *Node) exchange(ctx context.Context, timeout time.Duration, method, url string, body []byte, header ...string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	if err != nil {
+		return nil, fmt.Errorf("read response: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("peer answered %d", resp.StatusCode)
+	}
+	return data, nil
+}
+
+// forwardOnce performs one forwarded /v1/plan exchange with peer. A
+// non-200 from the owner (replication lag on a platform name, admission
+// shedding, an owner-side bug) is an error like any other: the caller
+// falls back to a local run, which produces the authoritative local
+// answer or error.
 func (n *Node) forwardOnce(ctx context.Context, peer string, pr *service.PlanRequest) (*service.PlanResponse, error) {
 	body, err := json.Marshal(pr)
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/plan", bytes.NewReader(body))
+	data, err := n.exchange(ctx, n.cfg.ForwardTimeout, http.MethodPost, peer+"/v1/plan", body,
+		service.ForwardedHeader, n.cfg.Self)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(service.ForwardedHeader, n.cfg.Self)
-	httpResp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxPeerBody))
-	if err != nil {
-		return nil, fmt.Errorf("read response: %w", err)
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		// A non-200 from the owner (replication lag on a platform name,
-		// admission shedding, an owner-side bug) falls back to a local
-		// run, which produces the authoritative local answer or error.
-		return nil, fmt.Errorf("peer answered %d", httpResp.StatusCode)
 	}
 	var resp service.PlanResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
@@ -352,61 +347,16 @@ func (n *Node) forwardOnce(ctx context.Context, peer string, pr *service.PlanReq
 	return &resp, nil
 }
 
-// remoteFill is a bounded LRU of forwarded plan responses, keyed by
-// content address. Entries are immutable; get returns a private shallow
-// copy so callers can stamp per-request fields (Peer is already set).
-type remoteFill struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[service.CacheKey]*list.Element
-	order    *list.List // front = most recently used
-}
-
-type remoteEntry struct {
-	key  service.CacheKey
-	resp *service.PlanResponse
-}
-
-func newRemoteFill(capacity int) *remoteFill {
-	return &remoteFill{
-		capacity: capacity,
-		entries:  make(map[service.CacheKey]*list.Element, capacity),
-		order:    list.New(),
-	}
-}
-
-func (f *remoteFill) get(key service.CacheKey) (*service.PlanResponse, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	el, ok := f.entries[key]
+// retained answers key from the retained forwarded responses, returning
+// a private shallow copy so the caller can stamp per-request fields (Peer
+// is already set).
+func (n *Node) retained(key service.CacheKey) (*service.PlanResponse, bool) {
+	n.remoteMu.Lock()
+	defer n.remoteMu.Unlock()
+	kept, ok := n.remote.Get(key)
 	if !ok {
 		return nil, false
 	}
-	f.order.MoveToFront(el)
-	resp := *el.Value.(*remoteEntry).resp
+	resp := *kept
 	return &resp, true
-}
-
-func (f *remoteFill) put(key service.CacheKey, resp *service.PlanResponse) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if el, ok := f.entries[key]; ok {
-		el.Value.(*remoteEntry).resp = resp
-		f.order.MoveToFront(el)
-		return
-	}
-	if f.order.Len() >= f.capacity {
-		oldest := f.order.Back()
-		if oldest != nil {
-			f.order.Remove(oldest)
-			delete(f.entries, oldest.Value.(*remoteEntry).key)
-		}
-	}
-	f.entries[key] = f.order.PushFront(&remoteEntry{key: key, resp: resp})
-}
-
-func (f *remoteFill) len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.order.Len()
 }

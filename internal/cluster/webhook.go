@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -22,7 +22,8 @@ import (
 const SignatureHeader = "X-Adept-Signature"
 
 // maxWebhookBody bounds an invalidation payload: one platform document
-// plus envelope. 16 MB is far above any legitimate platform.
+// plus envelope. 16 MiB is far above any legitimate platform; a larger
+// body is answered 413.
 const maxWebhookBody = 16 << 20
 
 // sign computes the hex HMAC-SHA256 of body under secret.
@@ -74,12 +75,12 @@ func (n *Node) Broadcast(u service.RegistryUpdate) {
 	}
 }
 
-// deliver pushes one signed invalidation to peer, retrying
-// DeliveryAttempts times with exponential backoff (RetryBase, 2×, 4×,
+// deliver pushes one signed invalidation to peer, trying
+// deliveryAttempts times with exponential backoff (RetryBase, 2×, 4×,
 // ...). Every failed attempt counts one peer error; only a delivered
 // webhook counts as sent.
 func (n *Node) deliver(peer, name string, version uint64, body []byte) {
-	for attempt := 0; attempt < n.cfg.DeliveryAttempts; attempt++ {
+	for attempt := 0; attempt < deliveryAttempts; attempt++ {
 		if attempt > 0 {
 			if !n.sleep(n.ctx, n.cfg.RetryBase<<(attempt-1)) {
 				return // node closing
@@ -99,7 +100,7 @@ func (n *Node) deliver(peer, name string, version uint64, body []byte) {
 				slog.String("name", name),
 				slog.Uint64("version", version),
 				slog.Int("attempt", attempt+1),
-				slog.Int("attempts", n.cfg.DeliveryAttempts),
+				slog.Int("attempts", deliveryAttempts),
 				slog.String("error", err.Error()))
 		}
 	}
@@ -108,26 +109,12 @@ func (n *Node) deliver(peer, name string, version uint64, body []byte) {
 // postInvalidate performs one signed POST of body to peer's webhook
 // receiver.
 func (n *Node) postInvalidate(peer string, body []byte) error {
-	ctx, cancel := context.WithTimeout(n.ctx, n.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/cluster/invalidate", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	var header []string
 	if n.cfg.Secret != "" {
-		req.Header.Set(SignatureHeader, sign(n.cfg.Secret, body))
+		header = []string{SignatureHeader, sign(n.cfg.Secret, body)}
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxWebhookBody))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
-	return nil
+	_, err := n.exchange(n.ctx, n.cfg.ForwardTimeout, http.MethodPost, peer+"/v1/cluster/invalidate", body, header...)
+	return err
 }
 
 // invalidateResult is the webhook receiver's JSON answer.
@@ -145,9 +132,14 @@ type invalidateResult struct {
 // rest into the registry iff strictly newer than local state.
 func (n *Node) InvalidateHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxWebhookBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWebhookBody))
 		if err != nil {
-			http.Error(w, `{"error":"read body"}`, http.StatusBadRequest)
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, `{"error":"read body"}`, status)
 			return
 		}
 		if n.cfg.Secret != "" && !verify(n.cfg.Secret, body, r.Header.Get(SignatureHeader)) {
@@ -248,17 +240,6 @@ func (n *Node) StatusHandler() http.Handler {
 
 // probe issues one GET /healthz against peer.
 func (n *Node) probe(ctx context.Context, peer string) bool {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode == http.StatusOK
+	_, err := n.exchange(ctx, probeTimeout, http.MethodGet, peer+"/healthz", nil)
+	return err == nil
 }

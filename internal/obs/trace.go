@@ -60,10 +60,10 @@ func (t *PlanTrace) LogValue() slog.Value {
 // context is nil and every call is a pointer test.
 //
 // A mutex guards the maps and slices: the recorder crosses goroutines
-// when a coalesced flight runs the plan on a detached context, and the
-// pool worker records the queue-wait span from its own goroutine. The
-// handler only reads the trace after the flight's done channel closes,
-// which orders all writes before the read.
+// when a coalesced flight runs the plan on a detached context (the
+// pool's queue-wait span is recorded there too). The handler only reads
+// the trace after the flight's done channel closes, which orders all
+// writes before the read.
 type TraceRecorder struct {
 	mu       sync.Mutex
 	phases   []PhaseSpan

@@ -116,6 +116,11 @@ func (a *autonomicSession) error() string {
 	return ""
 }
 
+// status renders the session for the status and stop endpoints.
+func (a *autonomicSession) status(done bool) AutonomicStatus {
+	return AutonomicStatus{Backend: a.backend, Done: done, RunErr: a.error(), Status: a.ctrl.Status()}
+}
+
 // stop cancels the loop, waits for it, and tears the live system down.
 func (a *autonomicSession) stop() {
 	a.cancel()
@@ -130,8 +135,7 @@ func (a *autonomicSession) stop() {
 
 func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 	var ar AutonomicRequest
-	if err := decodeBody(r, &ar); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &ar) {
 		return
 	}
 	// Reserve the session slot without holding the lock across the
@@ -213,14 +217,9 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 	switch backend {
 	case "", "live":
 		backend = "live"
-		var kind deploy.TransportKind
-		switch ar.Transport {
-		case "", "chan":
-			kind = deploy.TransportChan
-		case "tcp":
-			kind = deploy.TransportTCP
-		default:
-			writeError(w, http.StatusBadRequest, "unknown transport %q (have chan, tcp)", ar.Transport)
+		kind, err := parseTransport(ar.Transport)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		timeScale := ar.TimeScale
@@ -261,14 +260,9 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 		}
 		scenario := make([]sim.LoadPhase, 0, len(ar.Scenario))
 		for _, ph := range ar.Scenario {
-			scenario = append(scenario, sim.LoadPhase{
-				At:            ph.At,
-				Factors:       ph.Factors,
-				AddClients:    ph.AddClients,
-				RemoveClients: ph.RemoveClients,
-				Crash:         ph.Crash,
-				Restore:       ph.Restore,
-			})
+			// ScenarioPhase is sim.LoadPhase with JSON tags: the conversion
+			// stops compiling the day the two drift apart.
+			scenario = append(scenario, sim.LoadPhase(ph))
 		}
 		managed, err := sim.NewManaged(h, req.Costs, req.Platform.Bandwidth, req.Wapp, clients, scenario)
 		if err != nil {
@@ -315,38 +309,31 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleAutonomicStop(w http.ResponseWriter, r *http.Request) {
+// session returns the daemon's autonomic session. With none it has
+// answered 404 and returns nil.
+func (s *Server) session(w http.ResponseWriter) *autonomicSession {
 	s.autoMu.Lock()
 	sess := s.auto
-	s.auto = nil
 	s.autoMu.Unlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, "no autonomic session")
+	}
+	return sess
+}
+
+func (s *Server) handleAutonomicStop(w http.ResponseWriter, r *http.Request) {
+	sess := s.stopAutonomic()
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "no autonomic session")
 		return
 	}
-	sess.stop()
-	writeJSON(w, http.StatusOK, AutonomicStatus{
-		Backend: sess.backend,
-		Done:    true,
-		RunErr:  sess.error(),
-		Status:  sess.ctrl.Status(),
-	})
+	writeJSON(w, http.StatusOK, sess.status(true))
 }
 
 func (s *Server) handleAutonomicStatus(w http.ResponseWriter, r *http.Request) {
-	s.autoMu.Lock()
-	sess := s.auto
-	s.autoMu.Unlock()
-	if sess == nil {
-		writeError(w, http.StatusNotFound, "no autonomic session")
-		return
+	if sess := s.session(w); sess != nil {
+		writeJSON(w, http.StatusOK, sess.status(sess.finished()))
 	}
-	writeJSON(w, http.StatusOK, AutonomicStatus{
-		Backend: sess.backend,
-		Done:    sess.finished(),
-		RunErr:  sess.error(),
-		Status:  sess.ctrl.Status(),
-	})
 }
 
 // IncidentsResponse is the JSON body of GET /v1/autonomic/incidents:
@@ -360,11 +347,8 @@ type IncidentsResponse struct {
 // handleAutonomicIncidents serves the running (or finished but not yet
 // stopped) session's incident log.
 func (s *Server) handleAutonomicIncidents(w http.ResponseWriter, r *http.Request) {
-	s.autoMu.Lock()
-	sess := s.auto
-	s.autoMu.Unlock()
+	sess := s.session(w)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "no autonomic session")
 		return
 	}
 	in := sess.ctrl.Incidents()
@@ -383,15 +367,11 @@ type InjectRequest struct {
 
 func (s *Server) handleAutonomicInject(w http.ResponseWriter, r *http.Request) {
 	var ir InjectRequest
-	if err := decodeBody(r, &ir); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &ir) {
 		return
 	}
-	s.autoMu.Lock()
-	sess := s.auto
-	s.autoMu.Unlock()
+	sess := s.session(w)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "no autonomic session")
 		return
 	}
 	if sess.live == nil {
@@ -405,8 +385,9 @@ func (s *Server) handleAutonomicInject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"server": ir.Server, "factor": ir.Factor})
 }
 
-// stopAutonomic tears down any running session (daemon shutdown path).
-func (s *Server) stopAutonomic() {
+// stopAutonomic detaches and tears down the session, if any, and returns
+// it (the stop endpoint and the daemon shutdown path).
+func (s *Server) stopAutonomic() *autonomicSession {
 	s.autoMu.Lock()
 	sess := s.auto
 	s.auto = nil
@@ -414,4 +395,5 @@ func (s *Server) stopAutonomic() {
 	if sess != nil {
 		sess.stop()
 	}
+	return sess
 }

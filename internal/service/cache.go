@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 
 	"adept/internal/core"
 	"adept/internal/hierarchy"
+	"adept/internal/lru"
 	"adept/internal/model"
 	"adept/internal/platform"
 	"adept/internal/workload"
@@ -83,32 +83,6 @@ func Render(plan *core.Plan) (*CachedPlan, error) {
 	return &CachedPlan{Plan: &cp, XML: xml, Stats: stats}, nil
 }
 
-// CacheStore is the content-addressed plan cache behind the daemon.
-// *PlanCache is the in-memory lock-striped default; the interface exists
-// so the store can be decorated or replaced (tiered, persistent, …)
-// while single-node deployments and tests keep the zero-config in-memory
-// form. Entries are immutable once stored — content addresses never go
-// stale — which is also what lets the cluster layer shard them across
-// processes by digest.
-type CacheStore interface {
-	// Get returns the cached rendered plan, charging a hit or a miss.
-	Get(key CacheKey) (*CachedPlan, bool)
-	// Lookup is Get without the miss accounting (see PlanCache.Lookup).
-	Lookup(key CacheKey) (*CachedPlan, bool)
-	// NoteMiss charges one miss against key.
-	NoteMiss(key CacheKey)
-	// Put stores the rendered plan under key.
-	Put(key CacheKey, plan *CachedPlan)
-	// Contains reports presence without touching recency or counters.
-	Contains(key CacheKey) bool
-	// Keys snapshots the cached content addresses (any order).
-	Keys() []CacheKey
-	Len() int
-	Shards() int
-	ShardSizes() []int
-	Stats() (hits, misses uint64)
-}
-
 // defaultCacheShards is the segment count of the sharded cache. Sixteen
 // stripes keep lock hold times independent across the digest space at any
 // worker count the daemon realistically runs with.
@@ -124,23 +98,20 @@ const defaultCacheShards = 16
 // keys do not serialise on one mutex. Capacity is split evenly across
 // shards and eviction is LRU per shard — with SHA-256 keys the shards
 // fill uniformly, so the global behaviour approximates a single LRU.
+//
+// Entries are immutable once stored — a content address never goes stale
+// — which is also what lets internal/cluster shard them across processes
+// by digest.
 type PlanCache struct {
 	shards []cacheShard
 	mask   uint32
 }
 
 type cacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[CacheKey]*list.Element
-	order    *list.List // front = most recently used
-	hits     uint64
-	misses   uint64
-}
-
-type cacheEntry struct {
-	key  CacheKey
-	plan *CachedPlan
+	mu     sync.Mutex
+	plans  lru.Cache[CacheKey, *CachedPlan]
+	hits   uint64
+	misses uint64
 }
 
 // minShardCapacity floors the entries per shard: a small cache split into
@@ -183,11 +154,7 @@ func newPlanCacheShards(capacity, shards int) (*PlanCache, error) {
 		if i < capacity%n {
 			per++
 		}
-		c.shards[i] = cacheShard{
-			capacity: per,
-			entries:  make(map[CacheKey]*list.Element, per),
-			order:    list.New(),
-		}
+		c.shards[i].plans.Init(per)
 	}
 	return c, nil
 }
@@ -225,13 +192,11 @@ func (c *PlanCache) Lookup(key CacheKey) (*CachedPlan, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
+	plan, ok := s.plans.Get(key)
+	if ok {
+		s.hits++
 	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
+	return plan, ok
 }
 
 // NoteMiss charges one miss against key's shard.
@@ -242,20 +207,6 @@ func (c *PlanCache) NoteMiss(key CacheKey) {
 	s.mu.Unlock()
 }
 
-// peek reports the cached entry without touching recency or the hit/miss
-// counters — the coalescing layer uses it to close the miss-to-flight
-// window without double-counting stats.
-func (c *PlanCache) peek(key CacheKey) (*CachedPlan, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).plan, true
-}
-
 // Put stores the rendered plan under key, evicting the least recently
 // used entry of the key's shard when that shard is at capacity. Storing
 // an existing key refreshes its value and recency.
@@ -263,37 +214,33 @@ func (c *PlanCache) Put(key CacheKey, plan *CachedPlan) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = plan
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*cacheEntry).key)
-		}
-	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, plan: plan})
+	s.plans.Put(key, plan)
 }
 
 // Contains reports whether key is cached without touching recency or the
 // hit/miss counters.
 func (c *PlanCache) Contains(key CacheKey) bool {
-	_, ok := c.peek(key)
-	return ok
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.plans.Contains(key)
+}
+
+// eachShard calls f on every shard in index order, holding that shard's
+// lock.
+func (c *PlanCache) eachShard(f func(i int, s *cacheShard)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		f(i, s)
+		s.mu.Unlock()
+	}
 }
 
 // Len returns the number of cached plans across all shards.
 func (c *PlanCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
+	c.eachShard(func(_ int, s *cacheShard) { n += s.plans.Len() })
 	return n
 }
 
@@ -301,18 +248,11 @@ func (c *PlanCache) Len() int {
 func (c *PlanCache) Shards() int { return len(c.shards) }
 
 // Keys returns the content addresses currently cached, in shard order
-// (arbitrary within a shard). The cluster status endpoint uses it to
+// (most recently used first within a shard). The cluster status endpoint uses it to
 // report how many locally cached keys each ring peer owns.
 func (c *PlanCache) Keys() []CacheKey {
 	keys := make([]CacheKey, 0, c.Len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-	}
+	c.eachShard(func(_ int, s *cacheShard) { keys = append(keys, s.plans.Keys()...) })
 	return keys
 }
 
@@ -320,23 +260,15 @@ func (c *PlanCache) Keys() []CacheKey {
 // metrics exposition uses it to make uneven shard fill visible.
 func (c *PlanCache) ShardSizes() []int {
 	sizes := make([]int, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		sizes[i] = s.order.Len()
-		s.mu.Unlock()
-	}
+	c.eachShard(func(i int, s *cacheShard) { sizes[i] = s.plans.Len() })
 	return sizes
 }
 
 // Stats returns the cumulative hit and miss counts summed over shards.
 func (c *PlanCache) Stats() (hits, misses uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
+	c.eachShard(func(_ int, s *cacheShard) {
 		hits += s.hits
 		misses += s.misses
-		s.mu.Unlock()
-	}
+	})
 	return hits, misses
 }

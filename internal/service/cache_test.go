@@ -321,10 +321,10 @@ func TestCacheShardSizing(t *testing.T) {
 		}
 		total := 0
 		for i := range c.shards {
-			if c.shards[i].capacity < 1 {
-				t.Errorf("cap %d shards %d: shard %d has capacity %d", tc.capacity, tc.shards, i, c.shards[i].capacity)
+			if c.shards[i].plans.Cap() < 1 {
+				t.Errorf("cap %d shards %d: shard %d has capacity %d", tc.capacity, tc.shards, i, c.shards[i].plans.Cap())
 			}
-			total += c.shards[i].capacity
+			total += c.shards[i].plans.Cap()
 		}
 		if total != tc.capacity {
 			t.Errorf("cap %d shards %d: shard capacities sum to %d", tc.capacity, tc.shards, total)
@@ -369,8 +369,8 @@ func TestCacheDefaultShardSizingFloorsPerShardCapacity(t *testing.T) {
 			t.Errorf("capacity %d: %d shards, want %d", tc.capacity, got, tc.wantShards)
 		}
 		for i := range c.shards {
-			if tc.capacity >= minShardCapacity && c.shards[i].capacity < minShardCapacity {
-				t.Errorf("capacity %d: shard %d holds only %d entries", tc.capacity, i, c.shards[i].capacity)
+			if tc.capacity >= minShardCapacity && c.shards[i].plans.Cap() < minShardCapacity {
+				t.Errorf("capacity %d: shard %d holds only %d entries", tc.capacity, i, c.shards[i].plans.Cap())
 			}
 		}
 	}

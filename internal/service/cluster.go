@@ -16,7 +16,7 @@ const ForwardedHeader = "X-Adept-Forwarded"
 
 // RegistryUpdate is one versioned registry mutation, as fanned out to
 // peers by push-invalidation webhooks and folded in by
-// RegistryStore.ApplyRemote. Version orders updates for a name across the
+// Registry.ApplyRemote. Version orders updates for a name across the
 // whole cluster; Deleted marks a tombstone (Platform nil); Origin is the
 // advertised URL of the peer the write landed on, so receivers can drop
 // their own echoes.
@@ -88,34 +88,28 @@ type Cluster interface {
 // families join the Prometheus registry. Call before serving traffic.
 func (s *Server) EnableCluster(c Cluster) {
 	s.cluster = c
-	s.mux.Handle("GET /v1/cluster", s.instrument("cluster_status", func(w http.ResponseWriter, r *http.Request) {
-		c.StatusHandler().ServeHTTP(w, r)
-	}))
-	s.mux.Handle("POST /v1/cluster/invalidate", s.instrument("cluster_invalidate", func(w http.ResponseWriter, r *http.Request) {
-		c.InvalidateHandler().ServeHTTP(w, r)
-	}))
+	s.mux.Handle("GET /v1/cluster", s.instrument("cluster_status", c.StatusHandler().ServeHTTP))
+	s.mux.Handle("POST /v1/cluster/invalidate", s.instrument("cluster_invalidate", c.InvalidateHandler().ServeHTTP))
 	prom := s.metrics.Prom()
 	prom.GaugeFunc("adeptd_peers", "Peers in the cluster ring, this node included.", func() float64 {
 		return float64(c.Report().Peers)
 	})
-	prom.CounterFunc("adeptd_peer_forwards_total", "Plan requests answered by the key's owning peer.", func() uint64 {
-		return c.Report().Forwards
-	})
-	prom.CounterFunc("adeptd_peer_fallbacks_total", "Plan requests planned locally because the owning peer was unavailable.", func() uint64 {
-		return c.Report().Fallbacks
-	})
-	prom.CounterFunc("adeptd_peer_remote_cache_hits_total", "Plan requests answered from locally retained forwarded responses.", func() uint64 {
-		return c.Report().RemoteCacheHits
-	})
-	prom.CounterFunc("adeptd_peer_invalidations_sent_total", "Registry invalidation webhooks delivered to peers.", func() uint64 {
-		return c.Report().InvalidationsSent
-	})
-	prom.CounterFunc("adeptd_peer_invalidations_applied_total", "Peer registry invalidations applied over local state.", func() uint64 {
-		return c.Report().InvalidationsApplied
-	})
-	prom.CounterFunc("adeptd_peer_errors_total", "Failed peer HTTP exchanges (forwards and webhook deliveries).", func() uint64 {
-		return c.Report().PeerErrors
-	})
+	// peer adapts one PeerReport counter to a scrape-time callback.
+	peer := func(field func(PeerReport) uint64) func() uint64 {
+		return func() uint64 { return field(c.Report()) }
+	}
+	prom.CounterFunc("adeptd_peer_forwards_total", "Plan requests answered by the key's owning peer.",
+		peer(func(r PeerReport) uint64 { return r.Forwards }))
+	prom.CounterFunc("adeptd_peer_fallbacks_total", "Plan requests planned locally because the owning peer was unavailable.",
+		peer(func(r PeerReport) uint64 { return r.Fallbacks }))
+	prom.CounterFunc("adeptd_peer_remote_cache_hits_total", "Plan requests answered from locally retained forwarded responses.",
+		peer(func(r PeerReport) uint64 { return r.RemoteCacheHits }))
+	prom.CounterFunc("adeptd_peer_invalidations_sent_total", "Registry invalidation webhooks delivered to peers.",
+		peer(func(r PeerReport) uint64 { return r.InvalidationsSent }))
+	prom.CounterFunc("adeptd_peer_invalidations_applied_total", "Peer registry invalidations applied over local state.",
+		peer(func(r PeerReport) uint64 { return r.InvalidationsApplied }))
+	prom.CounterFunc("adeptd_peer_errors_total", "Failed peer HTTP exchanges (forwards and webhook deliveries).",
+		peer(func(r PeerReport) uint64 { return r.PeerErrors }))
 }
 
 // broadcast fans a registry mutation out when a cluster is attached.

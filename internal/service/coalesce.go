@@ -13,7 +13,7 @@ import (
 // (singleflight): the first request for a key becomes the leader and
 // starts one planning run; every identical request arriving before it
 // completes joins the same flight and shares its result instead of
-// burning another pool worker on identical work.
+// taking another pool slot for identical work.
 //
 // The run executes on a context detached from any single client, bounded
 // by the leader's effective timeout — one impatient client dropping its

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adept/internal/scenario"
 )
 
 // TestPlanTraceRoundTrip requests a portfolio plan with tracing on and
@@ -72,6 +74,46 @@ func TestPlanTraceRoundTrip(t *testing.T) {
 	}
 	if pr.Trace.RequestID == "" {
 		t.Error("trace has no request ID")
+	}
+}
+
+// TestPlanElapsedCoversResolve: elapsed_ms is the whole of what answering
+// the request cost, so it can be no smaller than the phases its own trace
+// reports. On a generated fleet, resolve (generate + validate) is most of
+// the request — on a cache hit nearly all of it — and the clock used to
+// start only after it.
+func TestPlanElapsedCoversResolve(t *testing.T) {
+	_, ts := newTestServer(t)
+	req := PlanRequest{
+		Scenario: &scenario.Spec{Family: scenario.ClusterGrid, N: 20000, Seed: 7, PowerLevels: 8},
+		DgemmN:   1000,
+		Trace:    true,
+	}
+	for _, wantCached := range []bool{false, true} {
+		resp, data := postJSON(t, ts.URL+"/v1/plan", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(data, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if pr.Cached != wantCached || pr.Trace == nil {
+			t.Fatalf("cached = %v (want %v), trace = %v", pr.Cached, wantCached, pr.Trace)
+		}
+		var front float64
+		for _, p := range pr.Trace.Phases {
+			if p.Name == "resolve" || p.Name == "cache_lookup" {
+				front += p.DurationMS
+			}
+		}
+		if front == 0 {
+			t.Fatalf("trace has no resolve/cache_lookup time: %+v", pr.Trace.Phases)
+		}
+		if pr.ElapsedMS < front {
+			t.Errorf("cached=%v: elapsed_ms = %.3f, less than its own resolve + cache_lookup phases (%.3f ms)",
+				wantCached, pr.ElapsedMS, front)
+		}
 	}
 }
 

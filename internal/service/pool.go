@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,52 +14,40 @@ import (
 // ErrPoolClosed is returned by Submit after Close.
 var ErrPoolClosed = errors.New("service: worker pool closed")
 
-// ErrQueueFull is returned by Submit when every worker is busy and the
-// waiting queue is at capacity. The HTTP layer maps it to 429 with a
+// ErrQueueFull is returned by Submit when every worker slot is taken and
+// the waiting queue is at capacity. The HTTP layer maps it to 429 with a
 // Retry-After header: under overload the daemon sheds load immediately
 // instead of parking handler goroutines on a queue that cannot drain
 // faster than the planners run.
 var ErrQueueFull = errors.New("service: planning queue full")
 
-// Pool is a bounded planning worker pool: a fixed set of goroutines
-// executes planning jobs so that an arbitrary number of concurrent HTTP
-// clients cannot fork an arbitrary number of planner runs. Jobs carry the
-// submitter's context; a job cancelled while still queued is abandoned
-// before a worker picks it up, and a running planner observes the same
-// context through its PlanContext poll points.
+// Pool bounds concurrent planning runs with a counting semaphore, so that
+// an arbitrary number of concurrent HTTP clients cannot fork an arbitrary
+// number of planner runs. A job runs on the goroutine that submitted it —
+// the request's own, or its coalesced flight's — once it holds one of the
+// worker slots; there are no pool goroutines to hand it to. At most
+// queueDepth submitters wait for a slot, in arrival order; a waiter whose
+// context fires leaves the queue at once, and a running planner observes
+// the same context through its PlanContext poll points.
 //
-// Admission is fail-fast: Submit never blocks on a full queue — it
-// returns ErrQueueFull so callers can shed load (HTTP 429) instead of
-// stacking up goroutines behind the planners.
+// Admission is fail-fast: Submit never joins a full queue — it returns
+// ErrQueueFull so callers can shed load (HTTP 429) instead of stacking up
+// goroutines behind the planners. A free slot always admits, so an idle
+// pool never sheds, whatever its queue depth.
 type Pool struct {
-	jobs     chan *poolJob
-	quit     chan struct{}
-	wg       sync.WaitGroup
-	closed   atomic.Bool
-	active   atomic.Int64  // jobs currently executing on a worker
-	executed atomic.Uint64 // jobs whose fn actually ran
-	rejected atomic.Uint64 // submissions refused with ErrQueueFull
-	workers  int
+	slots      chan struct{} // one token per running job; cap = workers
+	quit       chan struct{}
+	closed     atomic.Bool
+	queueDepth int
+	waiting    atomic.Int64  // submitters parked for a slot
+	active     atomic.Int64  // jobs currently executing
+	executed   atomic.Uint64 // jobs whose fn actually ran
+	rejected   atomic.Uint64 // submissions refused with ErrQueueFull
 }
 
-type poolJob struct {
-	ctx      context.Context
-	fn       func(context.Context) (*core.Plan, error)
-	done     chan poolResult
-	enqueued time.Time
-}
-
-type poolResult struct {
-	plan *core.Plan
-	err  error
-}
-
-// NewPool starts a pool of the given number of workers with a queue of
-// queueDepth waiting jobs. 0 means no queue: Submit is admitted only
-// when a worker is parked in its receive at that instant, so a worker
-// between jobs counts as busy and an idle pool can spuriously shed —
-// give latency-sensitive callers at least a small queue (the daemon
-// floors its own at 64).
+// NewPool returns a pool of the given number of worker slots with room
+// for queueDepth submitters waiting behind them (0 = none: a submission
+// that finds every slot taken is shed).
 func NewPool(workers, queueDepth int) (*Pool, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("service: pool needs at least one worker, got %d", workers)
@@ -68,91 +55,73 @@ func NewPool(workers, queueDepth int) (*Pool, error) {
 	if queueDepth < 0 {
 		return nil, fmt.Errorf("service: negative queue depth %d", queueDepth)
 	}
-	p := &Pool{
-		jobs:    make(chan *poolJob, queueDepth),
-		quit:    make(chan struct{}),
-		workers: workers,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p, nil
+	return &Pool{
+		slots:      make(chan struct{}, workers),
+		quit:       make(chan struct{}),
+		queueDepth: queueDepth,
+	}, nil
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case job := <-p.jobs:
-			// Shutdown must be deterministic: a job dequeued after Close
-			// has fired is rejected, never run — otherwise this select
-			// racing against quit would randomly run or drop queued jobs.
-			select {
-			case <-p.quit:
-				job.done <- poolResult{err: ErrPoolClosed}
-			default:
-				p.run(job)
-			}
-		}
+// acquire takes a worker slot, waiting in the bounded queue when none is
+// free. The caller releases the slot by receiving from p.slots.
+func (p *Pool) acquire(ctx context.Context) error {
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	if p.waiting.Add(1) > int64(p.queueDepth) {
+		p.waiting.Add(-1)
+		p.rejected.Add(1)
+		return ErrQueueFull
+	}
+	defer p.waiting.Add(-1)
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.quit:
+		return ErrPoolClosed
 	}
 }
 
-func (p *Pool) run(job *poolJob) {
-	// The submitter may have given up while the job sat in the queue.
-	if err := job.ctx.Err(); err != nil {
-		job.done <- poolResult{err: err}
-		return
-	}
-	// How long the job sat behind busy workers — a no-op unless the
-	// submitter's context carries a trace recorder.
-	//adeptvet:allow nondet queue-wait latency measurement; trace telemetry, not planner state
-	obs.TraceFrom(job.ctx).Span("queue_wait", time.Since(job.enqueued))
-	p.active.Add(1)
-	p.executed.Add(1)
-	plan, err := job.fn(job.ctx)
-	p.active.Add(-1)
-	job.done <- poolResult{plan: plan, err: err}
-}
-
-// Submit enqueues fn and blocks until a worker has run it (or the context
-// fires first, whether queued or running — planners poll the same context).
-// When all workers are busy and the queue is full it fails immediately
-// with ErrQueueFull rather than blocking the caller.
+// Submit runs fn on the calling goroutine once a worker slot is free and
+// returns its result. When all slots are taken and the queue is full it
+// fails immediately with ErrQueueFull rather than blocking the caller;
+// while queued it gives up as soon as ctx fires or the pool closes.
 func (p *Pool) Submit(ctx context.Context, fn func(context.Context) (*core.Plan, error)) (*core.Plan, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	//adeptvet:allow nondet enqueue timestamp for the queue-wait span; trace telemetry, not planner state
-	job := &poolJob{ctx: ctx, fn: fn, done: make(chan poolResult, 1), enqueued: time.Now()}
+	enqueued := time.Now()
+	if err := p.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer func() { <-p.slots }()
+	// Shutdown must be deterministic: a slot won after Close has fired —
+	// acquire's select racing a freed slot against quit — never starts a
+	// job. Nor does one whose submitter gave up while it waited.
 	select {
-	case p.jobs <- job:
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	case <-p.quit:
 		return nil, ErrPoolClosed
 	default:
-		p.rejected.Add(1)
-		return nil, ErrQueueFull
 	}
-	select {
-	case res := <-job.done:
-		return res.plan, res.err
-	case <-ctx.Done():
-		// The job may still be queued behind busy workers; give up now —
-		// when a worker eventually dequeues it, run's ctx check discards
-		// it, and the buffered done channel absorbs the orphan result.
-		return nil, ctx.Err()
-	case <-p.quit:
-		// Shutdown while queued or running; the done channel is buffered,
-		// so a worker mid-job can still complete without leaking.
-		return nil, ErrPoolClosed
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	// How long the job waited for a slot — a no-op unless the submitter's
+	// context carries a trace recorder.
+	//adeptvet:allow nondet queue-wait latency measurement; trace telemetry, not planner state
+	obs.TraceFrom(ctx).Span("queue_wait", time.Since(enqueued))
+	p.active.Add(1)
+	p.executed.Add(1)
+	defer p.active.Add(-1)
+	return fn(ctx)
 }
 
-// Plan runs planner.PlanContext(ctx, req) on a pool worker.
+// Plan runs planner.PlanContext(ctx, req) under a pool slot.
 func (p *Pool) Plan(ctx context.Context, planner core.Planner, req core.Request) (*core.Plan, error) {
 	return p.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
 		return planner.PlanContext(ctx, req)
@@ -162,14 +131,15 @@ func (p *Pool) Plan(ctx context.Context, planner core.Planner, req core.Request)
 // Active returns the number of jobs currently executing.
 func (p *Pool) Active() int { return int(p.active.Load()) }
 
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the number of worker slots.
+func (p *Pool) Workers() int { return cap(p.slots) }
 
-// QueueDepth returns the number of jobs waiting for a worker right now.
-func (p *Pool) QueueDepth() int { return len(p.jobs) }
+// QueueDepth returns the number of submitters waiting for a slot right
+// now.
+func (p *Pool) QueueDepth() int { return int(p.waiting.Load()) }
 
 // QueueCapacity returns the configured queue bound.
-func (p *Pool) QueueCapacity() int { return cap(p.jobs) }
+func (p *Pool) QueueCapacity() int { return p.queueDepth }
 
 // Executed returns the cumulative count of jobs whose function ran.
 func (p *Pool) Executed() uint64 { return p.executed.Load() }
@@ -182,22 +152,16 @@ func (p *Pool) Rejected() uint64 { return p.rejected.Load() }
 // "pool accepting work" check.
 func (p *Pool) Closed() bool { return p.closed.Load() }
 
-// Close stops the workers. Jobs already handed to a worker finish; jobs
-// still queued at shutdown uniformly receive ErrPoolClosed — workers
-// re-check quit after every dequeue, and Close drains whatever the
-// workers never picked up once they have exited.
+// Close shuts the pool and returns once no job is running. Jobs already
+// running finish; submitters still queued uniformly receive ErrPoolClosed
+// and never run. Close keeps every slot it collects, so nothing can start
+// afterwards.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(p.quit)
-	p.wg.Wait()
-	for {
-		select {
-		case job := <-p.jobs:
-			job.done <- poolResult{err: ErrPoolClosed}
-		default:
-			return
-		}
+	for i := 0; i < cap(p.slots); i++ {
+		p.slots <- struct{}{}
 	}
 }

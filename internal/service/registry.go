@@ -4,20 +4,24 @@
 // deployment services of the related work (Flissi & Merle's deployment
 // framework, Dearle et al.'s autonomic middleware).
 //
-// The subsystem has four parts, each usable on its own:
+// The subsystem has four parts, each a concrete type usable on its own:
 //
 //   - Registry   — named, versioned platform descriptions with CRUD,
-//     optimistic concurrency (If-Match), dir loading, and replication
-//     hooks (see RegistryStore and ApplyRemote)
-//   - PlanCache  — content-addressed plan cache with LRU eviction
-//   - Pool       — bounded worker pool running planners under context
+//     optimistic concurrency (If-Match), a write-through journal
+//     (LoadDir, PersistTo), and peer replication (ApplyRemote)
+//   - PlanCache  — content-addressed plan cache, sharded, LRU-evicting
+//     (internal/lru)
+//   - Pool       — counting semaphore bounding concurrent planner runs,
+//     with a bounded fail-fast wait queue
 //   - Server     — the HTTP JSON API wiring the three together, plus a
 //     live-deployment endpoint backed by internal/deploy
 //
-// cmd/adeptd is the thin binary around Server; examples/service is a
-// client walkthrough. internal/cluster lifts the cache's digest sharding
-// and the registry's versioning across processes (see the Cluster
-// interface).
+// Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
+// thin binary around it and examples/service is a client walkthrough.
+// The one interface in the package is Cluster, the seam internal/cluster
+// plugs into to lift the cache's digest sharding and the registry's
+// versioning across processes: it has a real second side (nil means
+// single-node mode) and must not be imported from here.
 package service
 
 import (
@@ -42,40 +46,6 @@ var ErrVersionMismatch = errors.New("service: platform version mismatch")
 // MatchAny is the expected-version wildcard (If-Match: *): the entry must
 // exist, at any version.
 const MatchAny = ^uint64(0)
-
-// RegistryStore is the named-platform store the daemon plans against.
-// *Registry is the in-memory (optionally journalled) default; the
-// interface exists so the store can be decorated or replaced — the
-// cluster layer replicates through it via ApplyRemote — while tests and
-// single-node deployments keep the zero-config in-memory form.
-type RegistryStore interface {
-	// Put stores p under name unconditionally (last write wins), bumping
-	// the entry's version.
-	Put(name string, p *platform.Platform) error
-	// PutIfMatch stores p under name with optimistic concurrency: expect
-	// nil writes unconditionally, &MatchAny requires the entry to exist,
-	// and any other value must equal the entry's current version (0 = "must
-	// not exist yet"). It returns the new version, or ErrVersionMismatch.
-	PutIfMatch(name string, p *platform.Platform, expect *uint64) (uint64, error)
-	// Get returns a clone of the named platform.
-	Get(name string) (*platform.Platform, bool)
-	// GetVersion is Get plus the entry's current version.
-	GetVersion(name string) (*platform.Platform, uint64, bool)
-	// Delete removes the named platform unconditionally.
-	Delete(name string) bool
-	// DeleteIfMatch removes the named platform under the same expect
-	// semantics as PutIfMatch, returning the tombstone version (the
-	// deletion is itself a versioned event replication must order).
-	DeleteIfMatch(name string, expect *uint64) (uint64, bool, error)
-	// ApplyRemote folds a peer-originated update in: applied iff
-	// u.Version is strictly newer than everything seen for u.Name, so
-	// replays and out-of-order deliveries are harmless.
-	ApplyRemote(u RegistryUpdate) (bool, error)
-	// Names returns the registered names in sorted order.
-	Names() []string
-	// Len returns the number of registered platforms.
-	Len() int
-}
 
 // regEntry pairs a stored platform with its monotonic version.
 type regEntry struct {
@@ -225,29 +195,34 @@ func checkMatch(name string, current uint64, expect *uint64) error {
 	return nil
 }
 
-// persistPlatform journals p as dir/name.json: marshal, write to a
-// same-directory temp file, fsync-free atomic rename. A crash mid-write
-// leaves only a temp file the next LoadDir ignores, never a torn journal.
+// writeFileAtomic writes data as dir/file through a same-directory temp
+// file and an fsync-free atomic rename. A crash mid-write leaves only a
+// temp file the next LoadDir ignores, never a torn journal.
+func writeFileAtomic(dir, file string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, file+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, file))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// persistPlatform journals p as dir/name.json.
 func persistPlatform(dir, name string, p *platform.Platform) error {
 	data, err := p.MarshalIndent()
-	if err != nil {
-		return fmt.Errorf("service: persist %q: %w", name, err)
-	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("service: persist %q: %w", name, err)
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
+	if err == nil {
+		err = writeFileAtomic(dir, name+".json", data)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: persist %q: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name+".json")); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("service: persist %q: %w", name, err)
 	}
 	return nil
@@ -266,24 +241,8 @@ func (r *Registry) persistVersionsLocked() {
 	// are deterministic for equal contents.
 	data, err := json.Marshal(r.versions)
 	r.mu.RUnlock()
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(r.persistDir, versionsSidecar+".tmp-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(r.persistDir, versionsSidecar)); err != nil {
-		os.Remove(tmp.Name())
+	if err == nil {
+		_ = writeFileAtomic(r.persistDir, versionsSidecar, data)
 	}
 }
 

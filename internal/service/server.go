@@ -29,49 +29,60 @@ import (
 	"adept/internal/workload"
 )
 
+// planners is the one table of planner names: SelectPlanner resolves
+// through it and PlannerNames lists it, in this order. The names match
+// cmd/adept's -planner flag.
+var planners = []struct {
+	name string
+	make func() core.Planner
+}{
+	{"heuristic", func() core.Planner { return core.NewHeuristic() }},
+	{"heuristic+swap", func() core.Planner { return &core.SwapRefiner{Inner: core.NewHeuristic()} }},
+	{"star", func() core.Planner { return &baseline.Star{} }},
+	{"balanced", func() core.Planner { return &baseline.Balanced{} }},
+	{"dary", func() core.Planner { return &baseline.OptimalDAry{} }},
+	{"exhaustive", func() core.Planner { return &baseline.Exhaustive{} }},
+	{"portfolio", func() core.Planner { return portfolio.New() }},
+}
+
 // SelectPlanner resolves a planner name to a (stateless, reusable)
-// planner instance. The names match cmd/adept's -planner flag.
+// planner instance; the empty name selects the heuristic.
 func SelectPlanner(name string) (core.Planner, error) {
-	switch name {
-	case "", "heuristic":
-		return core.NewHeuristic(), nil
-	case "heuristic+swap":
-		return &core.SwapRefiner{Inner: core.NewHeuristic()}, nil
-	case "star":
-		return &baseline.Star{}, nil
-	case "balanced":
-		return &baseline.Balanced{}, nil
-	case "dary":
-		return &baseline.OptimalDAry{}, nil
-	case "exhaustive":
-		return &baseline.Exhaustive{}, nil
-	case "portfolio":
-		return portfolio.New(), nil
-	default:
-		return nil, fmt.Errorf("unknown planner %q", name)
+	if name == "" {
+		name = "heuristic"
 	}
+	for _, p := range planners {
+		if p.name == name {
+			return p.make(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown planner %q", name)
 }
 
 // PlannerNames lists the names SelectPlanner accepts, for error messages
 // and documentation endpoints.
 func PlannerNames() []string {
-	return []string{"heuristic", "heuristic+swap", "star", "balanced", "dary", "exhaustive", "portfolio"}
+	names := make([]string, len(planners))
+	for i, p := range planners {
+		names[i] = p.name
+	}
+	return names
 }
 
-// Config tunes the daemon.
+// Config tunes the daemon. Every field is optional; the server builds its
+// own registry, cache and pool from it.
 type Config struct {
 	// CacheSize is the plan cache capacity in entries (default 256).
 	CacheSize int
-	// Workers bounds concurrent planner runs (default GOMAXPROCS).
+	// Workers is the number of pool slots: the bound on concurrent planner
+	// runs (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds planning jobs waiting for a worker (default 64).
+	// QueueDepth bounds the requests waiting for a pool slot; past it the
+	// daemon sheds with 429 (default 64, which zero also selects).
 	QueueDepth int
 	// PlanTimeout caps a single planning run (default 30s); clients may
 	// only shorten it via timeout_ms.
 	PlanTimeout time.Duration
-	// MaxDeployDuration caps the load window of POST /v1/deploy
-	// (default 10s).
-	MaxDeployDuration time.Duration
 	// Logger receives the daemon's structured logs. nil means discard —
 	// embedded uses (tests, benchmarks) pay nothing for logging.
 	Logger *slog.Logger
@@ -87,16 +98,21 @@ type Config struct {
 	// sampler entirely — tests then drive SLOTick with explicit
 	// timestamps instead of racing a wall clock.
 	SampleInterval time.Duration
-	// SeriesCapacity bounds each time-series ring (default 600 samples,
-	// ten minutes of history at the default tick).
-	SeriesCapacity int
-	// Registry overrides the platform store (nil = a fresh in-memory
-	// Registry). cmd/adeptd injects a preloaded journalled Registry here.
-	Registry RegistryStore
-	// Cache overrides the plan cache (nil = an in-memory PlanCache of
-	// CacheSize entries).
-	Cache CacheStore
 }
+
+// Fixed limits of the daemon, constants rather than Config fields because
+// no caller has ever needed another value.
+const (
+	// maxDeployDuration caps the load window of POST /v1/deploy.
+	maxDeployDuration = 10 * time.Second
+	// seriesCapacity bounds each time-series ring: ten minutes of history
+	// at the default one-second tick.
+	seriesCapacity = 600
+	// maxRequestBody bounds a request body; larger ones are answered 413.
+	// 16 MiB is far above any platform a client would ship inline (fleet
+	// scale goes through a scenario spec).
+	maxRequestBody = 16 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
@@ -111,17 +127,11 @@ func (c Config) withDefaults() Config {
 	if c.PlanTimeout <= 0 {
 		c.PlanTimeout = 30 * time.Second
 	}
-	if c.MaxDeployDuration <= 0 {
-		c.MaxDeployDuration = 10 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
 	if c.JournalCapacity <= 0 {
 		c.JournalCapacity = 256
-	}
-	if c.SeriesCapacity <= 0 {
-		c.SeriesCapacity = 600
 	}
 	return c
 }
@@ -130,8 +140,8 @@ func (c Config) withDefaults() Config {
 // JSON API. Create with New, expose via Handler, release with Close.
 type Server struct {
 	cfg      Config
-	registry RegistryStore
-	cache    CacheStore
+	registry *Registry
+	cache    *PlanCache
 	pool     *Pool
 	flights  *flightGroup
 	metrics  *Metrics
@@ -161,19 +171,13 @@ type Server struct {
 	classPlans atomic.Uint64
 }
 
-// New builds a Server with started workers.
+// New builds a Server: an empty registry, an empty cache, an open pool
+// and (unless disabled) a running sampler.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	cache := cfg.Cache
-	if cache == nil {
-		var err error
-		if cache, err = NewPlanCache(cfg.CacheSize); err != nil {
-			return nil, err
-		}
-	}
-	registry := cfg.Registry
-	if registry == nil {
-		registry = NewRegistry()
+	cache, err := NewPlanCache(cfg.CacheSize)
+	if err != nil {
+		return nil, err
 	}
 	pool, err := NewPool(cfg.Workers, cfg.QueueDepth)
 	if err != nil {
@@ -181,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		registry: registry,
+		registry: NewRegistry(),
 		cache:    cache,
 		pool:     pool,
 		flights:  newFlightGroup(),
@@ -204,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 // initSLO builds the time-series store, wires the daemon's key signals
 // into it, and binds every configured objective to its counter sources.
 func (s *Server) initSLO() error {
-	s.store = obs.NewStore(s.cfg.SeriesCapacity)
+	s.store = obs.NewStore(seriesCapacity)
 	sloCfg := slo.DefaultConfig()
 	if s.cfg.SLO != nil {
 		sloCfg = *s.cfg.SLO
@@ -240,15 +244,13 @@ func (s *Server) initSLO() error {
 func (s *Server) bindObjective(eng *slo.Engine, spec slo.ObjectiveSpec) error {
 	switch spec.Type {
 	case slo.TypeAvailability:
+		totals := s.metrics.Totals
 		if ep := spec.Endpoint; ep != "" {
-			return eng.Bind(spec.Name,
-				func() float64 { r, e := s.metrics.EndpointTotals(ep); return float64(r) - float64(e) },
-				func() float64 { r, _ := s.metrics.EndpointTotals(ep); return float64(r) },
-				0)
+			totals = func() (uint64, uint64) { return s.metrics.EndpointTotals(ep) }
 		}
 		return eng.Bind(spec.Name,
-			func() float64 { r, e := s.metrics.Totals(); return float64(r) - float64(e) },
-			func() float64 { r, _ := s.metrics.Totals(); return float64(r) },
+			func() float64 { r, e := totals(); return float64(r) - float64(e) },
+			func() float64 { r, _ := totals(); return float64(r) },
 			0)
 	case slo.TypeLatency:
 		ep := spec.Endpoint
@@ -362,12 +364,12 @@ func (s *Server) Logger() *slog.Logger { return s.logger }
 // Journal exposes the autonomic event journal.
 func (s *Server) Journal() *obs.Journal { return s.journal }
 
-// Registry exposes the platform store (e.g. for startup preloading or
-// cluster replication).
-func (s *Server) Registry() RegistryStore { return s.registry }
+// Registry exposes the platform store (e.g. for startup preloading and
+// journalling, or cluster replication).
+func (s *Server) Registry() *Registry { return s.registry }
 
 // Cache exposes the plan cache.
-func (s *Server) Cache() CacheStore { return s.cache }
+func (s *Server) Cache() *PlanCache { return s.cache }
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -752,6 +754,11 @@ func planResponse(entry *CachedPlan, key CacheKey, plat *platform.Platform, star
 // that need the model inputs (the deploy handler) do not resolve — and
 // re-hit the registry — a second time.
 func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Request, int, error) {
+	// The clock starts before resolve: cloning a registered platform or
+	// generating a scenario, validating it and content-addressing it are
+	// most of what a large request costs, and elapsed_ms reports all of it.
+	//adeptvet:allow nondet plan latency measurement; reporting only, the plan itself is deterministic
+	start := time.Now()
 	// tr stays nil unless the request asked for a trace; every recorder
 	// method is a no-op on nil, so the default path pays one pointer test
 	// per instrumentation point and allocates nothing.
@@ -770,8 +777,14 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		return nil, req, http.StatusInternalServerError, err
 	}
 
-	//adeptvet:allow nondet plan latency measurement; reporting only, the plan itself is deterministic
-	start := time.Now()
+	// respond is the one success exit: render the entry into the wire
+	// response and attach the trace.
+	respond := func(entry *CachedPlan, cached, coalesced bool, variants []portfolio.Result) (*PlanResponse, core.Request, int, error) {
+		resp := planResponse(entry, key, req.Platform, start, cached, coalesced, variants)
+		s.finishTrace(r.Context(), tr, resp)
+		return resp, req, http.StatusOK, nil
+	}
+
 	if !pr.NoCache {
 		// lookup, not Get: the miss is charged in runPlanner, so requests
 		// that coalesce onto an existing flight count no miss of their own.
@@ -779,9 +792,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		entry, ok := s.cache.Lookup(key)
 		endLookup()
 		if ok {
-			resp := planResponse(entry, key, req.Platform, start, true, false, nil)
-			s.finishTrace(r.Context(), tr, resp)
-			return resp, req, http.StatusOK, nil
+			return respond(entry, true, false, nil)
 		}
 	}
 
@@ -872,9 +883,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		if fr.err != nil {
 			return nil, req, planStatus(r, fr.err), fr.err
 		}
-		resp := planResponse(fr.entry, key, req.Platform, start, false, false, fr.variants)
-		s.finishTrace(r.Context(), tr, resp)
-		return resp, req, http.StatusOK, nil
+		return respond(fr.entry, false, false, fr.variants)
 	}
 
 	// The shared run is bounded by the server-wide cap, not the leader's
@@ -890,9 +899,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 	}
 	// A leader whose flight resolved from a freshly landed cache entry is
 	// a cache hit; joiners report the coalesced share either way.
-	resp := planResponse(fr.entry, key, req.Platform, start, leader && fr.cached, !leader, fr.variants)
-	s.finishTrace(r.Context(), tr, resp)
-	return resp, req, http.StatusOK, nil
+	return respond(fr.entry, leader && fr.cached, !leader, fr.variants)
 }
 
 // finishTrace snapshots the recorder into the response and attaches the
@@ -915,16 +922,32 @@ func (s *Server) finishTrace(ctx context.Context, tr *obs.TraceRecorder, resp *P
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+// bodyErrorStatus maps a failure to read a request body to its status:
+// 413 when http.MaxBytesReader cut it off, else 400.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decodeBody decodes the request's JSON body into v. On failure it has
+// answered the client (413 for a body over maxRequestBody, else 400) and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		writeError(w, bodyErrorStatus(err), "decode request: %v", err)
+		return false
+	}
+	return true
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var pr PlanRequest
-	if err := decodeBody(r, &pr); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &pr) {
 		return
 	}
 	resp, _, status, err := s.plan(r, &pr)
@@ -962,8 +985,7 @@ const maxBatch = 256
 
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
-	if err := decodeBody(r, &br); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &br) {
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -1080,6 +1102,17 @@ func parseIfMatch(header string) (*uint64, error) {
 	return &v, nil
 }
 
+// writeRegistryError renders a refused registry write: 412 when the
+// writer's read is stale — rejected visibly instead of silently dropping
+// the concurrent writer's update — else 400.
+func writeRegistryError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrVersionMismatch) {
+		status = http.StatusPreconditionFailed
+	}
+	writeError(w, status, "%v", err)
+}
+
 func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	expect, err := parseIfMatch(r.Header.Get("If-Match"))
@@ -1087,9 +1120,9 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		writeError(w, bodyErrorStatus(err), "read body: %v", err)
 		return
 	}
 	p, err := platform.ParseJSON(data)
@@ -1099,13 +1132,7 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 	}
 	version, err := s.registry.PutIfMatch(name, p, expect)
 	if err != nil {
-		if errors.Is(err, ErrVersionMismatch) {
-			// The writer's read is stale: reject it visibly instead of
-			// silently dropping the concurrent writer's update.
-			writeError(w, http.StatusPreconditionFailed, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	s.broadcast(RegistryUpdate{Name: name, Version: version, Platform: p})
@@ -1122,11 +1149,7 @@ func (s *Server) handlePlatformDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	tombstone, existed, err := s.registry.DeleteIfMatch(name, expect)
 	if err != nil {
-		if errors.Is(err, ErrVersionMismatch) {
-			writeError(w, http.StatusPreconditionFailed, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	if !existed {
@@ -1209,8 +1232,7 @@ type DeployRequest struct {
 	Transport string `json:"transport,omitempty"`
 	// Clients is the closed-loop client count (default 2).
 	Clients int `json:"clients,omitempty"`
-	// DurationMillis is the load window (default 500ms, capped by the
-	// server's MaxDeployDuration).
+	// DurationMillis is the load window (default 500ms, capped at 10s).
 	DurationMillis int64 `json:"duration_ms,omitempty"`
 }
 
@@ -1227,10 +1249,21 @@ type DeployResponse struct {
 	ServedCounts map[string]int64 `json:"served_counts"`
 }
 
+// parseTransport maps the wire name of a middleware transport ("chan",
+// the default, or "tcp") to its kind.
+func parseTransport(name string) (deploy.TransportKind, error) {
+	switch name {
+	case "", "chan":
+		return deploy.TransportChan, nil
+	case "tcp":
+		return deploy.TransportTCP, nil
+	}
+	return "", fmt.Errorf("unknown transport %q (have chan, tcp)", name)
+}
+
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	var dr DeployRequest
-	if err := decodeBody(r, &dr); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &dr) {
 		return
 	}
 	resp, req, status, err := s.plan(r, &dr.PlanRequest)
@@ -1239,14 +1272,9 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var transport deploy.TransportKind
-	switch dr.Transport {
-	case "", "chan":
-		transport = deploy.TransportChan
-	case "tcp":
-		transport = deploy.TransportTCP
-	default:
-		writeError(w, http.StatusBadRequest, "unknown transport %q (have chan, tcp)", dr.Transport)
+	transport, err := parseTransport(dr.Transport)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	clients := dr.Clients
@@ -1257,8 +1285,8 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if dr.DurationMillis > 0 {
 		duration = time.Duration(dr.DurationMillis) * time.Millisecond
 	}
-	if duration > s.cfg.MaxDeployDuration {
-		duration = s.cfg.MaxDeployDuration
+	if duration > maxDeployDuration {
+		duration = maxDeployDuration
 	}
 
 	// The plan's XML is the hand-off artifact (write_xml), exactly as the

@@ -432,7 +432,7 @@ func TestRegistryLoadDir(t *testing.T) {
 	}
 }
 
-// blockPoolWorker parks one worker of pool inside a job until the
+// blockPoolWorker holds one worker slot of pool inside a job until the
 // returned release function is called, and only returns once the job is
 // actually executing.
 func blockPoolWorker(t *testing.T, pool *Pool) (release func()) {
@@ -440,19 +440,11 @@ func blockPoolWorker(t *testing.T, pool *Pool) (release func()) {
 	started := make(chan struct{})
 	stop := make(chan struct{})
 	go func() {
-		// With queueDepth 0 admission requires a worker already parked in
-		// its receive; retry ErrQueueFull while the workers spin up.
-		for {
-			_, err := pool.Submit(context.Background(), func(context.Context) (*core.Plan, error) {
-				close(started)
-				<-stop
-				return nil, nil
-			})
-			if !errors.Is(err, ErrQueueFull) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+		_, _ = pool.Submit(context.Background(), func(context.Context) (*core.Plan, error) {
+			close(started)
+			<-stop
+			return nil, nil
+		})
 	}()
 	select {
 	case <-started:
@@ -515,6 +507,85 @@ func TestPoolCancellationWhileQueued(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > time.Second {
 		t.Errorf("queued submit blocked %v past its deadline", waited)
+	}
+}
+
+// An idle pool admits whatever its queue depth: with no queue at all, a
+// lone submitter's back-to-back jobs always find the slot its previous job
+// released. (The worker-goroutine pool admitted only when a worker was
+// already parked in its receive, so this loop used to shed.)
+func TestPoolIdleNeverSheds(t *testing.T) {
+	pool, err := NewPool(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := pool.Submit(context.Background(), func(context.Context) (*core.Plan, error) {
+			return nil, nil
+		}); err != nil {
+			t.Fatalf("submit %d on an idle pool: %v", i, err)
+		}
+	}
+	if got := pool.Rejected(); got != 0 {
+		t.Errorf("rejected = %d, want 0", got)
+	}
+	if got := pool.Executed(); got != 1000 {
+		t.Errorf("executed = %d, want 1000", got)
+	}
+}
+
+// QueueDepth is the number of submitters parked behind the workers: it
+// follows them as they arrive, as one gives up, and as Close turns the
+// rest away.
+func TestPoolQueueDepthCountsParkedSubmitters(t *testing.T) {
+	pool, err := NewPool(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := blockPoolWorker(t, pool)
+	defer release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, 3)
+	park := func(ctx context.Context) {
+		_, err := pool.Submit(ctx, func(context.Context) (*core.Plan, error) {
+			t.Error("parked job ran")
+			return nil, nil
+		})
+		errs <- err
+	}
+	go park(ctx)
+	waitUntil(t, "first submitter to park", func() bool { return pool.QueueDepth() == 1 })
+	go park(context.Background())
+	go park(context.Background())
+	waitUntil(t, "three submitters to park", func() bool { return pool.QueueDepth() == 3 })
+	if got := pool.Active(); got != 1 {
+		t.Errorf("active = %d, want 1 (the blocker)", got)
+	}
+
+	cancel()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled submitter got %v, want context.Canceled", err)
+	}
+	waitUntil(t, "cancelled submitter to leave the queue", func() bool { return pool.QueueDepth() == 2 })
+
+	closed := make(chan struct{})
+	go func() {
+		pool.Close() // returns once the blocker is released below
+		close(closed)
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrPoolClosed) {
+			t.Errorf("parked submitter got %v at close, want ErrPoolClosed", err)
+		}
+	}
+	waitUntil(t, "queue to empty", func() bool { return pool.QueueDepth() == 0 })
+	release()
+	<-closed
+	if got := pool.Rejected(); got != 0 {
+		t.Errorf("rejected = %d, want 0: nobody was shed", got)
 	}
 }
 
