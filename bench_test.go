@@ -482,6 +482,54 @@ func BenchmarkServicePlanTrace(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
+// BenchmarkServicePlanScenarioHit100k is the O(1)-hit contract: one POST
+// /v1/plan through the handler for a primed 100 000-node scenario. The
+// request is addressed by its spec and answered from the cache, so it must
+// cost what a hit on a 100-node pool costs — no node is generated,
+// validated or hashed.
+func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	body, err := json.Marshal(service.PlanRequest{
+		Scenario: &scenario.Spec{Family: scenario.ClusterGrid, N: 100_000, Seed: 7, PowerLevels: 8},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post() // prime: the one miss
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// BenchmarkKeyFor100k prices content-addressing a 100 000-node platform
+// the hard way — streaming every node through SHA-256, as an inline
+// request (or a registry write) must.
+func BenchmarkKeyFor100k(b *testing.B) {
+	req := scenarioRequest(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := service.KeyFor("heuristic", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkModelEvaluate measures one throughput-model evaluation of a
 // 200-node deployment — the inner loop of every planner.
 func BenchmarkModelEvaluate(b *testing.B) {

@@ -53,14 +53,21 @@ func (r *Request) Validate() error {
 	if err := r.Platform.Validate(); err != nil {
 		return err
 	}
+	return r.ValidateModel(len(r.Platform.Nodes))
+}
+
+// ValidateModel is the O(1) part of Validate — the cost parameters, the
+// service cost and the size of the pool — for a caller that knows how many
+// nodes the platform holds without holding the platform.
+func (r *Request) ValidateModel(poolNodes int) error {
 	if err := r.Costs.Validate(); err != nil {
 		return err
 	}
 	if r.Wapp <= 0 {
 		return fmt.Errorf("core: Wapp must be positive, got %g", r.Wapp)
 	}
-	if len(r.Platform.Nodes) < 2 {
-		return fmt.Errorf("core: need at least 2 nodes (one agent, one server), got %d", len(r.Platform.Nodes))
+	if poolNodes < 2 {
+		return fmt.Errorf("core: need at least 2 nodes (one agent, one server), got %d", poolNodes)
 	}
 	return nil
 }

@@ -12,6 +12,8 @@
 package platform
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,6 +91,50 @@ func (p *Platform) Validate() error {
 		seen[n.Name] = true
 	}
 	return nil
+}
+
+// digestDomain opens every platform digest, so that no other SHA-256 the
+// repository computes over a description of a platform (a scenario spec's
+// digest in particular) can equal one.
+const digestDomain = "adept/platform/v1\x00"
+
+// Digest is the platform's content address: the SHA-256 of an injective
+// encoding of everything that names it — the platform name, the default
+// bandwidth, the node count and, in pool order, every node's name, power
+// and raw link bandwidth. Strings are length-prefixed and floats are their
+// fixed-width IEEE-754 bits, so two platforms share a digest only if they
+// are field-for-field equal: in particular the digest covers every field
+// Validate reads, which is what lets the planning service skip validating
+// a platform whose digest it has already validated and planned. It streams
+// the encoding through one small buffer and allocates nothing per node.
+func (p *Platform) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	buf := make([]byte, 0, 2048)
+	buf = append(buf, digestDomain...)
+	buf = appendString(buf, p.Name)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.Bandwidth))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(p.Nodes)))
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if len(buf)+8+len(n.Name)+16 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = appendString(buf, n.Name)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(n.Power))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(n.LinkBandwidth))
+	}
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// appendString appends s behind its length, which keeps a sequence of
+// strings injective whatever bytes they hold.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // LinkRange returns the minimum and maximum effective link bandwidth over

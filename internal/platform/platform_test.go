@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -357,5 +358,54 @@ func TestGenerateByteIdenticalAcrossRunsAndGoroutines(t *testing.T) {
 		if !bytes.Equal(r.het, refHetJSON) {
 			t.Errorf("goroutine %d: Heterogenize bytes diverged", w)
 		}
+	}
+}
+
+// TestDigestIsInjective: the digest moves with every field that names the
+// platform, and string boundaries are part of it.
+func TestDigestIsInjective(t *testing.T) {
+	base := func() *platform.Platform {
+		return &platform.Platform{Name: "p", Bandwidth: 100, Nodes: []platform.Node{
+			{Name: "a", Power: 100},
+			{Name: "bc", Power: 200, LinkBandwidth: 10},
+			{Name: "d", Power: 300},
+		}}
+	}
+	ref := base().Digest()
+	if base().Digest() != ref {
+		t.Fatal("equal platforms digest differently")
+	}
+	for name, mutate := range map[string]func(*platform.Platform){
+		"platform name":  func(p *platform.Platform) { p.Name = "q" },
+		"bandwidth":      func(p *platform.Platform) { p.Bandwidth = 101 },
+		"node name":      func(p *platform.Platform) { p.Nodes[2].Name = "e" },
+		"node power":     func(p *platform.Platform) { p.Nodes[0].Power++ },
+		"node link":      func(p *platform.Platform) { p.Nodes[1].LinkBandwidth = 11 },
+		"link made zero": func(p *platform.Platform) { p.Nodes[1].LinkBandwidth = 0 },
+		"node order":     func(p *platform.Platform) { p.Nodes[0], p.Nodes[2] = p.Nodes[2], p.Nodes[0] },
+		"node dropped":   func(p *platform.Platform) { p.Nodes = p.Nodes[:2] },
+		"name boundary":  func(p *platform.Platform) { p.Nodes[0].Name, p.Nodes[1].Name = "ab", "c" },
+		"name holding a length prefix": func(p *platform.Platform) {
+			p.Nodes[0].Name = "a\x00\x00\x00\x00\x00\x00\x00\x02bc"
+		},
+	} {
+		p := base()
+		mutate(p)
+		if p.Digest() == ref {
+			t.Errorf("%s: digest unchanged", name)
+		}
+	}
+	// A platform larger than the digest's buffer, and a name larger still.
+	big := platform.Homogeneous("big", 5000, 100, 100)
+	d1 := big.Digest()
+	big.Nodes[4999].Power++
+	if big.Digest() == d1 {
+		t.Error("last node of a large platform is not covered")
+	}
+	big.Nodes[0].Name = strings.Repeat("n", 10_000)
+	d2 := big.Digest()
+	big.Nodes[0].Name += "n"
+	if big.Digest() == d2 {
+		t.Error("a name larger than the buffer is not covered")
 	}
 }

@@ -40,9 +40,14 @@
 package scenario
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"adept/internal/platform"
 )
@@ -189,32 +194,121 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Generate expands the spec into a platform. The result is deterministic
-// in the spec (byte-identical JSON across calls and goroutines).
-func (s Spec) Generate() (*platform.Platform, error) {
-	s = s.withDefaults()
+const (
+	// maxTiers bounds Spec.Tiers: tier t runs at Bandwidth/2^t, and past a
+	// few dozen halvings the shift that computes it overflows.
+	maxTiers = 30
+	// maxNameLen bounds Spec.Name, which every generated node name repeats:
+	// N copies of a long one is a large platform from a small spec.
+	maxNameLen = 256
+)
+
+// Validate is the O(1) part of what Generate checks: the family is known,
+// the pool has room for an agent and a server, and no knob holds a value
+// generation cannot run on. A spec that passes can still generate an
+// invalid platform (a negative power knob, say); Generate reports that.
+func (s Spec) Validate() error {
+	if !slices.Contains(Families(), s.Family) {
+		return fmt.Errorf("scenario: unknown family %q (have %v)", s.Family, Families())
+	}
 	if s.N < 2 {
-		return nil, fmt.Errorf("scenario: N must be at least 2, got %d", s.N)
+		return fmt.Errorf("scenario: N must be at least 2, got %d", s.N)
 	}
-	if s.Bandwidth <= 0 {
-		return nil, fmt.Errorf("scenario: bandwidth must be positive, got %g", s.Bandwidth)
+	if len(s.Name) > maxNameLen {
+		return fmt.Errorf("scenario: name of %d bytes exceeds the limit of %d", len(s.Name), maxNameLen)
 	}
+	if s.Bandwidth < 0 {
+		return fmt.Errorf("scenario: bandwidth must be positive, got %g", s.Bandwidth)
+	}
+	if s.Clusters < 0 || s.Clusters > s.N {
+		return fmt.Errorf("scenario: clusters must be in [0, N=%d], got %d", s.N, s.Clusters)
+	}
+	if s.Tiers < 0 || s.Tiers > maxTiers {
+		return fmt.Errorf("scenario: tiers must be in [0, %d], got %d", maxTiers, s.Tiers)
+	}
+	return nil
+}
+
+// digestDomain opens every spec digest; see platform.Platform.Digest. It
+// names the generator as much as the encoding: bump it whenever Generate
+// would expand an existing spec into a different platform.
+const digestDomain = "adept/scenario/v1\x00"
+
+// Digest is the content address of the platform the spec generates,
+// computed from the spec alone: the SHA-256 of the canonical spec — every
+// knob at its effective value, so a spec that spells a default out digests
+// like one that leaves it zero — in a fixed-width, length-prefixed
+// encoding. Generation is a pure function of the canonical spec, so equal
+// digests mean byte-identical platforms; the digest never equals a
+// platform.Platform digest (different domain), even of the platform the
+// spec expands to.
+func (s Spec) Digest() [sha256.Size]byte {
+	s = s.withDefaults()
+	buf := make([]byte, 0, 256)
+	buf = append(buf, digestDomain...)
+	for _, str := range [...]string{string(s.Family), s.Name} {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(str)))
+		buf = append(buf, str...)
+	}
+	for _, v := range [...]int64{int64(s.N), s.Seed, int64(s.Clusters), int64(s.PowerLevels), int64(s.Tiers)} {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
+	}
+	for _, v := range [...]float64{
+		s.Bandwidth, s.HubFactor, s.LeafPower, s.HighFraction, s.LowPower, s.HighPower,
+		s.Alpha, s.MinPower, s.MaxPower, s.Spread, s.BasePower, s.LoadFraction, s.InterBandwidth,
+	} {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return sha256.Sum256(buf)
+}
+
+// Generate expands the spec into a validated platform. The result is
+// deterministic in the spec (byte-identical JSON across calls and
+// goroutines).
+func (s Spec) Generate() (*platform.Platform, error) {
+	return s.generate(func() error { return nil })
+}
+
+// GenerateContext is Generate for request-scoped callers: it polls ctx
+// between its O(N) stages — drawing the powers, building the nodes,
+// validating them — and gives up with ctx's error once it has fired.
+func (s Spec) GenerateContext(ctx context.Context) (*platform.Platform, error) {
+	return s.generate(ctx.Err)
+}
+
+// generate is Generate; interrupted is polled between stages and aborts
+// the generation with the error it returns.
+func (s Spec) generate(interrupted func() error) (*platform.Platform, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
-	p := &platform.Platform{Name: s.Name, Bandwidth: s.Bandwidth}
-	powers, err := s.powers(rng)
-	if err != nil {
+	powers := s.powers(rng)
+	if err := interrupted(); err != nil {
 		return nil, err
 	}
 	links := s.links()
+	p := &platform.Platform{Name: s.Name, Bandwidth: s.Bandwidth, Nodes: make([]platform.Node, len(powers))}
+	// Node names are "<name>-<index>", the index zero-padded to four
+	// digits, built in one buffer: a name costs its own string and nothing
+	// else.
+	name := append(make([]byte, 0, len(s.Name)+12), s.Name...)
+	name = append(name, '-')
 	for i, w := range powers {
-		n := platform.Node{
-			Name:  fmt.Sprintf("%s-%04d", s.Name, i),
-			Power: w,
+		nm := name
+		for pad := 1000; pad > 1 && i < pad; pad /= 10 {
+			nm = append(nm, '0')
 		}
+		n := &p.Nodes[i]
+		n.Name = string(strconv.AppendInt(nm, int64(i), 10))
+		n.Power = w
 		if links != nil {
 			n.LinkBandwidth = links[i]
 		}
-		p.Nodes = append(p.Nodes, n)
+	}
+	if err := interrupted(); err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: generated invalid platform: %w", err)
@@ -277,8 +371,8 @@ func jitter(rng *rand.Rand, base, spread float64) float64 {
 	return base * f
 }
 
-// powers draws the node power vector, in node order.
-func (s Spec) powers(rng *rand.Rand) ([]float64, error) {
+// powers draws the node power vector, in node order, for a validated spec.
+func (s Spec) powers(rng *rand.Rand) []float64 {
 	out := make([]float64, s.N)
 	switch s.Family {
 	case Star:
@@ -351,11 +445,9 @@ func (s Spec) powers(rng *rand.Rand) ([]float64, error) {
 		for i := 0; i < s.N; i++ {
 			out[i] = jitter(rng, out[i], s.Spread/5)
 		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown family %q (have %v)", s.Family, Families())
 	}
 	s.quantize(out)
-	return out, nil
+	return out
 }
 
 // quantize snaps the power vector to PowerLevels evenly spaced levels over

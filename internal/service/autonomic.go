@@ -169,9 +169,15 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 		s.autoMu.Unlock()
 	}()
 
-	resp, req, status, err := s.plan(r, &ar.PlanRequest)
+	resp, in, status, err := s.plan(r, &ar.PlanRequest)
 	if err != nil {
 		writePlanError(w, status, err)
+		return
+	}
+	// The platform, materialised on demand: a cache hit never built it.
+	req, err := in.request(r.Context())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "materialise platform: %v", err)
 		return
 	}
 	h, err := hierarchy.ParseXML(strings.NewReader(resp.XML))

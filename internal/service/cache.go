@@ -2,11 +2,12 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 
 	"adept/internal/core"
@@ -17,51 +18,74 @@ import (
 	"adept/internal/workload"
 )
 
-// cacheKeyInput is the canonical form hashed into a cache key. JSON
-// marshalling of a struct emits fields in declaration order, so the
-// encoding — and therefore the digest — is deterministic for equal
-// inputs. Every field that changes the planning outcome is present:
-// the planner, the full platform (names, powers, order, bandwidth),
-// the Table 3 costs, the application cost, and the demand cap.
-type cacheKeyInput struct {
-	Planner  string             `json:"planner"`
-	Platform *platform.Platform `json:"platform"`
-	Costs    model.Costs        `json:"costs"`
-	Wapp     float64            `json:"wapp"`
-	Demand   workload.Demand    `json:"demand"`
-}
-
 // CacheKey is the content address of a plan request: a hex SHA-256 digest.
 type CacheKey string
 
-// KeyFor computes the content address of (planner, request).
-func KeyFor(planner string, req core.Request) (CacheKey, error) {
-	data, err := json.Marshal(cacheKeyInput{
-		Planner:  planner,
-		Platform: req.Platform,
-		Costs:    req.Costs,
-		Wapp:     req.Wapp,
-		Demand:   req.Demand,
-	})
-	if err != nil {
-		return "", fmt.Errorf("service: cache key: %w", err)
+// keyScheme opens every key and names its encoding; changing what a key
+// covers, or how, means changing the tag, so keys minted under different
+// schemes can never meet (in a peer's cache, in a retained response).
+const keyScheme = "adept/plan-key/v2\x00"
+
+// planKey is the one key function: the content address of a planning run
+// is SHA-256(scheme tag ‖ planner ‖ source digest ‖ costs ‖ wapp ‖
+// demand) — every input that changes the planning outcome, the planner
+// name length-prefixed and every float as its fixed-width bits, so the
+// encoding is injective. The platform enters only through source, the
+// digest of whatever names it in the request:
+//
+//   - scenario: scenario.Spec.Digest, computed from the ~100-byte spec
+//     and never from the nodes it generates;
+//   - platform_name: platform.Platform.Digest of the registered content,
+//     computed once when it was written (Registry.Resident);
+//   - inline platform: the same digest, streamed over the decoded nodes.
+//
+// A registered platform and an inline copy of it therefore share a key; a
+// scenario and an inline copy of what it generates do not (the two digests
+// are domain-separated), they only plan the same.
+func planKey(planner string, source [sha256.Size]byte, costs model.Costs, wapp float64, demand workload.Demand) CacheKey {
+	buf := make([]byte, 0, 256)
+	buf = append(buf, keyScheme...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(planner)))
+	buf = append(buf, planner...)
+	buf = append(buf, source[:]...)
+	for _, v := range [...]float64{
+		costs.AgentWreq, costs.AgentWfix, costs.AgentWsel, costs.ServerWpre,
+		costs.AgentSreq, costs.AgentSrep, costs.ServerSreq, costs.ServerSrep,
+		wapp, float64(demand),
+	} {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	sum := sha256.Sum256(data)
-	return CacheKey(hex.EncodeToString(sum[:])), nil
+	sum := sha256.Sum256(buf)
+	return CacheKey(hex.EncodeToString(sum[:]))
+}
+
+// KeyFor computes the content address of (planner, request) from the
+// request's platform itself — the key the daemon reports for the same
+// platform sent inline or registered under a name.
+func KeyFor(planner string, req core.Request) (CacheKey, error) {
+	if req.Platform == nil {
+		return "", errors.New("service: cache key: nil platform")
+	}
+	return planKey(planner, req.Platform.Digest(), req.Costs, req.Wapp, req.Demand), nil
 }
 
 // CachedPlan is the immutable rendered form of a plan as stored in the
 // cache: the plan itself (a private clone, to be treated as read-only),
-// plus the deployment XML and hierarchy stats precomputed once at Render
-// time. Hot cache hits are answered entirely from this struct, so
-// concurrent readers never touch a shared mutable *core.Plan — the
-// pre-sharding cache handed the same pointer to every caller, and the
-// handlers then ran XML marshalling and stats walks on it from many
-// goroutines at once.
+// the deployment XML and hierarchy stats precomputed once at Render time,
+// and what a response reports about the platform the plan was made on.
+// Hot cache hits are answered entirely from this struct: concurrent
+// readers never touch a shared mutable *core.Plan, and a hit never needs
+// the platform — which for a scenario request does not exist until a miss
+// generates it.
 type CachedPlan struct {
 	Plan  *core.Plan
 	XML   string
 	Stats hierarchy.Stats
+	// PoolNodes is the size of the pool the planner drew from, and
+	// MinLinkBandwidth/MaxLinkBandwidth its effective link-bandwidth range.
+	PoolNodes        int
+	MinLinkBandwidth float64
+	MaxLinkBandwidth float64
 }
 
 // errRenderPlan marks a failure to render a successfully planned
@@ -69,18 +93,20 @@ type CachedPlan struct {
 // property of the client's request.
 var errRenderPlan = errors.New("service: render plan")
 
-// Render clones plan and precomputes its XML and hierarchy stats,
-// producing the immutable entry the cache stores. The clone isolates the
-// cache from any later mutation of the caller's plan.
-func Render(plan *core.Plan) (*CachedPlan, error) {
+// Render clones plan and precomputes its XML, its hierarchy stats and the
+// pool figures of plat, the platform it was planned on, producing the
+// immutable entry the cache stores. The clone isolates the cache from any
+// later mutation of the caller's plan.
+func Render(plan *core.Plan, plat *platform.Platform) (*CachedPlan, error) {
 	xml, err := plan.XML()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errRenderPlan, err)
 	}
-	stats := plan.Hierarchy.ComputeStats()
 	cp := *plan
 	cp.Hierarchy = plan.Hierarchy.Clone()
-	return &CachedPlan{Plan: &cp, XML: xml, Stats: stats}, nil
+	entry := &CachedPlan{Plan: &cp, XML: xml, Stats: plan.Hierarchy.ComputeStats(), PoolNodes: len(plat.Nodes)}
+	entry.MinLinkBandwidth, entry.MaxLinkBandwidth = plat.LinkRange()
+	return entry, nil
 }
 
 // defaultCacheShards is the segment count of the sharded cache. Sixteen
@@ -89,9 +115,9 @@ func Render(plan *core.Plan) (*CachedPlan, error) {
 const defaultCacheShards = 16
 
 // PlanCache is a content-addressed, LRU-evicting plan cache. Identical
-// requests (same platform, costs, Wapp, demand, planner) hash to the same
-// key and are answered without re-planning; any change to any input
-// produces a different key and therefore a miss.
+// requests (same platform source, costs, Wapp, demand, planner; see
+// planKey) hash to the same key and are answered without re-planning; any
+// change to any input produces a different key and therefore a miss.
 //
 // The cache is sharded into power-of-two lock-striped segments selected
 // by the leading byte of the digest, so concurrent hot hits on different

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"adept/internal/core"
@@ -45,54 +46,65 @@ func TestKeyForDeterministic(t *testing.T) {
 	}
 }
 
+// TestKeyForSensitivity: the key is a content address. Every input that
+// can change the planning outcome moves it — the planner, each field of
+// the platform down to the order of its nodes, each Table 3 cost, the
+// service cost, the demand — and the encoding keeps strings apart, so no
+// two different requests meet in one cache entry.
 func TestKeyForSensitivity(t *testing.T) {
-	base := testRequest(t, 1)
-	baseKey, err := KeyFor("heuristic", base)
+	base := func() core.Request {
+		r := testRequest(t, 1)
+		r.Platform.Nodes[0].Name, r.Platform.Nodes[1].Name = "a", "bc"
+		return r
+	}
+	baseKey, err := KeyFor("heuristic", base())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cases := map[string]func() (string, core.Request){
-		"changed Wapp": func() (string, core.Request) {
-			r := base
-			r.Wapp = workload.DGEMM{N: 311}.MFlop()
-			return "heuristic", r
-		},
-		"changed demand": func() (string, core.Request) {
-			r := base
-			r.Demand = 50
-			return "heuristic", r
-		},
-		"changed planner": func() (string, core.Request) {
-			return "star", base
-		},
-		"changed costs": func() (string, core.Request) {
-			r := base
-			r.Costs.AgentWreq *= 2
-			return "heuristic", r
-		},
-		"changed platform": func() (string, core.Request) {
-			r := base
-			r.Platform = r.Platform.Clone()
-			r.Platform.Nodes[0].Power += 1
-			return "heuristic", r
-		},
+	type mutation func(planner *string, r *core.Request)
+	cases := map[string]mutation{
+		"planner":        func(p *string, _ *core.Request) { *p = "star" },
+		"wapp":           func(_ *string, r *core.Request) { r.Wapp = workload.DGEMM{N: 311}.MFlop() },
+		"demand":         func(_ *string, r *core.Request) { r.Demand = 50 },
+		"platform name":  func(_ *string, r *core.Request) { r.Platform.Name += "x" },
+		"bandwidth":      func(_ *string, r *core.Request) { r.Platform.Bandwidth++ },
+		"node name":      func(_ *string, r *core.Request) { r.Platform.Nodes[5].Name += "x" },
+		"node power":     func(_ *string, r *core.Request) { r.Platform.Nodes[11].Power++ },
+		"node link":      func(_ *string, r *core.Request) { r.Platform.Nodes[3].LinkBandwidth = 10 },
+		"node order":     func(_ *string, r *core.Request) { n := r.Platform.Nodes; n[0], n[1] = n[1], n[0] },
+		"node dropped":   func(_ *string, r *core.Request) { r.Platform.Nodes = r.Platform.Nodes[:11] },
+		"name boundary":  func(_ *string, r *core.Request) { r.Platform.Nodes[0].Name, r.Platform.Nodes[1].Name = "ab", "c" },
+		"name separator": func(_ *string, r *core.Request) { r.Platform.Nodes[0].Name = "a\x00\x00\x00\x00\x00\x00\x00\x02bc" },
 	}
+	// Each cost, by reflection: a field added to model.Costs and forgotten
+	// in planKey fails here.
+	costs := reflect.TypeOf(model.Costs{})
+	for i := 0; i < costs.NumField(); i++ {
+		i := i
+		cases["cost "+costs.Field(i).Name] = func(_ *string, r *core.Request) {
+			f := reflect.ValueOf(&r.Costs).Elem().Field(i)
+			f.SetFloat(f.Float()*2 + 1)
+		}
+	}
+	seen := map[CacheKey]string{baseKey: "the base request"}
 	for name, mutate := range cases {
-		planner, req := mutate()
+		planner, req := "heuristic", base()
+		mutate(&planner, &req)
 		k, err := KeyFor(planner, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k == baseKey {
-			t.Errorf("%s: key unchanged", name)
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s: same key as %s", name, other)
 		}
+		seen[k] = name
 	}
 }
 
-func mustRender(t *testing.T, plan *core.Plan) *CachedPlan {
+func mustRender(t *testing.T, plan *core.Plan, plat *platform.Platform) *CachedPlan {
 	t.Helper()
-	entry, err := Render(plan)
+	entry, err := Render(plan, plat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan))
+	cache.Put(key, mustRender(t, plan, req.Platform))
 
 	// An identical request re-hashes to the same key and hits.
 	key2, err := KeyFor("heuristic", testRequest(t, 2))
@@ -160,7 +172,7 @@ func TestCacheEntryIsolatedFromCallerPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan))
+	cache.Put(key, mustRender(t, plan, req.Platform))
 
 	agents := plan.Hierarchy.ComputeStats().Agents
 	// Vandalise the caller's copy.
@@ -195,7 +207,7 @@ func TestCacheMissOnChangedWapp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan))
+	cache.Put(key, mustRender(t, plan, req.Platform))
 
 	changed := req
 	changed.Wapp = workload.DGEMM{N: 500}.MFlop()

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"adept/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/http_golden.json from the current server output")
@@ -188,6 +190,13 @@ func TestHTTPGolden(t *testing.T) {
 	do(ts.URL, "readyz", "GET", "/readyz", nil)
 	do(ts.URL, "metrics json", "GET", "/v1/metrics", nil)
 	do(ts.URL, "metrics prometheus types", "GET", "/metrics", nil)
+
+	// A scenario request, traced: the miss generates inside the flight (its
+	// own phase), the hit is addressed by the spec and generates nothing.
+	// Last in the session, so the counters above read as they always have.
+	fleet := PlanRequest{Scenario: &scenario.Spec{Family: scenario.ClusterGrid, N: 48, Seed: 5, PowerLevels: 4}, DgemmN: 310, Trace: true}
+	do(ts.URL, "scenario miss", "POST", "/v1/plan", fleet)
+	do(ts.URL, "scenario hit", "POST", "/v1/plan", fleet)
 
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {

@@ -79,9 +79,9 @@ func TestPlanTraceRoundTrip(t *testing.T) {
 
 // TestPlanElapsedCoversResolve: elapsed_ms is the whole of what answering
 // the request cost, so it can be no smaller than the phases its own trace
-// reports. On a generated fleet, resolve (generate + validate) is most of
-// the request — on a cache hit nearly all of it — and the clock used to
-// start only after it.
+// reports, the ones before the planner included: the clock starts on
+// entry to plan, ahead of resolve (which addresses the request) and the
+// cache look-up.
 func TestPlanElapsedCoversResolve(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := PlanRequest{

@@ -121,13 +121,6 @@ func (p *Pool) Submit(ctx context.Context, fn func(context.Context) (*core.Plan,
 	return fn(ctx)
 }
 
-// Plan runs planner.PlanContext(ctx, req) under a pool slot.
-func (p *Pool) Plan(ctx context.Context, planner core.Planner, req core.Request) (*core.Plan, error) {
-	return p.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
-		return planner.PlanContext(ctx, req)
-	})
-}
-
 // Active returns the number of jobs currently executing.
 func (p *Pool) Active() int { return int(p.active.Load()) }
 

@@ -8,13 +8,23 @@
 //
 //   - Registry   — named, versioned platform descriptions with CRUD,
 //     optimistic concurrency (If-Match), a write-through journal
-//     (LoadDir, PersistTo), and peer replication (ApplyRemote)
+//     (LoadDir, PersistTo), and peer replication (ApplyRemote); each
+//     entry keeps its content digest, computed once when it is written
 //   - PlanCache  — content-addressed plan cache, sharded, LRU-evicting
 //     (internal/lru)
 //   - Pool       — counting semaphore bounding concurrent planner runs,
 //     with a bounded fail-fast wait queue
 //   - Server     — the HTTP JSON API wiring the three together, plus a
 //     live-deployment endpoint backed by internal/deploy
+//
+// The planner is a pure function of its inputs, so a plan is addressed by
+// them (planKey): the planner, the costs, the service cost, the demand
+// and a digest of whatever names the platform in the request — a scenario
+// spec, a registered name's stored digest, or the inline nodes. The
+// address is known before any node is materialised, and the cache is
+// asked first: a hit is O(1) in the size of the pool, and only a miss
+// generates, validates and plans — once, inside the coalesced flight,
+// under a pool slot (Server.plan).
 //
 // Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
 // thin binary around it and examples/service is a client walkthrough.
@@ -25,6 +35,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,16 +58,27 @@ var ErrVersionMismatch = errors.New("service: platform version mismatch")
 // exist, at any version.
 const MatchAny = ^uint64(0)
 
-// regEntry pairs a stored platform with its monotonic version.
+// regEntry is one stored platform: the registry's private, never-mutated
+// copy (a write replaces the entry), its monotonic version, and its content
+// digest, computed once when the entry was written.
 type regEntry struct {
 	p       *platform.Platform
 	version uint64
+	digest  [sha256.Size]byte
+}
+
+// newRegEntry clones p — already validated by the caller — into an entry.
+func newRegEntry(p *platform.Platform, version uint64) *regEntry {
+	return &regEntry{p: p.Clone(), version: version, digest: p.Digest()}
 }
 
 // Registry is a concurrency-safe store of named, versioned platform
 // descriptions. Plan requests may reference a registered platform by name
 // instead of inlining the full node list, so clients describe their pool
-// once and plan against it many times.
+// once and plan against it many times: everything O(nodes) about a
+// platform — validation, the private copy, the content digest plans are
+// addressed by — is paid when it is written, and a plan request reads the
+// result (Resident).
 //
 // Every entry carries a monotonic version: each Put bumps it, each Delete
 // records a tombstone version, and conditional writes (PutIfMatch /
@@ -148,7 +170,9 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	clone := p.Clone()
+	// Clone and digest outside the writer lock; the version is known only
+	// under it.
+	entry := newRegEntry(p, 0)
 	// persistMu serialises every writer, so the version comparison below
 	// and the write that follows are one atomic step with respect to any
 	// concurrent PutIfMatch/DeleteIfMatch on the same name.
@@ -169,8 +193,9 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 			return 0, err
 		}
 	}
+	entry.version = next
 	r.mu.Lock()
-	r.platforms[name] = &regEntry{p: clone, version: next}
+	r.platforms[name] = entry
 	r.versions[name] = next
 	r.mu.Unlock()
 	r.persistVersionsLocked()
@@ -252,17 +277,37 @@ func (r *Registry) Get(name string) (*platform.Platform, bool) {
 	return p, ok
 }
 
+// entry returns the named entry, or nil when absent. Entries are immutable
+// once stored, so the caller reads it without the lock.
+func (r *Registry) entry(name string) *regEntry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.platforms[name]
+}
+
 // GetVersion returns a clone of the named platform plus its current
 // version (the ETag conditional writes compare against), or false when
 // absent.
 func (r *Registry) GetVersion(name string) (*platform.Platform, uint64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.platforms[name]
-	if !ok {
+	e := r.entry(name)
+	if e == nil {
 		return nil, 0, false
 	}
 	return e.p.Clone(), e.version, true
+}
+
+// Resident returns the registry's own copy of the named platform and its
+// content digest (platform.Platform.Digest, computed when the entry was
+// written), or false when absent. Nothing is copied, hashed or validated
+// here: the platform was validated on its way in and is never mutated — a
+// later write installs a new entry — so the caller may read it for as
+// long as it likes and must not write to it.
+func (r *Registry) Resident(name string) (*platform.Platform, [sha256.Size]byte, bool) {
+	e := r.entry(name)
+	if e == nil {
+		return nil, [sha256.Size]byte{}, false
+	}
+	return e.p, e.digest, true
 }
 
 // Delete removes the named platform (and its journal file, when
@@ -322,7 +367,7 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 	if u.Version == 0 {
 		return false, fmt.Errorf("service: remote update for %q carries no version", u.Name)
 	}
-	var clone *platform.Platform
+	var entry *regEntry
 	if !u.Deleted {
 		if u.Platform == nil {
 			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
@@ -330,7 +375,7 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 		if err := u.Platform.Validate(); err != nil {
 			return false, err
 		}
-		clone = u.Platform.Clone()
+		entry = newRegEntry(u.Platform, u.Version)
 	}
 	r.persistMu.Lock()
 	defer r.persistMu.Unlock()
@@ -343,7 +388,7 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 	if u.Deleted {
 		delete(r.platforms, u.Name)
 	} else {
-		r.platforms[u.Name] = &regEntry{p: clone, version: u.Version}
+		r.platforms[u.Name] = entry
 	}
 	r.mu.Unlock()
 	if r.persistDir != "" {
@@ -416,20 +461,19 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 		if err := validName(name); err != nil {
 			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
 		}
+		// LoadJSON validates what it parsed.
 		p, err := platform.LoadJSON(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
-		}
-		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
 		}
 		version := versions[name]
 		if version == 0 {
 			version = 1
 		}
+		entry := newRegEntry(p, version)
 		r.persistMu.Lock()
 		r.mu.Lock()
-		r.platforms[name] = &regEntry{p: p.Clone(), version: version}
+		r.platforms[name] = entry
 		if version > r.versions[name] {
 			r.versions[name] = version
 		}

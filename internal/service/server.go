@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -112,6 +113,12 @@ const (
 	// 16 MiB is far above any platform a client would ship inline (fleet
 	// scale goes through a scenario spec).
 	maxRequestBody = 16 << 20
+	// maxScenarioNodes bounds the pool a scenario spec may ask the daemon
+	// to generate; a larger n is answered 400 before anything is allocated
+	// for it. A spec is a few dozen bytes whatever its n, so without the cap
+	// one request could ask for all the memory there is. Two million leaves
+	// the million-node fleet the daemon is sized for a factor of headroom.
+	maxScenarioNodes = 2 << 20
 )
 
 func (c Config) withDefaults() Config {
@@ -624,9 +631,60 @@ type PlanResponse struct {
 	Trace *obs.PlanTrace `json:"trace,omitempty"`
 }
 
-// resolve turns the wire request into a planner plus core.Request.
-func (s *Server) resolve(pr *PlanRequest) (core.Planner, core.Request, error) {
-	var req core.Request
+// planInput is a resolved plan request: the planner, the model inputs and
+// the content address over everything that names the plan — but not
+// necessarily the platform, which a scenario request only builds on a
+// cache miss (request).
+type planInput struct {
+	planner core.Planner
+	key     CacheKey
+	// req holds the model inputs. Its Platform is the inline platform, the
+	// registry's resident (read-only) copy, or nil for a scenario.
+	req      core.Request
+	scenario *scenario.Spec
+	// unchecked marks req.Platform as an inline platform nothing has
+	// validated yet.
+	unchecked bool
+}
+
+// request returns the core.Request the planners see, materialising what
+// resolve left out: a scenario is generated (and validated, by Generate),
+// an inline platform validated; a registered one was validated when it was
+// written. Only a cache miss — and the two handlers that launch what was
+// planned — ever need it.
+func (in *planInput) request(ctx context.Context) (core.Request, error) {
+	req := in.req
+	switch {
+	case in.scenario != nil:
+		defer obs.TraceFrom(ctx).Phase("generate")()
+		p, err := in.scenario.GenerateContext(ctx)
+		if err != nil {
+			return req, fmt.Errorf("generate scenario: %w", err)
+		}
+		req.Platform = p
+	case in.unchecked:
+		if err := req.Platform.Validate(); err != nil {
+			return req, err
+		}
+	}
+	return req, nil
+}
+
+// requestError marks a planning failure as a fault of the request that
+// only the miss path could find (an inline platform with a duplicate node
+// name, a scenario that generates a non-positive power): 400, as when
+// resolve finds one.
+type requestError struct{ error }
+
+func (e requestError) Unwrap() error { return e.error }
+
+// resolve turns the wire request into a planInput. Beyond digesting an
+// inline platform it does O(1) work: it checks everything that can be
+// checked without the nodes (the source, the planner, the costs, the pool
+// size, a scenario's ranges) and addresses the request by what names its
+// platform (planKey). Whether the nodes themselves are valid is left to
+// the miss path — a hit proves an identical input already passed.
+func (s *Server) resolve(pr *PlanRequest) (*planInput, error) {
 	sources := 0
 	for _, set := range []bool{pr.Platform != nil, pr.PlatformName != "", pr.Scenario != nil} {
 		if set {
@@ -634,56 +692,65 @@ func (s *Server) resolve(pr *PlanRequest) (core.Planner, core.Request, error) {
 		}
 	}
 	if sources > 1 {
-		return nil, req, errors.New("set exactly one of platform, platform_name or scenario")
-	}
-	switch {
-	case pr.Platform != nil:
-		req.Platform = pr.Platform
-	case pr.PlatformName != "":
-		p, ok := s.registry.Get(pr.PlatformName)
-		if !ok {
-			return nil, req, fmt.Errorf("platform %q not registered", pr.PlatformName)
-		}
-		req.Platform = p
-	case pr.Scenario != nil:
-		p, err := pr.Scenario.Generate()
-		if err != nil {
-			return nil, req, fmt.Errorf("generate scenario: %v", err)
-		}
-		req.Platform = p
-	default:
-		return nil, req, errors.New("missing platform, platform_name or scenario")
+		return nil, errors.New("set exactly one of platform, platform_name or scenario")
 	}
 
-	var planner core.Planner
+	in := &planInput{}
 	var err error
 	if pr.Portfolio {
 		if pr.Planner != "" && pr.Planner != "portfolio" {
-			return nil, req, fmt.Errorf("portfolio=true conflicts with planner %q", pr.Planner)
+			return nil, fmt.Errorf("portfolio=true conflicts with planner %q", pr.Planner)
 		}
-		planner = portfolio.New()
-	} else if planner, err = SelectPlanner(pr.Planner); err != nil {
-		return nil, req, fmt.Errorf("%v (have %v)", err, PlannerNames())
+		in.planner = portfolio.New()
+	} else if in.planner, err = SelectPlanner(pr.Planner); err != nil {
+		return nil, fmt.Errorf("%v (have %v)", err, PlannerNames())
 	}
 
 	if pr.Costs != nil {
-		req.Costs = *pr.Costs
+		in.req.Costs = *pr.Costs
 	} else {
-		req.Costs = model.DIETDefaults()
+		in.req.Costs = model.DIETDefaults()
 	}
 	switch {
 	case pr.Wapp > 0:
-		req.Wapp = pr.Wapp
+		in.req.Wapp = pr.Wapp
 	case pr.DgemmN > 0:
-		req.Wapp = workload.DGEMM{N: pr.DgemmN}.MFlop()
+		in.req.Wapp = workload.DGEMM{N: pr.DgemmN}.MFlop()
 	default:
-		req.Wapp = workload.DGEMM{N: 310}.MFlop()
+		in.req.Wapp = workload.DGEMM{N: 310}.MFlop()
 	}
-	req.Demand = workload.Demand(pr.Demand)
-	if err := req.Validate(); err != nil {
-		return nil, req, err
+	in.req.Demand = workload.Demand(pr.Demand)
+
+	// source is the digest of whatever names the platform.
+	var source [sha256.Size]byte
+	var poolNodes int
+	switch {
+	case pr.Platform != nil:
+		in.req.Platform, in.unchecked = pr.Platform, true
+		source, poolNodes = pr.Platform.Digest(), len(pr.Platform.Nodes)
+	case pr.PlatformName != "":
+		var ok bool
+		if in.req.Platform, source, ok = s.registry.Resident(pr.PlatformName); !ok {
+			return nil, fmt.Errorf("platform %q not registered", pr.PlatformName)
+		}
+		poolNodes = len(in.req.Platform.Nodes)
+	case pr.Scenario != nil:
+		if pr.Scenario.N > maxScenarioNodes {
+			return nil, fmt.Errorf("generate scenario: n %d exceeds the limit of %d nodes", pr.Scenario.N, maxScenarioNodes)
+		}
+		if err := pr.Scenario.Validate(); err != nil {
+			return nil, fmt.Errorf("generate scenario: %v", err)
+		}
+		in.scenario = pr.Scenario
+		source, poolNodes = pr.Scenario.Digest(), pr.Scenario.N
+	default:
+		return nil, errors.New("missing platform, platform_name or scenario")
 	}
-	return planner, req, nil
+	if err := in.req.ValidateModel(poolNodes); err != nil {
+		return nil, err
+	}
+	in.key = planKey(in.planner.Name(), source, in.req.Costs, in.req.Wapp, in.req.Demand)
+	return in, nil
 }
 
 // planStatus maps a planning failure to an HTTP status. A planner
@@ -712,16 +779,16 @@ func planStatus(r *http.Request, err error) int {
 		// The planner succeeded and the daemon failed to render its
 		// output: our fault, not the request's.
 		return http.StatusInternalServerError
+	case errors.As(err, new(requestError)):
+		return http.StatusBadRequest
 	default:
 		return http.StatusUnprocessableEntity
 	}
 }
 
 // planResponse renders a rendered cache entry into the wire response.
-// plat is the resolved request platform, consulted for the link stats.
-func planResponse(entry *CachedPlan, key CacheKey, plat *platform.Platform, start time.Time, cached, coalesced bool, variants []portfolio.Result) *PlanResponse {
+func planResponse(entry *CachedPlan, key CacheKey, start time.Time, cached, coalesced bool, variants []portfolio.Result) *PlanResponse {
 	plan := entry.Plan
-	minBW, maxBW := plat.LinkRange()
 	return &PlanResponse{
 		Planner:          plan.Planner,
 		Key:              string(key),
@@ -733,14 +800,14 @@ func planResponse(entry *CachedPlan, key CacheKey, plat *platform.Platform, star
 		Bottleneck:       plan.Eval.Bottleneck.String(),
 		Capped:           plan.Capped,
 		NodesUsed:        plan.NodesUsed,
-		PoolNodes:        len(plat.Nodes),
+		PoolNodes:        entry.PoolNodes,
 		SpecClasses:      plan.PoolClasses,
 		ClassPlanned:     plan.ClassPlanned,
 		Agents:           entry.Stats.Agents,
 		Servers:          entry.Stats.Servers,
 		Depth:            entry.Stats.Depth,
-		MinLinkBandwidth: minBW,
-		MaxLinkBandwidth: maxBW,
+		MinLinkBandwidth: entry.MinLinkBandwidth,
+		MaxLinkBandwidth: entry.MaxLinkBandwidth,
 		XML:              entry.XML,
 		//adeptvet:allow nondet plan-latency field of the response; reporting only, the plan itself is deterministic
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
@@ -748,15 +815,17 @@ func planResponse(entry *CachedPlan, key CacheKey, plat *platform.Platform, star
 	}
 }
 
-// plan answers one plan request: cache first, then one coalesced planning
-// run shared by every concurrent request with the same content address.
-// The resolved core.Request is returned alongside the response so callers
-// that need the model inputs (the deploy handler) do not resolve — and
-// re-hit the registry — a second time.
-func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Request, int, error) {
-	// The clock starts before resolve: cloning a registered platform or
-	// generating a scenario, validating it and content-addressing it are
-	// most of what a large request costs, and elapsed_ms reports all of it.
+// plan answers one plan request: address it, look the cache up, and only
+// on a miss build what the planner needs — one coalesced run, shared by
+// every concurrent request with the same content address, that
+// materialises the platform, plans and renders under one pool slot. A hit
+// touches no node: it costs the same whatever the size of the pool. The
+// resolved planInput is returned alongside the response so callers that
+// need the model inputs or the platform itself (the deploy and autonomic
+// handlers) do not resolve — and re-hit the registry — a second time.
+func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInput, int, error) {
+	// The clock starts before resolve: elapsed_ms reports all of what
+	// answering the request cost, content-addressing it included.
 	//adeptvet:allow nondet plan latency measurement; reporting only, the plan itself is deterministic
 	start := time.Now()
 	// tr stays nil unless the request asked for a trace; every recorder
@@ -767,22 +836,19 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		tr = obs.NewTraceRecorder()
 	}
 	endResolve := tr.Phase("resolve")
-	planner, req, err := s.resolve(pr)
+	in, err := s.resolve(pr)
 	endResolve()
 	if err != nil {
-		return nil, req, http.StatusBadRequest, err
+		return nil, nil, http.StatusBadRequest, err
 	}
-	key, err := KeyFor(planner.Name(), req)
-	if err != nil {
-		return nil, req, http.StatusInternalServerError, err
-	}
+	key := in.key
 
 	// respond is the one success exit: render the entry into the wire
 	// response and attach the trace.
-	respond := func(entry *CachedPlan, cached, coalesced bool, variants []portfolio.Result) (*PlanResponse, core.Request, int, error) {
-		resp := planResponse(entry, key, req.Platform, start, cached, coalesced, variants)
+	respond := func(entry *CachedPlan, cached, coalesced bool, variants []portfolio.Result) (*PlanResponse, *planInput, int, error) {
+		resp := planResponse(entry, key, start, cached, coalesced, variants)
 		s.finishTrace(r.Context(), tr, resp)
-		return resp, req, http.StatusOK, nil
+		return resp, in, http.StatusOK, nil
 	}
 
 	if !pr.NoCache {
@@ -810,7 +876,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		if ok {
 			// The relayed response keeps the owner's trace when one was
 			// requested: the planner phases happened there, not here.
-			return cresp, req, http.StatusOK, nil
+			return cresp, in, http.StatusOK, nil
 		}
 	}
 
@@ -821,10 +887,12 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		}
 	}
 
-	// runPlanner executes one planning run on the pool, renders the plan
-	// and refreshes the cache. It is handed either our own request context
-	// (no_cache: a private run) or a flight context detached from any
-	// single client (the shared, coalesced run).
+	// runPlanner executes one planning run on the pool — materialise the
+	// platform, plan, under one slot, so admission control covers the
+	// generation of a fleet as it covers planning it — then renders the
+	// plan and refreshes the cache. It is handed either our own request
+	// context (no_cache: a private run) or a flight context detached from
+	// any single client (the shared, coalesced run).
 	runPlanner := func(ctx context.Context) flightResult {
 		// The closure captures tr directly: on the coalesced path ctx is a
 		// flight context detached from any request, so the trace must ride
@@ -841,27 +909,35 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 			}
 			s.cache.NoteMiss(key)
 		}
-		var plan *core.Plan
+		var req core.Request
 		var variants []portfolio.Result
-		var err error
 		endPlan := tr.Phase("plan")
-		if pf, ok := planner.(*portfolio.Planner); ok {
-			// Run the race through the worker pool but keep its
-			// per-variant stats for the response.
-			plan, err = s.pool.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
-				p, vs, err := pf.PlanWithStats(ctx, req)
-				variants = vs
+		plan, err := s.pool.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
+			var err error
+			if req, err = in.request(ctx); err != nil {
+				// The request's fault, unless the context cut generation
+				// short — planStatus looks for that first.
+				return nil, requestError{err}
+			}
+			// Generating and validating a fleet can outlast the deadline;
+			// don't start planning for nobody.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if pf, ok := in.planner.(*portfolio.Planner); ok {
+				// Keep the race's per-variant stats for the response.
+				var p *core.Plan
+				p, variants, err = pf.PlanWithStats(ctx, req)
 				return p, err
-			})
-		} else {
-			plan, err = s.pool.Plan(ctx, planner, req)
-		}
+			}
+			return in.planner.PlanContext(ctx, req)
+		})
 		endPlan()
 		if err != nil {
 			return flightResult{err: err}
 		}
 		endRender := tr.Phase("render")
-		entry, err := Render(plan)
+		entry, err := Render(plan, req.Platform)
 		endRender()
 		if err != nil {
 			return flightResult{err: err}
@@ -881,7 +957,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 		// caller asked for its own planner execution.
 		fr := runPlanner(reqCtx)
 		if fr.err != nil {
-			return nil, req, planStatus(r, fr.err), fr.err
+			return nil, nil, planStatus(r, fr.err), fr.err
 		}
 		return respond(fr.entry, false, false, fr.variants)
 	}
@@ -895,7 +971,7 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, core.Req
 	fr := s.flights.wait(reqCtx, fl)
 	endWait()
 	if fr.err != nil {
-		return nil, req, planStatus(r, fr.err), fr.err
+		return nil, nil, planStatus(r, fr.err), fr.err
 	}
 	// A leader whose flight resolved from a freshly landed cache entry is
 	// a cache hit; joiners report the coalesced share either way.
@@ -1266,9 +1342,15 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &dr) {
 		return
 	}
-	resp, req, status, err := s.plan(r, &dr.PlanRequest)
+	resp, in, status, err := s.plan(r, &dr.PlanRequest)
 	if err != nil {
 		writePlanError(w, status, err)
+		return
+	}
+	// The platform, materialised on demand: a cache hit never built it.
+	req, err := in.request(r.Context())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "materialise platform: %v", err)
 		return
 	}
 

@@ -1191,8 +1191,8 @@ func TestPlanHeterogeneousLinks(t *testing.T) {
 // TestPlanScenario covers the server-side generation request path: a
 // declarative spec plans without shipping nodes over the wire, a large
 // quantised pool engages the class-collapsed planner (reported on the
-// wire and counted by the daemon), and the spec content-addresses the
-// cache exactly like the platform it expands to.
+// wire and counted by the daemon), and the spec itself is the cache's
+// content address: the repeat is a hit that generates nothing.
 func TestPlanScenario(t *testing.T) {
 	srv, ts := newTestServer(t)
 	spec := &scenario.Spec{Family: scenario.ClusterGrid, N: 5000, Seed: 11, PowerLevels: 8}

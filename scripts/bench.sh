@@ -9,9 +9,12 @@
 # key workloads through the adeptd HTTP handler), and the
 # BenchmarkServicePlanTrace off/on pair (cached-hit request without and
 # with a plan trace — the off case is the no-trace-overhead guard for the
-# observability instrumentation), and BenchmarkObsStoreSample (one
+# observability instrumentation), BenchmarkObsStoreSample (one
 # time-series sampling tick over the daemon's SLO source mix — the
-# per-second background cost of the SLO engine), writes
+# per-second background cost of the SLO engine), and the content-address
+# pair BenchmarkServicePlanScenarioHit100k (a primed 100k-node scenario
+# answered through the handler: the O(1)-hit contract) and
+# BenchmarkKeyFor100k (streaming 100k nodes into a key), writes
 # BENCH_plan.json (per benchmark: the median of COUNT runs, with the
 # per-run ns/op samples beside it), and gates:
 #
@@ -22,7 +25,11 @@
 #   2. a million-node class-collapsed plan must stay under one second
 #      (absolute ceiling — the headline latency contract of the
 #      equivalence-class planner, set at ~2x its measured cost);
-#   3. when a baseline file exists (BENCH_BASELINE, default
+#   3. a cache hit on a 100k-node scenario must stay under 3 ms and
+#      content-addressing 100k inline nodes under 16 ms (absolute
+#      ceilings at ~3x the measured medians: a hit that generates, or a
+#      key that marshals, is 10x over either);
+#   4. when a baseline file exists (BENCH_BASELINE, default
 #      BENCH_plan_baseline.json), ns/op may not regress more than
 #      BENCH_NS_TOL (default 20%) and allocs/op more than
 #      BENCH_ALLOCS_TOL (default 20%) against it (same-machine
@@ -41,7 +48,7 @@ NS_TOL="${BENCH_NS_TOL:-0.20}"
 ALLOCS_TOL="${BENCH_ALLOCS_TOL:-0.20}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$' \
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenarioHit100k$|BenchmarkKeyFor100k$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
@@ -55,7 +62,9 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -max-ratio-pair BenchmarkHeuristicPlanClustered5k:BenchmarkHeuristicPlan5k
 
 go run ./cmd/benchguard -new BENCH_plan.json \
-  -require-max-ns BenchmarkHeuristicPlan1M:1000000000
+  -require-max-ns BenchmarkHeuristicPlan1M:1000000000 \
+  -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
+  -require-max-ns BenchmarkKeyFor100k:16000000
 
 if [ -f "$BASELINE" ]; then
   go run ./cmd/benchguard -base "$BASELINE" -new BENCH_plan.json -tol "$NS_TOL" -allocs-tol "$ALLOCS_TOL"
