@@ -54,7 +54,7 @@
 //	       [-workers N] [-queue 64] [-plan-timeout 30s]
 //	       [-log-format text] [-log-level info] [-debug-addr addr]
 //	       [-peers url1,url2,... -peer-self url] [-peer-secret s]
-//	       [-peer-forward-timeout 2s] [-peer-ring-replicas 64]
+//	       [-peer-forward-timeout 2s]
 //
 // -platform-dir both preloads *.json platforms at startup and receives
 // the write-through journal of later PUT /v1/platforms calls (atomic
@@ -111,11 +111,10 @@ func run() error {
 		sloConfig   = flag.String("slo-config", "", "JSON file of SLO objectives and burn-rate alert rules (empty = built-in defaults)")
 		sampleEvery = flag.Duration("sample-interval", time.Second, "time-series sampling and SLO evaluation tick")
 
-		peers          = flag.String("peers", "", "comma-separated base URLs of every cluster member, this one included (empty = single-node)")
-		peerSelf       = flag.String("peer-self", "", "this member's own base URL as it appears in -peers")
-		peerSecret     = flag.String("peer-secret", "", "shared HMAC secret signing peer invalidation webhooks (default $ADEPTD_PEER_SECRET)")
-		peerTimeout    = flag.Duration("peer-forward-timeout", 2*time.Second, "deadline for one forwarded plan exchange or webhook delivery attempt")
-		peerRingPoints = flag.Int("peer-ring-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = default)")
+		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster member, this one included (empty = single-node)")
+		peerSelf    = flag.String("peer-self", "", "this member's own base URL as it appears in -peers")
+		peerSecret  = flag.String("peer-secret", "", "shared HMAC secret signing peer invalidation webhooks (default $ADEPTD_PEER_SECRET)")
+		peerTimeout = flag.Duration("peer-forward-timeout", 2*time.Second, "deadline for one forwarded plan exchange or webhook delivery attempt")
 	)
 	flag.Parse()
 
@@ -189,7 +188,6 @@ func run() error {
 			Self:           *peerSelf,
 			Peers:          strings.Split(*peers, ","),
 			Secret:         secret,
-			Replicas:       *peerRingPoints,
 			ForwardTimeout: *peerTimeout,
 			Registry:       srv.Registry(),
 			Cache:          srv.Cache(),

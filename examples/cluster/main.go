@@ -93,21 +93,16 @@ func main() {
 	}
 	etag := putPlatform(urls[0], "shared", platJSON, "")
 	fmt.Printf("\nregistered %q on peer 0 (ETag %s); waiting for replication...\n", "shared", etag)
-	for _, p := range peers {
-		for {
-			if _, ok := p.srv.Registry().Get("shared"); ok {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+	for _, u := range urls {
+		waitETag(u, "shared", etag)
 	}
 	fmt.Println("all three registries resolve the name")
 
 	// 2. Conditional writes: a stale If-Match is rejected with 412 — the
-	// lost-update fix, visible over plain HTTP.
-	if code := tryPut(urls[1], "shared", platJSON, etag); code != http.StatusOK {
-		log.Fatalf("conditional PUT with current ETag: status %d", code)
-	}
+	// lost-update fix, visible over plain HTTP. The first ETag is stale on
+	// peer 2 only once peer 1's write has replicated there, so wait for it.
+	etag2 := putPlatform(urls[1], "shared", platJSON, etag)
+	waitETag(urls[2], "shared", etag2)
 	if code := tryPut(urls[2], "shared", platJSON, etag); code != http.StatusPreconditionFailed {
 		log.Fatalf("stale conditional PUT: status %d, want 412", code)
 	}
@@ -197,6 +192,23 @@ func putPlatform(base, name string, body []byte, ifMatch string) string {
 		log.Fatalf("PUT %s: status %d: %s", name, resp.StatusCode, data)
 	}
 	return resp.Header.Get("ETag")
+}
+
+// waitETag polls base until it serves name at etag: replication is
+// asynchronous, and convergence is every peer answering the same version.
+func waitETag(base, name, etag string) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		resp, err := http.Get(base + "/v1/platforms/" + name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.Header.Get("ETag") == etag {
+			return
+		}
+	}
+	log.Fatalf("%s never served %q at ETag %s", base, name, etag)
 }
 
 // tryPut is putPlatform without the fatal-on-error: it returns the status

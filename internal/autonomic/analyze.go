@@ -2,6 +2,7 @@ package autonomic
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"adept/internal/hierarchy"
@@ -146,18 +147,9 @@ func (a *Analyzer) Analyze(cur *hierarchy.Hierarchy, obs Observation, mon *Monit
 	}
 
 	// Drop streaks of servers that left the deployment.
-	//adeptvet:allow maporder prune-in-place of a keyed set; iteration order cannot reach any output
-	for name := range a.driftStreak {
-		if _, ok := rated[name]; !ok {
-			delete(a.driftStreak, name)
-		}
-	}
-	//adeptvet:allow maporder prune-in-place of a keyed set; iteration order cannot reach any output
-	for name := range a.zeroStreak {
-		if _, ok := rated[name]; !ok {
-			delete(a.zeroStreak, name)
-		}
-	}
+	gone := func(name string, _ int) bool { _, ok := rated[name]; return !ok }
+	maps.DeleteFunc(a.driftStreak, gone)
+	maps.DeleteFunc(a.zeroStreak, gone)
 	return v
 }
 

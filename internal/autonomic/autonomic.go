@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -368,11 +369,7 @@ func (c *Controller) Step(ctx context.Context) error {
 	for _, name := range verdict.Crashed {
 		c.crashed[name] = true
 	}
-	crashed := make(map[string]bool, len(c.crashed))
-	//adeptvet:allow maporder set copy into an unordered map; the replanner re-sorts the pool it filters with this
-	for name := range c.crashed {
-		crashed[name] = true
-	}
+	crashed := maps.Clone(c.crashed)
 	c.mu.Unlock()
 
 	c.event("detect", strings.Join(verdict.Reasons, "; "), map[string]string{

@@ -218,6 +218,68 @@ func TestForwardLoopPrevention(t *testing.T) {
 	}
 }
 
+// TestForwardCarriesRequestID proves a forwarded plan can be followed from
+// edge to owner: the owner-side request arrives under the ID the edge
+// answered its client with, and the owner's trace, relayed in the response,
+// reports that same ID.
+func TestForwardCarriesRequestID(t *testing.T) {
+	const edgeURL, ownerURL = "http://edge.local", "http://owner.local"
+	newServer := func() *service.Server {
+		srv, err := service.New(service.Config{CacheSize: 8, Workers: 1, QueueDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	edge, owner := newServer(), newServer()
+	tap := &fakeTransport{handler: owner.Handler()}
+	node, err := New(Config{
+		Self:     edgeURL,
+		Peers:    []string{edgeURL, ownerURL},
+		Registry: edge.Registry(),
+		Cache:    edge.Cache(),
+		Client:   &http.Client{Transport: tap},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	edge.EnableCluster(node)
+
+	// Vary the request until its content address lands on the other peer.
+	for dgemm := 100; dgemm < 200; dgemm++ {
+		data, err := json.Marshal(service.PlanRequest{Platform: testPlatform(9), DgemmN: dgemm, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		edge.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(data)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("dgemm %d: status %d: %s", dgemm, rec.Code, rec.Body)
+		}
+		var out service.PlanResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Peer != ownerURL {
+			continue // the edge owns this key and planned it itself
+		}
+		id := rec.Header().Get("X-Request-ID")
+		if id == "" {
+			t.Fatal("edge answered without an X-Request-ID")
+		}
+		if len(tap.reqIDs) != 1 || tap.reqIDs[0] != id {
+			t.Errorf("owner saw request IDs %q, want the edge's %q", tap.reqIDs, id)
+		}
+		if out.Trace == nil || out.Trace.RequestID != id {
+			t.Errorf("forwarded trace = %+v, want request_id %q", out.Trace, id)
+		}
+		return
+	}
+	t.Fatal("no request in the sweep was owned by the other peer")
+}
+
 // TestClusterRegistryConvergence drives a registry write through one peer
 // and watches the invalidation webhooks converge every member, then a
 // delete tombstone un-converge them again.
@@ -406,14 +468,15 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	}
 }
 
-// fakeTransport scripts peer HTTP behaviour for webhook delivery tests:
-// the first failuresLeft exchanges fail at the transport, later ones are
-// served in-process by handler.
+// fakeTransport scripts peer HTTP behaviour: the first failuresLeft
+// exchanges fail at the transport, later ones are served in-process by
+// handler. It keeps the signature and request ID of every attempt.
 type fakeTransport struct {
 	mu           sync.Mutex
 	failuresLeft int
 	attempts     int
 	sigs         []string
+	reqIDs       []string
 	handler      http.Handler
 }
 
@@ -422,6 +485,7 @@ func (f *fakeTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	defer f.mu.Unlock()
 	f.attempts++
 	f.sigs = append(f.sigs, req.Header.Get(SignatureHeader))
+	f.reqIDs = append(f.reqIDs, req.Header.Get("X-Request-ID"))
 	if f.failuresLeft > 0 {
 		f.failuresLeft--
 		return nil, fmt.Errorf("synthetic connection failure")

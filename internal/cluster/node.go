@@ -30,9 +30,6 @@ type Config struct {
 	// Secret is the shared HMAC key signing invalidation webhooks. Empty
 	// disables signing and verification (trusted-network mode).
 	Secret string
-	// Replicas is the virtual-node count per peer on the ring
-	// (DefaultReplicas when zero).
-	Replicas int
 	// ForwardTimeout bounds one forwarded plan exchange and one webhook
 	// delivery attempt (default 2s). Kept tight on purpose: blowing the
 	// timeout only costs a local replan, while a generous timeout stalls
@@ -127,7 +124,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Registry == nil || cfg.Cache == nil {
 		return nil, fmt.Errorf("cluster: Registry and Cache stores required")
 	}
-	ring, err := NewRing(cfg.Peers, cfg.Replicas)
+	ring, err := NewRing(cfg.Peers, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -325,18 +322,20 @@ func (n *Node) exchange(ctx context.Context, timeout time.Duration, method, url 
 	return data, nil
 }
 
-// forwardOnce performs one forwarded /v1/plan exchange with peer. A
-// non-200 from the owner (replication lag on a platform name, admission
-// shedding, an owner-side bug) is an error like any other: the caller
-// falls back to a local run, which produces the authoritative local
-// answer or error.
+// forwardOnce performs one forwarded /v1/plan exchange with peer, under
+// the forwarder's request ID so the request can be followed from edge to
+// owner. A non-200 from the owner (replication lag on a platform name,
+// admission shedding, an owner-side bug) is an error like any other: the
+// caller falls back to a local run, which produces the authoritative
+// local answer or error.
 func (n *Node) forwardOnce(ctx context.Context, peer string, pr *service.PlanRequest) (*service.PlanResponse, error) {
 	body, err := json.Marshal(pr)
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
 	}
 	data, err := n.exchange(ctx, n.cfg.ForwardTimeout, http.MethodPost, peer+"/v1/plan", body,
-		service.ForwardedHeader, n.cfg.Self)
+		service.ForwardedHeader, n.cfg.Self,
+		"X-Request-ID", obs.RequestIDFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

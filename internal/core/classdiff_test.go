@@ -16,14 +16,13 @@ import (
 	"adept/internal/workload"
 )
 
-// This file is the correctness battery for class-collapsed planning and the
-// parallel candidate scans: differential tests pinning the planner over a
-// class-built pool to the planner over a node-built pool across the whole
-// scenario corpus, determinism tests across GOMAXPROCS settings, and a
-// concurrency stress test racing PlanContext calls through the parallel
-// scan path. Both sides of the differential run the same code, so what it
-// checks is that the pool's granularity is invisible; golden_test.go pins
-// the plans themselves.
+// This file is the correctness battery for class-collapsed planning:
+// differential tests pinning the planner over a class-built pool to the
+// planner over a node-built pool across the whole scenario corpus,
+// determinism tests across GOMAXPROCS settings, and a concurrency stress
+// test racing PlanContext calls over one shared request. Both sides of
+// the differential run the same code, so what it checks is that the pool's
+// granularity is invisible; golden_test.go pins the plans themselves.
 //
 // ADEPT_CLASS_BATTERY=full (the CI race job) widens the corpus to
 // thousand-node pools; the default keeps tier-1 `go test ./...` fast.
@@ -297,11 +296,11 @@ func planFixed(t *testing.T, p core.Planner, req core.Request, procs int) string
 	return mustXML(t, plan)
 }
 
-// TestDeterminismUnderGOMAXPROCS plans pools large enough to shard the
-// candidate scans (n >= 4096) at GOMAXPROCS 1, 2 and 8 and asserts
-// byte-identical XML — the index-tie-broken merges must make parallelism
-// invisible. Covers the node-space path (all-distinct, heterogeneous links:
-// sort fill, best-star and pair scans all shard) and the class path.
+// TestDeterminismUnderGOMAXPROCS plans multi-thousand-node pools at
+// GOMAXPROCS 1, 2 and 8 and asserts byte-identical XML: a plan is computed
+// on one goroutine, so the setting must be invisible. Covers the node-space
+// path (all-distinct powers, heterogeneous and uniform links: sort keys,
+// best-star and pair scans over one run per node) and the class path.
 func TestDeterminismUnderGOMAXPROCS(t *testing.T) {
 	specs := []scenario.Spec{
 		{Family: scenario.ClusterGrid, N: 5000, Seed: 11},                 // node space, het links
@@ -325,9 +324,9 @@ func TestDeterminismUnderGOMAXPROCS(t *testing.T) {
 }
 
 // TestConcurrentPlanContextStress races concurrent PlanContext calls over
-// shared request state through the parallel scan path: every plan must be
-// byte-identical to the sequential reference. Run under -race in the CI
-// battery job, this is the data-race probe for the scan sharding.
+// shared request state: every plan must be byte-identical to the
+// sequential reference. Run under -race in the CI battery job, this is the
+// probe that planning only reads the request it is handed.
 func TestConcurrentPlanContextStress(t *testing.T) {
 	workers, rounds := 8, 2
 	if classBatteryFull() {

@@ -66,9 +66,9 @@ import (
 // makes million-node catalogue fleets plannable in under a second. Which
 // of the two is built is derived from the input (classMinNodes,
 // classMinCompression) and cannot change the plan: the scans break every
-// tie by position, float accumulations run in sorted order at either
-// granularity, and the scans that shard across GOMAXPROCS (parscan.go)
-// merge to the sequential result exactly.
+// tie by position and float accumulations run in sorted order at either
+// granularity. A plan runs on the calling goroutine alone, so it is the
+// same at any GOMAXPROCS.
 type Heuristic struct {
 	// naive, when set, plans through the Θ(n)-per-query NaiveEvaluator.
 	// Kept for benchmarks and the property tests that pin the incremental
@@ -576,35 +576,23 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 			//adeptvet:allow floataccum fixed left-to-right fold in sorted order, the same terms whichever way the pool was built
 			totalPow += w
 		}
-		type starAgg struct{ pred, link min2 }
-		agg := parReduce(len(pool.runs),
-			func() starAgg { return starAgg{pred: newMin2(), link: newMin2()} },
-			func(s *starAgg, lo, hi int) {
-				for j := lo; j < hi; j++ {
-					r := &pool.runs[j]
-					nbw := r.bw(bw)
-					pred := model.ServerPredictionThroughput(c, nbw, r.power)
-					for pos := r.start; pos < r.lead(); pos++ {
-						s.pred.fold(pred, pos)
-						s.link.fold(nbw, pos)
-					}
-				}
-			},
-			func(dst *starAgg, src starAgg) {
-				dst.pred.mergeAfter(src.pred)
-				dst.link.mergeAfter(src.link)
-			})
-		am := parReduce(len(pool.runs),
-			func() argMax { return argMax{v: starCapped, i: -1} },
-			func(m *argMax, lo, hi int) {
-				for j := lo; j < hi; j++ {
-					r := &pool.runs[j]
-					sched := math.Min(calcSchPow(c, r.bw(bw), r.power, n-1), agg.pred.excl(r.start))
-					service := serviceFromAggregates(c, agg.link.excl(r.start), wapp, n-1, totalPow-r.power)
-					m.fold(req.Demand.Cap(math.Min(sched, service)), r.start)
-				}
-			},
-			func(dst *argMax, src argMax) { dst.mergeAfter(src) })
+		predMin, linkMin := newMin2(), newMin2()
+		for j := range pool.runs {
+			r := &pool.runs[j]
+			nbw := r.bw(bw)
+			pred := model.ServerPredictionThroughput(c, nbw, r.power)
+			for pos := r.start; pos < r.lead(); pos++ {
+				predMin.fold(pred, pos)
+				linkMin.fold(nbw, pos)
+			}
+		}
+		am := argMax{v: starCapped, i: -1}
+		for j := range pool.runs {
+			r := &pool.runs[j]
+			sched := math.Min(calcSchPow(c, r.bw(bw), r.power, n-1), predMin.excl(r.start))
+			service := serviceFromAggregates(c, linkMin.excl(r.start), wapp, n-1, totalPow-r.power)
+			am.fold(req.Demand.Cap(math.Min(sched, service)), r.start)
+		}
 		if am.i >= 0 {
 			starCapped, starRootPos = am.v, am.i
 		}
@@ -735,42 +723,34 @@ func deploymentName(req Request) string {
 // one pass over the runs. Within a run only the first two members are
 // distinct candidates: the first may be the best server itself and so pair
 // with the runner-up, the second pairs with the best like every later
-// member. Both scans shard across cores with position-tie-broken merges,
-// reproducing the sequential pick exactly.
+// member.
 func bestPair(req Request, pool *sortedPool, floor float64) (rootPos, servPos int, ok bool) {
 	c, bw, wapp := req.Costs, req.Platform.Bandwidth, req.Wapp
-	top := parReduce(len(pool.runs), newTop2,
-		func(m *top2, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				r := &pool.runs[j]
-				nbw := r.bw(bw)
-				score := math.Min(model.ServerPredictionThroughput(c, nbw, r.power),
-					calcHierSerPow(c, nbw, wapp, []float64{r.power}))
-				for pos := r.start; pos < r.lead(); pos++ {
-					m.fold(score, pos)
+	top := newTop2()
+	for j := range pool.runs {
+		r := &pool.runs[j]
+		nbw := r.bw(bw)
+		score := math.Min(model.ServerPredictionThroughput(c, nbw, r.power),
+			calcHierSerPow(c, nbw, wapp, []float64{r.power}))
+		for pos := r.start; pos < r.lead(); pos++ {
+			top.fold(score, pos)
+		}
+	}
+	am := argMax{v: floor, i: -1}
+	for j := range pool.runs {
+		r := &pool.runs[j]
+		rootSch := calcSchPow(c, r.bw(bw), r.power, 1)
+		for pos := r.start; pos < r.lead(); pos++ {
+			sv := top.v1
+			if pos == top.i1 {
+				if top.i2 < 0 {
+					continue
 				}
+				sv = top.v2
 			}
-		},
-		func(dst *top2, src top2) { dst.mergeAfter(src) })
-	am := parReduce(len(pool.runs),
-		func() argMax { return argMax{v: floor, i: -1} },
-		func(m *argMax, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				r := &pool.runs[j]
-				rootSch := calcSchPow(c, r.bw(bw), r.power, 1)
-				for pos := r.start; pos < r.lead(); pos++ {
-					sv := top.v1
-					if pos == top.i1 {
-						if top.i2 < 0 {
-							continue
-						}
-						sv = top.v2
-					}
-					m.fold(req.Demand.Cap(math.Min(rootSch, sv)), pos)
-				}
-			}
-		},
-		func(dst *argMax, src argMax) { dst.mergeAfter(src) })
+			am.fold(req.Demand.Cap(math.Min(rootSch, sv)), pos)
+		}
+	}
 	if am.i < 0 {
 		return -1, -1, false
 	}

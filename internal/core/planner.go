@@ -16,9 +16,9 @@
 // pools drawn from a machine catalogue build it from spec equivalence
 // classes (classindex.go) — a few dozen runs for a million nodes, planned
 // in well under a second; other pools build it with one run per node. The
-// plan is the same, byte for byte, whichever way the pool was built, and
-// the scans that shard across GOMAXPROCS (parscan.go) break ties by sorted
-// position, bit-identical at any parallelism.
+// plan is the same, byte for byte, whichever way the pool was built, and a
+// plan is computed on the calling goroutine alone — identical at any
+// GOMAXPROCS.
 package core
 
 import (

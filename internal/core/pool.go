@@ -19,7 +19,7 @@ import (
 // spec class of a ClassIndex, so a million-node catalogue fleet is a few
 // dozen runs and every spec scan is Θ(runs). Scans address candidates by
 // sorted *position* (a run's first member is at start, its second at
-// start+1), which is what makes the min2/top2/argMax folds of parscan.go
+// start+1), which is what makes the min2/top2/argMax folds of fold.go
 // — and therefore every decision — independent of the granularity: the
 // differential battery (classdiff_test.go) and the recorded digests
 // (golden_test.go) hold both constructors to byte-identical plans.
@@ -74,11 +74,9 @@ type sortedPool struct {
 func newNodePool(c model.Costs, bandwidth float64, nodes []platform.Node) *sortedPool {
 	sorted := sortNodes(c, bandwidth, nodes)
 	runs := make([]run, len(sorted))
-	parFill(len(sorted), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			runs[i] = run{power: sorted[i].Power, link: sorted[i].LinkBandwidth, count: 1, start: i}
-		}
-	})
+	for i := range sorted {
+		runs[i] = run{power: sorted[i].Power, link: sorted[i].LinkBandwidth, count: 1, start: i}
+	}
 	return &sortedPool{runs: runs, n: len(sorted), nodes: sorted}
 }
 
@@ -197,39 +195,29 @@ func (sp *sortedPool) uniformLinks(def float64) bool {
 // same terms in the same order at either granularity.
 func (sp *sortedPool) poolPowers() []float64 {
 	out := make([]float64, sp.n-1)
-	parFill(len(sp.runs), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			r := &sp.runs[j]
-			for pos := max(r.start, 1); pos < r.start+r.count; pos++ {
-				out[pos-1] = r.power
-			}
+	for j := range sp.runs {
+		r := &sp.runs[j]
+		for pos := max(r.start, 1); pos < r.start+r.count; pos++ {
+			out[pos-1] = r.power
 		}
-	})
+	}
 	return out
 }
 
 // poolMin returns the minimum of f(power, effective link) over the specs
-// of the non-root pool. (Float min is associative, so the sharded reduction
-// is exact.)
+// of the non-root pool.
 func (sp *sortedPool) poolMin(def float64, f func(power, bw float64) float64) float64 {
-	return parReduce(len(sp.runs),
-		func() float64 { return math.Inf(1) },
-		func(m *float64, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				r := &sp.runs[j]
-				if j == 0 && r.count == 1 {
-					continue // the root's own run: nothing of it is in the pool
-				}
-				if v := f(r.power, r.bw(def)); v < *m {
-					*m = v
-				}
-			}
-		},
-		func(dst *float64, src float64) {
-			if src < *dst {
-				*dst = src
-			}
-		})
+	m := math.Inf(1)
+	for j := range sp.runs {
+		r := &sp.runs[j]
+		if j == 0 && r.count == 1 {
+			continue // the root's own run: nothing of it is in the pool
+		}
+		if v := f(r.power, r.bw(def)); v < m {
+			m = v
+		}
+	}
+	return m
 }
 
 // nameHeap is a binary min-heap of node names. at() drains one per run:

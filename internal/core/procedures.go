@@ -45,14 +45,11 @@ func sortNodes(c model.Costs, bandwidth float64, nodes []platform.Node) []platfo
 	}
 	// Precompute the sort key once per node instead of twice per
 	// comparison: at 10k nodes the repeated model evaluations inside the
-	// comparator used to dominate whole-plan latency. The keys are pure
-	// per-node maps, so the fill shards across cores on large pools.
+	// comparator used to dominate whole-plan latency.
 	keys := make([]float64, len(sorted))
-	parFill(len(sorted), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = calcSchPow(c, sorted[i].Link(bandwidth), sorted[i].Power, d)
-		}
-	})
+	for i := range sorted {
+		keys[i] = calcSchPow(c, sorted[i].Link(bandwidth), sorted[i].Power, d)
+	}
 	idx := make([]int, len(sorted))
 	for i := range idx {
 		idx[i] = i

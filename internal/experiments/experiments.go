@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"adept/internal/model"
@@ -172,14 +171,4 @@ func fmtF(v float64) string {
 	default:
 		return fmt.Sprintf("%.3g", v)
 	}
-}
-
-// sortedKeys returns map keys in sorted order (deterministic reports).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -92,9 +92,6 @@ type Result struct {
 type Planner struct {
 	// Variants is the race field (default DefaultVariants).
 	Variants []Variant
-	// Parallelism bounds concurrently running variants (default
-	// min(len(Variants), GOMAXPROCS)).
-	Parallelism int
 }
 
 // New returns a portfolio planner with the stock variants.
@@ -132,13 +129,8 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 		return nil, nil, err
 	}
 
-	par := p.Parallelism
-	if par <= 0 {
-		par = gort.GOMAXPROCS(0)
-	}
-	if par > len(variants) {
-		par = len(variants)
-	}
+	// At most one variant per core runs at a time.
+	par := min(len(variants), gort.GOMAXPROCS(0))
 
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -221,14 +221,20 @@ func checkMatch(name string, current uint64, expect *uint64) error {
 }
 
 // writeFileAtomic writes data as dir/file through a same-directory temp
-// file and an fsync-free atomic rename. A crash mid-write leaves only a
-// temp file the next LoadDir ignores, never a torn journal.
+// file and an atomic rename. The temp file is flushed before the rename
+// and the directory after it, so a crash or power loss leaves either the
+// old file, or the new one whole, plus at most a temp file the next
+// LoadDir ignores — never an empty or torn journal behind a finished
+// rename.
 func writeFileAtomic(dir, file string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, file+".tmp-*")
 	if err != nil {
 		return err
 	}
 	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -237,6 +243,20 @@ func writeFileAtomic(dir, file string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -307,9 +307,6 @@ func (s *Server) SLOTick(now time.Time) {
 // it false while startup preloading runs.
 func (s *Server) SetReady(v bool) { s.ready.Store(v) }
 
-// Store exposes the daemon's time-series store.
-func (s *Server) Store() *obs.Store { return s.store }
-
 // SLO exposes the daemon's SLO engine.
 func (s *Server) SLO() *slo.Engine { return s.sloEng }
 
@@ -364,9 +361,6 @@ func (s *Server) registerGauges() {
 	prom.CounterFunc("adeptd_autonomic_events_total", "Autonomic decision events journalled.", s.journal.Total)
 	prom.RegisterRuntime()
 }
-
-// Logger exposes the daemon's structured logger.
-func (s *Server) Logger() *slog.Logger { return s.logger }
 
 // Journal exposes the autonomic event journal.
 func (s *Server) Journal() *obs.Journal { return s.journal }

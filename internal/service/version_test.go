@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -440,4 +441,47 @@ func TestVersionsSidecarSkippedByLoadDir(t *testing.T) {
 	if len(names) != 1 || names[0] != "p" {
 		t.Fatalf("names = %v, want [p]", names)
 	}
+}
+
+// FuzzParseIfMatch holds the If-Match grammar to its contract on arbitrary
+// headers: blank means unconditional, only "*" means MatchAny, anything
+// else is a version or an error, and every ETag the daemon serves parses
+// back to the version it was rendered from.
+func FuzzParseIfMatch(f *testing.F) {
+	for _, header := range []string{
+		"", "  \t", "*", " * ", `"*"`,
+		`"7"`, "7", ` "7" `, `"7`, `7"`, `""`, `"`, "+7", "-1", "banana",
+		"18446744073709551614", `"18446744073709551615"`, "18446744073709551616",
+	} {
+		f.Add(header, uint64(len(header)))
+	}
+	f.Add(`"0"`, MatchAny)
+	f.Fuzz(func(t *testing.T, header string, v uint64) {
+		got, err := parseIfMatch(header)
+		switch trimmed := strings.TrimSpace(header); {
+		case err != nil && got != nil:
+			t.Errorf("parseIfMatch(%q) = %d with error %v", header, *got, err)
+		case trimmed == "":
+			if got != nil || err != nil {
+				t.Errorf("parseIfMatch(%q) = %v, %v; blank must be unconditional", header, got, err)
+			}
+		case trimmed == "*":
+			if got == nil || *got != MatchAny {
+				t.Errorf("parseIfMatch(%q) = %v, %v; want MatchAny", header, got, err)
+			}
+		case err == nil && got == nil:
+			t.Errorf("parseIfMatch(%q) took a non-blank header for an unconditional write", header)
+		case got != nil && *got == MatchAny:
+			t.Errorf("parseIfMatch(%q) = MatchAny; only * may mean that", header)
+		}
+
+		back, err := parseIfMatch(etagFor(v))
+		if v == MatchAny {
+			if err == nil {
+				t.Errorf("parseIfMatch(%s) accepted the wildcard's own value as a version", etagFor(v))
+			}
+		} else if err != nil || back == nil || *back != v {
+			t.Errorf("parseIfMatch(etagFor(%d)) = %v, %v", v, back, err)
+		}
+	})
 }
