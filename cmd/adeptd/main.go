@@ -28,6 +28,14 @@
 //	GET    /healthz              liveness probe
 //	GET    /readyz               readiness probe (registry loaded, pool open)
 //
+// POST /v1/deploy and POST /v1/autonomic/start take the body of
+// POST /v1/plan (platform, platform_name or scenario, and the rest) plus
+// their own fields, answer a planning failure exactly as /v1/plan does
+// (400 / 422 / 429 + Retry-After / 504), and launch what was planned
+// through internal/deploy ("transport": "chan" or "tcp"). Autonomic start's
+// simulated backend takes its schedule of background-load phases under
+// "drift".
+//
 // Clustering: -peers runs the daemon as one member of a static cluster.
 // Every member is started with the same comma-separated membership list
 // (its own -peer-self URL included); a consistent-hash ring over plan

@@ -26,7 +26,6 @@
 //   - internal/service     — planning daemon: registry, plan cache, pool
 //   - internal/workload    — DGEMM workloads, demands, load ramps
 //   - internal/blas        — DGEMM kernels (naive / blocked / parallel)
-//   - internal/linpack     — LU mini-benchmark for node power calibration
 //   - internal/calib       — Table 3 parameter measurement
 //   - internal/experiments — one driver per paper table/figure
 //   - internal/stats       — regression and summary statistics

@@ -5,6 +5,10 @@
 // patch the running hierarchy — no redeploy, just a handful of ops.
 //
 // Run with: go run ./examples/autonomic
+//
+// The same session through the daemon: POST /v1/autonomic/start with
+// "backend":"sim" and the load phases under "drift"
+// ([{"at":40,"factors":{"s1":2}}]); see README "Autonomic mode".
 package main
 
 import (

@@ -45,7 +45,6 @@ var nondetExempt = map[string]bool{
 	"obs":      true,
 	"runtime":  true,
 	"service":  false, // service *is* scoped: its wall-clock stamps carry //adeptvet:allow
-	"linpack":  true,
 	"blas":     true,
 	"calib":    true,
 	"analysis": true,

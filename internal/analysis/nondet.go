@@ -13,7 +13,7 @@ import (
 // Seeded generator construction (rand.New(rand.NewSource(seed))) is fine;
 // it is the shared global source and ambient clock/environment that break
 // replay. Packages whose job is wall-clock measurement (obs, runtime,
-// calib, linpack, blas) are exempt by configuration; service and
+// calib, blas) are exempt by configuration; service and
 // autonomic wall-clock stamps carry //adeptvet:allow nondet annotations
 // so each one is individually justified.
 var NonDet = &Analyzer{

@@ -11,8 +11,8 @@
 //     varying degree and fitted a line (correlation coefficient 0.97). Here
 //     the runtime records timed reply-treatment samples per degree and the
 //     same least-squares fit recovers slope (Wsel) and intercept (Wfix).
-//   - Node power: the paper used a Linpack mini-benchmark; internal/linpack
-//     provides the equivalent measurement for real nodes.
+//   - Node power: the paper used a Linpack mini-benchmark; here powers come
+//     with the platform description (measured elsewhere or synthetic).
 package calib
 
 import (

@@ -48,29 +48,32 @@ func (d *Deployment) Stop() {
 	d.System.Stop()
 }
 
-// newTransport builds the configured transport stack.
-func newTransport(cfg Config) (runtime.Transport, *runtime.MeteredTransport, error) {
-	var base runtime.Transport
-	switch cfg.Transport {
+// ParseTransport resolves a transport's wire name — "chan", which the empty
+// name also selects, or "tcp" — to its kind and a constructor; every call of
+// the constructor builds a fresh transport (the autonomic loop's full
+// redeploy needs a second one). Nothing outside this function knows the
+// transports by name.
+func ParseTransport(name string) (TransportKind, func() runtime.Transport, error) {
+	switch TransportKind(name) {
 	case TransportChan, "":
-		base = runtime.NewChanTransport()
+		return TransportChan, func() runtime.Transport { return runtime.NewChanTransport() }, nil
 	case TransportTCP:
-		base = runtime.NewTCPTransport()
-	default:
-		return nil, nil, fmt.Errorf("deploy: unknown transport %q", cfg.Transport)
+		return TransportTCP, func() runtime.Transport { return runtime.NewTCPTransport() }, nil
 	}
-	if cfg.Metered {
-		m := runtime.NewMeteredTransport(base)
-		return m, m, nil
-	}
-	return base, nil, nil
+	return "", nil, fmt.Errorf("deploy: unknown transport %q (have chan, tcp)", name)
 }
 
 // Launch deploys an in-memory hierarchy.
 func Launch(h *hierarchy.Hierarchy, cfg Config) (*Deployment, error) {
-	tr, meter, err := newTransport(cfg)
+	_, newTransport, err := ParseTransport(string(cfg.Transport))
 	if err != nil {
 		return nil, err
+	}
+	tr := newTransport()
+	var meter *runtime.MeteredTransport
+	if cfg.Metered {
+		meter = runtime.NewMeteredTransport(tr)
+		tr = meter
 	}
 	sys, err := runtime.Deploy(h, tr, cfg.Options)
 	if err != nil {

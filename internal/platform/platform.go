@@ -29,7 +29,7 @@ type Node struct {
 	// Name identifies the node, e.g. "orsay-042".
 	Name string `json:"name"`
 	// Power is the node's computing power in MFlop/s, as measured by the
-	// Linpack mini-benchmark (internal/linpack) or assigned synthetically.
+	// Linpack mini-benchmark or assigned synthetically.
 	Power float64 `json:"power"`
 	// LinkBandwidth is the bandwidth in Mbit/s of the node's link into the
 	// platform. Zero means "the platform-wide Bandwidth B" — the paper's

@@ -235,9 +235,7 @@ func TestScenarioHerdGeneratesOnce(t *testing.T) {
 // TestLaunchOnHit: the two handlers that launch what was planned need the
 // platform itself, and get it even when the plan came from the cache and
 // the plan path never held it: /v1/deploy generates a scenario on demand,
-// and /v1/autonomic/start (whose own "scenario" field is the drift
-// schedule, so it cannot carry a spec) reads a registered platform's
-// resident copy.
+// and /v1/autonomic/start reads a registered platform's resident copy.
 func TestLaunchOnHit(t *testing.T) {
 	srv, ts := newTestServer(t)
 	spec := PlanRequest{Scenario: &scenario.Spec{Family: scenario.Bimodal, N: 6, Seed: 1}, Wapp: 5}

@@ -3,14 +3,10 @@ package service
 import (
 	"context"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"adept/internal/autonomic"
-	"adept/internal/core"
 	"adept/internal/deploy"
-	"adept/internal/hierarchy"
 	"adept/internal/runtime"
 	"adept/internal/sim"
 )
@@ -26,24 +22,6 @@ import (
 // One session runs at a time: the loop owns its deployed system, and a
 // second concurrent deployment of the same platform would fight over
 // nothing real.
-
-// ScenarioPhase is one step of a simulated drift scenario.
-type ScenarioPhase struct {
-	// At is the simulated time in seconds.
-	At float64 `json:"at"`
-	// Factors maps server names to background-load slowdown factors.
-	Factors map[string]float64 `json:"factors,omitempty"`
-	// AddClients starts extra closed-loop clients at At.
-	AddClients int `json:"add_clients,omitempty"`
-	// RemoveClients retires that many closed-loop clients at At.
-	RemoveClients int `json:"remove_clients,omitempty"`
-	// Crash marks the named servers crashed at At: they keep answering
-	// scheduling from stale estimates but every service request times out
-	// and fails until a Restore.
-	Crash []string `json:"crash,omitempty"`
-	// Restore revives the named servers at At.
-	Restore []string `json:"restore,omitempty"`
-}
 
 // AutonomicRequest is the JSON body of POST /v1/autonomic/start. The
 // embedded PlanRequest produces the initial deployment; the rest tunes
@@ -66,8 +44,9 @@ type AutonomicRequest struct {
 	TimeScale float64 `json:"time_scale,omitempty"`
 	// Cycles bounds the loop (default: unbounded live, 50 sim).
 	Cycles int `json:"cycles,omitempty"`
-	// Scenario pre-schedules drift for the sim backend.
-	Scenario []ScenarioPhase `json:"scenario,omitempty"`
+	// Drift pre-schedules drift for the sim backend. (The embedded
+	// PlanRequest's "scenario" names the platform, as on every endpoint.)
+	Drift []sim.LoadPhase `json:"drift,omitempty"`
 
 	// Loop tuning; zero means the autonomic package default.
 	DriftTolerance float64 `json:"drift_tolerance,omitempty"`
@@ -93,8 +72,8 @@ type autonomicSession struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	live    *autonomic.LiveTarget // nil for the sim backend
-
-	mu     sync.Mutex
+	// runErr is what ended the loop, if it did not end on its own: written
+	// before done closes, read only after.
 	runErr error
 }
 
@@ -108,9 +87,7 @@ func (a *autonomicSession) finished() bool {
 }
 
 func (a *autonomicSession) error() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.runErr != nil {
+	if a.finished() && a.runErr != nil {
 		return a.runErr.Error()
 	}
 	return ""
@@ -119,6 +96,20 @@ func (a *autonomicSession) error() string {
 // status renders the session for the status and stop endpoints.
 func (a *autonomicSession) status(done bool) AutonomicStatus {
 	return AutonomicStatus{Backend: a.backend, Done: done, RunErr: a.error(), Status: a.ctrl.Status()}
+}
+
+// runSession starts ctrl's loop as the daemon's session.
+func runSession(backend string, ctrl *autonomic.Controller, live *autonomic.LiveTarget) *autonomicSession {
+	//adeptvet:allow ctxflow session-lifetime lifecycle root; the MAPE-K loop outlives the HTTP request that started it
+	ctx, cancel := context.WithCancel(context.Background())
+	sess := &autonomicSession{backend: backend, ctrl: ctrl, cancel: cancel, done: make(chan struct{}), live: live}
+	go func() {
+		defer close(sess.done)
+		if err := ctrl.Run(ctx); err != nil && ctx.Err() == nil {
+			sess.runErr = err
+		}
+	}()
+	return sess
 }
 
 // stop cancels the loop, waits for it, and tears the live system down.
@@ -133,88 +124,73 @@ func (a *autonomicSession) stop() {
 	}
 }
 
+// reserveAutonomic takes the daemon's one session slot for a start in
+// progress, reaping a session whose loop ended on its own. No lock is held
+// across the (potentially slow) planning and deployment that follow, so
+// /status, /stop and /inject stay responsive; the caller clears
+// autoStarting when it is done. With the slot taken it has answered 409 and
+// reports false.
+func (s *Server) reserveAutonomic(w http.ResponseWriter) bool {
+	if !s.autoStarting.CompareAndSwap(false, true) {
+		writeError(w, http.StatusConflict, "an autonomic session is already starting")
+		return false
+	}
+	s.autoMu.Lock()
+	old := s.auto
+	if old != nil && !old.finished() {
+		s.autoMu.Unlock()
+		s.autoStarting.Store(false)
+		writeError(w, http.StatusConflict, "an autonomic session is already running; stop it first")
+		return false
+	}
+	s.auto = nil
+	s.autoMu.Unlock()
+	if old != nil {
+		// The loop ended on its own (bounded cycles); its live system is
+		// still deployed — reap it.
+		old.stop()
+	}
+	return true
+}
+
 func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 	var ar AutonomicRequest
 	if !decodeBody(w, r, &ar) {
 		return
 	}
-	// Reserve the session slot without holding the lock across the
-	// (potentially slow) planning and deployment below, so /status, /stop
-	// and /inject stay responsive.
-	s.autoMu.Lock()
-	if s.autoStarting {
-		s.autoMu.Unlock()
-		writeError(w, http.StatusConflict, "an autonomic session is already starting")
+	if !s.reserveAutonomic(w) {
 		return
 	}
-	if s.auto != nil {
-		if !s.auto.finished() {
-			s.autoMu.Unlock()
-			writeError(w, http.StatusConflict, "an autonomic session is already running; stop it first")
-			return
-		}
-		// The loop ended on its own (bounded cycles); its live system is
-		// still deployed — reap it before taking the slot.
-		old := s.auto
-		s.auto = nil
-		s.autoMu.Unlock()
-		old.stop()
-		s.autoMu.Lock()
-	}
-	s.autoStarting = true
-	s.autoMu.Unlock()
-	defer func() {
-		s.autoMu.Lock()
-		s.autoStarting = false
-		s.autoMu.Unlock()
-	}()
+	defer s.autoStarting.Store(false)
 
-	resp, in, status, err := s.plan(r, &ar.PlanRequest)
-	if err != nil {
-		writePlanError(w, status, err)
+	l, ok := s.planForLaunch(w, r, &ar.PlanRequest)
+	if !ok {
 		return
 	}
-	// The platform, materialised on demand: a cache hit never built it.
-	req, err := in.request(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "materialise platform: %v", err)
-		return
-	}
-	h, err := hierarchy.ParseXML(strings.NewReader(resp.XML))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reparse plan XML: %v", err)
-		return
-	}
-	// An explicit planner name pins the replan step; otherwise the control
-	// loop's default (the portfolio race) is used.
-	var planner core.Planner
-	if ar.Planner != "" {
-		var err error
-		if planner, err = SelectPlanner(ar.Planner); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	clients := ar.Clients
-	if clients <= 0 {
-		clients = 4
-	}
-	maxCycles := ar.Cycles
-
 	cfg := autonomic.Config{
-		Planner:        planner,
-		Platform:       req.Platform,
-		Costs:          req.Costs,
-		Wapp:           req.Wapp,
-		Demand:         req.Demand,
+		Platform:       l.req.Platform,
+		Costs:          l.req.Costs,
+		Wapp:           l.req.Wapp,
+		Demand:         l.req.Demand,
 		DriftTolerance: ar.DriftTolerance,
 		SagTolerance:   ar.SagTolerance,
 		Hysteresis:     ar.Hysteresis,
 		CrashWindows:   ar.CrashWindows,
 		Cooldown:       ar.Cooldown,
 		MinGain:        ar.MinGain,
+		MaxCycles:      min(ar.Cycles, 10000),
 		Journal:        s.journal,
 		Logger:         s.logger,
+	}
+	// An explicit planner name pins the replan step to the planner resolve
+	// made of it; otherwise the control loop's default (the portfolio race)
+	// is used.
+	if ar.Planner != "" {
+		cfg.Planner = l.planner
+	}
+	clients := ar.Clients
+	if clients <= 0 {
+		clients = 4
 	}
 
 	var target autonomic.Target
@@ -223,69 +199,30 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 	switch backend {
 	case "", "live":
 		backend = "live"
-		kind, err := parseTransport(ar.Transport)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		if live, ok = startLive(w, l, &ar, clients); !ok {
 			return
 		}
-		timeScale := ar.TimeScale
-		if timeScale <= 0 {
-			timeScale = 0.002
-		}
-		window := 500 * time.Millisecond
-		if ar.WindowMillis > 0 {
-			window = time.Duration(ar.WindowMillis) * time.Millisecond
-		}
-		opts := runtime.Options{
-			Costs:        req.Costs,
-			Bandwidth:    req.Platform.Bandwidth,
-			Wapp:         req.Wapp,
-			TimeScale:    timeScale,
-			ReplyTimeout: 2 * window,
-		}
-		newTransport := func() runtime.Transport {
-			if kind == deploy.TransportTCP {
-				return runtime.NewTCPTransport()
-			}
-			return runtime.NewChanTransport()
-		}
-		sys, err := runtime.Deploy(h, newTransport(), opts)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "launch: %v", err)
-			return
-		}
-		live = autonomic.NewLiveTarget(sys, opts, clients, window, newTransport)
 		target = live
 	case "sim":
-		if maxCycles <= 0 {
-			maxCycles = 50
+		if cfg.MaxCycles <= 0 {
+			cfg.MaxCycles = 50
+		}
+		managed, err := sim.NewManaged(l.h, l.req.Costs, l.req.Platform.Bandwidth, l.req.Wapp, clients, ar.Drift)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "simulate: %v", err)
+			return
 		}
 		window := ar.WindowSeconds
 		if window <= 0 {
 			window = 10
-		}
-		scenario := make([]sim.LoadPhase, 0, len(ar.Scenario))
-		for _, ph := range ar.Scenario {
-			// ScenarioPhase is sim.LoadPhase with JSON tags: the conversion
-			// stops compiling the day the two drift apart.
-			scenario = append(scenario, sim.LoadPhase(ph))
-		}
-		managed, err := sim.NewManaged(h, req.Costs, req.Platform.Bandwidth, req.Wapp, clients, scenario)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "simulate: %v", err)
-			return
 		}
 		target = &autonomic.SimTarget{Managed: managed, Window: window}
 	default:
 		writeError(w, http.StatusBadRequest, "unknown backend %q (have live, sim)", ar.Backend)
 		return
 	}
-	if maxCycles > 10000 {
-		maxCycles = 10000
-	}
-	cfg.MaxCycles = maxCycles
 
-	ctrl, err := autonomic.New(cfg, target, h)
+	ctrl, err := autonomic.New(cfg, target, l.h)
 	if err != nil {
 		if live != nil {
 			live.System().Stop()
@@ -293,26 +230,48 @@ func (s *Server) handleAutonomicStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	//adeptvet:allow ctxflow session-lifetime lifecycle root; the MAPE-K loop outlives the HTTP request that started it
-	ctx, cancel := context.WithCancel(context.Background())
-	sess := &autonomicSession{backend: backend, ctrl: ctrl, cancel: cancel, done: make(chan struct{}), live: live}
-	go func() {
-		defer close(sess.done)
-		if err := ctrl.Run(ctx); err != nil && ctx.Err() == nil {
-			sess.mu.Lock()
-			sess.runErr = err
-			sess.mu.Unlock()
-		}
-	}()
+	sess := runSession(backend, ctrl, live)
 	s.autoMu.Lock()
 	s.auto = sess
 	s.autoMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"backend": backend,
 		"clients": clients,
-		"cycles":  maxCycles,
-		"plan":    resp,
+		"cycles":  cfg.MaxCycles,
+		"plan":    l.resp,
 	})
+}
+
+// startLive launches the planned hierarchy on the goroutine middleware,
+// through internal/deploy like /v1/deploy, and wraps it as the control
+// loop's target. On failure it has answered the client and reports false.
+func startLive(w http.ResponseWriter, l *launchable, ar *AutonomicRequest, clients int) (*autonomic.LiveTarget, bool) {
+	transport, newTransport, err := deploy.ParseTransport(ar.Transport)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	timeScale := ar.TimeScale
+	if timeScale <= 0 {
+		timeScale = 0.002
+	}
+	window := 500 * time.Millisecond
+	if ar.WindowMillis > 0 {
+		window = time.Duration(ar.WindowMillis) * time.Millisecond
+	}
+	opts := runtime.Options{
+		Costs:        l.req.Costs,
+		Bandwidth:    l.req.Platform.Bandwidth,
+		Wapp:         l.req.Wapp,
+		TimeScale:    timeScale,
+		ReplyTimeout: 2 * window,
+	}
+	dep, err := deploy.Launch(l.h, deploy.Config{Transport: transport, Options: opts})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "launch: %v", err)
+		return nil, false
+	}
+	return autonomic.NewLiveTarget(dep.System, opts, clients, window, newTransport), true
 }
 
 // session returns the daemon's autonomic session. With none it has
@@ -381,7 +340,7 @@ func (s *Server) handleAutonomicInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sess.live == nil {
-		writeError(w, http.StatusBadRequest, "drift injection needs the live backend; sim sessions pre-schedule it via scenario")
+		writeError(w, http.StatusBadRequest, "drift injection needs the live backend; sim sessions pre-schedule it via drift")
 		return
 	}
 	if err := sess.live.System().SetBackgroundLoad(ir.Server, ir.Factor); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adept/internal/platform"
+	"adept/internal/sim"
 )
 
 // autonomicPlatform is a small fixed pool with a clearly most-powerful
@@ -52,7 +53,7 @@ func TestAutonomicSimSession(t *testing.T) {
 		Backend:     "sim",
 		Clients:     12,
 		Cycles:      30,
-		Scenario:    []ScenarioPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
+		Drift:       []sim.LoadPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
 		// Starved-but-alive servers are expected here; crash detection off.
 		CrashWindows: -1,
 	}

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 
 	"adept/internal/platform"
 )
@@ -26,6 +29,55 @@ type RegistryUpdate struct {
 	Deleted  bool               `json:"deleted,omitempty"`
 	Platform *platform.Platform `json:"platform,omitempty"`
 	Origin   string             `json:"origin,omitempty"`
+}
+
+// ApplyRemote folds a replication update from a peer into the store. It
+// applies iff u.Version is strictly newer than the highest version seen
+// locally for u.Name — duplicate deliveries, replays after webhook
+// retries, and out-of-order arrivals are all no-ops, so convergence needs
+// no coordination beyond the version itself. Local writes through
+// Put/Delete keep their own monotonic counters above anything applied
+// here, because both paths share the versions map.
+func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
+	if err := validName(u.Name); err != nil {
+		return false, err
+	}
+	if u.Version == 0 {
+		return false, fmt.Errorf("service: remote update for %q carries no version", u.Name)
+	}
+	var entry *regEntry
+	if !u.Deleted {
+		if u.Platform == nil {
+			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
+		}
+		if err := u.Platform.Validate(); err != nil {
+			return false, err
+		}
+		entry = newRegEntry(u.Platform, u.Version)
+	}
+	r.persistMu.Lock()
+	defer r.persistMu.Unlock()
+	r.mu.Lock()
+	if u.Version <= r.versions[u.Name] {
+		r.mu.Unlock()
+		return false, nil
+	}
+	r.versions[u.Name] = u.Version
+	if u.Deleted {
+		delete(r.platforms, u.Name)
+	} else {
+		r.platforms[u.Name] = entry
+	}
+	r.mu.Unlock()
+	if r.persistDir != "" {
+		if u.Deleted {
+			_ = os.Remove(filepath.Join(r.persistDir, u.Name+".json"))
+		} else if err := persistPlatform(r.persistDir, u.Name, u.Platform); err != nil {
+			return true, err
+		}
+	}
+	r.persistVersionsLocked()
+	return true, nil
 }
 
 // PeerReport is the cluster-layer counter block surfaced in both metrics

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adept/internal/scenario"
+	"adept/internal/sim"
 )
 
 // TestPlanTraceRoundTrip requests a portfolio plan with tracing on and
@@ -206,7 +207,7 @@ func TestPlanTraceOffAllocations(t *testing.T) {
 		return testing.AllocsPerRun(200, func() {
 			r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
 			req := pr
-			if _, _, _, err := srv.plan(r, &req); err != nil {
+			if _, _, err := srv.plan(r, &req); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -353,7 +354,7 @@ func TestAutonomicEventsEndpoint(t *testing.T) {
 		Backend:      "sim",
 		Clients:      12,
 		Cycles:       30,
-		Scenario:     []ScenarioPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
+		Drift:        []sim.LoadPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
 		CrashWindows: -1,
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/autonomic/start", start)

@@ -1,37 +1,3 @@
-// Package service turns the one-shot planning pipeline into a long-running
-// planning-as-a-service daemon — the direction the paper's future-work
-// section sketches for ADePT and the role played by the long-lived
-// deployment services of the related work (Flissi & Merle's deployment
-// framework, Dearle et al.'s autonomic middleware).
-//
-// The subsystem has four parts, each a concrete type usable on its own:
-//
-//   - Registry   — named, versioned platform descriptions with CRUD,
-//     optimistic concurrency (If-Match), a write-through journal
-//     (LoadDir, PersistTo), and peer replication (ApplyRemote); each
-//     entry keeps its content digest, computed once when it is written
-//   - PlanCache  — content-addressed plan cache, sharded, LRU-evicting
-//     (internal/lru)
-//   - Pool       — counting semaphore bounding concurrent planner runs,
-//     with a bounded fail-fast wait queue
-//   - Server     — the HTTP JSON API wiring the three together, plus a
-//     live-deployment endpoint backed by internal/deploy
-//
-// The planner is a pure function of its inputs, so a plan is addressed by
-// them (planKey): the planner, the costs, the service cost, the demand
-// and a digest of whatever names the platform in the request — a scenario
-// spec, a registered name's stored digest, or the inline nodes. The
-// address is known before any node is materialised, and the cache is
-// asked first: a hit is O(1) in the size of the pool, and only a miss
-// generates, validates and plans — once, inside the coalesced flight,
-// under a pool slot (Server.plan).
-//
-// Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
-// thin binary around it and examples/service is a client walkthrough.
-// The one interface in the package is Cluster, the seam internal/cluster
-// plugs into to lift the cache's digest sharding and the registry's
-// versioning across processes: it has a real second side (nil means
-// single-node mode) and must not be imported from here.
 package service
 
 import (
@@ -371,55 +337,6 @@ func (r *Registry) DeleteIfMatch(name string, expect *uint64) (uint64, bool, err
 	}
 	r.persistVersionsLocked()
 	return tombstone, true, nil
-}
-
-// ApplyRemote folds a replication update from a peer into the store. It
-// applies iff u.Version is strictly newer than the highest version seen
-// locally for u.Name — duplicate deliveries, replays after webhook
-// retries, and out-of-order arrivals are all no-ops, so convergence needs
-// no coordination beyond the version itself. Local writes through
-// Put/Delete keep their own monotonic counters above anything applied
-// here, because both paths share the versions map.
-func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
-	if err := validName(u.Name); err != nil {
-		return false, err
-	}
-	if u.Version == 0 {
-		return false, fmt.Errorf("service: remote update for %q carries no version", u.Name)
-	}
-	var entry *regEntry
-	if !u.Deleted {
-		if u.Platform == nil {
-			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
-		}
-		if err := u.Platform.Validate(); err != nil {
-			return false, err
-		}
-		entry = newRegEntry(u.Platform, u.Version)
-	}
-	r.persistMu.Lock()
-	defer r.persistMu.Unlock()
-	r.mu.Lock()
-	if u.Version <= r.versions[u.Name] {
-		r.mu.Unlock()
-		return false, nil
-	}
-	r.versions[u.Name] = u.Version
-	if u.Deleted {
-		delete(r.platforms, u.Name)
-	} else {
-		r.platforms[u.Name] = entry
-	}
-	r.mu.Unlock()
-	if r.persistDir != "" {
-		if u.Deleted {
-			_ = os.Remove(filepath.Join(r.persistDir, u.Name+".json"))
-		} else if err := persistPlatform(r.persistDir, u.Name, u.Platform); err != nil {
-			return true, err
-		}
-	}
-	r.persistVersionsLocked()
-	return true, nil
 }
 
 // Names returns the registered names in sorted order.

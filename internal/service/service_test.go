@@ -826,8 +826,8 @@ func TestPlanClientCancelVsDeadline(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	_, _, status, err := srv.plan(r, &PlanRequest{Platform: testPlatform(10), DgemmN: 310})
-	if status != statusClientClosedRequest {
+	_, _, err = srv.plan(r, &PlanRequest{Platform: testPlatform(10), DgemmN: 310})
+	if status := planStatus(r, err); status != statusClientClosedRequest {
 		t.Errorf("client cancel: status %d, want %d", status, statusClientClosedRequest)
 	}
 	if !errors.Is(err, context.Canceled) {
@@ -836,8 +836,8 @@ func TestPlanClientCancelVsDeadline(t *testing.T) {
 
 	// Server-side deadline on a still-interested client: 504.
 	r2 := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-	_, _, status, err = srv.plan(r2, &PlanRequest{Platform: testPlatform(12), DgemmN: 310, TimeoutMillis: 30})
-	if status != http.StatusGatewayTimeout {
+	_, _, err = srv.plan(r2, &PlanRequest{Platform: testPlatform(12), DgemmN: 310, TimeoutMillis: 30})
+	if status := planStatus(r2, err); status != http.StatusGatewayTimeout {
 		t.Errorf("deadline: status %d, want 504", status)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -861,8 +861,8 @@ func TestShortLeaderTimeoutDoesNotPoisonJoiner(t *testing.T) {
 	leaderDone := make(chan int, 1)
 	go func() {
 		r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-		_, _, status, _ := srv.plan(r, &PlanRequest{Platform: plat, DgemmN: 310, TimeoutMillis: 50})
-		leaderDone <- status
+		_, _, err := srv.plan(r, &PlanRequest{Platform: plat, DgemmN: 310, TimeoutMillis: 50})
+		leaderDone <- planStatus(r, err)
 	}()
 	waitUntil(t, "flight to register", func() bool {
 		srv.flights.mu.Lock()
@@ -873,7 +873,7 @@ func TestShortLeaderTimeoutDoesNotPoisonJoiner(t *testing.T) {
 	joinerDone := make(chan *PlanResponse, 1)
 	go func() {
 		r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
-		resp, _, _, err := srv.plan(r, &PlanRequest{Platform: plat, DgemmN: 310})
+		resp, _, err := srv.plan(r, &PlanRequest{Platform: plat, DgemmN: 310})
 		if err != nil {
 			t.Errorf("joiner: %v", err)
 			joinerDone <- nil

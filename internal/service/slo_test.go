@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adept/internal/obs"
+	"adept/internal/sim"
 	"adept/internal/slo"
 )
 
@@ -110,7 +111,7 @@ func TestProbesDoNotCountTowardSLO(t *testing.T) {
 // count).
 func availabilityTotal(t *testing.T, srv *Server) float64 {
 	t.Helper()
-	for _, o := range srv.SLO().Objectives() {
+	for _, o := range srv.sloEng.Objectives() {
 		if o.Type == slo.TypeAvailability {
 			return o.Total
 		}
@@ -315,7 +316,7 @@ func TestIncidentsEndpoint(t *testing.T) {
 		Backend:      "sim",
 		Clients:      12,
 		Cycles:       30,
-		Scenario:     []ScenarioPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
+		Drift:        []sim.LoadPhase{{At: 40, Factors: map[string]float64{"s1": 2}}},
 		CrashWindows: -1,
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/autonomic/start", start)
@@ -378,7 +379,7 @@ func TestEventsSinceTruncated(t *testing.T) {
 	srv, ts := newSLOTestServer(t, Config{JournalCapacity: 4})
 
 	for i := 1; i <= 8; i++ {
-		srv.Journal().Append("test", fmt.Sprintf("event %d", i), nil)
+		srv.journal.Append("test", fmt.Sprintf("event %d", i), nil)
 	}
 	// Capacity 4 of 8 appended: seqs 5..8 retained, 1..4 evicted.
 

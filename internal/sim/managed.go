@@ -17,26 +17,27 @@ import (
 // patches are applied to the same running deployment the clients keep
 // driving.
 
-// LoadPhase is one step of a background-load scenario.
+// LoadPhase is one step of a background-load scenario. The JSON form is
+// the drift schedule of POST /v1/autonomic/start and of adeptsoak's report.
 type LoadPhase struct {
 	// At is the simulated time (seconds) the phase starts.
-	At float64
+	At float64 `json:"at"`
 	// Factors maps server names to background-load slowdown factors:
 	// effective compute speed becomes power/factor. Servers not named keep
 	// their current factor. Factor 1 removes the load.
-	Factors map[string]float64
+	Factors map[string]float64 `json:"factors,omitempty"`
 	// AddClients starts that many extra closed-loop clients at At,
 	// modelling a demand shift.
-	AddClients int
+	AddClients int `json:"add_clients,omitempty"`
 	// RemoveClients asks that many closed-loop clients to leave at At
 	// (each departs at its next submission boundary) — the downswing of a
 	// demand trace.
-	RemoveClients int
+	RemoveClients int `json:"remove_clients,omitempty"`
 	// Crash marks the named servers dead at At: they keep answering
 	// scheduling (stale monitoring) but every service request to them
 	// times out and fails. Restore revives servers crashed earlier.
-	Crash   []string
-	Restore []string
+	Crash   []string `json:"crash,omitempty"`
+	Restore []string `json:"restore,omitempty"`
 }
 
 // Managed is a running simulated deployment under autonomic management:
