@@ -238,8 +238,39 @@ func benchClassPlanner(b *testing.B, n int) {
 func BenchmarkHeuristicPlan100k(b *testing.B) { benchClassPlanner(b, 100_000) }
 func BenchmarkHeuristicPlan1M(b *testing.B)   { benchClassPlanner(b, 1_000_000) }
 
-// BenchmarkPortfolioPlan1k races the full stock portfolio on a 1k pool.
+// BenchmarkPortfolioPlan1k runs the whole portfolio on a 1k pool.
 func BenchmarkPortfolioPlan1k(b *testing.B) { benchPlanner(b, portfolio.New(), 1000) }
+
+// BenchmarkPortfolioPlanMix is the portfolio at the paper's scale, in the
+// shape of BENCHMARK.json's mix_small workload: one op plans all seven
+// scenario families at 25, 50, 100, 200 and 400 nodes (35 requests, no
+// demand).
+func BenchmarkPortfolioPlanMix(b *testing.B) {
+	var reqs []core.Request
+	for _, fam := range scenario.Families() {
+		for _, n := range []int{25, 50, 100, 200, 400} {
+			plat, err := (scenario.Spec{Family: fam, N: n, Seed: 7}).Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs = append(reqs, core.Request{
+				Platform: plat,
+				Costs:    model.DIETDefaults(),
+				Wapp:     workload.DGEMM{N: 310}.MFlop(),
+			})
+		}
+	}
+	planner := portfolio.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			if _, err := planner.Plan(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 // BenchmarkAblationHeuristicVsGreedySwap quantifies what the swap-refiner
 // extension adds over the faithful Algorithm 1 (DESIGN.md ablation): the

@@ -368,7 +368,7 @@ func timeline(store *obs.Store, base time.Time) map[string][]TimePoint {
 }
 
 // selectPlanner mirrors the daemon's planner names for the initial
-// deployment (the replan step inside the loop stays the portfolio race).
+// deployment (the replan step inside the loop stays the portfolio).
 func selectPlanner(name string) (core.Planner, error) {
 	switch name {
 	case "", "heuristic":

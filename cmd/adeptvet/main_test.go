@@ -40,16 +40,17 @@ func TestGoVetVettool(t *testing.T) {
 		t.Fatalf("go vet -vettool over the fixtures succeeded; want findings\n%s", out)
 	}
 	text := string(out)
-	for _, analyzer := range []string{"maporder", "nondet", "floataccum", "ctxflow", "metricname", "hotalloc"} {
+	for _, analyzer := range []string{"maporder", "nondet", "floataccum", "ctxflow", "metricname", "hotalloc", "singlethread"} {
 		if !strings.Contains(text, analyzer+": ") {
 			t.Errorf("go vet output missing %s finding\n%s", analyzer, text)
 		}
 	}
 	// Out-of-scope packages must stay silent: maporder/misc is outside
-	// the order-sensitive scope, nondet/obs is exempt. (Suppression of
+	// the order-sensitive scope, nondet/obs is exempt, singlethread/service
+	// is not a planning package. (Suppression of
 	// individual lines is verified precisely by the analysistest
 	// harness; here the coarse signal suffices.)
-	for _, leak := range []string{"maporder/misc", "nondet/obs"} {
+	for _, leak := range []string{"maporder/misc", "nondet/obs", "singlethread/service"} {
 		if strings.Contains(text, leak) {
 			t.Errorf("go vet output leaked %q; suppression or scoping broke under the vet protocol\n%s", leak, text)
 		}
@@ -109,7 +110,7 @@ func TestFlagsJSON(t *testing.T) {
 	if !strings.HasPrefix(strings.TrimSpace(text), "[") {
 		t.Fatalf("-flags must print a JSON array, got %q", text)
 	}
-	for _, name := range []string{"maporder", "nondet", "floataccum", "ctxflow", "metricname", "hotalloc", "V"} {
+	for _, name := range []string{"maporder", "nondet", "floataccum", "ctxflow", "metricname", "hotalloc", "singlethread", "V"} {
 		if !strings.Contains(text, `"Name": "`+name+`"`) {
 			t.Errorf("-flags output missing flag %q\n%s", name, text)
 		}

@@ -18,7 +18,7 @@
 //   - internal/platform    — heterogeneous platform descriptions
 //   - internal/scenario    — declarative platform-family generators
 //     (star, bimodal, power-law, clustered, trace-perturbed)
-//   - internal/portfolio   — parallel planner race returning the best plan
+//   - internal/portfolio   — every stock planner run in order; the best plan wins
 //   - internal/baseline    — star / balanced / d-ary / exhaustive planners
 //   - internal/sim         — discrete-event M(r,s,w) simulator
 //   - internal/runtime     — concurrent goroutine middleware (chan/TCP)

@@ -23,6 +23,9 @@
 //	            counters ending in _total
 //	hotalloc    no allocation-prone constructs inside functions annotated
 //	            //adeptvet:hotpath
+//	singlethread
+//	            planning packages start no goroutine and import neither
+//	            sync, sync/atomic nor runtime
 //
 // Intentional exceptions are annotated in source with
 //
@@ -104,6 +107,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		MetricName,
 		HotAlloc,
+		SingleThread,
 	}
 }
 

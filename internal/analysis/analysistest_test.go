@@ -119,6 +119,8 @@ func TestMetricNameFixture(t *testing.T) { checkFixture(t, "metricname") }
 func TestHotAllocFixture(t *testing.T)   { checkFixture(t, "hotalloc") }
 func TestAllowAuditFixture(t *testing.T) { checkFixture(t, "allowaudit") }
 
+func TestSingleThreadFixture(t *testing.T) { checkFixture(t, "singlethread") }
+
 // TestFixtureWantsExercised guards the harness itself: a fixture whose
 // want comments silently stop matching would otherwise pass vacuously.
 func TestFixtureWantsExercised(t *testing.T) {

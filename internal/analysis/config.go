@@ -37,6 +37,20 @@ var orderSensitive = map[string]bool{
 	"baseline":    true,
 }
 
+// planning names the packages a plan is computed in — everything between
+// a Request and a Plan's bytes. singlethread scopes these: no goroutines,
+// no sync, no runtime.
+var planning = map[string]bool{
+	"core":      true,
+	"model":     true,
+	"hierarchy": true,
+	"platform":  true,
+	"scenario":  true,
+	"workload":  true,
+	"baseline":  true,
+	"portfolio": true,
+}
+
 // nondetExempt names packages where wall-clock reads, environment access,
 // and unseeded randomness are part of the job: metrics timestamping,
 // live-runtime deadlines, calibration benchmarks, and this framework
@@ -79,6 +93,9 @@ func isDeterminismCritical(path string) bool { return inSet(path, determinismCri
 func isOrderSensitive(path string) bool {
 	return isDeterminismCritical(path) || inSet(path, orderSensitive)
 }
+
+// isPlanning reports whether the singlethread analyzer applies.
+func isPlanning(path string) bool { return inSet(path, planning) }
 
 // isNonDetScoped reports whether the nondet analyzer applies.
 func isNonDetScoped(path string) bool { return !inSet(path, nondetExempt) }

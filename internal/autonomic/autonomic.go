@@ -7,7 +7,7 @@
 // per-server service times (feeding the internal/forecast estimators to
 // learn effective per-node powers), Analyze runs a drift detector with
 // hysteresis (power drift, server crash, throughput sag), Plan re-invokes
-// a planner — by default the internal/portfolio race of every stock
+// a planner — by default the internal/portfolio fold over every stock
 // planner — against the updated platform, and Execute applies the
 // replanned tree as a minimal hierarchy.Diff patch to the running system
 // instead of redeploying from scratch.

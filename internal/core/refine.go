@@ -42,8 +42,6 @@ import (
 type SwapRefiner struct {
 	// Inner produces the plan to refine.
 	Inner Planner
-	// MaxRounds bounds the improvement loop (0 means a generous default).
-	MaxRounds int
 }
 
 // Name implements Planner.
@@ -56,30 +54,32 @@ func (r *SwapRefiner) Plan(req Request) (*Plan, error) {
 	return r.PlanContext(context.Background(), req)
 }
 
-// PlanContext implements Planner: the context is forwarded to the inner
-// planner and polled once per refinement round.
+// PlanContext implements Planner: the inner planner's plan, refined.
 func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, error) {
-	tr := obs.TraceFrom(ctx)
-	endInner := tr.Phase("inner_plan")
+	endInner := obs.TraceFrom(ctx).Phase("inner_plan")
 	plan, err := r.Inner.PlanContext(ctx, req)
 	endInner()
 	if err != nil {
 		return nil, err
 	}
-	rounds := r.MaxRounds
-	if rounds <= 0 {
-		rounds = 2 * len(req.Platform.Nodes)
-	}
+	return r.Refine(ctx, req, plan)
+}
+
+// Refine runs the improvement loop on a finished plan for req — the inner
+// planner's, or one the caller already holds — and returns the refined
+// plan, or plan itself when no move improves it. plan is not modified. The
+// loop is bounded by two rounds per pool node and polls ctx once a round.
+func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Plan, error) {
+	tr := obs.TraceFrom(ctx)
 	h := plan.Hierarchy.Clone()
 	ev := NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
 	LoadHierarchy(ev, h)
 	bestCapped := plan.Capped
 
-	improved := false
 	moves := int64(0)
 	endRefine := tr.Phase("refine")
 	round := 0
-	for ; round < rounds; round++ {
+	for ; round < 2*len(req.Platform.Nodes); round++ {
 		if err := CheckContext(ctx, r.Name()); err != nil {
 			return nil, err
 		}
@@ -89,20 +89,15 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 		}
 		h = newH
 		bestCapped = newCapped
-		improved = true
 		moves++
 	}
 	endRefine()
 	tr.Count("refine_rounds", int64(round))
 	tr.Count("refine_moves", moves)
-	if !improved || bestCapped <= plan.Capped {
+	if moves == 0 || bestCapped <= plan.Capped {
 		return plan, nil
 	}
-	refined, err := Finalize(r.Name(), req, h)
-	if err != nil {
-		return nil, err
-	}
-	return refined, nil
+	return Finalize(r.Name(), req, h)
 }
 
 // bestMove scores every swap and drop candidate with an evaluator what-if

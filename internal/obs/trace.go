@@ -152,7 +152,7 @@ func (r *TraceRecorder) SetWinner(name string) {
 }
 
 // Trace snapshots the accumulated state into a PlanTrace. Variants are
-// sorted by name for stable output (they finish in race order).
+// sorted by name, whatever order they were recorded in.
 func (r *TraceRecorder) Trace() *PlanTrace {
 	if r == nil {
 		return nil
@@ -196,9 +196,9 @@ func TraceFrom(ctx context.Context) *TraceRecorder {
 }
 
 // DetachTrace masks any recorder attached to ctx. Portfolio variants
-// run under a detached context so their inner planner phases don't
-// interleave into the request's recorder — the portfolio records
-// per-variant summaries itself.
+// run under a detached context so that five planners' inner phases don't
+// pile up under the same names in the request's recorder — the portfolio
+// records per-variant summaries itself.
 func DetachTrace(ctx context.Context) context.Context {
 	if TraceFrom(ctx) == nil {
 		return ctx

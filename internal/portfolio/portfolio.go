@@ -1,4 +1,4 @@
-// Package portfolio races several deployment planners over the same
+// Package portfolio runs several deployment planners over the same
 // request and returns the best plan, in the spirit of algorithm-portfolio
 // schedulers: Algorithm 1 is strongest on scheduling-rich heterogeneous
 // pools, the swap refinement wins when powerful nodes should serve rather
@@ -10,22 +10,22 @@
 // on every platform — a property the test suite enforces across the whole
 // scenario corpus.
 //
-// Variants run concurrently on a bounded goroutine pool with a shared
-// context: cancelling the caller's context cancels every in-flight
-// planner, and once a frugal variant (one that already stops at the
-// fewest nodes meeting the demand) proves the client demand met, the
-// stragglers are cut off early — their best possible outcome could
-// neither raise the demand-capped throughput nor win the fewer-nodes
-// tie-break.
+// The portfolio is a sequential fold over a fixed table, on the caller's
+// goroutine: every eligible variant runs, in table order, and the
+// incumbent is replaced only by a plan with a strictly higher
+// demand-capped throughput or, at equal throughput, strictly fewer nodes
+// (the paper's "preferring the deployment using the fewest resources"),
+// so table position breaks exact ties. The answer is therefore a function
+// of the request alone. The fold is all-or-nothing: a context that fires
+// before the last eligible variant has finished yields the context's
+// error, never the best plan so far — a caller may cache the answer under
+// the request's address.
 package portfolio
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	gort "runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"adept/internal/baseline"
@@ -33,43 +33,32 @@ import (
 	"adept/internal/obs"
 )
 
-// Variant is one planner in the race.
-type Variant struct {
-	// Name labels the variant in stats (defaults to Planner.Name()).
-	Name string
-	// Planner runs the variant. It must be safe for concurrent use, as all
-	// stock planners are.
-	Planner core.Planner
-	// MaxNodes skips the variant on pools larger than this (0 = no limit).
-	// The exhaustive variant uses it to stay within its Θ(n·nⁿ) budget.
-	MaxNodes int
-	// Frugal marks planners that stop growing the moment the client
-	// demand is met, i.e. that already prefer the fewest nodes at equal
-	// capped throughput. Only a frugal variant's demand-met finish
-	// triggers the early cutoff: a non-frugal variant (the star deploys
-	// the whole pool) meeting demand first must not cancel a frugal
-	// straggler that would win the fewer-nodes tie-break.
-	Frugal bool
+// variant is one row of the portfolio's table.
+type variant struct {
+	name    string
+	planner core.Planner
+	// maxNodes skips the variant on larger pools (0 = no limit).
+	maxNodes int
 }
 
-// ExhaustiveCutoff is the default pool-size ceiling for the exhaustive
-// variant: beyond 6 nodes the enumeration's latency (seconds and up) stops
-// being a useful race entrant.
-const ExhaustiveCutoff = 6
+var (
+	algorithm1 = core.NewHeuristic()
+	swap       = &core.SwapRefiner{Inner: algorithm1}
 
-// DefaultVariants returns the stock portfolio. Order matters only for
-// tie-breaking: earlier variants win exact throughput-and-size ties.
-func DefaultVariants() []Variant {
-	return []Variant{
-		{Name: "heuristic+swap", Planner: &core.SwapRefiner{Inner: core.NewHeuristic()}, Frugal: true},
-		{Name: "heuristic", Planner: core.NewHeuristic(), Frugal: true},
-		{Name: "star", Planner: &baseline.Star{}},
-		{Name: "homogeneous", Planner: &baseline.OptimalDAry{}},
-		{Name: "exhaustive", Planner: &baseline.Exhaustive{}, MaxNodes: ExhaustiveCutoff},
+	// table is the portfolio: its order is the order of the fold and of the
+	// reported results, so earlier rows win exact ties. Beyond 6 nodes the
+	// exhaustive enumeration's Θ(n·nⁿ) latency (seconds and up) buys
+	// nothing.
+	table = [...]variant{
+		{name: "heuristic+swap", planner: swap},
+		{name: "heuristic", planner: algorithm1},
+		{name: "star", planner: &baseline.Star{}},
+		{name: "homogeneous", planner: &baseline.OptimalDAry{}},
+		{name: "exhaustive", planner: &baseline.Exhaustive{}, maxNodes: 6},
 	}
-}
+)
 
-// Result reports one variant's outcome in a race.
+// Result reports one variant's outcome.
 type Result struct {
 	// Variant is the variant name.
 	Variant string `json:"variant"`
@@ -77,24 +66,21 @@ type Result struct {
 	Winner bool `json:"winner,omitempty"`
 	// Skipped explains why the variant did not run ("" = it ran).
 	Skipped string `json:"skipped,omitempty"`
-	// Err is the planner error, if any ("" = success). A variant cut off
-	// by the early-cutoff rule reports a context error here.
+	// Err is the planner error, if any ("" = success).
 	Err string `json:"error,omitempty"`
 	// Rho, Capped and NodesUsed summarise the variant's plan.
 	Rho       float64 `json:"rho,omitempty"`
 	Capped    float64 `json:"capped,omitempty"`
 	NodesUsed int     `json:"nodes_used,omitempty"`
-	// ElapsedMS is the variant's planning wall time.
+	// ElapsedMS is the wall time the variant would have taken alone:
+	// Algorithm 1's time is counted on both rows built on its plan.
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
-// Planner races a set of variants; it implements core.Planner.
-type Planner struct {
-	// Variants is the race field (default DefaultVariants).
-	Variants []Variant
-}
+// Planner is the portfolio; it implements core.Planner.
+type Planner struct{}
 
-// New returns a portfolio planner with the stock variants.
+// New returns the portfolio planner.
 func New() *Planner { return &Planner{} }
 
 // Name implements core.Planner.
@@ -113,117 +99,86 @@ func (p *Planner) PlanContext(ctx context.Context, req core.Request) (*core.Plan
 	return plan, err
 }
 
-// PlanWithStats races the variants and returns the winning plan plus
-// per-variant stats (index-aligned with the variant set). The winning
-// plan's Planner field is "portfolio:<variant>". An error is returned only
-// when no variant produced a plan.
+// PlanWithStats runs every eligible variant and returns the winning plan
+// plus per-variant results (one per table row, in table order). The
+// winning plan's Planner field is "portfolio:<variant>". An error is
+// returned when no variant produced a plan, or when ctx fired before all
+// of them had finished.
 func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Plan, []Result, error) {
-	variants := p.Variants
-	if len(variants) == 0 {
-		variants = DefaultVariants()
-	}
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := core.CheckContext(ctx, "portfolio"); err != nil {
-		return nil, nil, err
-	}
-
-	// At most one variant per core runs at a time.
-	par := min(len(variants), gort.GOMAXPROCS(0))
-
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	tr := obs.TraceFrom(ctx)
-	// Variants get a detached trace context: their inner phases (sort_nodes,
-	// grow, ...) would interleave nondeterministically across goroutines in
-	// the caller's recorder. The race reports per-variant spans instead.
-	variantCtx := obs.DetachTrace(raceCtx)
+	// Variants get a detached trace context: five planners' inner phases
+	// (sort_nodes, grow, ...) under the same names would say nothing about
+	// the request. The portfolio reports per-variant spans instead.
+	variantCtx := obs.DetachTrace(ctx)
+	defer tr.Phase("race")()
 
-	results := make([]Result, len(variants))
-	plans := make([]*core.Plan, len(variants))
-	sem := make(chan struct{}, par)
-	endRace := tr.Phase("race")
-	var wg sync.WaitGroup
-	for i, v := range variants {
-		name := v.Name
-		if name == "" {
-			name = v.Planner.Name()
-		}
-		results[i] = Result{Variant: name}
-		if v.MaxNodes > 0 && len(req.Platform.Nodes) > v.MaxNodes {
-			results[i].Skipped = fmt.Sprintf("pool of %d exceeds variant limit %d", len(req.Platform.Nodes), v.MaxNodes)
+	// Algorithm 1 is planned once: the heuristic row reports its plan and
+	// the heuristic+swap row refines it.
+	var base *core.Plan
+	var baseErr error
+	baseMS := timed(func() { base, baseErr = algorithm1.PlanContext(variantCtx, req) })
+
+	results := make([]Result, len(table))
+	var errs []string
+	var best *core.Plan
+	winner := -1
+	for i, v := range table {
+		r := &results[i]
+		r.Variant = v.name
+		if v.maxNodes > 0 && len(req.Platform.Nodes) > v.maxNodes {
+			r.Skipped = fmt.Sprintf("pool of %d exceeds variant limit %d", len(req.Platform.Nodes), v.maxNodes)
 			continue
 		}
-		wg.Add(1)
-		go func(i int, v Variant) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-raceCtx.Done():
-				results[i].Err = raceCtx.Err().Error()
-				return
+		var plan *core.Plan
+		var err error
+		switch v.planner {
+		case algorithm1:
+			plan, err, r.ElapsedMS = base, baseErr, baseMS
+		case swap:
+			if err = baseErr; err == nil {
+				r.ElapsedMS = baseMS + timed(func() { plan, err = swap.Refine(variantCtx, req, base) })
 			}
-			//adeptvet:allow nondet per-variant wall-time stats for the race report; winner selection never reads them
-			start := time.Now()
-			plan, err := v.Planner.PlanContext(variantCtx, req)
-			//adeptvet:allow nondet per-variant wall-time stats for the race report; winner selection never reads them
-			results[i].ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-			if err != nil {
-				results[i].Err = err.Error()
-				return
-			}
-			plans[i] = plan
-			results[i].Rho = plan.Eval.Rho
-			results[i].Capped = plan.Capped
-			results[i].NodesUsed = plan.NodesUsed
-			// Early cutoff: once a frugal variant meets the demand, no
-			// straggler can raise the demand-capped throughput, and the
-			// fewer-nodes tie-break is already in safe hands — a frugal
-			// plan stopped growing the moment the demand was met.
-			if v.Frugal && req.Demand.Bounded() && plan.Capped >= float64(req.Demand) {
-				cancel()
-			}
-		}(i, v)
-	}
-	wg.Wait()
-	endRace()
-
-	best := -1
-	for i, plan := range plans {
-		if plan == nil {
+		default:
+			r.ElapsedMS = timed(func() { plan, err = v.planner.PlanContext(variantCtx, req) })
+		}
+		// All or nothing: the best of the variants that happened to finish
+		// is not the answer to the request (and a dead context never
+		// produces a plan).
+		if ctxErr := core.CheckContext(ctx, "portfolio"); ctxErr != nil {
+			return nil, nil, ctxErr
+		}
+		if err != nil {
+			r.Err = err.Error()
+			errs = append(errs, v.name+": "+r.Err)
 			continue
 		}
-		if best < 0 || plan.Capped > plans[best].Capped ||
-			(plan.Capped == plans[best].Capped && plan.NodesUsed < plans[best].NodesUsed) {
-			best = i
+		r.Rho, r.Capped, r.NodesUsed = plan.Eval.Rho, plan.Capped, plan.NodesUsed
+		if best == nil || plan.Capped > best.Capped ||
+			(plan.Capped == best.Capped && plan.NodesUsed < best.NodesUsed) {
+			best, winner = plan, i
 		}
 	}
-	if best < 0 {
-		// Prefer reporting the caller's cancellation over per-variant noise.
-		if err := ctx.Err(); err != nil {
-			return nil, results, fmt.Errorf("portfolio: %w", err)
-		}
-		var errs []string
-		for _, r := range results {
-			if r.Err != "" {
-				errs = append(errs, r.Variant+": "+r.Err)
-			}
-		}
-		return nil, results, errors.New("portfolio: every variant failed: " + strings.Join(errs, "; "))
+
+	if best == nil {
+		return nil, results, fmt.Errorf("portfolio: every variant failed: %s", strings.Join(errs, "; "))
 	}
-	results[best].Winner = true
+	results[winner].Winner = true
 	for _, r := range results {
-		tr.Variant(obs.VariantSpan{
-			Name:      r.Variant,
-			ElapsedMS: r.ElapsedMS,
-			Skipped:   r.Skipped != "",
-			Err:       r.Err,
-		})
+		tr.Variant(obs.VariantSpan{Name: r.Variant, ElapsedMS: r.ElapsedMS, Skipped: r.Skipped != "", Err: r.Err})
 	}
-	tr.SetWinner(results[best].Variant)
-	win := *plans[best]
-	win.Planner = "portfolio:" + results[best].Variant
-	return &win, results, nil
+	tr.SetWinner(table[winner].name)
+	best.Planner = "portfolio:" + table[winner].name
+	return best, results, nil
+}
+
+// timed runs f and returns its wall time in milliseconds.
+//
+//adeptvet:allow nondet per-variant wall-time stats for the report; winner selection never reads them
+func timed(f func()) float64 {
+	start := time.Now()
+	f()
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }

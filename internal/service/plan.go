@@ -50,8 +50,8 @@ type PlanResponse struct {
 	Peer      string  `json:"peer,omitempty"`
 	XML       string  `json:"xml"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Variants reports the portfolio race (portfolio requests only;
-	// answers served from the cache omit it — the race never re-ran).
+	// Variants reports the portfolio's rows (portfolio requests only;
+	// answers served from the cache omit it — no variant ran).
 	Variants []portfolio.Result `json:"variants,omitempty"`
 	// Trace is the structured timing breakdown, present only when the
 	// request set "trace":true. A request coalesced onto a flight that
@@ -219,7 +219,7 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 			return nil, err
 		}
 		if pf, ok := in.planner.(*portfolio.Planner); ok {
-			// Keep the race's per-variant stats for the response.
+			// Keep the per-variant stats for the response.
 			var p *core.Plan
 			p, variants, err = pf.PlanWithStats(ctx, req)
 			return p, err

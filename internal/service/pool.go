@@ -25,7 +25,8 @@ var ErrQueueFull = errors.New("service: planning queue full")
 // an arbitrary number of concurrent HTTP clients cannot fork an arbitrary
 // number of planner runs. A job runs on the goroutine that submitted it —
 // the request's own, or its coalesced flight's — once it holds one of the
-// worker slots; there are no pool goroutines to hand it to. At most
+// worker slots; there are no pool goroutines to hand it to, and a job is
+// one goroutine, whichever planner it runs: a slot is a thread. At most
 // queueDepth submitters wait for a slot, in arrival order; a waiter whose
 // context fires leaves the queue at once, and a running planner observes
 // the same context through its PlanContext poll points.

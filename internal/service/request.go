@@ -75,7 +75,7 @@ type PlanRequest struct {
 	DgemmN   int            `json:"dgemm_n,omitempty"`
 	Demand   float64        `json:"demand,omitempty"`
 	Costs    *model.Costs   `json:"costs,omitempty"`
-	// Portfolio races every stock planner (internal/portfolio) and
+	// Portfolio runs every stock planner (internal/portfolio) and
 	// answers with the best plan plus per-variant stats. Mutually
 	// exclusive with Planner (it is a planner selection of its own).
 	Portfolio bool `json:"portfolio,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1056,10 +1057,10 @@ func TestPlannerContextCancellation(t *testing.T) {
 	}
 }
 
-// TestPlanPortfolioOption exercises portfolio=true end to end: the race
+// TestPlanPortfolioOption exercises portfolio=true end to end: the portfolio
 // runs through the worker pool, the response carries per-variant stats
 // with exactly one winner, the returned throughput dominates the plain
-// heuristic's, and a cached repeat omits the stats (the race never
+// heuristic's, and a cached repeat omits the stats (no variant
 // re-ran). A conflicting explicit planner is rejected.
 func TestPlanPortfolioOption(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -1101,7 +1102,7 @@ func TestPlanPortfolioOption(t *testing.T) {
 		t.Errorf("portfolio capped %.4f below heuristic %.4f", pr.Capped, hr.Capped)
 	}
 
-	// Cached repeat: same key, no fresh race, so no variant stats.
+	// Cached repeat: same key, nothing ran, so no variant stats.
 	resp2, body2 := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Platform: plat, DgemmN: 310, Portfolio: true})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status %d: %s", resp2.StatusCode, body2)
@@ -1277,5 +1278,75 @@ func TestPlanScenario(t *testing.T) {
 	})
 	if respErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad scenario family: status %d, want 400", respErr.StatusCode)
+	}
+}
+
+// TestPlanPortfolioOneAnswerUnderDemand is the serving-layer face of the
+// portfolio's determinism: under a demand that several variants meet, 50
+// uncached portfolio requests through a 4-slot pool get one planner, one
+// XML and the 2-node deployment, no variant reports a cancelled context
+// (nothing cuts a variant short any more), and the answer the cache then
+// holds under the request's address is that same XML.
+func TestPlanPortfolioOneAnswerUnderDemand(t *testing.T) {
+	_, ts := newTestServer(t)
+	req := PlanRequest{
+		Scenario:  &scenario.Spec{Family: scenario.ClusterGrid, N: 400, Seed: 7},
+		DgemmN:    310,
+		Demand:    50,
+		Portfolio: true,
+		NoCache:   true,
+	}
+	const calls, clients = 50, 5
+	answers := make([]PlanResponse, calls)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < calls; i += clients {
+				resp, body := postJSON(t, ts.URL+"/v1/plan", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("call %d: status %d: %s", i, resp.StatusCode, body)
+					return
+				}
+				if err := json.Unmarshal(body, &answers[i]); err != nil {
+					t.Errorf("call %d: %v", i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	first := answers[0]
+	if first.NodesUsed != 2 {
+		t.Errorf("nodes_used %d, want 2", first.NodesUsed)
+	}
+	for i, a := range answers {
+		if a.Planner != first.Planner || a.XML != first.XML || a.NodesUsed != first.NodesUsed {
+			t.Fatalf("call %d answered (%s, %d nodes), call 0 (%s, %d nodes)", i, a.Planner, a.NodesUsed, first.Planner, first.NodesUsed)
+		}
+		for _, v := range a.Variants {
+			if strings.Contains(v.Err, "context") {
+				t.Errorf("call %d: variant %s reports %q", i, v.Variant, v.Err)
+			}
+		}
+	}
+
+	req.NoCache = false
+	resp, body := postJSON(t, ts.URL+"/v1/plan", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached repeat: status %d: %s", resp.StatusCode, body)
+	}
+	var hit PlanResponse
+	if err := json.Unmarshal(body, &hit); err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Error("repeat without no_cache not served from cache")
+	}
+	if hit.XML != first.XML || hit.Planner != first.Planner {
+		t.Errorf("cache holds (%s), the fresh runs answered (%s)", hit.Planner, first.Planner)
 	}
 }

@@ -5,6 +5,8 @@
 # Naive twins planning through the retained full-recompute evaluator), the
 # BenchmarkHeuristicPlanClustered5k heterogeneous-links twin, the
 # BenchmarkHeuristicPlan{100k,1M} class-collapsed fleet-scale benchmarks,
+# the BenchmarkPortfolioPlan{1k,Mix} portfolio folds (one 1k pool; the
+# seven families at 25-400 nodes, mix_small's shape — recorded, not gated),
 # the BenchmarkServicePlanThroughput serving-layer benchmarks (hot/mixed
 # key workloads through the adeptd HTTP handler), the
 # BenchmarkServicePlanTrace off/on pair (cached-hit request without and
@@ -41,7 +43,7 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenarioHit100k$|BenchmarkKeyFor100k$' \
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenarioHit100k$|BenchmarkKeyFor100k$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
