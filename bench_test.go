@@ -547,6 +547,38 @@ func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePlanScenarioCold100k is the other side of that contract,
+// fleet_cold's shape: one POST /v1/plan through the handler for a
+// 100 000-node catalogue scenario nobody has asked for before — a new seed
+// every iteration, cluster-grid and fat-tree alternating — so every
+// iteration draws the power and link columns, range-checks them, builds the
+// class index, plans, renders and encodes. It must not build the nodes: a
+// miss that materialises 100 000 names is over scripts/bench.sh's ceiling.
+func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	families := []scenario.Family{scenario.ClusterGrid, scenario.FatTree}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := json.Marshal(service.PlanRequest{
+			Scenario: &scenario.Spec{Family: families[i%2], N: 100_000, Seed: int64(1000 + i), PowerLevels: 8},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // BenchmarkKeyFor100k prices content-addressing a 100 000-node platform
 // the hard way — streaming every node through SHA-256, as an inline
 // request (or a registry write) must.

@@ -7,6 +7,39 @@ import (
 	"adept/internal/platform"
 )
 
+// poolSource is where a class-collapsed pool's nodes live. The planner reads
+// every node's spec once, to bucket it, and from then on holds nodes as
+// indices into the source: a class's members, a run's name heap, the
+// interleaving of classes that tie on the sort key. A node is handed out
+// (Node) only when the plan reaches it, and sort_nodes' tie-break — name
+// order — is asked of the source (NameLess), which may know it without
+// holding a single name.
+//
+// There are two sources. nodeSource is a platform's node list: names are
+// the nodes' own strings and their order is string order. *platform.Columns
+// is a generated pool: a name is a function of the index, minted when Node
+// is called, and name order is decided on integers — it is not index order
+// once the indices outgrow the names' zero padding ("pool-10000" sorts
+// before "pool-2000"), see platform.Columns.NameLess.
+type poolSource interface {
+	// Len returns the pool size.
+	Len() int
+	// Spec returns node i's power and raw link override.
+	Spec(i int) (power, link float64)
+	// Node returns node i, name included.
+	Node(i int) platform.Node
+	// NameLess reports whether node i's name sorts before node j's.
+	NameLess(i, j int) bool
+}
+
+// nodeSource is a pool held as named nodes.
+type nodeSource []platform.Node
+
+func (s nodeSource) Len() int                         { return len(s) }
+func (s nodeSource) Spec(i int) (power, link float64) { return s[i].Power, s[i].LinkBandwidth }
+func (s nodeSource) Node(i int) platform.Node         { return s[i] }
+func (s nodeSource) NameLess(i, j int) bool           { return s[i].Name < s[j].Name }
+
 // ClassIndex buckets a node pool into (rated power, link bandwidth)
 // equivalence classes with multiplicity counts. It is what newClassPool
 // builds the planner's sorted pool from: every planner quantity that
@@ -22,11 +55,11 @@ import (
 // (powers one ulp apart) land in distinct classes — the fuzz corpus
 // exercises exactly that boundary.
 type ClassIndex struct {
+	src     poolSource
 	classes []NodeClass
-	total   int
 }
 
-// NodeClass is one equivalence class: a spec plus its member names.
+// NodeClass is one equivalence class: a spec plus its members.
 type NodeClass struct {
 	// Power is the members' computing power in MFlop/s.
 	Power float64
@@ -36,12 +69,11 @@ type NodeClass struct {
 	// to the platform default is a different class from "no override".
 	LinkBandwidth float64
 
-	names   []string // member names, in platform order
-	minName string   // smallest member name (class sort tie-break)
+	members []int32 // indices into the index's source, in pool order
 }
 
 // Count returns the class's multiplicity.
-func (cl *NodeClass) Count() int { return len(cl.names) }
+func (cl *NodeClass) Count() int { return len(cl.members) }
 
 // link resolves the class's effective bandwidth against the platform
 // default, mirroring platform.Node.Link.
@@ -52,29 +84,36 @@ func (cl *NodeClass) link(def float64) float64 {
 	return def
 }
 
-// node materialises a platform.Node of this class with the given name.
-func (cl *NodeClass) node(name string) platform.Node {
-	return platform.Node{Name: name, Power: cl.Power, LinkBandwidth: cl.LinkBandwidth}
-}
-
 // BuildClassIndex buckets nodes into spec equivalence classes. Classes are
 // ordered by first appearance in the pool, so the index is deterministic
 // in the input order.
 func BuildClassIndex(nodes []platform.Node) *ClassIndex {
-	ix := buildClassIndexCapped(nodes, len(nodes))
-	if ix == nil {
-		// cap == len(nodes) can never be exceeded.
-		panic("core: BuildClassIndex exceeded its own cap")
-	}
-	return ix
+	return buildClassIndex(nodeSource(nodes))
 }
 
-// buildClassIndexCapped buckets nodes into classes, giving up (returning
-// nil) as soon as more than maxClasses distinct specs appear. The auto
-// planner path uses the cap as a cheap compressibility probe: an
+// buildClassIndex indexes every node of src, however many classes that
+// takes.
+func buildClassIndex(src poolSource) *ClassIndex {
+	// A pool cannot hold more classes than nodes, so only an empty pool
+	// comes back nil: it has no classes.
+	if ix := buildClassIndexCapped(src, src.Len()); ix != nil {
+		return ix
+	}
+	return &ClassIndex{src: src}
+}
+
+// buildClassIndexCapped buckets the nodes of src into classes, giving up
+// (returning nil) as soon as more than maxClasses distinct specs appear.
+// The auto planner path uses the cap as a cheap compressibility probe: an
 // all-distinct pool costs O(maxClasses) before the probe aborts, not O(n).
-func buildClassIndexCapped(nodes []platform.Node, maxClasses int) *ClassIndex {
-	if maxClasses < 1 || len(nodes) == 0 {
+//
+// Two passes, two pool-sized allocations: the first assigns every node its
+// class and counts the classes' members, the second deals the node indices
+// into one array cut into per-class blocks — four bytes a member, and no
+// per-class slice to grow.
+func buildClassIndexCapped(src poolSource, maxClasses int) *ClassIndex {
+	n := src.Len()
+	if maxClasses < 1 || n == 0 {
 		return nil
 	}
 	// Open-addressed table of class indices (+1; 0 = empty), sized for a
@@ -87,35 +126,43 @@ func buildClassIndexCapped(nodes []platform.Node, maxClasses int) *ClassIndex {
 	table := make([]int32, tableSize)
 	mask := uint64(tableSize - 1)
 	classes := make([]NodeClass, 0, 16)
-	for _, nd := range nodes {
-		pb, bb := math.Float64bits(nd.Power), math.Float64bits(nd.LinkBandwidth)
+	counts := make([]int32, 0, 16)
+	classOf := make([]int32, n)
+	for i := range classOf {
+		power, link := src.Spec(i)
+		pb, bb := math.Float64bits(power), math.Float64bits(link)
 		h := specHash(pb, bb) & mask
-		ci := -1
 		for {
 			slot := table[h]
 			if slot == 0 {
 				if len(classes) >= maxClasses {
 					return nil
 				}
-				classes = append(classes, NodeClass{Power: nd.Power, LinkBandwidth: nd.LinkBandwidth, minName: nd.Name})
-				table[h] = int32(len(classes))
-				ci = len(classes) - 1
-				break
+				classes = append(classes, NodeClass{Power: power, LinkBandwidth: link})
+				counts = append(counts, 0)
+				slot = int32(len(classes))
+				table[h] = slot
 			}
-			k := int(slot) - 1
+			k := slot - 1
 			if math.Float64bits(classes[k].Power) == pb && math.Float64bits(classes[k].LinkBandwidth) == bb {
-				ci = k
+				classOf[i] = k
+				counts[k]++
 				break
 			}
 			h = (h + 1) & mask
 		}
-		cl := &classes[ci]
-		cl.names = append(cl.names, nd.Name)
-		if nd.Name < cl.minName {
-			cl.minName = nd.Name
-		}
 	}
-	return &ClassIndex{classes: classes, total: len(nodes)}
+	members := make([]int32, n)
+	off := 0
+	for k := range classes {
+		end := off + int(counts[k])
+		classes[k].members = members[off:off:end]
+		off = end
+	}
+	for i, k := range classOf {
+		classes[k].members = append(classes[k].members, int32(i))
+	}
+	return &ClassIndex{src: src, classes: classes}
 }
 
 // specHash mixes the two spec bit patterns into one table hash
@@ -131,7 +178,7 @@ func specHash(p, b uint64) uint64 {
 }
 
 // NumNodes returns the total node count across all classes.
-func (ix *ClassIndex) NumNodes() int { return ix.total }
+func (ix *ClassIndex) NumNodes() int { return ix.src.Len() }
 
 // NumClasses returns the distinct spec count.
 func (ix *ClassIndex) NumClasses() int { return len(ix.classes) }
@@ -144,13 +191,12 @@ func (ix *ClassIndex) Class(i int) *NodeClass { return &ix.classes[i] }
 // of the indexed pool — expand(collapse(pool)) preserves the multiset of
 // (name, power, link) specs, a property the fuzz battery asserts.
 func (ix *ClassIndex) Expand() []platform.Node {
-	out := make([]platform.Node, 0, ix.total)
+	out := make([]platform.Node, 0, ix.NumNodes())
 	for i := range ix.classes {
-		cl := &ix.classes[i]
-		names := append([]string(nil), cl.names...)
-		sort.Strings(names)
-		for _, name := range names {
-			out = append(out, cl.node(name))
+		members := append([]int32(nil), ix.classes[i].members...)
+		sort.Slice(members, func(a, b int) bool { return ix.src.NameLess(int(members[a]), int(members[b])) })
+		for _, m := range members {
+			out = append(out, ix.src.Node(int(m)))
 		}
 	}
 	return out

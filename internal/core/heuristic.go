@@ -136,25 +136,36 @@ func (p *Heuristic) Plan(req Request) (*Plan, error) {
 // newEvaluator builds the placement evaluator this planner variant uses.
 func (p *Heuristic) newEvaluator(req Request) PlacementEvaluator {
 	if p.naive {
-		return NewNaiveEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
+		return NewNaiveEvaluator(req.Costs, req.bandwidth(), req.Wapp)
 	}
-	return NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
+	return NewEvaluator(req.Costs, req.bandwidth(), req.Wapp)
 }
 
-// classIndexFor decides whether this plan's pool is built from spec classes
-// and, if so, builds the index. nil means one run per node.
-func (p *Heuristic) classIndexFor(req Request) *ClassIndex {
-	nodes := req.Platform.Nodes
-	switch p.mode {
-	case poolNodesOnly:
-		return nil
-	case poolClassesOnly:
-		return BuildClassIndex(nodes)
+// poolInputFor decides whether this plan's pool is built from spec classes
+// and returns what to build it from: the class index when the mode, or the
+// pool's size and compressibility, call for one; otherwise (ix nil) the
+// node list. A columnar pool is classed straight from its columns; only
+// when it must be planned per node is it expanded into nodes.
+func (p *Heuristic) poolInputFor(req Request) (ix *ClassIndex, nodes []platform.Node) {
+	var src poolSource
+	if req.Columns != nil {
+		src = req.Columns
+	} else {
+		src = nodeSource(req.Platform.Nodes)
+	}
+	switch {
+	case p.mode == poolClassesOnly:
+		ix = buildClassIndex(src)
+	case p.mode == poolAuto && src.Len() >= classMinNodes:
+		ix = buildClassIndexCapped(src, src.Len()/classMinCompression)
+	}
+	switch {
+	case ix != nil:
+		return ix, nil
+	case req.Columns != nil:
+		return nil, req.Columns.Platform().Nodes
 	default:
-		if len(nodes) < classMinNodes {
-			return nil
-		}
-		return buildClassIndexCapped(nodes, len(nodes)/classMinCompression)
+		return nil, req.Platform.Nodes
 	}
 }
 
@@ -261,7 +272,7 @@ func (g *growth) attach(parent, pos int) error {
 	}
 	g.ev.AddServer(id, parent, node.Power, node.LinkBandwidth)
 	g.ensure(id)
-	nodeBW := node.Link(g.req.Platform.Bandwidth)
+	nodeBW := node.Link(g.req.bandwidth())
 	g.nodes[id] = evalNode{power: node.Power, bw: nodeBW, role: roleServer, stamp: 1}
 	if g.promotable(node.Power, nodeBW) {
 		g.promo.push(heapEnt{val: node.Power, id: id, stamp: 1})
@@ -310,7 +321,7 @@ func (g *growth) promotable(w, bw float64) bool {
 // gated placement. Both placement heaps are max-heaps: pass 1 takes the
 // most slack, pass 2 the most power.
 func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float64, pool *sortedPool, rootID, firstServerID int) *growth {
-	bw := req.Platform.Bandwidth
+	bw := req.bandwidth()
 	g := &growth{
 		req: req, h: h, ev: p.newEvaluator(req), target: target,
 		pool:  pool,
@@ -439,7 +450,13 @@ func (g *growth) replay(ctx context.Context, upto int) (*hierarchy.Hierarchy, er
 // PlanContext implements Planner; the context is polled once per growth
 // iteration, so cancellation latency is one placement step.
 func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, err error) {
-	if err := req.Validate(); err != nil {
+	if req.Columns != nil {
+		// Checked once, where the columns were drawn (Request.Columns).
+		err = req.ValidateModel(req.Columns.Len())
+	} else {
+		err = req.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	// Checked before the agent-limited shortcut too, so a dead context
@@ -448,14 +465,13 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		return nil, err
 	}
 	c := req.Costs
-	bw := req.Platform.Bandwidth
+	bw := req.bandwidth()
 	wapp := req.Wapp
 	tr := obs.TraceFrom(ctx)
-	tr.Count("pool_nodes", int64(len(req.Platform.Nodes)))
 
 	// Steps 1–2, at the granularity the input calls for. Everything below
 	// sees only the sorted pool.
-	ix := p.classIndexFor(req)
+	ix, nodes := p.poolInputFor(req)
 	endSort := tr.Phase("sort_nodes")
 	var pool *sortedPool
 	if ix != nil {
@@ -468,11 +484,12 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 			}
 		}()
 	} else {
-		pool = newNodePool(c, bw, req.Platform.Nodes)
+		pool = newNodePool(c, bw, nodes)
 	}
 	root, first := pool.at(0), pool.at(1)
 	endSort()
 	n := pool.n
+	tr.Count("pool_nodes", int64(n))
 	rootBW := root.Link(bw)
 	uniform := pool.uniformLinks(bw)
 
@@ -711,7 +728,7 @@ func (g *growth) placeNext(next int) (parent int, promoted bool, err error) {
 }
 
 func deploymentName(req Request) string {
-	return fmt.Sprintf("%s-wapp%.3g", req.Platform.Name, req.Wapp)
+	return fmt.Sprintf("%s-wapp%.3g", req.poolName(), req.Wapp)
 }
 
 // bestPair scans every one-agent/one-server pair of the pool and returns
@@ -725,7 +742,7 @@ func deploymentName(req Request) string {
 // with the runner-up, the second pairs with the best like every later
 // member.
 func bestPair(req Request, pool *sortedPool, floor float64) (rootPos, servPos int, ok bool) {
-	c, bw, wapp := req.Costs, req.Platform.Bandwidth, req.Wapp
+	c, bw, wapp := req.Costs, req.bandwidth(), req.Wapp
 	top := newTop2()
 	for j := range pool.runs {
 		r := &pool.runs[j]

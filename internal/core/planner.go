@@ -19,6 +19,17 @@
 // plan is the same, byte for byte, whichever way the pool was built, and a
 // plan is computed on the calling goroutine alone — identical at any
 // GOMAXPROCS.
+//
+// A class's members are indices into a pool source (poolSource), of which
+// there are two: a platform's node list, whose names are the nodes' own
+// strings, and a pool in columnar form (platform.Columns, Request.Columns:
+// a power column, a link column, names a function of the index), from
+// which the heuristic plans a generated fleet without a Node or a name
+// existing for any node the plan does not deploy. Name order — sort_nodes'
+// tie-break — is the source's to decide: a columnar source decides it on
+// integers, and not by index, since "pool-10000" sorts before "pool-2000".
+// The plan is the same, byte for byte, whichever form the pool arrived in
+// (columndiff_test.go).
 package core
 
 import (
@@ -36,6 +47,15 @@ import (
 type Request struct {
 	// Platform is the pool of candidate nodes plus the link bandwidth.
 	Platform *platform.Platform
+	// Columns, when set, is the pool in columnar form and stands in for
+	// Platform, which may then be nil. Only the Heuristic reads it — it plans
+	// a large catalogue fleet from the two columns and names the few hundred
+	// nodes it deploys; every other planner needs Platform (and refuses a
+	// request without one), which whoever holds the columns expands for it
+	// (Columns.Platform). Columns must arrive range-checked — their
+	// producer, scenario.Spec.Columns, returns no others: the Heuristic does
+	// not repeat that O(n) pass.
+	Columns *platform.Columns
 	// Costs holds the middleware cost parameters (Table 3).
 	Costs model.Costs
 	// Wapp is the service cost of one application request in MFlop.
@@ -54,6 +74,23 @@ func (r *Request) Validate() error {
 		return err
 	}
 	return r.ValidateModel(len(r.Platform.Nodes))
+}
+
+// bandwidth returns the pool's default link bandwidth B, from whichever
+// form the request carries the pool in.
+func (r *Request) bandwidth() float64 {
+	if r.Columns != nil {
+		return r.Columns.Bandwidth
+	}
+	return r.Platform.Bandwidth
+}
+
+// poolName returns the platform's name, likewise.
+func (r *Request) poolName() string {
+	if r.Columns != nil {
+		return r.Columns.Name
+	}
+	return r.Platform.Name
 }
 
 // ValidateModel is the O(1) part of Validate — the cost parameters, the
@@ -138,10 +175,16 @@ func Finalize(name string, req Request, h *hierarchy.Hierarchy) (*Plan, error) {
 	if err := h.Validate(hierarchy.Final); err != nil {
 		return nil, fmt.Errorf("core: %s produced invalid deployment: %w", name, err)
 	}
-	if err := h.CheckAgainstPlatform(req.Platform); err != nil {
+	var err error
+	if req.Columns != nil {
+		err = h.CheckAgainstColumns(req.Columns)
+	} else {
+		err = h.CheckAgainstPlatform(req.Platform)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: %s deployment inconsistent with platform: %w", name, err)
 	}
-	eval := h.Evaluate(req.Costs, req.Platform.Bandwidth, req.Wapp)
+	eval := h.Evaluate(req.Costs, req.bandwidth(), req.Wapp)
 	return &Plan{
 		Hierarchy: h,
 		Eval:      eval,

@@ -23,6 +23,16 @@ import (
 // — and therefore every decision — independent of the granularity: the
 // differential battery (classdiff_test.go) and the recorded digests
 // (golden_test.go) hold both constructors to byte-identical plans.
+//
+// A class-built pool holds its nodes as int32 indices into the ClassIndex's
+// poolSource and turns an index into a platform.Node — a name — only when
+// at or peek hands that node to the planner. Wherever sort_nodes breaks a
+// tie by name (the order members of a run are spent in, the interleaving of
+// classes that share a sort key) the pool asks the source's NameLess, never
+// the index: over a columnar source the two part ways at 10 000 nodes,
+// where "pool-10000" sorts between "pool-1000" and "pool-1001"
+// (columndiff_test.go plans across that edge against the materialised
+// platform).
 
 // run is a maximal block of the sorted pool sharing one spec.
 type run struct {
@@ -62,12 +72,14 @@ type sortedPool struct {
 	// names the rest.
 	nodes []platform.Node
 
-	// Class-backed pools only: each run's member names (unordered), the
-	// number of runs whose names have been loaded into heap, and the heap
-	// spending the current run's names in ascending order.
-	members [][]string
+	// Class-backed pools only: the source the members index into, each run's
+	// members (unordered), the number of runs whose members have been loaded
+	// into heap, and the heap spending the current run's members in
+	// ascending name order (see heapInit).
+	src     poolSource
+	members [][]int32
 	loaded  int
-	heap    nameHeap
+	heap    []int32
 }
 
 // newNodePool sorts the nodes (sort_nodes) and emits one run per node.
@@ -81,14 +93,15 @@ func newNodePool(c model.Costs, bandwidth float64, nodes []platform.Node) *sorte
 }
 
 // newClassPool ranks the classes of ix by the sort_nodes key (scheduling
-// power at d = n-1 children, each class at its own link), descending, ties
-// by smallest member name, and emits one run per class. Classes that share
-// a sort key bit for bit (one SKU listed both with the default link and
-// with an explicit override equal to it) cannot be laid out as blocks:
-// sort_nodes interleaves their members by name, so they are emitted as
-// single-member runs in name order — exactly that interleaving.
+// power at d = n-1 children, each class at its own link), descending, and
+// emits one run per class. Classes that share a sort key bit for bit (one
+// SKU listed both with the default link and with an explicit override equal
+// to it) cannot be laid out as blocks: sort_nodes interleaves their members
+// by name, so they are emitted as single-member runs in name order —
+// exactly that interleaving, whatever order the tied classes arrive in.
 func newClassPool(c model.Costs, bandwidth float64, ix *ClassIndex) *sortedPool {
-	d := max(ix.total-1, 1)
+	n := ix.NumNodes()
+	d := max(n-1, 1)
 	nc := ix.NumClasses()
 	keys := make([]float64, nc)
 	order := make([]int, nc)
@@ -97,22 +110,17 @@ func newClassPool(c model.Costs, bandwidth float64, ix *ClassIndex) *sortedPool 
 		keys[i] = calcSchPow(c, cl.link(bandwidth), cl.Power, d)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] > keys[order[b]]
-		}
-		return ix.Class(order[a]).minName < ix.Class(order[b]).minName
-	})
-	sp := &sortedPool{n: ix.total, runs: make([]run, 0, nc), members: make([][]string, 0, nc)}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] > keys[order[b]] })
+	sp := &sortedPool{n: n, runs: make([]run, 0, nc), src: ix.src, members: make([][]int32, 0, nc)}
 	pos := 0
-	emit := func(cl *NodeClass, names []string) {
-		sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: len(names), start: pos})
-		sp.members = append(sp.members, names)
-		pos += len(names)
+	emit := func(cl *NodeClass, members []int32) {
+		sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: len(members), start: pos})
+		sp.members = append(sp.members, members)
+		pos += len(members)
 	}
 	type member struct {
 		cl *NodeClass
-		i  int
+		m  int32
 	}
 	for j := 0; j < nc; {
 		k := j + 1
@@ -121,18 +129,20 @@ func newClassPool(c model.Costs, bandwidth float64, ix *ClassIndex) *sortedPool 
 		}
 		if k == j+1 {
 			cl := ix.Class(order[j])
-			emit(cl, cl.names)
+			emit(cl, cl.members)
 		} else {
 			var tied []member
 			for _, ci := range order[j:k] {
 				cl := ix.Class(ci)
-				for i := range cl.names {
-					tied = append(tied, member{cl, i})
+				for _, m := range cl.members {
+					tied = append(tied, member{cl, m})
 				}
 			}
-			sort.Slice(tied, func(a, b int) bool { return tied[a].cl.names[tied[a].i] < tied[b].cl.names[tied[b].i] })
-			for _, m := range tied {
-				emit(m.cl, m.cl.names[m.i:m.i+1])
+			sort.Slice(tied, func(a, b int) bool { return ix.src.NameLess(int(tied[a].m), int(tied[b].m)) })
+			singles := make([]int32, len(tied))
+			for i, t := range tied {
+				singles[i] = t.m
+				emit(t.cl, singles[i:i+1])
 			}
 		}
 		j = k
@@ -146,11 +156,10 @@ func (sp *sortedPool) at(i int) platform.Node {
 	for i >= len(sp.nodes) {
 		for len(sp.heap) == 0 {
 			sp.heap = append(sp.heap[:0], sp.members[sp.loaded]...)
-			sp.heap.init()
+			sp.heapInit()
 			sp.loaded++
 		}
-		r := &sp.runs[sp.loaded-1]
-		sp.nodes = append(sp.nodes, platform.Node{Name: sp.heap.pop(), Power: r.power, LinkBandwidth: r.link})
+		sp.nodes = append(sp.nodes, sp.src.Node(int(sp.heapPop())))
 	}
 	return sp.nodes[i]
 }
@@ -164,20 +173,19 @@ func (sp *sortedPool) peek(pos int) platform.Node {
 		return sp.nodes[pos]
 	}
 	j := sort.Search(len(sp.runs), func(j int) bool { return sp.runs[j].start > pos }) - 1
-	r := &sp.runs[j]
-	name, second := "", ""
-	for _, nm := range sp.members[j] {
+	first, second := int32(-1), int32(-1)
+	for _, m := range sp.members[j] {
 		switch {
-		case name == "" || nm < name:
-			name, second = nm, name
-		case second == "" || nm < second:
-			second = nm
+		case first < 0 || sp.src.NameLess(int(m), int(first)):
+			first, second = m, first
+		case second < 0 || sp.src.NameLess(int(m), int(second)):
+			second = m
 		}
 	}
-	if pos > r.start {
-		name = second
+	if pos > sp.runs[j].start {
+		first = second
 	}
-	return platform.Node{Name: name, Power: r.power, LinkBandwidth: r.link}
+	return sp.src.Node(int(first))
 }
 
 // uniformLinks is Platform.HasUniformLinks computed over runs.
@@ -220,23 +228,27 @@ func (sp *sortedPool) poolMin(def float64, f func(power, bw float64) float64) fl
 	return m
 }
 
-// nameHeap is a binary min-heap of node names. at() drains one per run:
-// heap construction is O(count) with no upfront sort, so consuming k nodes
-// of a huge run costs O(count + k log count) string comparisons instead of
-// an O(count log count) full sort.
-type nameHeap []string
+// The heap is a binary min-heap of one run's members under the source's
+// name order. at() drains one per run: heap construction is O(count) with
+// no upfront sort, so consuming k nodes of a huge run costs O(count + k log
+// count) name comparisons instead of an O(count log count) full sort.
 
-func (h nameHeap) siftDown(i int) {
+func (sp *sortedPool) heapLess(a, b int) bool {
+	return sp.src.NameLess(int(sp.heap[a]), int(sp.heap[b]))
+}
+
+func (sp *sortedPool) siftDown(i int) {
+	h := sp.heap
 	for {
 		l := 2*i + 1
 		if l >= len(h) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(h) && h[r] < h[l] {
+		if r := l + 1; r < len(h) && sp.heapLess(r, l) {
 			m = r
 		}
-		if h[i] <= h[m] {
+		if !sp.heapLess(m, i) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -244,18 +256,17 @@ func (h nameHeap) siftDown(i int) {
 	}
 }
 
-func (h nameHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+func (sp *sortedPool) heapInit() {
+	for i := len(sp.heap)/2 - 1; i >= 0; i-- {
+		sp.siftDown(i)
 	}
 }
 
-func (h *nameHeap) pop() string {
-	old := *h
-	name := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	h.siftDown(0)
-	return name
+func (sp *sortedPool) heapPop() int32 {
+	top := sp.heap[0]
+	last := len(sp.heap) - 1
+	sp.heap[0] = sp.heap[last]
+	sp.heap = sp.heap[:last]
+	sp.siftDown(0)
+	return top
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"adept/internal/hierarchy"
 	"adept/internal/obs"
@@ -70,6 +71,11 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 // plan, or plan itself when no move improves it. plan is not modified. The
 // loop is bounded by two rounds per pool node and polls ctx once a round.
 func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Plan, error) {
+	if req.Platform == nil {
+		// The move scans read whole nodes; a columnar pool (Request.Columns)
+		// must be expanded for this planner.
+		return nil, errors.New("core: nil platform")
+	}
 	tr := obs.TraceFrom(ctx)
 	h := plan.Hierarchy.Clone()
 	ev := NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)

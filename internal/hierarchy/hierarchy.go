@@ -584,47 +584,63 @@ func (h *Hierarchy) CheckAgainstPlatform(p *platform.Platform) error {
 	// The deployment is usually a tiny fraction of a huge pool, so the
 	// lookup map is built over the hierarchy side and the platform slice is
 	// scanned once: O(pool) time with an O(deployment) map, instead of a
-	// pool-sized map on every finalised plan. Reported errors match the old
-	// pool-map scan: the earliest failing hierarchy node wins, and a
-	// duplicated deployment name fails its later occurrence.
-	idx := make(map[string]int, len(h.nodes))
-	errIdx := -1
-	var firstErr error
-	record := func(i int, err error) {
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstErr = i, err
+	// pool-sized map on every finalised plan.
+	first := make(map[string]int, len(h.nodes)) // deployed name → the first hierarchy node to claim it
+	for i := len(h.nodes) - 1; i >= 0; i-- {
+		first[h.nodes[i].Name] = i
+	}
+	// at[i] is the pool index of hierarchy node i, or -1: its name is not in
+	// the pool, or an earlier hierarchy node already took the node.
+	at := make([]int, len(h.nodes))
+	for i := range at {
+		at[i] = -1
+	}
+	for j := range p.Nodes {
+		if i, deployed := first[p.Nodes[j].Name]; deployed {
+			at[i] = j
 		}
 	}
-	for i, n := range h.nodes {
-		if _, dup := idx[n.Name]; dup {
-			record(i, fmt.Errorf("hierarchy: node %q not in platform pool", n.Name))
-			continue
+	return h.checkPool(func(i int) (power, link float64, ok bool) {
+		if at[i] < 0 {
+			return 0, 0, false
 		}
-		idx[n.Name] = i
-	}
-	matched := make([]bool, len(h.nodes))
-	for _, pn := range p.Nodes {
-		i, ok := idx[pn.Name]
-		if !ok {
-			continue
+		n := &p.Nodes[at[i]]
+		return n.Power, n.LinkBandwidth, true
+	})
+}
+
+// CheckAgainstColumns is CheckAgainstPlatform against a pool in columnar
+// form: each deployed name is resolved through Columns.Lookup, so the check
+// costs O(deployment) whatever the size of the pool.
+func (h *Hierarchy) CheckAgainstColumns(c *platform.Columns) error {
+	taken := make(map[int]struct{}, len(h.nodes))
+	return h.checkPool(func(i int) (power, link float64, ok bool) {
+		j, ok := c.Lookup(h.nodes[i].Name)
+		if _, twice := taken[j]; !ok || twice {
+			return 0, 0, false
 		}
-		matched[i] = true
+		taken[j] = struct{}{}
+		power, link = c.Spec(j)
+		return power, link, true
+	})
+}
+
+// checkPool is the pool check itself. take resolves hierarchy node i to its
+// pool node's power and raw link and takes that node out of the pool: a node
+// deployed twice is no longer there the second time. The earliest failing
+// hierarchy node is reported.
+func (h *Hierarchy) checkPool(take func(i int) (power, link float64, ok bool)) error {
+	for i := range h.nodes {
 		n := &h.nodes[i]
+		power, link, ok := take(i)
 		switch {
-		case pn.Power != n.Power:
-			record(i, fmt.Errorf("hierarchy: node %q power mismatch: deployment says %g, platform says %g", n.Name, n.Power, pn.Power))
-		case pn.LinkBandwidth != n.Bandwidth:
-			record(i, fmt.Errorf("hierarchy: node %q link bandwidth mismatch: deployment says %g, platform says %g", n.Name, n.Bandwidth, pn.LinkBandwidth))
+		case !ok:
+			return fmt.Errorf("hierarchy: node %q not in platform pool", n.Name)
+		case power != n.Power:
+			return fmt.Errorf("hierarchy: node %q power mismatch: deployment says %g, platform says %g", n.Name, n.Power, power)
+		case link != n.Bandwidth:
+			return fmt.Errorf("hierarchy: node %q link bandwidth mismatch: deployment says %g, platform says %g", n.Name, n.Bandwidth, link)
 		}
-	}
-	//adeptvet:allow maporder record() keeps the smallest hierarchy index, so iteration order cannot change the reported error
-	for name, i := range idx {
-		if !matched[i] {
-			record(i, fmt.Errorf("hierarchy: node %q not in platform pool", name))
-		}
-	}
-	if errIdx >= 0 {
-		return firstErr
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package hierarchy_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,54 @@ func TestCheckAgainstPlatform(t *testing.T) {
 	plat.Nodes = plat.Nodes[1:]
 	if err := h.CheckAgainstPlatform(plat); err == nil {
 		t.Error("missing pool node accepted")
+	}
+}
+
+// TestCheckAgainstColumns: a pool in columnar form refuses what its
+// expansion refuses — a node it does not hold, a node deployed twice, a
+// power or link that is not the node's — in the same words.
+func TestCheckAgainstColumns(t *testing.T) {
+	cols := &platform.Columns{
+		Name: "pool", Bandwidth: 100,
+		Powers: make([]float64, 12_000), Links: make([]float64, 12_000),
+	}
+	for i := range cols.Powers {
+		cols.Powers[i], cols.Links[i] = float64(100+i%7), float64(10*(i%3))
+	}
+	plat := cols.Platform()
+	build := func(nodes ...platform.Node) *hierarchy.Hierarchy {
+		h := hierarchy.New("d")
+		root, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes[1:] {
+			if _, err := h.AddServer(root, n.Name, n.Power, n.LinkBandwidth); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
+	}
+	slower, unlinked, stranger := plat.Nodes[9999], plat.Nodes[10_001], plat.Nodes[5]
+	slower.Power--
+	unlinked.LinkBandwidth += 5
+	stranger.Name = "pool-12000"
+	for name, tc := range map[string]struct {
+		h    *hierarchy.Hierarchy
+		want string
+	}{
+		"consistent":      {build(plat.Nodes[10_000], plat.Nodes[0], plat.Nodes[9999], plat.Nodes[11_999]), ""},
+		"unknown node":    {build(plat.Nodes[1], stranger, slower), `hierarchy: node "pool-12000" not in platform pool`},
+		"short name":      {build(plat.Nodes[1], platform.Node{Name: "pool-12", Power: 105}), `hierarchy: node "pool-12" not in platform pool`},
+		"node used twice": {build(plat.Nodes[1], plat.Nodes[2], plat.Nodes[1]), `hierarchy: node "pool-0001" not in platform pool`},
+		"power mismatch":  {build(plat.Nodes[1], slower, stranger), `hierarchy: node "pool-9999" power mismatch: deployment says 102, platform says 103`},
+		"link mismatch":   {build(unlinked, plat.Nodes[1]), `hierarchy: node "pool-10001" link bandwidth mismatch: deployment says 25, platform says 20`},
+	} {
+		for form, err := range map[string]error{"columns": tc.h.CheckAgainstColumns(cols), "platform": tc.h.CheckAgainstPlatform(plat)} {
+			if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+				t.Errorf("%s against %s: got %v, want %q", name, form, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -65,11 +65,12 @@ type Platform struct {
 	Nodes []Node `json:"nodes"`
 }
 
-// Validate checks platform well-formedness: positive bandwidth, at least one
-// node, positive powers, and unique node names.
+// Validate checks platform well-formedness: a finite positive bandwidth, at
+// least one node, finite positive powers, finite non-negative link
+// overrides, and unique non-empty node names.
 func (p *Platform) Validate() error {
-	if p.Bandwidth <= 0 {
-		return fmt.Errorf("platform %q: bandwidth must be positive, got %g", p.Name, p.Bandwidth)
+	if !validBandwidth(p.Bandwidth) {
+		return errBandwidth(p.Name, p.Bandwidth)
 	}
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("platform %q: no nodes", p.Name)
@@ -79,11 +80,11 @@ func (p *Platform) Validate() error {
 		if n.Name == "" {
 			return fmt.Errorf("platform %q: node %d has empty name", p.Name, i)
 		}
-		if n.Power <= 0 {
-			return fmt.Errorf("platform %q: node %q has non-positive power %g", p.Name, n.Name, n.Power)
+		if !validPower(n.Power) {
+			return errPower(p.Name, n.Name, n.Power)
 		}
-		if n.LinkBandwidth < 0 || math.IsNaN(n.LinkBandwidth) || math.IsInf(n.LinkBandwidth, 0) {
-			return fmt.Errorf("platform %q: node %q has invalid link bandwidth %g", p.Name, n.Name, n.LinkBandwidth)
+		if !validLink(n.LinkBandwidth) {
+			return errLink(p.Name, n.Name, n.LinkBandwidth)
 		}
 		if seen[n.Name] {
 			return fmt.Errorf("platform %q: duplicate node name %q", p.Name, n.Name)

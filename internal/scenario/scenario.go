@@ -3,11 +3,18 @@
 // beyond the two Grid'5000 sites of the paper's evaluation.
 //
 // A Spec is a declarative description (family, size, bandwidth, seed, and a
-// few family knobs); Generate expands it into a concrete
-// platform.Platform. Generation is strictly deterministic: the same Spec
-// always yields a byte-identical platform, regardless of how many
-// goroutines generate concurrently — every Spec draws from its own seeded
-// source and node construction is a plain ordered loop (no map iteration).
+// few family knobs) that is expanded only as far as its consumer needs.
+// Columns draws its columnar form — a power column, a link column, and
+// names that are a function of the index (platform.Columns): everything the
+// class-collapsed planner reads of a fleet, at sixteen bytes a node.
+// Generate is defined as the expansion of that form into a concrete
+// platform.Platform, one named Node per index, for the callers that need a
+// whole platform (deployment, the autonomic loop, the CLI, every planner
+// but the heuristic) — so the two cannot drift. Generation is strictly
+// deterministic: the same Spec always yields byte-identical columns and a
+// byte-identical platform, regardless of how many goroutines generate
+// concurrently — every Spec draws from its own seeded source and node
+// construction is a plain ordered loop (no map iteration).
 //
 // The families model the heterogeneity shapes deployment planners meet in
 // practice:
@@ -47,7 +54,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 
 	"adept/internal/platform"
 )
@@ -206,7 +212,7 @@ const (
 // Validate is the O(1) part of what Generate checks: the family is known,
 // the pool has room for an agent and a server, and no knob holds a value
 // generation cannot run on. A spec that passes can still generate an
-// invalid platform (a negative power knob, say); Generate reports that.
+// invalid platform (a negative power knob, say); Columns reports that.
 func (s Spec) Validate() error {
 	if !slices.Contains(Families(), s.Family) {
 		return fmt.Errorf("scenario: unknown family %q (have %v)", s.Family, Families())
@@ -262,16 +268,27 @@ func (s Spec) Digest() [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-// Generate expands the spec into a validated platform. The result is
-// deterministic in the spec (byte-identical JSON across calls and
-// goroutines).
+// Columns draws the platform the spec describes in columnar form: the power
+// and link columns, range-checked, with names left as a function of the
+// index (platform.Columns). It is all of generation that costs anything —
+// every random draw, every validity check — and all the class-collapsed
+// planner reads; Generate is its expansion. The result is deterministic in
+// the spec. Columns polls ctx once, between drawing the powers and laying
+// out the links, and gives up with ctx's error once it has fired.
+func (s Spec) Columns(ctx context.Context) (*platform.Columns, error) {
+	return s.columns(ctx.Err)
+}
+
+// Generate expands the spec into a validated platform: Columns, then
+// platform.Columns.Platform. The result is deterministic in the spec
+// (byte-identical JSON across calls and goroutines).
 func (s Spec) Generate() (*platform.Platform, error) {
 	return s.generate(func() error { return nil })
 }
 
 // GenerateContext is Generate for request-scoped callers: it polls ctx
-// between its O(N) stages — drawing the powers, building the nodes,
-// validating them — and gives up with ctx's error once it has fired.
+// between its O(N) stages — drawing the columns, building the nodes — and
+// gives up with ctx's error once it has fired.
 func (s Spec) GenerateContext(ctx context.Context) (*platform.Platform, error) {
 	return s.generate(ctx.Err)
 }
@@ -279,6 +296,19 @@ func (s Spec) GenerateContext(ctx context.Context) (*platform.Platform, error) {
 // generate is Generate; interrupted is polled between stages and aborts
 // the generation with the error it returns.
 func (s Spec) generate(interrupted func() error) (*platform.Platform, error) {
+	c, err := s.columns(interrupted)
+	if err != nil {
+		return nil, err
+	}
+	p := c.Platform()
+	if err := interrupted(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// columns is Columns; see generate for interrupted.
+func (s Spec) columns(interrupted func() error) (*platform.Columns, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -288,32 +318,14 @@ func (s Spec) generate(interrupted func() error) (*platform.Platform, error) {
 	if err := interrupted(); err != nil {
 		return nil, err
 	}
-	links := s.links()
-	p := &platform.Platform{Name: s.Name, Bandwidth: s.Bandwidth, Nodes: make([]platform.Node, len(powers))}
-	// Node names are "<name>-<index>", the index zero-padded to four
-	// digits, built in one buffer: a name costs its own string and nothing
-	// else.
-	name := append(make([]byte, 0, len(s.Name)+12), s.Name...)
-	name = append(name, '-')
-	for i, w := range powers {
-		nm := name
-		for pad := 1000; pad > 1 && i < pad; pad /= 10 {
-			nm = append(nm, '0')
-		}
-		n := &p.Nodes[i]
-		n.Name = string(strconv.AppendInt(nm, int64(i), 10))
-		n.Power = w
-		if links != nil {
-			n.LinkBandwidth = links[i]
-		}
-	}
-	if err := interrupted(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
+	c := &platform.Columns{Name: s.Name, Bandwidth: s.Bandwidth, Powers: powers, Links: s.links()}
+	// Names are unique by construction (platform.Columns.NodeName is
+	// injective); what a spec from outside can still get wrong — a knob that
+	// drives a power negative, a spread that overflows one — is a range.
+	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: generated invalid platform: %w", err)
 	}
-	return p, nil
+	return c, nil
 }
 
 // links returns the per-node link-bandwidth overrides (0 = platform

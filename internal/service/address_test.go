@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -329,6 +330,93 @@ func TestMissPathFaultsAre400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, data)
 		}
+	}
+}
+
+// TestScenarioPowersOutOfRangeAre400: a spec whose knobs drive the powers
+// it generates out of range — negative, or through a spread that overflows
+// them to +Inf, or to NaN once quantisation subtracts two infinities — is
+// refused as the request's fault, on both sides of the class floor (a pool
+// planned per node from its expansion, a pool planned from its columns) and
+// whichever planner would have read it. NaN and +Inf used to pass the
+// "power <= 0" test: the first was planned and graded the planner's fault
+// (422, "power mismatch: deployment says NaN, platform says NaN"), the
+// second answered 200 with +Inf in the XML.
+func TestScenarioPowersOutOfRangeAre400(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, n := range []int{40, 5000} {
+		plat := fmt.Sprintf("star-n%d-s1", n)
+		for name, tc := range map[string]struct {
+			spec scenario.Spec
+			want string
+		}{
+			"negative": {scenario.Spec{LeafPower: -5},
+				fmt.Sprintf(`generate scenario: scenario: generated invalid platform: platform %q: node "%s-0000" has non-positive power -40`, plat, plat)},
+			"NaN": {scenario.Spec{Spread: 1e308, PowerLevels: 8},
+				fmt.Sprintf(`generate scenario: scenario: generated invalid platform: platform %q: node "%s-0000" has non-positive power NaN`, plat, plat)},
+			"infinite": {scenario.Spec{Spread: 1e308},
+				fmt.Sprintf(`generate scenario: scenario: generated invalid platform: platform %q: node "%s-0004" has non-finite power +Inf`, plat, plat)},
+		} {
+			tc.spec.Family, tc.spec.N, tc.spec.Seed = scenario.Star, n, 1
+			for _, planner := range []string{"heuristic", "star"} {
+				resp, data := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Scenario: &tc.spec, Planner: planner})
+				var body struct{ Error string }
+				if err := json.Unmarshal(data, &body); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusBadRequest || body.Error != tc.want {
+					t.Errorf("%s powers, n=%d, planner %s: status %d %q, want 400 %q", name, n, planner, resp.StatusCode, body.Error, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestColdFleetRequestStaysColumnar pins what a cold 100 000-node scenario
+// request costs through the handler — fleet_cold's shape, a new seed every
+// run so nothing hits: it is planned from its power and link columns, and
+// neither a node slice of pool size, nor a name per node, nor a pool-sized
+// map is ever built. Materialising the pool is 100 000 allocations and
+// 25 MB; the bounds sit at under twice the columnar cost.
+func TestColdFleetRequestStaysColumnar(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	families := []scenario.Family{scenario.ClusterGrid, scenario.FatTree}
+	seed := int64(0)
+	post := func() {
+		seed++
+		body, err := json.Marshal(PlanRequest{
+			Scenario: &scenario.Spec{Family: families[seed%2], N: 100_000, Seed: seed, PowerLevels: 8},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		var resp PlanResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d (%v): %s", seed, rec.Code, err, rec.Body.String())
+		}
+		if resp.Cached || !resp.ClassPlanned || resp.PoolNodes != 100_000 {
+			t.Fatalf("seed %d: cached=%v class_planned=%v pool_nodes=%d: not a cold class-planned fleet request", seed, resp.Cached, resp.ClassPlanned, resp.PoolNodes)
+		}
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, post) // one warm-up call, then runs
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("a cold 100k-node request: %.0f allocations, %d KiB", allocs, perRun>>10)
+	if allocs >= 5000 {
+		t.Errorf("a cold 100k-node request made %.0f allocations, want under 5000: something is built per node", allocs)
+	}
+	if perRun >= 8<<20 {
+		t.Errorf("a cold 100k-node request allocated %d KiB, want under 8 MiB", perRun>>10)
 	}
 }
 

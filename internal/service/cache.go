@@ -14,7 +14,6 @@ import (
 	"adept/internal/hierarchy"
 	"adept/internal/lru"
 	"adept/internal/model"
-	"adept/internal/platform"
 	"adept/internal/workload"
 )
 
@@ -94,18 +93,25 @@ type CachedPlan struct {
 var errRenderPlan = errors.New("service: render plan")
 
 // Render clones plan and precomputes its XML, its hierarchy stats and the
-// pool figures of plat, the platform it was planned on, producing the
-// immutable entry the cache stores. The clone isolates the cache from any
-// later mutation of the caller's plan.
-func Render(plan *core.Plan, plat *platform.Platform) (*CachedPlan, error) {
+// pool figures of the request it was planned for — read off the columns
+// when the pool came in columnar form — producing the immutable entry the
+// cache stores. The clone isolates the cache from any later mutation of the
+// caller's plan.
+func Render(plan *core.Plan, req core.Request) (*CachedPlan, error) {
 	xml, err := plan.XML()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errRenderPlan, err)
 	}
 	cp := *plan
 	cp.Hierarchy = plan.Hierarchy.Clone()
-	entry := &CachedPlan{Plan: &cp, XML: xml, Stats: plan.Hierarchy.ComputeStats(), PoolNodes: len(plat.Nodes)}
-	entry.MinLinkBandwidth, entry.MaxLinkBandwidth = plat.LinkRange()
+	entry := &CachedPlan{Plan: &cp, XML: xml, Stats: plan.Hierarchy.ComputeStats()}
+	if c := req.Columns; c != nil {
+		entry.PoolNodes = c.Len()
+		entry.MinLinkBandwidth, entry.MaxLinkBandwidth = c.LinkRange()
+	} else {
+		entry.PoolNodes = len(req.Platform.Nodes)
+		entry.MinLinkBandwidth, entry.MaxLinkBandwidth = req.Platform.LinkRange()
+	}
 	return entry, nil
 }
 

@@ -104,7 +104,7 @@ func TestKeyForSensitivity(t *testing.T) {
 
 func mustRender(t *testing.T, plan *core.Plan, plat *platform.Platform) *CachedPlan {
 	t.Helper()
-	entry, err := Render(plan, plat)
+	entry, err := Render(plan, core.Request{Platform: plat})
 	if err != nil {
 		t.Fatal(err)
 	}

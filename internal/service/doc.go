@@ -43,7 +43,9 @@
 // address is known before any node is materialised, and the cache is
 // asked first: a hit is O(1) in the size of the pool, and only a miss
 // generates, validates and plans — once, inside the coalesced flight,
-// under a pool slot (Server.plan).
+// under a pool slot (Server.plan). A scenario is generated no further than
+// its planner reads: the heuristic plans from the spec's power and link
+// columns, every other planner from their expansion (planInput.request).
 //
 // Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
 // thin binary around it and examples/service is a client walkthrough.

@@ -231,7 +231,7 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 		return flightResult{err: err}
 	}
 	endRender := tr.Phase("render")
-	entry, err := Render(plan, req.Platform)
+	entry, err := Render(plan, req)
 	endRender()
 	if err != nil {
 		return flightResult{err: err}

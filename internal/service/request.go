@@ -108,21 +108,29 @@ type planInput struct {
 	unchecked bool
 }
 
-// request returns the core.Request the planners see, materialising what
-// resolve left out: a scenario is generated (and validated, by Generate),
-// an inline platform validated; a registered one was validated when it was
-// written. Only a cache miss — and the two handlers that launch what was
-// planned — ever need it.
+// request returns the core.Request the planner sees, materialising what
+// resolve left out — and no more of it than this planner reads. A scenario
+// is drawn as columns (range-checked by Spec.Columns: the one validation a
+// generated pool gets) and handed to the heuristic as they are: it plans a
+// catalogue fleet from the two columns and names only the nodes it deploys.
+// Every other planner reads whole nodes, so for them the columns are
+// expanded here, once. An inline platform is validated; a registered one
+// was validated when it was written. Only a cache miss — and the two
+// handlers that launch what was planned (planForLaunch) — ever need it.
 func (in *planInput) request(ctx context.Context) (core.Request, error) {
 	req := in.req
 	switch {
 	case in.scenario != nil:
 		defer obs.TraceFrom(ctx).Phase("generate")()
-		p, err := in.scenario.GenerateContext(ctx)
+		cols, err := in.scenario.Columns(ctx)
 		if err != nil {
 			return req, fmt.Errorf("generate scenario: %w", err)
 		}
-		req.Platform = p
+		if _, columnar := in.planner.(*core.Heuristic); columnar {
+			req.Columns = cols
+		} else {
+			req.Platform = cols.Platform()
+		}
 	case in.unchecked:
 		if err := req.Platform.Validate(); err != nil {
 			return req, err
@@ -133,8 +141,8 @@ func (in *planInput) request(ctx context.Context) (core.Request, error) {
 
 // requestError marks a planning failure as a fault of the request — one
 // resolve found, or one only the miss path could find (an inline platform
-// with a duplicate node name, a scenario that generates a non-positive
-// power): planStatus answers it 400.
+// with a duplicate node name, a scenario that generates a non-positive or
+// non-finite power): planStatus answers it 400.
 type requestError struct{ error }
 
 func (e requestError) Unwrap() error { return e.error }
