@@ -1,7 +1,7 @@
 // Command adeptd serves deployment planning over HTTP: the long-running
 // ADePT daemon. It wraps internal/service — a platform registry
 // (journalled to -platform-dir so registrations survive restarts), a
-// content-addressed sharded plan cache of pre-rendered responses,
+// content-addressed plan cache of pre-rendered responses,
 // singleflight coalescing of identical concurrent requests, and a
 // bounded worker pool that sheds excess load with 429 + Retry-After —
 // behind a JSON API:

@@ -24,8 +24,8 @@
 //   - internal/runtime     — concurrent goroutine middleware (chan/TCP)
 //   - internal/deploy      — GoDIET-style XML launcher
 //   - internal/service     — planning daemon: registry, plan cache, pool
-//   - internal/workload    — DGEMM workloads, demands, load ramps
-//   - internal/blas        — DGEMM kernels (naive / blocked / parallel)
+//   - internal/workload    — DGEMM workloads and client demands
+//   - internal/blas        — DGEMM kernels (naive / blocked)
 //   - internal/calib       — Table 3 parameter measurement
 //   - internal/experiments — one driver per paper table/figure
 //   - internal/stats       — regression and summary statistics

@@ -136,8 +136,8 @@ func main() {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("\nmetrics: %d requests, cache %d hit / %d miss (%d shards), %d coalesced, %d planner run(s), %d platform(s)\n",
-		rep.Requests, rep.CacheHits, rep.CacheMisses, rep.CacheShards, rep.Coalesced, rep.PlansExecuted, rep.Platforms)
+	fmt.Printf("\nmetrics: %d requests, cache %d hit / %d miss, %d coalesced, %d planner run(s), %d platform(s)\n",
+		rep.Requests, rep.CacheHits, rep.CacheMisses, rep.Coalesced, rep.PlansExecuted, rep.Platforms)
 	for ep, em := range rep.Endpoints {
 		fmt.Printf("  %-16s %3d req  p50=%.2fms  p99=%.2fms\n", ep, em.Requests, em.P50Millis, em.P99Millis)
 	}

@@ -31,7 +31,6 @@ var orderSensitive = map[string]bool{
 	"sim":         true,
 	"deploy":      true,
 	"slo":         true,
-	"forecast":    true,
 	"stats":       true,
 	"workload":    true,
 	"baseline":    true,

@@ -4,8 +4,8 @@
 // experiments (§5.3) heterogenise the platform with background load, and
 // its future work asks for statistical forecasting of execution times.
 // This package combines both: Monitor samples observed throughput and
-// per-server service times (feeding the internal/forecast estimators to
-// learn effective per-node powers), Analyze runs a drift detector with
+// per-server service times (one moving average per server, from which it
+// learns effective per-node powers), Analyze runs a drift detector with
 // hysteresis (power drift, server crash, throughput sag), Plan re-invokes
 // a planner — by default the internal/portfolio fold over every stock
 // planner — against the updated platform, and Execute applies the
@@ -262,13 +262,6 @@ func streakSummary(m map[string]int) string {
 		parts = append(parts, k+":"+strconv.Itoa(m[k]))
 	}
 	return strings.Join(parts, ",")
-}
-
-// Hierarchy returns the controller's view of the deployed tree.
-func (c *Controller) Hierarchy() *hierarchy.Hierarchy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur.Clone()
 }
 
 // Status snapshots the controller state.

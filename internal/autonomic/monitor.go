@@ -1,58 +1,44 @@
 package autonomic
 
-import (
-	"sort"
-
-	"adept/internal/forecast"
-)
+import "sort"
 
 // Monitor is the M of MAPE-K: it folds per-window service-time
-// observations into the existing forecast estimators (one EWMA per server)
+// observations into one exponentially-weighted moving average per server
 // and derives each node's *effective* computing power — the learned Wapp/t
 // that replaces the nominal benchmark power once drift sets in. This is
 // the knowledge base the Analyze and Plan stages read.
 type Monitor struct {
 	alpha float64
 	wapp  float64
-	est   map[string]*forecast.EWMA
+	est   map[string]float64 // server -> smoothed service seconds
 }
 
 // NewMonitor returns an empty monitor. alpha is the EWMA smoothing factor
 // in (0, 1]; wapp is the service cost in MFlop used to invert observed
 // seconds into MFlop/s.
 func NewMonitor(alpha, wapp float64) *Monitor {
-	return &Monitor{alpha: alpha, wapp: wapp, est: make(map[string]*forecast.EWMA)}
+	return &Monitor{alpha: alpha, wapp: wapp, est: make(map[string]float64)}
 }
 
 // Update folds one observation window into the estimators.
 func (m *Monitor) Update(obs Observation) {
 	//adeptvet:allow maporder per-name estimator fold; each EWMA only sees its own key's samples
 	for name, sec := range obs.ServiceSeconds {
-		if sec <= 0 {
+		if !(sec > 0) { // zero, negative or NaN: not a service time
 			continue
 		}
-		e, ok := m.est[name]
-		if !ok {
-			var err error
-			e, err = forecast.NewEWMA(m.alpha)
-			if err != nil {
-				continue // alpha validated at construction; defensive only
-			}
-			m.est[name] = e
+		if prev, ok := m.est[name]; ok {
+			sec = m.alpha*sec + (1-m.alpha)*prev
 		}
-		e.Observe(sec)
+		m.est[name] = sec
 	}
 }
 
 // EffectivePower returns the learned effective power of a server in
 // MFlop/s, and false while no observation has been folded in yet.
 func (m *Monitor) EffectivePower(name string) (float64, bool) {
-	e, ok := m.est[name]
+	sec, ok := m.est[name]
 	if !ok {
-		return 0, false
-	}
-	sec, ok := e.Predict()
-	if !ok || sec <= 0 {
 		return 0, false
 	}
 	return m.wapp / sec, true

@@ -1,8 +1,8 @@
 // Package blas implements the dense linear-algebra kernels the paper's
 // evaluation is built on: DGEMM, the level-3 BLAS general matrix-matrix
 // multiplication used as the client application in every experiment, in
-// naive, cache-blocked, and parallel variants. The middleware runtime
-// executes these kernels for real during the service phase, so measured
+// naive and cache-blocked variants. The middleware runtime executes the
+// blocked kernel for real during the service phase, so measured
 // deployments do genuine floating-point work.
 package blas
 
@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -38,19 +36,6 @@ func RandomMatrix(rows, cols int, seed int64) Matrix {
 		m.Data[i] = 2*rng.Float64() - 1
 	}
 	return m
-}
-
-// At returns element (i, j).
-func (m Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m Matrix) Clone() Matrix {
-	cp := Matrix{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, len(m.Data))}
-	copy(cp.Data, m.Data)
-	return cp
 }
 
 // ErrShape reports incompatible operand shapes.
@@ -137,58 +122,6 @@ func DgemmBlocked(alpha float64, a, b Matrix, beta float64, c *Matrix, block int
 		}
 	}
 	return nil
-}
-
-// DgemmParallel computes C = alpha·A·B + beta·C splitting row bands across
-// workers goroutines (0 means GOMAXPROCS). Each band is disjoint in C, so
-// no synchronisation beyond the final join is needed.
-func DgemmParallel(alpha float64, a, b Matrix, beta float64, c *Matrix, workers int) error {
-	if err := checkMul(a, b, c); err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		return Dgemm(alpha, a, b, beta, c)
-	}
-	var wg sync.WaitGroup
-	rowsPer := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * rowsPer
-		hi := min(lo+rowsPer, a.Rows)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sub := Matrix{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
-			csub := Matrix{Rows: hi - lo, Cols: c.Cols, Data: c.Data[lo*c.Cols : hi*c.Cols]}
-			// Errors are impossible here: shapes were checked above.
-			_ = Dgemm(alpha, sub, b, beta, &csub)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return nil
-}
-
-// MatMul is the convenience form C = A·B using the blocked kernel.
-func MatMul(a, b Matrix) (Matrix, error) {
-	c := NewMatrix(a.Rows, b.Cols)
-	if err := DgemmBlocked(1, a, b, 0, &c, 0); err != nil {
-		return Matrix{}, err
-	}
-	return c, nil
-}
-
-// Flops returns the floating-point operation count of one DGEMM on the
-// given shapes (2·n·m·k).
-func Flops(n, m, k int) float64 {
-	return 2 * float64(n) * float64(m) * float64(k)
 }
 
 func min(a, b int) int {

@@ -77,44 +77,6 @@ func TestVariantsAgree(t *testing.T) {
 		if !matEqual(ref, blocked, 1e-9) {
 			t.Errorf("n=%d: blocked kernel disagrees with naive", n)
 		}
-		par := blas.NewMatrix(n, n)
-		if err := blas.DgemmParallel(1, a, b, 0, &par, 4); err != nil {
-			t.Fatal(err)
-		}
-		if !matEqual(ref, par, 1e-9) {
-			t.Errorf("n=%d: parallel kernel disagrees with naive", n)
-		}
-	}
-}
-
-func TestMatMulConvenience(t *testing.T) {
-	a := blas.RandomMatrix(8, 8, 1)
-	b := blas.RandomMatrix(8, 8, 2)
-	c, err := blas.MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := blas.NewMatrix(8, 8)
-	if err := blas.Dgemm(1, a, b, 0, &ref); err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(ref, c, 1e-9) {
-		t.Error("MatMul disagrees with Dgemm")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := blas.RandomMatrix(3, 3, 1)
-	b := a.Clone()
-	b.Set(0, 0, 99)
-	if a.At(0, 0) == 99 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestFlops(t *testing.T) {
-	if got := blas.Flops(10, 10, 10); got != 2000 {
-		t.Errorf("Flops = %g, want 2000", got)
 	}
 }
 
@@ -166,18 +128,6 @@ func BenchmarkDgemmBlocked128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := blas.DgemmBlocked(1, x, y, 0, &c, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDgemmParallel128(b *testing.B) {
-	x := blas.RandomMatrix(128, 128, 1)
-	y := blas.RandomMatrix(128, 128, 2)
-	c := blas.NewMatrix(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := blas.DgemmParallel(1, x, y, 0, &c, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

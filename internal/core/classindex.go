@@ -72,9 +72,6 @@ type NodeClass struct {
 	members []int32 // indices into the index's source, in pool order
 }
 
-// Count returns the class's multiplicity.
-func (cl *NodeClass) Count() int { return len(cl.members) }
-
 // link resolves the class's effective bandwidth against the platform
 // default, mirroring platform.Node.Link.
 func (cl *NodeClass) link(def float64) float64 {

@@ -61,9 +61,10 @@ type PlacementEvaluator interface {
 	Reset()
 }
 
-// roleNone/roleAgent/roleServer track what each id currently is.
+// roleAgent/roleServer track what each id currently is; the zero value is
+// an id not placed yet.
 const (
-	roleNone int8 = iota
+	_ int8 = iota
 	roleAgent
 	roleServer
 )

@@ -100,5 +100,5 @@ func supportedChildren(c model.Costs, bandwidth, w, target float64, max int) int
 
 // Note on the remaining Table 1 procedures:
 //   - shift_nodes  -> (*hierarchy.Hierarchy).PromoteToAgent
-//   - plot_hierarchy -> (*hierarchy.Hierarchy).AdjacencyMatrix
+//   - plot_hierarchy -> (*hierarchy.Hierarchy).WriteDOT
 //   - write_xml -> (*hierarchy.Hierarchy).WriteXML / (*Plan).XML

@@ -6,15 +6,14 @@
 // share a physical node.
 //
 // The package offers construction, validation, traversal, statistics,
-// adjacency-matrix export (the heuristic's plot_hierarchy step), GoDIET-style
-// XML serialisation (write_xml), and DOT rendering, plus the bridge to the
-// analytic model of internal/model.
+// GoDIET-style XML serialisation (write_xml), and DOT rendering (the
+// heuristic's plot_hierarchy step), plus the bridge to the analytic model
+// of internal/model.
 package hierarchy
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"adept/internal/model"
@@ -244,27 +243,6 @@ func (h *Hierarchy) PromoteToAgent(id int) error {
 	return nil
 }
 
-// DemoteToServer converts a childless non-root agent back into a server:
-// the inverse of PromoteToAgent, used by the planner's final fix-up when a
-// promotion could not be filled with the required two children.
-func (h *Hierarchy) DemoteToServer(id int) error {
-	if id < 0 || id >= len(h.nodes) {
-		return fmt.Errorf("hierarchy: node id %d out of range", id)
-	}
-	n := h.nodes[id]
-	if n.Role == RoleServer {
-		return fmt.Errorf("hierarchy: node %q already a server", n.Name)
-	}
-	if len(n.Children) != 0 {
-		return fmt.Errorf("hierarchy: cannot demote agent %q with %d children", n.Name, len(n.Children))
-	}
-	if id == h.root {
-		return errors.New("hierarchy: cannot demote the root")
-	}
-	h.nodes[id].Role = RoleServer
-	return nil
-}
-
 // SetBacking re-assigns the physical platform node backing a deployed
 // element, keeping the tree shape intact. Planner refiners use it to trade
 // node roles (e.g. hand an agent's powerful node back to serving duty).
@@ -316,34 +294,6 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		cp.nodes[i].Children = append([]int(nil), h.nodes[i].Children...)
 	}
 	return cp
-}
-
-// RemoveLeaf removes a childless node from the hierarchy. IDs of remaining
-// nodes are unchanged except the removed one must be the most recently added
-// node (the planner only ever retracts its latest decision, mirroring the
-// heuristic's "remove 1 child from the last agent" step).
-func (h *Hierarchy) RemoveLeaf(id int) error {
-	if id != len(h.nodes)-1 {
-		return fmt.Errorf("hierarchy: can only remove the most recently added node (%d), got %d", len(h.nodes)-1, id)
-	}
-	n := h.nodes[id]
-	if len(n.Children) != 0 {
-		return fmt.Errorf("hierarchy: node %q still has %d children", n.Name, len(n.Children))
-	}
-	if n.Parent >= 0 {
-		p := &h.nodes[n.Parent]
-		for i, c := range p.Children {
-			if c == id {
-				p.Children = append(p.Children[:i], p.Children[i+1:]...)
-				break
-			}
-		}
-	}
-	if h.root == id {
-		h.root = -1
-	}
-	h.nodes = h.nodes[:id]
-	return nil
 }
 
 // Agents returns the IDs of all agents in ID order.
@@ -550,31 +500,10 @@ func (h *Hierarchy) ModelServers() []model.Server {
 	return out
 }
 
-// ServerPowers returns the powers of all servers, in server-ID order.
-func (h *Hierarchy) ServerPowers() []float64 {
-	ids := h.Servers()
-	out := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, h.nodes[id].Power)
-	}
-	return out
-}
-
 // Evaluate runs the §3 performance model on this hierarchy; bandwidth is
 // the default link bandwidth for nodes without a per-node override.
 func (h *Hierarchy) Evaluate(c model.Costs, bandwidth, wapp float64) model.Evaluation {
 	return model.EvaluateLinks(c, bandwidth, wapp, h.ModelAgents(), h.ModelServers())
-}
-
-// UsedNames returns the set of physical node names consumed by the
-// deployment, sorted.
-func (h *Hierarchy) UsedNames() []string {
-	names := make([]string, 0, len(h.nodes))
-	for _, n := range h.nodes {
-		names = append(names, n.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CheckAgainstPlatform verifies that every deployed element maps to a

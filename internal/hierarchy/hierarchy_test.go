@@ -121,34 +121,6 @@ func TestPromoteAndDemote(t *testing.T) {
 	if err := h.PromoteToAgent(sid); err == nil {
 		t.Error("double promotion accepted")
 	}
-	if err := h.DemoteToServer(sid); err != nil {
-		t.Fatal(err)
-	}
-	if n := h.MustNode(sid); n.Role != hierarchy.RoleServer {
-		t.Error("demotion did not change role")
-	}
-	if err := h.DemoteToServer(root); err == nil {
-		t.Error("demoting the root accepted")
-	}
-}
-
-func TestRemoveLeaf(t *testing.T) {
-	h := hierarchy.New("rm")
-	root, _ := h.AddRoot("root", 100)
-	s1, _ := h.AddServer(root, "s1", 100)
-	s2, _ := h.AddServer(root, "s2", 100)
-	if err := h.RemoveLeaf(s1); err == nil {
-		t.Error("removing a non-last node accepted")
-	}
-	if err := h.RemoveLeaf(s2); err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 {
-		t.Errorf("len = %d after removal, want 2", h.Len())
-	}
-	if h.Degree(root) != 1 {
-		t.Errorf("root degree = %d, want 1", h.Degree(root))
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -159,50 +131,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if h.Len() == cp.Len() {
 		t.Error("clone shares state with original")
-	}
-}
-
-func TestAdjacencyMatrixRoundTrip(t *testing.T) {
-	h := buildSample(t)
-	m := h.AdjacencyMatrix()
-	nodes := h.Nodes()
-	names := make([]string, len(nodes))
-	powers := make([]float64, len(nodes))
-	for i, n := range nodes {
-		names[i] = n.Name
-		powers[i] = n.Power
-	}
-	back, err := hierarchy.FromAdjacencyMatrix("sample", names, powers, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != h.Len() {
-		t.Fatalf("round trip: %d nodes, want %d", back.Len(), h.Len())
-	}
-	if err := back.Validate(hierarchy.Final); err != nil {
-		t.Errorf("round-tripped tree invalid: %v", err)
-	}
-	if got, want := back.ComputeStats(), h.ComputeStats(); got != want {
-		t.Errorf("round trip stats %+v, want %+v", got, want)
-	}
-}
-
-func TestFromAdjacencyMatrixRejectsCycles(t *testing.T) {
-	m := [][]bool{{false, true}, {true, false}}
-	if _, err := hierarchy.FromAdjacencyMatrix("cycle", []string{"a", "b"}, []float64{1, 1}, m); err == nil {
-		t.Error("cycle accepted")
-	}
-}
-
-func TestFormatMatrix(t *testing.T) {
-	h := hierarchy.New("fm")
-	root, _ := h.AddRoot("r", 1)
-	if _, err := h.AddServer(root, "s", 1); err != nil {
-		t.Fatal(err)
-	}
-	got := hierarchy.FormatMatrix(h.AdjacencyMatrix())
-	if got != "01\n00\n" {
-		t.Errorf("FormatMatrix = %q", got)
 	}
 }
 
@@ -341,9 +269,8 @@ func TestModelBridge(t *testing.T) {
 	if agents[0].Degree != 2 || agents[1].Degree != 2 {
 		t.Errorf("agent degrees %v", agents)
 	}
-	powers := h.ServerPowers()
-	if len(powers) != 3 {
-		t.Fatalf("%d server powers, want 3", len(powers))
+	if servers := h.ModelServers(); len(servers) != 3 {
+		t.Fatalf("%d model servers, want 3", len(servers))
 	}
 	ev := h.Evaluate(model.DIETDefaults(), 100, 16)
 	if ev.Rho <= 0 {
@@ -352,7 +279,7 @@ func TestModelBridge(t *testing.T) {
 }
 
 // Property: any tree built by a random valid construction sequence passes
-// structural validation, and its adjacency matrix round-trips.
+// structural validation.
 func TestPropertyRandomConstructionValid(t *testing.T) {
 	f := func(ops []uint8) bool {
 		h := hierarchy.New("prop")
@@ -382,21 +309,7 @@ func TestPropertyRandomConstructionValid(t *testing.T) {
 			}
 			next++
 		}
-		if err := h.Validate(hierarchy.Structural); err != nil {
-			return false
-		}
-		nodes := h.Nodes()
-		names := make([]string, len(nodes))
-		powers := make([]float64, len(nodes))
-		for i, n := range nodes {
-			names[i] = n.Name
-			powers[i] = n.Power
-		}
-		back, err := hierarchy.FromAdjacencyMatrix("prop", names, powers, h.AdjacencyMatrix())
-		if err != nil {
-			return false
-		}
-		return back.Len() == h.Len()
+		return h.Validate(hierarchy.Structural) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

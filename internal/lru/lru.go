@@ -1,6 +1,6 @@
 // Package lru is the repository's one least-recently-used map: the plan
-// cache's shards (internal/service) and the forwarder's retained peer
-// responses (internal/cluster) are both instances of it.
+// cache (internal/service) and the forwarder's retained peer responses
+// (internal/cluster) are both instances of it.
 package lru
 
 import "container/list"
@@ -66,9 +66,6 @@ func (c *Cache[K, V]) Contains(key K) bool {
 
 // Len returns the number of stored entries.
 func (c *Cache[K, V]) Len() int { return c.order.Len() }
-
-// Cap returns the capacity set by Init.
-func (c *Cache[K, V]) Cap() int { return c.capacity }
 
 // Keys returns the stored keys, most recently used first.
 func (c *Cache[K, V]) Keys() []K {

@@ -201,28 +201,6 @@ func linkOr(bw, def float64) float64 {
 	return def
 }
 
-// SchedulingThroughput implements Eq. 14: the minimum over every agent's
-// throughput and every server's prediction throughput. The scheduling phase
-// broadcasts each request through the entire hierarchy, so the slowest node
-// caps the whole phase. Per-agent Bandwidth overrides are honoured, but
-// the []float64 server form cannot carry per-server links — every server
-// term is computed at the default bandwidth. For fully heterogeneous
-// links use EvaluateLinks, whose Sched field is the per-node Eq. 14.
-func SchedulingThroughput(c Costs, bandwidth float64, agents []Agent, serverPowers []float64) float64 {
-	min := math.Inf(1)
-	for _, a := range agents {
-		if t := AgentThroughput(c, linkOr(a.Bandwidth, bandwidth), a.Power, a.Degree); t < min {
-			min = t
-		}
-	}
-	for _, w := range serverPowers {
-		if t := ServerPredictionThroughput(c, bandwidth, w); t < min {
-			min = t
-		}
-	}
-	return min
-}
-
 // Bottleneck identifies which phase (and which node kind) limits a
 // deployment's throughput.
 type Bottleneck int
@@ -350,9 +328,4 @@ func ServiceThroughputLinks(c Costs, bandwidth, wapp float64, servers []Server) 
 	}
 	t := ServerReceiveTime(c, minBW) + ServerSendTime(c, minBW) + num/den
 	return 1 / t
-}
-
-// Throughput is a convenience wrapper returning only ρ from Evaluate.
-func Throughput(c Costs, bandwidth, wapp float64, agents []Agent, serverPowers []float64) float64 {
-	return Evaluate(c, bandwidth, wapp, agents, serverPowers).Rho
 }

@@ -198,9 +198,9 @@ func TestPropertyFasterNodesNeverHurt(t *testing.T) {
 		wapp := 0.01 + float64(wappSeed)/10
 		factor := 1 + float64(boost%100)/100
 		servers := []float64{w, w / 2}
-		base := model.Throughput(c, bw, wapp, []model.Agent{{Power: w, Degree: deg}}, servers)
-		faster := model.Throughput(c, bw, wapp, []model.Agent{{Power: w * factor, Degree: deg}},
-			[]float64{w * factor, w / 2 * factor})
+		base := model.Evaluate(c, bw, wapp, []model.Agent{{Power: w, Degree: deg}}, servers).Rho
+		faster := model.Evaluate(c, bw, wapp, []model.Agent{{Power: w * factor, Degree: deg}},
+			[]float64{w * factor, w / 2 * factor}).Rho
 		return faster >= base-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -219,8 +219,8 @@ func TestPropertyMoreBandwidthNeverHurts(t *testing.T) {
 		b2 := b1 + 1 + float64(extra)
 		agents := []model.Agent{{Power: w, Degree: deg}}
 		servers := []float64{w, w * 2}
-		return model.Throughput(c, b2, wapp, agents, servers) >=
-			model.Throughput(c, b1, wapp, agents, servers)-1e-9
+		return model.Evaluate(c, b2, wapp, agents, servers).Rho >=
+			model.Evaluate(c, b1, wapp, agents, servers).Rho-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

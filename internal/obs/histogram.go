@@ -73,9 +73,6 @@ func (h *Histogram) Count() uint64 { return h.count.Value() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // BucketCounts returns the per-bucket (non-cumulative) counts, the last
 // entry being the +Inf overflow bucket.
 func (h *Histogram) BucketCounts() []uint64 {

@@ -68,14 +68,6 @@ func (j *Journal) Snapshot() []Event {
 	return out
 }
 
-// Since returns retained events with Seq > seq, oldest first. Polling
-// clients pass the last Seq they saw; a gap between that and the first
-// returned event means the ring overflowed in between.
-func (j *Journal) Since(seq uint64) []Event {
-	events, _ := j.SinceTruncated(seq)
-	return events
-}
-
 // SinceTruncated returns retained events with Seq > seq, oldest first,
 // plus whether the ring evicted events the caller has not seen: a
 // client that polls with a stale cursor gets the oldest retained
@@ -96,13 +88,6 @@ func (j *Journal) SinceTruncated(seq uint64) (events []Event, truncated bool) {
 	// Everything retained was already seen; nothing was missed either
 	// (the caller's cursor is at or past the newest event).
 	return nil, false
-}
-
-// Len returns the number of retained events.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
 }
 
 // Total returns the number of events ever appended (retained or

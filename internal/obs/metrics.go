@@ -66,7 +66,7 @@ func (f *atomicFloat) add(v float64) {
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // labelSep joins label values into a child key; 0xff never occurs in the
-// daemon's label values (endpoint names, shard indexes).
+// daemon's label values (endpoint names, build metadata).
 const labelSep = "\xff"
 
 // vecChild pairs a child metric with the label values that select it, so
@@ -173,7 +173,6 @@ func (v *HistogramVec) Do(f func(values []string, h *Histogram)) { v.vec.do(f) }
 type Registry struct {
 	mu         sync.Mutex
 	families   map[string]collector
-	onScrape   []func()
 	hasRuntime bool
 }
 
@@ -193,16 +192,6 @@ func (r *Registry) register(name string, c collector) {
 		panic(fmt.Sprintf("obs: duplicate metric family %q", name))
 	}
 	r.families[name] = c
-}
-
-// OnScrape registers a callback invoked at the start of every exposition
-// render, before any family is written. Use it to refresh gauges whose
-// values are cheaper to compute in bulk (e.g. per-shard cache sizes)
-// than to wrap in one closure each.
-func (r *Registry) OnScrape(f func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onScrape = append(r.onScrape, f)
 }
 
 // Counter registers and returns a counter.

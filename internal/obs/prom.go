@@ -22,7 +22,6 @@ type collector interface {
 // the Prometheus text exposition format.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
-	callbacks := append([]func(){}, r.onScrape...)
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
@@ -34,9 +33,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
-	for _, f := range callbacks {
-		f()
-	}
 	bw := bufio.NewWriter(w)
 	for _, c := range cols {
 		c.expose(bw)

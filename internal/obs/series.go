@@ -54,27 +54,6 @@ func (s *Series) Add(t time.Time, v float64) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Latest returns the most recent sample, if any.
-func (s *Series) Latest() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	i := s.next - 1
-	if i < 0 {
-		i += len(s.buf)
-	}
-	return s.buf[i], true
-}
-
 // Points returns the retained samples, oldest first.
 func (s *Series) Points() []Point {
 	s.mu.Lock()
@@ -88,18 +67,6 @@ func (s *Series) Points() []Point {
 		out = append(out, s.buf[(start+i)%len(s.buf)])
 	}
 	return out
-}
-
-// At returns the newest sample with T <= t, if any — the value the
-// series believed at time t.
-func (s *Series) At(t time.Time) (Point, bool) {
-	pts := s.Points()
-	// First index with T > t; the answer sits just before it.
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].T.After(t) })
-	if i == 0 {
-		return Point{}, false
-	}
-	return pts[i-1], true
 }
 
 // Delta returns the value change over the trailing window ending at the
@@ -190,25 +157,6 @@ func (st *Store) WatchGauge(name string, g *Gauge) *Series {
 // WatchQuantile samples a histogram's interpolated q-quantile.
 func (st *Store) WatchQuantile(name string, h *Histogram, q float64) *Series {
 	return st.Watch(name, func() float64 { return h.Quantile(q) })
-}
-
-// Get returns the series registered under name.
-func (st *Store) Get(name string) (*Series, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s, ok := st.byName[name]
-	return s, ok
-}
-
-// Names returns the registered source names in registration order.
-func (st *Store) Names() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, len(st.sources))
-	for i, src := range st.sources {
-		out[i] = src.name
-	}
-	return out
 }
 
 // Sample reads every source once and appends the values at timestamp t.

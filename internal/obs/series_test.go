@@ -12,14 +12,8 @@ func ts(sec int) time.Time {
 
 func TestSeriesRingEviction(t *testing.T) {
 	s := NewSeries(4)
-	if _, ok := s.Latest(); ok {
-		t.Fatalf("empty series reported a latest sample")
-	}
 	for i := 0; i < 6; i++ {
 		s.Add(ts(i), float64(i*10))
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
 	}
 	pts := s.Points()
 	if len(pts) != 4 {
@@ -31,32 +25,6 @@ func TestSeriesRingEviction(t *testing.T) {
 		if p.V != want || !p.T.Equal(ts(i+2)) {
 			t.Fatalf("point %d = (%v, %g), want (%v, %g)", i, p.T, p.V, ts(i+2), want)
 		}
-	}
-	last, ok := s.Latest()
-	if !ok || last.V != 50 {
-		t.Fatalf("Latest = (%v, %v), want value 50", last, ok)
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	s := NewSeries(8)
-	for i := 0; i < 4; i++ {
-		s.Add(ts(i*10), float64(i))
-	}
-	if _, ok := s.At(ts(-1)); ok {
-		t.Fatalf("At before first sample should report no data")
-	}
-	p, ok := s.At(ts(15))
-	if !ok || p.V != 1 {
-		t.Fatalf("At(15s) = (%v, %v), want value 1 (sample at 10s)", p, ok)
-	}
-	p, ok = s.At(ts(30))
-	if !ok || p.V != 3 {
-		t.Fatalf("At(30s) exact hit = (%v, %v), want value 3", p, ok)
-	}
-	p, ok = s.At(ts(999))
-	if !ok || p.V != 3 {
-		t.Fatalf("At past end = (%v, %v), want newest value 3", p, ok)
 	}
 }
 
@@ -90,7 +58,7 @@ func TestStoreSampleAndWatch(t *testing.T) {
 	g := &Gauge{}
 	g.Set(7)
 	h := newHistogram([]float64{1, 2, 4})
-	st.WatchCounter("reqs", &c)
+	sr := st.WatchCounter("reqs", &c)
 	st.WatchGauge("depth", g)
 	st.WatchQuantile("p50", h, 0.5)
 
@@ -100,14 +68,6 @@ func TestStoreSampleAndWatch(t *testing.T) {
 	c.Add(2)
 	st.Sample(ts(1))
 
-	names := st.Names()
-	if len(names) != 3 || names[0] != "reqs" || names[1] != "depth" || names[2] != "p50" {
-		t.Fatalf("Names = %v", names)
-	}
-	sr, ok := st.Get("reqs")
-	if !ok {
-		t.Fatalf("Get(reqs) missing")
-	}
 	pts := sr.Points()
 	if len(pts) != 2 || pts[0].V != 3 || pts[1].V != 5 {
 		t.Fatalf("reqs points = %v, want values 3 then 5", pts)
@@ -117,22 +77,20 @@ func TestStoreSampleAndWatch(t *testing.T) {
 		t.Fatalf("Snapshot = %v", snap)
 	}
 
-	// Re-watching a name swaps the source but keeps the series history.
+	// Re-watching a name swaps the source but keeps the series history;
+	// a second source under the name would sample it twice per tick.
 	st.Watch("reqs", func() float64 { return 1000 })
 	st.Sample(ts(2))
 	pts = sr.Points()
 	if len(pts) != 3 || pts[2].V != 1000 {
 		t.Fatalf("after re-watch, reqs points = %v", pts)
 	}
-	if len(st.Names()) != 3 {
-		t.Fatalf("re-watch grew the source list: %v", st.Names())
-	}
 }
 
 func TestStoreRunTicks(t *testing.T) {
 	st := NewStore(64)
 	var c Counter
-	st.WatchCounter("c", &c)
+	s := st.WatchCounter("c", &c)
 	ctx, cancel := context.WithCancel(context.Background())
 	ticks := make(chan time.Time, 64)
 	done := make(chan struct{})
@@ -150,9 +108,8 @@ func TestStoreRunTicks(t *testing.T) {
 	}
 	cancel()
 	<-done
-	s, _ := st.Get("c")
-	if s.Len() < 3 {
-		t.Fatalf("series got %d samples, want >= 3", s.Len())
+	if n := len(s.Points()); n < 3 {
+		t.Fatalf("series got %d samples, want >= 3", n)
 	}
 }
 

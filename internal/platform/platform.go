@@ -180,16 +180,6 @@ func (p *Platform) Powers() []float64 {
 	return ws
 }
 
-// TotalPower returns the aggregate MFlop/s of the pool.
-func (p *Platform) TotalPower() float64 {
-	sum := 0.0
-	for _, n := range p.Nodes {
-		//adeptvet:allow floataccum fixed-order fold over the Nodes slice; reporting aggregate, not a planner input
-		sum += n.Power
-	}
-	return sum
-}
-
 // DistinctSpecs counts the distinct (power, raw link bandwidth) node specs
 // in the pool — the number of equivalence classes the planner's
 // class-collapsed path would operate over. Equality is exact (float64 bit
@@ -201,20 +191,6 @@ func DistinctSpecs(nodes []Node) int {
 		seen[spec{math.Float64bits(n.Power), math.Float64bits(n.LinkBandwidth)}] = struct{}{}
 	}
 	return len(seen)
-}
-
-// IsHomogeneous reports whether all nodes have identical power.
-func (p *Platform) IsHomogeneous() bool {
-	if len(p.Nodes) <= 1 {
-		return true
-	}
-	w := p.Nodes[0].Power
-	for _, n := range p.Nodes[1:] {
-		if n.Power != w {
-			return false
-		}
-	}
-	return true
 }
 
 // SortByPowerDesc returns a copy of the node slice sorted by decreasing

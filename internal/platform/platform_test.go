@@ -17,14 +17,11 @@ func TestHomogeneous(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsHomogeneous() {
-		t.Error("homogeneous platform not detected")
+	if platform.DistinctSpecs(p.Nodes) != 1 {
+		t.Error("homogeneous platform has more than one node spec")
 	}
-	if got := p.TotalPower(); got != 2000 {
-		t.Errorf("TotalPower = %g, want 2000", got)
-	}
-	if len(p.Powers()) != 5 {
-		t.Errorf("Powers len = %d", len(p.Powers()))
+	if ws := p.Powers(); len(ws) != 5 || ws[0] != 400 {
+		t.Errorf("Powers = %v, want five of 400", ws)
 	}
 }
 
@@ -92,7 +89,7 @@ func TestHeterogenize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if het.IsHomogeneous() {
+	if platform.DistinctSpecs(het.Nodes) == 1 {
 		t.Error("heterogenisation had no effect")
 	}
 	loaded := 0
@@ -111,7 +108,7 @@ func TestHeterogenize(t *testing.T) {
 		t.Errorf("%d nodes loaded, want 50", loaded)
 	}
 	// Base must be untouched.
-	if !base.IsHomogeneous() {
+	if platform.DistinctSpecs(base.Nodes) != 1 {
 		t.Error("Heterogenize mutated its input")
 	}
 }

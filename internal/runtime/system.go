@@ -132,9 +132,6 @@ func newServerElem(sys *System, name string, power float64) *serverElem {
 	return &serverElem{sys: sys, name: name, power: power, done: make(chan struct{})}
 }
 
-// Root returns the root agent's element name.
-func (s *System) Root() string { return s.root }
-
 // Snapshot reconstructs the currently deployed hierarchy from the system's
 // topology bookkeeping. The autonomic loop diffs this snapshot against a
 // freshly replanned tree; powers are the *rated* powers, including every

@@ -150,18 +150,15 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestGenerateContextPolls: GenerateContext looks at its context between
-// its stages — after drawing the powers and after building the nodes — and
-// stops at the first one that finds it done.
-func TestGenerateContextPolls(t *testing.T) {
+// TestColumnsPollsContext: Columns looks at its context once, after
+// drawing the powers, and stops there if it is done.
+func TestColumnsPollsContext(t *testing.T) {
 	spec := scenario.Spec{Family: scenario.PowerLaw, N: 32, Seed: 5}
-	for polls := 0; polls < 2; polls++ {
-		p, err := spec.GenerateContext(&countdownCtx{Context: context.Background(), polls: polls})
-		if !errors.Is(err, context.Canceled) || p != nil {
-			t.Errorf("context done at poll %d: got (%v, %v), want context.Canceled", polls, p, err)
-		}
+	c, err := spec.Columns(&countdownCtx{Context: context.Background(), polls: 0})
+	if !errors.Is(err, context.Canceled) || c != nil {
+		t.Errorf("context done at the poll: got (%v, %v), want context.Canceled", c, err)
 	}
-	p, err := spec.GenerateContext(&countdownCtx{Context: context.Background(), polls: 2})
+	c, err = spec.Columns(&countdownCtx{Context: context.Background(), polls: 1})
 	if err != nil {
 		t.Fatalf("a context that outlives generation: %v", err)
 	}
@@ -169,7 +166,7 @@ func TestGenerateContextPolls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p, want) {
-		t.Error("GenerateContext and Generate disagree")
+	if !reflect.DeepEqual(c.Platform(), want) {
+		t.Error("Columns under a context and Generate disagree")
 	}
 }

@@ -283,31 +283,15 @@ func (s Spec) Columns(ctx context.Context) (*platform.Columns, error) {
 // platform.Columns.Platform. The result is deterministic in the spec
 // (byte-identical JSON across calls and goroutines).
 func (s Spec) Generate() (*platform.Platform, error) {
-	return s.generate(func() error { return nil })
-}
-
-// GenerateContext is Generate for request-scoped callers: it polls ctx
-// between its O(N) stages — drawing the columns, building the nodes — and
-// gives up with ctx's error once it has fired.
-func (s Spec) GenerateContext(ctx context.Context) (*platform.Platform, error) {
-	return s.generate(ctx.Err)
-}
-
-// generate is Generate; interrupted is polled between stages and aborts
-// the generation with the error it returns.
-func (s Spec) generate(interrupted func() error) (*platform.Platform, error) {
-	c, err := s.columns(interrupted)
+	c, err := s.columns(func() error { return nil })
 	if err != nil {
 		return nil, err
 	}
-	p := c.Platform()
-	if err := interrupted(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return c.Platform(), nil
 }
 
-// columns is Columns; see generate for interrupted.
+// columns is Columns; interrupted is polled between drawing the powers and
+// laying out the links and aborts the generation with the error it returns.
 func (s Spec) columns(interrupted func() error) (*platform.Columns, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -115,94 +114,35 @@ func Render(plan *core.Plan, req core.Request) (*CachedPlan, error) {
 	return entry, nil
 }
 
-// defaultCacheShards is the segment count of the sharded cache. Sixteen
-// stripes keep lock hold times independent across the digest space at any
-// worker count the daemon realistically runs with.
-const defaultCacheShards = 16
-
 // PlanCache is a content-addressed, LRU-evicting plan cache. Identical
 // requests (same platform source, costs, Wapp, demand, planner; see
 // planKey) hash to the same key and are answered without re-planning; any
 // change to any input produces a different key and therefore a miss.
 //
-// The cache is sharded into power-of-two lock-striped segments selected
-// by the leading byte of the digest, so concurrent hot hits on different
-// keys do not serialise on one mutex. Capacity is split evenly across
-// shards and eviction is LRU per shard — with SHA-256 keys the shards
-// fill uniformly, so the global behaviour approximates a single LRU.
+// It is one LRU under one mutex: a cache of N plans holds N plans and
+// evicts in global least-recently-used order. A lookup holds the lock for
+// a map probe and a list splice — tens of nanoseconds against the 0.7 ms
+// it takes to answer even a hit — which is why one lock is enough.
 //
 // Entries are immutable once stored — a content address never goes stale
 // — which is also what lets internal/cluster shard them across processes
 // by digest.
 type PlanCache struct {
-	shards []cacheShard
-	mask   uint32
-}
-
-type cacheShard struct {
 	mu     sync.Mutex
 	plans  lru.Cache[CacheKey, *CachedPlan]
 	hits   uint64
 	misses uint64
 }
 
-// minShardCapacity floors the entries per shard: a small cache split into
-// single-entry stripes would thrash whenever two hot digests collide on a
-// shard, so the shard count shrinks before per-shard capacity does.
-const minShardCapacity = 8
-
-// NewPlanCache builds a cache holding at most capacity plans across the
-// default shard count (reduced for small capacities so every shard keeps
-// a useful LRU depth); capacity must be positive.
+// NewPlanCache builds a cache holding at most capacity plans; capacity
+// must be positive.
 func NewPlanCache(capacity int) (*PlanCache, error) {
-	shards := defaultCacheShards
-	for shards > 1 && capacity/shards < minShardCapacity {
-		shards /= 2
-	}
-	return newPlanCacheShards(capacity, shards)
-}
-
-// newPlanCacheShards builds a cache with an explicit shard count (rounded
-// down to a power of two, and never above capacity so every shard holds
-// at least one entry). Tests use a single shard for deterministic global
-// LRU order.
-func newPlanCacheShards(capacity, shards int) (*PlanCache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("service: cache capacity must be positive, got %d", capacity)
 	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("service: cache shard count must be positive, got %d", shards)
-	}
-	for shards > capacity {
-		shards /= 2
-	}
-	n := 1
-	for n*2 <= shards {
-		n *= 2
-	}
-	c := &PlanCache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
-	for i := range c.shards {
-		per := capacity / n
-		if i < capacity%n {
-			per++
-		}
-		c.shards[i].plans.Init(per)
-	}
+	c := new(PlanCache)
+	c.plans.Init(capacity)
 	return c, nil
-}
-
-// shard selects the segment for key: the digest's leading byte for hex
-// keys (uniform by construction for SHA-256 addresses), an FNV hash
-// otherwise.
-func (c *PlanCache) shard(key CacheKey) *cacheShard {
-	if len(key) >= 2 {
-		if b, err := hex.DecodeString(string(key[:2])); err == nil {
-			return &c.shards[uint32(b[0])&c.mask]
-		}
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return &c.shards[h.Sum32()&c.mask]
 }
 
 // Get returns the cached rendered plan for key, recording a hit or miss
@@ -221,86 +161,58 @@ func (c *PlanCache) Get(key CacheKey) (*CachedPlan, bool) {
 // uses it so that a thundering herd coalescing onto one flight charges
 // one miss — attributed where the planning run happens — rather than N.
 func (c *PlanCache) Lookup(key CacheKey) (*CachedPlan, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	plan, ok := s.plans.Get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	plan, ok := c.plans.Get(key)
 	if ok {
-		s.hits++
+		c.hits++
 	}
 	return plan, ok
 }
 
-// NoteMiss charges one miss against key's shard.
-func (c *PlanCache) NoteMiss(key CacheKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
+// NoteMiss charges one miss for a key Lookup did not find.
+func (c *PlanCache) NoteMiss(CacheKey) {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
 }
 
 // Put stores the rendered plan under key, evicting the least recently
-// used entry of the key's shard when that shard is at capacity. Storing
-// an existing key refreshes its value and recency.
+// used entry when the cache is at capacity. Storing an existing key
+// refreshes its value and recency.
 func (c *PlanCache) Put(key CacheKey, plan *CachedPlan) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plans.Put(key, plan)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.plans.Put(key, plan)
 }
 
 // Contains reports whether key is cached without touching recency or the
 // hit/miss counters.
 func (c *PlanCache) Contains(key CacheKey) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plans.Contains(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.Contains(key)
 }
 
-// eachShard calls f on every shard in index order, holding that shard's
-// lock.
-func (c *PlanCache) eachShard(f func(i int, s *cacheShard)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		f(i, s)
-		s.mu.Unlock()
-	}
-}
-
-// Len returns the number of cached plans across all shards.
+// Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
-	n := 0
-	c.eachShard(func(_ int, s *cacheShard) { n += s.plans.Len() })
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.Len()
 }
 
-// Shards returns the shard count.
-func (c *PlanCache) Shards() int { return len(c.shards) }
-
-// Keys returns the content addresses currently cached, in shard order
-// (most recently used first within a shard). The cluster status endpoint uses it to
-// report how many locally cached keys each ring peer owns.
+// Keys returns the content addresses currently cached, most recently used
+// first. The cluster status endpoint uses it to report how many locally
+// cached keys each ring peer owns.
 func (c *PlanCache) Keys() []CacheKey {
-	keys := make([]CacheKey, 0, c.Len())
-	c.eachShard(func(_ int, s *cacheShard) { keys = append(keys, s.plans.Keys()...) })
-	return keys
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.Keys()
 }
 
-// ShardSizes returns the entry count per shard, indexed by shard. The
-// metrics exposition uses it to make uneven shard fill visible.
-func (c *PlanCache) ShardSizes() []int {
-	sizes := make([]int, len(c.shards))
-	c.eachShard(func(i int, s *cacheShard) { sizes[i] = s.plans.Len() })
-	return sizes
-}
-
-// Stats returns the cumulative hit and miss counts summed over shards.
+// Stats returns the cumulative hit and miss counts.
 func (c *PlanCache) Stats() (hits, misses uint64) {
-	c.eachShard(func(_ int, s *cacheShard) {
-		hits += s.hits
-		misses += s.misses
-	})
-	return hits, misses
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }

@@ -226,120 +226,43 @@ func stubEntry() *CachedPlan {
 	return &CachedPlan{Plan: &core.Plan{Planner: "stub"}}
 }
 
-// A single-shard cache behaves as one global LRU: the classic recency/
-// eviction contract, deterministic because every key shares the stripe.
-func TestCacheLRUEvictionSingleShard(t *testing.T) {
-	cache, err := newPlanCacheShards(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Put("a", stubEntry())
-	cache.Put("b", stubEntry())
-	// Touch "a" so "b" becomes least recently used.
-	if _, ok := cache.Get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	cache.Put("c", stubEntry()) // evicts "b"
-
-	if cache.Len() != 2 {
-		t.Errorf("len = %d, want 2", cache.Len())
-	}
-	if !cache.Contains("a") {
-		t.Error("recently used entry evicted")
-	}
-	if cache.Contains("b") {
-		t.Error("LRU entry survived eviction")
-	}
-	if !cache.Contains("c") {
-		t.Error("new entry missing")
-	}
+// digestKey is a key shaped like the daemon's: a hex SHA-256 digest.
+func digestKey(i int) CacheKey {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
+	return CacheKey(hex.EncodeToString(sum[:]))
 }
 
-// shardKey fabricates a hex key routed to the given shard index.
-func shardKey(t *testing.T, c *PlanCache, shard, n int) CacheKey {
-	t.Helper()
-	key := CacheKey(fmt.Sprintf("%02x%06d", shard, n))
-	if got := c.shard(key); got != &c.shards[shard&int(c.mask)] {
-		t.Fatalf("key %q not routed to shard %d", key, shard)
-	}
-	return key
-}
-
-// Eviction and recency are per shard: filling one stripe past its slice
-// of the capacity evicts only within that stripe and respects LRU order
-// there, while other stripes are untouched.
-func TestCacheShardEvictionAndRecency(t *testing.T) {
-	cache, err := newPlanCacheShards(16, 4) // 4 shards x 4 entries
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", cache.Shards())
-	}
-
-	// Park one resident in shard 1; it must survive shard 0 churn.
-	resident := shardKey(t, cache, 1, 0)
-	cache.Put(resident, stubEntry())
-
-	keys := make([]CacheKey, 5)
-	for i := range keys {
-		keys[i] = shardKey(t, cache, 0, i)
-	}
-	for _, k := range keys[:4] {
-		cache.Put(k, stubEntry())
-	}
-	// Refresh keys[0] so keys[1] is shard 0's LRU victim.
-	if _, ok := cache.Get(keys[0]); !ok {
-		t.Fatal("keys[0] missing")
-	}
-	cache.Put(keys[4], stubEntry())
-
-	if cache.Contains(keys[1]) {
-		t.Error("shard-LRU victim survived")
-	}
-	for _, k := range []CacheKey{keys[0], keys[2], keys[3], keys[4]} {
-		if !cache.Contains(k) {
-			t.Errorf("key %s evicted, want resident", k)
-		}
-	}
-	if !cache.Contains(resident) {
-		t.Error("churn in shard 0 evicted shard 1's resident")
-	}
-	if cache.Len() != 5 {
-		t.Errorf("len = %d, want 5", cache.Len())
-	}
-}
-
-// The shard count rounds down to a power of two and never exceeds the
-// capacity, so every stripe holds at least one entry; total occupancy
-// never exceeds the configured capacity under uniform keys.
-func TestCacheShardSizing(t *testing.T) {
-	cases := []struct {
-		capacity, shards, want int
-	}{
-		{256, 16, 16},
-		{10, 16, 8},
-		{1, 16, 1},
-		{3, 4, 2},
-		{7, 7, 4},
-	}
-	for _, tc := range cases {
-		c, err := newPlanCacheShards(tc.capacity, tc.shards)
+// A cache of N holds N: after N distinct Puts every one of them is there,
+// and the N+1st evicts exactly the least recently *used* key — a Lookup
+// refreshes recency — whatever the digests look like (a cache split into
+// per-stripe LRUs by digest prefix does neither).
+func TestCacheHoldsItsCapacityAndEvictsLRU(t *testing.T) {
+	for _, n := range []int{2, 100, 256} {
+		cache, err := NewPlanCache(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Shards(); got != tc.want {
-			t.Errorf("cap %d shards %d: got %d shards, want %d", tc.capacity, tc.shards, got, tc.want)
+		for i := 0; i < n; i++ {
+			cache.Put(digestKey(i), stubEntry())
 		}
-		total := 0
-		for i := range c.shards {
-			if c.shards[i].plans.Cap() < 1 {
-				t.Errorf("cap %d shards %d: shard %d has capacity %d", tc.capacity, tc.shards, i, c.shards[i].plans.Cap())
+		if cache.Len() != n {
+			t.Fatalf("capacity %d: %d distinct puts left %d entries", n, n, cache.Len())
+		}
+		// Look every key up, oldest last: key 0 is now the most recently
+		// used and key n-1 the least.
+		for i := n - 1; i >= 0; i-- {
+			if _, ok := cache.Lookup(digestKey(i)); !ok {
+				t.Fatalf("capacity %d: key %d of %d evicted below capacity", n, i, n)
 			}
-			total += c.shards[i].plans.Cap()
 		}
-		if total != tc.capacity {
-			t.Errorf("cap %d shards %d: shard capacities sum to %d", tc.capacity, tc.shards, total)
+		cache.Put(digestKey(n), stubEntry())
+		if cache.Len() != n {
+			t.Errorf("capacity %d: len = %d after one put past capacity", n, cache.Len())
+		}
+		for i := 0; i <= n; i++ {
+			if got, want := cache.Contains(digestKey(i)), i != n-1; got != want {
+				t.Errorf("capacity %d: after the put past capacity, key %d cached = %v, want %v", n, i, got, want)
+			}
 		}
 	}
 }
@@ -352,39 +275,10 @@ func TestCacheBoundedUnderUniformKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4096; i++ {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
-		cache.Put(CacheKey(hex.EncodeToString(sum[:])), stubEntry())
+		cache.Put(digestKey(i), stubEntry())
 	}
-	if n := cache.Len(); n > 64 {
-		t.Errorf("len = %d, exceeds capacity 64", n)
-	}
-}
-
-// NewPlanCache keeps a floor of entries per shard: small caches shrink
-// the shard count rather than degenerate into single-entry stripes that
-// thrash on digest collisions.
-func TestCacheDefaultShardSizingFloorsPerShardCapacity(t *testing.T) {
-	cases := []struct{ capacity, wantShards int }{
-		{256, 16},
-		{128, 16},
-		{64, 8},
-		{16, 2},
-		{8, 1},
-		{1, 1},
-	}
-	for _, tc := range cases {
-		c, err := NewPlanCache(tc.capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Shards(); got != tc.wantShards {
-			t.Errorf("capacity %d: %d shards, want %d", tc.capacity, got, tc.wantShards)
-		}
-		for i := range c.shards {
-			if tc.capacity >= minShardCapacity && c.shards[i].plans.Cap() < minShardCapacity {
-				t.Errorf("capacity %d: shard %d holds only %d entries", tc.capacity, i, c.shards[i].plans.Cap())
-			}
-		}
+	if n := cache.Len(); n != 64 {
+		t.Errorf("len = %d, want the capacity, 64", n)
 	}
 }
 
@@ -392,7 +286,7 @@ func TestCacheRejectsBadCapacity(t *testing.T) {
 	if _, err := NewPlanCache(0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
-	if _, err := newPlanCacheShards(4, 0); err == nil {
-		t.Error("shard count 0 accepted")
+	if _, err := NewPlanCache(-1); err == nil {
+		t.Error("capacity -1 accepted")
 	}
 }

@@ -11,8 +11,8 @@
 //     optimistic concurrency (If-Match) and a write-through journal
 //     (LoadDir, PersistTo); each entry keeps its content digest, computed
 //     once when it is written
-//   - cache.go — PlanCache: content-addressed plan cache, sharded,
-//     LRU-evicting (internal/lru), and the one key function (planKey)
+//   - cache.go — PlanCache: content-addressed plan cache, one LRU
+//     (internal/lru) under one mutex, and the one key function (planKey)
 //   - pool.go, coalesce.go — Pool: counting semaphore bounding concurrent
 //     planner runs, with a bounded fail-fast wait queue; the flight group
 //     that shares one run among identical concurrent requests

@@ -134,7 +134,6 @@ type Report struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	CacheSize   int    `json:"cache_size"`
-	CacheShards int    `json:"cache_shards"`
 	Platforms   int    `json:"platforms"`
 	ActivePlans int    `json:"active_plans"`
 	Workers     int    `json:"workers"`

@@ -113,15 +113,6 @@ func (s *Server) registerGauges() {
 	prom.GaugeFunc("adeptd_cache_entries", "Plans currently cached.", func() float64 {
 		return float64(s.cache.Len())
 	})
-	prom.GaugeFunc("adeptd_cache_shards", "Plan cache shard count.", func() float64 {
-		return float64(s.cache.Shards())
-	})
-	shardEntries := prom.GaugeVec("adeptd_cache_shard_entries", "Plans cached per shard.", "shard")
-	prom.OnScrape(func() {
-		for i, n := range s.cache.ShardSizes() {
-			shardEntries.With(strconv.Itoa(i)).Set(float64(n))
-		}
-	})
 	prom.GaugeFunc("adeptd_workers", "Planning worker count.", func() float64 {
 		return float64(s.pool.Workers())
 	})
@@ -200,7 +191,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rep := s.metrics.Snapshot()
 	rep.CacheHits, rep.CacheMisses = s.cache.Stats()
 	rep.CacheSize = s.cache.Len()
-	rep.CacheShards = s.cache.Shards()
 	rep.Platforms = s.registry.Len()
 	rep.ActivePlans = s.pool.Active()
 	rep.Workers = s.pool.Workers()

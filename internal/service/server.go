@@ -33,9 +33,6 @@ type Config struct {
 	// Logger receives the daemon's structured logs. nil means discard —
 	// embedded uses (tests, benchmarks) pay nothing for logging.
 	Logger *slog.Logger
-	// JournalCapacity bounds the autonomic event journal ring
-	// (default 256).
-	JournalCapacity int
 	// SLO is the declarative objective and burn-rate alert rule set the
 	// embedded SLO engine evaluates (nil means slo.DefaultConfig: 99.5%
 	// availability plus a 2s p99 plan-latency objective).
@@ -55,6 +52,8 @@ const (
 	// seriesCapacity bounds each time-series ring: ten minutes of history
 	// at the default one-second tick.
 	seriesCapacity = 600
+	// journalCapacity bounds the autonomic event journal ring.
+	journalCapacity = 256
 	// maxRequestBody bounds a request body; larger ones are answered 413.
 	// 16 MiB is far above any platform a client would ship inline (fleet
 	// scale goes through a scenario spec).
@@ -82,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
-	}
-	if c.JournalCapacity <= 0 {
-		c.JournalCapacity = 256
 	}
 	return c
 }
@@ -144,7 +140,7 @@ func New(cfg Config) (*Server, error) {
 		flights:  newFlightGroup(),
 		metrics:  NewMetrics(),
 		logger:   cfg.Logger,
-		journal:  obs.NewJournal(cfg.JournalCapacity),
+		journal:  obs.NewJournal(journalCapacity),
 		mux:      http.NewServeMux(),
 	}
 	s.registerGauges()

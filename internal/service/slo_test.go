@@ -376,12 +376,14 @@ func TestIncidentsEndpoint(t *testing.T) {
 }
 
 func TestEventsSinceTruncated(t *testing.T) {
-	srv, ts := newSLOTestServer(t, Config{JournalCapacity: 4})
+	srv, ts := newSLOTestServer(t, Config{})
 
-	for i := 1; i <= 8; i++ {
+	const last = journalCapacity + 4
+	for i := 1; i <= last; i++ {
 		srv.journal.Append("test", fmt.Sprintf("event %d", i), nil)
 	}
-	// Capacity 4 of 8 appended: seqs 5..8 retained, 1..4 evicted.
+	// Four more appended than the ring holds: seqs 5..last retained,
+	// 1..4 evicted.
 
 	fetch := func(since uint64) AutonomicEventsResponse {
 		t.Helper()
@@ -399,8 +401,8 @@ func TestEventsSinceTruncated(t *testing.T) {
 	if !ev.Truncated {
 		t.Error("since=1 with seqs 2..4 evicted: truncated not set")
 	}
-	if len(ev.Events) != 4 || ev.Events[0].Seq != 5 {
-		t.Fatalf("since=1: got %d events starting at %d, want 4 starting at 5", len(ev.Events), firstSeq(ev.Events))
+	if len(ev.Events) != journalCapacity || ev.Events[0].Seq != 5 {
+		t.Fatalf("since=1: got %d events starting at %d, want %d starting at 5", len(ev.Events), firstSeq(ev.Events), journalCapacity)
 	}
 
 	// Cursor exactly at the eviction edge: nothing was missed.
@@ -408,23 +410,23 @@ func TestEventsSinceTruncated(t *testing.T) {
 	if ev.Truncated {
 		t.Error("since=4: no gap before seq 5, truncated should be false")
 	}
-	if len(ev.Events) != 4 {
-		t.Errorf("since=4: %d events, want 4", len(ev.Events))
+	if len(ev.Events) != journalCapacity {
+		t.Errorf("since=4: %d events, want %d", len(ev.Events), journalCapacity)
 	}
 
 	// Recent cursor: a normal incremental poll.
-	ev = fetch(6)
-	if ev.Truncated || len(ev.Events) != 2 || ev.Events[0].Seq != 7 {
-		t.Errorf("since=6: truncated=%v events=%d first=%d, want false/2/7", ev.Truncated, len(ev.Events), firstSeq(ev.Events))
+	ev = fetch(last - 2)
+	if ev.Truncated || len(ev.Events) != 2 || ev.Events[0].Seq != last-1 {
+		t.Errorf("since=%d: truncated=%v events=%d first=%d, want false/2/%d", last-2, ev.Truncated, len(ev.Events), firstSeq(ev.Events), last-1)
 	}
 
 	// Fully caught up.
-	ev = fetch(8)
+	ev = fetch(last)
 	if ev.Truncated || len(ev.Events) != 0 {
-		t.Errorf("since=8: truncated=%v events=%d, want false/0", ev.Truncated, len(ev.Events))
+		t.Errorf("since=%d: truncated=%v events=%d, want false/0", last, ev.Truncated, len(ev.Events))
 	}
-	if ev.Total != 8 {
-		t.Errorf("total %d, want 8", ev.Total)
+	if ev.Total != last {
+		t.Errorf("total %d, want %d", ev.Total, last)
 	}
 
 	// The unfiltered snapshot never reports truncation (there is no

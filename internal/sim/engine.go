@@ -172,9 +172,3 @@ func (r *Resource) startNext() {
 		r.startNext()
 	})
 }
-
-// QueueLen reports the number of queued (not yet started) activities.
-func (r *Resource) QueueLen() int { return len(r.queue) + len(r.priority) }
-
-// Busy reports whether an activity is in progress.
-func (r *Resource) Busy() bool { return r.busy }

@@ -237,12 +237,6 @@ func (m *Managed) Restore(name string) error {
 	return nil
 }
 
-// SetClientTimeout overrides the clients' reply timeout against crashed
-// servers (seconds).
-func (m *Managed) SetClientTimeout(seconds float64) error {
-	return m.dep.SetClientTimeout(seconds)
-}
-
 // AddClients starts n extra closed-loop clients now.
 func (m *Managed) AddClients(n int) {
 	for i := 0; i < n; i++ {
@@ -265,20 +259,6 @@ func (m *Managed) Failed() int64 { return m.dep.Failed }
 
 // Latencies returns the sampled request latencies in seconds.
 func (m *Managed) Latencies() []float64 { return m.dep.Latencies() }
-
-// SetBackgroundLoad changes a server's background-load factor immediately
-// (scenarios do the same on schedule).
-func (m *Managed) SetBackgroundLoad(name string, factor float64) error {
-	srv, ok := m.byName[name].(*simServer)
-	if !ok {
-		return fmt.Errorf("sim: no server %q", name)
-	}
-	if factor <= 0 {
-		return fmt.Errorf("sim: background-load factor %g must be positive", factor)
-	}
-	srv.bg = factor
-	return nil
-}
 
 // --- live reconfiguration ------------------------------------------------
 

@@ -6,7 +6,6 @@ import (
 	"adept/internal/hierarchy"
 	"adept/internal/model"
 	"adept/internal/stats"
-	"adept/internal/workload"
 )
 
 // Config parameterises a steady-state measurement.
@@ -17,10 +16,6 @@ type Config struct {
 	Warmup float64
 	// Window is the simulated measurement window in seconds.
 	Window float64
-	// Mixture optionally replaces the single-application workload; see
-	// Deployment.SetMixture. The wapp passed to Measure stays the
-	// effective mean cost used for estimates and model comparisons.
-	Mixture []AppShare
 }
 
 // Validate checks the measurement configuration.
@@ -86,11 +81,6 @@ func Measure(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float64,
 	dep, err := Instantiate(eng, h, costs, bandwidth, wapp)
 	if err != nil {
 		return Result{}, err
-	}
-	if len(cfg.Mixture) > 0 {
-		if err := dep.SetMixture(cfg.Mixture); err != nil {
-			return Result{}, err
-		}
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		dep.StartClient(0)
@@ -159,59 +149,4 @@ func Plateau(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float64,
 		prev = res.Throughput
 	}
 	return best, nil
-}
-
-// RampMeasure replays the paper's exact §5.1 protocol inside one
-// simulation: clients arrive one per ramp interval; per-second completion
-// counts are recorded; after the last arrival the platform holds for the
-// configured window. It returns one throughput sample per whole simulated
-// second (the Figs. 2/4 style raw series) plus the plateau estimate
-// measured over the hold.
-func RampMeasure(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float64, ramp workload.Ramp) (series []Point, plateau float64, err error) {
-	if err := ramp.Validate(); err != nil {
-		return nil, 0, err
-	}
-	eng := NewEngine()
-	dep, err := Instantiate(eng, h, costs, bandwidth, wapp)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := 0; i < ramp.MaxClients; i++ {
-		dep.StartClient(ramp.ArrivalTime(i))
-	}
-
-	end := ramp.EndTime()
-	lastCount := int64(0)
-	clientsAt := func(t float64) int {
-		if ramp.Interval == 0 {
-			return ramp.MaxClients
-		}
-		k := int(t/ramp.Interval) + 1
-		if k > ramp.MaxClients {
-			k = ramp.MaxClients
-		}
-		return k
-	}
-	for t := 1.0; t <= end; t++ {
-		eng.Run(t)
-		done := dep.Completed - lastCount
-		lastCount = dep.Completed
-		series = append(series, Point{Clients: clientsAt(t - 1), Throughput: float64(done)})
-	}
-	eng.Run(end)
-
-	holdStart := ramp.ArrivalTime(ramp.MaxClients - 1)
-	// Average the samples inside the hold window for the plateau estimate.
-	var sum float64
-	var n int
-	for i, p := range series {
-		if float64(i+1) > holdStart {
-			sum += p.Throughput
-			n++
-		}
-	}
-	if n > 0 {
-		plateau = sum / float64(n)
-	}
-	return series, plateau, nil
 }

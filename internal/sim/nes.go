@@ -32,69 +32,18 @@ type Deployment struct {
 	// PerServer counts service completions per server, in deployment order.
 	PerServer map[string]int64
 
-	// clientTimeout is how long a client waits for a service response
-	// from a dead node before giving up and retrying (seconds).
-	clientTimeout float64
 	// stopRequests asks that many closed-loop clients to exit at their
 	// next submission boundary; activeClients tracks how many still loop.
 	stopRequests  int
 	activeClients int
-
-	// mixture optionally replaces the single-application workload: clients
-	// draw each request's service cost from these shares.
-	mixture []AppShare
-	credits []float64 // largest-remainder rotation state, one per share
 
 	// latencies samples completed-request latencies (seconds), capped at
 	// maxLatencySamples.
 	latencies []float64
 }
 
-// AppShare is one application of a simulated workload mixture.
-type AppShare struct {
-	// Wapp is the service cost in MFlop.
-	Wapp float64
-	// Fraction is the share of requests using this application.
-	Fraction float64
-}
-
 // maxLatencySamples bounds latency memory on long runs.
 const maxLatencySamples = 1 << 17
-
-// SetMixture makes clients draw request costs from the given shares using
-// a deterministic largest-remainder rotation (exact fractions, no RNG).
-// Estimates and the model's Wapp keep using the effective mean cost.
-func (d *Deployment) SetMixture(shares []AppShare) error {
-	sum := 0.0
-	for _, s := range shares {
-		if s.Wapp <= 0 || s.Fraction <= 0 {
-			return fmt.Errorf("sim: invalid mixture share %+v", s)
-		}
-		sum += s.Fraction
-	}
-	if len(shares) == 0 || math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("sim: mixture fractions sum to %g, want 1", sum)
-	}
-	d.mixture = append([]AppShare(nil), shares...)
-	d.credits = make([]float64, len(shares))
-	return nil
-}
-
-// nextWapp draws the next request's service cost.
-func (d *Deployment) nextWapp() float64 {
-	if len(d.mixture) == 0 {
-		return d.wapp
-	}
-	best := 0
-	for i := range d.credits {
-		d.credits[i] += d.mixture[i].Fraction
-		if d.credits[i] > d.credits[best] {
-			best = i
-		}
-	}
-	d.credits[best]--
-	return d.mixture[best].Wapp
-}
 
 // recordLatency samples one completed request's latency.
 func (d *Deployment) recordLatency(start float64) {
@@ -189,12 +138,11 @@ func Instantiate(eng *Engine, h *hierarchy.Hierarchy, costs model.Costs, bandwid
 		return nil, fmt.Errorf("sim: bandwidth (%g) and wapp (%g) must be positive", bandwidth, wapp)
 	}
 	d := &Deployment{
-		eng:           eng,
-		costs:         costs,
-		bw:            bandwidth,
-		wapp:          wapp,
-		PerServer:     make(map[string]int64),
-		clientTimeout: defaultClientTimeout,
+		eng:       eng,
+		costs:     costs,
+		bw:        bandwidth,
+		wapp:      wapp,
+		PerServer: make(map[string]int64),
 	}
 	var build func(id int) entity
 	build = func(id int) entity {
@@ -331,9 +279,8 @@ func (s *simServer) estimate() float64 {
 
 // submitService runs the service phase on the selected server: request
 // receive + execution + response (Eq. 15's per-request terms) as one
-// contiguous occupation. wapp is this request's service cost (mixtures
-// vary it per request).
-func (d *Deployment) submitService(s *simServer, wapp float64, onDone func()) {
+// contiguous occupation.
+func (d *Deployment) submitService(s *simServer, onDone func()) {
 	c, bw := d.costs, s.bw
 	s.pending++
 	if s.crashed {
@@ -343,14 +290,14 @@ func (d *Deployment) submitService(s *simServer, wapp float64, onDone func()) {
 		// rises and falls so the node's advertised estimate behaves like a
 		// loaded-but-alive server — exactly the stale-monitoring trap that
 		// keeps attracting traffic until the autonomic loop evicts it.
-		d.eng.At(d.eng.Now()+d.clientTimeout, func() {
+		d.eng.At(d.eng.Now()+clientTimeout, func() {
 			s.pending--
 			d.Failed++
 			onDone()
 		})
 		return
 	}
-	compute := wapp * s.bg / s.power
+	compute := d.wapp * s.bg / s.power
 	s.res.Do(c.ServerSreq/bw+compute+c.ServerSrep/bw, func() {
 		s.pending--
 		s.svcSeconds += compute
@@ -367,7 +314,6 @@ func (d *Deployment) submitService(s *simServer, wapp float64, onDone func()) {
 // calling onDone when the service response is back.
 func (d *Deployment) Submit(onDone func()) {
 	start := d.eng.Now()
-	wapp := d.nextWapp()
 	d.root.deliverSched(func(r schedResult) {
 		d.SchedCompleted++
 		if len(r.servers) == 0 {
@@ -384,28 +330,18 @@ func (d *Deployment) Submit(onDone func()) {
 				best = s
 			}
 		}
-		d.submitService(best, wapp, func() {
+		d.submitService(best, func() {
 			d.recordLatency(start)
 			onDone()
 		})
 	})
 }
 
-// defaultClientTimeout is how long simulated clients wait on a dead
+// clientTimeout is how long simulated clients wait on a dead
 // server before retrying. One second is long against service times
 // (milliseconds at the paper's scales) and short against measurement
 // windows, like real middleware RPC timeouts.
-const defaultClientTimeout = 1.0
-
-// SetClientTimeout overrides the clients' reply timeout against crashed
-// servers (seconds).
-func (d *Deployment) SetClientTimeout(seconds float64) error {
-	if seconds <= 0 {
-		return fmt.Errorf("sim: client timeout must be positive, got %g", seconds)
-	}
-	d.clientTimeout = seconds
-	return nil
-}
+const clientTimeout = 1.0
 
 // StartClient launches a closed-loop client at the given simulation time:
 // it submits one request at a time in a continual loop (§5.1). The loop
@@ -455,9 +391,3 @@ func (d *Deployment) Utilization() map[string]float64 {
 	}
 	return out
 }
-
-// ServerCount returns the number of deployed servers.
-func (d *Deployment) ServerCount() int { return len(d.servers) }
-
-// AgentCount returns the number of deployed agents.
-func (d *Deployment) AgentCount() int { return len(d.agents) }

@@ -177,24 +177,6 @@ func TestSimLoadSeriesIsSaturating(t *testing.T) {
 	}
 }
 
-func TestSimRampMeasureMatchesPlateau(t *testing.T) {
-	wapp := workload.DGEMM{N: 200}.MFlop()
-	h := star(t, 400, 400, 400)
-	series, plateau, err := sim.RampMeasure(h, model.DIETDefaults(), testBW, wapp,
-		workload.Ramp{MaxClients: 16, Interval: 1, HoldSeconds: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) == 0 {
-		t.Fatal("empty ramp series")
-	}
-	sat := measureSaturated(t, h, wapp)
-	t.Logf("ramp plateau %.2f, independent plateau %.2f req/s", plateau, sat.Throughput)
-	if !stats.WithinTolerance(plateau, sat.Throughput, 0.15) {
-		t.Errorf("ramp plateau %.2f disagrees with saturated measurement %.2f", plateau, sat.Throughput)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	wapp := workload.DGEMM{N: 100}.MFlop()
 	run := func() sim.Result {

@@ -288,21 +288,6 @@ func (e *Engine) Bind(name string, good, total func() float64, effectiveThreshol
 	return fmt.Errorf("slo: no objective %q to bind", name)
 }
 
-// Unbound returns the names of objectives Bind has not been called
-// for; the daemon fails fast on a config naming an endpoint it cannot
-// serve.
-func (e *Engine) Unbound() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []string
-	for _, o := range e.objectives {
-		if o.good == nil {
-			out = append(out, o.spec.Name)
-		}
-	}
-	return out
-}
-
 // burnOver computes the burn rate over one trailing window from the
 // good/total series: (error rate over the window) / (error budget).
 // A window with no traffic burns nothing.

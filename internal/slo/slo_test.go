@@ -68,8 +68,8 @@ func engineFixture(t *testing.T, rule AlertRule) (*Engine, *obs.Journal, *float6
 	if err := eng.Bind("avail", func() float64 { return *good }, func() float64 { return *total }, 0); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if ub := eng.Unbound(); len(ub) != 0 {
-		t.Fatalf("Unbound = %v, want none", ub)
+	if o := eng.Objectives()[0]; !o.Bound {
+		t.Fatalf("objective %s not bound after Bind", o.Name)
 	}
 	// tick advances one second: accrue (dGood, dTotal), sample, evaluate.
 	return eng, journal, good, total
@@ -250,12 +250,11 @@ func TestBindUnknownObjective(t *testing.T) {
 	if err := eng.Bind("nope", func() float64 { return 0 }, func() float64 { return 0 }, 0); err == nil {
 		t.Fatalf("Bind of unknown objective succeeded")
 	}
-	ub := eng.Unbound()
-	if len(ub) != 2 {
-		t.Fatalf("Unbound = %v, want both defaults", ub)
-	}
 	// Unbound objectives report Bound=false and evaluate as no-ops.
 	eng.Evaluate(ts(0))
+	if n := len(eng.Objectives()); n != 2 {
+		t.Fatalf("%d objectives, want both defaults", n)
+	}
 	for _, o := range eng.Objectives() {
 		if o.Bound {
 			t.Fatalf("objective %s claims bound", o.Name)

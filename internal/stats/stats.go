@@ -30,41 +30,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs.
-// It returns 0 when fewer than two samples are given.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the smallest value in xs. It panics on an empty slice, which
-// is always a programming error at call sites in this repository.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
 // Max returns the largest value in xs. It panics on an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -163,37 +128,6 @@ func LinearFit(x, y []float64) (Fit, error) {
 	}
 	_ = n
 	return fit, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f Fit) Predict(x float64) float64 {
-	return f.Intercept + f.Slope*x
-}
-
-// Summary bundles the summary statistics the experiment harness reports for
-// a measured series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}
 }
 
 // RelativeError returns |got-want| / |want|. A zero want with a nonzero got

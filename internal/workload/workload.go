@@ -34,17 +34,6 @@ func (d DGEMM) String() string {
 	return fmt.Sprintf("DGEMM %dx%d", d.N, d.N)
 }
 
-// ServiceDataMbit returns the volume of problem data (two input matrices
-// and one result, float64 entries) in Mbit. The scheduling-phase message
-// sizes of Table 3 do NOT include this payload — DIET clients ship data
-// directly to the selected server — but the runtime uses it to size service
-// messages.
-func (d DGEMM) ServiceDataMbit() float64 {
-	elems := 3 * d.N * d.N
-	bits := float64(elems) * 64
-	return bits / 1e6
-}
-
 // Demand expresses the client demand the planner must satisfy, in
 // requests/second. The heuristic stops growing the hierarchy once the
 // demand is met (min_ser_cv in Algorithm 1). Zero or negative means
@@ -63,44 +52,4 @@ func (d Demand) Cap(rho float64) float64 {
 		return float64(d)
 	}
 	return rho
-}
-
-// Ramp describes the §5.1 load-introduction protocol: start with zero
-// clients, add one client every Interval seconds up to MaxClients, then hold
-// for HoldSeconds to measure the sustained plateau.
-type Ramp struct {
-	MaxClients  int
-	Interval    float64 // seconds between client arrivals
-	HoldSeconds float64 // plateau measurement window after the last arrival
-}
-
-// DefaultRamp mirrors the paper: one client per second, ten-minute hold.
-// Simulated time is cheap, so experiments keep the full hold window.
-func DefaultRamp(maxClients int) Ramp {
-	return Ramp{MaxClients: maxClients, Interval: 1, HoldSeconds: 600}
-}
-
-// Validate checks the ramp parameters.
-func (r Ramp) Validate() error {
-	if r.MaxClients <= 0 {
-		return fmt.Errorf("workload: ramp needs at least one client, got %d", r.MaxClients)
-	}
-	if r.Interval < 0 {
-		return fmt.Errorf("workload: negative ramp interval %g", r.Interval)
-	}
-	if r.HoldSeconds <= 0 {
-		return fmt.Errorf("workload: non-positive hold window %g", r.HoldSeconds)
-	}
-	return nil
-}
-
-// ArrivalTime returns the simulation time at which client i (0-based)
-// starts submitting requests.
-func (r Ramp) ArrivalTime(i int) float64 {
-	return float64(i) * r.Interval
-}
-
-// EndTime returns the total duration of the ramp experiment.
-func (r Ramp) EndTime() float64 {
-	return r.ArrivalTime(r.MaxClients-1) + r.HoldSeconds
 }

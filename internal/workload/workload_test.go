@@ -29,15 +29,6 @@ func TestDGEMMFlops(t *testing.T) {
 	}
 }
 
-func TestDGEMMServiceData(t *testing.T) {
-	// 3 matrices × n² × 64 bits.
-	d := workload.DGEMM{N: 100}
-	want := 3.0 * 100 * 100 * 64 / 1e6
-	if got := d.ServiceDataMbit(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ServiceDataMbit = %g, want %g", got, want)
-	}
-}
-
 func TestDGEMMString(t *testing.T) {
 	if got := (workload.DGEMM{N: 310}).String(); got != "DGEMM 310x310" {
 		t.Errorf("String = %q", got)
@@ -60,34 +51,5 @@ func TestDemand(t *testing.T) {
 	}
 	if got := workload.Unbounded.Cap(50); got != 50 {
 		t.Errorf("Unbounded.Cap(50) = %g", got)
-	}
-}
-
-func TestRamp(t *testing.T) {
-	r := workload.DefaultRamp(10)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.ArrivalTime(0); got != 0 {
-		t.Errorf("ArrivalTime(0) = %g", got)
-	}
-	if got := r.ArrivalTime(9); got != 9 {
-		t.Errorf("ArrivalTime(9) = %g", got)
-	}
-	if got := r.EndTime(); got != 609 {
-		t.Errorf("EndTime = %g, want 609 (9s ramp + 600s hold)", got)
-	}
-}
-
-func TestRampValidate(t *testing.T) {
-	bad := []workload.Ramp{
-		{MaxClients: 0, Interval: 1, HoldSeconds: 1},
-		{MaxClients: 1, Interval: -1, HoldSeconds: 1},
-		{MaxClients: 1, Interval: 1, HoldSeconds: 0},
-	}
-	for i, r := range bad {
-		if err := r.Validate(); err == nil {
-			t.Errorf("bad ramp %d accepted", i)
-		}
 	}
 }
