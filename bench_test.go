@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -590,6 +592,66 @@ func BenchmarkKeyFor100k(b *testing.B) {
 		if _, err := service.KeyFor("heuristic", req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// churnBody renders p as BENCHMARK.json's replan_churn workload PUTs it
+// (bench/stream.go's putTemplate): every power in a fixed 12-byte field,
+// padded with spaces.
+func churnBody(p *platform.Platform) []byte {
+	b := []byte(`{"name":` + strconv.Quote(p.Name) + `,"bandwidth_mbps":` + strconv.FormatFloat(p.Bandwidth, 'g', -1, 64) + `,"nodes":[`)
+	for i, n := range p.Nodes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"name":`+strconv.Quote(n.Name)+`,"power":`...)
+		power := strconv.FormatFloat(n.Power, 'f', 4, 64)
+		b = append(b, power+strings.Repeat(" ", max(0, 12-len(power)))...)
+		if n.LinkBandwidth > 0 {
+			b = append(b, `,"link_bandwidth_mbps":`+strconv.FormatFloat(n.LinkBandwidth, 'g', -1, 64)...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// BenchmarkPlatformPut4000 is replan_churn's write through the handler: PUT
+// /v1/platforms/{name} of a 4 000-node body, each write conditional on the
+// ETag the previous one returned. It reads the body, decodes it, validates
+// it once, digests it into the registry and answers; scripts/bench.sh gates
+// it at ~3x its measured median, over which a decoder that went back to
+// reflection lands.
+func BenchmarkPlatformPut4000(b *testing.B) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	plat, err := (scenario.Spec{Family: scenario.Clustered, Name: "churn-0", N: 4000, Seed: 7}).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := churnBody(plat)
+	etag := ""
+	put := func() {
+		req := httptest.NewRequest(http.MethodPut, "/v1/platforms/churn-0", bytes.NewReader(body))
+		if etag != "" {
+			req.Header.Set("If-Match", etag)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		etag = rec.Header().Get("ETag")
+	}
+	put() // the first write creates the entry
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put()
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"sort"
@@ -75,7 +77,13 @@ func (p *Platform) Validate() error {
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("platform %q: no nodes", p.Name)
 	}
-	seen := make(map[string]bool, len(p.Nodes))
+	// Names already seen are found through an open-addressed table of node
+	// indices (plus one; zero is a free slot) at most half full, probed
+	// from a hash of the name: a sixth of the bytes of a map[string]bool of
+	// the same names, and no easier to flood, the seed being drawn per call.
+	seed := maphash.MakeSeed()
+	seen := make([]uint32, 1<<bits.Len(uint(2*len(p.Nodes)-1)))
+	mask := uint64(len(seen) - 1)
 	for i, n := range p.Nodes {
 		if n.Name == "" {
 			return fmt.Errorf("platform %q: node %d has empty name", p.Name, i)
@@ -86,10 +94,14 @@ func (p *Platform) Validate() error {
 		if !validLink(n.LinkBandwidth) {
 			return errLink(p.Name, n.Name, n.LinkBandwidth)
 		}
-		if seen[n.Name] {
+		h := maphash.String(seed, n.Name) & mask
+		for seen[h] != 0 && p.Nodes[seen[h]-1].Name != n.Name {
+			h = (h + 1) & mask
+		}
+		if seen[h] != 0 {
 			return fmt.Errorf("platform %q: duplicate node name %q", p.Name, n.Name)
 		}
-		seen[n.Name] = true
+		seen[h] = uint32(i + 1)
 	}
 	return nil
 }
@@ -402,16 +414,17 @@ func LoadJSON(path string) (*Platform, error) {
 	return ParseJSON(data)
 }
 
-// ParseJSON decodes a platform description from JSON bytes and validates it.
+// ParseJSON decodes a platform description from JSON bytes (DecodeJSON)
+// and validates it.
 func ParseJSON(data []byte) (*Platform, error) {
-	var p Platform
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("platform: decode: %w", err)
+	p, err := DecodeJSON(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
 // MarshalJSON renders the platform as indented JSON suitable for files.

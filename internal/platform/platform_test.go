@@ -41,6 +41,26 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// In a large pool, the repeat reported is the one whose second
+	// occurrence comes first, wherever the first occurrences are.
+	for _, tc := range []struct {
+		copies [][2]int // node [1] takes node [0]'s name
+		want   string
+	}{
+		{[][2]int{{0, 1}}, "big-000"},
+		{[][2]int{{17, 4321}}, "big-017"},
+		{[][2]int{{4998, 4999}}, "big-4998"},
+		{[][2]int{{10, 4000}, {2000, 3000}}, "big-2000"},
+	} {
+		p := platform.Homogeneous("big", 5000, 1, 1)
+		for _, c := range tc.copies {
+			p.Nodes[c[1]].Name = p.Nodes[c[0]].Name
+		}
+		want := `platform "big": duplicate node name "` + tc.want + `"`
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Errorf("copies %v: %v, want %s", tc.copies, err, want)
+		}
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"adept/internal/platform"
 )
+
+// bodyBuffers recycles the buffers platform PUT bodies are read into.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (s *Server) handlePlatformList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"platforms": s.registry.Names()})
@@ -75,17 +79,23 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
+	// The body is read into a reused buffer: what DecodeJSON keeps of it
+	// is copied out. It is decoded, not validated — the registry validates
+	// what it adopts — and nothing here modifies the decoded platform, so
+	// the registry stores it without a copy.
+	body := bodyBuffers.Get().(*bytes.Buffer)
+	defer bodyBuffers.Put(body)
+	body.Reset()
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
 		writeError(w, bodyErrorStatus(err), "read body: %v", err)
 		return
 	}
-	p, err := platform.ParseJSON(data)
+	p, err := platform.DecodeJSON(body.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	version, err := s.registry.PutIfMatch(name, p, expect)
+	version, err := s.registry.adoptIfMatch(name, p, expect)
 	if err != nil {
 		writeRegistryError(w, err)
 		return

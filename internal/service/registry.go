@@ -125,8 +125,18 @@ func (r *Registry) Put(name string, p *platform.Platform) error {
 // entry; any other value must equal the entry's current version, with 0
 // meaning "must not exist yet". A stale expectation returns
 // ErrVersionMismatch — the caller's read-modify-write lost a race and
-// must re-read, not overwrite. The new version is returned.
+// must re-read, not overwrite. The new version is returned. The registry
+// stores a clone of p.
 func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64) (uint64, error) {
+	if p != nil {
+		p = p.Clone()
+	}
+	return r.adoptIfMatch(name, p, expect)
+}
+
+// adoptIfMatch is PutIfMatch for a platform the caller hands over: stored
+// as it is, not cloned, so the caller must not modify it afterwards.
+func (r *Registry) adoptIfMatch(name string, p *platform.Platform, expect *uint64) (uint64, error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
@@ -136,9 +146,8 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	// Clone and digest outside the writer lock; the version is known only
-	// under it.
-	entry := newRegEntry(p, 0)
+	// Digest outside the writer lock; the version is known only under it.
+	entry := &regEntry{p: p, digest: p.Digest()}
 	// persistMu serialises every writer, so the version comparison below
 	// and the write that follows are one atomic step with respect to any
 	// concurrent PutIfMatch/DeleteIfMatch on the same name.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -326,6 +327,84 @@ func TestPlatformCRUD(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid PUT status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPlatformPutHostileBodies: whatever a PUT body holds, the daemon
+// answers it and the next request. An unknown member nesting a 16 MiB run
+// of '[' is a 400 under a 64 MiB stack cap — decoding does not recurse — a
+// body cut off mid-node is a 400, and one byte over the body limit a 413.
+func TestPlatformPutHostileBodies(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	_, ts := newTestServer(t)
+	put := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/platforms/hostile", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	valid, err := testPlatform(8).MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := []byte(`{"name":"hostile","x":`)
+	deep = append(deep, bytes.Repeat([]byte("["), maxRequestBody-len(deep))...)
+	cut := valid[:bytes.Index(valid, []byte(`"power"`))+10]
+	over := append(append([]byte(nil), valid...), bytes.Repeat([]byte(" "), maxRequestBody+1-len(valid))...)
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+	}{
+		{"16 MiB of [", deep, http.StatusBadRequest},
+		{"cut off mid-node", cut, http.StatusBadRequest},
+		{"one byte over the limit", over, http.StatusRequestEntityTooLarge},
+	} {
+		if got := put(tc.body); got != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.status)
+		}
+		if got := put(valid); got != http.StatusOK {
+			t.Fatalf("after %s: a valid PUT answered %d", tc.name, got)
+		}
+	}
+}
+
+// TestPlatformUnknownMembers pins the asymmetry the README documents: a PUT
+// skips a platform member it does not know, an inline platform in a plan
+// request is refused for it (the request is decoded with
+// DisallowUnknownFields).
+func TestPlatformUnknownMembers(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := []byte(`{"name":"x","colour":"red","bandwidth_mbps":100,"nodes":[{"name":"a","power":100},{"name":"b","power":200}]}`)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/platforms/x", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("PUT with an unknown member: status %d, want 200", resp.StatusCode)
+	}
+	plan := append(append([]byte(`{"platform":`), body...), '}')
+	resp, err = http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	err = json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, `unknown field "colour"`) {
+		t.Errorf("inline platform with an unknown member: status %d, %q (%v); want 400 naming the field", resp.StatusCode, apiErr.Error, err)
 	}
 }
 

@@ -15,8 +15,9 @@
 # BenchmarkServicePlanScenarioHit100k (a primed 100k-node scenario: the
 # O(1)-hit contract) and BenchmarkServicePlanScenarioCold100k (a new
 # 100k-node catalogue scenario every iteration, fleet_cold's shape: the
-# columnar-miss contract) — and BenchmarkKeyFor100k (streaming 100k nodes
-# into a key); writes
+# columnar-miss contract) — BenchmarkKeyFor100k (streaming 100k nodes
+# into a key) and BenchmarkPlatformPut4000 (replan_churn's 4 000-node PUT
+# through the handler: read, decode, validate once, store); writes
 # BENCH_plan.json (per benchmark: the median of COUNT runs, with the
 # per-run ns/op samples beside it), and gates only what means the same on
 # every machine, or is a stated contract:
@@ -28,10 +29,12 @@
 #      (absolute ceiling — the headline latency contract of the
 #      equivalence-class planner, set at ~2x its measured cost);
 #   3. a cache hit on a 100k-node scenario must stay under 3 ms, a cold
-#      miss on one under 25 ms, and content-addressing 100k inline nodes
-#      under 16 ms (absolute ceilings at ~3x the measured medians: a hit
-#      that generates, a miss that materialises the nodes it generated, or
-#      a key that marshals, is over its ceiling).
+#      miss on one under 25 ms, content-addressing 100k inline nodes
+#      under 16 ms, and a 4 000-node platform PUT under 3 ms (absolute
+#      ceilings at ~3x the measured medians: a hit that generates, a miss
+#      that materialises the nodes it generated, a key that marshals, or a
+#      PUT decoded by reflection — 3.3-4.9 ms where the decoder takes
+#      0.8-1.4 ms — is over its ceiling).
 #
 # There is no baseline compare: absolute ns/op drifts with the host by more
 # than any tolerance worth setting (+25…+70 % between sessions on one
@@ -46,7 +49,7 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$' \
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
@@ -59,4 +62,5 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ns BenchmarkHeuristicPlan1M:1000000000 \
   -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
   -require-max-ns BenchmarkServicePlanScenarioCold100k:25000000 \
-  -require-max-ns BenchmarkKeyFor100k:16000000
+  -require-max-ns BenchmarkKeyFor100k:16000000 \
+  -require-max-ns BenchmarkPlatformPut4000:3000000
