@@ -30,6 +30,6 @@
 //   - internal/experiments — one driver per paper table/figure
 //   - internal/stats       — regression and summary statistics
 //
-// See README.md for a walkthrough and EXPERIMENTS.md for paper-vs-measured
-// results.
+// See README.md for a walkthrough; go run ./cmd/experiments prints the
+// paper-vs-measured results.
 package adept

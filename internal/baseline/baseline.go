@@ -40,11 +40,13 @@ func (s *Star) PlanContext(ctx context.Context, req core.Request) (*core.Plan, e
 
 // Plan implements core.Planner.
 func (s *Star) Plan(req core.Request) (*core.Plan, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
-	nodes := req.Platform.SortByPowerDesc()
-	h := hierarchy.New(req.Platform.Name + "-star")
+	plat := req.NodePlatform()
+	nodes := plat.SortByPowerDesc()
+	h := hierarchy.New(plat.Name + "-star")
 	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
 	if err != nil {
 		return nil, err
@@ -87,10 +89,12 @@ func (b *Balanced) PlanContext(ctx context.Context, req core.Request) (*core.Pla
 
 // Plan implements core.Planner.
 func (b *Balanced) Plan(req core.Request) (*core.Plan, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
-	nodes := req.Platform.Nodes
+	plat := req.NodePlatform()
+	nodes := plat.Nodes
 	n := len(nodes)
 	deg := b.Degree
 	if deg <= 0 {
@@ -107,7 +111,7 @@ func (b *Balanced) Plan(req core.Request) (*core.Plan, error) {
 		// Pool too small for two levels: degenerate to a star.
 		return (&Star{}).Plan(req)
 	}
-	h := hierarchy.New(req.Platform.Name + "-balanced")
+	h := hierarchy.New(plat.Name + "-balanced")
 	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
 	if err != nil {
 		return nil, err
@@ -169,16 +173,18 @@ func (o *OptimalDAry) Plan(req core.Request) (*core.Plan, error) {
 // candidate degree, bounding cancellation latency to one (degree, levels)
 // sweep.
 func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.Plan, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
-	c, bw, wapp := req.Costs, req.Platform.Bandwidth, req.Wapp
-	if !req.Platform.HasUniformLinks() {
+	plat := req.NodePlatform()
+	c, bw, wapp := req.Costs, plat.Bandwidth, req.Wapp
+	if !plat.HasUniformLinks() {
 		// Conservative fallback: score candidates as if every link ran at
 		// the pool's slowest bandwidth (see the type comment).
-		bw, _ = req.Platform.LinkRange()
+		bw, _ = plat.LinkRange()
 	}
-	nodes := req.Platform.SortByPowerDesc()
+	nodes := plat.SortByPowerDesc()
 	n := len(nodes)
 
 	prefix := make([]float64, n+1)
@@ -266,7 +272,7 @@ func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.
 	if bestD == 0 {
 		return nil, fmt.Errorf("baseline: optimal-dary found no feasible deployment for %d nodes", n)
 	}
-	h, err := buildDAry(req.Platform.Name, nodes, bestD, bestLevels, bestServers)
+	h, err := buildDAry(plat.Name, nodes, bestD, bestLevels, bestServers)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: optimal-dary rebuild: %w", err)
 	}
@@ -357,17 +363,19 @@ func (r *Random) PlanContext(ctx context.Context, req core.Request) (*core.Plan,
 
 // Plan implements core.Planner.
 func (r *Random) Plan(req core.Request) (*core.Plan, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
+	plat := req.NodePlatform()
 	rng := rand.New(rand.NewSource(r.Seed))
-	nodes := append([]platform.Node(nil), req.Platform.Nodes...)
+	nodes := append([]platform.Node(nil), plat.Nodes...)
 	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 	n := len(nodes)
 	if r.MaxNodes > 1 && r.MaxNodes < n {
 		n = r.MaxNodes
 	}
-	h := hierarchy.New(req.Platform.Name + "-random")
+	h := hierarchy.New(plat.Name + "-random")
 	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"adept/internal/core"
 	"adept/internal/hierarchy"
 	"adept/internal/model"
+	"adept/internal/platform"
 )
 
 // MaxExhaustiveNodes bounds the pool size Exhaustive accepts; the search is
@@ -57,13 +58,15 @@ type exhaustiveScratch struct {
 // PlanContext implements core.Planner; the enumeration aborts within
 // ctxPollInterval candidate evaluations of the context firing.
 func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.Plan, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
-	n := len(req.Platform.Nodes)
+	n := req.Columns.Len()
 	if n > MaxExhaustiveNodes {
 		return nil, fmt.Errorf("baseline: exhaustive search limited to %d nodes, got %d", MaxExhaustiveNodes, n)
 	}
+	plat := req.NodePlatform()
 
 	sc := &exhaustiveScratch{
 		parent:   make([]int, n),
@@ -83,7 +86,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 			sincePoll = 0
 			ctxErr = core.CheckContext(ctx, e.Name())
 		}
-		rho, used, ok := evalParentVector(req, sc)
+		rho, used, ok := evalParentVector(req, plat, sc)
 		if !ok {
 			return
 		}
@@ -131,7 +134,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 		return nil, fmt.Errorf("baseline: exhaustive search found no valid deployment")
 	}
 
-	h := buildFromParentVector(req, bestVec)
+	h := buildFromParentVector(plat, bestVec)
 	if h == nil {
 		return nil, fmt.Errorf("baseline: internal error rebuilding best deployment")
 	}
@@ -144,7 +147,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 // evalParentVector validates and evaluates the deployment encoded by the
 // scratch's parent vector without materialising a hierarchy or allocating.
 // ok is false when the vector does not encode a valid deployment.
-func evalParentVector(req core.Request, sc *exhaustiveScratch) (rho float64, used int, ok bool) {
+func evalParentVector(req core.Request, plat *platform.Platform, sc *exhaustiveScratch) (rho float64, used int, ok bool) {
 	parent, childCnt := sc.parent, sc.childCnt
 	rootIdx := -1
 	for i, p := range parent {
@@ -205,8 +208,8 @@ func evalParentVector(req core.Request, sc *exhaustiveScratch) (rho float64, use
 	// as model.ServerCompTime would over the server power slice); the
 	// service transfer is charged at the slowest server link, matching
 	// model.ServiceThroughputLinks.
-	c, bw, wapp := req.Costs, req.Platform.Bandwidth, req.Wapp
-	nodes := req.Platform.Nodes
+	c, bw, wapp := req.Costs, plat.Bandwidth, req.Wapp
+	nodes := plat.Nodes
 	sched := math.Inf(1)
 	num, den := 1.0, 0.0
 	minBW := math.Inf(1)
@@ -242,7 +245,7 @@ func evalParentVector(req core.Request, sc *exhaustiveScratch) (rho float64, use
 
 // buildFromParentVector materialises the hierarchy encoded by a (validated)
 // parent vector.
-func buildFromParentVector(req core.Request, parent []int) *hierarchy.Hierarchy {
+func buildFromParentVector(plat *platform.Platform, parent []int) *hierarchy.Hierarchy {
 	n := len(parent)
 	children := make([][]int, n)
 	rootIdx := -1
@@ -255,8 +258,8 @@ func buildFromParentVector(req core.Request, parent []int) *hierarchy.Hierarchy 
 			children[p] = append(children[p], i)
 		}
 	}
-	nodes := req.Platform.Nodes
-	h := hierarchy.New(req.Platform.Name + "-exhaustive")
+	nodes := plat.Nodes
+	h := hierarchy.New(plat.Name + "-exhaustive")
 	rootID, err := h.AddRoot(nodes[rootIdx].Name, nodes[rootIdx].Power, nodes[rootIdx].LinkBandwidth)
 	if err != nil {
 		return nil

@@ -7,38 +7,14 @@ import (
 	"adept/internal/platform"
 )
 
-// poolSource is where a class-collapsed pool's nodes live. The planner reads
-// every node's spec once, to bucket it, and from then on holds nodes as
-// indices into the source: a class's members, a run's name heap, the
-// interleaving of classes that tie on the sort key. A node is handed out
-// (Node) only when the plan reaches it, and sort_nodes' tie-break — name
-// order — is asked of the source (NameLess), which may know it without
-// holding a single name.
-//
-// There are two sources. nodeSource is a platform's node list: names are
-// the nodes' own strings and their order is string order. *platform.Columns
-// is a generated pool: a name is a function of the index, minted when Node
-// is called, and name order is decided on integers — it is not index order
-// once the indices outgrow the names' zero padding ("pool-10000" sorts
-// before "pool-2000"), see platform.Columns.NameLess.
-type poolSource interface {
-	// Len returns the pool size.
-	Len() int
-	// Spec returns node i's power and raw link override.
-	Spec(i int) (power, link float64)
-	// Node returns node i, name included.
-	Node(i int) platform.Node
-	// NameLess reports whether node i's name sorts before node j's.
-	NameLess(i, j int) bool
-}
-
-// nodeSource is a pool held as named nodes.
-type nodeSource []platform.Node
-
-func (s nodeSource) Len() int                         { return len(s) }
-func (s nodeSource) Spec(i int) (power, link float64) { return s[i].Power, s[i].LinkBandwidth }
-func (s nodeSource) Node(i int) platform.Node         { return s[i] }
-func (s nodeSource) NameLess(i, j int) bool           { return s[i].Name < s[j].Name }
+// This file holds the class index: the pool's columns (platform.Columns)
+// bucketed by spec. The planner reads every node's spec once, to bucket it,
+// and from then on holds nodes as int32 indices into the columns: the
+// pool laid out class by class, a run's name heap, the interleaving of
+// classes that tie on the sort key. A node is handed out (Columns.Node)
+// only when the plan reaches it, and sort_nodes' tie-break — name order —
+// is asked of the columns (Columns.NameLess), which decide it on integers
+// for a generated pool without holding a single name.
 
 // ClassIndex buckets a node pool into (rated power, link bandwidth)
 // equivalence classes with multiplicity counts. It is what newClassPool
@@ -55,11 +31,12 @@ func (s nodeSource) NameLess(i, j int) bool           { return s[i].Name < s[j].
 // (powers one ulp apart) land in distinct classes — the fuzz corpus
 // exercises exactly that boundary.
 type ClassIndex struct {
-	src     poolSource
+	cols    *platform.Columns
 	classes []NodeClass
+	classOf []int32 // each node's class, in pool order
 }
 
-// NodeClass is one equivalence class: a spec plus its members.
+// NodeClass is one equivalence class: a spec plus its member count.
 type NodeClass struct {
 	// Power is the members' computing power in MFlop/s.
 	Power float64
@@ -69,7 +46,7 @@ type NodeClass struct {
 	// to the platform default is a different class from "no override".
 	LinkBandwidth float64
 
-	members []int32 // indices into the index's source, in pool order
+	count int32
 }
 
 // link resolves the class's effective bandwidth against the platform
@@ -83,33 +60,30 @@ func (cl *NodeClass) link(def float64) float64 {
 
 // BuildClassIndex buckets nodes into spec equivalence classes. Classes are
 // ordered by first appearance in the pool, so the index is deterministic
-// in the input order.
+// in the input order. The nodes must form a valid pool (see
+// platform.Platform.Validate): they are converted into columns first, and
+// BuildClassIndex panics with the conversion's error on an invalid pool.
 func BuildClassIndex(nodes []platform.Node) *ClassIndex {
-	return buildClassIndex(nodeSource(nodes))
-}
-
-// buildClassIndex indexes every node of src, however many classes that
-// takes.
-func buildClassIndex(src poolSource) *ClassIndex {
-	// A pool cannot hold more classes than nodes, so only an empty pool
-	// comes back nil: it has no classes.
-	if ix := buildClassIndexCapped(src, src.Len()); ix != nil {
-		return ix
+	// Classes are on the raw link, so the default bandwidth plays no part:
+	// any valid one serves the conversion.
+	cols, err := (&platform.Platform{Bandwidth: 1, Nodes: nodes}).Columns()
+	if err != nil {
+		panic("core: BuildClassIndex: " + err.Error())
 	}
-	return &ClassIndex{src: src}
+	return buildClassIndexCapped(cols, cols.Len())
 }
 
-// buildClassIndexCapped buckets the nodes of src into classes, giving up
-// (returning nil) as soon as more than maxClasses distinct specs appear.
+// buildClassIndexCapped buckets the nodes of cols into classes, giving up
+// (returning nil) as soon as more than maxClasses distinct specs appear —
+// never, with a cap of cols.Len().
 // The auto planner path uses the cap as a cheap compressibility probe: an
 // all-distinct pool costs O(maxClasses) before the probe aborts, not O(n).
 //
-// Two passes, two pool-sized allocations: the first assigns every node its
-// class and counts the classes' members, the second deals the node indices
-// into one array cut into per-class blocks — four bytes a member, and no
-// per-class slice to grow.
-func buildClassIndexCapped(src poolSource, maxClasses int) *ClassIndex {
-	n := src.Len()
+// One pass and one pool-sized allocation: every node is assigned its class
+// and the classes count their members. The members themselves are dealt
+// out only by whoever lays the classes out (deal), in the order it needs.
+func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
+	n := cols.Len()
 	if maxClasses < 1 || n == 0 {
 		return nil
 	}
@@ -123,10 +97,9 @@ func buildClassIndexCapped(src poolSource, maxClasses int) *ClassIndex {
 	table := make([]int32, tableSize)
 	mask := uint64(tableSize - 1)
 	classes := make([]NodeClass, 0, 16)
-	counts := make([]int32, 0, 16)
 	classOf := make([]int32, n)
 	for i := range classOf {
-		power, link := src.Spec(i)
+		power, link := cols.Spec(i)
 		pb, bb := math.Float64bits(power), math.Float64bits(link)
 		h := specHash(pb, bb) & mask
 		for {
@@ -136,30 +109,37 @@ func buildClassIndexCapped(src poolSource, maxClasses int) *ClassIndex {
 					return nil
 				}
 				classes = append(classes, NodeClass{Power: power, LinkBandwidth: link})
-				counts = append(counts, 0)
 				slot = int32(len(classes))
 				table[h] = slot
 			}
 			k := slot - 1
 			if math.Float64bits(classes[k].Power) == pb && math.Float64bits(classes[k].LinkBandwidth) == bb {
 				classOf[i] = k
-				counts[k]++
+				classes[k].count++
 				break
 			}
 			h = (h + 1) & mask
 		}
 	}
-	members := make([]int32, n)
-	off := 0
-	for k := range classes {
-		end := off + int(counts[k])
-		classes[k].members = members[off:off:end]
-		off = end
+	return &ClassIndex{cols: cols, classes: classes, classOf: classOf}
+}
+
+// deal lays the pool out class by class in the order rank gives the
+// classes: the members of class rank[0] first, then those of rank[1], and
+// so on, each class's members in pool order — four bytes a node.
+func (ix *ClassIndex) deal(rank []int) []int32 {
+	next := make([]int32, len(ix.classes))
+	off := int32(0)
+	for _, k := range rank {
+		next[k] = off
+		off += ix.classes[k].count
 	}
-	for i, k := range classOf {
-		classes[k].members = append(classes[k].members, int32(i))
+	order := make([]int32, len(ix.classOf))
+	for i, k := range ix.classOf {
+		order[next[k]] = int32(i)
+		next[k]++
 	}
-	return &ClassIndex{src: src, classes: classes}
+	return order
 }
 
 // specHash mixes the two spec bit patterns into one table hash
@@ -175,7 +155,7 @@ func specHash(p, b uint64) uint64 {
 }
 
 // NumNodes returns the total node count across all classes.
-func (ix *ClassIndex) NumNodes() int { return ix.src.Len() }
+func (ix *ClassIndex) NumNodes() int { return ix.cols.Len() }
 
 // NumClasses returns the distinct spec count.
 func (ix *ClassIndex) NumClasses() int { return len(ix.classes) }
@@ -188,13 +168,19 @@ func (ix *ClassIndex) Class(i int) *NodeClass { return &ix.classes[i] }
 // of the indexed pool — expand(collapse(pool)) preserves the multiset of
 // (name, power, link) specs, a property the fuzz battery asserts.
 func (ix *ClassIndex) Expand() []platform.Node {
-	out := make([]platform.Node, 0, ix.NumNodes())
-	for i := range ix.classes {
-		members := append([]int32(nil), ix.classes[i].members...)
-		sort.Slice(members, func(a, b int) bool { return ix.src.NameLess(int(members[a]), int(members[b])) })
-		for _, m := range members {
-			out = append(out, ix.src.Node(int(m)))
+	rank := make([]int, len(ix.classes))
+	for k := range rank {
+		rank[k] = k
+	}
+	order := ix.deal(rank)
+	out := make([]platform.Node, 0, len(order))
+	for start, k := 0, 0; k < len(ix.classes); k++ {
+		block := order[start : start+int(ix.classes[k].count)]
+		sort.Slice(block, func(a, b int) bool { return ix.cols.NameLess(int(block[a]), int(block[b])) })
+		for _, m := range block {
+			out = append(out, ix.cols.Node(int(m)))
 		}
+		start += len(block)
 	}
 	return out
 }

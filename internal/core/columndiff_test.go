@@ -118,8 +118,9 @@ func TestColumnsVsPlatformNameOrder(t *testing.T) {
 }
 
 // TestColumnsModesAgree: the granularity-pinned planners read a columnar
-// pool too — pinned to nodes by expanding it, pinned to classes by indexing
-// the columns whatever their size — and plan it as they plan its platform.
+// pool too — pinned to nodes by ranking its indices, pinned to classes by
+// indexing the columns whatever their size — and plan it as they plan its
+// platform.
 func TestColumnsModesAgree(t *testing.T) {
 	spec := scenario.Spec{Family: scenario.FatTree, N: 300, Seed: 5, PowerLevels: 4}
 	cols, err := spec.Columns(context.Background())
@@ -143,9 +144,17 @@ func TestColumnsModesAgree(t *testing.T) {
 			t.Errorf("%s planner's plan of the columns differs from the plan of their platform", m.name)
 		}
 	}
-	// Only the heuristic reads columns: a planner that needs whole nodes
-	// refuses a request that holds none, it does not plan on nothing.
-	if _, err := (&core.SwapRefiner{Inner: core.NewHeuristic()}).Plan(req); err == nil {
-		t.Error("the swap refiner accepted a request without a platform")
+	// The swap refiner's move scans read the columns too.
+	swap := &core.SwapRefiner{Inner: core.NewHeuristic()}
+	got, err := swap.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := swap.Plan(core.Request{Platform: cols.Platform(), Costs: req.Costs, Wapp: req.Wapp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustXML(t, got) != mustXML(t, want) {
+		t.Error("the swap refiner's plan of the columns differs from its plan of their platform")
 	}
 }

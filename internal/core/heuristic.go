@@ -61,7 +61,7 @@ import (
 // (power, link) spec, with every spec scan — sort keys, Steps 3–7,
 // the supported_children target, the star and pair snapshots — written
 // once over runs and addressing candidates by sorted position. A pool
-// built from the node list has one run per node; a pool built from a
+// ranked node by node has one run per node; a pool built from a
 // ClassIndex (classindex.go) has one run per spec class, which is what
 // makes million-node catalogue fleets plannable in under a second. Which
 // of the two is built is derived from the input (classMinNodes,
@@ -83,8 +83,8 @@ type poolMode int
 
 const (
 	// poolAuto builds the pool from spec classes when it is large and
-	// compresses well (see classMinNodes, classMinCompression), from the
-	// node list otherwise.
+	// compresses well (see classMinNodes, classMinCompression), node by node
+	// otherwise.
 	poolAuto poolMode = iota
 	// poolNodesOnly always builds one run per node.
 	poolNodesOnly
@@ -136,37 +136,22 @@ func (p *Heuristic) Plan(req Request) (*Plan, error) {
 // newEvaluator builds the placement evaluator this planner variant uses.
 func (p *Heuristic) newEvaluator(req Request) PlacementEvaluator {
 	if p.naive {
-		return NewNaiveEvaluator(req.Costs, req.bandwidth(), req.Wapp)
+		return NewNaiveEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
 	}
-	return NewEvaluator(req.Costs, req.bandwidth(), req.Wapp)
+	return NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
 }
 
-// poolInputFor decides whether this plan's pool is built from spec classes
-// and returns what to build it from: the class index when the mode, or the
-// pool's size and compressibility, call for one; otherwise (ix nil) the
-// node list. A columnar pool is classed straight from its columns; only
-// when it must be planned per node is it expanded into nodes.
-func (p *Heuristic) poolInputFor(req Request) (ix *ClassIndex, nodes []platform.Node) {
-	var src poolSource
-	if req.Columns != nil {
-		src = req.Columns
-	} else {
-		src = nodeSource(req.Platform.Nodes)
-	}
+// classIndexFor decides whether this plan's pool is built from spec
+// classes: it returns the class index when the mode, or the pool's size and
+// compressibility, call for one, and nil when the pool is planned per node.
+func (p *Heuristic) classIndexFor(cols *platform.Columns) *ClassIndex {
 	switch {
 	case p.mode == poolClassesOnly:
-		ix = buildClassIndex(src)
-	case p.mode == poolAuto && src.Len() >= classMinNodes:
-		ix = buildClassIndexCapped(src, src.Len()/classMinCompression)
+		return buildClassIndexCapped(cols, cols.Len())
+	case p.mode == poolAuto && cols.Len() >= classMinNodes:
+		return buildClassIndexCapped(cols, cols.Len()/classMinCompression)
 	}
-	switch {
-	case ix != nil:
-		return ix, nil
-	case req.Columns != nil:
-		return nil, req.Columns.Platform().Nodes
-	default:
-		return nil, req.Platform.Nodes
-	}
+	return nil
 }
 
 // growthOp is one recorded growth decision: attach the node at sorted
@@ -272,7 +257,7 @@ func (g *growth) attach(parent, pos int) error {
 	}
 	g.ev.AddServer(id, parent, node.Power, node.LinkBandwidth)
 	g.ensure(id)
-	nodeBW := node.Link(g.req.bandwidth())
+	nodeBW := node.Link(g.req.Columns.Bandwidth)
 	g.nodes[id] = evalNode{power: node.Power, bw: nodeBW, role: roleServer, stamp: 1}
 	if g.promotable(node.Power, nodeBW) {
 		g.promo.push(heapEnt{val: node.Power, id: id, stamp: 1})
@@ -321,7 +306,7 @@ func (g *growth) promotable(w, bw float64) bool {
 // gated placement. Both placement heaps are max-heaps: pass 1 takes the
 // most slack, pass 2 the most power.
 func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float64, pool *sortedPool, rootID, firstServerID int) *growth {
-	bw := req.bandwidth()
+	bw := req.Columns.Bandwidth
 	g := &growth{
 		req: req, h: h, ev: p.newEvaluator(req), target: target,
 		pool:  pool,
@@ -450,13 +435,7 @@ func (g *growth) replay(ctx context.Context, upto int) (*hierarchy.Hierarchy, er
 // PlanContext implements Planner; the context is polled once per growth
 // iteration, so cancellation latency is one placement step.
 func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, err error) {
-	if req.Columns != nil {
-		// Checked once, where the columns were drawn (Request.Columns).
-		err = req.ValidateModel(req.Columns.Len())
-	} else {
-		err = req.Validate()
-	}
-	if err != nil {
+	if req, err = req.Resolve(); err != nil {
 		return nil, err
 	}
 	// Checked before the agent-limited shortcut too, so a dead context
@@ -465,18 +444,18 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		return nil, err
 	}
 	c := req.Costs
-	bw := req.bandwidth()
+	bw := req.Columns.Bandwidth
 	wapp := req.Wapp
 	tr := obs.TraceFrom(ctx)
 
 	// Steps 1–2, at the granularity the input calls for. Everything below
 	// sees only the sorted pool.
-	ix, nodes := p.poolInputFor(req)
+	ix := p.classIndexFor(req.Columns)
 	endSort := tr.Phase("sort_nodes")
 	var pool *sortedPool
 	if ix != nil {
 		tr.Count("pool_classes", int64(ix.NumClasses()))
-		pool = newClassPool(c, bw, ix)
+		pool = newClassPool(c, ix)
 		defer func() {
 			if plan != nil {
 				plan.ClassPlanned = true
@@ -484,7 +463,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 			}
 		}()
 	} else {
-		pool = newNodePool(c, bw, nodes)
+		pool = newNodePool(c, req.Columns)
 	}
 	root, first := pool.at(0), pool.at(1)
 	endSort()
@@ -728,7 +707,7 @@ func (g *growth) placeNext(next int) (parent int, promoted bool, err error) {
 }
 
 func deploymentName(req Request) string {
-	return fmt.Sprintf("%s-wapp%.3g", req.poolName(), req.Wapp)
+	return fmt.Sprintf("%s-wapp%.3g", req.Columns.Name, req.Wapp)
 }
 
 // bestPair scans every one-agent/one-server pair of the pool and returns
@@ -742,7 +721,7 @@ func deploymentName(req Request) string {
 // with the runner-up, the second pairs with the best like every later
 // member.
 func bestPair(req Request, pool *sortedPool, floor float64) (rootPos, servPos int, ok bool) {
-	c, bw, wapp := req.Costs, req.bandwidth(), req.Wapp
+	c, bw, wapp := req.Costs, req.Columns.Bandwidth, req.Wapp
 	top := newTop2()
 	for j := range pool.runs {
 		r := &pool.runs[j]

@@ -20,16 +20,18 @@
 // plan is computed on the calling goroutine alone — identical at any
 // GOMAXPROCS.
 //
-// A class's members are indices into a pool source (poolSource), of which
-// there are two: a platform's node list, whose names are the nodes' own
-// strings, and a pool in columnar form (platform.Columns, Request.Columns:
-// a power column, a link column, names a function of the index), from
-// which the heuristic plans a generated fleet without a Node or a name
-// existing for any node the plan does not deploy. Name order — sort_nodes'
-// tie-break — is the source's to decide: a columnar source decides it on
-// integers, and not by index, since "pool-10000" sorts before "pool-2000".
-// The plan is the same, byte for byte, whichever form the pool arrived in
-// (columndiff_test.go).
+// Every planner reads a pool in one form, platform.Columns: a power column,
+// a link column and node names. A request that carries only a Platform is
+// converted once, where a planner takes it (Request.Resolve), and that
+// conversion is its validation; a request that carries Columns is planned
+// from them as they are. The sorted pool holds nodes as int32 indices into
+// the columns — at either granularity — and names a node only when the plan
+// reaches it, so a generated fleet (whose names are a function of the
+// index) is planned without a name existing for any node the plan does not
+// deploy. Name order — sort_nodes' tie-break — is the columns' to decide:
+// string order over a platform's own names, integer keys over generated
+// ones ("pool-10000" sorts before "pool-2000"). The plan is the same, byte
+// for byte, whichever form the pool arrived in (columndiff_test.go).
 package core
 
 import (
@@ -45,16 +47,14 @@ import (
 
 // Request bundles everything a planner needs for one planning run.
 type Request struct {
-	// Platform is the pool of candidate nodes plus the link bandwidth.
+	// Platform is the pool of candidate nodes plus the link bandwidth, in
+	// the exchange format. It may be nil when Columns is set.
 	Platform *platform.Platform
-	// Columns, when set, is the pool in columnar form and stands in for
-	// Platform, which may then be nil. Only the Heuristic reads it — it plans
-	// a large catalogue fleet from the two columns and names the few hundred
-	// nodes it deploys; every other planner needs Platform (and refuses a
-	// request without one), which whoever holds the columns expands for it
-	// (Columns.Platform). Columns must arrive range-checked — their
-	// producer, scenario.Spec.Columns, returns no others: the Heuristic does
-	// not repeat that O(n) pass.
+	// Columns, when set, is the pool in the form every planner reads, and
+	// it is what they read: Platform, if also set, must describe the same
+	// pool. Columns arrive valid — from Platform.Columns, or range-checked
+	// by their producer (scenario.Spec.Columns) — so no planner re-checks
+	// them. When nil, Resolve converts Platform.
 	Columns *platform.Columns
 	// Costs holds the middleware cost parameters (Table 3).
 	Costs model.Costs
@@ -65,32 +65,39 @@ type Request struct {
 	Demand workload.Demand
 }
 
-// Validate checks the request.
+// Resolve is the one way into a request's pool: it returns the request
+// with Columns set, and checks it. Columns already set are taken as they
+// are, and only the O(1) ValidateModel runs; otherwise Platform is
+// converted (Platform.Columns), which is its validation. A planner
+// resolves once, where it takes the request, and passes the result on.
+func (r Request) Resolve() (Request, error) {
+	if r.Columns == nil {
+		if r.Platform == nil {
+			return r, errors.New("core: nil platform")
+		}
+		cols, err := r.Platform.Columns()
+		if err != nil {
+			return r, err
+		}
+		r.Columns = cols
+	}
+	return r, r.ValidateModel(r.Columns.Len())
+}
+
+// Validate checks the request: Resolve, with the result thrown away.
 func (r *Request) Validate() error {
-	if r.Platform == nil {
-		return errors.New("core: nil platform")
-	}
-	if err := r.Platform.Validate(); err != nil {
-		return err
-	}
-	return r.ValidateModel(len(r.Platform.Nodes))
+	_, err := r.Resolve()
+	return err
 }
 
-// bandwidth returns the pool's default link bandwidth B, from whichever
-// form the request carries the pool in.
-func (r *Request) bandwidth() float64 {
-	if r.Columns != nil {
-		return r.Columns.Bandwidth
+// NodePlatform returns the pool as a node list, for planners that read
+// whole nodes: Platform when the request carries one, otherwise the
+// expansion of Columns (a fresh platform per call).
+func (r *Request) NodePlatform() *platform.Platform {
+	if r.Platform != nil {
+		return r.Platform
 	}
-	return r.Platform.Bandwidth
-}
-
-// poolName returns the platform's name, likewise.
-func (r *Request) poolName() string {
-	if r.Columns != nil {
-		return r.Columns.Name
-	}
-	return r.Platform.Name
+	return r.Columns.Platform()
 }
 
 // ValidateModel is the O(1) part of Validate — the cost parameters, the
@@ -170,21 +177,20 @@ func CheckContext(ctx context.Context, planner string) error {
 }
 
 // Finalize evaluates h against the request, validates it with the paper's
-// final-deployment invariants, and wraps it in a Plan.
+// final-deployment invariants and against the pool, and wraps it in a Plan.
+// The pool check costs O(deployment) on a resolved request.
 func Finalize(name string, req Request, h *hierarchy.Hierarchy) (*Plan, error) {
 	if err := h.Validate(hierarchy.Final); err != nil {
 		return nil, fmt.Errorf("core: %s produced invalid deployment: %w", name, err)
 	}
-	var err error
-	if req.Columns != nil {
-		err = h.CheckAgainstColumns(req.Columns)
-	} else {
-		err = h.CheckAgainstPlatform(req.Platform)
-	}
+	req, err := req.Resolve()
 	if err != nil {
+		return nil, err
+	}
+	if err := h.CheckAgainstColumns(req.Columns); err != nil {
 		return nil, fmt.Errorf("core: %s deployment inconsistent with platform: %w", name, err)
 	}
-	eval := h.Evaluate(req.Costs, req.bandwidth(), req.Wapp)
+	eval := h.Evaluate(req.Costs, req.Columns.Bandwidth, req.Wapp)
 	return &Plan{
 		Hierarchy: h,
 		Eval:      eval,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"adept/internal/model"
@@ -24,15 +26,15 @@ import (
 // differential battery (classdiff_test.go) and the recorded digests
 // (golden_test.go) hold both constructors to byte-identical plans.
 //
-// A class-built pool holds its nodes as int32 indices into the ClassIndex's
-// poolSource and turns an index into a platform.Node — a name — only when
-// at or peek hands that node to the planner. Wherever sort_nodes breaks a
-// tie by name (the order members of a run are spent in, the interleaving of
-// classes that share a sort key) the pool asks the source's NameLess, never
-// the index: over a columnar source the two part ways at 10 000 nodes,
-// where "pool-10000" sorts between "pool-1000" and "pool-1001"
-// (columndiff_test.go plans across that edge against the materialised
-// platform).
+// At either granularity the pool is a permutation of int32 indices into
+// the request's columns, and an index becomes a platform.Node — a name —
+// only when at or peek hands that node to the planner. Wherever sort_nodes
+// breaks a tie by name (the ranking of nodes that share a sort key, the
+// order members of a run are spent in, the interleaving of classes that
+// share a sort key) the pool asks Columns.NameLess, never the index: over
+// generated names the two part ways at 10 000 nodes, where "pool-10000"
+// sorts between "pool-1000" and "pool-1001" (columndiff_test.go plans
+// across that edge against the materialised platform).
 
 // run is a maximal block of the sorted pool sharing one spec.
 type run struct {
@@ -66,30 +68,53 @@ func (r *run) lead() int { return r.start + min(r.count, 2) }
 type sortedPool struct {
 	runs []run
 	n    int
-	// nodes is the materialised prefix of the sorted expansion. A node pool
-	// holds all n; a class-backed pool names nodes only as at() reaches
-	// them, so a plan that deploys a few hundred of a million nodes never
-	// names the rest.
+	cols *platform.Columns
+	// order holds the pool's column indices run by run: run j's members are
+	// order[start:start+count], spent in ascending name order by at and
+	// peek whatever order they are stored in.
+	order []int32
+	// nodes is the materialised prefix of the sorted expansion: a plan that
+	// deploys a few hundred of a million nodes never names the rest.
 	nodes []platform.Node
-
-	// Class-backed pools only: the source the members index into, each run's
-	// members (unordered), the number of runs whose members have been loaded
-	// into heap, and the heap spending the current run's members in
-	// ascending name order (see heapInit).
-	src     poolSource
-	members [][]int32
-	loaded  int
-	heap    []int32
+	// loaded counts the runs whose members have been loaded into heap, the
+	// heap spending the current run's members in ascending name order (see
+	// heapInit).
+	loaded int
+	heap   []int32
 }
 
-// newNodePool sorts the nodes (sort_nodes) and emits one run per node.
-func newNodePool(c model.Costs, bandwidth float64, nodes []platform.Node) *sortedPool {
-	sorted := sortNodes(c, bandwidth, nodes)
-	runs := make([]run, len(sorted))
-	for i := range sorted {
-		runs[i] = run{power: sorted[i].Power, link: sorted[i].LinkBandwidth, count: 1, start: i}
+// newNodePool is sort_nodes (Steps 1–2) at node granularity: it ranks
+// every node of cols by decreasing scheduling power computed with n-1
+// prospective children — the heuristic does not yet know which node will
+// be the agent, so each is ranked as if it had to schedule for the whole
+// remaining pool — at the node's *own* link bandwidth, so a powerful node
+// behind a slow WAN uplink sorts below a modest node on the fast local LAN.
+// Ties break by name. It emits one run per node.
+func newNodePool(c model.Costs, cols *platform.Columns) *sortedPool {
+	n := cols.Len()
+	d := max(n-1, 1)
+	keys := make([]float64, n)
+	order := make([]int32, n)
+	for i := range order {
+		power, link := cols.Spec(i)
+		r := run{power: power, link: link}
+		keys[i] = calcSchPow(c, r.bw(cols.Bandwidth), power, d)
+		order[i] = int32(i)
 	}
-	return &sortedPool{runs: runs, n: len(sorted), nodes: sorted}
+	// Names are unique in a valid pool, so (key, name) orders it totally and
+	// an unstable sort returns the one order a stable sort would.
+	slices.SortFunc(order, func(a, b int32) int {
+		if o := cmp.Compare(keys[b], keys[a]); o != 0 {
+			return o
+		}
+		return nameCmp(cols, a, b)
+	})
+	runs := make([]run, n)
+	for pos, i := range order {
+		power, link := cols.Spec(int(i))
+		runs[pos] = run{power: power, link: link, count: 1, start: pos}
+	}
+	return &sortedPool{runs: runs, n: n, cols: cols, order: order}
 }
 
 // newClassPool ranks the classes of ix by the sort_nodes key (scheduling
@@ -99,50 +124,43 @@ func newNodePool(c model.Costs, bandwidth float64, nodes []platform.Node) *sorte
 // to it) cannot be laid out as blocks: sort_nodes interleaves their members
 // by name, so they are emitted as single-member runs in name order —
 // exactly that interleaving, whatever order the tied classes arrive in.
-func newClassPool(c model.Costs, bandwidth float64, ix *ClassIndex) *sortedPool {
+func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
+	cols := ix.cols
 	n := ix.NumNodes()
 	d := max(n-1, 1)
 	nc := ix.NumClasses()
 	keys := make([]float64, nc)
-	order := make([]int, nc)
-	for i := range order {
+	rank := make([]int, nc)
+	for i := range rank {
 		cl := ix.Class(i)
-		keys[i] = calcSchPow(c, cl.link(bandwidth), cl.Power, d)
-		order[i] = i
+		keys[i] = calcSchPow(c, cl.link(cols.Bandwidth), cl.Power, d)
+		rank[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] > keys[order[b]] })
-	sp := &sortedPool{n: n, runs: make([]run, 0, nc), src: ix.src, members: make([][]int32, 0, nc)}
+	sort.Slice(rank, func(a, b int) bool { return keys[rank[a]] > keys[rank[b]] })
+	sp := &sortedPool{n: n, runs: make([]run, 0, nc), cols: cols, order: ix.deal(rank)}
 	pos := 0
-	emit := func(cl *NodeClass, members []int32) {
-		sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: len(members), start: pos})
-		sp.members = append(sp.members, members)
-		pos += len(members)
-	}
-	type member struct {
-		cl *NodeClass
-		m  int32
-	}
 	for j := 0; j < nc; {
 		k := j + 1
-		for k < nc && keys[order[k]] == keys[order[j]] {
+		for k < nc && keys[rank[k]] == keys[rank[j]] {
 			k++
 		}
 		if k == j+1 {
-			cl := ix.Class(order[j])
-			emit(cl, cl.members)
+			cl := ix.Class(rank[j])
+			sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: int(cl.count), start: pos})
+			pos += int(cl.count)
 		} else {
-			var tied []member
-			for _, ci := range order[j:k] {
-				cl := ix.Class(ci)
-				for _, m := range cl.members {
-					tied = append(tied, member{cl, m})
-				}
+			// The tied classes' blocks are adjacent in the layout, so their
+			// interleaving is their joint block in name order.
+			end := pos
+			for _, ci := range rank[j:k] {
+				end += int(ix.Class(ci).count)
 			}
-			sort.Slice(tied, func(a, b int) bool { return ix.src.NameLess(int(tied[a].m), int(tied[b].m)) })
-			singles := make([]int32, len(tied))
-			for i, t := range tied {
-				singles[i] = t.m
-				emit(t.cl, singles[i:i+1])
+			block := sp.order[pos:end]
+			slices.SortFunc(block, func(a, b int32) int { return nameCmp(cols, a, b) })
+			for _, m := range block {
+				power, link := cols.Spec(int(m))
+				sp.runs = append(sp.runs, run{power: power, link: link, count: 1, start: pos})
+				pos++
 			}
 		}
 		j = k
@@ -150,16 +168,34 @@ func newClassPool(c model.Costs, bandwidth float64, ix *ClassIndex) *sortedPool 
 	return sp
 }
 
+// nameCmp orders two nodes of cols by name, for slices.SortFunc. Names are
+// unique, so only a node compares equal to itself.
+func nameCmp(cols *platform.Columns, a, b int32) int {
+	switch {
+	case a == b:
+		return 0
+	case cols.NameLess(int(a), int(b)):
+		return -1
+	}
+	return 1
+}
+
+// members returns run j's column indices, unordered.
+func (sp *sortedPool) members(j int) []int32 {
+	r := &sp.runs[j]
+	return sp.order[r.start : r.start+r.count]
+}
+
 // at returns the node at sorted position i, materialising the expansion up
 // to it: runs in order, each run's members in ascending name order.
 func (sp *sortedPool) at(i int) platform.Node {
 	for i >= len(sp.nodes) {
 		for len(sp.heap) == 0 {
-			sp.heap = append(sp.heap[:0], sp.members[sp.loaded]...)
+			sp.heap = append(sp.heap[:0], sp.members(sp.loaded)...)
 			sp.heapInit()
 			sp.loaded++
 		}
-		sp.nodes = append(sp.nodes, sp.src.Node(int(sp.heapPop())))
+		sp.nodes = append(sp.nodes, sp.cols.Node(int(sp.heapPop())))
 	}
 	return sp.nodes[i]
 }
@@ -174,18 +210,18 @@ func (sp *sortedPool) peek(pos int) platform.Node {
 	}
 	j := sort.Search(len(sp.runs), func(j int) bool { return sp.runs[j].start > pos }) - 1
 	first, second := int32(-1), int32(-1)
-	for _, m := range sp.members[j] {
+	for _, m := range sp.members(j) {
 		switch {
-		case first < 0 || sp.src.NameLess(int(m), int(first)):
+		case first < 0 || sp.cols.NameLess(int(m), int(first)):
 			first, second = m, first
-		case second < 0 || sp.src.NameLess(int(m), int(second)):
+		case second < 0 || sp.cols.NameLess(int(m), int(second)):
 			second = m
 		}
 	}
 	if pos > sp.runs[j].start {
 		first = second
 	}
-	return sp.src.Node(int(first))
+	return sp.cols.Node(int(first))
 }
 
 // uniformLinks is Platform.HasUniformLinks computed over runs.
@@ -228,13 +264,13 @@ func (sp *sortedPool) poolMin(def float64, f func(power, bw float64) float64) fl
 	return m
 }
 
-// The heap is a binary min-heap of one run's members under the source's
+// The heap is a binary min-heap of one run's members under the columns'
 // name order. at() drains one per run: heap construction is O(count) with
 // no upfront sort, so consuming k nodes of a huge run costs O(count + k log
 // count) name comparisons instead of an O(count log count) full sort.
 
 func (sp *sortedPool) heapLess(a, b int) bool {
-	return sp.src.NameLess(int(sp.heap[a]), int(sp.heap[b]))
+	return sp.cols.NameLess(int(sp.heap[a]), int(sp.heap[b]))
 }
 
 func (sp *sortedPool) siftDown(i int) {

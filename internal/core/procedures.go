@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"adept/internal/model"
-	"adept/internal/platform"
 )
 
 // This file implements the procedures of Table 1 of the paper with their
@@ -26,45 +24,6 @@ func calcSchPow(c model.Costs, bandwidth, w float64, d int) float64 {
 // model.ServiceThroughputLinks).
 func calcHierSerPow(c model.Costs, bandwidth, wapp float64, serverPowers []float64) float64 {
 	return model.ServiceThroughput(c, bandwidth, wapp, serverPowers)
-}
-
-// sortNodes sorts the available nodes by decreasing scheduling power
-// computed with n_nodes-1 prospective children (Steps 1–2 of Algorithm 1):
-// at that point the heuristic does not yet know which node will be the
-// agent, so every node is ranked as if it had to schedule for the whole
-// remaining pool. Each node is ranked at its *own* link bandwidth
-// (defaulting to the platform B), so a powerful node behind a slow WAN
-// uplink sorts below a modest node on the fast local LAN — exactly the
-// agent-drafting order a multi-cluster grid needs. Ties break by name for
-// determinism.
-func sortNodes(c model.Costs, bandwidth float64, nodes []platform.Node) []platform.Node {
-	sorted := append([]platform.Node(nil), nodes...)
-	d := len(nodes) - 1
-	if d < 1 {
-		d = 1
-	}
-	// Precompute the sort key once per node instead of twice per
-	// comparison: at 10k nodes the repeated model evaluations inside the
-	// comparator used to dominate whole-plan latency.
-	keys := make([]float64, len(sorted))
-	for i := range sorted {
-		keys[i] = calcSchPow(c, sorted[i].Link(bandwidth), sorted[i].Power, d)
-	}
-	idx := make([]int, len(sorted))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if keys[idx[a]] != keys[idx[b]] {
-			return keys[idx[a]] > keys[idx[b]]
-		}
-		return sorted[idx[a]].Name < sorted[idx[b]].Name
-	})
-	out := make([]platform.Node, len(sorted))
-	for i, j := range idx {
-		out[i] = sorted[j]
-	}
-	return out
 }
 
 // supportedChildren returns the largest number of children a node of power
@@ -99,6 +58,7 @@ func supportedChildren(c model.Costs, bandwidth, w, target float64, max int) int
 }
 
 // Note on the remaining Table 1 procedures:
+//   - sort_nodes -> newNodePool / newClassPool (pool.go)
 //   - shift_nodes  -> (*hierarchy.Hierarchy).PromoteToAgent
 //   - plot_hierarchy -> (*hierarchy.Hierarchy).WriteDOT
 //   - write_xml -> (*hierarchy.Hierarchy).WriteXML / (*Plan).XML

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"adept/internal/hierarchy"
 	"adept/internal/obs"
@@ -55,8 +54,13 @@ func (r *SwapRefiner) Plan(req Request) (*Plan, error) {
 	return r.PlanContext(context.Background(), req)
 }
 
-// PlanContext implements Planner: the inner planner's plan, refined.
+// PlanContext implements Planner: the inner planner's plan, refined. The
+// request is resolved once, here, for both.
 func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, error) {
+	req, err := req.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	endInner := obs.TraceFrom(ctx).Phase("inner_plan")
 	plan, err := r.Inner.PlanContext(ctx, req)
 	endInner()
@@ -71,21 +75,20 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 // plan, or plan itself when no move improves it. plan is not modified. The
 // loop is bounded by two rounds per pool node and polls ctx once a round.
 func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Plan, error) {
-	if req.Platform == nil {
-		// The move scans read whole nodes; a columnar pool (Request.Columns)
-		// must be expanded for this planner.
-		return nil, errors.New("core: nil platform")
+	req, err := req.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
 	h := plan.Hierarchy.Clone()
-	ev := NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
+	ev := NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
 	LoadHierarchy(ev, h)
 	bestCapped := plan.Capped
 
 	moves := int64(0)
 	endRefine := tr.Phase("refine")
 	round := 0
-	for ; round < 2*len(req.Platform.Nodes); round++ {
+	for ; round < 2*req.Columns.Len(); round++ {
 		if err := CheckContext(ctx, r.Name()); err != nil {
 			return nil, err
 		}
@@ -110,26 +113,32 @@ func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Pla
 // and applies the single best strictly improving one, returning the
 // (possibly replaced) hierarchy. ok is false when nothing improves.
 func (r *SwapRefiner) bestMove(req Request, h *hierarchy.Hierarchy, ev *Evaluator, cur float64) (*hierarchy.Hierarchy, float64, bool) {
-	deployed := make(map[string]int, h.Len()) // name -> node ID
+	cols := req.Columns
+	deployed := make(map[int]int, h.Len()) // column index -> node ID
 	for _, n := range h.Nodes() {
-		deployed[n.Name] = n.ID
+		if i, ok := cols.Lookup(n.Name); ok {
+			deployed[i] = n.ID
+		}
 	}
 
+	// A candidate is named only if its move wins: over a generated pool a
+	// name is minted per call.
 	type cand struct {
-		name  string
+		node  int // column index
 		power float64
 		bw    float64 // raw link override (0 = platform default)
 		id    int     // deployed server ID, or -1 for an unused pool node
 	}
 	var cands []cand
-	for _, pn := range req.Platform.Nodes {
-		if id, ok := deployed[pn.Name]; ok {
+	for i := range cols.Len() {
+		power, link := cols.Spec(i)
+		if id, ok := deployed[i]; ok {
 			if h.MustNode(id).Role == hierarchy.RoleServer {
-				cands = append(cands, cand{pn.Name, pn.Power, pn.LinkBandwidth, id})
+				cands = append(cands, cand{i, power, link, id})
 			}
 			continue
 		}
-		cands = append(cands, cand{pn.Name, pn.Power, pn.LinkBandwidth, -1})
+		cands = append(cands, cand{i, power, link, -1})
 	}
 
 	bestAgent := -1
@@ -185,7 +194,7 @@ func (r *SwapRefiner) bestMove(req Request, h *hierarchy.Hierarchy, ev *Evaluato
 	switch {
 	case attachAgent >= 0:
 		// Grow: deploy the unused pool node as a server leaf.
-		id, err := h.AddServer(attachAgent, attachCand.name, attachCand.power, attachCand.bw)
+		id, err := h.AddServer(attachAgent, cols.NodeName(attachCand.node), attachCand.power, attachCand.bw)
 		if err != nil {
 			return h, cur, false // cannot happen on validated trees; stop refining
 		}
@@ -205,7 +214,7 @@ func (r *SwapRefiner) bestMove(req Request, h *hierarchy.Hierarchy, ev *Evaluato
 		// agent's old backing leaves the deployment. IDs and node data
 		// come from the live hierarchy, so SetBacking cannot fail here.
 		agent := h.MustNode(bestAgent)
-		_ = h.SetBacking(bestAgent, bestCand.name, bestCand.power, bestCand.bw)
+		_ = h.SetBacking(bestAgent, cols.NodeName(bestCand.node), bestCand.power, bestCand.bw)
 		ev.SetBacking(bestAgent, bestCand.power, bestCand.bw)
 		if bestCand.id >= 0 {
 			_ = h.SetBacking(bestCand.id, agent.Name, agent.Power, agent.Bandwidth)

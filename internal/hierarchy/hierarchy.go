@@ -508,63 +508,32 @@ func (h *Hierarchy) Evaluate(c model.Costs, bandwidth, wapp float64) model.Evalu
 
 // CheckAgainstPlatform verifies that every deployed element maps to a
 // distinct node of the platform pool with matching power and link
-// bandwidth.
+// bandwidth: it converts the platform into columns (which refuses an
+// invalid platform) and checks against those.
 func (h *Hierarchy) CheckAgainstPlatform(p *platform.Platform) error {
-	// The deployment is usually a tiny fraction of a huge pool, so the
-	// lookup map is built over the hierarchy side and the platform slice is
-	// scanned once: O(pool) time with an O(deployment) map, instead of a
-	// pool-sized map on every finalised plan.
-	first := make(map[string]int, len(h.nodes)) // deployed name → the first hierarchy node to claim it
-	for i := len(h.nodes) - 1; i >= 0; i-- {
-		first[h.nodes[i].Name] = i
+	c, err := p.Columns()
+	if err != nil {
+		return err
 	}
-	// at[i] is the pool index of hierarchy node i, or -1: its name is not in
-	// the pool, or an earlier hierarchy node already took the node.
-	at := make([]int, len(h.nodes))
-	for i := range at {
-		at[i] = -1
-	}
-	for j := range p.Nodes {
-		if i, deployed := first[p.Nodes[j].Name]; deployed {
-			at[i] = j
-		}
-	}
-	return h.checkPool(func(i int) (power, link float64, ok bool) {
-		if at[i] < 0 {
-			return 0, 0, false
-		}
-		n := &p.Nodes[at[i]]
-		return n.Power, n.LinkBandwidth, true
-	})
+	return h.CheckAgainstColumns(c)
 }
 
-// CheckAgainstColumns is CheckAgainstPlatform against a pool in columnar
-// form: each deployed name is resolved through Columns.Lookup, so the check
-// costs O(deployment) whatever the size of the pool.
+// CheckAgainstColumns verifies that every deployed element maps to a
+// distinct node of the pool with matching power and link bandwidth. Each
+// deployed name is resolved through Columns.Lookup, so the check costs
+// O(deployment) whatever the size of the pool. A node deployed twice is no
+// longer in the pool the second time; the earliest failing hierarchy node
+// is reported.
 func (h *Hierarchy) CheckAgainstColumns(c *platform.Columns) error {
 	taken := make(map[int]struct{}, len(h.nodes))
-	return h.checkPool(func(i int) (power, link float64, ok bool) {
-		j, ok := c.Lookup(h.nodes[i].Name)
-		if _, twice := taken[j]; !ok || twice {
-			return 0, 0, false
-		}
-		taken[j] = struct{}{}
-		power, link = c.Spec(j)
-		return power, link, true
-	})
-}
-
-// checkPool is the pool check itself. take resolves hierarchy node i to its
-// pool node's power and raw link and takes that node out of the pool: a node
-// deployed twice is no longer there the second time. The earliest failing
-// hierarchy node is reported.
-func (h *Hierarchy) checkPool(take func(i int) (power, link float64, ok bool)) error {
 	for i := range h.nodes {
 		n := &h.nodes[i]
-		power, link, ok := take(i)
-		switch {
-		case !ok:
+		j, ok := c.Lookup(n.Name)
+		if _, twice := taken[j]; !ok || twice {
 			return fmt.Errorf("hierarchy: node %q not in platform pool", n.Name)
+		}
+		taken[j] = struct{}{}
+		switch power, link := c.Spec(j); {
 		case power != n.Power:
 			return fmt.Errorf("hierarchy: node %q power mismatch: deployment says %g, platform says %g", n.Name, n.Power, power)
 		case link != n.Bandwidth:

@@ -2,25 +2,31 @@ package platform
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
 
-// Columns is a platform in columnar form: the pool as a power column and a
-// link column, with node names that are a pure function of the node's
-// index — "<Name>-%04d", the names scenario generation gives its nodes. It
-// describes exactly the platform Platform() expands it into, at sixteen
-// bytes a node instead of a struct and a heap-allocated name: a consumer
-// that reads a pool's specs and then names a few hundred of its nodes (the
-// class-collapsed planner) works on the columns and asks NodeName for those
-// few hundred.
+// Columns is a platform in columnar form — the one form the planners read a
+// pool in: a power column and a link column, at sixteen bytes a node, plus
+// node names. It describes exactly the platform Platform() expands it into.
 //
-// Names need no uniqueness check: NodeName is injective by construction
-// (Lookup is its inverse), which is what the map walk of Platform.Validate
-// proves about a platform whose names arrived from outside.
+// Names come one of two ways. Columns converted from a platform's node list
+// (Platform.Columns, the one constructor that sets them) hold the nodes' own
+// name strings, and that conversion is the platform's validation: such
+// columns are valid by construction, and Lookup is the hash table that
+// proved their names unique. Columns built as a literal (scenario
+// generation) hold none: a node's name is then a pure function of its index,
+// "<Name>-%04d", minted only when asked for, and Lookup is that function's
+// inverse — injective by construction, so there is nothing to prove. Either
+// way a consumer that reads a pool's specs and names a few hundred of its
+// nodes (the planner) works on the columns and asks NodeName for those few
+// hundred.
 type Columns struct {
-	// Name labels the platform and prefixes every node name.
+	// Name labels the platform and, without a names column, prefixes every
+	// node name.
 	Name string
 	// Bandwidth is the default link bandwidth B in Mbit/s.
 	Bandwidth float64
@@ -29,10 +35,19 @@ type Columns struct {
 	// Links holds each node's raw link override in Mbit/s (0 = Bandwidth),
 	// as Node.LinkBandwidth carries it; nil means no node overrides.
 	Links []float64
+
+	// names holds each node's name in pool order; nil selects the generated
+	// rule. index finds a name's node: an open-addressed table of node
+	// indices plus one (zero is a free slot), at most half full, probed from
+	// a hash of the name under seed — drawn per conversion, so no easier to
+	// flood than a map.
+	names []string
+	index []uint32
+	seed  maphash.Seed
 }
 
 // validBandwidth, validPower and validLink are the range predicates of a
-// well-formed pool, shared by Platform.Validate and Columns.Validate: a
+// well-formed pool, shared by Platform.Columns and Columns.Validate: a
 // platform bandwidth and a node power are finite and positive, a link
 // override is finite and not negative (zero means "the platform default").
 // NaN fails every comparison, so each predicate is phrased to fail on it.
@@ -55,9 +70,71 @@ func errLink(plat, node string, l float64) error {
 	return fmt.Errorf("platform %q: node %q has invalid link bandwidth %g", plat, node, l)
 }
 
-// Validate range-checks the columns — what Platform.Validate checks of a
-// platform, with the same messages, minus the name checks the naming scheme
-// makes unnecessary. It allocates nothing on a valid pool.
+// Columns converts the platform into columnar form, checking it on the way:
+// a finite positive bandwidth, at least one node, and node by node a
+// non-empty name, a finite positive power, a finite non-negative link
+// override and a name no earlier node holds. The first failure is the error.
+// The powers and links are copied; the names are the nodes' own strings, so
+// later changes to p do not reach the columns.
+func (p *Platform) Columns() (*Columns, error) {
+	if !validBandwidth(p.Bandwidth) {
+		return nil, errBandwidth(p.Name, p.Bandwidth)
+	}
+	n := len(p.Nodes)
+	if n == 0 {
+		return nil, fmt.Errorf("platform %q: no nodes", p.Name)
+	}
+	c := &Columns{
+		Name:      p.Name,
+		Bandwidth: p.Bandwidth,
+		Powers:    make([]float64, n),
+		names:     make([]string, n),
+		index:     make([]uint32, 1<<bits.Len(uint(2*n-1))),
+		seed:      maphash.MakeSeed(),
+	}
+	for i := range p.Nodes {
+		nd := &p.Nodes[i]
+		if nd.Name == "" {
+			return nil, fmt.Errorf("platform %q: node %d has empty name", p.Name, i)
+		}
+		if !validPower(nd.Power) {
+			return nil, errPower(p.Name, nd.Name, nd.Power)
+		}
+		if !validLink(nd.LinkBandwidth) {
+			return nil, errLink(p.Name, nd.Name, nd.LinkBandwidth)
+		}
+		h := c.slot(nd.Name)
+		if c.index[h] != 0 {
+			return nil, fmt.Errorf("platform %q: duplicate node name %q", p.Name, nd.Name)
+		}
+		c.index[h] = uint32(i + 1)
+		c.names[i], c.Powers[i] = nd.Name, nd.Power
+		// Compared as bits, so an explicit -0 survives the round trip (the
+		// digest tells it from 0).
+		if math.Float64bits(nd.LinkBandwidth) != 0 {
+			if c.Links == nil {
+				c.Links = make([]float64, n)
+			}
+			c.Links[i] = nd.LinkBandwidth
+		}
+	}
+	return c, nil
+}
+
+// slot returns the index-table slot that holds name, or the free slot where
+// the probe for it ends.
+func (c *Columns) slot(name string) uint64 {
+	mask := uint64(len(c.index) - 1)
+	h := maphash.String(c.seed, name) & mask
+	for c.index[h] != 0 && c.names[c.index[h]-1] != name {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// Validate range-checks generated columns — what Platform.Columns checks of
+// a platform, with the same messages, minus the name checks the naming
+// scheme makes unnecessary. It allocates nothing on a valid pool.
 func (c *Columns) Validate() error {
 	if !validBandwidth(c.Bandwidth) {
 		return errBandwidth(c.Name, c.Bandwidth)
@@ -82,13 +159,16 @@ func (c *Columns) Validate() error {
 // Len returns the pool size.
 func (c *Columns) Len() int { return len(c.Powers) }
 
-// minNameDigits is the zero-padded width of a node name's index: "%04d".
+// minNameDigits is the zero-padded width of a generated name's index: "%04d".
 const minNameDigits = 4
 
-// NodeName returns the name of node i: "<Name>-" and the index, zero-padded
-// to four digits (wider from 10 000 on). A name costs its own string and
-// nothing else.
+// NodeName returns the name of node i: its own, or "<Name>-" and the index,
+// zero-padded to four digits (wider from 10 000 on). A generated name costs
+// its own string and nothing else.
 func (c *Columns) NodeName(i int) string {
+	if c.names != nil {
+		return c.names[i]
+	}
 	var stack [64]byte
 	buf := append(stack[:0], c.Name...)
 	return string(appendIndex(append(buf, '-'), i))
@@ -110,18 +190,23 @@ func (c *Columns) Spec(i int) (power, link float64) {
 	return c.Powers[i], link
 }
 
-// Node returns node i of the pool, minting its name.
+// Node returns node i of the pool, name included.
 func (c *Columns) Node(i int) Node {
 	power, link := c.Spec(i)
 	return Node{Name: c.NodeName(i), Power: power, LinkBandwidth: link}
 }
 
 // Lookup is the inverse of NodeName: the index of the node called name, or
-// false when no node of the pool has that name. It accepts exactly the
+// false when no node of the pool has that name. Over own names it probes the
+// table the conversion built. Over generated names it accepts exactly the
 // strings NodeName produces — the whole of Name, a dash, and the index in
 // its one canonical spelling (at least four digits, no sign, no leading
 // zero beyond the padding) — so two names never resolve to one node.
 func (c *Columns) Lookup(name string) (int, bool) {
+	if c.names != nil {
+		k := c.index[c.slot(name)]
+		return int(k) - 1, k != 0
+	}
 	digits, ok := strings.CutPrefix(name, c.Name)
 	if !ok || len(digits) < 1+minNameDigits || digits[0] != '-' {
 		return 0, false
@@ -144,10 +229,10 @@ func (c *Columns) Lookup(name string) (int, bool) {
 	return i, true
 }
 
-// nameKey maps an index to a key that orders as the digits of its name do
-// under string comparison: the digit string (zero-padded to four) read as a
-// decimal fraction, scaled to nineteen digits. Index order is name order
-// only within one width: "pool-10000" sorts before "pool-2000".
+// nameKey maps an index to a key that orders as the digits of its generated
+// name do under string comparison: the digit string (zero-padded to four)
+// read as a decimal fraction, scaled to nineteen digits. Index order is name
+// order only within one width: "pool-10000" sorts before "pool-2000".
 func nameKey(i int) uint64 {
 	k, scale := uint64(i), uint64(1e15)
 	for limit := uint64(1e4); k >= limit && scale > 1; limit *= 10 {
@@ -156,11 +241,14 @@ func nameKey(i int) uint64 {
 	return k * scale
 }
 
-// NameLess reports whether NodeName(i) < NodeName(j) as strings, without
-// building either. Keys tie only when one name's digits extend the other's
-// with zeros ("1000", "10000"): the shorter name — the smaller index —
-// sorts first.
+// NameLess reports whether NodeName(i) < NodeName(j) as strings. Generated
+// names are compared without building either: keys tie only when one name's
+// digits extend the other's with zeros ("1000", "10000"), and then the
+// shorter name — the smaller index — sorts first.
 func (c *Columns) NameLess(i, j int) bool {
+	if c.names != nil {
+		return c.names[i] < c.names[j]
+	}
 	ki, kj := nameKey(i), nameKey(j)
 	return ki < kj || ki == kj && i < j
 }
@@ -187,15 +275,12 @@ func (c *Columns) LinkRange() (min, max float64) {
 
 // Platform expands the columns into the platform they describe: one Node
 // per index, named by NodeName. The expansion of valid columns is a valid
-// platform.
+// platform, and that of converted columns is the platform they were
+// converted from, field for field.
 func (c *Columns) Platform() *Platform {
 	p := &Platform{Name: c.Name, Bandwidth: c.Bandwidth, Nodes: make([]Node, len(c.Powers))}
-	// One buffer holds the shared prefix; each name is cut from it.
-	prefix := append(append(make([]byte, 0, len(c.Name)+1+20), c.Name...), '-')
 	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		n.Name = string(appendIndex(prefix, i))
-		n.Power, n.LinkBandwidth = c.Spec(i)
+		p.Nodes[i] = c.Node(i)
 	}
 	return p
 }

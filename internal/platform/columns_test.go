@@ -197,15 +197,22 @@ func TestColumnsPlatformAndValidate(t *testing.T) {
 
 // FuzzColumnsLookup: whatever the platform is called and whatever string
 // arrives, Lookup answers a node exactly when that node's name is the
-// string — found by reading the text after the prefix leniently (sign,
-// padding and all) and asking NodeName.
+// string. Over generated names the oracle reads the text after the prefix
+// leniently (sign, padding and all) and asks NodeName. Over a platform's
+// own names — list, split at commas — it is a map: Platform.Columns accepts
+// the list exactly when the map finds no empty and no repeated name, refuses
+// it at the first failure in index order with Platform.Validate's words,
+// and the columns it returns take every name back to its index, refuse the
+// string when it is no node's name, and order names as strings do.
 func FuzzColumnsLookup(f *testing.F) {
 	for _, name := range []string{"pool-10", "pool-00010", "pool-+010", "pool-0010x", "other-0010", "pool-0010", "pool-9999", "pool-10000", "pool-2097151", "pool-2097152"} {
-		f.Add("pool", name, uint32(maxPool))
+		f.Add("pool", name, uint32(maxPool), "a,b,pool-0010")
 	}
-	f.Add("rack-7-0001", "rack-7-0001-0003", uint32(5))
-	f.Add("", "-0000", uint32(1))
-	f.Fuzz(func(t *testing.T, prefix, name string, n uint32) {
+	f.Add("rack-7-0001", "rack-7-0001-0003", uint32(5), "x,y,x")
+	f.Add("", "-0000", uint32(1), "")
+	f.Add("p", "b", uint32(3), "c,b,a,ab,a")
+	f.Add("p", "", uint32(3), "c,,a")
+	f.Fuzz(func(t *testing.T, prefix, name string, n uint32, list string) {
 		c := namesOnly(prefix, int(n%(maxPool+1)))
 		want, found := -1, false
 		if rest, ok := strings.CutPrefix(name, prefix+"-"); ok {
@@ -217,5 +224,60 @@ func FuzzColumnsLookup(f *testing.F) {
 		if ok != found || ok && got != want {
 			t.Fatalf("Lookup(%q) in %q of %d nodes = %d, %v; want %d, %v", name, prefix, c.Len(), got, ok, want, found)
 		}
+		checkNamedLookup(t, prefix, name, strings.Split(list, ","))
 	})
+}
+
+// checkNamedLookup is FuzzColumnsLookup over a platform's own node names.
+func checkNamedLookup(t *testing.T, prefix, query string, names []string) {
+	p := &platform.Platform{Name: prefix, Bandwidth: 100, Nodes: make([]platform.Node, len(names))}
+	oracle := make(map[string]int, len(names))
+	var refusal string
+	for i, name := range names {
+		p.Nodes[i] = platform.Node{Name: name, Power: float64(1 + i)}
+		if refusal != "" {
+			continue
+		}
+		if _, repeated := oracle[name]; name == "" {
+			refusal = fmt.Sprintf("platform %q: node %d has empty name", prefix, i)
+		} else if repeated {
+			refusal = fmt.Sprintf("platform %q: duplicate node name %q", prefix, name)
+		}
+		oracle[name] = i
+	}
+	c, err := p.Columns()
+	if refusal != "" {
+		if err == nil || err.Error() != refusal {
+			t.Fatalf("Columns of %q = %v, want %q", names, err, refusal)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("Columns of %q: %v", names, err)
+	}
+	for i := range names {
+		if got, ok := c.Lookup(c.NodeName(i)); !ok || got != i || c.NodeName(i) != names[i] {
+			t.Fatalf("node %d of %q: NodeName %q, Lookup %d, %v", i, names, c.NodeName(i), got, ok)
+		}
+	}
+	want, found := oracle[query]
+	if got, ok := c.Lookup(query); ok != found || ok && got != want {
+		t.Fatalf("Lookup(%q) in %q = %d, %v; want %d, %v", query, names, got, ok, want, found)
+	}
+	// Every pair on a short list; on a long one each name against its
+	// successor and the first.
+	for i := range names {
+		js := []int{0, (i + 1) % len(names)}
+		if len(names) <= 64 {
+			js = js[:0]
+			for j := range names {
+				js = append(js, j)
+			}
+		}
+		for _, j := range js {
+			if got := c.NameLess(i, j); got != (names[i] < names[j]) {
+				t.Fatalf("NameLess(%d, %d) = %v over %q, %q", i, j, got, names[i], names[j])
+			}
+		}
+	}
 }

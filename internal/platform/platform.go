@@ -17,9 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
-	"math/bits"
 	"math/rand"
 	"os"
 	"sort"
@@ -69,41 +67,11 @@ type Platform struct {
 
 // Validate checks platform well-formedness: a finite positive bandwidth, at
 // least one node, finite positive powers, finite non-negative link
-// overrides, and unique non-empty node names.
+// overrides, and unique non-empty node names. It is the conversion into
+// columns (Platform.Columns) with the columns thrown away.
 func (p *Platform) Validate() error {
-	if !validBandwidth(p.Bandwidth) {
-		return errBandwidth(p.Name, p.Bandwidth)
-	}
-	if len(p.Nodes) == 0 {
-		return fmt.Errorf("platform %q: no nodes", p.Name)
-	}
-	// Names already seen are found through an open-addressed table of node
-	// indices (plus one; zero is a free slot) at most half full, probed
-	// from a hash of the name: a sixth of the bytes of a map[string]bool of
-	// the same names, and no easier to flood, the seed being drawn per call.
-	seed := maphash.MakeSeed()
-	seen := make([]uint32, 1<<bits.Len(uint(2*len(p.Nodes)-1)))
-	mask := uint64(len(seen) - 1)
-	for i, n := range p.Nodes {
-		if n.Name == "" {
-			return fmt.Errorf("platform %q: node %d has empty name", p.Name, i)
-		}
-		if !validPower(n.Power) {
-			return errPower(p.Name, n.Name, n.Power)
-		}
-		if !validLink(n.LinkBandwidth) {
-			return errLink(p.Name, n.Name, n.LinkBandwidth)
-		}
-		h := maphash.String(seed, n.Name) & mask
-		for seen[h] != 0 && p.Nodes[seen[h]-1].Name != n.Name {
-			h = (h + 1) & mask
-		}
-		if seen[h] != 0 {
-			return fmt.Errorf("platform %q: duplicate node name %q", p.Name, n.Name)
-		}
-		seen[h] = uint32(i + 1)
-	}
-	return nil
+	_, err := p.Columns()
+	return err
 }
 
 // digestDomain opens every platform digest, so that no other SHA-256 the

@@ -105,9 +105,13 @@ func (p *Planner) PlanContext(ctx context.Context, req core.Request) (*core.Plan
 // returned when no variant produced a plan, or when ctx fired before all
 // of them had finished.
 func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Plan, []Result, error) {
-	if err := req.Validate(); err != nil {
+	// The pool is resolved once for every variant, and expanded into nodes
+	// once for the baselines that read them.
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, nil, err
 	}
+	req.Platform = req.NodePlatform()
 	tr := obs.TraceFrom(ctx)
 	// Variants get a detached trace context: five planners' inner phases
 	// (sort_nodes, grow, ...) under the same names would say nothing about
@@ -128,8 +132,8 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 	for i, v := range table {
 		r := &results[i]
 		r.Variant = v.name
-		if v.maxNodes > 0 && len(req.Platform.Nodes) > v.maxNodes {
-			r.Skipped = fmt.Sprintf("pool of %d exceeds variant limit %d", len(req.Platform.Nodes), v.maxNodes)
+		if n := req.Columns.Len(); v.maxNodes > 0 && n > v.maxNodes {
+			r.Skipped = fmt.Sprintf("pool of %d exceeds variant limit %d", n, v.maxNodes)
 			continue
 		}
 		var plan *core.Plan

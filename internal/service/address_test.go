@@ -88,7 +88,7 @@ func TestRegistryDigest(t *testing.T) {
 	digestOf := func(r *Registry) [32]byte {
 		t.Helper()
 		p, d, ok := r.Resident("p")
-		if !ok || len(p.Nodes) != len(plat.Nodes) {
+		if !ok || p.Len() != len(plat.Nodes) {
 			t.Fatalf("platform not resident (ok=%v)", ok)
 		}
 		return d

@@ -92,25 +92,22 @@ type CachedPlan struct {
 var errRenderPlan = errors.New("service: render plan")
 
 // Render clones plan and precomputes its XML, its hierarchy stats and the
-// pool figures of the request it was planned for — read off the columns
-// when the pool came in columnar form — producing the immutable entry the
-// cache stores. The clone isolates the cache from any later mutation of the
-// caller's plan.
+// pool figures of the request it was planned for, read off its columns
+// (core.Request.Resolve: O(1) on the daemon's requests, which carry them),
+// producing the immutable entry the cache stores. The clone isolates the
+// cache from any later mutation of the caller's plan.
 func Render(plan *core.Plan, req core.Request) (*CachedPlan, error) {
 	xml, err := plan.XML()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errRenderPlan, err)
 	}
+	if req, err = req.Resolve(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errRenderPlan, err)
+	}
 	cp := *plan
 	cp.Hierarchy = plan.Hierarchy.Clone()
-	entry := &CachedPlan{Plan: &cp, XML: xml, Stats: plan.Hierarchy.ComputeStats()}
-	if c := req.Columns; c != nil {
-		entry.PoolNodes = c.Len()
-		entry.MinLinkBandwidth, entry.MaxLinkBandwidth = c.LinkRange()
-	} else {
-		entry.PoolNodes = len(req.Platform.Nodes)
-		entry.MinLinkBandwidth, entry.MaxLinkBandwidth = req.Platform.LinkRange()
-	}
+	entry := &CachedPlan{Plan: &cp, XML: xml, Stats: plan.Hierarchy.ComputeStats(), PoolNodes: req.Columns.Len()}
+	entry.MinLinkBandwidth, entry.MaxLinkBandwidth = req.Columns.LinkRange()
 	return entry, nil
 }
 

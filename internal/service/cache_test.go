@@ -102,9 +102,9 @@ func TestKeyForSensitivity(t *testing.T) {
 	}
 }
 
-func mustRender(t *testing.T, plan *core.Plan, plat *platform.Platform) *CachedPlan {
+func mustRender(t *testing.T, plan *core.Plan, req core.Request) *CachedPlan {
 	t.Helper()
-	entry, err := Render(plan, core.Request{Platform: plat})
+	entry, err := Render(plan, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan, req.Platform))
+	cache.Put(key, mustRender(t, plan, req))
 
 	// An identical request re-hashes to the same key and hits.
 	key2, err := KeyFor("heuristic", testRequest(t, 2))
@@ -172,7 +172,7 @@ func TestCacheEntryIsolatedFromCallerPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan, req.Platform))
+	cache.Put(key, mustRender(t, plan, req))
 
 	agents := plan.Hierarchy.ComputeStats().Agents
 	// Vandalise the caller's copy.
@@ -207,7 +207,7 @@ func TestCacheMissOnChangedWapp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, mustRender(t, plan, req.Platform))
+	cache.Put(key, mustRender(t, plan, req))
 
 	changed := req
 	changed.Wapp = workload.DGEMM{N: 500}.MFlop()

@@ -50,10 +50,10 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 		if u.Platform == nil {
 			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
 		}
-		if err := u.Platform.Validate(); err != nil {
+		var err error
+		if entry, err = newRegEntry(u.Platform, u.Version); err != nil {
 			return false, err
 		}
-		entry = newRegEntry(u.Platform, u.Version)
 	}
 	r.persistMu.Lock()
 	defer r.persistMu.Unlock()

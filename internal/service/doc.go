@@ -9,8 +9,8 @@
 //
 //   - registry.go — Registry: named, versioned platform descriptions with
 //     optimistic concurrency (If-Match) and a write-through journal
-//     (LoadDir, PersistTo); each entry keeps its content digest, computed
-//     once when it is written
+//     (LoadDir, PersistTo); each entry keeps the platform as columns and
+//     its content digest, both built once when it is written
 //   - cache.go — PlanCache: content-addressed plan cache, one LRU
 //     (internal/lru) under one mutex, and the one key function (planKey)
 //   - pool.go, coalesce.go — Pool: counting semaphore bounding concurrent
@@ -43,9 +43,12 @@
 // address is known before any node is materialised, and the cache is
 // asked first: a hit is O(1) in the size of the pool, and only a miss
 // generates, validates and plans — once, inside the coalesced flight,
-// under a pool slot (Server.plan). A scenario is generated no further than
-// its planner reads: the heuristic plans from the spec's power and link
-// columns, every other planner from their expansion (planInput.request).
+// under a pool slot (Server.plan). Every planner is handed the pool as
+// platform.Columns, whatever its source (planInput.request): a scenario is
+// drawn as its power and link columns, an inline platform is converted
+// into columns — its one validation — and a registered platform's columns
+// were built, and validated, when it was written. A planner that reads
+// whole nodes expands them itself (core.Request.NodePlatform).
 //
 // Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
 // thin binary around it and examples/service is a client walkthrough.

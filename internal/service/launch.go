@@ -65,10 +65,8 @@ func (s *Server) planForLaunch(w http.ResponseWriter, r *http.Request, pr *PlanR
 		writeError(w, http.StatusInternalServerError, "materialise platform: %v", err)
 		return nil, false
 	}
-	if req.Columns != nil {
-		// What is launched runs on whole nodes, whatever the planner read.
-		req.Platform, req.Columns = req.Columns.Platform(), nil
-	}
+	// What is launched runs on whole nodes, whatever the planner read.
+	req.Platform = req.NodePlatform()
 	h, err := hierarchy.ParseXML(strings.NewReader(resp.XML))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reparse plan XML: %v", err)

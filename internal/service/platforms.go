@@ -81,8 +81,7 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body is read into a reused buffer: what DecodeJSON keeps of it
 	// is copied out. It is decoded, not validated — the registry validates
-	// what it adopts — and nothing here modifies the decoded platform, so
-	// the registry stores it without a copy.
+	// what it stores, by converting it into columns.
 	body := bodyBuffers.Get().(*bytes.Buffer)
 	defer bodyBuffers.Put(body)
 	body.Reset()
@@ -95,7 +94,7 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	version, err := s.registry.adoptIfMatch(name, p, expect)
+	version, err := s.registry.PutIfMatch(name, p, expect)
 	if err != nil {
 		writeRegistryError(w, err)
 		return

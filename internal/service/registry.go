@@ -24,27 +24,34 @@ var ErrVersionMismatch = errors.New("service: platform version mismatch")
 // exist, at any version.
 const MatchAny = ^uint64(0)
 
-// regEntry is one stored platform: the registry's private, never-mutated
-// copy (a write replaces the entry), its monotonic version, and its content
-// digest, computed once when the entry was written.
+// regEntry is one stored platform: its columns, the registry's private,
+// never-mutated form of it (a write replaces the entry), its monotonic
+// version, and its content digest, computed once when the entry was written.
 type regEntry struct {
-	p       *platform.Platform
+	cols    *platform.Columns
 	version uint64
 	digest  [sha256.Size]byte
 }
 
-// newRegEntry clones p — already validated by the caller — into an entry.
-func newRegEntry(p *platform.Platform, version uint64) *regEntry {
-	return &regEntry{p: p.Clone(), version: version, digest: p.Digest()}
+// newRegEntry is the registry's one write path into an entry: it converts
+// p into columns — the platform's one validation, whichever way it arrived
+// (PUT, ApplyRemote, LoadDir) — and digests it. The columns share nothing
+// mutable with p, so the caller keeps p.
+func newRegEntry(p *platform.Platform, version uint64) (*regEntry, error) {
+	cols, err := p.Columns()
+	if err != nil {
+		return nil, err
+	}
+	return &regEntry{cols: cols, version: version, digest: p.Digest()}, nil
 }
 
 // Registry is a concurrency-safe store of named, versioned platform
 // descriptions. Plan requests may reference a registered platform by name
 // instead of inlining the full node list, so clients describe their pool
 // once and plan against it many times: everything O(nodes) about a
-// platform — validation, the private copy, the content digest plans are
-// addressed by — is paid when it is written, and a plan request reads the
-// result (Resident).
+// platform — validation, the columns the planners read, the content digest
+// plans are addressed by — is paid when it is written, and a plan request
+// reads the result (Resident).
 //
 // Every entry carries a monotonic version: each Put bumps it, each Delete
 // records a tombstone version, and conditional writes (PutIfMatch /
@@ -113,7 +120,7 @@ func validName(name string) error {
 
 // Put validates p and stores it under name, replacing any previous entry
 // and bumping its version (unconditional last-write-wins; use PutIfMatch
-// to reject stale writers). The registry keeps its own clone so later
+// to reject stale writers). The registry keeps its own columns, so later
 // caller mutations cannot leak in.
 func (r *Registry) Put(name string, p *platform.Platform) error {
 	_, err := r.PutIfMatch(name, p, nil)
@@ -126,28 +133,20 @@ func (r *Registry) Put(name string, p *platform.Platform) error {
 // meaning "must not exist yet". A stale expectation returns
 // ErrVersionMismatch — the caller's read-modify-write lost a race and
 // must re-read, not overwrite. The new version is returned. The registry
-// stores a clone of p.
+// stores columns converted from p, never p itself.
 func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64) (uint64, error) {
-	if p != nil {
-		p = p.Clone()
-	}
-	return r.adoptIfMatch(name, p, expect)
-}
-
-// adoptIfMatch is PutIfMatch for a platform the caller hands over: stored
-// as it is, not cloned, so the caller must not modify it afterwards.
-func (r *Registry) adoptIfMatch(name string, p *platform.Platform, expect *uint64) (uint64, error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
 	if p == nil {
 		return 0, fmt.Errorf("service: nil platform %q", name)
 	}
-	if err := p.Validate(); err != nil {
+	// Converted and digested outside the writer lock; the version is known
+	// only under it.
+	entry, err := newRegEntry(p, 0)
+	if err != nil {
 		return 0, err
 	}
-	// Digest outside the writer lock; the version is known only under it.
-	entry := &regEntry{p: p, digest: p.Digest()}
 	// persistMu serialises every writer, so the version comparison below
 	// and the write that follows are one atomic step with respect to any
 	// concurrent PutIfMatch/DeleteIfMatch on the same name.
@@ -266,7 +265,7 @@ func (r *Registry) persistVersionsLocked() {
 	}
 }
 
-// Get returns a clone of the named platform, or false when absent.
+// Get returns a copy of the named platform, or false when absent.
 func (r *Registry) Get(name string) (*platform.Platform, bool) {
 	p, _, ok := r.GetVersion(name)
 	return p, ok
@@ -280,29 +279,29 @@ func (r *Registry) entry(name string) *regEntry {
 	return r.platforms[name]
 }
 
-// GetVersion returns a clone of the named platform plus its current
-// version (the ETag conditional writes compare against), or false when
-// absent.
+// GetVersion returns a copy of the named platform — the expansion of its
+// columns, field for field what was written — plus its current version
+// (the ETag conditional writes compare against), or false when absent.
 func (r *Registry) GetVersion(name string) (*platform.Platform, uint64, bool) {
 	e := r.entry(name)
 	if e == nil {
 		return nil, 0, false
 	}
-	return e.p.Clone(), e.version, true
+	return e.cols.Platform(), e.version, true
 }
 
-// Resident returns the registry's own copy of the named platform and its
-// content digest (platform.Platform.Digest, computed when the entry was
-// written), or false when absent. Nothing is copied, hashed or validated
-// here: the platform was validated on its way in and is never mutated — a
-// later write installs a new entry — so the caller may read it for as
-// long as it likes and must not write to it.
-func (r *Registry) Resident(name string) (*platform.Platform, [sha256.Size]byte, bool) {
+// Resident returns the registry's own columns of the named platform and
+// its content digest (platform.Platform.Digest, computed when the entry
+// was written), or false when absent. Nothing is copied, hashed or
+// validated here: the columns were built by the platform's one validation
+// and are never mutated — a later write installs a new entry — so the
+// caller may read them for as long as it likes and must not write to them.
+func (r *Registry) Resident(name string) (*platform.Columns, [sha256.Size]byte, bool) {
 	e := r.entry(name)
 	if e == nil {
 		return nil, [sha256.Size]byte{}, false
 	}
-	return e.p, e.digest, true
+	return e.cols, e.digest, true
 }
 
 // Delete removes the named platform (and its journal file, when
@@ -407,16 +406,14 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 		if err := validName(name); err != nil {
 			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
 		}
-		// LoadJSON validates what it parsed.
-		p, err := platform.LoadJSON(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
-		}
 		version := versions[name]
 		if version == 0 {
 			version = 1
 		}
-		entry := newRegEntry(p, version)
+		entry, err := loadEntry(filepath.Join(dir, e.Name()), version)
+		if err != nil {
+			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
+		}
 		r.persistMu.Lock()
 		r.mu.Lock()
 		r.platforms[name] = entry
@@ -429,6 +426,20 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// loadEntry reads one platform journal into an entry: decoded, then
+// validated by the write path's conversion.
+func loadEntry(path string, version uint64) (*regEntry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("platform: %w", err)
+	}
+	p, err := platform.DecodeJSON(data)
+	if err != nil {
+		return nil, err
+	}
+	return newRegEntry(p, version)
 }
 
 // loadVersions reads the version sidecar, tolerating its absence (dirs

@@ -94,49 +94,39 @@ type PlanRequest struct {
 
 // planInput is a resolved plan request: the planner, the model inputs and
 // the content address over everything that names the plan — but not
-// necessarily the platform, which a scenario request only builds on a
-// cache miss (request).
+// necessarily the pool, which a scenario request only builds on a cache
+// miss (request).
 type planInput struct {
 	planner core.Planner
 	key     CacheKey
-	// req holds the model inputs. Its Platform is the inline platform, the
-	// registry's resident (read-only) copy, or nil for a scenario.
+	// req holds the model inputs. Its Columns are the registry's resident
+	// (read-only) columns, or nil: for a scenario, and for an inline
+	// platform, which req.Platform holds unchecked.
 	req      core.Request
 	scenario *scenario.Spec
-	// unchecked marks req.Platform as an inline platform nothing has
-	// validated yet.
-	unchecked bool
 }
 
-// request returns the core.Request the planner sees, materialising what
-// resolve left out — and no more of it than this planner reads. A scenario
-// is drawn as columns (range-checked by Spec.Columns: the one validation a
-// generated pool gets) and handed to the heuristic as they are: it plans a
-// catalogue fleet from the two columns and names only the nodes it deploys.
-// Every other planner reads whole nodes, so for them the columns are
-// expanded here, once. An inline platform is validated; a registered one
-// was validated when it was written. Only a cache miss — and the two
-// handlers that launch what was planned (planForLaunch) — ever need it.
+// request returns the core.Request the planner sees, with the pool in
+// columns whatever its source — materialising what resolve left out, which
+// only a cache miss (and the two handlers that launch what was planned,
+// planForLaunch) ever needs. A scenario is drawn as columns (range-checked
+// by Spec.Columns: the one validation a generated pool gets); an inline
+// platform is converted into columns, which is its one validation, and
+// keeps its Platform; a registered platform's columns were built when it
+// was written.
 func (in *planInput) request(ctx context.Context) (core.Request, error) {
 	req := in.req
+	var err error
 	switch {
 	case in.scenario != nil:
 		defer obs.TraceFrom(ctx).Phase("generate")()
-		cols, err := in.scenario.Columns(ctx)
-		if err != nil {
+		if req.Columns, err = in.scenario.Columns(ctx); err != nil {
 			return req, fmt.Errorf("generate scenario: %w", err)
 		}
-		if _, columnar := in.planner.(*core.Heuristic); columnar {
-			req.Columns = cols
-		} else {
-			req.Platform = cols.Platform()
-		}
-	case in.unchecked:
-		if err := req.Platform.Validate(); err != nil {
-			return req, err
-		}
+	case req.Columns == nil:
+		req.Columns, err = req.Platform.Columns()
 	}
-	return req, nil
+	return req, err
 }
 
 // requestError marks a planning failure as a fault of the request — one
@@ -197,14 +187,14 @@ func (s *Server) resolve(pr *PlanRequest) (*planInput, error) {
 	var poolNodes int
 	switch {
 	case pr.Platform != nil:
-		in.req.Platform, in.unchecked = pr.Platform, true
+		in.req.Platform = pr.Platform
 		source, poolNodes = pr.Platform.Digest(), len(pr.Platform.Nodes)
 	case pr.PlatformName != "":
 		var ok bool
-		if in.req.Platform, source, ok = s.registry.Resident(pr.PlatformName); !ok {
+		if in.req.Columns, source, ok = s.registry.Resident(pr.PlatformName); !ok {
 			return nil, fmt.Errorf("platform %q not registered", pr.PlatformName)
 		}
-		poolNodes = len(in.req.Platform.Nodes)
+		poolNodes = in.req.Columns.Len()
 	case pr.Scenario != nil:
 		if pr.Scenario.N > maxScenarioNodes {
 			return nil, fmt.Errorf("generate scenario: n %d exceeds the limit of %d nodes", pr.Scenario.N, maxScenarioNodes)

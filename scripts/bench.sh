@@ -5,6 +5,8 @@
 # Naive twins planning through the retained full-recompute evaluator), the
 # BenchmarkHeuristicPlanClustered5k heterogeneous-links twin, the
 # BenchmarkHeuristicPlan{100k,1M} class-collapsed fleet-scale benchmarks,
+# BenchmarkHeuristicPlanChurn4000 (replan_churn's miss: a registered
+# 4 000-node pool ranked node by node from its columns),
 # the BenchmarkPortfolioPlan{1k,Mix} portfolio folds (one 1k pool; the
 # seven families at 25-400 nodes, mix_small's shape — recorded, not gated),
 # the BenchmarkServicePlanThroughput serving-layer benchmarks (hot/mixed
@@ -27,7 +29,11 @@
 #      the homogeneous 5k plan (within-run ratios: machine-independent);
 #   2. a million-node class-collapsed plan must stay under one second
 #      (absolute ceiling — the headline latency contract of the
-#      equivalence-class planner, set at ~2x its measured cost);
+#      equivalence-class planner, set at ~2x its measured cost), and the
+#      4 000-node replan_churn miss under 2.5 ms (~3x its measured
+#      median, 0.83-1.0 ms on a 2-vCPU sandbox; ranking it by copying and
+#      stably sorting node structs, as before the pool became column
+#      indices, cost 1.5-2.1 ms there);
 #   3. a cache hit on a 100k-node scenario must stay under 3 ms, a cold
 #      miss on one under 25 ms, content-addressing 100k inline nodes
 #      under 16 ms, and a 4 000-node platform PUT under 3 ms (absolute
@@ -49,7 +55,7 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$' \
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
@@ -60,6 +66,7 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ratio 2 \
   -max-ratio-pair BenchmarkHeuristicPlanClustered5k:BenchmarkHeuristicPlan5k \
   -require-max-ns BenchmarkHeuristicPlan1M:1000000000 \
+  -require-max-ns BenchmarkHeuristicPlanChurn4000:2500000 \
   -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
   -require-max-ns BenchmarkServicePlanScenarioCold100k:25000000 \
   -require-max-ns BenchmarkKeyFor100k:16000000 \
