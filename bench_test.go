@@ -50,7 +50,7 @@ func runExperiment(b *testing.B, id string) {
 	p := benchParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := run(p)
+		rep, err := run(b.Context(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkHeuristicPlan(b *testing.B) {
 	planner := core.NewHeuristic()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(req); err != nil {
+		if _, err := planner.PlanContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkHeuristicPlanLargePool(b *testing.B) {
 	planner := core.NewHeuristic()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(req); err != nil {
+		if _, err := planner.PlanContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func benchPlanner(b *testing.B, planner core.Planner, n int) {
 	req := scenarioRequest(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(req); err != nil {
+		if _, err := planner.PlanContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func BenchmarkHeuristicPlanClustered5k(b *testing.B) {
 	planner := core.NewHeuristic()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(req); err != nil {
+		if _, err := planner.PlanContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func benchClassPlanner(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := planner.Plan(req)
+		plan, err := planner.PlanContext(b.Context(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkHeuristicPlanChurn4000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Plan(req); err != nil {
+		if _, err := planner.PlanContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func BenchmarkPortfolioPlanMix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
-			if _, err := planner.Plan(req); err != nil {
+			if _, err := planner.PlanContext(b.Context(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -306,15 +306,15 @@ func BenchmarkPortfolioPlanMix(b *testing.B) {
 func BenchmarkAblationHeuristicVsGreedySwap(b *testing.B) {
 	req := planningRequest(b, 60, 200, 13)
 	faithful := core.NewHeuristic()
-	refined := &core.SwapRefiner{Inner: core.NewHeuristic()}
+	refined := &core.SwapRefiner{}
 	var gain float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fp, err := faithful.Plan(req)
+		fp, err := faithful.PlanContext(b.Context(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rp, err := refined.Plan(req)
+		rp, err := refined.PlanContext(b.Context(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func BenchmarkAblationPlannerComparison(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pl := range planners {
-			if _, err := pl.Plan(req); err != nil {
+			if _, err := pl.PlanContext(b.Context(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -347,7 +347,7 @@ func BenchmarkAblationPlannerComparison(b *testing.B) {
 // a mid-size hierarchy under saturated load.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	req := planningRequest(b, 60, 310, 19)
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(b.Context(), req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func BenchmarkPlatformPut4000(b *testing.B) {
 // 200-node deployment — the inner loop of every planner.
 func BenchmarkModelEvaluate(b *testing.B) {
 	req := planningRequest(b, 200, 310, 23)
-	plan, err := (&baseline.Star{}).Plan(req)
+	plan, err := (&baseline.Star{}).PlanContext(b.Context(), req)
 	if err != nil {
 		b.Fatal(err)
 	}

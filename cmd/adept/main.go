@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -109,11 +110,11 @@ func run() error {
 		Demand:   workload.Demand(*demand),
 	}
 
-	planner, err := selectPlanner(*plannerName)
+	planner, err := service.SelectPlanner(*plannerName)
 	if err != nil {
 		return err
 	}
-	plan, err := planner.Plan(req)
+	plan, err := planner.PlanContext(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -149,10 +150,4 @@ func run() error {
 		logger.Info("DOT rendering written", "path", *outDOT)
 	}
 	return nil
-}
-
-// selectPlanner delegates to the shared registry so the CLI and the
-// adeptd daemon accept the same planner names.
-func selectPlanner(name string) (core.Planner, error) {
-	return service.SelectPlanner(name)
 }

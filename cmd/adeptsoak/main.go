@@ -40,6 +40,7 @@ import (
 	"adept/internal/obs"
 	"adept/internal/platform"
 	"adept/internal/scenario"
+	"adept/internal/service"
 	"adept/internal/sim"
 	"adept/internal/slo"
 	"adept/internal/stats"
@@ -134,11 +135,12 @@ func run() error {
 		Costs:    model.DIETDefaults(),
 		Wapp:     workload.DGEMM{N: 310}.MFlop(),
 	}
-	planner, err := selectPlanner(*plannerName)
+	planner, err := service.SelectPlanner(*plannerName)
 	if err != nil {
-		return err
+		return fmt.Errorf("%v (have %v)", err, service.PlannerNames())
 	}
-	plan, err := planner.Plan(req)
+	ctx := context.Background()
+	plan, err := planner.PlanContext(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -246,7 +248,6 @@ func run() error {
 	virtual := func() time.Time { return base.Add(time.Duration(managed.Now() * float64(time.Second))) }
 	store.Sample(virtual())
 	eng.Evaluate(virtual())
-	ctx := context.Background()
 	consecutive := 0
 	for i := 0; i < cycles; i++ {
 		// Mirror Controller.Run's tolerance: an isolated cycle failure
@@ -365,17 +366,4 @@ func timeline(store *obs.Store, base time.Time) map[string][]TimePoint {
 		out[name] = tl
 	}
 	return out
-}
-
-// selectPlanner mirrors the daemon's planner names for the initial
-// deployment (the replan step inside the loop stays the portfolio).
-func selectPlanner(name string) (core.Planner, error) {
-	switch name {
-	case "", "heuristic":
-		return core.NewHeuristic(), nil
-	case "heuristic+swap":
-		return &core.SwapRefiner{Inner: core.NewHeuristic()}, nil
-	default:
-		return nil, fmt.Errorf("unknown planner %q (have heuristic, heuristic+swap)", name)
-	}
 }

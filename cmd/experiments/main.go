@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,6 +46,7 @@ func run() error {
 		params.Seed = *seed
 	}
 
+	ctx := context.Background()
 	ids := flag.Args()
 	if len(ids) == 0 {
 		ids = experiments.IDs()
@@ -55,7 +57,7 @@ func run() error {
 			return fmt.Errorf("unknown experiment %q (try -list)", id)
 		}
 		start := time.Now()
-		rep, err := runner(params)
+		rep, err := runner(ctx, params)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

@@ -24,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		bandwidth = 100.0 // Mbit/s
 		wapp      = 10.0  // MFlop per request
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	// Plan the initial deployment for the nominal platform.
-	plan, err := core.NewHeuristic().Plan(core.Request{
+	plan, err := core.NewHeuristic().PlanContext(ctx, core.Request{
 		Platform: plat, Costs: model.DIETDefaults(), Wapp: wapp,
 	})
 	if err != nil {
@@ -74,7 +75,7 @@ func main() {
 
 	fmt.Printf("running the MAPE-K loop: %g s windows, drift lands at t=%g s\n\n", window, driftAt)
 	for cycle := 1; cycle <= 20; cycle++ {
-		if err := ctrl.Step(context.Background()); err != nil {
+		if err := ctrl.Step(ctx); err != nil {
 			log.Fatal(err)
 		}
 		st := ctrl.Status()

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	plat := platform.Homogeneous("cluster", 45, 400, 100)
 	fmt.Printf("%s\n\n", plat)
 	fmt.Printf("%-12s  %-8s  %-8s  %-8s  %-7s  %s\n",
@@ -27,7 +29,7 @@ func main() {
 	for _, n := range []int{10, 50, 100, 200, 310, 500, 1000} {
 		app := workload.DGEMM{N: n}
 		req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: app.MFlop()}
-		plan, err := core.NewHeuristic().Plan(req)
+		plan, err := core.NewHeuristic().PlanContext(ctx, req)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func main() {
 	fmt.Println("\ndemand-capped planning for DGEMM 310x310:")
 	app := workload.DGEMM{N: 310}
 	base := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: app.MFlop()}
-	peak, err := core.NewHeuristic().Plan(base)
+	peak, err := core.NewHeuristic().PlanContext(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 		if frac == 1 {
 			req.Demand = workload.Unbounded
 		}
-		plan, err := core.NewHeuristic().Plan(req)
+		plan, err := core.NewHeuristic().PlanContext(ctx, req)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Start from a homogeneous 120-node cluster and launch background
 	// matrix-multiplication jobs on 60% of the nodes, leaving them 25%,
 	// 50% or 75% of their power — exactly the paper's heterogenisation.
@@ -47,7 +49,7 @@ func main() {
 	fmt.Printf("%-10s", "clients")
 	plans := make([]*core.Plan, len(planners))
 	for i, pl := range planners {
-		plan, err := pl.Plan(req)
+		plan, err := pl.PlanContext(ctx, req)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,11 +23,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	plat := platform.Homogeneous("live", 6, 400, 100)
 	app := workload.DGEMM{N: 96}
 	req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: app.MFlop()}
 
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func main() {
 	defer dep.Stop()
 
 	fmt.Println("launched on loopback TCP; driving 4 clients for 2s of real DGEMM work...")
-	stats, err := dep.System.RunClients(context.Background(), 4, 2*time.Second)
+	stats, err := dep.System.RunClients(ctx, 4, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

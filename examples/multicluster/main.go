@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"adept/internal/core"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The grid: cluster 0 is local (modest power, fast 100 Mb/s LAN);
 	// clusters 1 and 2 are remote compute beasts behind a 2 Mb/s uplink —
 	// the shape that makes link-blind planning catastrophic, because raw
@@ -47,7 +49,7 @@ func main() {
 	costs := model.DIETDefaults()
 	wapp := workload.DGEMM{N: 100}.MFlop()
 
-	aware, err := core.NewHeuristic().Plan(core.Request{Platform: grid, Costs: costs, Wapp: wapp})
+	aware, err := core.NewHeuristic().PlanContext(ctx, core.Request{Platform: grid, Costs: costs, Wapp: wapp})
 	if err != nil {
 		panic(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	for i := range blindPool.Nodes {
 		blindPool.Nodes[i].LinkBandwidth = 0
 	}
-	blind, err := core.NewHeuristic().Plan(core.Request{Platform: blindPool, Costs: costs, Wapp: wapp})
+	blind, err := core.NewHeuristic().PlanContext(ctx, core.Request{Platform: blindPool, Costs: costs, Wapp: wapp})
 	if err != nil {
 		panic(err)
 	}

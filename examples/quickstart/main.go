@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -39,7 +40,7 @@ func main() {
 		Wapp:     app.MFlop(),
 	}
 
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestEndToEndPlanXMLSimulate(t *testing.T) {
 		Costs:    model.DIETDefaults(),
 		Wapp:     workload.DGEMM{N: 310}.MFlop(),
 	}
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEndToEndPlanDeployRuntime(t *testing.T) {
 		Costs:    model.DIETDefaults(),
 		Wapp:     workload.DGEMM{N: 150}.MFlop(),
 	}
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPlannersAgreeOnOrdering(t *testing.T) {
 	}
 	req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
 
-	heur, err := core.NewHeuristic().Plan(req)
+	heur, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPlannersAgreeOnOrdering(t *testing.T) {
 		}
 		return res.Throughput
 	}
-	starPlan, err := (&baseline.Star{}).Plan(req)
+	starPlan, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 // against, or drive it with. One line of reason each; an entry that has
 // become reachable some other way is stale and fails the test.
 var oracles = map[string]string{
-	"adept/internal/baseline.Random":             "the sanity floor every real planner must beat, and a stress generator of valid deployments",
 	"adept/internal/blas.Dgemm":                  "the naive triple loop the blocked kernel is checked against",
 	"adept/internal/core.NewHeuristicNodeSpace":  "reference side of the class battery and the golden digests: the collapse never engages",
 	"adept/internal/core.NewHeuristicClassSpace": "subject side of the class battery: the collapse always engages",

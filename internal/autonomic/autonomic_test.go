@@ -36,7 +36,7 @@ func testPlatform(s1Power float64) *platform.Platform {
 
 func planFor(t *testing.T, p *platform.Platform) *core.Plan {
 	t.Helper()
-	plan, err := core.NewHeuristic().Plan(core.Request{
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{
 		Platform: p,
 		Costs:    model.DIETDefaults(),
 		Wapp:     testWapp,

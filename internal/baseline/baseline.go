@@ -7,10 +7,12 @@
 package baseline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"adept/internal/core"
 	"adept/internal/hierarchy"
@@ -21,10 +23,7 @@ import (
 // Star deploys the most powerful node as the lone agent and every other
 // pool node as a direct server child — the paper's first intuitive
 // comparison deployment.
-type Star struct {
-	// MaxServers optionally caps how many servers are attached (0 = all).
-	MaxServers int
-}
+type Star struct{}
 
 // Name implements core.Planner.
 func (*Star) Name() string { return "star" }
@@ -35,32 +34,42 @@ func (s *Star) PlanContext(ctx context.Context, req core.Request) (*core.Plan, e
 	if err := core.CheckContext(ctx, s.Name()); err != nil {
 		return nil, err
 	}
-	return s.Plan(req)
-}
-
-// Plan implements core.Planner.
-func (s *Star) Plan(req core.Request) (*core.Plan, error) {
 	req, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	plat := req.NodePlatform()
-	nodes := plat.SortByPowerDesc()
-	h := hierarchy.New(plat.Name + "-star")
-	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
+	cols := req.Columns
+	order := byPowerDesc(cols)
+	h := hierarchy.New(cols.Name + "-star")
+	root := cols.Node(int(order[0]))
+	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
 	if err != nil {
 		return nil, err
 	}
-	limit := len(nodes) - 1
-	if s.MaxServers > 0 && s.MaxServers < limit {
-		limit = s.MaxServers
-	}
-	for _, n := range nodes[1 : 1+limit] {
-		if _, err := h.AddServer(rootID, n.Name, n.Power, n.LinkBandwidth); err != nil {
+	for _, i := range order[1:] {
+		nd := cols.Node(int(i))
+		if _, err := h.AddServer(rootID, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 			return nil, err
 		}
 	}
 	return core.Finalize(s.Name(), req, h)
+}
+
+// byPowerDesc ranks the pool by decreasing power, ties broken by name, as a
+// permutation of column indices. Names are unique in a valid pool, so the
+// order is total and an unstable sort returns the one answer.
+func byPowerDesc(cols *platform.Columns) []int32 {
+	order := make([]int32, cols.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if o := cmp.Compare(cols.Powers[b], cols.Powers[a]); o != 0 {
+			return o
+		}
+		return cols.NameCmp(int(a), int(b))
+	})
+	return order
 }
 
 // Balanced deploys the two-level balanced hierarchy of §5.3: one top agent
@@ -84,18 +93,12 @@ func (b *Balanced) PlanContext(ctx context.Context, req core.Request) (*core.Pla
 	if err := core.CheckContext(ctx, b.Name()); err != nil {
 		return nil, err
 	}
-	return b.Plan(req)
-}
-
-// Plan implements core.Planner.
-func (b *Balanced) Plan(req core.Request) (*core.Plan, error) {
 	req, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	plat := req.NodePlatform()
-	nodes := plat.Nodes
-	n := len(nodes)
+	cols := req.Columns
+	n := cols.Len()
 	deg := b.Degree
 	if deg <= 0 {
 		deg = int(math.Round(math.Sqrt(float64(n))))
@@ -109,23 +112,26 @@ func (b *Balanced) Plan(req core.Request) (*core.Plan, error) {
 	}
 	if 1+deg+2*deg > n {
 		// Pool too small for two levels: degenerate to a star.
-		return (&Star{}).Plan(req)
+		return (&Star{}).PlanContext(ctx, req)
 	}
-	h := hierarchy.New(plat.Name + "-balanced")
-	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
+	h := hierarchy.New(cols.Name + "-balanced")
+	root := cols.Node(0)
+	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
 	if err != nil {
 		return nil, err
 	}
 	agentIDs := make([]int, deg)
-	for i := 0; i < deg; i++ {
-		id, err := h.AddAgent(rootID, nodes[1+i].Name, nodes[1+i].Power, nodes[1+i].LinkBandwidth)
+	for i := range agentIDs {
+		nd := cols.Node(1 + i)
+		id, err := h.AddAgent(rootID, nd.Name, nd.Power, nd.LinkBandwidth)
 		if err != nil {
 			return nil, err
 		}
 		agentIDs[i] = id
 	}
-	for i, nd := range nodes[1+deg:] {
-		parent := agentIDs[i%deg]
+	for i := 1 + deg; i < n; i++ {
+		nd := cols.Node(i)
+		parent := agentIDs[(i-1-deg)%deg]
 		if _, err := h.AddServer(parent, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 			return nil, err
 		}
@@ -162,13 +168,6 @@ type OptimalDAry struct{}
 // Name implements core.Planner.
 func (*OptimalDAry) Name() string { return "optimal-dary" }
 
-// Plan implements core.Planner.
-//
-//adeptvet:allow ctxflow context-free convenience wrapper; callers that want cancellation use PlanContext
-func (o *OptimalDAry) Plan(req core.Request) (*core.Plan, error) {
-	return o.PlanContext(context.Background(), req)
-}
-
 // PlanContext implements core.Planner; the context is polled once per
 // candidate degree, bounding cancellation latency to one (degree, levels)
 // sweep.
@@ -177,19 +176,20 @@ func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.
 	if err != nil {
 		return nil, err
 	}
-	plat := req.NodePlatform()
-	c, bw, wapp := req.Costs, plat.Bandwidth, req.Wapp
-	if !plat.HasUniformLinks() {
-		// Conservative fallback: score candidates as if every link ran at
-		// the pool's slowest bandwidth (see the type comment).
-		bw, _ = plat.LinkRange()
-	}
-	nodes := plat.SortByPowerDesc()
-	n := len(nodes)
+	cols := req.Columns
+	// Candidates are scored at the pool's slowest link: on uniform links
+	// that is B itself, otherwise it is the conservative fallback of the
+	// type comment.
+	bw, _ := cols.LinkRange()
+	c, wapp := req.Costs, req.Wapp
+	order := byPowerDesc(cols)
+	n := len(order)
+	// power(k) is the power of the k-th most powerful node.
+	power := func(k int) float64 { return cols.Powers[order[k]] }
 
 	prefix := make([]float64, n+1)
-	for i, nd := range nodes {
-		prefix[i+1] = prefix[i] + nd.Power
+	for k := range n {
+		prefix[k+1] = prefix[k] + power(k)
 	}
 	// numTable[k] is the Eq. 10 numerator 1 + k·Wpre/Wapp accumulated
 	// sequentially, matching model.ServerCompTime's summation.
@@ -200,30 +200,30 @@ func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.
 	}
 	srxstx := model.ServerReceiveTime(c, bw) + model.ServerSendTime(c, bw)
 
-	// evalCand scores one candidate without building it: agents are
-	// nodes[0:agents) (upper levels all degree d, bottom level round-robin
-	// ceil/floor), servers are nodes[agents:agents+servers).
+	// evalCand scores one candidate without building it: agents are the
+	// ranks [0, agents) (upper levels all degree d, bottom level round-robin
+	// ceil/floor), servers are the ranks [agents, agents+servers).
 	evalCand := func(d, levels, agents, bottom, servers int) float64 {
 		sched := math.Inf(1)
 		if upper := agents - bottom; upper > 0 {
-			if t := model.AgentThroughput(c, bw, nodes[upper-1].Power, d); t < sched {
+			if t := model.AgentThroughput(c, bw, power(upper-1), d); t < sched {
 				sched = t
 			}
 		}
 		ceilCnt := servers % bottom
 		floorDeg := servers / bottom
 		if ceilCnt > 0 {
-			if t := model.AgentThroughput(c, bw, nodes[agents-bottom+ceilCnt-1].Power, floorDeg+1); t < sched {
+			if t := model.AgentThroughput(c, bw, power(agents-bottom+ceilCnt-1), floorDeg+1); t < sched {
 				sched = t
 			}
 		}
 		if floorDeg > 0 {
-			if t := model.AgentThroughput(c, bw, nodes[agents-1].Power, floorDeg); t < sched {
+			if t := model.AgentThroughput(c, bw, power(agents-1), floorDeg); t < sched {
 				sched = t
 			}
 		}
 		// Weakest server carries the prediction minimum (monotone in power).
-		if t := model.ServerPredictionThroughput(c, bw, nodes[agents+servers-1].Power); t < sched {
+		if t := model.ServerPredictionThroughput(c, bw, power(agents+servers-1)); t < sched {
 			sched = t
 		}
 		den := (prefix[agents+servers] - prefix[agents]) / wapp
@@ -272,7 +272,7 @@ func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.
 	if bestD == 0 {
 		return nil, fmt.Errorf("baseline: optimal-dary found no feasible deployment for %d nodes", n)
 	}
-	h, err := buildDAry(plat.Name, nodes, bestD, bestLevels, bestServers)
+	h, err := buildDAry(cols, order, bestD, bestLevels, bestServers)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: optimal-dary rebuild: %w", err)
 	}
@@ -305,11 +305,11 @@ func bottomAgents(d, levels int) int {
 }
 
 // buildDAry constructs the complete d-ary agent tree with `levels` agent
-// levels and `servers` servers spread round-robin under the bottom agents.
-func buildDAry(name string, nodes []platform.Node, d, levels, servers int) (*hierarchy.Hierarchy, error) {
-	h := hierarchy.New(fmt.Sprintf("%s-dary-d%d-l%d", name, d, levels))
-	idx := 0
-	take := func() platform.Node { n := nodes[idx]; idx++; return n }
+// levels and `servers` servers spread round-robin under the bottom agents,
+// taking the pool's nodes in the given order.
+func buildDAry(cols *platform.Columns, order []int32, d, levels, servers int) (*hierarchy.Hierarchy, error) {
+	h := hierarchy.New(fmt.Sprintf("%s-dary-d%d-l%d", cols.Name, d, levels))
+	take := func() platform.Node { n := cols.Node(int(order[0])); order = order[1:]; return n }
 
 	rootNode := take()
 	rootID, err := h.AddRoot(rootNode.Name, rootNode.Power, rootNode.LinkBandwidth)
@@ -344,9 +344,8 @@ func buildDAry(name string, nodes []platform.Node, d, levels, servers int) (*hie
 // Random builds a valid random deployment; property tests use it as a
 // stress generator and as a sanity floor the real planners must beat.
 type Random struct {
+	// Seed selects the shuffle and every later draw.
 	Seed int64
-	// MaxNodes optionally bounds the deployment size (0 = use whole pool).
-	MaxNodes int
 }
 
 // Name implements core.Planner.
@@ -358,25 +357,22 @@ func (r *Random) PlanContext(ctx context.Context, req core.Request) (*core.Plan,
 	if err := core.CheckContext(ctx, r.Name()); err != nil {
 		return nil, err
 	}
-	return r.Plan(req)
-}
-
-// Plan implements core.Planner.
-func (r *Random) Plan(req core.Request) (*core.Plan, error) {
 	req, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	plat := req.NodePlatform()
+	cols := req.Columns
 	rng := rand.New(rand.NewSource(r.Seed))
-	nodes := append([]platform.Node(nil), plat.Nodes...)
-	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
-	n := len(nodes)
-	if r.MaxNodes > 1 && r.MaxNodes < n {
-		n = r.MaxNodes
+	n := cols.Len()
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	h := hierarchy.New(plat.Name + "-random")
-	rootID, err := h.AddRoot(nodes[0].Name, nodes[0].Power, nodes[0].LinkBandwidth)
+	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	node := func(k int) platform.Node { return cols.Node(order[k]) }
+	h := hierarchy.New(cols.Name + "-random")
+	root := node(0)
+	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
 	if err != nil {
 		return nil, err
 	}
@@ -387,14 +383,15 @@ func (r *Random) Plan(req core.Request) (*core.Plan, error) {
 		// Promote to a new agent level occasionally, but only when enough
 		// nodes remain to give the new agent two server children.
 		if n-idx >= 3 && rng.Float64() < 0.2 {
-			nd := nodes[idx]
+			nd := node(idx)
 			idx++
 			id, err := h.AddAgent(parent, nd.Name, nd.Power, nd.LinkBandwidth)
 			if err != nil {
 				return nil, err
 			}
 			for k := 0; k < 2 && idx < n; k++ {
-				if _, err := h.AddServer(id, nodes[idx].Name, nodes[idx].Power, nodes[idx].LinkBandwidth); err != nil {
+				nd := node(idx)
+				if _, err := h.AddServer(id, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 					return nil, err
 				}
 				idx++
@@ -402,7 +399,8 @@ func (r *Random) Plan(req core.Request) (*core.Plan, error) {
 			agents = append(agents, id)
 			continue
 		}
-		if _, err := h.AddServer(parent, nodes[idx].Name, nodes[idx].Power, nodes[idx].LinkBandwidth); err != nil {
+		nd := node(idx)
+		if _, err := h.AddServer(parent, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
 			return nil, err
 		}
 		idx++

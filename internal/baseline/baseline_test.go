@@ -32,7 +32,7 @@ func heteroRequest(n, dgemmN int, seed int64) core.Request {
 
 func TestStarUsesWholePoolWithStrongestRoot(t *testing.T) {
 	req := heteroRequest(20, 200, 1)
-	plan, err := (&baseline.Star{}).Plan(req)
+	plan, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +48,31 @@ func TestStarUsesWholePoolWithStrongestRoot(t *testing.T) {
 	}
 }
 
-func TestStarMaxServers(t *testing.T) {
-	req := request(20, 400, 200)
-	plan, err := (&baseline.Star{MaxServers: 5}).Plan(req)
+// TestStarRanksByPowerThenName: the star deploys its nodes in decreasing
+// power, equal powers in name order — whatever order the pool lists them in.
+func TestStarRanksByPowerThenName(t *testing.T) {
+	req := core.Request{
+		Platform: &platform.Platform{Name: "s", Bandwidth: 1, Nodes: []platform.Node{
+			{Name: "b", Power: 10}, {Name: "c", Power: 30}, {Name: "a", Power: 30}, {Name: "d", Power: 20},
+		}},
+		Costs: model.DIETDefaults(),
+		Wapp:  workload.DGEMM{N: 200}.MFlop(),
+	}
+	plan, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := plan.Hierarchy.ComputeStats(); s.Servers != 5 {
-		t.Errorf("%d servers, want 5", s.Servers)
+	want := []string{"a", "c", "d", "b"}
+	for id, name := range want {
+		if got := plan.Hierarchy.MustNode(id).Name; got != name {
+			t.Errorf("node %d of the star is %s, want %s", id, got, name)
+		}
 	}
 }
 
 func TestBalancedTwoLevels(t *testing.T) {
 	req := request(200, 400, 310)
-	plan, err := (&baseline.Balanced{Degree: 14}).Plan(req)
+	plan, err := (&baseline.Balanced{Degree: 14}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +93,7 @@ func TestBalancedTwoLevels(t *testing.T) {
 
 func TestBalancedDegeneratesToStarOnTinyPools(t *testing.T) {
 	req := request(3, 400, 200)
-	plan, err := (&baseline.Balanced{Degree: 14}).Plan(req)
+	plan, err := (&baseline.Balanced{Degree: 14}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestBalancedDegeneratesToStarOnTinyPools(t *testing.T) {
 
 func TestBalancedDefaultDegree(t *testing.T) {
 	req := request(100, 400, 310)
-	plan, err := (&baseline.Balanced{}).Plan(req)
+	plan, err := (&baseline.Balanced{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +116,15 @@ func TestBalancedDefaultDegree(t *testing.T) {
 func TestOptimalDAryBeatsOrMatchesStarAndBalanced(t *testing.T) {
 	for _, dgemmN := range []int{10, 100, 310, 1000} {
 		req := request(30, 400, dgemmN)
-		dary, err := (&baseline.OptimalDAry{}).Plan(req)
+		dary, err := (&baseline.OptimalDAry{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: %v", dgemmN, err)
 		}
-		star, err := (&baseline.Star{}).Plan(req)
+		star, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal, err := (&baseline.Balanced{}).Plan(req)
+		bal, err := (&baseline.Balanced{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +137,7 @@ func TestOptimalDAryBeatsOrMatchesStarAndBalanced(t *testing.T) {
 
 func TestOptimalDAryAgentLimitedPicksOneServer(t *testing.T) {
 	req := request(21, 400, 10)
-	plan, err := (&baseline.OptimalDAry{}).Plan(req)
+	plan, err := (&baseline.OptimalDAry{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +148,14 @@ func TestOptimalDAryAgentLimitedPicksOneServer(t *testing.T) {
 
 func TestExhaustiveRespectsSizeLimit(t *testing.T) {
 	req := request(baseline.MaxExhaustiveNodes+1, 400, 100)
-	if _, err := (&baseline.Exhaustive{}).Plan(req); err == nil {
+	if _, err := (&baseline.Exhaustive{}).PlanContext(t.Context(), req); err == nil {
 		t.Error("oversized pool accepted")
 	}
 }
 
 func TestExhaustiveBeatsEveryPlannerOnSmallPools(t *testing.T) {
 	req := heteroRequest(6, 150, 3)
-	opt, err := (&baseline.Exhaustive{}).Plan(req)
+	opt, err := (&baseline.Exhaustive{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +167,7 @@ func TestExhaustiveBeatsEveryPlannerOnSmallPools(t *testing.T) {
 		core.NewHeuristic(),
 	}
 	for _, pl := range others {
-		plan, err := pl.Plan(req)
+		plan, err := pl.PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -169,7 +180,7 @@ func TestExhaustiveBeatsEveryPlannerOnSmallPools(t *testing.T) {
 func TestRandomPlansAreValid(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		req := heteroRequest(25, 310, seed)
-		plan, err := (&baseline.Random{Seed: seed}).Plan(req)
+		plan, err := (&baseline.Random{Seed: seed}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -196,7 +207,7 @@ func TestPropertyPlannersProduceValidPlans(t *testing.T) {
 		dgemmN := 10 + int(dgemmSeed)*4
 		req := heteroRequest(n, dgemmN, seed)
 		for _, pl := range planners {
-			plan, err := pl.Plan(req)
+			plan, err := pl.PlanContext(t.Context(), req)
 			if err != nil {
 				return false
 			}

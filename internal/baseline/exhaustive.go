@@ -34,13 +34,6 @@ type Exhaustive struct{}
 // Name implements core.Planner.
 func (*Exhaustive) Name() string { return "exhaustive" }
 
-// Plan implements core.Planner.
-//
-//adeptvet:allow ctxflow context-free convenience wrapper; callers that want cancellation use PlanContext
-func (e *Exhaustive) Plan(req core.Request) (*core.Plan, error) {
-	return e.PlanContext(context.Background(), req)
-}
-
 // ctxPollInterval is how many candidate parent vectors the exhaustive
 // search evaluates between context polls: frequent enough to cancel a
 // Θ(n·nⁿ) enumeration promptly, rare enough to keep the poll off the
@@ -53,6 +46,7 @@ type exhaustiveScratch struct {
 	childCnt []int // maintained incrementally by the recursion
 	stack    []int
 	seen     []bool
+	links    []float64 // each node's effective link bandwidth
 }
 
 // PlanContext implements core.Planner; the enumeration aborts within
@@ -66,13 +60,18 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 	if n > MaxExhaustiveNodes {
 		return nil, fmt.Errorf("baseline: exhaustive search limited to %d nodes, got %d", MaxExhaustiveNodes, n)
 	}
-	plat := req.NodePlatform()
-
 	sc := &exhaustiveScratch{
 		parent:   make([]int, n),
 		childCnt: make([]int, n),
 		stack:    make([]int, 0, n),
 		seen:     make([]bool, n),
+		links:    make([]float64, n),
+	}
+	for i := range sc.links {
+		// A zero override is the platform default, as in platform.Node.Link.
+		if _, sc.links[i] = req.Columns.Spec(i); sc.links[i] <= 0 {
+			sc.links[i] = req.Columns.Bandwidth
+		}
 	}
 	bestCapped := -1.0
 	bestUsed := 0
@@ -86,7 +85,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 			sincePoll = 0
 			ctxErr = core.CheckContext(ctx, e.Name())
 		}
-		rho, used, ok := evalParentVector(req, plat, sc)
+		rho, used, ok := evalParentVector(req, sc)
 		if !ok {
 			return
 		}
@@ -134,7 +133,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 		return nil, fmt.Errorf("baseline: exhaustive search found no valid deployment")
 	}
 
-	h := buildFromParentVector(plat, bestVec)
+	h := buildFromParentVector(req.Columns, bestVec)
 	if h == nil {
 		return nil, fmt.Errorf("baseline: internal error rebuilding best deployment")
 	}
@@ -147,7 +146,7 @@ func (e *Exhaustive) PlanContext(ctx context.Context, req core.Request) (*core.P
 // evalParentVector validates and evaluates the deployment encoded by the
 // scratch's parent vector without materialising a hierarchy or allocating.
 // ok is false when the vector does not encode a valid deployment.
-func evalParentVector(req core.Request, plat *platform.Platform, sc *exhaustiveScratch) (rho float64, used int, ok bool) {
+func evalParentVector(req core.Request, sc *exhaustiveScratch) (rho float64, used int, ok bool) {
 	parent, childCnt := sc.parent, sc.childCnt
 	rootIdx := -1
 	for i, p := range parent {
@@ -208,8 +207,7 @@ func evalParentVector(req core.Request, plat *platform.Platform, sc *exhaustiveS
 	// as model.ServerCompTime would over the server power slice); the
 	// service transfer is charged at the slowest server link, matching
 	// model.ServiceThroughputLinks.
-	c, bw, wapp := req.Costs, plat.Bandwidth, req.Wapp
-	nodes := plat.Nodes
+	c, wapp := req.Costs, req.Wapp
 	sched := math.Inf(1)
 	num, den := 1.0, 0.0
 	minBW := math.Inf(1)
@@ -218,8 +216,7 @@ func evalParentVector(req core.Request, plat *platform.Platform, sc *exhaustiveS
 		if p == parentUnused {
 			continue
 		}
-		w := nodes[i].Power
-		nbw := nodes[i].Link(bw)
+		w, nbw := req.Columns.Powers[i], sc.links[i]
 		if childCnt[i] > 0 {
 			if t := model.AgentThroughput(c, nbw, w, childCnt[i]); t < sched {
 				sched = t
@@ -245,7 +242,7 @@ func evalParentVector(req core.Request, plat *platform.Platform, sc *exhaustiveS
 
 // buildFromParentVector materialises the hierarchy encoded by a (validated)
 // parent vector.
-func buildFromParentVector(plat *platform.Platform, parent []int) *hierarchy.Hierarchy {
+func buildFromParentVector(cols *platform.Columns, parent []int) *hierarchy.Hierarchy {
 	n := len(parent)
 	children := make([][]int, n)
 	rootIdx := -1
@@ -258,9 +255,9 @@ func buildFromParentVector(plat *platform.Platform, parent []int) *hierarchy.Hie
 			children[p] = append(children[p], i)
 		}
 	}
-	nodes := plat.Nodes
-	h := hierarchy.New(plat.Name + "-exhaustive")
-	rootID, err := h.AddRoot(nodes[rootIdx].Name, nodes[rootIdx].Power, nodes[rootIdx].LinkBandwidth)
+	h := hierarchy.New(cols.Name + "-exhaustive")
+	root := cols.Node(rootIdx)
+	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
 	if err != nil {
 		return nil
 	}
@@ -269,10 +266,11 @@ func buildFromParentVector(plat *platform.Platform, parent []int) *hierarchy.Hie
 		for _, c := range children[idx] {
 			var cid int
 			var err error
+			nd := cols.Node(c)
 			if len(children[c]) > 0 {
-				cid, err = h.AddAgent(id, nodes[c].Name, nodes[c].Power, nodes[c].LinkBandwidth)
+				cid, err = h.AddAgent(id, nd.Name, nd.Power, nd.LinkBandwidth)
 			} else {
-				cid, err = h.AddServer(id, nodes[c].Name, nodes[c].Power, nodes[c].LinkBandwidth)
+				cid, err = h.AddServer(id, nd.Name, nd.Power, nd.LinkBandwidth)
 			}
 			if err != nil {
 				return false

@@ -58,18 +58,18 @@ func gapPlatforms(t *testing.T) []*platform.Platform {
 // platform. On failure the offending platform is dumped as JSON so the
 // case can be replayed exactly.
 func TestHeuristicOptimalityGap(t *testing.T) {
-	refined := &core.SwapRefiner{Inner: core.NewHeuristic()}
+	refined := &core.SwapRefiner{}
 	exhaustive := &baseline.Exhaustive{}
 	wapps := []float64{workload.DGEMM{N: 10}.MFlop(), workload.DGEMM{N: 100}.MFlop(), workload.DGEMM{N: 310}.MFlop()}
 	worst := 1.0
 	for _, plat := range gapPlatforms(t) {
 		for _, wapp := range wapps {
 			req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: wapp}
-			opt, err := exhaustive.Plan(req)
+			opt, err := exhaustive.PlanContext(t.Context(), req)
 			if err != nil {
 				t.Fatalf("%s: exhaustive: %v", plat.Name, err)
 			}
-			got, err := refined.Plan(req)
+			got, err := refined.PlanContext(t.Context(), req)
 			if err != nil {
 				t.Fatalf("%s: refined heuristic: %v", plat.Name, err)
 			}
@@ -96,12 +96,12 @@ func TestExhaustiveIsAnUpperBound(t *testing.T) {
 	wapp := workload.DGEMM{N: 100}.MFlop()
 	for _, plat := range gapPlatforms(t)[:20] {
 		req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: wapp}
-		opt, err := exhaustive.Plan(req)
+		opt, err := exhaustive.PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range []core.Planner{&baseline.Star{}, &baseline.Balanced{}, &baseline.OptimalDAry{}} {
-			bp, err := pl.Plan(req)
+			bp, err := pl.PlanContext(t.Context(), req)
 			if err != nil {
 				t.Fatalf("%s: %v", pl.Name(), err)
 			}

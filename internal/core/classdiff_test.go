@@ -45,11 +45,11 @@ func mustXML(t *testing.T, p *core.Plan) string {
 // byte-identical, throughput bits and XML.
 func classVsNode(t *testing.T, req core.Request, label string) {
 	t.Helper()
-	np, err := core.NewHeuristicNodeSpace().Plan(req)
+	np, err := core.NewHeuristicNodeSpace().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: node-space: %v", label, err)
 	}
-	cp, err := core.NewHeuristicClassSpace().Plan(req)
+	cp, err := core.NewHeuristicClassSpace().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: class-space: %v", label, err)
 	}
@@ -140,7 +140,7 @@ func TestClassAutoThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewHeuristic().Plan(core.Request{Platform: bigQuant, Costs: costs, Wapp: wapp})
+	p, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: bigQuant, Costs: costs, Wapp: wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestClassAutoThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err = core.NewHeuristic().Plan(core.Request{Platform: bigDistinct, Costs: costs, Wapp: wapp})
+	p, err = core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: bigDistinct, Costs: costs, Wapp: wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestClassAutoThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err = core.NewHeuristic().Plan(core.Request{Platform: smallQuant, Costs: costs, Wapp: wapp})
+	p, err = core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: smallQuant, Costs: costs, Wapp: wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,14 @@ func TestClassSortKeyCollisionPlansInClassSpace(t *testing.T) {
 	fleet := collidingFleet(t)
 	req := core.Request{Platform: fleet, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 1000}.MFlop()}
 	classVsNode(t, req, "collide/fleet")
-	ap, err := core.NewHeuristic().Plan(req)
+	ap, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ap.ClassPlanned {
 		t.Error("auto mode left class space on a colliding fleet")
 	}
-	np, err := core.NewHeuristicNodeSpace().Plan(req)
+	np, err := core.NewHeuristicNodeSpace().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func planFixed(t *testing.T, p core.Planner, req core.Request, procs int) string
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
-	plan, err := p.Plan(req)
+	plan, err := p.PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
@@ -342,7 +342,7 @@ func TestConcurrentPlanContextStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 1000}.MFlop()}
-		refPlan, err := core.NewHeuristic().Plan(req)
+		refPlan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestConcurrentPlanContextStress(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					plan, err := core.NewHeuristic().Plan(req)
+					plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 					if err != nil {
 						errs <- err
 						return

@@ -40,11 +40,11 @@ func columnsVsPlatform(t *testing.T, spec scenario.Spec, dgemm int, demands ...w
 		req := core.Request{Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: dgemm}.MFlop(), Demand: demand}
 		onColumns, onNodes := req, req
 		onColumns.Columns, onNodes.Platform = cols, plat
-		cp, err := core.NewHeuristic().Plan(onColumns)
+		cp, err := core.NewHeuristic().PlanContext(t.Context(), onColumns)
 		if err != nil {
 			t.Fatalf("%s/demand%g: columns: %v", label, float64(demand), err)
 		}
-		np, err := core.NewHeuristic().Plan(onNodes)
+		np, err := core.NewHeuristic().PlanContext(t.Context(), onNodes)
 		if err != nil {
 			t.Fatalf("%s/demand%g: platform: %v", label, float64(demand), err)
 		}
@@ -128,12 +128,12 @@ func TestColumnsModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := core.Request{Columns: cols, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 1000}.MFlop()}
-	ref, err := core.NewHeuristic().Plan(core.Request{Platform: cols.Platform(), Costs: req.Costs, Wapp: req.Wapp})
+	ref, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: cols.Platform(), Costs: req.Costs, Wapp: req.Wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range goldenModes {
-		got, err := m.planner().Plan(req)
+		got, err := m.planner().PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -145,12 +145,12 @@ func TestColumnsModesAgree(t *testing.T) {
 		}
 	}
 	// The swap refiner's move scans read the columns too.
-	swap := &core.SwapRefiner{Inner: core.NewHeuristic()}
-	got, err := swap.Plan(req)
+	swap := &core.SwapRefiner{}
+	got, err := swap.PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := swap.Plan(core.Request{Platform: cols.Platform(), Costs: req.Costs, Wapp: req.Wapp})
+	want, err := swap.PlanContext(t.Context(), core.Request{Platform: cols.Platform(), Costs: req.Costs, Wapp: req.Wapp})
 	if err != nil {
 		t.Fatal(err)
 	}

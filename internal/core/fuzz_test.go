@@ -23,7 +23,7 @@ func relClose(a, b, tol float64) bool {
 // It is shared by the fuzz target and the corpus property test.
 func planInvariants(t *testing.T, req core.Request, label string) {
 	t.Helper()
-	hp, err := core.NewHeuristic().Plan(req)
+	hp, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: heuristic: %v", label, err)
 	}
@@ -48,7 +48,7 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 	// 3. The heuristic never predicts below the intuitive star baseline
 	// (on demand-capped requests the comparison is on useful throughput:
 	// the planner deliberately trades surplus ρ for fewer nodes).
-	sp, err := (&baseline.Star{}).Plan(req)
+	sp, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: star: %v", label, err)
 	}
@@ -81,7 +81,7 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 	}
 
 	// 5. Planning through the naive evaluator yields the same throughput.
-	np, err := core.NewHeuristicNaive().Plan(req)
+	np, err := core.NewHeuristicNaive().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: naive heuristic: %v", label, err)
 	}
@@ -90,7 +90,7 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 	}
 
 	// 6. The swap refiner never loses throughput.
-	rp, err := (&core.SwapRefiner{Inner: core.NewHeuristic()}).Plan(req)
+	rp, err := (&core.SwapRefiner{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: swap: %v", label, err)
 	}

@@ -102,7 +102,7 @@ func TestGoldenPlanDigests(t *testing.T) {
 			Demand:   demand,
 		}
 		for _, m := range goldenModes {
-			plan, err := m.planner().Plan(req)
+			plan, err := m.planner().PlanContext(t.Context(), req)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", label, m.name, err)
 			}

@@ -78,7 +78,7 @@ func TestLinkBandwidthMonotonicity(t *testing.T) {
 		slack   float64
 	}{
 		{core.NewHeuristic(), 1e-9},
-		{&core.SwapRefiner{Inner: core.NewHeuristic()}, 0.01},
+		{&core.SwapRefiner{}, 0.01},
 	}
 	for _, plat := range clusterGridCorpus(t) {
 		wapp := workload.DGEMM{N: 310}.MFlop()
@@ -90,7 +90,7 @@ func TestLinkBandwidthMonotonicity(t *testing.T) {
 					Costs:    model.DIETDefaults(),
 					Wapp:     wapp,
 				}
-				plan, err := tc.planner.Plan(req)
+				plan, err := tc.planner.PlanContext(t.Context(), req)
 				if err != nil {
 					t.Fatalf("%s x%g: %s: %v", plat.Name, f, tc.planner.Name(), err)
 				}
@@ -108,7 +108,7 @@ func TestLinkBandwidthMonotonicity(t *testing.T) {
 	// uniformly raised links never lowers any throughput term.
 	for _, plat := range clusterGridCorpus(t)[:6] {
 		req := core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
-		plan, err := core.NewHeuristic().Plan(req)
+		plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,12 +152,12 @@ func TestUniformExplicitLinksBitIdentical(t *testing.T) {
 		reqExp := req
 		reqExp.Platform = explicit
 
-		for _, pl := range []core.Planner{core.NewHeuristic(), &core.SwapRefiner{Inner: core.NewHeuristic()}} {
-			a, err := pl.Plan(req)
+		for _, pl := range []core.Planner{core.NewHeuristic(), &core.SwapRefiner{}} {
+			a, err := pl.PlanContext(t.Context(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := pl.Plan(reqExp)
+			b, err := pl.PlanContext(t.Context(), reqExp)
 			if err != nil {
 				t.Fatal(err)
 			}

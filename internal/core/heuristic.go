@@ -126,13 +126,6 @@ func NewHeuristicClassSpace() *Heuristic { return &Heuristic{mode: poolClassesOn
 // Name implements Planner.
 func (*Heuristic) Name() string { return "heuristic" }
 
-// Plan implements Planner.
-//
-//adeptvet:allow ctxflow context-free convenience wrapper; callers that want cancellation use PlanContext
-func (p *Heuristic) Plan(req Request) (*Plan, error) {
-	return p.PlanContext(context.Background(), req)
-}
-
 // newEvaluator builds the placement evaluator this planner variant uses.
 func (p *Heuristic) newEvaluator(req Request) PlacementEvaluator {
 	if p.naive {

@@ -31,7 +31,7 @@ func TestHeuristicAgentLimitedDeploysOnePlusOne(t *testing.T) {
 	// DGEMM 10x10 is tiny: the agent is the bottleneck and any extra server
 	// hurts (Figs. 2–3). The heuristic must deploy one agent + one server.
 	req := testRequest(t, 21, 400, 10)
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestHeuristicServiceLimitedDeploysStar(t *testing.T) {
 	// DGEMM 1000x1000 is huge: servers are the bottleneck; the heuristic
 	// should use every node in a star (Table 4 row 4, Fig. 7).
 	req := testRequest(t, 21, 400, 1000)
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -91,11 +91,11 @@ func TestHeuristicMatchesExhaustiveOnSmallPools(t *testing.T) {
 	// service-limited workloads — see TestSwapRefinerClosesTheGap.)
 	for _, dgemmN := range []int{10, 60, 100, 200} {
 		req := smallHeterogeneousRequest(dgemmN)
-		opt, err := (&baseline.Exhaustive{}).Plan(req)
+		opt, err := (&baseline.Exhaustive{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: exhaustive: %v", dgemmN, err)
 		}
-		heur, err := core.NewHeuristic().Plan(req)
+		heur, err := core.NewHeuristic().PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: heuristic: %v", dgemmN, err)
 		}
@@ -114,12 +114,12 @@ func TestHeuristicMatchesExhaustiveOnSmallPools(t *testing.T) {
 func TestHeuristicRespectsDemand(t *testing.T) {
 	// With a demand far below capacity the heuristic must not over-deploy.
 	req := testRequest(t, 45, 400, 310)
-	unbounded, err := core.NewHeuristic().Plan(req)
+	unbounded, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
 	req.Demand = workload.Demand(unbounded.Eval.Rho / 4)
-	bounded, err := core.NewHeuristic().Plan(req)
+	bounded, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Plan with demand: %v", err)
 	}
@@ -136,11 +136,11 @@ func TestHeuristicBuildsMultiLevelWhenProfitable(t *testing.T) {
 	// shape uses intermediate agents (Table 4 row 3). The heuristic should
 	// beat the star.
 	req := testRequest(t, 45, 400, 310)
-	heur, err := core.NewHeuristic().Plan(req)
+	heur, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("heuristic: %v", err)
 	}
-	star, err := (&baseline.Star{}).Plan(req)
+	star, err := (&baseline.Star{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("star: %v", err)
 	}
@@ -160,15 +160,15 @@ func TestSwapRefinerClosesTheGap(t *testing.T) {
 	// make a plan worse.
 	for _, dgemmN := range []int{10, 60, 100, 200} {
 		req := smallHeterogeneousRequest(dgemmN)
-		opt, err := (&baseline.Exhaustive{}).Plan(req)
+		opt, err := (&baseline.Exhaustive{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: exhaustive: %v", dgemmN, err)
 		}
-		heur, err := core.NewHeuristic().Plan(req)
+		heur, err := core.NewHeuristic().PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: heuristic: %v", dgemmN, err)
 		}
-		refined, err := (&core.SwapRefiner{Inner: core.NewHeuristic()}).Plan(req)
+		refined, err := (&core.SwapRefiner{}).PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("dgemm %d: refiner: %v", dgemmN, err)
 		}
@@ -191,7 +191,7 @@ func TestHeuristicPlanIsValidAndWithinPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := core.Request{Platform: p, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}

@@ -20,8 +20,10 @@
 // plan is computed on the calling goroutine alone — identical at any
 // GOMAXPROCS.
 //
-// Every planner reads a pool in one form, platform.Columns: a power column,
-// a link column and node names. A request that carries only a Platform is
+// A planner is a name and one method, PlanContext: every caller hands it
+// the context it plans under. Every planner — the heuristic here and each
+// baseline — reads a pool in one form, platform.Columns: a power column, a
+// link column and node names. A request that carries only a Platform is
 // converted once, where a planner takes it (Request.Resolve), and that
 // conversion is its validation; a request that carries Columns is planned
 // from them as they are. The sorted pool holds nodes as int32 indices into
@@ -48,7 +50,8 @@ import (
 // Request bundles everything a planner needs for one planning run.
 type Request struct {
 	// Platform is the pool of candidate nodes plus the link bandwidth, in
-	// the exchange format. It may be nil when Columns is set.
+	// the exchange format: an input only, which Resolve converts when
+	// Columns is nil. No planner reads it. It may be nil when Columns is set.
 	Platform *platform.Platform
 	// Columns, when set, is the pool in the form every planner reads, and
 	// it is what they read: Platform, if also set, must describe the same
@@ -88,16 +91,6 @@ func (r Request) Resolve() (Request, error) {
 func (r *Request) Validate() error {
 	_, err := r.Resolve()
 	return err
-}
-
-// NodePlatform returns the pool as a node list, for planners that read
-// whole nodes: Platform when the request carries one, otherwise the
-// expansion of Columns (a fresh platform per call).
-func (r *Request) NodePlatform() *platform.Platform {
-	if r.Platform != nil {
-		return r.Platform
-	}
-	return r.Columns.Platform()
 }
 
 // ValidateModel is the O(1) part of Validate — the cost parameters, the
@@ -154,15 +147,12 @@ func (p *Plan) Summary() string {
 type Planner interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// Plan computes a deployment for the request.
-	Plan(req Request) (*Plan, error)
 	// PlanContext computes a deployment for the request, honouring the
 	// context's cancellation and deadline. Long-running planners (the
 	// heuristic's growth loop, the exhaustive enumeration, the d-ary degree
 	// sweep) poll the context between iterations and return ctx.Err()
 	// wrapped in a planner error when it fires; cheap planners may only
-	// check once up front. Plan(req) is equivalent to
-	// PlanContext(context.Background(), req).
+	// check once up front.
 	PlanContext(ctx context.Context, req Request) (*Plan, error)
 }
 

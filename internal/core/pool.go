@@ -107,7 +107,7 @@ func newNodePool(c model.Costs, cols *platform.Columns) *sortedPool {
 		if o := cmp.Compare(keys[b], keys[a]); o != 0 {
 			return o
 		}
-		return nameCmp(cols, a, b)
+		return cols.NameCmp(int(a), int(b))
 	})
 	runs := make([]run, n)
 	for pos, i := range order {
@@ -156,7 +156,7 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 				end += int(ix.Class(ci).count)
 			}
 			block := sp.order[pos:end]
-			slices.SortFunc(block, func(a, b int32) int { return nameCmp(cols, a, b) })
+			slices.SortFunc(block, func(a, b int32) int { return cols.NameCmp(int(a), int(b)) })
 			for _, m := range block {
 				power, link := cols.Spec(int(m))
 				sp.runs = append(sp.runs, run{power: power, link: link, count: 1, start: pos})
@@ -166,18 +166,6 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 		j = k
 	}
 	return sp
-}
-
-// nameCmp orders two nodes of cols by name, for slices.SortFunc. Names are
-// unique, so only a node compares equal to itself.
-func nameCmp(cols *platform.Columns, a, b int32) int {
-	switch {
-	case a == b:
-		return 0
-	case cols.NameLess(int(a), int(b)):
-		return -1
-	}
-	return 1
 }
 
 // members returns run j's column indices, unordered.

@@ -9,8 +9,9 @@ import (
 
 // SwapRefiner is a post-planning local-search extension (beyond the paper's
 // Algorithm 1, in the direction its future-work section sketches): it takes
-// a finished plan and repeatedly applies the best strictly improving move
-// from two families, keeping the tree shape otherwise fixed:
+// Algorithm 1's finished plan and repeatedly applies the best strictly
+// improving move from three families, keeping the tree shape otherwise
+// fixed:
 //
 //   - swap: re-back an agent with a weaker node (a deployed server — the
 //     two exchange backings — or an unused pool node). On service-limited
@@ -39,22 +40,12 @@ import (
 // full-model evaluation of the naive formulation; swaps never change the
 // tree shape and drops are validated by a degree check, so no
 // per-candidate validation pass is needed either.
-type SwapRefiner struct {
-	// Inner produces the plan to refine.
-	Inner Planner
-}
+type SwapRefiner struct{}
 
 // Name implements Planner.
-func (r *SwapRefiner) Name() string { return r.Inner.Name() + "+swap" }
+func (*SwapRefiner) Name() string { return "heuristic+swap" }
 
-// Plan implements Planner.
-//
-//adeptvet:allow ctxflow context-free convenience wrapper; callers that want cancellation use PlanContext
-func (r *SwapRefiner) Plan(req Request) (*Plan, error) {
-	return r.PlanContext(context.Background(), req)
-}
-
-// PlanContext implements Planner: the inner planner's plan, refined. The
+// PlanContext implements Planner: the heuristic's plan, refined. The
 // request is resolved once, here, for both.
 func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, error) {
 	req, err := req.Resolve()
@@ -62,7 +53,7 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 		return nil, err
 	}
 	endInner := obs.TraceFrom(ctx).Phase("inner_plan")
-	plan, err := r.Inner.PlanContext(ctx, req)
+	plan, err := NewHeuristic().PlanContext(ctx, req)
 	endInner()
 	if err != nil {
 		return nil, err
@@ -70,8 +61,8 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 	return r.Refine(ctx, req, plan)
 }
 
-// Refine runs the improvement loop on a finished plan for req — the inner
-// planner's, or one the caller already holds — and returns the refined
+// Refine runs the improvement loop on a finished plan for req — the
+// heuristic's, or one the caller already holds — and returns the refined
 // plan, or plan itself when no move improves it. plan is not modified. The
 // loop is bounded by two rounds per pool node and polls ctx once a round.
 func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Plan, error) {

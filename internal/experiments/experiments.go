@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -100,8 +101,9 @@ func (r Report) Render() string {
 	return b.String()
 }
 
-// Runner is an experiment entry point.
-type Runner func(Params) (Report, error)
+// Runner is an experiment entry point; the planning experiments plan under
+// ctx.
+type Runner func(context.Context, Params) (Report, error)
 
 // Registry maps experiment IDs to runners, in paper order.
 func Registry() []struct {

@@ -23,7 +23,7 @@ func TestAllExperimentsRunAndReproduceShapes(t *testing.T) {
 	for _, entry := range experiments.Registry() {
 		entry := entry
 		t.Run(entry.ID, func(t *testing.T) {
-			rep, err := entry.Run(quickParams())
+			rep, err := entry.Run(t.Context(), quickParams())
 			if err != nil {
 				t.Fatalf("%s: %v", entry.ID, err)
 			}

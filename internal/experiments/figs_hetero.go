@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"adept/internal/baseline"
@@ -12,7 +13,7 @@ import (
 // heteroDeployments plans the three §5.3 deployments on the heterogenised
 // cluster: the intuitive star, the intuitive balanced two-level tree
 // (degree 14, as in the paper), and the heuristic's automatic deployment.
-func heteroDeployments(p Params, nodes, dgemmN int) (star, balanced, automatic *core.Plan, err error) {
+func heteroDeployments(ctx context.Context, p Params, nodes, dgemmN int) (star, balanced, automatic *core.Plan, err error) {
 	plat, err := heterogenizedPlatform(p, "orsay", nodes)
 	if err != nil {
 		return nil, nil, nil, err
@@ -22,13 +23,13 @@ func heteroDeployments(p Params, nodes, dgemmN int) (star, balanced, automatic *
 		Costs:    p.Costs,
 		Wapp:     workload.DGEMM{N: dgemmN}.MFlop(),
 	}
-	if star, err = (&baseline.Star{}).Plan(req); err != nil {
+	if star, err = (&baseline.Star{}).PlanContext(ctx, req); err != nil {
 		return nil, nil, nil, fmt.Errorf("star: %w", err)
 	}
-	if balanced, err = (&baseline.Balanced{Degree: 14}).Plan(req); err != nil {
+	if balanced, err = (&baseline.Balanced{Degree: 14}).PlanContext(ctx, req); err != nil {
 		return nil, nil, nil, fmt.Errorf("balanced: %w", err)
 	}
-	if automatic, err = core.NewHeuristic().Plan(req); err != nil {
+	if automatic, err = core.NewHeuristic().PlanContext(ctx, req); err != nil {
 		return nil, nil, nil, fmt.Errorf("heuristic: %w", err)
 	}
 	return star, balanced, automatic, nil
@@ -36,7 +37,7 @@ func heteroDeployments(p Params, nodes, dgemmN int) (star, balanced, automatic *
 
 // heteroFigure runs the Figs. 6/7 comparison: measured load curves for each
 // deployment on the heterogenised 200-node cluster.
-func heteroFigure(p Params, id, title string, dgemmN int, levels []int) (Report, error) {
+func heteroFigure(ctx context.Context, p Params, id, title string, dgemmN int, levels []int) (Report, error) {
 	nodes := 200
 	quickFactor := 1.0
 	if p.Quick {
@@ -46,7 +47,7 @@ func heteroFigure(p Params, id, title string, dgemmN int, levels []int) (Report,
 			levels = []int{levels[0], levels[1], levels[2], levels[len(levels)-1]}
 		}
 	}
-	star, balanced, automatic, err := heteroDeployments(p, nodes, dgemmN)
+	star, balanced, automatic, err := heteroDeployments(ctx, p, nodes, dgemmN)
 	if err != nil {
 		return Report{}, fmt.Errorf("%s: %w", id, err)
 	}
@@ -120,17 +121,17 @@ func maxf(a, b float64) float64 {
 
 // Fig6 — heterogeneous cluster, DGEMM 310x310: the automatically planned
 // hierarchy beats both intuitive deployments.
-func Fig6(p Params) (Report, error) {
+func Fig6(ctx context.Context, p Params) (Report, error) {
 	levels := []int{1, 10, 50, 100, 200, 400, 700}
-	return heteroFigure(p, "fig6",
+	return heteroFigure(ctx, p, "fig6",
 		"Heterogenised 200-node cluster, DGEMM 310x310: star vs balanced vs automatic", 310, levels)
 }
 
 // Fig7 — heterogeneous cluster, DGEMM 1000x1000: the heuristic degenerates
 // to a star, which beats the balanced deployment.
-func Fig7(p Params) (Report, error) {
+func Fig7(ctx context.Context, p Params) (Report, error) {
 	levels := []int{1, 5, 10, 25, 50, 100, 250, 500}
-	rep, err := heteroFigure(p, "fig7",
+	rep, err := heteroFigure(ctx, p, "fig7",
 		"Heterogenised 200-node cluster, DGEMM 1000x1000: automatic (≈star) vs balanced", 1000, levels)
 	if err != nil {
 		return rep, err

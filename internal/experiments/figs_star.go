@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"adept/internal/hierarchy"
@@ -85,7 +86,7 @@ func starLoadFigure(p Params, id, title string, dgemmN int, levels []int, expect
 
 // Fig2 — star hierarchies, DGEMM 10x10: measured throughput under
 // increasing load; the agent is the bottleneck, so the second server hurts.
-func Fig2(p Params) (Report, error) {
+func Fig2(_ context.Context, p Params) (Report, error) {
 	levels := []int{1, 2, 5, 10, 20, 50, 100, 150, 200}
 	return starLoadFigure(p, "fig2",
 		"Star with 1 vs 2 servers, DGEMM 10x10: measured throughput vs load",
@@ -94,7 +95,7 @@ func Fig2(p Params) (Report, error) {
 
 // Fig4 — star hierarchies, DGEMM 200x200: the servers are the bottleneck,
 // so the second server roughly doubles throughput.
-func Fig4(p Params) (Report, error) {
+func Fig4(_ context.Context, p Params) (Report, error) {
 	levels := []int{1, 2, 5, 10, 25, 50, 100, 200, 300}
 	return starLoadFigure(p, "fig4",
 		"Star with 1 vs 2 servers, DGEMM 200x200: measured throughput vs load",
@@ -139,13 +140,13 @@ func predictedVsMeasured(p Params, id, title string, dgemmN int) (Report, error)
 }
 
 // Fig3 — predicted vs measured maximum throughput, DGEMM 10x10.
-func Fig3(p Params) (Report, error) {
+func Fig3(_ context.Context, p Params) (Report, error) {
 	return predictedVsMeasured(p, "fig3",
 		"Predicted vs measured maximum throughput, DGEMM 10x10 stars", 10)
 }
 
 // Fig5 — predicted vs measured maximum throughput, DGEMM 200x200.
-func Fig5(p Params) (Report, error) {
+func Fig5(_ context.Context, p Params) (Report, error) {
 	return predictedVsMeasured(p, "fig5",
 		"Predicted vs measured maximum throughput, DGEMM 200x200 stars", 200)
 }

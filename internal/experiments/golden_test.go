@@ -54,7 +54,7 @@ func TestGoldenReports(t *testing.T) {
 	for _, entry := range experiments.Registry() {
 		entry := entry
 		t.Run(entry.ID, func(t *testing.T) {
-			rep, err := entry.Run(goldenParams())
+			rep, err := entry.Run(t.Context(), goldenParams())
 			if err != nil {
 				t.Fatalf("%s: %v", entry.ID, err)
 			}

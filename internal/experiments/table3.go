@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // measurement against the running middleware: message sizes from metered
 // transport capture, Wrep(d) from a linear fit of timed reply treatment,
 // with the configured DIET values shown alongside for comparison.
-func Table3(p Params) (Report, error) {
+func Table3(_ context.Context, p Params) (Report, error) {
 	opts := runtime.Options{
 		Costs:        p.Costs,
 		Bandwidth:    p.Bandwidth,

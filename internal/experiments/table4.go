@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"adept/internal/baseline"
@@ -32,7 +33,7 @@ func table4Cases() []table4Case {
 // when it finds something better), the plain d-ary optimum's degree, the
 // heuristic's degree, and the percentage of best-known throughput the
 // heuristic achieves.
-func Table4(p Params) (Report, error) {
+func Table4(ctx context.Context, p Params) (Report, error) {
 	rep := Report{
 		ID:    "table4",
 		Title: "Heuristic vs optimal deployment on homogeneous clusters (paper Table 4)",
@@ -46,15 +47,15 @@ func Table4(p Params) (Report, error) {
 			Costs:    p.Costs,
 			Wapp:     workload.DGEMM{N: tc.DgemmN}.MFlop(),
 		}
-		dary, err := (&baseline.OptimalDAry{}).Plan(req)
+		dary, err := (&baseline.OptimalDAry{}).PlanContext(ctx, req)
 		if err != nil {
 			return Report{}, fmt.Errorf("table4: dary: %w", err)
 		}
-		heur, err := core.NewHeuristic().Plan(req)
+		heur, err := core.NewHeuristic().PlanContext(ctx, req)
 		if err != nil {
 			return Report{}, fmt.Errorf("table4: heuristic: %w", err)
 		}
-		refined, err := (&core.SwapRefiner{Inner: core.NewHeuristic()}).Plan(req)
+		refined, err := (&core.SwapRefiner{}).PlanContext(ctx, req)
 		if err != nil {
 			return Report{}, fmt.Errorf("table4: refined: %w", err)
 		}

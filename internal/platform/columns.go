@@ -253,6 +253,18 @@ func (c *Columns) NameLess(i, j int) bool {
 	return ki < kj || ki == kj && i < j
 }
 
+// NameCmp is NameLess as a three-way comparison, for slices.SortFunc. Names
+// are unique, so only a node compares equal to itself.
+func (c *Columns) NameCmp(i, j int) int {
+	switch {
+	case i == j:
+		return 0
+	case c.NameLess(i, j):
+		return -1
+	}
+	return 1
+}
+
 // LinkRange returns the minimum and maximum effective link bandwidth over
 // the pool (zeros resolved against Bandwidth), as Platform.LinkRange does.
 func (c *Columns) LinkRange() (min, max float64) {

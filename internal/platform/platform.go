@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -171,19 +170,6 @@ func DistinctSpecs(nodes []Node) int {
 		seen[spec{math.Float64bits(n.Power), math.Float64bits(n.LinkBandwidth)}] = struct{}{}
 	}
 	return len(seen)
-}
-
-// SortByPowerDesc returns a copy of the node slice sorted by decreasing
-// power, breaking ties by name for determinism.
-func (p *Platform) SortByPowerDesc() []Node {
-	cp := append([]Node(nil), p.Nodes...)
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Power != cp[j].Power {
-			return cp[i].Power > cp[j].Power
-		}
-		return cp[i].Name < cp[j].Name
-	})
-	return cp
 }
 
 // Clone returns a deep copy of the platform.
@@ -395,7 +381,7 @@ func ParseJSON(data []byte) (*Platform, error) {
 	return p, nil
 }
 
-// MarshalJSON renders the platform as indented JSON suitable for files.
+// MarshalIndent renders the platform as indented JSON suitable for files.
 func (p *Platform) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }

@@ -173,23 +173,6 @@ func TestParseJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestSortByPowerDesc(t *testing.T) {
-	p := &platform.Platform{Name: "s", Bandwidth: 1, Nodes: []platform.Node{
-		{Name: "b", Power: 10}, {Name: "a", Power: 30}, {Name: "c", Power: 30}, {Name: "d", Power: 20},
-	}}
-	sorted := p.SortByPowerDesc()
-	want := []string{"a", "c", "d", "b"}
-	for i, n := range sorted {
-		if n.Name != want[i] {
-			t.Fatalf("sorted[%d] = %s, want %s", i, n.Name, want[i])
-		}
-	}
-	// Input order untouched.
-	if p.Nodes[0].Name != "b" {
-		t.Error("SortByPowerDesc mutated the platform")
-	}
-}
-
 // Property: Heterogenize never raises a node's power and keeps the pool
 // size and names.
 func TestPropertyHeterogenizeOnlyDegrades(t *testing.T) {

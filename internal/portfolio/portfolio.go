@@ -41,22 +41,16 @@ type variant struct {
 	maxNodes int
 }
 
-var (
-	algorithm1 = core.NewHeuristic()
-	swap       = &core.SwapRefiner{Inner: algorithm1}
-
-	// table is the portfolio: its order is the order of the fold and of the
-	// reported results, so earlier rows win exact ties. Beyond 6 nodes the
-	// exhaustive enumeration's Θ(n·nⁿ) latency (seconds and up) buys
-	// nothing.
-	table = [...]variant{
-		{name: "heuristic+swap", planner: swap},
-		{name: "heuristic", planner: algorithm1},
-		{name: "star", planner: &baseline.Star{}},
-		{name: "homogeneous", planner: &baseline.OptimalDAry{}},
-		{name: "exhaustive", planner: &baseline.Exhaustive{}, maxNodes: 6},
-	}
-)
+// table is the portfolio: its order is the order of the fold and of the
+// reported results, so earlier rows win exact ties. Beyond 6 nodes the
+// exhaustive enumeration's Θ(n·nⁿ) latency (seconds and up) buys nothing.
+var table = [...]variant{
+	{name: "heuristic+swap", planner: &core.SwapRefiner{}},
+	{name: "heuristic", planner: core.NewHeuristic()},
+	{name: "star", planner: &baseline.Star{}},
+	{name: "homogeneous", planner: &baseline.OptimalDAry{}},
+	{name: "exhaustive", planner: &baseline.Exhaustive{}, maxNodes: 6},
+}
 
 // Result reports one variant's outcome.
 type Result struct {
@@ -86,13 +80,6 @@ func New() *Planner { return &Planner{} }
 // Name implements core.Planner.
 func (*Planner) Name() string { return "portfolio" }
 
-// Plan implements core.Planner.
-//
-//adeptvet:allow ctxflow context-free convenience wrapper; callers that want cancellation use PlanContext
-func (p *Planner) Plan(req core.Request) (*core.Plan, error) {
-	return p.PlanContext(context.Background(), req)
-}
-
 // PlanContext implements core.Planner.
 func (p *Planner) PlanContext(ctx context.Context, req core.Request) (*core.Plan, error) {
 	plan, _, err := p.PlanWithStats(ctx, req)
@@ -105,13 +92,11 @@ func (p *Planner) PlanContext(ctx context.Context, req core.Request) (*core.Plan
 // returned when no variant produced a plan, or when ctx fired before all
 // of them had finished.
 func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Plan, []Result, error) {
-	// The pool is resolved once for every variant, and expanded into nodes
-	// once for the baselines that read them.
+	// The pool is resolved once, for every variant.
 	req, err := req.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	req.Platform = req.NodePlatform()
 	tr := obs.TraceFrom(ctx)
 	// Variants get a detached trace context: five planners' inner phases
 	// (sort_nodes, grow, ...) under the same names would say nothing about
@@ -123,7 +108,7 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 	// the heuristic+swap row refines it.
 	var base *core.Plan
 	var baseErr error
-	baseMS := timed(func() { base, baseErr = algorithm1.PlanContext(variantCtx, req) })
+	baseMS := timed(func() { base, baseErr = core.NewHeuristic().PlanContext(variantCtx, req) })
 
 	results := make([]Result, len(table))
 	var errs []string
@@ -138,12 +123,12 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 		}
 		var plan *core.Plan
 		var err error
-		switch v.planner {
-		case algorithm1:
+		switch planner := v.planner.(type) {
+		case *core.Heuristic:
 			plan, err, r.ElapsedMS = base, baseErr, baseMS
-		case swap:
+		case *core.SwapRefiner:
 			if err = baseErr; err == nil {
-				r.ElapsedMS = baseMS + timed(func() { plan, err = swap.Refine(variantCtx, req, base) })
+				r.ElapsedMS = baseMS + timed(func() { plan, err = planner.Refine(variantCtx, req, base) })
 			}
 		default:
 			r.ElapsedMS = timed(func() { plan, err = v.planner.PlanContext(variantCtx, req) })

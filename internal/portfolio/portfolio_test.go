@@ -32,7 +32,7 @@ func corpusRequest(t *testing.T, spec scenario.Spec, wapp float64) core.Request 
 func assertDominatesMembers(t *testing.T, label string, req core.Request, pp *core.Plan) {
 	t.Helper()
 	members := []core.Planner{
-		&core.SwapRefiner{Inner: core.NewHeuristic()},
+		&core.SwapRefiner{},
 		core.NewHeuristic(),
 		&baseline.Star{},
 		&baseline.OptimalDAry{},
@@ -41,7 +41,7 @@ func assertDominatesMembers(t *testing.T, label string, req core.Request, pp *co
 		members = append(members, &baseline.Exhaustive{})
 	}
 	for _, m := range members {
-		mp, err := m.Plan(req)
+		mp, err := m.PlanContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, m.Name(), err)
 		}
@@ -116,7 +116,7 @@ func TestPortfolioUsesExhaustiveOnTinyPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := (&baseline.Exhaustive{}).Plan(req)
+	ep, err := (&baseline.Exhaustive{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestPortfolioMatchesExhaustiveOptimum(t *testing.T) {
 			spec := scenario.Spec{Family: fam, N: n, Seed: int64(n) * 31}
 			for _, wapp := range wapps {
 				req := corpusRequest(t, spec, wapp)
-				opt, err := exhaustive.Plan(req)
+				opt, err := exhaustive.PlanContext(t.Context(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pp, err := pf.Plan(req)
+				pp, err := pf.PlanContext(t.Context(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +201,7 @@ func TestPortfolioIsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := &pollCtx{Context: context.Background()}
-	if _, err := (&core.SwapRefiner{Inner: core.NewHeuristic()}).PlanContext(first, req); err != nil {
+	if _, err := (&core.SwapRefiner{}).PlanContext(first, req); err != nil {
 		t.Fatal(err)
 	}
 	if first.polls+1 >= whole.polls {
@@ -237,7 +237,7 @@ func TestPortfolioPlansAlgorithm1Once(t *testing.T) {
 		t.Fatal("Algorithm 1 never polls its context: the count below proves nothing")
 	}
 	const ran = 4 // exhaustive is skipped on 30 nodes
-	want := ran + polls(&core.SwapRefiner{Inner: core.NewHeuristic()}) + polls(&baseline.Star{}) + polls(&baseline.OptimalDAry{})
+	want := ran + polls(&core.SwapRefiner{}) + polls(&baseline.Star{}) + polls(&baseline.OptimalDAry{})
 	if got := polls(portfolio.New()); got != want {
 		t.Errorf("portfolio polled its context %d times, want %d (a second run of Algorithm 1 would add %d)", got, want, algorithm1)
 	}
@@ -269,7 +269,7 @@ func TestPortfolioIsACorePlanner(t *testing.T) {
 		t.Errorf("name %q", pl.Name())
 	}
 	req := corpusRequest(t, scenario.Spec{Family: scenario.Star, N: 10, Seed: 1}, workload.DGEMM{N: 310}.MFlop())
-	plan, err := pl.Plan(req)
+	plan, err := pl.PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

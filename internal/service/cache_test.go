@@ -125,7 +125,7 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 	if _, ok := cache.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCacheEntryIsolatedFromCallerPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := testRequest(t, 5)
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCacheMissOnChangedWapp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.NewHeuristic().Plan(req)
+	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@
 // platform.Columns, whatever its source (planInput.request): a scenario is
 // drawn as its power and link columns, an inline platform is converted
 // into columns — its one validation — and a registered platform's columns
-// were built, and validated, when it was written. A planner that reads
-// whole nodes expands them itself (core.Request.NodePlatform).
+// were built, and validated, when it was written. Every planner, the
+// baselines included, plans from those columns; only what is launched
+// (planForLaunch) expands them into whole nodes.
 //
 // Server builds its own Registry, PlanCache and Pool; cmd/adeptd is the
 // thin binary around it and examples/service is a client walkthrough.

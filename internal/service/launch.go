@@ -66,7 +66,7 @@ func (s *Server) planForLaunch(w http.ResponseWriter, r *http.Request, pr *PlanR
 		return nil, false
 	}
 	// What is launched runs on whole nodes, whatever the planner read.
-	req.Platform = req.NodePlatform()
+	req.Platform = req.Columns.Platform()
 	h, err := hierarchy.ParseXML(strings.NewReader(resp.XML))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reparse plan XML: %v", err)

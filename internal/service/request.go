@@ -24,7 +24,7 @@ var planners = []struct {
 	make func() core.Planner
 }{
 	{"heuristic", func() core.Planner { return core.NewHeuristic() }},
-	{"heuristic+swap", func() core.Planner { return &core.SwapRefiner{Inner: core.NewHeuristic()} }},
+	{"heuristic+swap", func() core.Planner { return &core.SwapRefiner{} }},
 	{"star", func() core.Planner { return &baseline.Star{} }},
 	{"balanced", func() core.Planner { return &baseline.Balanced{} }},
 	{"dary", func() core.Planner { return &baseline.OptimalDAry{} }},

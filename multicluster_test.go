@@ -71,11 +71,11 @@ func TestMultiClusterPlanBeatsUniformModel(t *testing.T) {
 	costs := model.DIETDefaults()
 	wapp := workload.DGEMM{N: 100}.MFlop()
 
-	aware, err := core.NewHeuristic().Plan(core.Request{Platform: plat, Costs: costs, Wapp: wapp})
+	aware, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: plat, Costs: costs, Wapp: wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := core.NewHeuristic().Plan(core.Request{Platform: blindView(plat), Costs: costs, Wapp: wapp})
+	blind, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: blindView(plat), Costs: costs, Wapp: wapp})
 	if err != nil {
 		t.Fatal(err)
 	}
