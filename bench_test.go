@@ -209,19 +209,20 @@ func BenchmarkHeuristicPlanClustered5k(b *testing.B) {
 // the class-collapsed path: a multi-cluster grid whose powers are drawn
 // from a 20-SKU machine catalogue (PowerLevels), so the pool compresses
 // into a few dozen (power, link) equivalence classes and every spec scan
-// runs over classes instead of nodes. Platform generation stays outside
-// the timer — the gate measures planning, not synthesis. cmd/benchguard
+// runs over classes instead of nodes. The columns are drawn once, outside
+// the timer, and handed to the planner as the daemon hands them — the gate
+// measures planning, not synthesis or conversion. cmd/benchguard
 // enforces an absolute ceiling of one second per 1M-node plan
 // (-require-max-ns), the headline latency this path exists for.
 func benchClassPlanner(b *testing.B, n int) {
-	plat, err := (scenario.Spec{Family: scenario.ClusterGrid, N: n, Seed: 7, Clusters: 8, PowerLevels: 20}).Generate()
+	cols, err := (scenario.Spec{Family: scenario.ClusterGrid, N: n, Seed: 7, Clusters: 8, PowerLevels: 20}).Columns(b.Context())
 	if err != nil {
 		b.Fatal(err)
 	}
 	req := core.Request{
-		Platform: plat,
-		Costs:    model.DIETDefaults(),
-		Wapp:     workload.DGEMM{N: 1000}.MFlop(),
+		Columns: cols,
+		Costs:   model.DIETDefaults(),
+		Wapp:    workload.DGEMM{N: 1000}.MFlop(),
 	}
 	planner := core.NewHeuristic()
 	b.ReportAllocs()
@@ -578,10 +579,14 @@ func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
 // BenchmarkServicePlanScenarioCold100k is the other side of that contract,
 // fleet_cold's shape: one POST /v1/plan through the handler for a
 // 100 000-node catalogue scenario nobody has asked for before — a new seed
-// every iteration, cluster-grid and fat-tree alternating — so every
-// iteration draws the power and link columns, range-checks them, builds the
-// class index, plans, renders and encodes. It must not build the nodes: a
-// miss that materialises 100 000 names is over scripts/bench.sh's ceiling.
+// every iteration, cluster-grid and fat-tree alternating. A miss reads
+// each node a fixed few times: it draws the power and link columns cluster
+// by cluster or tier by tier and range-checks them, buckets them into a
+// class table sized to the ~40 classes found, deals the pool out class by
+// class, and folds Eq. 15 over the sorted runs once; then it plans from
+// the classes, appends the deployment XML into one buffer, and encodes.
+// It must not build the nodes: a miss that materialises 100 000 names is
+// over scripts/bench.sh's ceiling.
 func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 	srv, err := service.New(service.Config{})
 	if err != nil {

@@ -87,15 +87,14 @@ func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
 	if maxClasses < 1 || n == 0 {
 		return nil
 	}
-	// Open-addressed table of class indices (+1; 0 = empty), sized for a
-	// load factor of at most 1/2. Linear probing with a mixed 128→64-bit
-	// spec hash; fully deterministic (first appearance wins the slot walk).
-	tableSize := 16
-	for tableSize < 2*maxClasses {
-		tableSize <<= 1
-	}
-	table := make([]int32, tableSize)
-	mask := uint64(tableSize - 1)
+	// Open-addressed table of class indices (+1; 0 = empty), sized to the
+	// classes found so far: it starts at 64 slots and doubles whenever it
+	// is half full, so a pool of a few dozen specs probes a table that stays
+	// in L1 whatever the cap. Linear probing with a mixed 128→64-bit spec
+	// hash; fully deterministic (class ids are first-appearance order, and a
+	// rehash re-inserts them in that order).
+	table := make([]int32, 64)
+	mask := uint64(len(table) - 1)
 	classes := make([]NodeClass, 0, 16)
 	classOf := make([]int32, n)
 	for i := range classOf {
@@ -111,6 +110,10 @@ func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
 				classes = append(classes, NodeClass{Power: power, LinkBandwidth: link})
 				slot = int32(len(classes))
 				table[h] = slot
+				if 2*len(classes) >= len(table) {
+					table = rehash(classes, 2*len(table))
+					mask = uint64(len(table) - 1)
+				}
 			}
 			k := slot - 1
 			if math.Float64bits(classes[k].Power) == pb && math.Float64bits(classes[k].LinkBandwidth) == bb {
@@ -122,6 +125,21 @@ func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
 		}
 	}
 	return &ClassIndex{cols: cols, classes: classes, classOf: classOf}
+}
+
+// rehash builds a table of size slots (a power of two) holding classes,
+// inserted in class-id order.
+func rehash(classes []NodeClass, size int) []int32 {
+	table := make([]int32, size)
+	mask := uint64(size - 1)
+	for k := range classes {
+		h := specHash(math.Float64bits(classes[k].Power), math.Float64bits(classes[k].LinkBandwidth)) & mask
+		for table[h] != 0 {
+			h = (h + 1) & mask
+		}
+		table[h] = int32(k + 1)
+	}
+	return table
 }
 
 // deal lays the pool out class by class in the order rank gives the

@@ -507,9 +507,9 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	// transfer charged at the pool's slowest link), capped by the client
 	// demand. Agents that cannot schedule at this rate should not be given
 	// more children.
-	allPowers := pool.poolPowers()
 	minPoolBW := pool.poolMin(bw, func(_, nbw float64) float64 { return nbw })
-	target := calcHierSerPow(c, minPoolBW, wapp, allPowers)
+	poolService, totalPow := pool.poolService(c, minPoolBW, wapp)
+	target := poolService
 	if req.Demand.Bounded() && float64(req.Demand) < target {
 		target = float64(req.Demand)
 	}
@@ -546,8 +546,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	// is exactly the old tail value.
 	starSched := math.Min(calcSchPow(c, rootBW, root.Power, n-1),
 		pool.poolMin(bw, func(w, nbw float64) float64 { return model.ServerPredictionThroughput(c, nbw, w) }))
-	starService := calcHierSerPow(c, minPoolBW, wapp, allPowers)
-	starCapped := req.Demand.Cap(math.Min(starSched, starService))
+	starCapped := req.Demand.Cap(math.Min(starSched, poolService))
 	starRootPos := 0 // sorted position; 0 is the default (paper) root
 
 	// Under heterogeneous links the best star does not necessarily root at
@@ -560,11 +559,6 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	// stands for all of them. Gated to non-uniform platforms: uniform
 	// planning keeps the paper's sorted-head star bit for bit.
 	if !uniform {
-		totalPow := root.Power
-		for _, w := range allPowers {
-			//adeptvet:allow floataccum fixed left-to-right fold in sorted order, the same terms whichever way the pool was built
-			totalPow += w
-		}
 		predMin, linkMin := newMin2(), newMin2()
 		for j := range pool.runs {
 			r := &pool.runs[j]

@@ -222,18 +222,31 @@ func (sp *sortedPool) uniformLinks(def float64) bool {
 	return true
 }
 
-// poolPowers returns the power vector of the non-root pool (positions
-// 1..n-1) in sorted order, so downstream sequential accumulations see the
-// same terms in the same order at either granularity.
-func (sp *sortedPool) poolPowers() []float64 {
-	out := make([]float64, sp.n-1)
+// poolService folds Eq. 15 (calcHierSerPow) over the non-root pool —
+// every node at positions 1..n-1 serving, the transfer charged at bw — in
+// one pass over the runs in sorted order: its sums add the terms
+// model.ServerCompTime adds, in the order it adds them, whatever the pool's
+// granularity. The same pass returns the star snapshot's power sum, the
+// root's power and then the pool's, added left to right.
+//
+//adeptvet:allow floataccum fixed left-to-right folds in sorted order, the same terms whichever way the pool was built
+func (sp *sortedPool) poolService(c model.Costs, bw, wapp float64) (service, totalPow float64) {
+	num, den := 1.0, 0.0
+	pre := c.ServerWpre / wapp
+	totalPow = sp.runs[0].power
 	for j := range sp.runs {
 		r := &sp.runs[j]
+		w := r.power / wapp
 		for pos := max(r.start, 1); pos < r.start+r.count; pos++ {
-			out[pos-1] = r.power
+			num += pre
+			den += w
+			totalPow += r.power
 		}
 	}
-	return out
+	if sp.n < 2 {
+		return 0, totalPow
+	}
+	return 1 / (model.ServerReceiveTime(c, bw) + model.ServerSendTime(c, bw) + num/den), totalPow
 }
 
 // poolMin returns the minimum of f(power, effective link) over the specs

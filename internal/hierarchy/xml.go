@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 )
 
 // xmlElement is the on-disk recursive form of a deployment element, in the
 // spirit of the GoDIET input format the paper's write_xml step produces.
+// ParseXML decodes into it; WriteXML writes the same form directly.
 type xmlElement struct {
 	XMLName xml.Name
 	Name    string  `xml:"name,attr"`
@@ -33,53 +35,127 @@ const (
 	xmlServerTag = "server"
 )
 
-func (h *Hierarchy) toXMLElement(id int) xmlElement {
-	n := h.nodes[id]
-	tag := xmlAgentTag
-	if n.Role == RoleServer {
-		tag = xmlServerTag
-	}
-	el := xmlElement{
-		XMLName:   xml.Name{Local: tag},
-		Name:      n.Name,
-		Power:     n.Power,
-		Bandwidth: n.Bandwidth,
-	}
-	for _, c := range n.Children {
-		el.Children = append(el.Children, h.toXMLElement(c))
-	}
-	return el
-}
-
 // WriteXML emits the GoDIET-style deployment XML to w. This is the
 // heuristic's write_xml step: the artifact handed to the deployment tool.
 func (h *Hierarchy) WriteXML(w io.Writer) error {
-	if h.root == -1 {
-		return fmt.Errorf("hierarchy: cannot serialise empty hierarchy")
-	}
-	doc := xmlDeployment{Name: h.Name, Root: h.toXMLElement(h.root)}
-	if _, err := io.WriteString(w, xml.Header); err != nil {
+	b, err := h.appendXML(nil)
+	if err != nil {
 		return err
 	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("hierarchy: encode XML: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
+	_, err = w.Write(b)
 	return err
 }
 
 // MarshalXMLString returns the deployment XML as a string.
 func (h *Hierarchy) MarshalXMLString() (string, error) {
-	var b strings.Builder
-	if err := h.WriteXML(&b); err != nil {
-		return "", err
+	b, err := h.appendXML(nil)
+	return string(b), err
+}
+
+// appendXML appends the deployment XML to b: the document encoding/xml
+// writes for xmlDeployment under Indent("", "  "), between xml.Header and
+// a final newline, byte for byte — attribute values escaped as
+// xml.EscapeText escapes them, powers formatted as strconv's shortest 'g',
+// a zero bandwidth omitted, and every element closed by an end tag.
+func (h *Hierarchy) appendXML(b []byte) ([]byte, error) {
+	if h.root == -1 {
+		return b, fmt.Errorf("hierarchy: cannot serialise empty hierarchy")
 	}
-	return b.String(), nil
+	b = append(b, xml.Header...)
+	b = append(b, `<deployment name="`...)
+	b = appendEscaped(b, h.Name)
+	b = append(b, `">`...)
+	b = h.appendElement(b, h.root, 1)
+	return append(b, "\n</deployment>\n"...), nil
+}
+
+// appendElement appends node id's element, its subtree nested inside it,
+// on a new line at depth levels of indentation.
+func (h *Hierarchy) appendElement(b []byte, id, depth int) []byte {
+	n := &h.nodes[id]
+	tag := xmlAgentTag
+	if n.Role == RoleServer {
+		tag = xmlServerTag
+	}
+	b = appendIndent(b, depth)
+	b = append(b, '<')
+	b = append(b, tag...)
+	b = append(b, ` name="`...)
+	b = appendEscaped(b, n.Name)
+	b = append(b, `" power="`...)
+	b = strconv.AppendFloat(b, n.Power, 'g', -1, 64)
+	if n.Bandwidth != 0 {
+		b = append(b, `" bandwidth="`...)
+		b = strconv.AppendFloat(b, n.Bandwidth, 'g', -1, 64)
+	}
+	b = append(b, `">`...)
+	for _, c := range n.Children {
+		b = h.appendElement(b, c, depth+1)
+	}
+	if len(n.Children) > 0 {
+		b = appendIndent(b, depth)
+	}
+	b = append(b, "</"...)
+	b = append(b, tag...)
+	return append(b, '>')
+}
+
+// appendIndent starts a new line indented depth levels.
+func appendIndent(b []byte, depth int) []byte {
+	b = append(b, '\n')
+	for range depth {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendEscaped appends s escaped as xml.EscapeText escapes it: the five
+// markup characters and tab, newline and carriage return as character
+// references, and every byte that is not valid UTF-8 or every rune outside
+// XML's character range as U+FFFD.
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if inCharacterRange(r) && (r != utf8.RuneError || width > 1) {
+				i += width
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		i += width
+		last = i
+	}
+	return append(b, s[last:]...)
+}
+
+// inCharacterRange reports whether r is in XML 1.0's Char production.
+func inCharacterRange(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // SaveXML writes the deployment XML to a file.

@@ -320,20 +320,23 @@ func (s Spec) links() []float64 {
 	switch s.Family {
 	case ClusterGrid:
 		// Cluster 0 is the local site (default bandwidth); every other
-		// cluster is reached over the inter-cluster uplink.
+		// cluster is reached over the inter-cluster uplink. Nodes are dealt
+		// round-robin (see powers), so node i sits in cluster i mod Clusters.
 		out := make([]float64, s.N)
 		for i := range out {
-			if i%s.Clusters != 0 {
-				out[i] = s.InterBandwidth
-			}
+			out[i] = s.InterBandwidth
+		}
+		for i := 0; i < s.N; i += s.Clusters {
+			out[i] = 0
 		}
 		return out
 	case FatTree:
 		out := make([]float64, s.N)
-		for i := range out {
-			t := s.tierOf(i)
-			if t > 0 {
-				out[i] = s.Bandwidth / float64(int(1)<<t)
+		bounds := s.tierBounds()
+		for t := 1; t < s.Tiers; t++ {
+			bw := s.Bandwidth / float64(int(1)<<t)
+			for i := bounds[t]; i < bounds[t+1]; i++ {
+				out[i] = bw
 			}
 		}
 		return out
@@ -342,20 +345,22 @@ func (s Spec) links() []float64 {
 	}
 }
 
-// tierOf maps a FatTree node index to its bandwidth tier: tier t holds
-// 2^t shares of the pool (1, 2, 4, … — leaves outnumber core nodes), so
-// with T tiers node i sits at the tier covering position i·(2^T−1)/N.
-func (s Spec) tierOf(i int) int {
+// tierBounds lays the FatTree tiers out as index ranges: tier t holds
+// nodes [bounds[t], bounds[t+1]), and bounds[Tiers] = N. Tier t holds 2^t
+// shares of the pool (1, 2, 4, … — leaves outnumber core nodes), so with T
+// tiers node i sits at the tier covering position i·(2^T−1)/N, and tier t
+// opens at the first node whose position reaches the 2^t−1 shares before
+// it.
+func (s Spec) tierBounds() []int {
 	total := (1 << s.Tiers) - 1
-	pos := i * total / s.N
-	cum := 0
-	for t := 0; t < s.Tiers; t++ {
-		cum += 1 << t
-		if pos < cum {
-			return t
-		}
+	bounds := make([]int, s.Tiers+1)
+	for t := 1; t < s.Tiers; t++ {
+		// The least i with i·total/N ≥ 2^t−1 in integer division is the
+		// least i with i·total ≥ (2^t−1)·N.
+		bounds[t] = (((1<<t)-1)*s.N + total - 1) / total
 	}
-	return s.Tiers - 1
+	bounds[s.Tiers] = s.N
+	return bounds
 }
 
 // jitter multiplies base by a clamped relative gaussian perturbation.
@@ -412,18 +417,23 @@ func (s Spec) powers(rng *rand.Rand) []float64 {
 			}
 			means[k] = s.MinPower * math.Pow(ratio, frac)
 		}
-		for i := 0; i < s.N; i++ {
-			out[i] = jitter(rng, means[i%s.Clusters], s.Spread)
+		for i := 0; i < s.N; i += s.Clusters {
+			for k, mean := range means[:min(s.Clusters, s.N-i)] {
+				out[i+k] = jitter(rng, mean, s.Spread)
+			}
 		}
 	case FatTree:
 		// Core nodes (low tiers) are the strong ones; power halves with
 		// the link bandwidth tier, floored at MinPower.
-		for i := 0; i < s.N; i++ {
-			base := s.MaxPower / float64(int(1)<<s.tierOf(i))
+		bounds := s.tierBounds()
+		for t := 0; t < s.Tiers; t++ {
+			base := s.MaxPower / float64(int(1)<<t)
 			if base < s.MinPower {
 				base = s.MinPower
 			}
-			out[i] = jitter(rng, base, s.Spread)
+			for i := bounds[t]; i < bounds[t+1]; i++ {
+				out[i] = jitter(rng, base, s.Spread)
+			}
 		}
 	case TracePerturbed:
 		// §5.3 replayed: a homogeneous cluster, background load pinning a

@@ -35,12 +35,16 @@
 #      stably sorting node structs, as before the pool became column
 #      indices, cost 1.5-2.1 ms there);
 #   3. a cache hit on a 100k-node scenario must stay under 3 ms, a cold
-#      miss on one under 25 ms, content-addressing 100k inline nodes
+#      miss on one under 13 ms, content-addressing 100k inline nodes
 #      under 16 ms, and a 4 000-node platform PUT under 3 ms (absolute
 #      ceilings at ~3x the measured medians: a hit that generates, a miss
 #      that materialises the nodes it generated, a key that marshals, or a
 #      PUT decoded by reflection — 3.3-4.9 ms where the decoder takes
-#      0.8-1.4 ms — is over its ceiling).
+#      0.8-1.4 ms — is over its ceiling). The cold miss reads each node a
+#      fixed few times (draw, range-check, class, deal, one Eq. 15 fold):
+#      4.4 ms median on a 2-vCPU sandbox, where a table probe sized for
+#      the class cap, a per-node tier search, a twice-built power vector and
+#      reflective XML cost 6.2-6.8 ms.
 #
 # There is no baseline compare: absolute ns/op drifts with the host by more
 # than any tolerance worth setting (+25…+70 % between sessions on one
@@ -68,6 +72,6 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ns BenchmarkHeuristicPlan1M:1000000000 \
   -require-max-ns BenchmarkHeuristicPlanChurn4000:2500000 \
   -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
-  -require-max-ns BenchmarkServicePlanScenarioCold100k:25000000 \
+  -require-max-ns BenchmarkServicePlanScenarioCold100k:13000000 \
   -require-max-ns BenchmarkKeyFor100k:16000000 \
   -require-max-ns BenchmarkPlatformPut4000:3000000
