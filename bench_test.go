@@ -244,9 +244,9 @@ func BenchmarkHeuristicPlan1M(b *testing.B)   { benchClassPlanner(b, 1_000_000) 
 // BenchmarkHeuristicPlanChurn4000 is BENCHMARK.json's replan_churn miss: a
 // registered 4 000-node power-law pool — all-distinct powers under the
 // class floor, so ranked node by node — planned at DGEMM 310 from the
-// columns the registry stores. Ranking the pool is most of its cost;
-// scripts/bench.sh gates it at ~3x its median, so a ranking that copies
-// and stably sorts node structs again fails.
+// columns the registry stores. Ranking the pool was most of its cost until
+// it became a radix sort; scripts/bench.sh gates it at ~3x its median, so
+// a ranking that goes back to a comparison sort fails.
 func BenchmarkHeuristicPlanChurn4000(b *testing.B) {
 	plat, err := (scenario.Spec{Family: scenario.PowerLaw, N: 4000, Seed: 7}).Generate()
 	if err != nil {
@@ -648,10 +648,10 @@ func churnBody(p *platform.Platform) []byte {
 
 // BenchmarkPlatformPut4000 is replan_churn's write through the handler: PUT
 // /v1/platforms/{name} of a 4 000-node body, each write conditional on the
-// ETag the previous one returned. It reads the body, decodes it, validates
-// it once, digests it into the registry and answers; scripts/bench.sh gates
-// it at ~3x its measured median, over which a decoder that went back to
-// reflection lands.
+// ETag the previous one returned. It reads the body, decodes it straight
+// into columns (validated in the same pass), digests them into the
+// registry and answers; scripts/bench.sh gates it at ~3x its measured
+// median, over which a decoder that went back to reflection lands.
 func BenchmarkPlatformPut4000(b *testing.B) {
 	srv, err := service.New(service.Config{})
 	if err != nil {

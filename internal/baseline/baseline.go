@@ -7,12 +7,10 @@
 package baseline
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"adept/internal/core"
 	"adept/internal/hierarchy"
@@ -39,7 +37,7 @@ func (s *Star) PlanContext(ctx context.Context, req core.Request) (*core.Plan, e
 		return nil, err
 	}
 	cols := req.Columns
-	order := byPowerDesc(cols)
+	order := cols.RankDesc(cols.Powers) // by power, ties by name
 	h := hierarchy.New(cols.Name + "-star")
 	root := cols.Node(int(order[0]))
 	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
@@ -53,23 +51,6 @@ func (s *Star) PlanContext(ctx context.Context, req core.Request) (*core.Plan, e
 		}
 	}
 	return core.Finalize(s.Name(), req, h)
-}
-
-// byPowerDesc ranks the pool by decreasing power, ties broken by name, as a
-// permutation of column indices. Names are unique in a valid pool, so the
-// order is total and an unstable sort returns the one answer.
-func byPowerDesc(cols *platform.Columns) []int32 {
-	order := make([]int32, cols.Len())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if o := cmp.Compare(cols.Powers[b], cols.Powers[a]); o != 0 {
-			return o
-		}
-		return cols.NameCmp(int(a), int(b))
-	})
-	return order
 }
 
 // Balanced deploys the two-level balanced hierarchy of §5.3: one top agent
@@ -182,7 +163,7 @@ func (o *OptimalDAry) PlanContext(ctx context.Context, req core.Request) (*core.
 	// type comment.
 	bw, _ := cols.LinkRange()
 	c, wapp := req.Costs, req.Wapp
-	order := byPowerDesc(cols)
+	order := cols.RankDesc(cols.Powers)
 	n := len(order)
 	// power(k) is the power of the k-th most powerful node.
 	power := func(k int) float64 { return cols.Powers[order[k]] }

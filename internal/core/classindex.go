@@ -145,7 +145,7 @@ func rehash(classes []NodeClass, size int) []int32 {
 // deal lays the pool out class by class in the order rank gives the
 // classes: the members of class rank[0] first, then those of rank[1], and
 // so on, each class's members in pool order — four bytes a node.
-func (ix *ClassIndex) deal(rank []int) []int32 {
+func (ix *ClassIndex) deal(rank []int32) []int32 {
 	next := make([]int32, len(ix.classes))
 	off := int32(0)
 	for _, k := range rank {
@@ -186,9 +186,9 @@ func (ix *ClassIndex) Class(i int) *NodeClass { return &ix.classes[i] }
 // of the indexed pool — expand(collapse(pool)) preserves the multiset of
 // (name, power, link) specs, a property the fuzz battery asserts.
 func (ix *ClassIndex) Expand() []platform.Node {
-	rank := make([]int, len(ix.classes))
+	rank := make([]int32, len(ix.classes))
 	for k := range rank {
-		rank[k] = k
+		rank[k] = int32(k)
 	}
 	order := ix.deal(rank)
 	out := make([]platform.Node, 0, len(order))

@@ -55,9 +55,10 @@ type Request struct {
 	Platform *platform.Platform
 	// Columns, when set, is the pool in the form every planner reads, and
 	// it is what they read: Platform, if also set, must describe the same
-	// pool. Columns arrive valid — from Platform.Columns, or range-checked
-	// by their producer (scenario.Spec.Columns) — so no planner re-checks
-	// them. When nil, Resolve converts Platform.
+	// pool. Columns arrive valid — decoded (platform.DecodeJSON) or
+	// converted (Platform.Columns), or range-checked by their producer
+	// (scenario.Spec.Columns) — so no planner re-checks them. When nil,
+	// Resolve converts Platform.
 	Columns *platform.Columns
 	// Costs holds the middleware cost parameters (Table 3).
 	Costs model.Costs

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -28,13 +27,16 @@ import (
 //
 // At either granularity the pool is a permutation of int32 indices into
 // the request's columns, and an index becomes a platform.Node — a name —
-// only when at or peek hands that node to the planner. Wherever sort_nodes
-// breaks a tie by name (the ranking of nodes that share a sort key, the
-// order members of a run are spent in, the interleaving of classes that
-// share a sort key) the pool asks Columns.NameLess, never the index: over
-// generated names the two part ways at 10 000 nodes, where "pool-10000"
-// sorts between "pool-1000" and "pool-1001" (columndiff_test.go plans
-// across that edge against the materialised platform).
+// only when at or peek hands that node to the planner. The ranking itself
+// is no comparison sort: Columns.RankDesc radix-sorts the nodes' keys (a
+// few passes over an array of bits, whatever the pool's order) and
+// platform.RankDesc the classes'. Wherever sort_nodes breaks a tie by name
+// (the ranking of nodes that share a sort key, the order members of a run
+// are spent in, the interleaving of classes that share a sort key) the
+// pool asks the columns' name order, never the index: over generated names
+// the two part ways at 10 000 nodes, where "pool-10000" sorts between
+// "pool-1000" and "pool-1001" (columndiff_test.go plans across that edge
+// against the materialised platform).
 
 // run is a maximal block of the sorted pool sharing one spec.
 type run struct {
@@ -94,21 +96,12 @@ func newNodePool(c model.Costs, cols *platform.Columns) *sortedPool {
 	n := cols.Len()
 	d := max(n-1, 1)
 	keys := make([]float64, n)
-	order := make([]int32, n)
-	for i := range order {
+	for i := range keys {
 		power, link := cols.Spec(i)
 		r := run{power: power, link: link}
 		keys[i] = calcSchPow(c, r.bw(cols.Bandwidth), power, d)
-		order[i] = int32(i)
 	}
-	// Names are unique in a valid pool, so (key, name) orders it totally and
-	// an unstable sort returns the one order a stable sort would.
-	slices.SortFunc(order, func(a, b int32) int {
-		if o := cmp.Compare(keys[b], keys[a]); o != 0 {
-			return o
-		}
-		return cols.NameCmp(int(a), int(b))
-	})
+	order := cols.RankDesc(keys)
 	runs := make([]run, n)
 	for pos, i := range order {
 		power, link := cols.Spec(int(i))
@@ -130,13 +123,11 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 	d := max(n-1, 1)
 	nc := ix.NumClasses()
 	keys := make([]float64, nc)
-	rank := make([]int, nc)
-	for i := range rank {
+	for i := range keys {
 		cl := ix.Class(i)
 		keys[i] = calcSchPow(c, cl.link(cols.Bandwidth), cl.Power, d)
-		rank[i] = i
 	}
-	sort.Slice(rank, func(a, b int) bool { return keys[rank[a]] > keys[rank[b]] })
+	rank := platform.RankDesc(keys)
 	sp := &sortedPool{n: n, runs: make([]run, 0, nc), cols: cols, order: ix.deal(rank)}
 	pos := 0
 	for j := 0; j < nc; {
@@ -145,7 +136,7 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 			k++
 		}
 		if k == j+1 {
-			cl := ix.Class(rank[j])
+			cl := ix.Class(int(rank[j]))
 			sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: int(cl.count), start: pos})
 			pos += int(cl.count)
 		} else {
@@ -153,7 +144,7 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 			// interleaving is their joint block in name order.
 			end := pos
 			for _, ci := range rank[j:k] {
-				end += int(ix.Class(ci).count)
+				end += int(ix.Class(int(ci)).count)
 			}
 			block := sp.order[pos:end]
 			slices.SortFunc(block, func(a, b int32) int { return cols.NameCmp(int(a), int(b)) })

@@ -281,3 +281,32 @@ func checkNamedLookup(t *testing.T, prefix, query string, names []string) {
 		}
 	}
 }
+
+// sink keeps the compiler from dropping a result whose allocation is
+// counted.
+var sink string
+
+// TestNodeNameDoesNotPinTheNamesColumn: a name handed out for a deployment
+// is a copy — one allocation — so a plan that outlives its columns (a
+// cached plan of an overwritten platform) keeps a few names alive, not
+// every name of the pool; the expansion, which lives with the columns,
+// slices them and costs its node list alone.
+func TestNodeNameDoesNotPinTheNamesColumn(t *testing.T) {
+	p := &platform.Platform{Name: "own", Bandwidth: 1}
+	for i := range 100 {
+		p.Nodes = append(p.Nodes, platform.Node{Name: fmt.Sprintf("node-%03d", i), Power: 1})
+	}
+	c, err := p.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.NodeName(57); got != "node-057" {
+		t.Fatalf("NodeName(57) = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = c.NodeName(57) }); n != 1 {
+		t.Errorf("NodeName allocates %v times, want 1: its own copy", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = c.Platform().Nodes[99].Name }); n != 2 {
+		t.Errorf("Platform allocates %v times, want 2: the platform and its node list", n)
+	}
+}

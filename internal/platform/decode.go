@@ -2,44 +2,56 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// DecodeJSON decodes a platform description from JSON bytes without
-// validating it: the caller validates at its own boundary (ParseJSON does it
-// at once; the registry does it when the platform is written).
+// DecodeJSON decodes a platform description from JSON bytes straight into
+// columns and validates them: the power and link columns are filled as the
+// nodes are read, and the node names are appended to one byte arena that
+// becomes the names column as one string — no node list, no string per
+// name. A decoded pool then passes Columns.Validate, the one validation
+// pass Platform.Columns runs too, so the verdict and the message are those
+// of json.Unmarshal into a Platform followed by Platform.Columns.
 //
 // It is one pass over the bytes with no reflection, and it accepts exactly
 // what json.Unmarshal into a Platform accepts and produces the same
-// Platform (FuzzParseJSON holds it to that): object keys match their field
+// platform (FuzzParseJSON holds it to that): object keys match their field
 // case-insensitively, as encoding/json folds them; a null leaves a string or
 // number field as it was and empties the node list; a repeated member
-// decodes again into what the last one left; a type mismatch, an
-// out-of-range number or a syntax error anywhere is an error; and nesting
-// deeper than encoding/json's 10 000 levels is refused. Unknown members are
-// skipped iteratively, so no input grows the stack. Decoded strings are
-// copies: data may be reused once DecodeJSON returns.
-func DecodeJSON(data []byte) (*Platform, error) {
+// decodes again into what the last one left — a repeated node list into the
+// backing array the last one left, elements past its end included; a type
+// mismatch, an out-of-range number or a syntax error anywhere is an error
+// (prefixed "platform: decode: "); and nesting deeper than encoding/json's
+// 10 000 levels is refused. Unknown members are skipped iteratively, so no
+// input grows the stack. The columns hold copies: data may be reused once
+// DecodeJSON returns.
+func DecodeJSON(data []byte) (*Columns, error) {
 	d := decoder{data: data}
-	var p Platform
-	if err := d.platform(&p); err != nil {
+	if err := d.platform(); err != nil {
 		return nil, err
 	}
 	if d.ws(); d.off < len(d.data) {
 		return nil, d.syntaxError("after top-level value")
 	}
-	return &p, nil
+	c := d.columns()
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // maxDepth is encoding/json's nesting limit: objects and arrays may be
 // nested this deep and no deeper.
 const maxDepth = 10000
 
-// decoder is DecodeJSON's cursor over one document.
+// decoder is DecodeJSON's cursor over one document, and the platform it
+// has decoded so far.
 type decoder struct {
 	data []byte
 	off  int
@@ -49,6 +61,24 @@ type decoder struct {
 	inArray [maxDepth/64 + 1]uint64
 	// buf holds the last string that had to be unescaped.
 	buf []byte
+
+	name      string
+	bandwidth float64
+	// The node list is kept the way encoding/json keeps a slice it decodes
+	// into, column by column: the backing array holds len(powers) elements
+	// — every element a node list has reached since the array was last
+	// replaced, the ones past n cut off by the last list but revealed by
+	// the next — and the node list is its first n. links stays nil until a
+	// link is set. The names are appended to one arena in the order they
+	// are decoded. While that is element order, one name per element, the
+	// arena is the names column as it stands and node i's name ends at
+	// ends[i], starting where node i-1's ends; starts is nil. A name that
+	// arrives out of that order allocates starts, and node i's name is then
+	// names[starts[i]:ends[i]].
+	n             int
+	powers, links []float64
+	starts, ends  []uint32
+	names         strings.Builder
 }
 
 // field is a member of the platform schema.
@@ -135,8 +165,8 @@ func foldRune(r rune) rune {
 	}
 }
 
-// platform decodes the top-level value into p.
-func (d *decoder) platform(p *Platform) error {
+// platform decodes the top-level value.
+func (d *decoder) platform() error {
 	more, err := d.openObject("the platform")
 	for more && err == nil {
 		var k []byte
@@ -145,11 +175,14 @@ func (d *decoder) platform(p *Platform) error {
 		}
 		switch lookupField(k) {
 		case fieldName:
-			err = d.stringInto(&p.Name, "name")
+			var s []byte
+			if s, err = d.stringValue("name"); s != nil {
+				d.name = string(s)
+			}
 		case fieldBandwidth:
-			err = d.numberInto(&p.Bandwidth, "bandwidth_mbps")
+			err = d.numberInto(&d.bandwidth, "bandwidth_mbps")
 		case fieldNodes:
-			err = d.nodes(&p.Nodes)
+			err = d.nodes()
 		default:
 			err = d.skip()
 		}
@@ -160,14 +193,14 @@ func (d *decoder) platform(p *Platform) error {
 	return err
 }
 
-// nodes decodes the node array into *dst the way encoding/json decodes a
-// slice: element i decodes into whatever *dst already holds at i (its
-// backing array included), a null element leaves it as it is, the slice is
-// cut to the elements decoded, an empty array is an empty non-nil slice,
-// and null is a nil one.
-func (d *decoder) nodes(dst *[]Node) error {
+// nodes decodes the node array the way encoding/json decodes a slice:
+// element i decodes into whatever the backing array already holds at i, a
+// null element leaves it as it is, and the list is cut to the elements
+// decoded; an empty array and null both replace the backing array with an
+// empty one.
+func (d *decoder) nodes() error {
 	if d.ws(); d.peek() == 'n' {
-		*dst = nil
+		d.reset()
 		return d.literal("null")
 	}
 	if d.peek() != '[' {
@@ -178,21 +211,15 @@ func (d *decoder) nodes(dst *[]Node) error {
 	if err := d.push(true); err != nil {
 		return err
 	}
-	s := *dst
 	i := 0
 	if d.ws(); d.peek() == ']' {
 		d.off++
 	} else {
 		for {
-			if i == len(s) {
-				if i == cap(s) {
-					// Growing keeps the whole backing array, as
-					// reflect.Value.Grow does.
-					s = slices.Grow(s, d.moreNodes(i, start))
-				}
-				s = s[:i+1]
+			if i == len(d.powers) {
+				d.appendNode(i, start)
 			}
-			if err := d.node(&s[i]); err != nil {
+			if err := d.node(i); err != nil {
 				return err
 			}
 			i++
@@ -208,13 +235,111 @@ func (d *decoder) nodes(dst *[]Node) error {
 	}
 	d.depth--
 	if i == 0 {
-		s = []Node{}
+		d.reset()
 	}
-	*dst = s[:i]
+	d.n = i
 	return nil
 }
 
-// maxNodeGrowth caps one growth of the node slice: a run of small nodes
+// reset replaces the backing array with an empty one. Nothing refers to the
+// names decoded so far any more, so their arena goes with it.
+func (d *decoder) reset() {
+	d.n = 0
+	d.powers, d.ends, d.starts = d.powers[:0], d.ends[:0], nil
+	if d.links != nil {
+		d.links = d.links[:0]
+	}
+	d.names.Reset()
+}
+
+// nameGuess is the name length the arena is first grown by, per node,
+// before there is an average to go by.
+const nameGuess = 16
+
+// appendNode appends a zero node — no name, no power, no link — to the
+// backing array. A full array grows every column at once, by moreNodes and
+// by as many name bytes as that many nodes hold at the average so far (no
+// more than the input has left: every name byte is at least one input
+// byte), keeping every element, as reflect.Value.Grow does.
+func (d *decoder) appendNode(i, start int) {
+	if full(d.powers) || full(d.ends) || d.starts != nil && full(d.starts) || d.links != nil && full(d.links) {
+		more := d.moreNodes(i, start)
+		d.powers = slices.Grow(d.powers, more)
+		d.ends = slices.Grow(d.ends, more)
+		if d.starts != nil {
+			d.starts = slices.Grow(d.starts, more)
+		}
+		if d.links != nil {
+			d.links = slices.Grow(d.links, more)
+		}
+		perName := nameGuess
+		if len(d.powers) > 0 {
+			perName = d.names.Len()/len(d.powers) + 1
+		}
+		d.names.Grow(min(more*perName, len(d.data)-d.off))
+	}
+	d.powers = append(d.powers, 0)
+	if d.starts == nil {
+		d.ends = append(d.ends, uint32(d.names.Len()))
+	} else {
+		d.starts = append(d.starts, 0)
+		d.ends = append(d.ends, 0)
+	}
+	if d.links != nil {
+		d.links = append(d.links, 0)
+	}
+}
+
+func full[S ~[]E, E any](s S) bool { return len(s) == cap(s) }
+
+// setName appends name to the arena as node i's name. Naming the last
+// element for the first time keeps the names in element order; any other
+// name switches to spans.
+func (d *decoder) setName(i int, name []byte) error {
+	if uint64(d.names.Len()+len(name)) > maxNameBytes {
+		return fmt.Errorf("platform: decode: node names exceed %d bytes", maxNameBytes)
+	}
+	if d.starts == nil && (i != len(d.ends)-1 || i > 0 && d.ends[i] != d.ends[i-1] || i == 0 && d.ends[0] != 0) {
+		d.starts = make([]uint32, len(d.ends), cap(d.ends))
+		for k := 1; k < len(d.ends); k++ {
+			d.starts[k] = d.ends[k-1]
+		}
+	}
+	if d.starts != nil {
+		d.starts[i] = uint32(d.names.Len())
+	}
+	d.names.Write(name)
+	d.ends[i] = uint32(d.names.Len())
+	return nil
+}
+
+// columns returns the decoded platform as columns, unvalidated. Names in
+// element order are the arena as it stands; spans are copied out of it in
+// node order.
+func (d *decoder) columns() *Columns {
+	n := d.n
+	c := &Columns{Name: d.name, Bandwidth: d.bandwidth, Powers: d.powers[:n], ends: d.ends[:n:n], names: d.names.String()}
+	if d.links != nil {
+		c.Links = d.links[:n]
+	}
+	if d.starts == nil {
+		return c
+	}
+	size := 0
+	for i := range n {
+		size += int(d.ends[i] - d.starts[i])
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range n {
+		b.WriteString(c.names[d.starts[i]:d.ends[i]])
+		c.ends[i] = uint32(b.Len())
+	}
+	c.names = b.String()
+	return c
+}
+
+// maxNodeGrowth caps one growth of the node columns: a run of small nodes
 // followed by a long tail of anything else must not allocate far more
 // than the tail could hold.
 const maxNodeGrowth = 1 << 16
@@ -231,8 +356,8 @@ func (d *decoder) moreNodes(n, start int) int {
 	return min(more+more/64+1, maxNodeGrowth)
 }
 
-// node decodes one element of the node array into n.
-func (d *decoder) node(n *Node) error {
+// node decodes element i of the node array over what it holds.
+func (d *decoder) node(i int) error {
 	more, err := d.openObject("a node")
 	for more && err == nil {
 		var k []byte
@@ -241,11 +366,14 @@ func (d *decoder) node(n *Node) error {
 		}
 		switch lookupField(k) {
 		case fieldName:
-			err = d.stringInto(&n.Name, "name")
+			var s []byte
+			if s, err = d.stringValue("name"); s != nil {
+				err = d.setName(i, s)
+			}
 		case fieldPower:
-			err = d.numberInto(&n.Power, "power")
+			err = d.numberInto(&d.powers[i], "power")
 		case fieldLink:
-			err = d.numberInto(&n.LinkBandwidth, "link_bandwidth_mbps")
+			err = d.link(i)
 		default:
 			err = d.skip()
 		}
@@ -311,19 +439,35 @@ func (d *decoder) nextMember() (bool, error) {
 	return false, d.syntaxError("after object key:value pair")
 }
 
-// stringInto decodes a string member into *dst; null leaves it.
-func (d *decoder) stringInto(dst *string, key string) error {
+// stringValue decodes a string member's value as str returns it — never
+// nil, even empty — or nil for null, which leaves the field as it was.
+func (d *decoder) stringValue(key string) ([]byte, error) {
 	if d.ws(); d.peek() == 'n' {
-		return d.literal("null")
+		return nil, d.literal("null")
 	}
 	if d.peek() != '"' {
-		return d.typeError(key, "a string")
+		return nil, d.typeError(key, "a string")
 	}
-	s, err := d.str()
-	if err == nil {
-		*dst = string(s)
+	return d.str()
+}
+
+// link decodes node i's link override; its column is allocated when the
+// first node carries one.
+func (d *decoder) link(i int) error {
+	var v float64
+	if d.links != nil {
+		v = d.links[i]
 	}
-	return err
+	if err := d.numberInto(&v, "link_bandwidth_mbps"); err != nil {
+		return err
+	}
+	if d.links == nil && math.Float64bits(v) != 0 {
+		d.links = make([]float64, len(d.powers), cap(d.powers))
+	}
+	if d.links != nil {
+		d.links[i] = v
+	}
+	return nil
 }
 
 // numberInto decodes a number member into *dst as strconv.ParseFloat

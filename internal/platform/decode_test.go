@@ -2,21 +2,26 @@ package platform_test
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"adept/internal/platform"
+	"adept/internal/scenario"
 )
 
 // oracleParse is what ParseJSON was before DecodeJSON: json.Unmarshal into
-// a Platform, then Validate. decodeErr is Unmarshal's verdict alone.
+// a Platform, then its conversion into columns (Platform.Columns, its
+// validation). decodeErr is Unmarshal's verdict alone.
 func oracleParse(data []byte) (p *platform.Platform, decodeErr, validateErr error) {
 	p = new(platform.Platform)
 	if decodeErr = json.Unmarshal(data, p); decodeErr != nil {
 		return nil, decodeErr, nil
 	}
-	return p, nil, p.Validate()
+	_, validateErr = p.Columns()
+	return p, nil, validateErr
 }
 
 // nested returns an unknown member holding a value nested depth deep.
@@ -70,12 +75,23 @@ var decodeSeeds = []string{
 	`{"name":"v","bandwidth_mbps":1,"nodes":[{"power":1}]}`,
 	// replan_churn's body: fixed-width powers padded with spaces.
 	`{"name":"churn-0","bandwidth_mbps":1000,"nodes":[{"name":"churn-0-0000","power":812.5000    },{"name":"churn-0-0001","power":97.2500     ,"link_bandwidth_mbps":100}]}`,
+	// Valid pools whose names do not lie end to end in the arena: a name
+	// decoded twice, and a repeated list that renames what it reveals.
+	`{"name":"r","bandwidth_mbps":1,"nodes":[{"name":"a","name":"bb","power":1},{"name":"c","power":2}]}`,
+	`{"name":"r","bandwidth_mbps":1,"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"name":"cc"}],"nodes":[{},{}]}`,
+	// A valid explicit -0 link, which the digest tells from no override.
+	`{"name":"z","bandwidth_mbps":1,"nodes":[{"name":"a","power":1,"link_bandwidth_mbps":-0},{"name":"b","power":2}]}`,
+	// A link column that appears late, on a reused element.
+	`{"name":"l","bandwidth_mbps":1,"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"link_bandwidth_mbps":7}],"nodes":[null,null]}`,
 }
 
 // FuzzParseJSON is DecodeJSON's contract: on any input it accepts and
-// rejects what json.Unmarshal into a Platform does and, when both accept,
-// decodes the same platform; ParseJSON then validates it with Validate's
-// own words.
+// rejects what json.Unmarshal into a Platform followed by Platform.Columns
+// does — a decode failure with the "platform: decode: " prefix, a
+// validation failure in Platform.Columns' own words — and, when both
+// accept, holds the same platform: its Columns.Digest is the oracle's
+// Platform.Digest and its Columns.Platform() is the oracle's platform,
+// field for field. ParseJSON says what DecodeJSON says.
 func FuzzParseJSON(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
@@ -83,24 +99,28 @@ func FuzzParseJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantDecode, wantValidate := oracleParse(data)
 		got, err := platform.DecodeJSON(data)
-		if (err == nil) != (wantDecode == nil) {
-			t.Fatalf("DecodeJSON(%q): error %v; encoding/json: %v", data, err, wantDecode)
-		}
 		parsed, perr := platform.ParseJSON(data)
-		if err != nil {
-			if !strings.HasPrefix(err.Error(), "platform: decode: ") || perr == nil || perr.Error() != err.Error() {
-				t.Fatalf("%q: DecodeJSON says %v, ParseJSON says %v", data, err, perr)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("%q: DecodeJSON says %v, ParseJSON says %v", data, err, perr)
+		}
+		switch {
+		case wantDecode != nil:
+			if err == nil || !strings.HasPrefix(err.Error(), "platform: decode: ") {
+				t.Fatalf("DecodeJSON(%q): %v; encoding/json: %v", data, err, wantDecode)
 			}
-			return
-		}
-		if len(got.Nodes) != len(want.Nodes) || got.Digest() != want.Digest() {
-			t.Fatalf("DecodeJSON(%q) = %+v; encoding/json decodes %+v", data, got, want)
-		}
-		if (perr == nil) != (wantValidate == nil) || perr != nil && perr.Error() != wantValidate.Error() {
-			t.Fatalf("ParseJSON(%q): %v; Validate says %v", data, perr, wantValidate)
-		}
-		if perr == nil && parsed.Digest() != want.Digest() {
-			t.Fatalf("ParseJSON(%q) decoded another platform than DecodeJSON", data)
+		case wantValidate != nil:
+			if err == nil || err.Error() != wantValidate.Error() {
+				t.Fatalf("DecodeJSON(%q): %v; Platform.Columns says %v", data, err, wantValidate)
+			}
+		case err != nil:
+			t.Fatalf("DecodeJSON(%q): %v; encoding/json and Platform.Columns accept it", data, err)
+		default:
+			if got.Digest() != want.Digest() {
+				t.Fatalf("DecodeJSON(%q) digests to another platform than encoding/json decodes: %+v", data, want)
+			}
+			if !reflect.DeepEqual(got.Platform(), want) || !reflect.DeepEqual(parsed, want) {
+				t.Fatalf("DecodeJSON(%q) expands to %+v, ParseJSON to %+v; encoding/json decodes %+v", data, got.Platform(), parsed, want)
+			}
 		}
 	})
 }
@@ -108,28 +128,38 @@ func FuzzParseJSON(f *testing.F) {
 // TestDecodeJSONBehaviours pins the behaviours FuzzParseJSON's seeds name
 // to their outcomes on both sides, so the oracle is checked too: a Go
 // release that changed one of them fails here instead of silently
-// redefining the contract.
+// redefining the contract. Each body is given a bandwidth first, so the
+// outcome is the nodes decoded when they are valid and the validation
+// message that names what was decoded when they are not.
 func TestDecodeJSONBehaviours(t *testing.T) {
 	cases := []struct {
-		body  string
-		nodes string // the decoded nodes as "name/power ...", or "error"
+		body string
+		// outcome is the decoded nodes as "name/power ...", the validation
+		// message, or "error" for a decode failure.
+		outcome string
 	}{
 		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":3}],"nodes":[{"power":2}]}`, "a/2"},
 		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":3}],"nodes":[{"power":2}],"nodes":[{},{}]}`, "a/2 b/3"},
-		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":3}],"nodes":[],"nodes":[{},{}]}`, "/0 /0"},
+		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":3}],"nodes":[],"nodes":[{},{}]}`, `platform "": node 0 has empty name`},
 		{`{"NODES":[{"NaMe":"a","POWER":1}]}`, "a/1"},
-		{`{"nodes":[{"name":"a","power":1,"power":null},null]}`, "a/1 /0"},
-		{`{"nodes":[{"name":"a","power":1}],"nodes":null}`, ""},
+		{`{"nodes":[{"name":"a","power":1,"power":null},null]}`, `platform "": node 1 has empty name`},
+		{`{"nodes":[{"name":"a","power":1,"power":null},null],"nodes":[{},{"name":"b"}]}`, `platform "": node "b" has non-positive power 0`},
+		{`{"nodes":[{"name":"a","power":1}],"nodes":null}`, `platform "": no nodes`},
 		{`{"nodes":[{"name":"a","power":"1"}]}`, "error"},
 		{`{"nodes":[{"name":"a","power":1e400}]}`, "error"},
 		{`{"nodes":[{"name":"\ud800","power":1}]}`, "\uFFFD/1"},
+		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"name":"b"}],"nodes":[null,null]}`, `platform "": duplicate node name "b"`},
+		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"name":"c"}],"nodes":[null,null]}`, "c/1 b/2"},
 		{nested(9999), "a/1"},
 		{nested(10001), "error"},
 		{`{"nodes":[{"name":"a","power":812.5000    }]}`, "a/812.5"},
 	}
 	show := func(p *platform.Platform, err error) string {
-		if err != nil {
+		switch {
+		case err != nil && strings.HasPrefix(err.Error(), "platform: decode: "):
 			return "error"
+		case err != nil:
+			return err.Error()
 		}
 		var parts []string
 		for _, n := range p.Nodes {
@@ -137,28 +167,113 @@ func TestDecodeJSONBehaviours(t *testing.T) {
 		}
 		return strings.Join(parts, " ")
 	}
-	for _, tc := range cases {
-		var want platform.Platform
-		werr := json.Unmarshal([]byte(tc.body), &want)
-		got, err := platform.DecodeJSON([]byte(tc.body))
-		if s := show(&want, werr); s != tc.nodes {
-			t.Errorf("encoding/json(%.60q) nodes = %q, want %q", tc.body, s, tc.nodes)
+	oracle := func(body []byte) string {
+		var p platform.Platform
+		if err := json.Unmarshal(body, &p); err != nil {
+			return "error"
 		}
-		if s := show(got, err); s != tc.nodes {
-			t.Errorf("DecodeJSON(%.60q) nodes = %q, want %q", tc.body, s, tc.nodes)
+		_, err := p.Columns()
+		return show(&p, err)
+	}
+	decoded := func(body []byte) string {
+		c, err := platform.DecodeJSON(body)
+		if err != nil {
+			return show(nil, err)
+		}
+		return show(c.Platform(), nil)
+	}
+	for _, tc := range cases {
+		body := []byte(`{"bandwidth_mbps":1,` + tc.body[1:])
+		if s := oracle(body); s != tc.outcome {
+			t.Errorf("encoding/json(%.60q) = %q, want %q", tc.body, s, tc.outcome)
+		}
+		if s := decoded(body); s != tc.outcome {
+			t.Errorf("DecodeJSON(%.60q) = %q, want %q", tc.body, s, tc.outcome)
 		}
 	}
 	for key, want := range map[string]float64{
 		"link_bandwidth_mbps":           5,
 		"LINK_BANDWIDTH_MBPS":           5,
-		"lin\u212a_bandwidth_mbps":      5, // the Kelvin sign, escaped
+		"lin\u212A_bandwidth_mbps":      5, // the Kelvin sign, escaped
 		"lin\u212A_bandwidth_mbp\u017f": 5, // and the long s
 		"l\u0130nk_bandwidth_mbps":      0, // a dotted capital I folds onto nothing
 	} {
-		body := `{"nodes":[{"name":"a","power":1,"` + key + `":5}]}`
-		p, err := platform.DecodeJSON([]byte(body))
-		if err != nil || p.Nodes[0].LinkBandwidth != want {
-			t.Errorf("key %s: %+v, %v; want link %g", key, p, err, want)
+		body := `{"bandwidth_mbps":1,"nodes":[{"name":"a","power":1,"` + key + `":5}]}`
+		c, err := platform.DecodeJSON([]byte(body))
+		if err != nil {
+			t.Errorf("key %s: %v", key, err)
+		} else if _, link := c.Spec(0); link != want {
+			t.Errorf("key %s: link %g, want %g", key, link, want)
 		}
+	}
+}
+
+// TestDecodeJSONDigestAcrossFamilies: for every scenario family, with its
+// own links, with none, and with an explicit override on every node, the
+// columns DecodeJSON builds from the platform's JSON — and those
+// Platform.Columns builds from the platform, and those the generator
+// draws — digest to Platform.Digest and expand into the platform itself.
+func TestDecodeJSONDigestAcrossFamilies(t *testing.T) {
+	for _, fam := range scenario.Families() {
+		for _, n := range []int{2, 25, 400} {
+			spec := scenario.Spec{Family: fam, N: n, Seed: 3}
+			generated, err := spec.Columns(t.Context())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := generated.Platform()
+			bare := p.Clone()
+			explicit := p.Clone()
+			for i := range bare.Nodes {
+				bare.Nodes[i].LinkBandwidth = 0
+				explicit.Nodes[i].LinkBandwidth = explicit.Nodes[i].Link(p.Bandwidth) * float64(1+i%3)
+			}
+			for variant, q := range map[string]*platform.Platform{"own links": p, "no links": bare, "every link": explicit} {
+				data, err := json.Marshal(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := platform.DecodeJSON(data)
+				if err != nil {
+					t.Fatalf("%s n=%d %s: %v", fam, n, variant, err)
+				}
+				converted, err := q.Columns()
+				if err != nil {
+					t.Fatalf("%s n=%d %s: %v", fam, n, variant, err)
+				}
+				want := q.Digest()
+				for form, c := range map[string]*platform.Columns{"decoded": decoded, "converted": converted} {
+					if c.Digest() != want {
+						t.Errorf("%s n=%d %s: %s columns digest to another platform", fam, n, variant, form)
+					}
+					if !reflect.DeepEqual(c.Platform(), q) {
+						t.Errorf("%s n=%d %s: %s columns expand into another platform", fam, n, variant, form)
+					}
+				}
+			}
+			if generated.Digest() != p.Digest() {
+				t.Errorf("%s n=%d: generated columns digest to another platform than their expansion", fam, n)
+			}
+		}
+	}
+}
+
+// TestDecodeJSONGrowthIsBoundedByInput: a node list that follows one of a
+// few very long names grows the columns by the density of its own nodes,
+// and the name arena by no more than the input has left — not by the long
+// names' average times the count.
+func TestDecodeJSONGrowthIsBoundedByInput(t *testing.T) {
+	long := strings.Repeat("a", 1<<20)
+	body := `{"bandwidth_mbps":1,"nodes":[{"name":"` + long + `x","power":1},{"name":"` + long + `y","power":1}],` +
+		`"nodes":[` + strings.Repeat(`{"power":1},`, 60_000) + `{"power":1}]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := platform.DecodeJSON([]byte(body))
+	runtime.ReadMemStats(&after)
+	if want := `platform "": node 2 has empty name`; err == nil || err.Error() != want {
+		t.Fatalf("DecodeJSON: %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(body)) {
+		t.Errorf("decoding %d bytes allocated %d", len(body), alloc)
 	}
 }

@@ -86,28 +86,47 @@ const digestDomain = "adept/platform/v1\x00"
 // are field-for-field equal: in particular the digest covers every field
 // Validate reads, which is what lets the planning service skip validating
 // a platform whose digest it has already validated and planned. It streams
-// the encoding through one small buffer and allocates nothing per node.
+// the encoding through one small buffer and allocates nothing per node;
+// Columns.Digest streams the same encoding from the columns.
 func (p *Platform) Digest() [sha256.Size]byte {
 	h := sha256.New()
-	buf := make([]byte, 0, 2048)
-	buf = append(buf, digestDomain...)
-	buf = appendString(buf, p.Name)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.Bandwidth))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(p.Nodes)))
+	buf := appendDigestHeader(make([]byte, 0, 2048), p.Name, p.Bandwidth, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		if len(buf)+8+len(n.Name)+16 > cap(buf) {
+		if len(buf)+digestNodeSize(n.Name) > cap(buf) {
 			h.Write(buf)
 			buf = buf[:0]
 		}
-		buf = appendString(buf, n.Name)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(n.Power))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(n.LinkBandwidth))
+		buf = appendDigestNode(buf, n.Name, n.Power, n.LinkBandwidth)
 	}
 	h.Write(buf)
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
+}
+
+// The digest's encoding is written once, here, for Platform.Digest and
+// Columns.Digest: a header, then node by node in pool order. Each streams
+// it into SHA-256 itself, through one small buffer, so that the hash's
+// calls are resolved statically and the buffer stays on the stack.
+
+// appendDigestHeader appends the platform's header to buf.
+func appendDigestHeader(buf []byte, name string, bandwidth float64, nodes int) []byte {
+	buf = append(buf, digestDomain...)
+	buf = appendString(buf, name)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(bandwidth))
+	return binary.BigEndian.AppendUint64(buf, uint64(nodes))
+}
+
+// digestNodeSize is how many bytes appendDigestNode appends for a node.
+func digestNodeSize(name string) int { return 8 + len(name) + 16 }
+
+// appendDigestNode appends a node to buf: its name, power and raw link
+// bandwidth.
+func appendDigestNode(buf []byte, name string, power, link float64) []byte {
+	buf = appendString(buf, name)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(power))
+	return binary.BigEndian.AppendUint64(buf, math.Float64bits(link))
 }
 
 // appendString appends s behind its length, which keeps a sequence of
@@ -368,17 +387,14 @@ func LoadJSON(path string) (*Platform, error) {
 	return ParseJSON(data)
 }
 
-// ParseJSON decodes a platform description from JSON bytes (DecodeJSON)
-// and validates it.
+// ParseJSON decodes and validates a platform description from JSON bytes
+// (DecodeJSON) and expands it into its node list (Columns.Platform).
 func ParseJSON(data []byte) (*Platform, error) {
-	p, err := DecodeJSON(data)
+	c, err := DecodeJSON(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return c.Platform(), nil
 }
 
 // MarshalIndent renders the platform as indented JSON suitable for files.

@@ -50,10 +50,11 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 		if u.Platform == nil {
 			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
 		}
-		var err error
-		if entry, err = newRegEntry(u.Platform, u.Version); err != nil {
+		cols, err := u.Platform.Columns()
+		if err != nil {
 			return false, err
 		}
+		entry = newRegEntry(cols, u.Version)
 	}
 	r.persistMu.Lock()
 	defer r.persistMu.Unlock()

@@ -10,7 +10,8 @@
 //   - registry.go — Registry: named, versioned platform descriptions with
 //     optimistic concurrency (If-Match) and a write-through journal
 //     (LoadDir, PersistTo); each entry keeps the platform as columns and
-//     its content digest, both built once when it is written
+//     its content digest, both built once when it is written — a PUT body
+//     and a journal are decoded straight into the columns (DecodeJSON)
 //   - cache.go — PlanCache: content-addressed plan cache, one LRU
 //     (internal/lru) under one mutex, and the one key function (planKey)
 //   - pool.go, coalesce.go — Pool: counting semaphore bounding concurrent

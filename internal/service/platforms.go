@@ -79,9 +79,15 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The body is read into a reused buffer: what DecodeJSON keeps of it
-	// is copied out. It is decoded, not validated — the registry validates
-	// what it stores, by converting it into columns.
+	if err := validName(name); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// The body is read into a reused buffer and decoded straight into the
+	// columns the registry stores — its one validation; what they keep of
+	// the body is copied out. No node list is built: the platform is
+	// expanded only to be broadcast to peers (and journalled, when the
+	// registry persists).
 	body := bodyBuffers.Get().(*bytes.Buffer)
 	defer bodyBuffers.Put(body)
 	body.Reset()
@@ -89,19 +95,29 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorStatus(err), "read body: %v", err)
 		return
 	}
-	p, err := platform.DecodeJSON(body.Bytes())
+	cols, err := platform.DecodeJSON(body.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	version, err := s.registry.PutIfMatch(name, p, expect)
+	version, err := s.registry.putColumns(name, cols, expect)
 	if err != nil {
 		writeRegistryError(w, err)
 		return
 	}
-	s.broadcast(RegistryUpdate{Name: name, Version: version, Platform: p})
+	if s.cluster != nil {
+		s.cluster.Broadcast(RegistryUpdate{Name: name, Version: version, Platform: cols.Platform()})
+	}
 	w.Header().Set("ETag", etagFor(version))
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "nodes": len(p.Nodes), "version": version})
+	writeJSON(w, http.StatusOK, putResponse{Name: name, Nodes: cols.Len(), Version: version})
+}
+
+// putResponse answers a platform PUT (its bytes are pinned by
+// http_golden.json).
+type putResponse struct {
+	Name    string `json:"name"`
+	Nodes   int    `json:"nodes"`
+	Version uint64 `json:"version"`
 }
 
 func (s *Server) handlePlatformDelete(w http.ResponseWriter, r *http.Request) {

@@ -33,16 +33,12 @@ type regEntry struct {
 	digest  [sha256.Size]byte
 }
 
-// newRegEntry is the registry's one write path into an entry: it converts
-// p into columns — the platform's one validation, whichever way it arrived
-// (PUT, ApplyRemote, LoadDir) — and digests it. The columns share nothing
-// mutable with p, so the caller keeps p.
-func newRegEntry(p *platform.Platform, version uint64) (*regEntry, error) {
-	cols, err := p.Columns()
-	if err != nil {
-		return nil, err
-	}
-	return &regEntry{cols: cols, version: version, digest: p.Digest()}, nil
+// newRegEntry is the registry's one way into an entry: it takes columns
+// that were validated where they were built — decoded from JSON (a PUT,
+// LoadDir) or converted from a platform (PutIfMatch, ApplyRemote) — and
+// digests them.
+func newRegEntry(cols *platform.Columns, version uint64) *regEntry {
+	return &regEntry{cols: cols, version: version, digest: cols.Digest()}
 }
 
 // Registry is a concurrency-safe store of named, versioned platform
@@ -141,12 +137,22 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 	if p == nil {
 		return 0, fmt.Errorf("service: nil platform %q", name)
 	}
-	// Converted and digested outside the writer lock; the version is known
-	// only under it.
-	entry, err := newRegEntry(p, 0)
+	cols, err := p.Columns()
 	if err != nil {
 		return 0, err
 	}
+	return r.putColumns(name, cols, expect)
+}
+
+// putColumns is PutIfMatch for columns already validated (DecodeJSON's,
+// a PUT's): it stores them as they are. The platform is expanded only to
+// be journalled, when persisting.
+func (r *Registry) putColumns(name string, cols *platform.Columns, expect *uint64) (uint64, error) {
+	if err := validName(name); err != nil {
+		return 0, err
+	}
+	// Digested outside the writer lock; the version is known only under it.
+	entry := newRegEntry(cols, 0)
 	// persistMu serialises every writer, so the version comparison below
 	// and the write that follows are one atomic step with respect to any
 	// concurrent PutIfMatch/DeleteIfMatch on the same name.
@@ -163,7 +169,7 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 		return 0, err
 	}
 	if r.persistDir != "" {
-		if err := persistPlatform(r.persistDir, name, p); err != nil {
+		if err := persistPlatform(r.persistDir, name, cols.Platform()); err != nil {
 			return 0, err
 		}
 	}
@@ -428,18 +434,18 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// loadEntry reads one platform journal into an entry: decoded, then
-// validated by the write path's conversion.
+// loadEntry reads one platform journal into an entry: decoded straight
+// into validated columns.
 func loadEntry(path string, version uint64) (*regEntry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	p, err := platform.DecodeJSON(data)
+	cols, err := platform.DecodeJSON(data)
 	if err != nil {
 		return nil, err
 	}
-	return newRegEntry(p, version)
+	return newRegEntry(cols, version), nil
 }
 
 // loadVersions reads the version sidecar, tolerating its absence (dirs
