@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 
 	"adept/internal/platform"
 )
@@ -32,12 +30,13 @@ type RegistryUpdate struct {
 }
 
 // ApplyRemote folds a replication update from a peer into the store. It
-// applies iff u.Version is strictly newer than the highest version seen
-// locally for u.Name — duplicate deliveries, replays after webhook
-// retries, and out-of-order arrivals are all no-ops, so convergence needs
-// no coordination beyond the version itself. Local writes through
-// Put/Delete keep their own monotonic counters above anything applied
-// here, because both paths share the versions map.
+// applies iff u.Version is strictly newer than the name's entry, live or
+// tombstone — duplicate deliveries, replays after webhook retries, and
+// out-of-order arrivals are all no-ops, so convergence needs no
+// coordination beyond the version itself. Local writes through Put/Delete
+// mint their versions above the same entry, so they stay above anything
+// applied here. An update that cannot be journalled is refused, not
+// applied, so the peer's retry applies it.
 func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 	if err := validName(u.Name); err != nil {
 		return false, err
@@ -45,7 +44,7 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 	if u.Version == 0 {
 		return false, fmt.Errorf("service: remote update for %q carries no version", u.Name)
 	}
-	var entry *regEntry
+	e := &regEntry{}
 	if !u.Deleted {
 		if u.Platform == nil {
 			return false, fmt.Errorf("service: remote update for %q carries no platform", u.Name)
@@ -54,31 +53,15 @@ func (r *Registry) ApplyRemote(u RegistryUpdate) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		entry = newRegEntry(cols, u.Version)
+		e = newRegEntry(cols, u.Version)
 	}
-	r.persistMu.Lock()
-	defer r.persistMu.Unlock()
-	r.mu.Lock()
-	if u.Version <= r.versions[u.Name] {
-		r.mu.Unlock()
-		return false, nil
-	}
-	r.versions[u.Name] = u.Version
-	if u.Deleted {
-		delete(r.platforms, u.Name)
-	} else {
-		r.platforms[u.Name] = entry
-	}
-	r.mu.Unlock()
-	if r.persistDir != "" {
-		if u.Deleted {
-			_ = os.Remove(filepath.Join(r.persistDir, u.Name+".json"))
-		} else if err := persistPlatform(r.persistDir, u.Name, u.Platform); err != nil {
-			return true, err
+	version, err := r.commit(u.Name, e, func(cur *regEntry) (uint64, error) {
+		if u.Version <= cur.version {
+			return 0, nil
 		}
-	}
-	r.persistVersionsLocked()
-	return true, nil
+		return u.Version, nil
+	})
+	return version != 0, err
 }
 
 // PeerReport is the cluster-layer counter block surfaced in both metrics

@@ -7,11 +7,14 @@
 // Four concrete types, each usable on its own, and one file per concern
 // around them:
 //
-//   - registry.go — Registry: named, versioned platform descriptions with
-//     optimistic concurrency (If-Match) and a write-through journal
-//     (LoadDir, PersistTo); each entry keeps the platform as columns and
-//     its content digest, both built once when it is written — a PUT body
-//     and a journal are decoded straight into the columns (DecodeJSON)
+//   - registry.go — Registry: one map of versioned registers, one per
+//     name, where a tombstone (a deleted name's version) is an entry too;
+//     optimistic concurrency (If-Match) and a journal (LoadDir,
+//     PersistTo). Every write — PUT, DELETE, a peer's update — commits
+//     through one step that decides its version, journals it and only then
+//     installs it. A live entry keeps the platform as columns and its
+//     content digest, both built once when it is written — a PUT body and
+//     a journal are decoded straight into the columns (DecodeJSON)
 //   - cache.go — PlanCache: content-addressed plan cache, one LRU
 //     (internal/lru) under one mutex, and the one key function (planKey)
 //   - pool.go, coalesce.go — Pool: counting semaphore bounding concurrent

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"adept/internal/core"
 	"adept/internal/obs"
@@ -95,8 +94,9 @@ func (p *Pool) Submit(ctx context.Context, fn func(context.Context) (*core.Plan,
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
-	//adeptvet:allow nondet enqueue timestamp for the queue-wait span; trace telemetry, not planner state
-	enqueued := time.Now()
+	// How long the job waits for a slot — a no-op, and no clock read,
+	// unless the submitter's context carries a trace recorder.
+	waited := obs.TraceFrom(ctx).Phase("queue_wait")
 	if err := p.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -112,10 +112,7 @@ func (p *Pool) Submit(ctx context.Context, fn func(context.Context) (*core.Plan,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// How long the job waited for a slot — a no-op unless the submitter's
-	// context carries a trace recorder.
-	//adeptvet:allow nondet queue-wait latency measurement; trace telemetry, not planner state
-	obs.TraceFrom(ctx).Span("queue_wait", time.Since(enqueued))
+	waited()
 	p.active.Add(1)
 	p.executed.Add(1)
 	defer p.active.Add(-1)

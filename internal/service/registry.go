@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,19 +25,26 @@ var ErrVersionMismatch = errors.New("service: platform version mismatch")
 // exist, at any version.
 const MatchAny = ^uint64(0)
 
-// regEntry is one stored platform: its columns, the registry's private,
-// never-mutated form of it (a write replaces the entry), its monotonic
-// version, and its content digest, computed once when the entry was written.
+// regEntry is one register of the registry: a name's version and what it
+// holds at that version. A live entry holds columns — the registry's
+// private, never-mutated form of the platform (a write installs a new
+// entry) — and their content digest, computed once when it was written. A
+// tombstone is an entry too, with no columns: the version a delete (or a
+// peer's delete) landed at, kept so that the name's version line never
+// rewinds.
 type regEntry struct {
-	cols    *platform.Columns
+	cols    *platform.Columns // nil for a tombstone
 	version uint64
 	digest  [sha256.Size]byte
 }
 
-// newRegEntry is the registry's one way into an entry: it takes columns
-// that were validated where they were built — decoded from JSON (a PUT,
-// LoadDir) or converted from a platform (PutIfMatch, ApplyRemote) — and
-// digests them.
+// absent is the entry of a name never written: a tombstone at version 0.
+var absent regEntry
+
+// newRegEntry is the registry's one way into a live entry: it takes
+// columns that were validated where they were built — decoded from JSON (a
+// PUT, LoadDir) or converted from a platform (PutIfMatch, ApplyRemote) —
+// and digests them. A write's version is the one commit decides.
 func newRegEntry(cols *platform.Columns, version uint64) *regEntry {
 	return &regEntry{cols: cols, version: version, digest: cols.Digest()}
 }
@@ -49,42 +57,42 @@ func newRegEntry(cols *platform.Columns, version uint64) *regEntry {
 // plans are addressed by — is paid when it is written, and a plan request
 // reads the result (Resident).
 //
-// Every entry carries a monotonic version: each Put bumps it, each Delete
-// records a tombstone version, and conditional writes (PutIfMatch /
-// DeleteIfMatch) reject stale writers with ErrVersionMismatch instead of
-// silently dropping their predecessor's update. Versions survive
-// delete/re-create (the counter never rewinds for a name), which is what
-// lets replicated peers order updates by version alone.
+// It is one map of registers (regEntry), one per name ever written: a
+// delete leaves a tombstone entry, which readers treat as absent. Every
+// write goes through commit, which decides the version it lands at from
+// the name's current entry: each Put bumps it, each Delete bumps it into a
+// tombstone, and conditional writes (PutIfMatch / DeleteIfMatch) reject
+// stale writers with ErrVersionMismatch instead of silently dropping their
+// predecessor's update. Versions survive delete/re-create (the counter
+// never rewinds for a name), which is what lets replicated peers order
+// updates by version alone.
 //
-// With PersistTo enabled, every write journals the platform to disk
-// (atomic temp-file rename) plus a version sidecar, and every delete
-// removes the journal, so a daemon restart pointed at the same directory
-// keeps its registered platforms — and deleted entries stay deleted.
+// With PersistTo enabled, every write journals before it is installed —
+// the platform written to <name>.json (atomic temp-file rename), or the
+// file removed for a tombstone — and then rewrites a version sidecar from
+// the entries, so a daemon restart pointed at the same directory keeps its
+// registered platforms, deleted entries stay deleted, and a write whose
+// journal failed is not installed at all.
 type Registry struct {
-	mu        sync.RWMutex
-	platforms map[string]*regEntry
-	// versions records the highest version ever seen per name, including
-	// tombstones of deleted entries — guarded by mu with the map.
-	versions map[string]uint64
+	mu      sync.RWMutex
+	entries map[string]*regEntry
 	// persistMu serialises all writers (and their journal I/O), pinning
 	// version check-then-act sequences and disk ordering against the map
 	// updates without ever holding the read-path lock across disk writes:
-	// a slow disk must not stall /v1/plan lookups in Get.
+	// a slow disk must not stall /v1/plan lookups in Get. A holder reads
+	// the map without mu: only a holder writes it.
 	persistMu  sync.Mutex
 	persistDir string // guarded by persistMu
 }
 
 // NewRegistry returns an empty, non-persisting registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		platforms: make(map[string]*regEntry),
-		versions:  make(map[string]uint64),
-	}
+	return &Registry{entries: make(map[string]*regEntry)}
 }
 
-// versionsSidecar is the file (inside the persist dir) recording the
-// per-name version counters, tombstones included. It deliberately does
-// not end in .json so LoadDir never mistakes it for a platform journal.
+// versionsSidecar is the file (inside the persist dir) recording every
+// entry's version, tombstones included. It deliberately does not end in
+// .json so LoadDir never mistakes it for a platform journal.
 const versionsSidecar = ".adept-versions"
 
 // PersistTo enables journaling: subsequent Puts write <name>.json into dir
@@ -99,6 +107,41 @@ func (r *Registry) PersistTo(dir string) error {
 	defer r.persistMu.Unlock()
 	r.persistDir = dir
 	return nil
+}
+
+// commit is the registry's one write. Under persistMu, decide sees the
+// name's current entry — live, tombstone or absent — and returns the
+// version e lands at, 0 for a write that changes nothing, or an error.
+// The write is then journalled, installed and recorded in the sidecar, in
+// that order: a write whose journal fails is not installed.
+func (r *Registry) commit(name string, e *regEntry, decide func(cur *regEntry) (uint64, error)) (uint64, error) {
+	r.persistMu.Lock()
+	defer r.persistMu.Unlock()
+	cur := r.entries[name]
+	if cur == nil {
+		cur = &absent
+	}
+	version, err := decide(cur)
+	if version == 0 || err != nil {
+		return 0, err
+	}
+	e.version = version
+	if r.persistDir != "" {
+		if err := journal(r.persistDir, name, e); err != nil {
+			return 0, err
+		}
+	}
+	r.install(name, e)
+	r.persistVersionsLocked()
+	return version, nil
+}
+
+// install makes e the named entry, for readers too. Callers hold
+// persistMu; it is the one place the map is written.
+func (r *Registry) install(name string, e *regEntry) {
+	r.mu.Lock()
+	r.entries[name] = e
+	r.mu.Unlock()
 }
 
 // validName rejects names that cannot double as file basenames: the
@@ -145,49 +188,29 @@ func (r *Registry) PutIfMatch(name string, p *platform.Platform, expect *uint64)
 }
 
 // putColumns is PutIfMatch for columns already validated (DecodeJSON's,
-// a PUT's): it stores them as they are. The platform is expanded only to
-// be journalled, when persisting.
+// a PUT's): it stores them as they are, one version above the name's
+// current entry. The platform is expanded only to be journalled, when
+// persisting.
 func (r *Registry) putColumns(name string, cols *platform.Columns, expect *uint64) (uint64, error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
 	// Digested outside the writer lock; the version is known only under it.
-	entry := newRegEntry(cols, 0)
-	// persistMu serialises every writer, so the version comparison below
-	// and the write that follows are one atomic step with respect to any
-	// concurrent PutIfMatch/DeleteIfMatch on the same name.
-	r.persistMu.Lock()
-	defer r.persistMu.Unlock()
-	r.mu.RLock()
-	current := uint64(0)
-	if e := r.platforms[name]; e != nil {
-		current = e.version
-	}
-	next := r.versions[name] + 1
-	r.mu.RUnlock()
-	if err := checkMatch(name, current, expect); err != nil {
-		return 0, err
-	}
-	if r.persistDir != "" {
-		if err := persistPlatform(r.persistDir, name, cols.Platform()); err != nil {
-			return 0, err
-		}
-	}
-	entry.version = next
-	r.mu.Lock()
-	r.platforms[name] = entry
-	r.versions[name] = next
-	r.mu.Unlock()
-	r.persistVersionsLocked()
-	return next, nil
+	return r.commit(name, newRegEntry(cols, 0), func(cur *regEntry) (uint64, error) {
+		return cur.version + 1, checkMatch(name, cur, expect)
+	})
 }
 
 // checkMatch compares an entry's current version against the caller's
-// expectation (PutIfMatch semantics). current is 0 when the entry does
-// not exist.
-func checkMatch(name string, current uint64, expect *uint64) error {
+// expectation (PutIfMatch semantics). A tombstone, like an absent name,
+// is at version 0 here.
+func checkMatch(name string, cur *regEntry, expect *uint64) error {
 	if expect == nil {
 		return nil
+	}
+	current := uint64(0)
+	if cur.cols != nil {
+		current = cur.version
 	}
 	switch {
 	case *expect == MatchAny:
@@ -241,11 +264,17 @@ func syncDir(dir string) error {
 	return err
 }
 
-// persistPlatform journals p as dir/name.json.
-func persistPlatform(dir, name string, p *platform.Platform) error {
-	data, err := p.MarshalIndent()
-	if err == nil {
-		err = writeFileAtomic(dir, name+".json", data)
+// journal makes dir/<name>.json say what e says: the platform, written
+// whole, or — for a tombstone — no file.
+func journal(dir, name string, e *regEntry) error {
+	var err error
+	if e.cols != nil {
+		var data []byte
+		if data, err = e.cols.Platform().MarshalIndent(); err == nil {
+			err = writeFileAtomic(dir, name+".json", data)
+		}
+	} else if err = os.Remove(filepath.Join(dir, name+".json")); errors.Is(err, fs.ErrNotExist) {
+		err = nil
 	}
 	if err != nil {
 		return fmt.Errorf("service: persist %q: %w", name, err)
@@ -253,20 +282,21 @@ func persistPlatform(dir, name string, p *platform.Platform) error {
 	return nil
 }
 
-// persistVersionsLocked journals the version counters (tombstones
-// included) into the sidecar file. Callers hold persistMu. Best-effort:
-// the sidecar is an optimisation for cross-restart version continuity,
-// not a correctness requirement for the in-memory store.
+// persistVersionsLocked rewrites the sidecar from the entries' versions,
+// tombstones included. Callers hold persistMu. Best-effort: the sidecar is
+// an optimisation for cross-restart version continuity, not a correctness
+// requirement for the in-memory store.
 func (r *Registry) persistVersionsLocked() {
 	if r.persistDir == "" {
 		return
 	}
-	r.mu.RLock()
+	versions := make(map[string]uint64, len(r.entries))
+	for name, e := range r.entries {
+		versions[name] = e.version
+	}
 	// json.Marshal emits map keys in sorted order, so the sidecar bytes
 	// are deterministic for equal contents.
-	data, err := json.Marshal(r.versions)
-	r.mu.RUnlock()
-	if err == nil {
+	if data, err := json.Marshal(versions); err == nil {
 		_ = writeFileAtomic(r.persistDir, versionsSidecar, data)
 	}
 }
@@ -277,12 +307,17 @@ func (r *Registry) Get(name string) (*platform.Platform, bool) {
 	return p, ok
 }
 
-// entry returns the named entry, or nil when absent. Entries are immutable
-// once stored, so the caller reads it without the lock.
+// entry returns the named live entry, or nil when the name is absent or a
+// tombstone. Entries are immutable once stored, so the caller reads it
+// without the lock.
 func (r *Registry) entry(name string) *regEntry {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.platforms[name]
+	e := r.entries[name]
+	r.mu.RUnlock()
+	if e == nil || e.cols == nil {
+		return nil
+	}
+	return e
 }
 
 // GetVersion returns a copy of the named platform — the expansion of its
@@ -311,55 +346,41 @@ func (r *Registry) Resident(name string) (*platform.Columns, [sha256.Size]byte, 
 }
 
 // Delete removes the named platform (and its journal file, when
-// persisting), reporting whether it existed.
+// persisting), reporting whether it removed one.
 func (r *Registry) Delete(name string) bool {
-	_, ok, _ := r.DeleteIfMatch(name, nil)
-	return ok
+	tombstone, _, _ := r.DeleteIfMatch(name, nil)
+	return tombstone != 0
 }
 
 // DeleteIfMatch removes the named platform under PutIfMatch's expect
 // semantics and returns the tombstone version — the deletion is itself a
 // versioned event, so replicated peers can order it against concurrent
-// puts. The journal file is always removed alongside the entry: every
-// name in the map passed validName on the way in (LoadDir and Put agree
-// on validation), so there is no such thing as an entry whose journal
-// cannot be deleted — the asymmetry that used to resurrect entries on
-// restart.
+// puts. existed reports whether a platform was there. The journal file is
+// removed before the tombstone is installed: every name in the map passed
+// validName on the way in (LoadDir and Put agree on validation), so there
+// is no such thing as an entry whose journal cannot be deleted — the
+// asymmetry that used to resurrect entries on restart.
 func (r *Registry) DeleteIfMatch(name string, expect *uint64) (uint64, bool, error) {
-	r.persistMu.Lock()
-	defer r.persistMu.Unlock()
-	r.mu.Lock()
-	e, ok := r.platforms[name]
-	current := uint64(0)
-	if ok {
-		current = e.version
-	}
-	if err := checkMatch(name, current, expect); err != nil {
-		r.mu.Unlock()
-		return 0, ok, err
-	}
-	if !ok {
-		r.mu.Unlock()
-		return 0, false, nil
-	}
-	delete(r.platforms, name)
-	tombstone := r.versions[name] + 1
-	r.versions[name] = tombstone
-	r.mu.Unlock()
-	if r.persistDir != "" {
-		_ = os.Remove(filepath.Join(r.persistDir, name+".json"))
-	}
-	r.persistVersionsLocked()
-	return tombstone, true, nil
+	existed := false
+	tombstone, err := r.commit(name, &regEntry{}, func(cur *regEntry) (uint64, error) {
+		existed = cur.cols != nil
+		if err := checkMatch(name, cur, expect); err != nil || !existed {
+			return 0, err
+		}
+		return cur.version + 1, nil
+	})
+	return tombstone, existed, err
 }
 
 // Names returns the registered names in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.platforms))
-	for name := range r.platforms {
-		names = append(names, name)
+	names := make([]string, 0, len(r.entries))
+	for name, e := range r.entries {
+		if e.cols != nil {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -369,83 +390,68 @@ func (r *Registry) Names() []string {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.platforms)
+	n := 0
+	for _, e := range r.entries {
+		if e.cols != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // LoadDir registers every *.json platform description in dir under its
-// file basename (sans extension). It returns the names registered; a file
-// that fails to parse or validate — or whose basename would not be a
-// valid registry name — aborts the load with an error naming it, so the
-// set of loadable journals and the set of deletable entries are exactly
-// the same set: nothing can be loaded that Delete could not later remove.
-// Entry versions are restored from the version sidecar when present
-// (tombstoned names whose journal reappeared resume above their tombstone,
-// never below), defaulting to 1 for journals from before versioning.
+// file basename (sans extension), for a registry at startup. It returns
+// the names registered; a file that fails to parse or validate — or whose
+// basename would not be a valid registry name — aborts the load with an
+// error naming it, so the set of loadable journals and the set of
+// deletable entries are exactly the same set: nothing can be loaded that
+// Delete could not later remove. Every version in the sidecar is installed
+// as a tombstone first, and every journal then as a live entry at its
+// sidecar version (1 for journals from before versioning): a deleted name
+// has no journal, but its version line resumes above the tombstone when
+// the name is re-created.
 func (r *Registry) LoadDir(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: load platforms: %w", err)
 	}
-	versions := loadVersions(dir)
-	// Fold the whole sidecar into the version map up front, tombstones
-	// included: a deleted name has no journal file to loop over below,
-	// but its version line must still resume above the tombstone when
-	// the name is re-created after the restart.
 	r.persistMu.Lock()
-	r.mu.Lock()
+	defer r.persistMu.Unlock()
+	versions := loadVersions(dir)
 	for name, v := range versions {
-		if v > r.versions[name] {
-			r.versions[name] = v
-		}
+		r.install(name, &regEntry{version: v})
 	}
-	r.mu.Unlock()
-	r.persistMu.Unlock()
 	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+	for _, f := range files {
+		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".json")
+		name := strings.TrimSuffix(f.Name(), ".json")
 		// Reject at load, with the same validator Delete relies on: a
 		// journal that sneaked in under a non-conforming filename must
 		// fail loudly here, not become an undeletable registry entry.
 		if err := validName(name); err != nil {
-			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
+			return nil, fmt.Errorf("service: load %s: %w", f.Name(), err)
 		}
-		version := versions[name]
-		if version == 0 {
-			version = 1
-		}
-		entry, err := loadEntry(filepath.Join(dir, e.Name()), version)
+		cols, err := loadColumns(filepath.Join(dir, f.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("service: load %s: %w", e.Name(), err)
+			return nil, fmt.Errorf("service: load %s: %w", f.Name(), err)
 		}
-		r.persistMu.Lock()
-		r.mu.Lock()
-		r.platforms[name] = entry
-		if version > r.versions[name] {
-			r.versions[name] = version
-		}
-		r.mu.Unlock()
-		r.persistMu.Unlock()
+		r.install(name, newRegEntry(cols, max(versions[name], 1)))
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// loadEntry reads one platform journal into an entry: decoded straight
-// into validated columns.
-func loadEntry(path string, version uint64) (*regEntry, error) {
+// loadColumns reads one platform journal, decoded straight into validated
+// columns.
+func loadColumns(path string) (*platform.Columns, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	cols, err := platform.DecodeJSON(data)
-	if err != nil {
-		return nil, err
-	}
-	return newRegEntry(cols, version), nil
+	return platform.DecodeJSON(data)
 }
 
 // loadVersions reads the version sidecar, tolerating its absence (dirs
