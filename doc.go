@@ -14,7 +14,8 @@
 //   - internal/core        — the planning heuristic (Algorithm 1) and the
 //     incremental placement evaluator its hot path plans through
 //   - internal/model       — the steady-state performance model (Eqs. 1–16)
-//   - internal/hierarchy   — deployment trees, diff/patch engine, XML
+//   - internal/hierarchy   — deployment trees, XML, diff/patch engine
+//     (Step judges every reconfiguration op for the sim and runtime)
 //   - internal/platform    — heterogeneous platform descriptions
 //   - internal/scenario    — declarative platform-family generators
 //     (star, bimodal, power-law, clustered, trace-perturbed)

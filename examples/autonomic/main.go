@@ -15,6 +15,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"adept/internal/autonomic"
 	"adept/internal/core"
@@ -100,8 +102,8 @@ func main() {
 		fmt.Printf("    predicted rho %.2f -> %.2f req/s\n", ev.PredictedRhoBefore, ev.PredictedRhoAfter)
 	}
 	fmt.Println("\nlearned effective powers (MFlop/s):")
-	for name, p := range st.EffectivePowers {
-		fmt.Printf("  %-4s %.0f\n", name, p)
+	for _, name := range slices.Sorted(maps.Keys(st.EffectivePowers)) {
+		fmt.Printf("  %-4s %.0f\n", name, st.EffectivePowers[name])
 	}
 	fmt.Printf("\nfinal hierarchy (rated powers include the patch):\n%s", st.Hierarchy)
 }

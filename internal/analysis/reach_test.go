@@ -31,7 +31,6 @@ var oracles = map[string]string{
 	"adept/internal/service.PlanCache.Contains":  "peeks at the cache without refreshing recency, which is how the LRU-order tests see what was evicted",
 	"adept/internal/service.Server.SLOTick":      "drives the sampler and the SLO engine with explicit timestamps instead of racing a wall clock",
 	"adept/internal/service.Registry.Delete":     "the unconditional delete of the journal tests: the file goes with the entry and a restart does not resurrect it",
-	"adept/internal/sim.Managed.ServerNames":     "the deployed server set, which the live-patch test compares with the patch's target",
 }
 
 // TestEveryDeclarationHasACaller holds ROADMAP north-star 2 ("every

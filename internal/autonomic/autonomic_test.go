@@ -287,10 +287,7 @@ func TestCrashRecoveryLive(t *testing.T) {
 	if !found {
 		t.Fatalf("no eviction of sed-a in adaptations: %+v", status.Adaptations)
 	}
-	snap, err := target.System().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := target.System().Snapshot()
 	for _, n := range snap.Nodes() {
 		if n.Name == "sed-a" {
 			t.Fatalf("crashed server still deployed:\n%s", snap)
@@ -319,10 +316,7 @@ func TestCrashRecoveryLive(t *testing.T) {
 	if len(after.Adaptations) == len(status.Adaptations) {
 		t.Fatalf("drift on survivor never adapted: %+v", after)
 	}
-	snap, err = target.System().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap = target.System().Snapshot()
 	for _, n := range snap.Nodes() {
 		if n.Name == "sed-a" {
 			t.Fatalf("crashed server resurrected by a later replan:\n%s", snap)

@@ -12,8 +12,8 @@ import (
 
 // LiveTarget adapts a deployed runtime.System to the control loop: each
 // Observe drives a cohort of closed-loop clients for a real-time window
-// and drains the per-server service-time accumulators; Apply uses the
-// system's live reconfiguration primitives.
+// and drains the per-server service-time accumulators; Apply hands the
+// patch to the system's ApplyPatch.
 type LiveTarget struct {
 	// Clients is the closed-loop client count per measurement window.
 	Clients int

@@ -19,6 +19,11 @@ import (
 // re-roled (promoted/demoted), or re-rated (power drift learned by the
 // monitor). Nodes present only in the new tree are added; nodes present
 // only in the old tree are removed.
+//
+// Step judges one op; Apply folds it over a patch. The reconfiguration
+// targets (internal/sim, internal/runtime) call Step too and only carry out
+// what it accepts, so the prefix a target accepted replays through Apply to
+// the tree it runs: that is how the controller tracks what it deployed.
 
 // OpKind enumerates the patch operations.
 type OpKind int
@@ -211,192 +216,156 @@ func postorderWalk(h *Hierarchy, id int, visit func(n Node)) {
 	visit(n)
 }
 
-// applyNode is the mutable name-keyed form a patch is replayed against.
-type applyNode struct {
-	name      string
-	power     float64
-	bandwidth float64
-	role      Role
-	parent    string // "" for the root
-	children  []string
+// Step checks one op against h and returns the patched copy, leaving h
+// untouched. It is the only judge of an op's legality: Apply folds it over
+// a patch, and the reconfiguration targets (the simulator's Managed, the
+// live runtime's System) call it before they carry an op out, so all three
+// accept the same ops and refuse the rest with the same error. An op is
+// refused when
+//
+//   - it names an unknown node, adds a name already deployed, or adds an
+//     empty name or an unknown role;
+//   - its power is not finite and positive, or its link is negative or not
+//     finite (add, set-power);
+//   - its parent is unknown or not an agent, or a reparent would move a
+//     node into its own subtree;
+//   - it removes, reparents, promotes or demotes the root;
+//   - it removes or demotes a node that still has children;
+//   - it promotes a non-server or demotes a non-agent.
+//
+// h must be structurally valid, as every tree this package builds is.
+func Step(h *Hierarchy, op Op) (*Hierarchy, error) {
+	out := h.Clone()
+	if err := out.step(op); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// Apply replays the patch on a copy of h and returns the patched hierarchy.
-// h is not modified. Every op is checked against the same invariants the
-// live runtime enforces (parents must be agents, removed nodes must be
-// childless), so a patch that Apply accepts is safe to hand to
-// runtime.System element by element.
+// Apply replays the patch on a copy of h and returns the patched hierarchy:
+// Step folded over the ops, all or nothing. h is not modified. A patch that
+// Apply accepts is accepted op by op by every reconfiguration target.
 func Apply(h *Hierarchy, p Patch) (*Hierarchy, error) {
 	if err := h.Validate(Structural); err != nil {
 		return nil, fmt.Errorf("hierarchy: apply: %w", err)
 	}
-	nodes := make(map[string]*applyNode, h.Len())
-	var rootName string
-	h.Walk(func(n Node) {
-		an := &applyNode{name: n.Name, power: n.Power, bandwidth: n.Bandwidth, role: n.Role}
-		if n.Parent == -1 {
-			rootName = n.Name
-		} else {
-			an.parent = h.MustNode(n.Parent).Name
+	out := h.Clone()
+	for i, op := range p.Ops {
+		if err := out.step(op); err != nil {
+			return nil, fmt.Errorf("hierarchy: patch op %d (%s): %w", i, op, err)
 		}
-		for _, c := range n.Children {
-			an.children = append(an.children, h.MustNode(c).Name)
-		}
-		nodes[n.Name] = an
-	})
-
-	get := func(name string) (*applyNode, error) {
-		an, ok := nodes[name]
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: patch references unknown node %q", name)
-		}
-		return an, nil
-	}
-	detach := func(an *applyNode) error {
-		parent, err := get(an.parent)
-		if err != nil {
-			return err
-		}
-		for i, c := range parent.children {
-			if c == an.name {
-				parent.children = append(parent.children[:i], parent.children[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("hierarchy: node %q missing from parent %q", an.name, an.parent)
-	}
-	attach := func(an *applyNode, parentName string) error {
-		parent, err := get(parentName)
-		if err != nil {
-			return err
-		}
-		if parent.role != RoleAgent {
-			return fmt.Errorf("hierarchy: patch attaches %q under server %q", an.name, parentName)
-		}
-		parent.children = append(parent.children, an.name)
-		an.parent = parentName
-		return nil
-	}
-
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpPromote:
-			an, err := get(op.Name)
-			if err != nil {
-				return nil, err
-			}
-			if an.role != RoleServer {
-				return nil, fmt.Errorf("hierarchy: promote %q: not a server", op.Name)
-			}
-			an.role = RoleAgent
-		case OpAdd:
-			if _, dup := nodes[op.Name]; dup {
-				return nil, fmt.Errorf("hierarchy: add %q: already deployed", op.Name)
-			}
-			an := &applyNode{name: op.Name, power: op.Power, bandwidth: op.Bandwidth, role: op.Role}
-			if err := attach(an, op.Parent); err != nil {
-				return nil, err
-			}
-			nodes[op.Name] = an
-		case OpReparent:
-			an, err := get(op.Name)
-			if err != nil {
-				return nil, err
-			}
-			if an.parent == "" {
-				return nil, fmt.Errorf("hierarchy: reparent %q: is the root", op.Name)
-			}
-			if err := detach(an); err != nil {
-				return nil, err
-			}
-			if err := attach(an, op.Parent); err != nil {
-				return nil, err
-			}
-		case OpSetPower:
-			an, err := get(op.Name)
-			if err != nil {
-				return nil, err
-			}
-			if op.Power <= 0 {
-				return nil, fmt.Errorf("hierarchy: set-power %q: non-positive power %g", op.Name, op.Power)
-			}
-			if op.Bandwidth < 0 {
-				return nil, fmt.Errorf("hierarchy: set-power %q: negative link bandwidth %g", op.Name, op.Bandwidth)
-			}
-			an.power = op.Power
-			an.bandwidth = op.Bandwidth
-		case OpRemove:
-			an, err := get(op.Name)
-			if err != nil {
-				return nil, err
-			}
-			if len(an.children) != 0 {
-				return nil, fmt.Errorf("hierarchy: remove %q: still has %d children", op.Name, len(an.children))
-			}
-			if an.parent == "" {
-				return nil, fmt.Errorf("hierarchy: remove %q: is the root", op.Name)
-			}
-			if err := detach(an); err != nil {
-				return nil, err
-			}
-			delete(nodes, op.Name)
-		case OpDemote:
-			an, err := get(op.Name)
-			if err != nil {
-				return nil, err
-			}
-			if an.role != RoleAgent {
-				return nil, fmt.Errorf("hierarchy: demote %q: not an agent", op.Name)
-			}
-			if len(an.children) != 0 {
-				return nil, fmt.Errorf("hierarchy: demote %q: still has %d children", op.Name, len(an.children))
-			}
-			an.role = RoleServer
-		default:
-			return nil, fmt.Errorf("hierarchy: unknown op kind %v", op.Kind)
-		}
-	}
-
-	out := New(h.Name)
-	root, ok := nodes[rootName]
-	if !ok {
-		return nil, errors.New("hierarchy: patch removed the root")
-	}
-	if _, err := out.AddRoot(root.name, root.power, root.bandwidth); err != nil {
-		return nil, err
-	}
-	var build func(parentID int, an *applyNode) error
-	build = func(parentID int, an *applyNode) error {
-		for _, childName := range an.children {
-			child, err := get(childName)
-			if err != nil {
-				return err
-			}
-			var id int
-			if child.role == RoleAgent {
-				id, err = out.AddAgent(parentID, child.name, child.power, child.bandwidth)
-			} else {
-				id, err = out.AddServer(parentID, child.name, child.power, child.bandwidth)
-			}
-			if err != nil {
-				return err
-			}
-			if err := build(id, child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := build(out.Root(), root); err != nil {
-		return nil, err
-	}
-	if out.Len() != len(nodes) {
-		return nil, fmt.Errorf("hierarchy: patch left %d node(s) unreachable", len(nodes)-out.Len())
-	}
-	if err := out.Validate(Structural); err != nil {
-		return nil, fmt.Errorf("hierarchy: patched tree invalid: %w", err)
 	}
 	return out, nil
+}
+
+// step judges op against h and, once every check has passed, applies it in
+// place; a refused op leaves h as it was.
+func (h *Hierarchy) step(op Op) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("hierarchy: %s %q: "+format, append([]any{op.Kind, op.Name}, args...)...)
+	}
+	if op.Kind < OpPromote || op.Kind > OpDemote {
+		return fmt.Errorf("hierarchy: unknown op kind %v", op.Kind)
+	}
+	n, found := h.Lookup(op.Name)
+	switch {
+	case op.Kind == OpAdd && found:
+		return fail("already deployed")
+	case op.Kind == OpAdd && op.Role != RoleAgent && op.Role != RoleServer:
+		return fail("unknown role %d", int(op.Role))
+	case op.Kind != OpAdd && !found:
+		return fail("unknown node")
+	case op.Kind != OpAdd && op.Kind != OpSetPower && n.Parent == -1:
+		return fail("is the root")
+	}
+	parent := -1
+	if op.Kind == OpAdd || op.Kind == OpReparent {
+		p, ok := h.Lookup(op.Parent)
+		switch {
+		case !ok:
+			return fail("unknown parent %q", op.Parent)
+		case p.Role != RoleAgent:
+			return fail("parent %q is a server", op.Parent)
+		}
+		for a := p.ID; op.Kind == OpReparent && a != -1; a = h.nodes[a].Parent {
+			if a == n.ID {
+				return fail("parent %q is in its own subtree", op.Parent)
+			}
+		}
+		parent = p.ID
+	}
+	if op.Kind == OpAdd || op.Kind == OpSetPower {
+		if err := checkNode(op.Name, op.Power); err != nil {
+			return err
+		}
+		if err := checkLink(op.Name, op.Bandwidth); err != nil {
+			return err
+		}
+	}
+
+	switch op.Kind {
+	case OpPromote:
+		if n.Role != RoleServer {
+			return fail("not a server")
+		}
+		h.nodes[n.ID].Role = RoleAgent
+	case OpDemote:
+		if n.Role != RoleAgent {
+			return fail("not an agent")
+		}
+		if len(n.Children) != 0 {
+			return fail("still has %d children", len(n.Children))
+		}
+		h.nodes[n.ID].Role = RoleServer
+	case OpSetPower:
+		h.nodes[n.ID].Power, h.nodes[n.ID].Bandwidth = op.Power, op.Bandwidth
+	case OpAdd:
+		id := len(h.nodes)
+		h.nodes = append(h.nodes, Node{ID: id, Name: op.Name, Power: op.Power, Bandwidth: op.Bandwidth, Role: op.Role, Parent: parent})
+		h.nodes[parent].Children = append(h.nodes[parent].Children, id)
+	case OpReparent:
+		h.detach(n.ID)
+		h.nodes[n.ID].Parent = parent
+		h.nodes[parent].Children = append(h.nodes[parent].Children, n.ID)
+	case OpRemove:
+		if len(n.Children) != 0 {
+			return fail("still has %d children", len(n.Children))
+		}
+		h.detach(n.ID)
+		h.drop(n.ID)
+	}
+	return nil
+}
+
+// detach drops id from its parent's children.
+func (h *Hierarchy) detach(id int) {
+	p := &h.nodes[h.nodes[id].Parent]
+	for i, c := range p.Children {
+		if c == id {
+			p.Children = append(p.Children[:i], p.Children[i+1:]...)
+			return
+		}
+	}
+}
+
+// drop removes the detached node id and renumbers the nodes after it, so
+// IDs stay dense.
+func (h *Hierarchy) drop(id int) {
+	h.nodes = append(h.nodes[:id], h.nodes[id+1:]...)
+	shift := func(x int) int {
+		if x > id {
+			return x - 1
+		}
+		return x
+	}
+	h.root = shift(h.root)
+	for i := range h.nodes {
+		n := &h.nodes[i]
+		n.ID, n.Parent = i, shift(n.Parent)
+		for j, c := range n.Children {
+			n.Children[j] = shift(c)
+		}
+	}
 }
 
 // Equivalent reports whether two hierarchies describe the same deployment:

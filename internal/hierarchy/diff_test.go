@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,11 +193,30 @@ func TestApplyRejectsBadPatch(t *testing.T) {
 		{"demote server", Op{Kind: OpDemote, Name: "s1"}},
 		{"promote agent", Op{Kind: OpPromote, Name: "root"}},
 		{"zero power", Op{Kind: OpSetPower, Name: "s1", Power: 0}},
+		{"NaN power", Op{Kind: OpSetPower, Name: "s1", Power: math.NaN()}},
+		{"infinite power", Op{Kind: OpAdd, Name: "x", Parent: "root", Power: math.Inf(1), Role: RoleServer}},
+		{"negative link", Op{Kind: OpSetPower, Name: "s1", Power: 1, Bandwidth: -1}},
+		{"empty name", Op{Kind: OpAdd, Parent: "root", Power: 1, Role: RoleServer}},
+		{"unknown role", Op{Kind: OpAdd, Name: "x", Parent: "root", Power: 1, Role: Role(2)}},
+		{"demote root", Op{Kind: OpDemote, Name: "root"}},
+		{"unknown kind", Op{Kind: OpKind(6), Name: "s1"}},
 	}
 	for _, tc := range cases {
 		if _, err := Apply(h, Patch{Ops: []Op{tc.op}}); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
+		if _, err := Step(h, tc.op); err == nil {
+			t.Errorf("%s: Step accepted", tc.name)
+		}
+	}
+	// A cycle is refused at the op that makes it, not after the patch.
+	cycle := Patch{Ops: []Op{
+		{Kind: OpPromote, Name: "s1"},
+		{Kind: OpAdd, Name: "a", Parent: "s1", Power: 1, Role: RoleAgent},
+		{Kind: OpReparent, Name: "s1", Parent: "a"},
+	}}
+	if _, err := Apply(h, cycle); err == nil || !strings.Contains(err.Error(), "patch op 2") {
+		t.Errorf("cycle: want a refusal of op 2, got %v", err)
 	}
 	// The failed Apply calls must not have mutated h.
 	if err := h.Validate(Final); err != nil {

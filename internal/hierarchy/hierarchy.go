@@ -14,6 +14,7 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"adept/internal/model"
@@ -108,6 +109,17 @@ func (h *Hierarchy) MustNode(id int) Node {
 	return n
 }
 
+// Lookup returns the node with the given name. It scans the tree, which is
+// fine at deployment sizes of tens to hundreds of elements.
+func (h *Hierarchy) Lookup(name string) (Node, bool) {
+	for _, n := range h.nodes {
+		if n.Name == name {
+			return n, true
+		}
+	}
+	return Node{}, false
+}
+
 // Nodes returns a copy of all nodes in ID order.
 func (h *Hierarchy) Nodes() []Node {
 	cp := make([]Node, len(h.nodes))
@@ -125,7 +137,7 @@ func (h *Hierarchy) AddRoot(name string, power float64, linkBW ...float64) (int,
 	if h.root != -1 {
 		return -1, errors.New("hierarchy: root already present")
 	}
-	bw, err := pickLink(linkBW)
+	bw, err := pickLink(name, linkBW)
 	if err != nil {
 		return -1, err
 	}
@@ -150,34 +162,43 @@ func (h *Hierarchy) AddServer(parent int, name string, power float64, linkBW ...
 	return h.addChild(parent, name, power, RoleServer, linkBW)
 }
 
+// checkNode refuses an empty name and a power that is not finite and
+// positive, the rule platform.Columns applies to a pool. NaN fails every
+// comparison, so the test is phrased to fail on it.
 func checkNode(name string, power float64) error {
 	if name == "" {
 		return errors.New("hierarchy: empty node name")
 	}
-	if power <= 0 {
-		return fmt.Errorf("hierarchy: node %q has non-positive power %g", name, power)
+	if !(power > 0) || math.IsInf(power, 1) {
+		return fmt.Errorf("hierarchy: node %q has power %g; want finite and positive", name, power)
+	}
+	return nil
+}
+
+// checkLink refuses a link bandwidth that is negative or not finite (zero
+// means the platform default).
+func checkLink(name string, bw float64) error {
+	if !(bw >= 0) || math.IsInf(bw, 1) {
+		return fmt.Errorf("hierarchy: node %q has link bandwidth %g; want finite and not negative", name, bw)
 	}
 	return nil
 }
 
 // pickLink validates the optional link-bandwidth argument of the Add*
-// constructors: at most one value, non-negative (zero = inherit default).
-func pickLink(linkBW []float64) (float64, error) {
+// constructors: at most one value, passing checkLink.
+func pickLink(name string, linkBW []float64) (float64, error) {
 	switch len(linkBW) {
 	case 0:
 		return 0, nil
 	case 1:
-		if linkBW[0] < 0 {
-			return 0, fmt.Errorf("hierarchy: negative link bandwidth %g", linkBW[0])
-		}
-		return linkBW[0], nil
+		return linkBW[0], checkLink(name, linkBW[0])
 	default:
 		return 0, fmt.Errorf("hierarchy: at most one link bandwidth, got %d", len(linkBW))
 	}
 }
 
 func (h *Hierarchy) addChild(parent int, name string, power float64, role Role, linkBW []float64) (int, error) {
-	bw, err := pickLink(linkBW)
+	bw, err := pickLink(name, linkBW)
 	if err != nil {
 		return -1, err
 	}
@@ -257,7 +278,7 @@ func (h *Hierarchy) SetBacking(id int, name string, power float64, linkBW ...flo
 		return err
 	}
 	if len(linkBW) > 0 {
-		bw, err := pickLink(linkBW)
+		bw, err := pickLink(name, linkBW)
 		if err != nil {
 			return err
 		}

@@ -176,6 +176,26 @@ func TestParseXMLRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseXMLRefusesNonFiniteNumbers: a deployment document is input from
+// outside, and encoding/xml reads "NaN" and "±Inf" as numbers. A power must
+// be finite and positive and a link finite and not negative, as in a
+// platform pool, on the root and below it.
+func TestParseXMLRefusesNonFiniteNumbers(t *testing.T) {
+	for _, attrs := range []string{
+		`power="NaN"`, `power="+Inf"`, `power="-Inf"`, `power="0"`, `power="-1"`,
+		`power="1" bandwidth="NaN"`, `power="1" bandwidth="+Inf"`, `power="1" bandwidth="-2"`,
+	} {
+		for _, doc := range []string{
+			`<deployment name="d"><agent name="r" ` + attrs + `><server name="s" power="1"/></agent></deployment>`,
+			`<deployment name="d"><agent name="r" power="1"><server name="s" ` + attrs + `/></agent></deployment>`,
+		} {
+			if h, err := hierarchy.ParseXML(strings.NewReader(doc)); err == nil {
+				t.Errorf("accepted %s as\n%s", doc, h)
+			}
+		}
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	h := buildSample(t)
 	var sb strings.Builder

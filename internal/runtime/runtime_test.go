@@ -293,7 +293,7 @@ func TestLiveAddRemoveServer(t *testing.T) {
 	}
 	defer sys.Stop()
 
-	if err := sys.AddServer("agent-0", "sed-x", 400); err != nil {
+	if err := sys.ApplyOp(hierarchy.Op{Kind: hierarchy.OpAdd, Name: "sed-x", Parent: "agent-0", Power: 400, Role: hierarchy.RoleServer}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := sys.RunClients(context.Background(), 6, 500*time.Millisecond)
@@ -304,10 +304,7 @@ func TestLiveAddRemoveServer(t *testing.T) {
 	if counts["sed-x"] == 0 {
 		t.Errorf("added server served nothing: %v (stats %+v)", counts, stats)
 	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := sys.Snapshot()
 	if snap.Len() != 4 {
 		t.Fatalf("snapshot has %d nodes, want 4:\n%s", snap.Len(), snap)
 	}
@@ -315,7 +312,7 @@ func TestLiveAddRemoveServer(t *testing.T) {
 		t.Fatalf("snapshot invalid after add: %v", err)
 	}
 
-	if err := sys.RemoveServer("sed-b"); err != nil {
+	if err := sys.ApplyOp(hierarchy.Op{Kind: hierarchy.OpRemove, Name: "sed-b"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.RunClients(context.Background(), 4, 300*time.Millisecond); err != nil {
@@ -325,10 +322,7 @@ func TestLiveAddRemoveServer(t *testing.T) {
 	if _, still := counts["sed-b"]; still {
 		t.Errorf("removed server still reporting: %v", counts)
 	}
-	snap, err = sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap = sys.Snapshot()
 	if snap.Len() != 3 {
 		t.Fatalf("snapshot has %d nodes after removal, want 3:\n%s", snap.Len(), snap)
 	}
@@ -368,10 +362,7 @@ func TestLivePatchMatchesDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := sys.Snapshot()
 	patch, err := hierarchy.Diff(snap, target)
 	if err != nil {
 		t.Fatal(err)
@@ -382,10 +373,7 @@ func TestLivePatchMatchesDiff(t *testing.T) {
 	if n, err := sys.ApplyPatch(patch); err != nil {
 		t.Fatalf("applied %d/%d ops: %v", n, patch.Len(), err)
 	}
-	after, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := sys.Snapshot()
 	if !hierarchy.Equivalent(after, target) {
 		t.Fatalf("live topology differs from target:\nlive:\n%s\ntarget:\n%s", after, target)
 	}

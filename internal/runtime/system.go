@@ -13,32 +13,26 @@ import (
 	"adept/internal/hierarchy"
 )
 
-// member is the system's bookkeeping view of one deployed element: the
-// source of truth for Snapshot(), kept in sync by the reconfiguration
-// primitives. Power here is the *rated* power (the planner's belief),
-// which SetPower patches refresh when the monitor learns drift.
-type member struct {
-	role     hierarchy.Role
-	power    float64
-	parent   string // "" for the root
-	children []string
-}
-
 // System is a deployed middleware instance: the live realisation of one
-// planned hierarchy. It supports live reconfiguration — AddServer,
-// RemoveServer, Reparent, PromoteServer, DemoteAgent, SetPower — with
-// drain/quiesce semantics: in-flight requests complete, clients ride
-// through patches with at most per-request failures.
+// planned hierarchy. ApplyOp reconfigures it live with drain/quiesce
+// semantics: in-flight requests complete, clients ride through patches
+// with at most per-request failures.
 type System struct {
 	opts      Options
 	transport Transport
 	root      string
-	name      string
+
+	// opMu serialises reconfiguration, so each op is judged against the
+	// tree the previous one installed. It is held for a whole op, drains
+	// included; only ApplyOp takes it.
+	opMu sync.Mutex
 
 	mu      sync.RWMutex
 	agents  map[string]*agentElem
 	servers map[string]*serverElem
-	topo    map[string]*member
+	// tree is the deployed hierarchy. ApplyOp replaces it and never edits
+	// it in place.
+	tree *hierarchy.Hierarchy
 
 	clientEpoch atomic.Uint64
 
@@ -65,10 +59,9 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 	sys := &System{
 		opts:      opts,
 		transport: transport,
-		name:      h.Name,
 		agents:    make(map[string]*agentElem),
 		servers:   make(map[string]*serverElem),
-		topo:      make(map[string]*member),
+		tree:      h.Clone(),
 	}
 
 	type pendingStart struct {
@@ -77,39 +70,28 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 	}
 	var starts []pendingStart
 
-	var build func(id int, parentName string) (string, error)
-	build = func(id int, parentName string) (string, error) {
+	var build func(id int) error
+	build = func(id int) error {
 		n := h.MustNode(id)
 		inbox, err := transport.Register(n.Name)
 		if err != nil {
-			return "", err
+			return err
 		}
-		sys.topo[n.Name] = &member{role: n.Role, power: n.Power, parent: parentName}
-		if n.Role == hierarchy.RoleServer {
-			s := newServerElem(sys, n.Name, n.Power)
-			sys.servers[n.Name] = s
-			starts = append(starts, pendingStart{run: s.run, inbox: inbox})
-			return n.Name, nil
-		}
-		a := newAgentElem(sys, n.Name, n.Power)
-		sys.agents[n.Name] = a
+		var children []string
 		for _, c := range n.Children {
-			childName, err := build(c, n.Name)
-			if err != nil {
-				return "", err
+			if err := build(c); err != nil {
+				return err
 			}
-			a.children = append(a.children, childName)
-			sys.topo[n.Name].children = append(sys.topo[n.Name].children, childName)
+			children = append(children, h.MustNode(c).Name)
 		}
-		starts = append(starts, pendingStart{run: a.run, inbox: inbox})
-		return n.Name, nil
+		starts = append(starts, pendingStart{run: sys.element(n.Name, n.Power, n.Role, children), inbox: inbox})
+		return nil
 	}
-	rootName, err := build(h.Root(), "")
-	if err != nil {
+	if err := build(h.Root()); err != nil {
 		transport.Close()
 		return nil, err
 	}
-	sys.root = rootName
+	sys.root = h.MustNode(h.Root()).Name
 	for _, st := range starts {
 		sys.wg.Add(1)
 		go st.run(st.inbox)
@@ -118,63 +100,35 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 	return sys, nil
 }
 
-func newAgentElem(sys *System, name string, power float64) *agentElem {
-	return &agentElem{
-		sys:     sys,
-		name:    name,
-		power:   power,
-		pending: make(map[uint64]*replyAgg),
-		done:    make(chan struct{}),
+// element creates the element of a node (an agent with its children),
+// records it, and returns its loop for the caller to start. The caller
+// holds mu or has s to itself.
+func (s *System) element(name string, power float64, role hierarchy.Role, children []string) func(<-chan Envelope) {
+	if role == hierarchy.RoleServer {
+		srv := &serverElem{sys: s, name: name, power: power, done: make(chan struct{})}
+		s.servers[name] = srv
+		return srv.run
 	}
+	a := &agentElem{
+		sys:      s,
+		name:     name,
+		power:    power,
+		children: children,
+		pending:  make(map[uint64]*replyAgg),
+		done:     make(chan struct{}),
+	}
+	s.agents[name] = a
+	return a.run
 }
 
-func newServerElem(sys *System, name string, power float64) *serverElem {
-	return &serverElem{sys: sys, name: name, power: power, done: make(chan struct{})}
-}
-
-// Snapshot reconstructs the currently deployed hierarchy from the system's
-// topology bookkeeping. The autonomic loop diffs this snapshot against a
-// freshly replanned tree; powers are the *rated* powers, including every
-// SetPower patch applied so far.
-func (s *System) Snapshot() (*hierarchy.Hierarchy, error) {
+// Snapshot returns a copy of the deployed hierarchy, which the autonomic
+// loop diffs against a freshly replanned tree. Powers are the *rated*
+// powers, including every set-power applied so far; links are what the
+// ops recorded (see ApplyOp).
+func (s *System) Snapshot() *hierarchy.Hierarchy {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h := hierarchy.New(s.name)
-	rootM, ok := s.topo[s.root]
-	if !ok {
-		return nil, errors.New("runtime: root missing from topology")
-	}
-	rootID, err := h.AddRoot(s.root, rootM.power)
-	if err != nil {
-		return nil, err
-	}
-	var build func(parentID int, m *member) error
-	build = func(parentID int, m *member) error {
-		for _, childName := range m.children {
-			cm, ok := s.topo[childName]
-			if !ok {
-				return fmt.Errorf("runtime: child %q missing from topology", childName)
-			}
-			var id int
-			var err error
-			if cm.role == hierarchy.RoleAgent {
-				id, err = h.AddAgent(parentID, childName, cm.power)
-			} else {
-				id, err = h.AddServer(parentID, childName, cm.power)
-			}
-			if err != nil {
-				return err
-			}
-			if err := build(id, cm); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := build(rootID, rootM); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return s.tree.Clone()
 }
 
 // send routes a message through the transport, tolerating teardown.
@@ -302,126 +256,102 @@ const DefaultDrainTimeout = 2 * time.Second
 
 var errStopped = errors.New("runtime: system stopped")
 
-// lookup fetches a topology entry under the read lock.
-func (s *System) lookup(name string) (*member, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.topo[name]
-	return m, ok
-}
-
-// AddServer deploys a new server under an existing agent: the element is
-// registered and running before the parent starts routing to it, so no
-// request can observe a half-added child.
-func (s *System) AddServer(parentName, name string, power float64) error {
-	return s.addElement(parentName, name, power, hierarchy.RoleServer)
-}
-
-// AddAgent deploys a new (initially childless) agent under an existing
-// agent. Children arrive via later Attach-producing ops (AddServer,
-// Reparent).
-func (s *System) AddAgent(parentName, name string, power float64) error {
-	return s.addElement(parentName, name, power, hierarchy.RoleAgent)
-}
-
-func (s *System) addElement(parentName, name string, power float64, role hierarchy.Role) error {
+// ApplyOp carries out one reconfiguration op on the live system.
+// hierarchy.Step judges the op against the deployed tree; a refused op
+// touches nothing. An accepted op runs its mechanics, then the new tree is
+// installed:
+//
+//   - add registers and starts the element before its parent routes to
+//     it, so no request can observe a half-added child;
+//   - remove detaches the element from its parent's routing, drains it
+//     (bounded by DefaultDrainTimeout) and deregisters it; a client holding
+//     it in an old candidate list sees at most one failed request;
+//   - reparent changes only the routing; the element, and an agent's whole
+//     subtree, keeps running;
+//   - set-power refreshes the rated power that predictions and the next
+//     replan use;
+//   - promote and demote drain and retire the element, and re-register it
+//     in its new role under the same name and parent (the live analog of
+//     the heuristic's shift_nodes).
+//
+// When a mechanic fails halfway the tree records what runs: a promote or
+// demote whose re-register fails leaves the node out of it.
+//
+// Links: the live runtime models a single shared wire (Options.Bandwidth),
+// the paper's homogeneous-links testbed, so op.Bandwidth is bookkeeping
+// only. Snapshot reports it, but every element sends and receives at the
+// uniform wire speed. Per-node link speeds are modelled by the
+// discrete-event simulator (internal/sim); plan deployments for
+// heterogeneous links there.
+func (s *System) ApplyOp(op hierarchy.Op) error {
 	if s.stopped.Load() {
 		return errStopped
 	}
-	if power <= 0 || math.IsNaN(power) {
-		return fmt.Errorf("runtime: power %g must be positive", power)
+	s.opMu.Lock()
+	defer s.opMu.Unlock()
+	cur := s.tree
+	next, err := hierarchy.Step(cur, op)
+	if err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
+	var parent string
+	if n, ok := cur.Lookup(op.Name); ok && n.Parent >= 0 {
+		parent = cur.MustNode(n.Parent).Name
+	}
+	switch op.Kind {
+	case hierarchy.OpAdd:
+		inbox, rerr := s.transport.Register(op.Name)
+		if rerr != nil {
+			return rerr
+		}
+		s.start(op.Name, op.Power, op.Role, inbox)
+		err = s.send("system", op.Parent, Attach{Child: op.Name})
+	case hierarchy.OpRemove:
+		err = s.retire(parent, op.Name)
+	case hierarchy.OpReparent:
+		if parent != op.Parent {
+			if err = s.send("system", parent, Detach{Child: op.Name}); err == nil {
+				err = s.send("system", op.Parent, Attach{Child: op.Name})
+			}
+		}
+	case hierarchy.OpSetPower:
+		err = s.send("system", op.Name, SetPower{Power: op.Power})
+	case hierarchy.OpPromote, hierarchy.OpDemote:
+		next, err = s.convert(cur, next, op.Name, parent)
 	}
 	s.mu.Lock()
-	parent, ok := s.topo[parentName]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", parentName)
-	}
-	if parent.role != hierarchy.RoleAgent {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: parent %q is a server", parentName)
-	}
-	if _, dup := s.topo[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: element %q already deployed", name)
+	s.tree = next
+	s.mu.Unlock()
+	return err
+}
+
+// start runs a new element for a node on its registered inbox.
+func (s *System) start(name string, power float64, role hierarchy.Role, inbox <-chan Envelope) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	run := s.element(name, power, role, nil)
+	s.wg.Add(1)
+	go run(inbox)
+}
+
+// convert retires a childless element and re-registers it under the same
+// name and parent, in the role next gives it. It returns the tree that
+// then runs: cur if the retirement failed, cur without the node if the
+// re-register did.
+func (s *System) convert(cur, next *hierarchy.Hierarchy, name, parent string) (*hierarchy.Hierarchy, error) {
+	if err := s.retire(parent, name); err != nil {
+		return cur, err
 	}
 	inbox, err := s.transport.Register(name)
 	if err != nil {
-		s.mu.Unlock()
-		return err
+		// Cannot be refused: Step accepted the convert, so the node is
+		// childless and not the root.
+		gone, _ := hierarchy.Step(cur, hierarchy.Op{Kind: hierarchy.OpRemove, Name: name})
+		return gone, err
 	}
-	var run func(<-chan Envelope)
-	if role == hierarchy.RoleServer {
-		srv := newServerElem(s, name, power)
-		s.servers[name] = srv
-		run = srv.run
-	} else {
-		a := newAgentElem(s, name, power)
-		s.agents[name] = a
-		run = a.run
-	}
-	s.topo[name] = &member{role: role, power: power, parent: parentName}
-	parent.children = append(parent.children, name)
-	s.wg.Add(1)
-	go run(inbox)
-	s.mu.Unlock()
-	return s.send("system", parentName, Attach{Child: name})
-}
-
-// RemoveServer undeploys a server with drain/quiesce semantics: the parent
-// stops routing to it first, then the removal waits (bounded by
-// DefaultDrainTimeout) for in-flight requests to complete before the
-// element is deregistered. Clients holding the server in an old candidate
-// list see at most one failed request.
-func (s *System) RemoveServer(name string) error {
-	return s.removeElement(name, hierarchy.RoleServer)
-}
-
-// RemoveAgent undeploys a childless non-root agent.
-func (s *System) RemoveAgent(name string) error {
-	return s.removeElement(name, hierarchy.RoleAgent)
-}
-
-func (s *System) removeElement(name string, role hierarchy.Role) error {
-	if s.stopped.Load() {
-		return errStopped
-	}
-	s.mu.Lock()
-	m, ok := s.topo[name]
-	switch {
-	case !ok:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", name)
-	case m.role != role:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: element %q is a %s", name, m.role)
-	case name == s.root:
-		s.mu.Unlock()
-		return errors.New("runtime: cannot remove the root")
-	case len(m.children) != 0:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: element %q still has %d children", name, len(m.children))
-	}
-	parentName := m.parent
-	s.detachTopo(name)
-	delete(s.topo, name)
-	s.mu.Unlock()
-	return s.retire(parentName, name)
-}
-
-// detachTopo removes name from its parent's child list (caller holds mu).
-func (s *System) detachTopo(name string) {
-	m := s.topo[name]
-	if m == nil || m.parent == "" {
-		return
-	}
-	p := s.topo[m.parent]
-	for i, c := range p.children {
-		if c == name {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			return
-		}
-	}
+	n, _ := next.Lookup(name)
+	s.start(name, n.Power, n.Role, inbox)
+	return next, s.send("system", parent, Attach{Child: name})
 }
 
 // retire detaches an element from its parent's routing, drains it, and
@@ -473,177 +403,6 @@ func (s *System) drainServer(srv *serverElem, timeout time.Duration) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// Reparent moves an element (with its whole subtree, for agents) under a
-// new parent agent. The element keeps running throughout; only the routing
-// changes.
-func (s *System) Reparent(name, newParentName string) error {
-	if s.stopped.Load() {
-		return errStopped
-	}
-	s.mu.Lock()
-	m, ok := s.topo[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", name)
-	}
-	if name == s.root {
-		s.mu.Unlock()
-		return errors.New("runtime: cannot reparent the root")
-	}
-	np, ok := s.topo[newParentName]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", newParentName)
-	}
-	if np.role != hierarchy.RoleAgent {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: new parent %q is a server", newParentName)
-	}
-	// Reject cycles: the new parent must not live inside name's subtree.
-	for cur := newParentName; cur != ""; {
-		if cur == name {
-			s.mu.Unlock()
-			return fmt.Errorf("runtime: reparenting %q under its own subtree", name)
-		}
-		cur = s.topo[cur].parent
-	}
-	oldParent := m.parent
-	if oldParent == newParentName {
-		s.mu.Unlock()
-		return nil
-	}
-	s.detachTopo(name)
-	m.parent = newParentName
-	np.children = append(np.children, name)
-	s.mu.Unlock()
-	if err := s.send("system", oldParent, Detach{Child: name}); err != nil {
-		return err
-	}
-	return s.send("system", newParentName, Attach{Child: name})
-}
-
-// SetPower updates an element's rated power: the belief the scheduling
-// phase predictions and the next replanning run use.
-func (s *System) SetPower(name string, power float64) error {
-	if s.stopped.Load() {
-		return errStopped
-	}
-	if power <= 0 || math.IsNaN(power) {
-		return fmt.Errorf("runtime: power %g must be positive", power)
-	}
-	s.mu.Lock()
-	m, ok := s.topo[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", name)
-	}
-	m.power = power
-	s.mu.Unlock()
-	return s.send("system", name, SetPower{Power: power})
-}
-
-// PromoteServer converts a running server into an agent (the live analog
-// of the heuristic's shift_nodes): the server is drained and retired, and
-// an agent element re-registers under the same name and parent.
-func (s *System) PromoteServer(name string) error {
-	return s.convert(name, hierarchy.RoleServer, hierarchy.RoleAgent)
-}
-
-// DemoteAgent converts a running childless agent back into a server.
-func (s *System) DemoteAgent(name string) error {
-	return s.convert(name, hierarchy.RoleAgent, hierarchy.RoleServer)
-}
-
-func (s *System) convert(name string, from, to hierarchy.Role) error {
-	if s.stopped.Load() {
-		return errStopped
-	}
-	s.mu.Lock()
-	m, ok := s.topo[name]
-	switch {
-	case !ok:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: no element %q", name)
-	case m.role != from:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: element %q is a %s, not a %s", name, m.role, from)
-	case name == s.root:
-		s.mu.Unlock()
-		return errors.New("runtime: cannot convert the root")
-	case len(m.children) != 0:
-		s.mu.Unlock()
-		return fmt.Errorf("runtime: element %q still has %d children", name, len(m.children))
-	}
-	parentName, power := m.parent, m.power
-	s.mu.Unlock()
-
-	if err := s.retire(parentName, name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	inbox, err := s.transport.Register(name)
-	if err != nil {
-		// The element is gone and could not come back: drop it from the
-		// topology so Snapshot stays consistent.
-		s.detachTopo(name)
-		delete(s.topo, name)
-		s.mu.Unlock()
-		return err
-	}
-	var run func(<-chan Envelope)
-	if to == hierarchy.RoleAgent {
-		a := newAgentElem(s, name, power)
-		s.agents[name] = a
-		run = a.run
-	} else {
-		srv := newServerElem(s, name, power)
-		s.servers[name] = srv
-		run = srv.run
-	}
-	m.role = to
-	s.wg.Add(1)
-	go run(inbox)
-	s.mu.Unlock()
-	return s.send("system", parentName, Attach{Child: name})
-}
-
-// ApplyOp applies one reconfiguration patch operation to the live system.
-//
-// Link-bandwidth limitation: the live runtime models a single shared wire
-// (Options.Bandwidth) — the paper's homogeneous-links testbed — so
-// op.Bandwidth is bookkeeping only here: elements added by a patch send
-// and receive at the uniform wire speed, and Snapshot() reports bandwidth
-// zero for every element. Per-node link speeds are modelled by the
-// discrete-event simulator (internal/sim), whose patch target honours
-// op.Bandwidth; plan deployments for heterogeneous links there.
-func (s *System) ApplyOp(op hierarchy.Op) error {
-	switch op.Kind {
-	case hierarchy.OpAdd:
-		if op.Role == hierarchy.RoleAgent {
-			return s.AddAgent(op.Parent, op.Name, op.Power)
-		}
-		return s.AddServer(op.Parent, op.Name, op.Power)
-	case hierarchy.OpRemove:
-		m, ok := s.lookup(op.Name)
-		if !ok {
-			return fmt.Errorf("runtime: no element %q", op.Name)
-		}
-		if m.role == hierarchy.RoleAgent {
-			return s.RemoveAgent(op.Name)
-		}
-		return s.RemoveServer(op.Name)
-	case hierarchy.OpReparent:
-		return s.Reparent(op.Name, op.Parent)
-	case hierarchy.OpSetPower:
-		return s.SetPower(op.Name, op.Power)
-	case hierarchy.OpPromote:
-		return s.PromoteServer(op.Name)
-	case hierarchy.OpDemote:
-		return s.DemoteAgent(op.Name)
-	}
-	return fmt.Errorf("runtime: unknown op kind %v", op.Kind)
 }
 
 // ApplyPatch applies a reconfiguration patch op by op, stopping at the

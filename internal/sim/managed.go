@@ -47,8 +47,10 @@ type Managed struct {
 	eng *Engine
 	dep *Deployment
 
-	byName   map[string]entity
-	parentOf map[string]*simAgent
+	// tree is the deployed hierarchy every op is judged against; byName
+	// finds the simulated entity behind each of its nodes.
+	tree   *hierarchy.Hierarchy
+	byName map[string]entity
 
 	// window baselines for Observe deltas.
 	lastCompleted int64
@@ -72,13 +74,18 @@ func NewManaged(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float
 	m := &Managed{
 		eng:          eng,
 		dep:          dep,
+		tree:         h.Clone(),
 		byName:       make(map[string]entity),
-		parentOf:     make(map[string]*simAgent),
 		lastServed:   make(map[string]int64),
 		lastSvcSec:   make(map[string]float64),
 		lastSvcCount: make(map[string]int64),
 	}
-	m.indexTree()
+	for _, a := range dep.agents {
+		m.byName[a.name] = a
+	}
+	for _, s := range dep.servers {
+		m.byName[s.name] = s
+	}
 	for i := 0; i < clients; i++ {
 		dep.StartClient(0)
 	}
@@ -136,26 +143,6 @@ func NewManaged(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float
 		})
 	}
 	return m, nil
-}
-
-// indexTree rebuilds the name and parent indexes from the deployment.
-func (m *Managed) indexTree() {
-	for _, a := range m.dep.agents {
-		m.byName[a.name] = a
-	}
-	for _, s := range m.dep.servers {
-		m.byName[s.name] = s
-	}
-	for _, a := range m.dep.agents {
-		for _, child := range a.children {
-			switch c := child.(type) {
-			case *simAgent:
-				m.parentOf[c.name] = a
-			case *simServer:
-				m.parentOf[c.name] = a
-			}
-		}
-	}
 }
 
 // Now returns the current simulated time.
@@ -262,212 +249,58 @@ func (m *Managed) Latencies() []float64 { return m.dep.Latencies() }
 
 // --- live reconfiguration ------------------------------------------------
 
-// liveLink resolves the optional link-bandwidth argument of a live add
-// against the deployment's default bandwidth.
-func (m *Managed) liveLink(linkBW []float64) (float64, error) {
-	if len(linkBW) == 0 || linkBW[0] == 0 {
-		return m.dep.bw, nil
-	}
-	if linkBW[0] < 0 {
-		return 0, fmt.Errorf("sim: negative link bandwidth %g", linkBW[0])
-	}
-	return linkBW[0], nil
-}
-
-// AddServer deploys a new server under an existing agent while the
-// simulation runs; it participates from the next scheduling broadcast.
-// The optional trailing argument is the node's link bandwidth (zero or
-// omitted = the deployment default).
-func (m *Managed) AddServer(parentName, name string, power float64, linkBW ...float64) error {
-	parent, err := m.agent(parentName)
-	if err != nil {
-		return err
-	}
-	if _, dup := m.byName[name]; dup {
-		return fmt.Errorf("sim: element %q already deployed", name)
-	}
-	if power <= 0 {
-		return fmt.Errorf("sim: power %g must be positive", power)
-	}
-	bw, err := m.liveLink(linkBW)
-	if err != nil {
-		return err
-	}
-	s := &simServer{dep: m.dep, name: name, power: power, bw: bw, rated: power, bg: 1, res: NewResource(m.eng)}
-	m.dep.servers = append(m.dep.servers, s)
-	m.byName[name] = s
-	parent.children = append(parent.children, s)
-	m.parentOf[name] = parent
-	return nil
-}
-
-// AddAgent deploys a new childless agent under an existing agent. The
-// optional trailing argument is the node's link bandwidth.
-func (m *Managed) AddAgent(parentName, name string, power float64, linkBW ...float64) error {
-	parent, err := m.agent(parentName)
-	if err != nil {
-		return err
-	}
-	if _, dup := m.byName[name]; dup {
-		return fmt.Errorf("sim: element %q already deployed", name)
-	}
-	if power <= 0 {
-		return fmt.Errorf("sim: power %g must be positive", power)
-	}
-	bw, err := m.liveLink(linkBW)
-	if err != nil {
-		return err
-	}
-	a := &simAgent{dep: m.dep, name: name, power: power, bw: bw, res: NewResource(m.eng)}
-	m.dep.agents = append(m.dep.agents, a)
-	m.byName[name] = a
-	parent.children = append(parent.children, a)
-	m.parentOf[name] = parent
-	return nil
-}
-
-// Remove undeploys a childless element. In-flight requests it already
-// accepted complete normally (their events are scheduled); it just stops
-// receiving new scheduling broadcasts.
-func (m *Managed) Remove(name string) error {
-	ent, ok := m.byName[name]
-	if !ok {
-		return fmt.Errorf("sim: no element %q", name)
-	}
-	if a, isAgent := ent.(*simAgent); isAgent {
-		if len(a.children) != 0 {
-			return fmt.Errorf("sim: agent %q still has %d children", name, len(a.children))
-		}
-		if a == m.dep.root {
-			return fmt.Errorf("sim: cannot remove the root")
-		}
-	}
-	if err := m.detach(name, ent); err != nil {
-		return err
-	}
-	delete(m.byName, name)
-	delete(m.parentOf, name)
-	m.dep.agents = filterAgents(m.dep.agents, name)
-	m.dep.servers = filterServers(m.dep.servers, name)
-	return nil
-}
-
-// Reparent moves an element (with its subtree, for agents) under a new
-// parent agent.
-func (m *Managed) Reparent(name, newParentName string) error {
-	ent, ok := m.byName[name]
-	if !ok {
-		return fmt.Errorf("sim: no element %q", name)
-	}
-	np, err := m.agent(newParentName)
-	if err != nil {
-		return err
-	}
-	// Reject cycles: walk up from the new parent.
-	for cur := newParentName; cur != ""; {
-		if cur == name {
-			return fmt.Errorf("sim: reparenting %q under its own subtree", name)
-		}
-		p, ok := m.parentOf[cur]
-		if !ok {
-			break
-		}
-		cur = p.name
-	}
-	if err := m.detach(name, ent); err != nil {
-		return err
-	}
-	np.children = append(np.children, ent)
-	m.parentOf[name] = np
-	return nil
-}
-
-// SetPower refreshes a server's rated power, feeding learned drift back
-// into its predictions. For agents it is a planner-side bookkeeping change
-// with no simulated effect.
-func (m *Managed) SetPower(name string, power float64) error {
-	if power <= 0 {
-		return fmt.Errorf("sim: power %g must be positive", power)
-	}
-	switch ent := m.byName[name].(type) {
-	case *simServer:
-		ent.rated = power
-	case *simAgent:
-		// Agents run no service predictions; nothing to refresh.
-	default:
-		return fmt.Errorf("sim: no element %q", name)
-	}
-	return nil
-}
-
-// Promote converts a server into a (childless) agent on the same physical
-// node, reusing its resource so busy-time accounting carries over.
-func (m *Managed) Promote(name string) error {
-	srv, ok := m.byName[name].(*simServer)
-	if !ok {
-		return fmt.Errorf("sim: no server %q", name)
-	}
-	parent := m.parentOf[name]
-	if parent == nil {
-		return fmt.Errorf("sim: cannot promote the root")
-	}
-	a := &simAgent{dep: m.dep, name: name, power: srv.power, bw: srv.bw, res: srv.res}
-	if err := m.detach(name, srv); err != nil {
-		return err
-	}
-	m.dep.servers = filterServers(m.dep.servers, name)
-	m.dep.agents = append(m.dep.agents, a)
-	m.byName[name] = a
-	parent.children = append(parent.children, a)
-	m.parentOf[name] = parent
-	return nil
-}
-
-// Demote converts a childless agent back into a server.
-func (m *Managed) Demote(name string) error {
-	a, ok := m.byName[name].(*simAgent)
-	if !ok {
-		return fmt.Errorf("sim: no agent %q", name)
-	}
-	if len(a.children) != 0 {
-		return fmt.Errorf("sim: agent %q still has %d children", name, len(a.children))
-	}
-	parent := m.parentOf[name]
-	if parent == nil {
-		return fmt.Errorf("sim: cannot demote the root")
-	}
-	s := &simServer{dep: m.dep, name: name, power: a.power, bw: a.bw, rated: a.power, bg: 1, res: a.res}
-	if err := m.detach(name, a); err != nil {
-		return err
-	}
-	m.dep.agents = filterAgents(m.dep.agents, name)
-	m.dep.servers = append(m.dep.servers, s)
-	m.byName[name] = s
-	parent.children = append(parent.children, s)
-	m.parentOf[name] = parent
-	return nil
-}
-
-// ApplyOp applies one reconfiguration patch op to the running simulation.
+// ApplyOp carries out one reconfiguration op on the running simulation.
+// hierarchy.Step judges the op against the deployed tree; a refused op
+// changes nothing. An accepted one edits the simulated entities: an added
+// element joins from the next scheduling broadcast, a removed one finishes
+// the requests it already accepted, a moved agent takes its subtree along,
+// a promoted or demoted node keeps its resource (and busy-time accounting),
+// and a set-power refreshes a server's rated power and the node's link
+// (zero meaning the deployment default, as on add).
 func (m *Managed) ApplyOp(op hierarchy.Op) error {
+	next, err := hierarchy.Step(m.tree, op)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	switch op.Kind {
 	case hierarchy.OpAdd:
-		if op.Role == hierarchy.RoleAgent {
-			return m.AddAgent(op.Parent, op.Name, op.Power, op.Bandwidth)
-		}
-		return m.AddServer(op.Parent, op.Name, op.Power, op.Bandwidth)
+		m.add(op)
 	case hierarchy.OpRemove:
-		return m.Remove(op.Name)
+		m.detach(op.Name)
+		delete(m.byName, op.Name)
+		m.dep.agents = filterAgents(m.dep.agents, op.Name)
+		m.dep.servers = filterServers(m.dep.servers, op.Name)
 	case hierarchy.OpReparent:
-		return m.Reparent(op.Name, op.Parent)
+		ent := m.byName[op.Name]
+		m.detach(op.Name)
+		np := m.byName[op.Parent].(*simAgent)
+		np.children = append(np.children, ent)
 	case hierarchy.OpSetPower:
-		return m.SetPower(op.Name, op.Power)
+		switch ent := m.byName[op.Name].(type) {
+		case *simServer:
+			ent.rated, ent.bw = op.Power, m.link(op.Bandwidth)
+		case *simAgent:
+			ent.bw = m.link(op.Bandwidth)
+		}
 	case hierarchy.OpPromote:
-		return m.Promote(op.Name)
+		srv := m.byName[op.Name].(*simServer)
+		a := &simAgent{dep: m.dep, name: op.Name, power: srv.power, bw: srv.bw, res: srv.res}
+		parent := m.detach(op.Name)
+		m.dep.servers = filterServers(m.dep.servers, op.Name)
+		m.dep.agents = append(m.dep.agents, a)
+		m.byName[op.Name] = a
+		parent.children = append(parent.children, a)
 	case hierarchy.OpDemote:
-		return m.Demote(op.Name)
+		a := m.byName[op.Name].(*simAgent)
+		s := &simServer{dep: m.dep, name: op.Name, power: a.power, bw: a.bw, rated: a.power, bg: 1, res: a.res}
+		parent := m.detach(op.Name)
+		m.dep.agents = filterAgents(m.dep.agents, op.Name)
+		m.dep.servers = append(m.dep.servers, s)
+		m.byName[op.Name] = s
+		parent.children = append(parent.children, s)
 	}
-	return fmt.Errorf("sim: unknown op kind %v", op.Kind)
+	m.tree = next
+	return nil
 }
 
 // ApplyPatch applies a patch op by op, stopping at the first failure; the
@@ -481,36 +314,48 @@ func (m *Managed) ApplyPatch(p hierarchy.Patch) (int, error) {
 	return len(p.Ops), nil
 }
 
-// ServerNames lists the currently deployed servers, sorted.
-func (m *Managed) ServerNames() []string {
-	names := make([]string, 0, len(m.dep.servers))
-	for _, s := range m.dep.servers {
-		names = append(names, s.name)
+// Snapshot returns a copy of the deployed hierarchy: the rated powers of
+// every set-power so far, and each node's link as the ops recorded it.
+func (m *Managed) Snapshot() *hierarchy.Hierarchy { return m.tree.Clone() }
+
+// add deploys the new element of an accepted add op under its parent.
+func (m *Managed) add(op hierarchy.Op) {
+	var ent entity
+	if op.Role == hierarchy.RoleAgent {
+		a := &simAgent{dep: m.dep, name: op.Name, power: op.Power, bw: m.link(op.Bandwidth), res: NewResource(m.eng)}
+		m.dep.agents = append(m.dep.agents, a)
+		ent = a
+	} else {
+		s := &simServer{dep: m.dep, name: op.Name, power: op.Power, bw: m.link(op.Bandwidth), rated: op.Power, bg: 1, res: NewResource(m.eng)}
+		m.dep.servers = append(m.dep.servers, s)
+		ent = s
 	}
-	sort.Strings(names)
-	return names
+	m.byName[op.Name] = ent
+	parent := m.byName[op.Parent].(*simAgent)
+	parent.children = append(parent.children, ent)
 }
 
-func (m *Managed) agent(name string) (*simAgent, error) {
-	a, ok := m.byName[name].(*simAgent)
-	if !ok {
-		return nil, fmt.Errorf("sim: no agent %q", name)
+// link resolves an op's link bandwidth against the deployment default.
+func (m *Managed) link(bw float64) float64 {
+	if bw == 0 {
+		return m.dep.bw
 	}
-	return a, nil
+	return bw
 }
 
-func (m *Managed) detach(name string, ent entity) error {
-	parent := m.parentOf[name]
-	if parent == nil {
-		return fmt.Errorf("sim: element %q has no parent", name)
-	}
+// detach unhooks a non-root element from its parent agent's children and
+// returns that parent, as the deployed tree names it.
+func (m *Managed) detach(name string) *simAgent {
+	n, _ := m.tree.Lookup(name)
+	parent := m.byName[m.tree.MustNode(n.Parent).Name].(*simAgent)
+	ent := m.byName[name]
 	for i, c := range parent.children {
 		if c == ent {
 			parent.children = append(parent.children[:i], parent.children[i+1:]...)
-			return nil
+			break
 		}
 	}
-	return fmt.Errorf("sim: element %q missing from parent %q", name, parent.name)
+	return parent
 }
 
 func filterAgents(in []*simAgent, name string) []*simAgent {

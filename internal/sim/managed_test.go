@@ -114,15 +114,8 @@ func TestManagedLivePatchKeepsServing(t *testing.T) {
 	if ws.Served["s4"] == 0 {
 		t.Errorf("added server served nothing: %v", ws.Served)
 	}
-	names := m.ServerNames()
-	want := []string{"s2", "s3", "s4"}
-	if len(names) != len(want) {
-		t.Fatalf("server set after patch: %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("server set after patch: %v, want %v", names, want)
-		}
+	if got := m.Snapshot(); !hierarchy.Equivalent(got, target) {
+		t.Fatalf("deployed tree after patch:\n%s\nwant:\n%s", got, target)
 	}
 }
 
@@ -132,17 +125,43 @@ func TestManagedRejectsBadOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Remove("root"); err == nil {
-		t.Error("removed the root")
+	for _, op := range []hierarchy.Op{
+		{Kind: hierarchy.OpRemove, Name: "root"},
+		{Kind: hierarchy.OpReparent, Name: "s1", Parent: "s2"},
+		{Kind: hierarchy.OpAdd, Name: "x", Parent: "s1", Power: 100, Role: hierarchy.RoleServer},
+	} {
+		if err := m.ApplyOp(op); err == nil {
+			t.Errorf("%s accepted", op)
+		}
 	}
-	if err := m.Reparent("s1", "s2"); err == nil {
-		t.Error("reparented under a server")
-	}
-	if err := m.AddServer("s1", "x", 100); err == nil {
-		t.Error("added under a server")
+	if !hierarchy.Equivalent(m.Snapshot(), h) {
+		t.Errorf("refused ops changed the deployed tree:\n%s", m.Snapshot())
 	}
 	if _, err := NewManaged(h, model.DIETDefaults(), 100, 10, 1, []LoadPhase{{At: 1, Factors: map[string]float64{"ghost": 2}}}); err == nil {
 		t.Error("scenario naming unknown server accepted")
+	}
+}
+
+// TestManagedSetPowerMovesLink: a set-power carries the node's link as
+// well as its power, and the simulated server sends and receives at the
+// new link speed; zero restores the deployment default.
+func TestManagedSetPowerMovesLink(t *testing.T) {
+	m, err := NewManaged(managedStar(t, nil), model.DIETDefaults(), 100, 10, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := m.byName["s1"].(*simServer)
+	for _, bw := range []float64{25, 0} {
+		if err := m.ApplyOp(hierarchy.Op{Kind: hierarchy.OpSetPower, Name: "s1", Power: 100, Bandwidth: bw}); err != nil {
+			t.Fatal(err)
+		}
+		want := bw
+		if bw == 0 {
+			want = 100
+		}
+		if s1.bw != want || s1.rated != 100 {
+			t.Errorf("after a set-power with link %g: link %g, rated %g; want %g, 100", bw, s1.bw, s1.rated, want)
+		}
 	}
 }
 
