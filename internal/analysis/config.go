@@ -57,7 +57,7 @@ var planning = map[string]bool{
 var nondetExempt = map[string]bool{
 	"obs":      true,
 	"runtime":  true,
-	"service":  false, // service *is* scoped: its wall-clock stamps carry //adeptvet:allow
+	"service":  false, // scoped: durations go through obs.Timer, it reads no clock itself
 	"blas":     true,
 	"calib":    true,
 	"analysis": true,

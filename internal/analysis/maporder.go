@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 )
 
 // MapOrder flags `for range` over maps in packages whose output ordering
@@ -12,9 +14,11 @@ import (
 // guarantee (node-space vs class-space, GOMAXPROCS 1/2/8, cache replay)
 // silently false.
 //
-// The one idiom it recognizes as safe is collect-then-sort: a range body
-// that only appends loop variables into a slice which the same function
-// later passes to sort.* or slices.Sort*. Everything else needs either a
+// It recognizes two idioms as safe. Collect-then-sort: a range body that
+// only appends loop variables into a slice which the same function later
+// passes to sort.* or slices.Sort*. A per-key write: a body that only
+// writes into maps at the loop's key (see isPerKeyWrite), so the maps it
+// fills are the same in any order. Everything else needs either a
 // sorted-key loop or an //adeptvet:allow maporder <reason> directive.
 var MapOrder = &Analyzer{
 	Name:             "maporder",
@@ -42,7 +46,7 @@ func runMapOrder(pass *Pass) error {
 				if !ok || !isMap(tv.Type) {
 					return true
 				}
-				if isCollectThenSort(pass.TypesInfo, fn.Body, rng) {
+				if isCollectThenSort(pass.TypesInfo, fn.Body, rng) || isPerKeyWrite(pass.TypesInfo, rng) {
 					return true
 				}
 				pass.Reportf(rng.Pos(), "map iteration order is nondeterministic and this package's output ordering is determinism-critical; iterate sorted keys instead (collect, sort.*, then index)")
@@ -118,4 +122,78 @@ func isCollectThenSort(info *types.Info, funcBody *ast.BlockStmt, rng *ast.Range
 		}
 	}
 	return true
+}
+
+// isPerKeyWrite recognizes a range body in which no iteration can observe
+// another:
+//
+//	for k, v := range m { out[k] = v.Load() }
+//
+// It writes at least once, and only to blank, to variables it declares,
+// and to maps at the loop's key (an assignment or a delete); it reads maps
+// only at the key; it calls only conversions, len, cap, delete and methods
+// on the loop's key or value; and it leaves only by continue. The rule
+// trusts that a map's values do not alias one another.
+func isPerKeyWrite(info *types.Info, rng *ast.RangeStmt) bool {
+	key, ok := rng.Key.(*ast.Ident)
+	if !ok || key.Name == "_" {
+		return false
+	}
+	k, v := info.ObjectOf(key), types.Object(nil)
+	if id, ok := rng.Value.(*ast.Ident); ok && id.Name != "_" {
+		v = info.ObjectOf(id)
+	}
+	is := func(e ast.Expr, objs ...types.Object) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && slices.Contains(objs, info.ObjectOf(id))
+	}
+	atKey := func(e ast.Expr) bool { return is(e, k) }
+	isMapExpr := func(e ast.Expr) bool { tv, ok := info.Types[e]; return ok && isMap(tv.Type) }
+	wrote := false
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				switch l := ast.Unparen(l).(type) {
+				case *ast.Ident:
+					obj := info.ObjectOf(l)
+					ok = ok && (l.Name == "_" || obj != nil && obj.Pos() >= rng.Body.Pos() && obj.Pos() < rng.Body.End())
+				case *ast.IndexExpr:
+					wrote = true
+					ok = ok && isMapExpr(l.X) && atKey(l.Index)
+				default:
+					ok = false
+				}
+			}
+		case *ast.IndexExpr:
+			ok = ok && (!isMapExpr(n.X) || atKey(n.Index))
+		case *ast.CallExpr:
+			tv := info.Types[n.Fun]
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				b, _ := info.Uses[fun].(*types.Builtin)
+				del := b != nil && b.Name() == "delete" && isMapExpr(n.Args[0]) && atKey(n.Args[1])
+				wrote = wrote || del
+				ok = ok && (tv.IsType() || del || b != nil && (b.Name() == "len" || b.Name() == "cap"))
+			case *ast.SelectorExpr:
+				root := fun.X
+				for sel, isSel := root.(*ast.SelectorExpr); isSel; sel, isSel = root.(*ast.SelectorExpr) {
+					root = sel.X
+				}
+				_, method := info.Selections[fun]
+				ok = ok && (tv.IsType() || method && is(root, k, v))
+			default:
+				ok = ok && tv.IsType()
+			}
+		case *ast.BranchStmt:
+			ok = ok && n.Tok == token.CONTINUE && n.Label == nil
+		case *ast.UnaryExpr:
+			ok = ok && n.Op != token.ARROW
+		case *ast.FuncLit, *ast.ReturnStmt, *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt,
+			*ast.IncDecStmt, *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.LabeledStmt:
+			ok = false
+		}
+		return ok
+	})
+	return ok && wrote
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
+	"strings"
 )
 
 // NonDet forbids the three classic reproducibility leaks inside planner
@@ -13,9 +15,13 @@ import (
 // Seeded generator construction (rand.New(rand.NewSource(seed))) is fine;
 // it is the shared global source and ambient clock/environment that break
 // replay. Packages whose job is wall-clock measurement (obs, runtime,
-// calib, blas) are exempt by configuration; service and
-// autonomic wall-clock stamps carry //adeptvet:allow nondet annotations
-// so each one is individually justified.
+// calib, blas) are exempt by configuration. Elsewhere a duration is read
+// through an obs.Timer and a stamp from the component's own clock, a
+// now func() time.Time its constructor sets (autonomic.Controller,
+// cluster.Node), so no scoped package calls time.Now itself. A Timer still
+// reads the clock, so in the packages a plan is computed in (planning and
+// determinism-critical) starting or reading one is reported like time.Now:
+// a report-only duration there carries its own allow.
 var NonDet = &Analyzer{
 	Name:             "nondet",
 	Doc:              "forbid wall clock, global math/rand, and environment reads in planner packages",
@@ -37,6 +43,7 @@ func runNonDet(pass *Pass) error {
 	if !isNonDetScoped(pass.Pkg.Path()) {
 		return nil
 	}
+	planner := isPlanning(pass.Pkg.Path()) || isDeterminismCritical(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -46,6 +53,8 @@ func runNonDet(pass *Pass) error {
 			switch {
 			case isPkgCall(pass.TypesInfo, call, "time", "Now", "Since", "Until"):
 				pass.Reportf(call.Pos(), "wall-clock read in a planner package breaks plan replay; take the timestamp from the caller (or //adeptvet:allow nondet <reason> for observability-only stamps)")
+			case planner && isTimerCall(pass.TypesInfo, call):
+				pass.Reportf(call.Pos(), "obs.Timer reads the wall clock, and a plan must not depend on it; time the planner from its caller (or //adeptvet:allow nondet <reason> for report-only durations)")
 			case isGlobalRandCall(pass, call):
 				pass.Reportf(call.Pos(), "global math/rand generator is shared, unseeded process state; thread an explicit *rand.Rand seeded by the caller")
 			case isPkgCall(pass.TypesInfo, call, "os", "Getenv", "LookupEnv", "Environ", "ExpandEnv"):
@@ -67,4 +76,14 @@ func isGlobalRandCall(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return !randConstructors[fn.Name()]
+}
+
+// isTimerCall reports whether call starts or reads an obs.Timer.
+func isTimerCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || !pkgSegment(fn.Pkg().Path(), "obs") {
+		return false
+	}
+	recv := fn.Signature().Recv()
+	return recv == nil && fn.Name() == "StartTimer" || recv != nil && strings.HasSuffix(recv.Type().String(), ".Timer")
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"time"
+
+	"vettest/nondet/obs"
 )
 
 // Stamp reads the ambient wall clock.
@@ -33,4 +35,22 @@ func Debug() bool {
 func Uptime(start time.Time) float64 {
 	//adeptvet:allow nondet observability-only stamp; never an input to planning
 	return time.Since(start).Seconds() // want nondet suppressed
+}
+
+// Timed reads the clock through an obs.Timer: in a planner package that is
+// a wall-clock read like any other.
+func Timed(f func()) time.Duration {
+	t := obs.StartTimer() // want nondet
+	f()
+	return t.Elapsed() // want nondet
+}
+
+// Report times a variant for a report only, with an audited exception
+// covering the whole function.
+//
+//adeptvet:allow nondet report-only duration; no planning decision reads it
+func Report(f func()) float64 {
+	t := obs.StartTimer() // want nondet suppressed
+	f()
+	return t.Elapsed().Seconds() // want nondet suppressed
 }

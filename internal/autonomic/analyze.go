@@ -3,7 +3,9 @@ package autonomic
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"adept/internal/hierarchy"
 )
@@ -85,11 +87,7 @@ func (a *Analyzer) Analyze(cur *hierarchy.Hierarchy, obs Observation, mon *Monit
 	})
 
 	// Power drift, per deployed server with a learned effective power.
-	names := make([]string, 0, len(rated))
-	for name := range rated {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(rated))
 	for _, name := range names {
 		eff, ok := mon.EffectivePower(name)
 		if !ok {
@@ -174,24 +172,20 @@ func (a *Analyzer) ResetSag() {
 // Baseline exposes the current throughput baseline for status reports.
 func (a *Analyzer) Baseline() float64 { return a.baseline }
 
-// Streaks snapshots the hysteresis state — per-server drift and
-// zero-completion streak lengths (only non-zero entries) plus the sag
-// streak — for the decision journal: an event that says "drift detected"
-// is only debuggable alongside how long each signal had been building.
-func (a *Analyzer) Streaks() (drift, zero map[string]int, sag int) {
-	drift = make(map[string]int)
-	//adeptvet:allow maporder filtered copy into an unordered map; no cross-key interaction, journal serialization sorts keys
-	for name, n := range a.driftStreak {
-		if n > 0 {
-			drift[name] = n
+// streaks renders the hysteresis state for the decision journal: the
+// per-server drift and zero-completion streaks ("node3:2,node7:1", non-zero
+// lengths in name order) and the sag streak. An event that says "drift
+// detected" is only debuggable alongside how long each signal had been
+// building.
+func (a *Analyzer) streaks() (drift, zero string, sag int) {
+	render := func(streak map[string]int) string {
+		var parts []string
+		for _, name := range slices.Sorted(maps.Keys(streak)) {
+			if n := streak[name]; n > 0 {
+				parts = append(parts, name+":"+strconv.Itoa(n))
+			}
 		}
+		return strings.Join(parts, ",")
 	}
-	zero = make(map[string]int)
-	//adeptvet:allow maporder filtered copy into an unordered map; no cross-key interaction, journal serialization sorts keys
-	for name, n := range a.zeroStreak {
-		if n > 0 {
-			zero[name] = n
-		}
-	}
-	return drift, zero, a.sagStreak
+	return render(a.driftStreak), render(a.zeroStreak), a.sagStreak
 }

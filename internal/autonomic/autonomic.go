@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -196,6 +196,11 @@ type Controller struct {
 	virtualNow float64
 	incidents  []Incident
 	openIdx    int // index of the open incident in incidents, -1 if none
+
+	// now is the wall clock every adaptation and incident stamp reads:
+	// journal metadata, never an input to planning. It is time.Now outside
+	// tests.
+	now func() time.Time
 }
 
 // New builds a controller managing target, whose currently deployed tree
@@ -220,48 +225,26 @@ func New(cfg Config, target Target, deployed *hierarchy.Hierarchy) (*Controller,
 		ana:     NewAnalyzer(cfg.DriftTolerance, cfg.SagTolerance, cfg.Hysteresis, cfg.CrashWindows),
 		crashed: make(map[string]bool),
 		openIdx: -1,
+		now:     time.Now,
 	}, nil
 }
 
-// event journals one decision and mirrors it to the structured log.
-// Safe with a nil journal (events drop) and unconfigured logger.
-func (c *Controller) event(kind, msg string, fields map[string]string) {
+// event journals one decision of the cycle running under ctx and mirrors
+// it to the structured log. Safe with a nil journal (events drop) and
+// unconfigured logger.
+func (c *Controller) event(ctx context.Context, kind, msg string, fields map[string]string) {
 	if c.cfg.Journal != nil {
 		c.cfg.Journal.Append(kind, msg, fields)
 	}
-	//adeptvet:allow ctxflow log-enablement probe; slog's context is for handler plumbing, there is no request here
-	if !c.cfg.Logger.Enabled(context.Background(), slog.LevelInfo) {
+	if !c.cfg.Logger.Enabled(ctx, slog.LevelInfo) {
 		return
 	}
-	attrs := make([]slog.Attr, 0, len(fields)+2)
+	attrs := make([]slog.Attr, 0, len(fields)+1)
 	attrs = append(attrs, slog.String("kind", kind))
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(fields)) {
 		attrs = append(attrs, slog.String(k, fields[k]))
 	}
-	//adeptvet:allow ctxflow journal mirror to the structured log; decision events outlive any one request context
-	c.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, msg, attrs...)
-}
-
-// streakSummary renders a streak map compactly ("node3:2,node7:1").
-func streakSummary(m map[string]int) string {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+":"+strconv.Itoa(m[k]))
-	}
-	return strings.Join(parts, ",")
+	c.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, msg, attrs...)
 }
 
 // Status snapshots the controller state.
@@ -308,7 +291,7 @@ func (c *Controller) Run(ctx context.Context) error {
 			c.lastErr = err.Error()
 			cycle := c.cycles
 			c.mu.Unlock()
-			c.event("cycle_error", "MAPE cycle failed", map[string]string{
+			c.event(ctx, "cycle_error", "MAPE cycle failed", map[string]string{
 				"cycle":       strconv.Itoa(cycle),
 				"error":       err.Error(),
 				"consecutive": strconv.Itoa(consecutive),
@@ -349,12 +332,12 @@ func (c *Controller) Step(ctx context.Context) error {
 		closed, ok := c.incidentRecoverLocked(cycle)
 		c.mu.Unlock()
 		if ok {
-			c.emitRecovered(closed)
+			c.emitRecovered(ctx, closed)
 		}
 		return nil
 	}
 	incidentID := c.incidentDetect(cycle, verdict.Reasons)
-	driftStreaks, zeroStreaks, sagStreak := c.ana.Streaks()
+	driftStreaks, zeroStreaks, sagStreak := c.ana.streaks()
 	cur := c.cur.Clone()
 	// Once evicted, a crashed node stays out of every future replan: the
 	// verdict only carries this cycle's findings, the ban is permanent
@@ -365,14 +348,14 @@ func (c *Controller) Step(ctx context.Context) error {
 	crashed := maps.Clone(c.crashed)
 	c.mu.Unlock()
 
-	c.event("detect", strings.Join(verdict.Reasons, "; "), map[string]string{
+	c.event(ctx, "detect", strings.Join(verdict.Reasons, "; "), map[string]string{
 		"cycle":          strconv.Itoa(cycle),
 		"incident":       strconv.Itoa(incidentID),
 		"drifted":        strconv.Itoa(len(verdict.Drifted)),
 		"crashed":        strconv.Itoa(len(verdict.Crashed)),
 		"sagging":        strconv.FormatBool(verdict.Sagging),
-		"drift_streaks":  streakSummary(driftStreaks),
-		"zero_streaks":   streakSummary(zeroStreaks),
+		"drift_streaks":  driftStreaks,
+		"zero_streaks":   zeroStreaks,
 		"sag_streak":     strconv.Itoa(sagStreak),
 		"throughput_rps": strconv.FormatFloat(window.Throughput, 'f', 3, 64),
 	})
@@ -381,14 +364,12 @@ func (c *Controller) Step(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	c.incidentMark(func(in *Incident) {
-		if in.ReplanAt.IsZero() {
-			//adeptvet:allow nondet wall-clock incident milestone; journal metadata, never an input to planning
-			in.ReplanAt = time.Now().UTC()
-			in.ReplanVirtual = c.virtualNow
-		}
-	})
-	c.event("replan", "replan evaluated", map[string]string{
+	c.mu.Lock()
+	if in := c.openIncident(); in != nil && in.ReplanAt.IsZero() {
+		in.ReplanAt, in.ReplanVirtual = c.now().UTC(), c.virtualNow
+	}
+	c.mu.Unlock()
+	c.event(ctx, "replan", "replan evaluated", map[string]string{
 		"cycle":      strconv.Itoa(cycle),
 		"rho_before": strconv.FormatFloat(before, 'f', 3, 64),
 		"rho_after":  strconv.FormatFloat(after, 'f', 3, 64),
@@ -498,125 +479,97 @@ func evictLeaves(h *hierarchy.Hierarchy, names []string) (*hierarchy.Hierarchy, 
 	return hierarchy.Apply(h, hierarchy.Patch{Ops: ops})
 }
 
-// execute is the E of MAPE: diff, patch the live system, fall back to a
-// full redeploy only when the root changed.
+// execute is the E of MAPE: patch the live system with the diff, or
+// redeploy it from scratch when the root changed, then record the
+// adaptation.
 func (c *Controller) execute(ctx context.Context, cycle int, cur, target *hierarchy.Hierarchy, v Verdict, rhoBefore, rhoAfter float64) error {
 	patch, err := hierarchy.Diff(cur, target)
-	if errors.Is(err, hierarchy.ErrRootChanged) {
-		return c.fullRedeploy(ctx, cycle, target, v, rhoBefore, rhoAfter)
-	}
-	if err != nil {
+	rootSwap := errors.Is(err, hierarchy.ErrRootChanged)
+	if err != nil && !rootSwap {
 		return fmt.Errorf("autonomic: diff: %w", err)
 	}
-	if patch.Len() == 0 {
+	if !rootSwap && patch.Len() == 0 {
 		// Nothing to change (e.g. a sag with no better plan): reset the sag
 		// detector so the finding does not re-fire every window, but keep
 		// the drift/crash streaks building.
 		c.mu.Lock()
 		c.ana.ResetSag()
-		if c.openIdx >= 0 {
-			c.incidents[c.openIdx].NoChange = true
+		if in := c.openIncident(); in != nil {
+			in.NoChange = true
 		}
 		c.mu.Unlock()
-		c.event("no_change", "verdict produced no actionable patch", map[string]string{
+		c.event(ctx, "no_change", "verdict produced no actionable patch", map[string]string{
 			"cycle": strconv.Itoa(cycle),
 		})
+		return nil
+	}
+
+	ev := AdaptationEvent{Cycle: cycle, Reasons: v.Reasons, PredictedRhoBefore: rhoBefore, PredictedRhoAfter: rhoAfter}
+	fields := map[string]string{
+		"cycle":      strconv.Itoa(cycle),
+		"rho_before": strconv.FormatFloat(rhoBefore, 'f', 3, 64),
+		"rho_after":  strconv.FormatFloat(rhoAfter, 'f', 3, 64),
+	}
+	if rootSwap {
+		// The teardown fallback for a change a patch cannot express.
+		if err := c.target.Redeploy(ctx, target); err != nil {
+			return fmt.Errorf("autonomic: full redeploy: %w", err)
+		}
+		ev.FullRedeploy = true
+		c.adapt(target.Clone(), ev, v.Crashed)
+		c.event(ctx, "redeploy", "full redeploy: "+strings.Join(v.Reasons, "; "), fields)
 		return nil
 	}
 
 	applied, applyErr := c.target.Apply(ctx, patch)
 	// Advance the controller's tree by exactly the applied prefix so the
 	// knowledge base tracks the live system even on partial failure.
-	newCur, reErr := hierarchy.Apply(cur, hierarchy.Patch{Ops: patch.Ops[:applied]})
-	if reErr != nil {
-		return fmt.Errorf("autonomic: state tracking: %w", reErr)
-	}
-
-	event := AdaptationEvent{
-		Cycle: cycle,
-		//adeptvet:allow nondet wall-clock history stamp; journal metadata, never an input to planning
-		At:                 time.Now(),
-		Reasons:            v.Reasons,
-		PredictedRhoBefore: rhoBefore,
-		PredictedRhoAfter:  rhoAfter,
+	next, err := hierarchy.Apply(cur, hierarchy.Patch{Ops: patch.Ops[:applied]})
+	if err != nil {
+		return fmt.Errorf("autonomic: state tracking: %w", err)
 	}
 	for _, op := range patch.Ops[:applied] {
-		event.Ops = append(event.Ops, op.String())
+		ev.Ops = append(ev.Ops, op.String())
 	}
+	fields["ops_applied"] = strconv.Itoa(applied)
+	fields["ops_total"] = strconv.Itoa(patch.Len())
 	if applyErr != nil {
-		event.Error = applyErr.Error()
+		ev.Error = applyErr.Error()
+		fields["error"] = ev.Error
 	}
-
-	c.mu.Lock()
-	c.cur = newCur
-	c.history = append(c.history, event)
-	c.patchOps += applied
-	c.cooldown = c.cfg.Cooldown
-	c.ana.Reset()
-	for _, name := range v.Crashed {
-		c.mon.Forget(name)
-	}
-	if c.openIdx >= 0 {
-		in := &c.incidents[c.openIdx]
-		if in.PatchAt.IsZero() {
-			in.PatchAt = event.At.UTC()
-			in.PatchVirtual = c.virtualNow
-		}
-		in.PatchOps += applied
-	}
-	c.mu.Unlock()
-
-	fields := map[string]string{
-		"cycle":       strconv.Itoa(cycle),
-		"ops_applied": strconv.Itoa(applied),
-		"ops_total":   strconv.Itoa(patch.Len()),
-		"rho_before":  strconv.FormatFloat(rhoBefore, 'f', 3, 64),
-		"rho_after":   strconv.FormatFloat(rhoAfter, 'f', 3, 64),
-	}
-	if applyErr != nil {
-		fields["error"] = applyErr.Error()
-	}
-	c.event("patch", "patch applied: "+strings.Join(v.Reasons, "; "), fields)
-
+	c.adapt(next, ev, v.Crashed)
+	c.event(ctx, "patch", "patch applied: "+strings.Join(v.Reasons, "; "), fields)
 	if applyErr != nil {
 		return fmt.Errorf("autonomic: patch partially applied (%d/%d ops): %w", applied, patch.Len(), applyErr)
 	}
 	return nil
 }
 
-// fullRedeploy is the teardown fallback for changes a patch cannot express.
-func (c *Controller) fullRedeploy(ctx context.Context, cycle int, target *hierarchy.Hierarchy, v Verdict, rhoBefore, rhoAfter float64) error {
-	if err := c.target.Redeploy(ctx, target); err != nil {
-		return fmt.Errorf("autonomic: full redeploy: %w", err)
-	}
+// adapt records an adaptation the target carried out, by patch or by
+// redeploy: it installs the tree the target now runs, appends ev stamped
+// by the controller's clock, stamps the open incident, starts the
+// cooldown, resets the analyzer (the adapted system defines new
+// normality) and forgets the estimators of the evicted servers.
+func (c *Controller) adapt(next *hierarchy.Hierarchy, ev AdaptationEvent, evicted []string) {
 	c.mu.Lock()
-	c.cur = target.Clone()
-	c.history = append(c.history, AdaptationEvent{
-		Cycle: cycle,
-		//adeptvet:allow nondet wall-clock history stamp; journal metadata, never an input to planning
-		At:                 time.Now(),
-		Reasons:            v.Reasons,
-		FullRedeploy:       true,
-		PredictedRhoBefore: rhoBefore,
-		PredictedRhoAfter:  rhoAfter,
-	})
-	c.redeploy++
+	defer c.mu.Unlock()
+	ev.At = c.now()
+	c.cur = next
+	c.history = append(c.history, ev)
+	c.patchOps += len(ev.Ops)
+	if ev.FullRedeploy {
+		c.redeploy++
+	}
 	c.cooldown = c.cfg.Cooldown
 	c.ana.Reset()
-	if c.openIdx >= 0 {
-		in := &c.incidents[c.openIdx]
-		if in.PatchAt.IsZero() {
-			//adeptvet:allow nondet wall-clock incident milestone; journal metadata, never an input to planning
-			in.PatchAt = time.Now().UTC()
-			in.PatchVirtual = c.virtualNow
-		}
-		in.FullRedeploy = true
+	for _, name := range evicted {
+		c.mon.Forget(name)
 	}
-	c.mu.Unlock()
-	c.event("redeploy", "full redeploy: "+strings.Join(v.Reasons, "; "), map[string]string{
-		"cycle":      strconv.Itoa(cycle),
-		"rho_before": strconv.FormatFloat(rhoBefore, 'f', 3, 64),
-		"rho_after":  strconv.FormatFloat(rhoAfter, 'f', 3, 64),
-	})
-	return nil
+	if in := c.openIncident(); in != nil {
+		if in.PatchAt.IsZero() {
+			in.PatchAt, in.PatchVirtual = ev.At.UTC(), c.virtualNow
+		}
+		in.PatchOps += len(ev.Ops)
+		in.FullRedeploy = in.FullRedeploy || ev.FullRedeploy
+	}
 }

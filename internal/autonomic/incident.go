@@ -1,6 +1,7 @@
 package autonomic
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"time"
@@ -52,8 +53,7 @@ type Incident struct {
 // incidentDetect opens a new incident or merges reasons into the open
 // one. Caller holds c.mu. Returns the incident ID.
 func (c *Controller) incidentDetect(cycle int, reasons []string) int {
-	if c.openIdx >= 0 {
-		in := &c.incidents[c.openIdx]
+	if in := c.openIncident(); in != nil {
 		for _, r := range reasons {
 			if !containsStr(in.Reasons, r) {
 				in.Reasons = append(in.Reasons, r)
@@ -62,11 +62,10 @@ func (c *Controller) incidentDetect(cycle int, reasons []string) int {
 		return in.ID
 	}
 	c.incidents = append(c.incidents, Incident{
-		ID:          len(c.incidents) + 1,
-		Reasons:     append([]string(nil), reasons...),
-		DetectCycle: cycle,
-		//adeptvet:allow nondet wall-clock incident milestone; MTTR is measured on both clocks, planning reads neither
-		DetectedAt:      time.Now().UTC(),
+		ID:              len(c.incidents) + 1,
+		Reasons:         append([]string(nil), reasons...),
+		DetectCycle:     cycle,
+		DetectedAt:      c.now().UTC(),
 		DetectedVirtual: c.virtualNow,
 	})
 	c.openIdx = len(c.incidents) - 1
@@ -82,25 +81,23 @@ func containsStr(xs []string, s string) bool {
 	return false
 }
 
-// incidentMark applies fn to the open incident, if any, under c.mu.
-func (c *Controller) incidentMark(fn func(*Incident)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.openIdx >= 0 {
-		fn(&c.incidents[c.openIdx])
+// openIncident returns the open incident, or nil. Caller holds c.mu.
+func (c *Controller) openIncident() *Incident {
+	if c.openIdx < 0 {
+		return nil
 	}
+	return &c.incidents[c.openIdx]
 }
 
 // incidentRecoverLocked closes the open incident at a clean
 // post-cooldown window. Caller holds c.mu. Returns the closed incident
 // (by value) and whether one was open.
 func (c *Controller) incidentRecoverLocked(cycle int) (Incident, bool) {
-	if c.openIdx < 0 {
+	in := c.openIncident()
+	if in == nil {
 		return Incident{}, false
 	}
-	in := &c.incidents[c.openIdx]
-	//adeptvet:allow nondet wall-clock incident milestone; MTTR is measured on both clocks, planning reads neither
-	in.RecoveredAt = time.Now().UTC()
+	in.RecoveredAt = c.now().UTC()
 	in.RecoveredVirtual = c.virtualNow
 	in.RecoverCycle = cycle
 	in.Resolved = true
@@ -111,8 +108,8 @@ func (c *Controller) incidentRecoverLocked(cycle int) (Incident, bool) {
 }
 
 // emitRecovered journals an incident closure. Called without c.mu.
-func (c *Controller) emitRecovered(in Incident) {
-	c.event("recovered", "incident recovered: "+strings.Join(in.Reasons, "; "), map[string]string{
+func (c *Controller) emitRecovered(ctx context.Context, in Incident) {
+	c.event(ctx, "recovered", "incident recovered: "+strings.Join(in.Reasons, "; "), map[string]string{
 		"incident":       strconv.Itoa(in.ID),
 		"cycle":          strconv.Itoa(in.RecoverCycle),
 		"detect_cycle":   strconv.Itoa(in.DetectCycle),

@@ -49,33 +49,29 @@ func (t *LiveTarget) System() *runtime.System {
 	return t.sys
 }
 
-// Observe implements Target: one client-driven measurement window.
+// Observe implements Target: one client-driven measurement window. Served
+// and ServiceSeconds come from one drain of the servers' accumulators,
+// which count each completed execution once.
 func (t *LiveTarget) Observe(ctx context.Context) (Observation, error) {
 	sys := t.System()
-	before := sys.ServedCounts()
 	stats, err := sys.RunClients(ctx, t.Clients, t.Window)
 	if err != nil {
 		return Observation{}, err
 	}
-	after := sys.ServedCounts()
-	served := make(map[string]int64, len(after))
-	//adeptvet:allow maporder per-key delta into an unordered map; no cross-key interaction
-	for name, n := range after {
-		served[name] = n - before[name]
-	}
 	window := stats.Elapsed.Seconds()
 	if t.Opts.TimeScale > 0 {
-		window = stats.Elapsed.Seconds() / t.Opts.TimeScale
+		window /= t.Opts.TimeScale
 	}
+	drain := sys.TakeServiceStats()
 	obs := Observation{
 		Window:         window,
 		Throughput:     stats.Throughput,
 		Completed:      stats.Completed,
-		Served:         served,
-		ServiceSeconds: make(map[string]float64),
+		Served:         make(map[string]int64, len(drain)),
+		ServiceSeconds: make(map[string]float64, len(drain)),
 	}
-	//adeptvet:allow maporder per-key ratio into an unordered map; no cross-key interaction
-	for name, st := range sys.TakeServiceStats() {
+	for name, st := range drain {
+		obs.Served[name] = st.Count
 		if st.Count > 0 {
 			obs.ServiceSeconds[name] = st.Seconds / float64(st.Count)
 		}

@@ -1,6 +1,9 @@
 package autonomic
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // Monitor is the M of MAPE-K: it folds per-window service-time
 // observations into one exponentially-weighted moving average per server
@@ -20,10 +23,11 @@ func NewMonitor(alpha, wapp float64) *Monitor {
 	return &Monitor{alpha: alpha, wapp: wapp, est: make(map[string]float64)}
 }
 
-// Update folds one observation window into the estimators.
+// Update folds one observation window into the estimators, in server name
+// order.
 func (m *Monitor) Update(obs Observation) {
-	//adeptvet:allow maporder per-name estimator fold; each EWMA only sees its own key's samples
-	for name, sec := range obs.ServiceSeconds {
+	for _, name := range slices.Sorted(maps.Keys(obs.ServiceSeconds)) {
+		sec := obs.ServiceSeconds[name]
 		if !(sec > 0) { // zero, negative or NaN: not a service time
 			continue
 		}
@@ -45,15 +49,11 @@ func (m *Monitor) EffectivePower(name string) (float64, bool) {
 }
 
 // EffectivePowers returns every learned effective power, for status
-// reporting. The snapshot is assembled over sorted server names so the
-// work (and any future serialization threaded through it) is
-// reproducible run to run.
+// reporting.
 func (m *Monitor) EffectivePowers() map[string]float64 {
 	out := make(map[string]float64, len(m.est))
-	for _, name := range m.Names() {
-		if p, ok := m.EffectivePower(name); ok {
-			out[name] = p
-		}
+	for name, sec := range m.est {
+		out[name] = m.wapp / sec
 	}
 	return out
 }
@@ -61,15 +61,4 @@ func (m *Monitor) EffectivePowers() map[string]float64 {
 // Forget drops a server's estimator (the server left the deployment).
 func (m *Monitor) Forget(name string) {
 	delete(m.est, name)
-}
-
-// Names returns the servers with estimators, sorted (deterministic status
-// output).
-func (m *Monitor) Names() []string {
-	names := make([]string, 0, len(m.est))
-	for name := range m.est {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

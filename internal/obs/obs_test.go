@@ -31,6 +31,13 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// A Timer is a value: starting and reading one allocates nothing.
+func TestTimerAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = StartTimer().Elapsed() }); n != 0 {
+		t.Fatalf("StartTimer + Elapsed: %v allocations, want 0", n)
+	}
+}
+
 func TestExpBucketsGolden(t *testing.T) {
 	got := ExpBuckets(100e-6, 2, 5)
 	want := []float64{100e-6, 200e-6, 400e-6, 800e-6, 1600e-6}

@@ -76,6 +76,19 @@ type TraceRecorder struct {
 // NewTraceRecorder returns an empty recorder.
 func NewTraceRecorder() *TraceRecorder { return &TraceRecorder{} }
 
+// Timer measures one duration on the monotonic clock. It is a value, so
+// starting and reading one allocates nothing. Every duration the daemon
+// and the portfolio report is read through a Timer, and the trace's phases
+// are too: obs owns the clock, and the packages that report durations read
+// none of their own.
+type Timer struct{ start time.Time }
+
+// StartTimer starts a Timer.
+func StartTimer() Timer { return Timer{start: time.Now()} }
+
+// Elapsed returns the time since the Timer started.
+func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }
+
 // noopEnd is returned by Phase on a nil recorder, so the trace-off path
 // allocates no closure.
 var noopEnd = func() {}
@@ -88,8 +101,8 @@ func (r *TraceRecorder) Phase(name string) func() {
 	if r == nil {
 		return noopEnd
 	}
-	start := time.Now()
-	return func() { r.Span(name, time.Since(start)) }
+	t := StartTimer()
+	return func() { r.Span(name, t.Elapsed()) }
 }
 
 // Span records an already-measured phase duration.

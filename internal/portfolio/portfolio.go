@@ -167,7 +167,7 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 //
 //adeptvet:allow nondet per-variant wall-time stats for the report; winner selection never reads them
 func timed(f func()) float64 {
-	start := time.Now()
+	t := obs.StartTimer()
 	f()
-	return float64(time.Since(start)) / float64(time.Millisecond)
+	return float64(t.Elapsed()) / float64(time.Millisecond)
 }

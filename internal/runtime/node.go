@@ -238,9 +238,8 @@ type serverElem struct {
 
 	// svcMu guards the per-server observed service-time accumulation the
 	// autonomic monitor consumes.
-	svcMu      sync.Mutex
-	svcSeconds float64
-	svcCount   int64
+	svcMu sync.Mutex
+	svc   ServiceStat
 
 	// lastActive is the unix-nano timestamp of the last processed message,
 	// for the remove-server drain heuristic.
@@ -324,18 +323,18 @@ func (s *serverElem) run(inbox <-chan Envelope) {
 // per-node power.
 func (s *serverElem) recordService(seconds float64) {
 	s.svcMu.Lock()
-	s.svcSeconds += seconds
-	s.svcCount++
+	s.svc.Seconds += seconds
+	s.svc.Count++
 	s.svcMu.Unlock()
 }
 
 // takeService drains the accumulated service-time observations.
-func (s *serverElem) takeService() (seconds float64, count int64) {
+func (s *serverElem) takeService() ServiceStat {
 	s.svcMu.Lock()
-	seconds, count = s.svcSeconds, s.svcCount
-	s.svcSeconds, s.svcCount = 0, 0
-	s.svcMu.Unlock()
-	return seconds, count
+	defer s.svcMu.Unlock()
+	st := s.svc
+	s.svc = ServiceStat{}
+	return st
 }
 
 // execute performs the service work and reports its duration in virtual

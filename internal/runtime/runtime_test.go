@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"context"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -83,6 +84,34 @@ func TestRuntimeCompletesRequestsOnTCPTransport(t *testing.T) {
 		t.Fatalf("no requests completed over TCP: %+v, errors: %v", stats, sys.Errors())
 	}
 	t.Logf("TCP: completed %d requests", stats.Completed)
+}
+
+// TestTCPTransportHoldsSteadyAcrossWindows runs successive client windows
+// over TCP, as the autonomic monitor does, and checks that a window leaves
+// nothing behind: retiring a client closes every connection and goroutine
+// that served it, so twenty windows hold what one does.
+func TestTCPTransportHoldsSteadyAcrossWindows(t *testing.T) {
+	sys, err := runtime.Deploy(buildStar(t, 2), runtime.NewTCPTransport(), testOptions(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	var base int
+	for i := 0; i < 20; i++ {
+		stats, err := sys.RunClients(context.Background(), 4, 50*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Completed == 0 {
+			t.Fatalf("window %d completed nothing: %+v, errors: %v", i, stats, sys.Errors())
+		}
+		if i == 0 {
+			base = goruntime.NumGoroutine()
+		}
+	}
+	if grown := goruntime.NumGoroutine() - base; grown > 8 {
+		t.Fatalf("19 more windows left %d more goroutines (%d after the first)", grown, base)
+	}
 }
 
 func TestRuntimeTwoLevelHierarchyRoutesToAllServers(t *testing.T) {

@@ -214,7 +214,6 @@ func (s *System) ServedCounts() map[string]int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]int64, len(s.servers))
-	//adeptvet:allow maporder per-key counter copy into an unordered map; no cross-key interaction
 	for name, srv := range s.servers {
 		out[name] = srv.served.Load()
 	}
@@ -237,10 +236,8 @@ func (s *System) TakeServiceStats() map[string]ServiceStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]ServiceStat, len(s.servers))
-	//adeptvet:allow maporder per-key drain into an unordered map; no cross-key interaction
 	for name, srv := range s.servers {
-		sec, n := srv.takeService()
-		out[name] = ServiceStat{Seconds: sec, Count: n}
+		out[name] = srv.takeService()
 	}
 	return out
 }

@@ -9,19 +9,35 @@ import (
 )
 
 // TCPTransport delivers envelopes over loopback TCP with gob encoding: the
-// closest stdlib-only analog of DIET's CORBA transport. Every registered
-// element gets its own listener; senders keep one persistent connection per
-// destination.
+// closest stdlib-only analog of DIET's CORBA transport. It keeps the same
+// registry as the channel transport; each element adds a loopback listener
+// that fans accepted connections into its inbox. Every sender keeps its own
+// connection to each destination, dialed on first use, so senders to one
+// element encode and are decoded in parallel. Retiring an element closes
+// the connections to it and those it dialed.
 type TCPTransport struct {
-	mu        sync.Mutex
-	listeners map[string]net.Listener
-	addrs     map[string]string
-	boxes     map[string]*inbox
-	conns     map[string]*tcpConn
-	closed    bool
-	wg        sync.WaitGroup
+	reg   registry[*tcpElem]
+	mu    sync.Mutex
+	conns map[tcpRoute]*tcpConn // guarded by mu
 }
 
+// tcpRoute names one connection: a sender and the element it dials.
+type tcpRoute struct {
+	from string
+	to   *tcpElem
+}
+
+// tcpElem is one registered element: its inbox and its listener.
+type tcpElem struct {
+	t       *TCPTransport
+	name    string
+	box     *inbox
+	ln      net.Listener
+	wg      sync.WaitGroup // the accept loop and its decoders
+	retired bool           // guarded by t.mu
+}
+
+// tcpConn is the sending end of one connection; mu serialises encodes.
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -29,50 +45,37 @@ type tcpConn struct {
 }
 
 // NewTCPTransport returns an empty loopback TCP transport.
-func NewTCPTransport() *TCPTransport {
-	return &TCPTransport{
-		listeners: make(map[string]net.Listener),
-		addrs:     make(map[string]string),
-		boxes:     make(map[string]*inbox),
-		conns:     make(map[string]*tcpConn),
-	}
-}
+func NewTCPTransport() *TCPTransport { return &TCPTransport{} }
 
 // Register implements Transport: it opens a loopback listener for the
 // element and fans accepted connections into its inbox.
 func (t *TCPTransport) Register(name string) (<-chan Envelope, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, errors.New("runtime: transport closed")
-	}
-	if _, dup := t.boxes[name]; dup {
-		return nil, fmt.Errorf("runtime: element %q already registered", name)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	e, err := t.reg.register(name, func() (*tcpElem, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("runtime: listen for %q: %w", name, err)
+		}
+		e := &tcpElem{t: t, name: name, box: newInbox(), ln: ln}
+		e.wg.Add(1)
+		go e.accept()
+		return e, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("runtime: listen for %q: %w", name, err)
+		return nil, err
 	}
-	box := newInbox()
-	t.listeners[name] = ln
-	t.addrs[name] = ln.Addr().String()
-	t.boxes[name] = box
-
-	t.wg.Add(1)
-	go t.acceptLoop(ln, box)
-	return box.ch, nil
+	return e.box.ch, nil
 }
 
-func (t *TCPTransport) acceptLoop(ln net.Listener, box *inbox) {
-	defer t.wg.Done()
+func (e *tcpElem) accept() {
+	defer e.wg.Done()
 	for {
-		conn, err := ln.Accept()
+		conn, err := e.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		t.wg.Add(1)
+		e.wg.Add(1)
 		go func() {
-			defer t.wg.Done()
+			defer e.wg.Done()
 			defer conn.Close()
 			dec := gob.NewDecoder(conn)
 			for {
@@ -82,38 +85,23 @@ func (t *TCPTransport) acceptLoop(ln net.Listener, box *inbox) {
 				}
 				// A send error means the box retired mid-decode; dropping
 				// the message is the teardown semantic.
-				_ = box.send(env)
+				_ = e.box.send(env)
 			}
 		}()
 	}
 }
 
-// Send implements Transport, lazily dialing and caching one connection per
+// Send implements Transport over the sender's connection to the
 // destination.
 func (t *TCPTransport) Send(from, to string, msg any) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return errors.New("runtime: transport closed")
+	e, err := t.reg.lookup(to)
+	if err != nil {
+		return err
 	}
-	addr, ok := t.addrs[to]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("runtime: unknown element %q", to)
+	c, err := t.connect(tcpRoute{from: from, to: e})
+	if err != nil {
+		return fmt.Errorf("runtime: dial %q: %w", to, err)
 	}
-	key := from + "\x00" + to
-	c := t.conns[key]
-	if c == nil {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.mu.Unlock()
-			return fmt.Errorf("runtime: dial %q: %w", to, err)
-		}
-		c = &tcpConn{conn: conn, enc: gob.NewEncoder(conn)}
-		t.conns[key] = c
-	}
-	t.mu.Unlock()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.enc.Encode(Envelope{From: from, Msg: msg}); err != nil {
@@ -122,64 +110,52 @@ func (t *TCPTransport) Send(from, to string, msg any) error {
 	return nil
 }
 
-// Deregister implements Transport: it closes the element's listener and
-// inbox and drops cached connections to it, freeing the name for reuse.
-func (t *TCPTransport) Deregister(name string) error {
+// connect returns the route's connection, dialing it on first use.
+func (t *TCPTransport) connect(r tcpRoute) (*tcpConn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return errors.New("runtime: transport closed")
+	defer t.mu.Unlock()
+	if c := t.conns[r]; c != nil {
+		return c, nil
 	}
-	box, ok := t.boxes[name]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("runtime: element %q not registered", name)
+	if r.to.retired {
+		return nil, errors.New("runtime: element retired")
 	}
-	if ln := t.listeners[name]; ln != nil {
-		ln.Close()
+	conn, err := net.Dial("tcp", r.to.ln.Addr().String())
+	if err != nil {
+		return nil, err
 	}
-	delete(t.listeners, name)
-	delete(t.addrs, name)
-	delete(t.boxes, name)
-	suffix := "\x00" + name
-	//adeptvet:allow maporder teardown of matching connections; close order is immaterial
-	for key, c := range t.conns {
-		if len(key) >= len(suffix) && key[len(key)-len(suffix):] == suffix {
+	if t.conns == nil {
+		t.conns = make(map[tcpRoute]*tcpConn)
+	}
+	c := &tcpConn{conn: conn, enc: gob.NewEncoder(conn)}
+	t.conns[r] = c
+	return c, nil
+}
+
+// retire closes the listener and every connection to or from the element,
+// which ends the accept loop and the decoders on both ends, retires the
+// inbox, and waits for the element's goroutines.
+func (e *tcpElem) retire() {
+	e.ln.Close()
+	e.t.mu.Lock()
+	e.retired = true
+	for r, c := range e.t.conns {
+		if r.to == e || r.from == e.name {
 			c.conn.Close()
-			delete(t.conns, key)
+			delete(e.t.conns, r)
 		}
 	}
-	t.mu.Unlock()
-	// Decoder goroutines feeding this box drain out once their connections
-	// close; retire() waits for in-flight sends before closing.
-	box.retire()
-	return nil
+	e.t.mu.Unlock()
+	e.box.retire()
+	e.wg.Wait()
 }
+
+// Deregister implements Transport: it retires the element, freeing the
+// name for reuse.
+func (t *TCPTransport) Deregister(name string) error { return t.reg.deregister(name) }
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	//adeptvet:allow maporder transport shutdown; close order is immaterial
-	for _, ln := range t.listeners {
-		ln.Close()
-	}
-	//adeptvet:allow maporder transport shutdown; close order is immaterial
-	for _, c := range t.conns {
-		c.conn.Close()
-	}
-	boxes := t.boxes
-	t.boxes = map[string]*inbox{}
-	t.mu.Unlock()
-
-	t.wg.Wait()
-	//adeptvet:allow maporder transport shutdown; retire order is immaterial
-	for _, box := range boxes {
-		box.retire()
-	}
+	t.reg.close()
 	return nil
 }

@@ -3,8 +3,10 @@ package runtime
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,82 +82,114 @@ func (b *inbox) retire() {
 	b.mu.Unlock()
 }
 
-// ChanTransport is the in-process transport: one buffered channel per
-// element.
-type ChanTransport struct {
+var errTransportClosed = errors.New("runtime: transport closed")
+
+// registry is the name→element table both transports keep. It registers,
+// looks up and deregisters names, and on close retires what is left in
+// sorted name order, as System.Stop shuts elements down. An element
+// retires what it owns: an inbox closes its channel, and a TCP element
+// also its listener and the connections to and from it.
+type registry[E interface{ retire() }] struct {
 	mu     sync.Mutex
-	boxes  map[string]*inbox
+	elems  map[string]E
 	closed bool
 }
 
-// NewChanTransport returns an empty in-process transport.
-func NewChanTransport() *ChanTransport {
-	return &ChanTransport{boxes: make(map[string]*inbox)}
+// register adds the element open makes for name. open runs under the
+// lock, so one name is never opened twice.
+func (r *registry[E]) register(name string, open func() (E, error)) (e E, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return e, errTransportClosed
+	}
+	if _, dup := r.elems[name]; dup {
+		return e, fmt.Errorf("runtime: element %q already registered", name)
+	}
+	if e, err = open(); err != nil {
+		return e, err
+	}
+	if r.elems == nil {
+		r.elems = make(map[string]E)
+	}
+	r.elems[name] = e
+	return e, nil
 }
+
+// lookup returns the element registered under name.
+func (r *registry[E]) lookup(name string) (E, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.elems[name]
+	switch {
+	case r.closed:
+		return e, errTransportClosed
+	case !ok:
+		return e, fmt.Errorf("runtime: unknown element %q", name)
+	}
+	return e, nil
+}
+
+// deregister removes name and retires its element, freeing the name.
+func (r *registry[E]) deregister(name string) error {
+	r.mu.Lock()
+	e, ok := r.elems[name]
+	closed := r.closed
+	delete(r.elems, name)
+	r.mu.Unlock()
+	switch {
+	case closed:
+		return errTransportClosed
+	case !ok:
+		return fmt.Errorf("runtime: element %q not registered", name)
+	}
+	e.retire()
+	return nil
+}
+
+// close retires every element in sorted name order. Closing twice is a
+// no-op.
+func (r *registry[E]) close() {
+	r.mu.Lock()
+	elems := r.elems
+	r.elems, r.closed = nil, true
+	r.mu.Unlock()
+	for _, name := range slices.Sorted(maps.Keys(elems)) {
+		elems[name].retire()
+	}
+}
+
+// ChanTransport is the in-process transport: one buffered channel per
+// element.
+type ChanTransport struct{ reg registry[*inbox] }
+
+// NewChanTransport returns an empty in-process transport.
+func NewChanTransport() *ChanTransport { return &ChanTransport{} }
 
 // Register implements Transport.
 func (t *ChanTransport) Register(name string) (<-chan Envelope, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, fmt.Errorf("runtime: transport closed")
+	b, err := t.reg.register(name, func() (*inbox, error) { return newInbox(), nil })
+	if err != nil {
+		return nil, err
 	}
-	if _, dup := t.boxes[name]; dup {
-		return nil, fmt.Errorf("runtime: element %q already registered", name)
-	}
-	b := newInbox()
-	t.boxes[name] = b
 	return b.ch, nil
 }
 
 // Send implements Transport.
 func (t *ChanTransport) Send(from, to string, msg any) error {
-	t.mu.Lock()
-	b, ok := t.boxes[to]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return fmt.Errorf("runtime: transport closed")
-	}
-	if !ok {
-		return fmt.Errorf("runtime: unknown element %q", to)
+	b, err := t.reg.lookup(to)
+	if err != nil {
+		return err
 	}
 	return b.send(Envelope{From: from, Msg: msg})
 }
 
 // Deregister implements Transport.
-func (t *ChanTransport) Deregister(name string) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return fmt.Errorf("runtime: transport closed")
-	}
-	b, ok := t.boxes[name]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("runtime: element %q not registered", name)
-	}
-	delete(t.boxes, name)
-	t.mu.Unlock()
-	b.retire()
-	return nil
-}
+func (t *ChanTransport) Deregister(name string) error { return t.reg.deregister(name) }
 
 // Close implements Transport.
 func (t *ChanTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	boxes := t.boxes
-	t.boxes = map[string]*inbox{}
-	t.mu.Unlock()
-	//adeptvet:allow maporder transport shutdown; retire order is immaterial
-	for _, b := range boxes {
-		b.retire()
-	}
+	t.reg.close()
 	return nil
 }
 
@@ -217,20 +251,13 @@ func (m *MeteredTransport) Deregister(name string) error { return m.inner.Deregi
 // Close implements Transport.
 func (m *MeteredTransport) Close() error { return m.inner.Close() }
 
-// Stats returns a copy of the per-type traffic counters. The snapshot is
-// assembled over sorted message types so its construction order is
-// stable for any consumer that iterates as it copies.
+// Stats returns a copy of the per-type traffic counters.
 func (m *MeteredTransport) Stats() map[string]MessageStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	types := make([]string, 0, len(m.stats))
-	for k := range m.stats {
-		types = append(types, k)
-	}
-	sort.Strings(types)
 	out := make(map[string]MessageStats, len(m.stats))
-	for _, k := range types {
-		out[k] = *m.stats[k]
+	for k, st := range m.stats {
+		out[k] = *st
 	}
 	return out
 }

@@ -20,7 +20,7 @@ type Metrics struct {
 	requests *obs.CounterVec
 	errors   *obs.CounterVec
 	latency  *obs.HistogramVec
-	started  time.Time
+	started  obs.Timer
 }
 
 // NewMetrics returns zeroed metrics with the uptime clock started and a
@@ -32,18 +32,18 @@ func NewMetrics() *Metrics {
 		requests: reg.CounterVec("adeptd_requests_total", "HTTP requests served, by endpoint.", "endpoint"),
 		errors:   reg.CounterVec("adeptd_request_errors_total", "HTTP requests answered with a server-attributable error status (>= 400, excluding 499 client disconnects), by endpoint.", "endpoint"),
 		latency:  reg.HistogramVec("adeptd_request_duration_seconds", "HTTP request service latency, by endpoint.", obs.LatencyBuckets(), "endpoint"),
-		//adeptvet:allow nondet uptime epoch; serving-layer telemetry, not planner state
-		started: time.Now(),
+		started:  obs.StartTimer(),
 	}
-	reg.GaugeFunc("adeptd_uptime_seconds", "Seconds since the daemon started.", func() float64 {
-		//adeptvet:allow nondet uptime gauge; serving-layer telemetry, not planner state
-		return time.Since(m.started).Seconds()
-	})
+	reg.GaugeFunc("adeptd_uptime_seconds", "Seconds since the daemon started.", m.uptime)
 	v, rev, gover := buildIdent()
 	reg.GaugeVec("adeptd_build_info", "Build metadata; the value is fixed at 1, the information is in the labels.",
 		"version", "revision", "goversion").With(v, rev, gover).Set(1)
 	return m
 }
+
+// uptime is the seconds since the metrics started: the uptime gauge and
+// the report's uptime_seconds.
+func (m *Metrics) uptime() float64 { return m.started.Elapsed().Seconds() }
 
 // buildIdent resolves the binary's version identifiers from the embedded
 // build info: module version, VCS revision (short), and Go toolchain.
@@ -161,8 +161,7 @@ type Report struct {
 func (m *Metrics) Snapshot() Report {
 	v, rev, gover := buildIdent()
 	rep := Report{
-		//adeptvet:allow nondet uptime report; serving-layer telemetry, not planner state
-		UptimeSeconds: time.Since(m.started).Seconds(),
+		UptimeSeconds: m.uptime(),
 		Build:         BuildMeta{Version: v, Revision: rev, GoVersion: gover},
 		Endpoints:     make(map[string]EndpointMetrics),
 	}

@@ -104,8 +104,7 @@ func planStatus(r *http.Request, err error) int {
 func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInput, error) {
 	// The clock starts before resolve: elapsed_ms reports all of what
 	// answering the request cost, content-addressing it included.
-	//adeptvet:allow nondet plan latency measurement; reporting only, the plan itself is deterministic
-	start := time.Now()
+	start := obs.StartTimer()
 	// tr stays nil unless the request asked for a trace; every recorder
 	// method is a no-op on nil, so the default path pays one pointer test
 	// per instrumentation point and allocates nothing.
@@ -249,7 +248,7 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 // is safe on the coalesced path: the flight's done channel closed before
 // wait returned, ordering the planner goroutine's trace writes before this
 // read.
-func (s *Server) respond(r *http.Request, in *planInput, tr *obs.TraceRecorder, start time.Time, fr flightResult, coalesced bool) *PlanResponse {
+func (s *Server) respond(r *http.Request, in *planInput, tr *obs.TraceRecorder, start obs.Timer, fr flightResult, coalesced bool) *PlanResponse {
 	entry, plan := fr.entry, fr.entry.Plan
 	resp := &PlanResponse{
 		Planner:          plan.Planner,
@@ -271,9 +270,8 @@ func (s *Server) respond(r *http.Request, in *planInput, tr *obs.TraceRecorder, 
 		MinLinkBandwidth: entry.MinLinkBandwidth,
 		MaxLinkBandwidth: entry.MaxLinkBandwidth,
 		XML:              entry.XML,
-		//adeptvet:allow nondet plan-latency field of the response; reporting only, the plan itself is deterministic
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Variants:  fr.variants,
+		ElapsedMS:        float64(start.Elapsed()) / float64(time.Millisecond),
+		Variants:         fr.variants,
 	}
 	if tr == nil {
 		return resp

@@ -232,11 +232,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		w.Header().Set("X-Request-ID", reqID)
 		r = r.WithContext(obs.ContextWithRequestID(r.Context(), reqID))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		//adeptvet:allow nondet request latency measurement; serving-layer telemetry, not planner state
-		start := time.Now()
+		start := obs.StartTimer()
 		h(rec, r)
-		//adeptvet:allow nondet request latency measurement; serving-layer telemetry, not planner state
-		elapsed := time.Since(start)
+		elapsed := start.Elapsed()
 		// A client cancellation is not a server error: it is recorded as a
 		// request (and visible as a 499 in logs) but must not pollute the
 		// error-rate the daemon is judged by.
