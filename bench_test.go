@@ -580,13 +580,16 @@ func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
 // fleet_cold's shape: one POST /v1/plan through the handler for a
 // 100 000-node catalogue scenario nobody has asked for before — a new seed
 // every iteration, cluster-grid and fat-tree alternating. A miss reads
-// each node a fixed few times: it draws the power and link columns cluster
-// by cluster or tier by tier and range-checks them, buckets them into a
-// class table sized to the ~40 classes found, deals the pool out class by
-// class, and folds Eq. 15 over the sorted runs once; then it plans from
-// the classes, appends the deployment XML into one buffer, and encodes.
-// It must not build the nodes: a miss that materialises 100 000 names is
-// over scripts/bench.sh's ceiling.
+// each node a fixed few times: it draws the power column, and one more
+// pass, cluster by cluster or tier by tier, snaps each power to its level
+// and classes the node through a small level × link-class table — the
+// pool carries its ~16 classes out of generation, so nothing range-checks,
+// hashes or scans a link per node after it, and no link column is built.
+// Then it deals the pool out class by class, folds Eq. 15 over the sorted
+// runs once, plans from the classes (spending a class's members by
+// merging its digit-width runs of names), appends the deployment XML into
+// one buffer, and encodes. It must not build the nodes: a miss that
+// materialises 100 000 names is over scripts/bench.sh's ceiling.
 func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 	srv, err := service.New(service.Config{})
 	if err != nil {

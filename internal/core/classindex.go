@@ -1,15 +1,15 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"adept/internal/platform"
 )
 
 // This file holds the class index: the pool's columns (platform.Columns)
-// bucketed by spec. The planner reads every node's spec once, to bucket it,
-// and from then on holds nodes as int32 indices into the columns: the
+// bucketed by spec. The planner reads every node's spec once, to bucket it
+// — or not at all, when the columns were classed as they were drawn — and
+// from then on holds nodes as int32 indices into the columns: the
 // pool laid out class by class, a run's name heap, the interleaving of
 // classes that tie on the sort key. A node is handed out (Columns.Node)
 // only when the plan reaches it, and sort_nodes' tie-break — name order —
@@ -29,33 +29,13 @@ import (
 // Equivalence is exact: two nodes share a class iff their Power and raw
 // LinkBandwidth have identical float64 bit patterns. Near-duplicates
 // (powers one ulp apart) land in distinct classes — the fuzz corpus
-// exercises exactly that boundary.
+// exercises exactly that boundary. The assignment is the columns' own
+// (platform.Columns.Classes): the one a quantised scenario was drawn in,
+// or a hash of every node's spec for any other pool.
 type ClassIndex struct {
 	cols    *platform.Columns
-	classes []NodeClass
-	classOf []int32 // each node's class, in pool order
-}
-
-// NodeClass is one equivalence class: a spec plus its member count.
-type NodeClass struct {
-	// Power is the members' computing power in MFlop/s.
-	Power float64
-	// LinkBandwidth is the members' raw per-node link override, exactly as
-	// platform.Node carries it (0 = platform default). Classing on the raw
-	// value keeps expansion rendering-faithful: an explicit override equal
-	// to the platform default is a different class from "no override".
-	LinkBandwidth float64
-
-	count int32
-}
-
-// link resolves the class's effective bandwidth against the platform
-// default, mirroring platform.Node.Link.
-func (cl *NodeClass) link(def float64) float64 {
-	if cl.LinkBandwidth > 0 {
-		return cl.LinkBandwidth
-	}
-	return def
+	classes []platform.SpecClass // read-only: a drawn pool's are its columns'
+	classOf []int32              // each node's class, in pool order; read-only too
 }
 
 // BuildClassIndex buckets nodes into spec equivalence classes. Classes are
@@ -73,73 +53,21 @@ func BuildClassIndex(nodes []platform.Node) *ClassIndex {
 	return buildClassIndexCapped(cols, cols.Len())
 }
 
-// buildClassIndexCapped buckets the nodes of cols into classes, giving up
-// (returning nil) as soon as more than maxClasses distinct specs appear —
-// never, with a cap of cols.Len().
-// The auto planner path uses the cap as a cheap compressibility probe: an
-// all-distinct pool costs O(maxClasses) before the probe aborts, not O(n).
-//
-// One pass and one pool-sized allocation: every node is assigned its class
-// and the classes count their members. The members themselves are dealt
-// out only by whoever lays the classes out (deal), in the order it needs.
+// buildClassIndexCapped indexes the classes of cols (Columns.Classes),
+// giving up (returning nil) when more than maxClasses distinct specs
+// appear — never, with a cap of cols.Len(). The auto planner path uses the
+// cap as a cheap compressibility probe. A quantised scenario's columns
+// carry the assignment they were drawn in, and the index is that
+// assignment, with no pass over the pool; any other pool is hashed node by
+// node, one pass and one pool-sized allocation. Either way the members
+// themselves are dealt out only by whoever lays the classes out (deal), in
+// the order it needs.
 func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
-	n := cols.Len()
-	if maxClasses < 1 || n == 0 {
+	classes, classOf := cols.Classes(maxClasses)
+	if classes == nil {
 		return nil
 	}
-	// Open-addressed table of class indices (+1; 0 = empty), sized to the
-	// classes found so far: it starts at 64 slots and doubles whenever it
-	// is half full, so a pool of a few dozen specs probes a table that stays
-	// in L1 whatever the cap. Linear probing with a mixed 128→64-bit spec
-	// hash; fully deterministic (class ids are first-appearance order, and a
-	// rehash re-inserts them in that order).
-	table := make([]int32, 64)
-	mask := uint64(len(table) - 1)
-	classes := make([]NodeClass, 0, 16)
-	classOf := make([]int32, n)
-	for i := range classOf {
-		power, link := cols.Spec(i)
-		pb, bb := math.Float64bits(power), math.Float64bits(link)
-		h := specHash(pb, bb) & mask
-		for {
-			slot := table[h]
-			if slot == 0 {
-				if len(classes) >= maxClasses {
-					return nil
-				}
-				classes = append(classes, NodeClass{Power: power, LinkBandwidth: link})
-				slot = int32(len(classes))
-				table[h] = slot
-				if 2*len(classes) >= len(table) {
-					table = rehash(classes, 2*len(table))
-					mask = uint64(len(table) - 1)
-				}
-			}
-			k := slot - 1
-			if math.Float64bits(classes[k].Power) == pb && math.Float64bits(classes[k].LinkBandwidth) == bb {
-				classOf[i] = k
-				classes[k].count++
-				break
-			}
-			h = (h + 1) & mask
-		}
-	}
 	return &ClassIndex{cols: cols, classes: classes, classOf: classOf}
-}
-
-// rehash builds a table of size slots (a power of two) holding classes,
-// inserted in class-id order.
-func rehash(classes []NodeClass, size int) []int32 {
-	table := make([]int32, size)
-	mask := uint64(size - 1)
-	for k := range classes {
-		h := specHash(math.Float64bits(classes[k].Power), math.Float64bits(classes[k].LinkBandwidth)) & mask
-		for table[h] != 0 {
-			h = (h + 1) & mask
-		}
-		table[h] = int32(k + 1)
-	}
-	return table
 }
 
 // deal lays the pool out class by class in the order rank gives the
@@ -150,7 +78,7 @@ func (ix *ClassIndex) deal(rank []int32) []int32 {
 	off := int32(0)
 	for _, k := range rank {
 		next[k] = off
-		off += ix.classes[k].count
+		off += ix.classes[k].Count
 	}
 	order := make([]int32, len(ix.classOf))
 	for i, k := range ix.classOf {
@@ -160,18 +88,6 @@ func (ix *ClassIndex) deal(rank []int32) []int32 {
 	return order
 }
 
-// specHash mixes the two spec bit patterns into one table hash
-// (splitmix64-style finalisation).
-func specHash(p, b uint64) uint64 {
-	h := p*0x9e3779b97f4a7c15 ^ b
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // NumNodes returns the total node count across all classes.
 func (ix *ClassIndex) NumNodes() int { return ix.cols.Len() }
 
@@ -179,7 +95,7 @@ func (ix *ClassIndex) NumNodes() int { return ix.cols.Len() }
 func (ix *ClassIndex) NumClasses() int { return len(ix.classes) }
 
 // Class returns the i-th class in first-appearance order.
-func (ix *ClassIndex) Class(i int) *NodeClass { return &ix.classes[i] }
+func (ix *ClassIndex) Class(i int) *platform.SpecClass { return &ix.classes[i] }
 
 // Expand reverses the collapse: every class emits its members (ascending
 // names), classes in first-appearance order. The result is a permutation
@@ -193,7 +109,7 @@ func (ix *ClassIndex) Expand() []platform.Node {
 	order := ix.deal(rank)
 	out := make([]platform.Node, 0, len(order))
 	for start, k := 0, 0; k < len(ix.classes); k++ {
-		block := order[start : start+int(ix.classes[k].count)]
+		block := order[start : start+int(ix.classes[k].Count)]
 		sort.Slice(block, func(a, b int) bool { return ix.cols.NameLess(int(block[a]), int(block[b])) })
 		for _, m := range block {
 			out = append(out, ix.cols.Node(int(m)))

@@ -78,11 +78,16 @@ type sortedPool struct {
 	// nodes is the materialised prefix of the sorted expansion: a plan that
 	// deploys a few hundred of a million nodes never names the rest.
 	nodes []platform.Node
-	// loaded counts the runs whose members have been loaded into heap, the
-	// heap spending the current run's members in ascending name order (see
-	// heapInit).
+	// loaded counts the runs whose members have been loaded for spending:
+	// spend holds the current run's members, and heap spends them in
+	// ascending name order (see heapInit).
 	loaded int
-	heap   []int32
+	spend  []int32
+	// cuts cuts spend into runs already in name order (Columns.NameRuns),
+	// or is nil: every member a run of its own. heap holds a position in
+	// spend for each run not yet spent, its next member.
+	cuts []int
+	heap []int32
 }
 
 // newNodePool is sort_nodes (Steps 1–2) at node granularity: it ranks
@@ -125,7 +130,7 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 	keys := make([]float64, nc)
 	for i := range keys {
 		cl := ix.Class(i)
-		keys[i] = calcSchPow(c, cl.link(cols.Bandwidth), cl.Power, d)
+		keys[i] = calcSchPow(c, cl.Link(cols.Bandwidth), cl.Power, d)
 	}
 	rank := platform.RankDesc(keys)
 	sp := &sortedPool{n: n, runs: make([]run, 0, nc), cols: cols, order: ix.deal(rank)}
@@ -137,14 +142,14 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 		}
 		if k == j+1 {
 			cl := ix.Class(int(rank[j]))
-			sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: int(cl.count), start: pos})
-			pos += int(cl.count)
+			sp.runs = append(sp.runs, run{power: cl.Power, link: cl.LinkBandwidth, count: int(cl.Count), start: pos})
+			pos += int(cl.Count)
 		} else {
 			// The tied classes' blocks are adjacent in the layout, so their
 			// interleaving is their joint block in name order.
 			end := pos
 			for _, ci := range rank[j:k] {
-				end += int(ix.Class(int(ci)).count)
+				end += int(ix.Class(int(ci)).Count)
 			}
 			block := sp.order[pos:end]
 			slices.SortFunc(block, func(a, b int32) int { return cols.NameCmp(int(a), int(b)) })
@@ -170,7 +175,20 @@ func (sp *sortedPool) members(j int) []int32 {
 func (sp *sortedPool) at(i int) platform.Node {
 	for i >= len(sp.nodes) {
 		for len(sp.heap) == 0 {
-			sp.heap = append(sp.heap[:0], sp.members(sp.loaded)...)
+			sp.spend, sp.cuts = sp.members(sp.loaded), nil
+			if len(sp.spend) > 1 {
+				sp.cuts = sp.cols.NameRuns(sp.spend)
+			}
+			sp.heap = sp.heap[:0]
+			if sp.cuts == nil {
+				for p := range sp.spend {
+					sp.heap = append(sp.heap, int32(p))
+				}
+			} else {
+				for _, p := range sp.cuts {
+					sp.heap = append(sp.heap, int32(p))
+				}
+			}
 			sp.heapInit()
 			sp.loaded++
 		}
@@ -256,13 +274,18 @@ func (sp *sortedPool) poolMin(def float64, f func(power, bw float64) float64) fl
 	return m
 }
 
-// The heap is a binary min-heap of one run's members under the columns'
-// name order. at() drains one per run: heap construction is O(count) with
-// no upfront sort, so consuming k nodes of a huge run costs O(count + k log
-// count) name comparisons instead of an O(count log count) full sort.
+// The heap is a binary min-heap, under the columns' name order, of the
+// next member of every name-ordered run of the members of one pool run
+// (spend): a k-way merge of the runs. at() drains one per pool run. Over
+// own names every member is a run of its own, so heap construction is
+// O(count) with no upfront sort, and consuming k nodes of a huge run costs
+// O(count + k log count) name comparisons instead of an O(count log count)
+// full sort. Over generated names a pool run's members — ascending by
+// index — are a few runs, one per digit width, so the heap is a handful of
+// entries whatever the count, and a node costs a comparison or two.
 
 func (sp *sortedPool) heapLess(a, b int) bool {
-	return sp.cols.NameLess(int(sp.heap[a]), int(sp.heap[b]))
+	return sp.cols.NameLess(int(sp.spend[sp.heap[a]]), int(sp.spend[sp.heap[b]]))
 }
 
 func (sp *sortedPool) siftDown(i int) {
@@ -290,11 +313,17 @@ func (sp *sortedPool) heapInit() {
 	}
 }
 
+// heapPop spends the least name left: the head of its run, which the next
+// member of that run replaces, if the run has one.
 func (sp *sortedPool) heapPop() int32 {
 	top := sp.heap[0]
-	last := len(sp.heap) - 1
-	sp.heap[0] = sp.heap[last]
-	sp.heap = sp.heap[:last]
+	if next := int(top) + 1; sp.cuts != nil && next < len(sp.spend) && !slices.Contains(sp.cuts, next) {
+		sp.heap[0] = int32(next)
+	} else {
+		last := len(sp.heap) - 1
+		sp.heap[0] = sp.heap[last]
+		sp.heap = sp.heap[:last]
+	}
 	sp.siftDown(0)
-	return top
+	return sp.spend[top]
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -29,6 +30,11 @@ import (
 // nodes (the planner) works on the columns and asks NodeName for those few
 // hundred.
 //
+// Columns a quantised scenario draws are classed as they are drawn
+// (Classify): they carry each node's spec class, and the classes hold the
+// nodes' links in place of a link column, so reading a pool as classes
+// (Classes) costs them nothing.
+//
 // Ranking a pool (RankDesc) is an exact LSD radix sort on the keys' bits
 // with name order deciding ties — the order a comparison sort under
 // (cmp.Compare descending, NameCmp) returns, at a few passes over the keys.
@@ -41,7 +47,9 @@ type Columns struct {
 	// Powers holds each node's computing power in MFlop/s, in pool order.
 	Powers []float64
 	// Links holds each node's raw link override in Mbit/s (0 = Bandwidth),
-	// as Node.LinkBandwidth carries it; nil means no node overrides.
+	// as Node.LinkBandwidth carries it; nil means no node overrides, or,
+	// in a pool classed as it was drawn (Classify), that the classes hold
+	// them. Spec reads a node's either way.
 	Links []float64
 
 	// names holds the pool's own node names end to end and ends where each
@@ -54,6 +62,34 @@ type Columns struct {
 	ends  []uint32
 	index []uint32
 	seed  maphash.Seed
+
+	// classes and classOf, when set (Classify), are the spec classes the
+	// pool was drawn in: node i holds classes[classOf[i]]'s spec.
+	classes []SpecClass
+	classOf []int32
+}
+
+// SpecClass is one spec equivalence class of a pool: the power and raw link
+// override its members share, bit for bit, and how many members it has.
+type SpecClass struct {
+	// Power is the members' computing power in MFlop/s.
+	Power float64
+	// LinkBandwidth is the members' raw link override, exactly as Node
+	// carries it (0 = platform default). Classing on the raw value keeps
+	// expansion rendering-faithful: an explicit override equal to the
+	// platform default is a different class from "no override".
+	LinkBandwidth float64
+	// Count is the number of members.
+	Count int32
+}
+
+// Link resolves the class's effective bandwidth against the platform
+// default, as Node.Link does.
+func (cl *SpecClass) Link(def float64) float64 {
+	if cl.LinkBandwidth > 0 {
+		return cl.LinkBandwidth
+	}
+	return def
 }
 
 // validBandwidth, validPower and validLink are the range predicates of a
@@ -140,12 +176,14 @@ func (c *Columns) Validate() error {
 		return fmt.Errorf("platform %q: %d link overrides for %d nodes", c.Name, len(c.Links), n)
 	}
 	if c.ends == nil {
-		for i, w := range c.Powers {
-			if !validPower(w) {
-				return errPower(c.Name, c.name(i), w)
-			}
-			if c.Links != nil && !validLink(c.Links[i]) {
-				return errLink(c.Name, c.name(i), c.Links[i])
+		if c.classes != nil && c.validClasses() {
+			return nil
+		}
+		for i := range c.Powers {
+			if power, link := c.Spec(i); !validPower(power) {
+				return errPower(c.Name, c.name(i), power)
+			} else if !validLink(link) {
+				return errLink(c.Name, c.name(i), link)
 			}
 		}
 		return nil
@@ -170,6 +208,18 @@ func (c *Columns) Validate() error {
 		c.index[h] = uint32(i + 1)
 	}
 	return nil
+}
+
+// validClasses reports whether every spec class of a classed pool is in
+// range — whether every node is. When one is not, Validate names the first
+// node that fails from the node-by-node pass.
+func (c *Columns) validClasses() bool {
+	for _, cl := range c.classes {
+		if !validPower(cl.Power) || !validLink(cl.LinkBandwidth) {
+			return false
+		}
+	}
+	return true
 }
 
 // ownName returns node i's own name, a substring of the names column.
@@ -232,8 +282,11 @@ func appendIndex(buf []byte, i int) []byte {
 
 // Spec returns node i's power and raw link override (0 = Bandwidth).
 func (c *Columns) Spec(i int) (power, link float64) {
-	if c.Links != nil {
+	switch {
+	case c.Links != nil:
 		link = c.Links[i]
+	case c.classes != nil:
+		link = c.classes[c.classOf[i]].LinkBandwidth
 	}
 	return c.Powers[i], link
 }
@@ -299,6 +352,28 @@ func (c *Columns) NameLess(i, j int) bool {
 	}
 	ki, kj := nameKey(i), nameKey(j)
 	return ki < kj || ki == kj && i < j
+}
+
+// NameRuns cuts ascending — node indices in ascending order — into runs
+// that are each in ascending name order, and returns where each run starts
+// in it (0 first). Generated names order as their indices do within one
+// digit width, so the runs are the widths, found by binary search: a
+// handful, whatever the count. Over own names it returns nil — no order
+// is known; take every index as a run of its own.
+func (c *Columns) NameRuns(ascending []int32) []int {
+	if c.ends != nil {
+		return nil
+	}
+	cuts := make([]int, 1, 4)
+	for limit := int64(1e4); ; limit *= 10 {
+		at := sort.Search(len(ascending), func(k int) bool { return int64(ascending[k]) >= limit })
+		if at == len(ascending) {
+			return cuts
+		}
+		if at > cuts[len(cuts)-1] {
+			cuts = append(cuts, at)
+		}
+	}
 }
 
 // NameCmp is NameLess as a three-way comparison, for slices.SortFunc. Names
@@ -411,23 +486,132 @@ func rankDesc(keys []float64) (order []int32, bits []uint64) {
 }
 
 // LinkRange returns the minimum and maximum effective link bandwidth over
-// the pool (zeros resolved against Bandwidth), as Platform.LinkRange does.
+// the pool (zeros resolved against Bandwidth), as Platform.LinkRange does:
+// over a classed pool's classes, which hold every link the pool does.
 func (c *Columns) LinkRange() (min, max float64) {
-	if c.Links == nil {
+	if c.Links == nil && c.classes == nil {
 		return c.Bandwidth, c.Bandwidth
 	}
-	for i, bw := range c.Links {
+	min, max = math.Inf(1), math.Inf(-1)
+	widen := func(bw float64) {
 		if bw <= 0 {
 			bw = c.Bandwidth
 		}
-		if i == 0 || bw < min {
-			min = bw
+		min, max = math.Min(min, bw), math.Max(max, bw)
+	}
+	if c.classes != nil {
+		for _, cl := range c.classes {
+			widen(cl.LinkBandwidth)
 		}
-		if i == 0 || bw > max {
-			max = bw
-		}
+		return min, max
+	}
+	for _, bw := range c.Links {
+		widen(bw)
 	}
 	return min, max
+}
+
+// Classify records the spec classes the pool was drawn in: node i holds
+// classes[classOf[i]]'s power and link bit for bit, the classes are
+// numbered in order of their first member, and each counts its members.
+// The producer vouches for all of it, nothing re-reads a node to check,
+// and neither side changes the columns or the classes afterwards. The
+// link column may then be nil, the classes holding every node's link.
+// Validate checks the classes' specs instead of every node's, LinkRange
+// folds over them, and Classes hands them out as they are.
+func (c *Columns) Classify(classes []SpecClass, classOf []int32) {
+	c.classes, c.classOf = classes, classOf
+}
+
+// Classes buckets the pool into spec equivalence classes: two nodes share
+// a class iff their power and raw link override have identical float64 bit
+// patterns, so near-duplicates (one ulp apart) are distinct classes. It
+// returns the classes in order of first appearance, each counting its
+// members, and each node's class in pool order — or nils as soon as more
+// than maxClasses distinct specs appear (or the pool is empty): a cap
+// well below the pool's size is a cheap compressibility probe, as an
+// incompressible pool costs O(maxClasses) before it is given up on.
+//
+// A pool classed as it was drawn (Classify) hands out that assignment,
+// shared and read-only, at no cost. Any other — decoded, converted — is
+// hashed in one pass: every node is assigned its class and the classes
+// count their members.
+func (c *Columns) Classes(maxClasses int) ([]SpecClass, []int32) {
+	n := c.Len()
+	if maxClasses < 1 || n == 0 {
+		return nil, nil
+	}
+	if c.classes != nil {
+		if len(c.classes) > maxClasses {
+			return nil, nil
+		}
+		return c.classes, c.classOf
+	}
+	// Open-addressed table of class indices (+1; 0 = empty), sized to the
+	// classes found so far: it starts at 64 slots and doubles whenever it
+	// is half full, so a pool of a few dozen specs probes a table that stays
+	// in L1 whatever the cap. Linear probing with a mixed 128→64-bit spec
+	// hash; fully deterministic (class ids are first-appearance order, and a
+	// rehash re-inserts them in that order).
+	table := make([]int32, 64)
+	mask := uint64(len(table) - 1)
+	classes := make([]SpecClass, 0, 16)
+	classOf := make([]int32, n)
+	for i := range classOf {
+		power, link := c.Spec(i)
+		pb, bb := math.Float64bits(power), math.Float64bits(link)
+		h := specHash(pb, bb) & mask
+		for {
+			slot := table[h]
+			if slot == 0 {
+				if len(classes) >= maxClasses {
+					return nil, nil
+				}
+				classes = append(classes, SpecClass{Power: power, LinkBandwidth: link})
+				slot = int32(len(classes))
+				table[h] = slot
+				if 2*len(classes) >= len(table) {
+					table = rehash(classes, 2*len(table))
+					mask = uint64(len(table) - 1)
+				}
+			}
+			k := slot - 1
+			if math.Float64bits(classes[k].Power) == pb && math.Float64bits(classes[k].LinkBandwidth) == bb {
+				classOf[i] = k
+				classes[k].Count++
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	return classes, classOf
+}
+
+// rehash builds a table of size slots (a power of two) holding classes,
+// inserted in class-id order.
+func rehash(classes []SpecClass, size int) []int32 {
+	table := make([]int32, size)
+	mask := uint64(size - 1)
+	for k := range classes {
+		h := specHash(math.Float64bits(classes[k].Power), math.Float64bits(classes[k].LinkBandwidth)) & mask
+		for table[h] != 0 {
+			h = (h + 1) & mask
+		}
+		table[h] = int32(k + 1)
+	}
+	return table
+}
+
+// specHash mixes the two spec bit patterns into one table hash
+// (splitmix64-style finalisation).
+func specHash(p, b uint64) uint64 {
+	h := p*0x9e3779b97f4a7c15 ^ b
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // Digest is the content address of the platform the columns describe:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,6 +126,47 @@ func TestColumnsNameLessIsStringOrder(t *testing.T) {
 				t.Fatalf("n=%d: position %d of the key order is %q, sort.Strings has %q", n, k, c.NodeName(i), names[k])
 			}
 		}
+	}
+}
+
+// TestColumnsNameRuns: NameRuns cuts an ascending index list into runs that
+// are each in name order, at most one run per digit width (four to seven
+// in a pool of maxPool). Seeded subsets of the pool straddle each width
+// edge, skip whole widths, and sit inside one; own names have no runs.
+func TestColumnsNameRuns(t *testing.T) {
+	c := namesOnly("pool", maxPool)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		lo := rng.Intn(maxPool)
+		hi := lo + rng.Intn(maxPool-lo) + 1
+		var idx []int32
+		for i := lo; i < hi && len(idx) < 2000; i += 1 + rng.Intn(1+(hi-lo)/500) {
+			idx = append(idx, int32(i))
+		}
+		if trial%3 == 0 { // one index from each end of the pool: skips widths
+			idx = []int32{int32(rng.Intn(1000)), int32(maxPool - 1 - rng.Intn(1000))}
+		}
+		cuts := c.NameRuns(idx)
+		if len(cuts) == 0 || len(cuts) > 4 || cuts[0] != 0 {
+			t.Fatalf("%v: cuts %v", idx, cuts)
+		}
+		for k := 1; k < len(cuts); k++ {
+			if cuts[k] <= cuts[k-1] || cuts[k] >= len(idx) {
+				t.Fatalf("%v: cuts %v do not rise inside it", idx, cuts)
+			}
+		}
+		for k := 1; k < len(idx); k++ {
+			if !slices.Contains(cuts, k) && !c.NameLess(int(idx[k-1]), int(idx[k])) {
+				t.Fatalf("indices %d, %d at %d: one run (cuts %v), out of name order", idx[k-1], idx[k], k, cuts)
+			}
+		}
+	}
+	own, err := (&platform.Platform{Name: "own", Bandwidth: 1, Nodes: []platform.Node{{Name: "b", Power: 1}, {Name: "a", Power: 1}}}).Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cuts := own.NameRuns([]int32{0, 1}); cuts != nil {
+		t.Errorf("own names: cuts %v, want none", cuts)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"adept/internal/platform"
 )
 
 // tierOf is the positional definition of a FatTree node's tier: tier t
@@ -69,7 +71,7 @@ func TestLayoutRangesMatchPositions(t *testing.T) {
 			if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != n {
 				t.Fatalf("fat-tree n=%d tiers=%d: bounds %v", n, k, bounds)
 			}
-			links := ft.links()
+			links := linksOf(ft)
 			for tier := 0; tier < k; tier++ {
 				for i := bounds[tier]; i < bounds[tier+1]; i++ {
 					if want := tierOf(ft, i); tier != want {
@@ -90,7 +92,7 @@ func TestLayoutRangesMatchPositions(t *testing.T) {
 				continue
 			}
 			cg := Spec{Family: ClusterGrid, N: n, Seed: int64(n), Clusters: k}.withDefaults()
-			for i, l := range cg.links() {
+			for i, l := range linksOf(cg) {
 				want := 0.0
 				if i%k != 0 {
 					want = cg.InterBandwidth
@@ -102,6 +104,14 @@ func TestLayoutRangesMatchPositions(t *testing.T) {
 			samePowers(t, cg)
 		}
 	}
+}
+
+// linksOf lays out the link column of a spec's pool (nil for the
+// homogeneous-link families).
+func linksOf(s Spec) []float64 {
+	c := &platform.Columns{Powers: make([]float64, s.N)}
+	s.layOut(c)
+	return c.Links
 }
 
 func samePowers(t *testing.T, s Spec) {

@@ -6,7 +6,12 @@
 // few family knobs) that is expanded only as far as its consumer needs.
 // Columns draws its columnar form — a power column, a link column, and
 // names that are a function of the index (platform.Columns): everything the
-// class-collapsed planner reads of a fleet, at sixteen bytes a node.
+// class-collapsed planner reads of a fleet, at sixteen bytes a node. A
+// quantised spec (PowerLevels) is classed as it is drawn: the pass that
+// snaps each power to its level also assigns the node its (power, link)
+// class, and the columns carry that assignment — the classes hold the
+// links, so there is no link column — so that no consumer hashes the pool
+// back into the few classes it was drawn from.
 // Generate is defined as the expansion of that form into a concrete
 // platform.Platform, one named Node per index, for the callers that need a
 // whole platform (deployment, the autonomic loop, the CLI, every planner
@@ -54,6 +59,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 
 	"adept/internal/platform"
 )
@@ -139,7 +145,10 @@ type Spec struct {
 	// exploits; 0 (the default) keeps the continuous draw untouched. The
 	// snap is a post-pass over the power vector, so it never perturbs the
 	// spec's random stream: PowerLevels=0 stays byte-identical to specs
-	// that predate the knob.
+	// that predate the knob. The snap also classifies: at 2 levels or more
+	// it assigns each node its class as it snaps it, through a table of
+	// levels × link classes that must fit in the pool (a larger knob is
+	// only snapped, and its pool classed by whoever needs it).
 	PowerLevels int `json:"power_levels,omitempty"`
 	// Tiers (FatTree) is the number of bandwidth tiers (default 3): tier t
 	// runs its links at Bandwidth/2^t and holds twice the nodes of tier
@@ -269,7 +278,8 @@ func (s Spec) Digest() [sha256.Size]byte {
 }
 
 // Columns draws the platform the spec describes in columnar form: the power
-// and link columns, range-checked, with names left as a function of the
+// and link columns — or, for a quantised spec, the powers and the classes
+// they were drawn in — range-checked, with names left as a function of the
 // index (platform.Columns). It is all of generation that costs anything —
 // every random draw, every validity check — and all the class-collapsed
 // planner reads; Generate is its expansion. The result is deterministic in
@@ -302,7 +312,8 @@ func (s Spec) columns(interrupted func() error) (*platform.Columns, error) {
 	if err := interrupted(); err != nil {
 		return nil, err
 	}
-	c := &platform.Columns{Name: s.Name, Bandwidth: s.Bandwidth, Powers: powers, Links: s.links()}
+	c := &platform.Columns{Name: s.Name, Bandwidth: s.Bandwidth, Powers: powers}
+	s.layOut(c)
 	// Names are unique by construction (platform.Columns.NodeName is
 	// injective); what a spec from outside can still get wrong — a knob that
 	// drives a power negative, a spread that overflows one — is a range.
@@ -312,36 +323,72 @@ func (s Spec) columns(interrupted func() error) (*platform.Columns, error) {
 	return c, nil
 }
 
-// links returns the per-node link-bandwidth overrides (0 = platform
-// default), or nil for the homogeneous-link families. Link assignment is
-// purely positional — no randomness — so it never perturbs the power
-// stream of the shared rng.
-func (s Spec) links() []float64 {
+// linkLayout is where a spec's nodes sit on the network: every node is in
+// one positional link class, and the pool repeats, every period nodes, the
+// same runs of classes — class k at offsets [bounds[k], bounds[k+1]) from
+// the period's start. Link assignment is purely positional — no
+// randomness — so it never perturbs the power stream of the shared rng.
+type linkLayout struct {
+	period int
+	bounds []int
+	// links holds each class's raw link override (0 = platform default),
+	// or is nil for the homogeneous-link families: one class, no column.
+	links []float64
+}
+
+// linkLayout returns the spec's link layout. ClusterGrid deals nodes
+// round-robin (see powers), so node i sits in cluster i mod Clusters:
+// cluster 0 is the local site (the default bandwidth), every other cluster
+// is reached over the inter-cluster uplink. FatTree's classes are its
+// tiers, tier t over tierBounds' range t at Bandwidth/2^t (the default for
+// tier 0). Every other family is one class on the default bandwidth.
+func (s Spec) linkLayout() linkLayout {
 	switch s.Family {
 	case ClusterGrid:
-		// Cluster 0 is the local site (default bandwidth); every other
-		// cluster is reached over the inter-cluster uplink. Nodes are dealt
-		// round-robin (see powers), so node i sits in cluster i mod Clusters.
-		out := make([]float64, s.N)
-		for i := range out {
-			out[i] = s.InterBandwidth
-		}
-		for i := 0; i < s.N; i += s.Clusters {
-			out[i] = 0
-		}
-		return out
+		return linkLayout{period: s.Clusters, bounds: []int{0, 1, s.Clusters}, links: []float64{0, s.InterBandwidth}}
 	case FatTree:
-		out := make([]float64, s.N)
-		bounds := s.tierBounds()
+		links := make([]float64, s.Tiers)
 		for t := 1; t < s.Tiers; t++ {
-			bw := s.Bandwidth / float64(int(1)<<t)
-			for i := bounds[t]; i < bounds[t+1]; i++ {
-				out[i] = bw
-			}
+			links[t] = s.Bandwidth / float64(int(1)<<t)
 		}
-		return out
+		return linkLayout{period: s.N, bounds: s.tierBounds(), links: links}
 	default:
-		return nil
+		return linkLayout{period: s.N, bounds: []int{0, s.N}}
+	}
+}
+
+// each calls visit for every run of the layout, in pool order: nodes
+// [lo, hi) are in link class k.
+func (lay *linkLayout) each(n int, visit func(lo, hi, k int)) {
+	for base := 0; base < n; base += lay.period {
+		for k := range len(lay.bounds) - 1 {
+			visit(base+lay.bounds[k], min(base+lay.bounds[k+1], n), k)
+		}
+	}
+}
+
+// layOut completes drawn columns: it snaps the powers to PowerLevels and,
+// when the quantizer has a class table, classes the pool in the same pass
+// (platform.Columns.Classify), so that no consumer hashes every node's
+// spec back into the few classes it was drawn from. The classes then hold
+// the links; any other pool of a heterogeneous-link family gets a link
+// column.
+func (s Spec) layOut(c *platform.Columns) {
+	lay := s.linkLayout()
+	if q := s.quantizer(c.Powers, lay.links); q != nil {
+		lay.each(s.N, func(lo, hi, k int) { q.snap(c.Powers, lo, hi, k) })
+		if q.cells != nil {
+			c.Classify(q.classes, q.classOf)
+			return
+		}
+	}
+	if lay.links != nil {
+		c.Links = make([]float64, s.N)
+		lay.each(s.N, func(lo, hi, k int) {
+			for i := lo; i < hi; i++ {
+				c.Links[i] = lay.links[k]
+			}
+		})
 	}
 }
 
@@ -452,19 +499,32 @@ func (s Spec) powers(rng *rand.Rand) []float64 {
 			out[i] = jitter(rng, out[i], s.Spread/5)
 		}
 	}
-	s.quantize(out)
 	return out
 }
 
-// quantize snaps the power vector to PowerLevels evenly spaced levels over
-// its own [min, max] range (no-op when the knob is unset or the vector is
-// constant). Runs after all random draws so the rng stream is untouched.
-func (s Spec) quantize(out []float64) {
-	if s.PowerLevels < 1 || len(out) == 0 {
-		return
+// quantizer snaps a power column to PowerLevels evenly spaced levels over
+// its own [min, max] range, node for node lo + round((w−lo)/step)·step —
+// a machine catalogue of PowerLevels SKUs — and, where it can, classes the
+// pool as it snaps it: a node's level and its link class pick a cell of a
+// small direct table, levels × link classes, and the cell holds the
+// node's class. The classes are those a hash of every node's (power, link)
+// bits would find (platform.Columns.Classes), in the same order of first
+// appearance: cells whose snapped specs share their bits — two levels that
+// round to one power, two tiers whose links underflow to one — are one
+// class.
+//
+// It returns nil when there is nothing to snap: the knob is unset, or the
+// column constant. PowerLevels 1 snaps every power to the minimum here and
+// returns nil too. A draw that cannot be tabled leaves cells nil and is
+// only snapped: a non-finite range, more cells than the pool has nodes
+// (the table is sized by the pool, never by the knob), and — found on the
+// way — a level out of range or a NaN power.
+func (s Spec) quantizer(powers, links []float64) *quantizer {
+	if s.PowerLevels < 1 {
+		return nil
 	}
-	lo, hi := out[0], out[0]
-	for _, w := range out {
+	lo, hi := powers[0], powers[0]
+	for _, w := range powers {
 		if w < lo {
 			lo = w
 		}
@@ -473,18 +533,96 @@ func (s Spec) quantize(out []float64) {
 		}
 	}
 	if lo == hi {
-		return
+		return nil
 	}
 	if s.PowerLevels == 1 {
-		for i := range out {
-			out[i] = lo
+		for i := range powers {
+			powers[i] = lo
 		}
-		return
+		return nil
 	}
-	step := (hi - lo) / float64(s.PowerLevels-1)
-	for i := range out {
-		out[i] = lo + math.Round((out[i]-lo)/step)*step
+	q := &quantizer{lo: lo, step: (hi - lo) / float64(s.PowerLevels-1)}
+	if links == nil {
+		links = []float64{0} // one class, on the default link
 	}
+	if !(q.step > 0 && q.step <= math.MaxFloat64) || s.PowerLevels > len(powers)/len(links) {
+		return q
+	}
+	q.links, q.canon = links, make([]int, len(links))
+	for k := range q.canon {
+		for q.canon[k] < k && math.Float64bits(links[q.canon[k]]) != math.Float64bits(links[k]) {
+			q.canon[k]++
+		}
+	}
+	q.levels = s.PowerLevels
+	q.cells = make([]int32, s.PowerLevels*len(links))
+	q.classOf = make([]int32, len(powers))
+	return q
+}
+
+// quantizer is one power column's snap and, while cells is not nil, its
+// class table.
+type quantizer struct {
+	lo, step float64
+	levels   int
+	links    []float64 // each link class's raw override
+	canon    []int     // each link class's first class with the same link bits
+	// cells holds, at level·len(links) + link class, the class (+1; 0 =
+	// not met yet) of that level behind that link.
+	cells   []int32
+	classes []platform.SpecClass
+	classOf []int32
+}
+
+// snap snaps powers[lo:hi], nodes in link class k, and classes them.
+func (q *quantizer) snap(powers []float64, lo, hi, k int) {
+	base, step, levels, width := q.lo, q.step, float64(q.levels), len(q.links)
+	cells, classOf := q.cells, q.classOf
+	for i := lo; i < hi; i++ {
+		r := math.Round((powers[i] - base) / step)
+		powers[i] = base + r*step
+		if cells == nil {
+			continue
+		}
+		if !(r >= 0 && r < levels) {
+			cells = nil // a NaN power, or a level past the table
+			continue
+		}
+		cell := int(r)*width + k
+		id := cells[cell]
+		if id == 0 {
+			if id = q.class(int(r), k, powers[i]); id == 0 {
+				cells = nil
+				continue
+			}
+			cells[cell] = id
+		}
+		classOf[i] = id - 1
+		q.classes[id-1].Count++
+	}
+	q.cells = cells
+}
+
+// class returns the class (+1) of the first node met at level r behind
+// link class k, its power snapped to w: the class of the canonical cell —
+// the first level whose power has w's bits, behind the first link class
+// whose link has k's — which it opens when it is new. The snapped powers
+// never fall as the level rises, so the levels of one power are a range
+// and a binary search finds its first. It returns 0 if that level's power
+// is w only as a float, not in bits (−0 against +0): no table then.
+func (q *quantizer) class(r, k int, w float64) int32 {
+	j := sort.Search(r, func(j int) bool { return q.lo+float64(j)*q.step >= w })
+	if math.Float64bits(q.lo+float64(j)*q.step) != math.Float64bits(w) {
+		return 0
+	}
+	cell := j*len(q.links) + q.canon[k]
+	if id := q.cells[cell]; id != 0 {
+		return id
+	}
+	q.classes = append(q.classes, platform.SpecClass{Power: w, LinkBandwidth: q.links[k]})
+	id := int32(len(q.classes))
+	q.cells[cell] = id
+	return id
 }
 
 // Corpus returns one spec per (family, size) pair, seeds derived from the

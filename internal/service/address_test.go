@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -368,6 +370,90 @@ func TestScenarioPowersOutOfRangeAre400(t *testing.T) {
 					t.Errorf("%s powers, n=%d, planner %s: status %d %q, want 400 %q", name, n, planner, resp.StatusCode, body.Error, tc.want)
 				}
 			}
+		}
+	}
+}
+
+// TestScenarioKnobsAnswerAsBefore: a quantised scenario is classed as it
+// is drawn, through a level table sized by the pool — never by
+// power_levels, which the wire leaves unbounded — and a draw the table
+// cannot take is generated and planned as it was before the table: every
+// answer below, a ~100-byte request each, was recorded at the commit
+// before it, status, error text and body (elapsed_ms masked) alike. Levels
+// of 2^31 and 2^62 over 30 tiers are a table of 2^36 and 2^67 cells; each
+// request allocates what it did then, give or take the classifier's few
+// hundred bytes of fixed-size state and the run-to-run noise of the
+// handler (the least of five runs is compared, with 2 KiB of slack; not
+// under the race detector, which allocates on its own account).
+func TestScenarioKnobsAnswerAsBefore(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	post := func(body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+		err    string
+		digest string // of the answer, elapsed_ms masked, re-encoded
+		alloc  uint64 // bytes a request allocated, the least of five runs; 0: not checked
+	}{
+		{`{"scenario":{"family":"fat-tree","n":100000,"seed":1,"tiers":30,"power_levels":2147483648},"no_cache":true}`,
+			200, "", "372f8f40d2fff7557a3afeba7242ac6f6dc375bc56a0f0b281e15f1bae6c6d05", 88_915_928},
+		{`{"scenario":{"family":"fat-tree","n":100000,"seed":1,"tiers":30,"power_levels":4611686018427387904},"no_cache":true}`,
+			200, "", "d21ea5536b582cff039f4c457c07311ef3af9701b5f61c30ffb7af8347fdc24b", 88_915_928},
+		{`{"scenario":{"family":"cluster-grid","n":100000,"seed":1,"max_power":-5,"power_levels":8}}`,
+			400, `generate scenario: scenario: generated invalid platform: platform "cluster-grid-n100000-s1": node "cluster-grid-n100000-s1-0001" has non-positive power NaN`, "", 0},
+		{`{"scenario":{"family":"power-law","n":100000,"seed":1,"max_power":-5,"power_levels":8}}`,
+			400, `generate scenario: scenario: generated invalid platform: platform "power-law-n100000-s1": node "power-law-n100000-s1-0000" has non-positive power -5`, "", 0},
+		{`{"scenario":{"family":"cluster-grid","n":100000,"seed":1,"spread":1e308,"power_levels":8}}`,
+			400, `generate scenario: scenario: generated invalid platform: platform "cluster-grid-n100000-s1": node "cluster-grid-n100000-s1-0000" has non-positive power NaN`, "", 0},
+		{`{"scenario":{"family":"fat-tree","n":100000,"seed":1,"spread":1e308,"power_levels":8}}`,
+			400, `generate scenario: scenario: generated invalid platform: platform "fat-tree-n100000-s1": node "fat-tree-n100000-s1-0000" has non-positive power NaN`, "", 0},
+		// A bandwidth near the least subnormal: the uplinks (cluster-grid) and
+		// the tapered tiers (fat-tree) on links that round to nothing.
+		{`{"scenario":{"family":"cluster-grid","n":100000,"seed":1,"bandwidth_mbps":1e-320,"power_levels":8}}`,
+			200, "", "9d3b490cc08b4db8f2ba2b9bbd3d4c8bb4adfdca1bf980910b0015f05b306042", 0},
+		{`{"scenario":{"family":"fat-tree","n":100000,"seed":1,"tiers":14,"bandwidth_mbps":1e-320,"power_levels":8}}`,
+			200, "", "4e85f127b1d38f1b7e81dbc0a9759ca370fde63745017b138bc3ac434ea2aece", 0},
+	} {
+		status, data := post(tc.body)
+		var answer map[string]any
+		if err := json.Unmarshal(data, &answer); err != nil {
+			t.Fatalf("%s: %v: %s", tc.body, err, data)
+		}
+		if msg, _ := answer["error"].(string); status != tc.status || msg != tc.err {
+			t.Errorf("%s: status %d %q, want %d %q", tc.body, status, msg, tc.status, tc.err)
+		}
+		if tc.digest != "" {
+			delete(answer, "elapsed_ms")
+			masked, err := json.Marshal(answer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(masked)); got != tc.digest {
+				t.Errorf("%s: answer digest %s, want %s: %s", tc.body, got, tc.digest, masked)
+			}
+		}
+		if tc.alloc == 0 || raceDetector {
+			continue
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			post(tc.body)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > tc.alloc+2<<10 {
+			t.Errorf("%s: a request allocated %d bytes, %d before the level table", tc.body, least, tc.alloc)
 		}
 	}
 }
