@@ -244,9 +244,10 @@ func BenchmarkHeuristicPlan1M(b *testing.B)   { benchClassPlanner(b, 1_000_000) 
 // BenchmarkHeuristicPlanChurn4000 is BENCHMARK.json's replan_churn miss: a
 // registered 4 000-node power-law pool — all-distinct powers under the
 // class floor, so ranked node by node — planned at DGEMM 310 from the
-// columns the registry stores. Ranking the pool was most of its cost until
-// it became a radix sort; scripts/bench.sh gates it at ~3x its median, so
-// a ranking that goes back to a comparison sort fails.
+// columns the registry stores, in one reused core.Scratch as a serving
+// job plans it. Ranking the pool was most of its cost until it became a
+// radix sort; scripts/bench.sh gates it at ~3x its median, so a ranking
+// that goes back to a comparison sort fails.
 func BenchmarkHeuristicPlanChurn4000(b *testing.B) {
 	plat, err := (scenario.Spec{Family: scenario.PowerLaw, N: 4000, Seed: 7}).Generate()
 	if err != nil {
@@ -258,10 +259,11 @@ func BenchmarkHeuristicPlanChurn4000(b *testing.B) {
 	}
 	req := core.Request{Columns: cols, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
 	planner := core.NewHeuristic()
+	ctx := core.ContextWithScratch(b.Context(), new(core.Scratch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.PlanContext(b.Context(), req); err != nil {
+		if _, err := planner.PlanContext(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}

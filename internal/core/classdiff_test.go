@@ -378,3 +378,59 @@ func TestConcurrentPlanContextStress(t *testing.T) {
 		}
 	}
 }
+
+// TestNodePoolScratchReuse plans node pools of several sizes and shapes
+// under a context carrying a Scratch, each worker with its own going from
+// one pool to the next, so every plan runs in memory an earlier plan of
+// another size left behind: each plan must be byte-identical to its
+// reference, planned with no Scratch. Under -race it is also the probe
+// that workers with their own Scratch share nothing.
+func TestNodePoolScratchReuse(t *testing.T) {
+	specs := []scenario.Spec{
+		{Family: scenario.PowerLaw, N: 4000, Seed: 7},
+		{Family: scenario.Bimodal, N: 300, Seed: 8},
+		{Family: scenario.ClusterGrid, N: 1500, Seed: 9},
+		{Family: scenario.Clustered, N: 40, Seed: 10},
+	}
+	reqs := make([]core.Request, len(specs))
+	refs := make([]string, len(specs))
+	for i, spec := range specs {
+		plat, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
+		plan, err := core.NewHeuristicNodeSpace().PlanContext(t.Context(), reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = mustXML(t, plan)
+	}
+	workers, rounds := 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := core.ContextWithScratch(t.Context(), new(core.Scratch))
+			for k := 0; k < rounds*len(specs); k++ {
+				i := (w + k) % len(specs)
+				plan, err := core.NewHeuristicNodeSpace().PlanContext(ctx, reqs[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if x, err := plan.XML(); err != nil || x != refs[i] {
+					errs <- fmt.Errorf("%s/n%d: plan differs from its reference (err %v)", specs[i].Family, specs[i].N, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -456,7 +456,8 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 			}
 		}()
 	} else {
-		pool = newNodePool(c, req.Columns)
+		pool = newNodePool(c, req.Columns, borrowScratch(ctx))
+		defer pool.release()
 	}
 	root, first := pool.at(0), pool.at(1)
 	endSort()

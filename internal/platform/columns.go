@@ -395,7 +395,20 @@ func (c *Columns) NameCmp(i, j int) int {
 // keys with RankDesc and then puts each run of equal keys in name order; a
 // run is a single node unless keys tie.
 func (c *Columns) RankDesc(keys []float64) []int32 {
-	order, bits := rankDesc(keys)
+	return new(Ranking).RankDesc(c, keys)
+}
+
+// Ranking holds the buffers a ranking is made in. Ranking pool after pool
+// through one Ranking allocates only when a pool outgrows the buffers; the
+// permutation a call returns is one of them, valid until the next call.
+type Ranking struct {
+	bits  []uint64
+	order []int32
+}
+
+// RankDesc is c.RankDesc(keys), ranked in r's buffers.
+func (r *Ranking) RankDesc(c *Columns, keys []float64) []int32 {
+	order, bits := r.rankDesc(keys)
 	cmpNames := func(a, b int32) int { return c.NameCmp(int(a), int(b)) }
 	for lo := 0; lo < len(order); {
 		hi := lo + 1
@@ -415,7 +428,7 @@ func (c *Columns) RankDesc(keys []float64) []int32 {
 // keeping index order: the order slices.SortStableFunc returns under
 // func(a, b) int { return cmp.Compare(keys[b], keys[a]) }.
 func RankDesc(keys []float64) []int32 {
-	order, _ := rankDesc(keys)
+	order, _ := new(Ranking).rankDesc(keys)
 	return order
 }
 
@@ -436,20 +449,22 @@ func descBits(x float64) uint64 {
 }
 
 // rankDesc is RankDesc, returning beside the permutation every key's
-// descBits, in index order. It is a stable LSD radix sort of the indices
-// on those bits, a byte a pass from the least significant, between two
-// halves of one buffer: one pass counts every byte position at once, and a
-// position where every key holds the same byte is skipped, so a pool whose
-// keys share their sign and top exponent bits is ranked in six passes or
-// fewer. The passes read the bits through the index they move, which is
-// cheaper than carrying them along: a pool's bits stay in cache.
+// descBits, in index order; both are r's buffers. It is a stable LSD radix
+// sort of the indices on those bits, a byte a pass from the least
+// significant, between two halves of one buffer: one pass counts every
+// byte position at once, and a position where every key holds the same
+// byte is skipped, so a pool whose keys share their sign and top exponent
+// bits is ranked in six passes or fewer. The passes read the bits through
+// the index they move, which is cheaper than carrying them along: a pool's
+// bits stay in cache.
 //
 //adeptvet:hotpath
-func rankDesc(keys []float64) (order []int32, bits []uint64) {
+func (r *Ranking) rankDesc(keys []float64) (order []int32, bits []uint64) {
 	n := len(keys)
-	bits = make([]uint64, n)
-	buf := make([]int32, 2*n)
-	src, dst := buf[:n:n], buf[n:]
+	r.bits = slices.Grow(r.bits[:0], n)[:n]
+	r.order = slices.Grow(r.order[:0], 2*n)[:2*n]
+	bits = r.bits
+	src, dst := r.order[:n:n], r.order[n:]
 	var counts [8][256]int32
 	for i, x := range keys {
 		u := descBits(x)
@@ -616,6 +631,9 @@ func specHash(p, b uint64) uint64 {
 
 // Digest is the content address of the platform the columns describe:
 // Platform().Digest(), computed from the columns without expanding them.
+// It is a pass of its own, after the columns are complete: the header
+// comes first and holds the name, the bandwidth and the node count, which
+// a JSON document may give after its nodes.
 func (c *Columns) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	buf := appendDigestHeader(make([]byte, 0, 2048), c.Name, c.Bandwidth, c.Len())

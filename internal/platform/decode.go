@@ -31,13 +31,23 @@ import (
 // 10 000 levels is refused. Unknown members are skipped iteratively, so no
 // input grows the stack. The columns hold copies: data may be reused once
 // DecodeJSON returns.
+//
+// Two fast paths take the shape a pool is written in, and each falls back
+// to the general path on anything else, with its verdict and message. A
+// node's "name" and "power" keys, spelled exactly so with the colon right
+// after them, are matched as literals; any other key, and these in another
+// case, with an escape or with a blank before the colon, is read and
+// folded as above. A number with no exponent, at most 19 digits and a
+// mantissa of at most 2^53 is read from its digits with one exact
+// division (exactNumber); any other — an exponent, more digits, a
+// malformed token — goes through strconv.ParseFloat. Validation stays one
+// pass over the finished columns: checking each node as its object closes
+// measured slower, the name table's probes costing the same either way,
+// and a document may give its bandwidth after its nodes.
 func DecodeJSON(data []byte) (*Columns, error) {
 	d := decoder{data: data}
-	if err := d.platform(); err != nil {
+	if err := d.document(); err != nil {
 		return nil, err
-	}
-	if d.ws(); d.off < len(d.data) {
-		return nil, d.syntaxError("after top-level value")
 	}
 	c := d.columns()
 	if err := c.Validate(); err != nil {
@@ -163,6 +173,18 @@ func foldRune(r rune) rune {
 		}
 		r = r2
 	}
+}
+
+// document decodes the whole input: the platform and nothing after it but
+// blanks.
+func (d *decoder) document() error {
+	if err := d.platform(); err != nil {
+		return err
+	}
+	if d.ws(); d.off < len(d.data) {
+		return d.syntaxError("after top-level value")
+	}
+	return nil
 }
 
 // platform decodes the top-level value.
@@ -360,11 +382,11 @@ func (d *decoder) moreNodes(n, start int) int {
 func (d *decoder) node(i int) error {
 	more, err := d.openObject("a node")
 	for more && err == nil {
-		var k []byte
-		if k, err = d.key(); err != nil {
+		var f field
+		if f, err = d.nodeKey(); err != nil {
 			break
 		}
-		switch lookupField(k) {
+		switch f {
 		case fieldName:
 			var s []byte
 			if s, err = d.stringValue("name"); s != nil {
@@ -404,6 +426,27 @@ func (d *decoder) openObject(what string) (bool, error) {
 		return false, nil
 	}
 	return true, nil
+}
+
+// nodeKey consumes a node member's key and its colon, and names the member
+// it selects. "name" and "power" as they are written — exact case, no
+// escape, the colon right after the closing quote — are matched as
+// literals; any other key or spelling is read by key and looked up by
+// lookupField. Each literal is one 8-byte word, which the compiler
+// compares inline: a name's includes the quote that opens its value,
+// which stays to be read.
+func (d *decoder) nodeKey() (field, error) {
+	d.ws()
+	switch {
+	case d.at(d.off, `"name":"`):
+		d.off += len(`"name":`)
+		return fieldName, nil
+	case d.at(d.off, `"power":`):
+		d.off += len(`"power":`)
+		return fieldPower, nil
+	}
+	k, err := d.key()
+	return lookupField(k), err
 }
 
 // key consumes a member's key and its colon, and returns the key as str
@@ -472,13 +515,18 @@ func (d *decoder) link(i int) error {
 
 // numberInto decodes a number member into *dst as strconv.ParseFloat
 // reads it; null leaves it, and a number out of float64's range is an
-// error.
+// error. A number exactNumber can read exactly is read straight from its
+// digits; any other goes through number and strconv.
 func (d *decoder) numberInto(dst *float64, key string) error {
 	if d.ws(); d.peek() == 'n' {
 		return d.literal("null")
 	}
 	if c := d.peek(); c != '-' && (c < '0' || c > '9') {
 		return d.typeError(key, "a number")
+	}
+	if v, ok := d.exactNumber(); ok {
+		*dst = v
+		return nil
 	}
 	num, err := d.number()
 	if err != nil {
@@ -490,6 +538,75 @@ func (d *decoder) numberInto(dst *float64, key string) error {
 	}
 	*dst = v
 	return nil
+}
+
+// maxExact is the largest mantissa exactNumber takes: every integer up to
+// 2^53 is a float64.
+const maxExact = 1 << 53
+
+// maxExactDigits is the most digits exactNumber reads: any 19 of them fit
+// a uint64.
+const maxExactDigits = 19
+
+// pow10 holds the powers of ten a number of maxExactDigits digits can be
+// divided by — all exact in float64, which holds every power up to 1e22.
+var pow10 = [maxExactDigits]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// exactNumber consumes the number at off, which starts with '-' or a
+// digit, when it has no exponent part, at most maxExactDigits digits and
+// a decimal mantissa m ≤ 2^53 (its digits with the point taken out), and
+// returns its value; otherwise it consumes nothing and reports false. Such
+// a number is m / 10^k, k < maxExactDigits, with both operands exact in
+// float64, so the one correctly rounded division is the float64 nearest
+// the decimal — strconv.ParseFloat's bits (Clinger's fast path). Like
+// number, it stops at the first byte that cannot continue the number, so
+// "01" reads 0 and leaves the 1 to its caller; a malformed number ("1.",
+// "-") it leaves to number, which reports it.
+func (d *decoder) exactNumber() (float64, bool) {
+	data, i := d.data, d.off
+	neg := data[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	start := i
+	switch {
+	case i == len(data):
+		return 0, false
+	case data[i] == '0':
+		i++
+	default:
+		for i < len(data) && isDigit(data[i]) {
+			m = m*10 + uint64(data[i]-'0')
+			i++
+		}
+		if i == start {
+			return 0, false
+		}
+	}
+	frac := 0
+	if i < len(data) && data[i] == '.' {
+		i++
+		point := i
+		for i < len(data) && isDigit(data[i]) {
+			m = m*10 + uint64(data[i]-'0')
+			i++
+		}
+		if frac = i - point; frac == 0 {
+			return 0, false
+		}
+		start++ // the point is not a digit
+	}
+	if i-start > maxExactDigits || m > maxExact || i < len(data) && data[i]|0x20 == 'e' {
+		return 0, false
+	}
+	v := float64(m) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	d.off = i
+	return v, true
 }
 
 // skip consumes one value of any shape, checking its syntax. It keeps the
@@ -589,8 +706,16 @@ func (d *decoder) push(array bool) error {
 	return nil
 }
 
-// ws skips JSON whitespace.
+// ws skips JSON whitespace. It returns at once on a byte that is not a
+// blank, which is where nearly every call lands.
 func (d *decoder) ws() {
+	if d.off < len(d.data) && isSpace[d.data[d.off]] {
+		d.blanks()
+	}
+}
+
+// blanks skips the run of blanks at off.
+func (d *decoder) blanks() {
 	for d.off < len(d.data) && isSpace[d.data[d.off]] {
 		d.off++
 	}

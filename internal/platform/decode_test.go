@@ -3,6 +3,7 @@ package platform_test
 import (
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -83,6 +84,32 @@ var decodeSeeds = []string{
 	`{"name":"z","bandwidth_mbps":1,"nodes":[{"name":"a","power":1,"link_bandwidth_mbps":-0},{"name":"b","power":2}]}`,
 	// A link column that appears late, on a reused element.
 	`{"name":"l","bandwidth_mbps":1,"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"link_bandwidth_mbps":7}],"nodes":[null,null]}`,
+	// Errors right after a key matched as a literal (decodeErrorTexts pins
+	// their text), and the same keys spelled so they are not.
+	`{"nodes":[{"power":x}]}`, `{"nodes":[{"name":1}]}`, `{"nodes":[{"power":1.}]}`,
+	`{"nodes":[{"power":-}]}`, `{"nodes":[{"power":01}]}`, `{"nodes":[{"power":1e}]}`,
+	`{"nodes":[{"name":null,"power":1}]}`, `{"nodes":[{"name" :"a","POWER":1,"link_bandwidth_mbp\u0073":5}]}`,
+	// Which failure wins: a syntax error after an invalid node; a bandwidth
+	// of 0 given after the nodes; a nameless node before one with a bad
+	// power; a duplicate name revealed by a repeated node list.
+	`{"bandwidth_mbps":1,"nodes":[{"name":"a","power":0}],"x":}`,
+	`{"nodes":[{"name":"a","power":-1}],"bandwidth_mbps":0}`,
+	`{"bandwidth_mbps":1,"nodes":[{"power":1},{"name":"b","power":-1}]}`,
+	`{"bandwidth_mbps":1,"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"name":"b"}],"nodes":[{},{}]}`,
+	// Numbers at the edges of the exact path: 2^53, 2^53+1, 17 digits, -0.
+	`{"name":"e","bandwidth_mbps":9007199254740992,"nodes":[{"name":"a","power":9007199254740993},{"name":"b","power":0.12345678901234567,"link_bandwidth_mbps":-0.000}]}`,
+}
+
+// decodeErrorTexts pins DecodeJSON's messages, byte offsets included, for a
+// bad value after a node key it matches as a literal: the fast paths give
+// the general path's messages, word for word.
+var decodeErrorTexts = map[string]string{
+	`{"nodes":[{"power":x}]}`:  `platform: decode: power: want a number, got 'x' at byte 19`,
+	`{"nodes":[{"name":1}]}`:   `platform: decode: name: want a string, got '1' at byte 18`,
+	`{"nodes":[{"power":1.}]}`: `platform: decode: invalid character '}' after decimal point in numeric literal at byte 21`,
+	`{"nodes":[{"power":-}]}`:  `platform: decode: invalid character '}' looking for beginning of value at byte 20`,
+	`{"nodes":[{"power":01}]}`: `platform: decode: invalid character '1' after object key:value pair at byte 20`,
+	`{"nodes":[{"power":1e}]}`: `platform: decode: invalid character '}' in exponent of numeric literal at byte 21`,
 }
 
 // FuzzParseJSON is DecodeJSON's contract: on any input it accepts and
@@ -153,6 +180,11 @@ func TestDecodeJSONBehaviours(t *testing.T) {
 		{nested(9999), "a/1"},
 		{nested(10001), "error"},
 		{`{"nodes":[{"name":"a","power":812.5000    }]}`, "a/812.5"},
+		// Validate's order, whatever order the document gives things in.
+		{`{"nodes":[{"name":"a","power":0}],"x":}`, "error"},
+		{`{"nodes":[{"name":"a","power":-1}],"bandwidth_mbps":0}`, `platform "": bandwidth must be positive, got 0`},
+		{`{"nodes":[{"power":1},{"name":"b","power":-1}]}`, `platform "": node 0 has empty name`},
+		{`{"nodes":[{"name":"a","power":1},{"name":"b","power":2}],"nodes":[{"name":"b"}],"nodes":[{},{}]}`, `platform "": duplicate node name "b"`},
 	}
 	show := func(p *platform.Platform, err error) string {
 		switch {
@@ -275,5 +307,135 @@ func TestDecodeJSONGrowthIsBoundedByInput(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(body)) {
 		t.Errorf("decoding %d bytes allocated %d", len(body), alloc)
+	}
+}
+
+// churnBody renders p as BENCHMARK.json's replan_churn workload PUTs it
+// (bench/stream.go's putTemplate): every power in a fixed 12-byte field,
+// padded with spaces.
+func churnBody(p *platform.Platform) []byte {
+	b := []byte(`{"name":` + strconv.Quote(p.Name) + `,"bandwidth_mbps":` + strconv.FormatFloat(p.Bandwidth, 'g', -1, 64) + `,"nodes":[`)
+	for i, n := range p.Nodes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"name":`+strconv.Quote(n.Name)+`,"power":`...)
+		power := strconv.FormatFloat(n.Power, 'f', 4, 64)
+		b = append(b, power+strings.Repeat(" ", max(0, 12-len(power)))...)
+		if n.LinkBandwidth > 0 {
+			b = append(b, `,"link_bandwidth_mbps":`+strconv.FormatFloat(n.LinkBandwidth, 'g', -1, 64)...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// churnPlatform is a replan_churn pool of n nodes (the workload registers
+// 4 000): clustered, as its first name is, with no link overrides.
+func churnPlatform(tb testing.TB, n int) *platform.Platform {
+	p, err := (scenario.Spec{Family: scenario.Clustered, Name: "churn-0", N: n, Seed: 7}).Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestDecodeJSONFastPathsAgree: a replan_churn body and a MarshalIndent
+// journal (LoadDir's form) each decode to one platform and digest however
+// their keys and numbers are spelled — upper case, escaped or with a blank
+// before the colon, which miss the literal keys, and with exponents, which
+// miss the exact number path — and the messages after a literal key are
+// those decodeErrorTexts pins.
+func TestDecodeJSONFastPathsAgree(t *testing.T) {
+	p := churnPlatform(t, 400)
+	for i := range p.Nodes {
+		if i%3 != 0 {
+			p.Nodes[i].LinkBandwidth = float64(100*(1+i%5)) + 0.25
+		}
+	}
+	journal, err := p.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{`"name":`, `"power":`, `"link_bandwidth_mbps":`, `"bandwidth_mbps":`, `"nodes":`}
+	respell := func(spell func(key string) string) func(string) string {
+		return func(body string) string {
+			for _, k := range keys {
+				body = strings.ReplaceAll(body, k, spell(k))
+			}
+			return body
+		}
+	}
+	number := regexp.MustCompile(`(":\s*)(-?[0-9][0-9.]*)`)
+	variants := map[string]func(string) string{
+		"upper case": respell(strings.ToUpper),
+		"escaped": respell(func(k string) string {
+			return k[:2] + `\u00` + strconv.FormatInt(int64(k[2]), 16) + k[3:]
+		}),
+		"blank before colon": respell(func(k string) string { return strings.TrimSuffix(k, ":") + " :" }),
+		"exponents": func(body string) string {
+			return number.ReplaceAllStringFunc(body, func(m string) string {
+				sub := number.FindStringSubmatch(m)
+				v, err := strconv.ParseFloat(sub[2], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sub[1] + strconv.FormatFloat(v, 'e', -1, 64)
+			})
+		},
+	}
+	for form, body := range map[string]string{"churn": string(churnBody(p)), "journal": string(journal)} {
+		as, err := platform.DecodeJSON([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", form, err)
+		}
+		want, plat := as.Digest(), as.Platform()
+		for name, rewrite := range variants {
+			variant := rewrite(body)
+			if variant == body {
+				t.Fatalf("%s %s: the rewrite changed nothing", form, name)
+			}
+			c, err := platform.DecodeJSON([]byte(variant))
+			if err != nil {
+				t.Fatalf("%s %s: %v", form, name, err)
+			}
+			if c.Digest() != want {
+				t.Errorf("%s %s: digests to another platform", form, name)
+			}
+			if !reflect.DeepEqual(c.Platform(), plat) {
+				t.Errorf("%s %s: expands into another platform", form, name)
+			}
+		}
+	}
+	for body, want := range decodeErrorTexts {
+		if _, err := platform.DecodeJSON([]byte(body)); err == nil || err.Error() != want {
+			t.Errorf("DecodeJSON(%s): %v, want %s", body, err, want)
+		}
+	}
+}
+
+// BenchmarkDecodeJSON4000 is the decoder alone on replan_churn's PUT body:
+// bytes to validated columns.
+func BenchmarkDecodeJSON4000(b *testing.B) {
+	body := churnBody(churnPlatform(b, 4000))
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := platform.DecodeJSON(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColumnsDigest4000 is the content address of what that PUT
+// decodes to: the registry digests every write.
+func BenchmarkColumnsDigest4000(b *testing.B) {
+	c, err := platform.DecodeJSON(churnBody(churnPlatform(b, 4000)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Digest()
 	}
 }

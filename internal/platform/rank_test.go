@@ -158,6 +158,34 @@ func TestRankDescMatchesComparator(t *testing.T) {
 	}
 }
 
+// TestRankingReuse ranks pool after pool through one Ranking — larger,
+// smaller, tied, then larger again — and holds each ranking to the
+// comparator: what an earlier, larger pool left in the buffers must not
+// show through.
+func TestRankingReuse(t *testing.T) {
+	var r platform.Ranking
+	for _, tc := range []struct {
+		n    int
+		c    *platform.Columns
+		keys func(i int) float64
+	}{
+		{4000, ownNames(t, 4000), func(i int) float64 { return 100 + float64((i*7919)%4000)/3 }},
+		{25, ownNames(t, 25), func(i int) float64 { return float64((i * 31) % 3) }},
+		{2, generatedNames(2), func(i int) float64 { return specialKeys[i%len(specialKeys)] }},
+		{10_001, generatedNames(10_001), func(i int) float64 { return float64(i % 2) }},
+		{4000, ownNames(t, 4000), func(i int) float64 { return -float64(i%5) / 4 }},
+		{0, generatedNames(0), nil},
+	} {
+		keys := make([]float64, tc.n)
+		for i := range keys {
+			keys[i] = tc.keys(i)
+		}
+		if got, want := r.RankDesc(tc.c, keys), rankOracle(tc.c, keys); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: a reused Ranking disagrees with the comparator at position %d", tc.n, firstDiff(got, want))
+		}
+	}
+}
+
 // FuzzRankDesc: whatever the keys — drawn from raw as special values, tied
 // small integers, negatives or arbitrary bit patterns — and whatever the
 // names, both rankings are their comparators' order.

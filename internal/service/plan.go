@@ -182,6 +182,12 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInp
 	return s.respond(r, in, tr, start, fr, coalesced), in, nil
 }
 
+// planScratch recycles the memory planners build node pools in, one
+// core.Scratch per running job: a registry that re-publishes a pool has it
+// planned again after every write, and each plan would otherwise leave a
+// pool's worth of garbage to the collector.
+var planScratch = sync.Pool{New: func() any { return new(core.Scratch) }}
+
 // runPlan is the body of a flight: one planning run on the pool — admit,
 // materialise the platform, plan, all under one slot, so admission control
 // covers the generation of a fleet as it covers planning it — then render
@@ -217,6 +223,9 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		sc := planScratch.Get().(*core.Scratch)
+		defer planScratch.Put(sc)
+		ctx = core.ContextWithScratch(ctx, sc)
 		if pf, ok := in.planner.(*portfolio.Planner); ok {
 			// Keep the per-variant stats for the response.
 			var p *core.Plan

@@ -19,7 +19,10 @@
 # 100k-node catalogue scenario every iteration, fleet_cold's shape: the
 # columnar-miss contract) — BenchmarkKeyFor100k (streaming 100k nodes
 # into a key) and BenchmarkPlatformPut4000 (replan_churn's 4 000-node PUT
-# through the handler: read, decode into validated columns, store); writes
+# through the handler: read, decode into validated columns, store), and two
+# of that PUT's layers in internal/platform, recorded, not gated —
+# BenchmarkDecodeJSON4000 (the decoder alone) and BenchmarkColumnsDigest4000
+# (the registry's content address of what it decoded); writes
 # BENCH_plan.json (per benchmark: the median of COUNT runs, with the
 # per-run ns/op samples beside it), and gates only what means the same on
 # every machine, or is a stated contract:
@@ -42,7 +45,7 @@
 #      ceilings at ~3x the measured medians: a hit that generates, a miss
 #      that materialises the nodes it generated, a key that marshals, or a
 #      PUT decoded by reflection — 3.3-4.9 ms where the columns decoder
-#      takes 0.75-0.9 ms — is over its ceiling). The cold miss reads each node a
+#      takes 0.7-0.8 ms — is over its ceiling). The cold miss reads each node a
 #      fixed few times (draw, range-check, class, deal, one Eq. 15 fold):
 #      4.4 ms median on a 2-vCPU sandbox, where a table probe sized for
 #      the class cap, a per-node tier search, a twice-built power vector and
@@ -61,8 +64,8 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$' \
-  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee bench_plan.txt
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$' \
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/platform | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
 
