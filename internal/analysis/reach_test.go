@@ -23,14 +23,12 @@ import (
 // against, or drive it with. One line of reason each; an entry that has
 // become reachable some other way is stale and fails the test.
 var oracles = map[string]string{
-	"adept/internal/blas.Dgemm":                  "the naive triple loop the blocked kernel is checked against",
-	"adept/internal/core.NewHeuristicNodeSpace":  "reference side of the class battery and the golden digests: the collapse never engages",
-	"adept/internal/core.NewHeuristicClassSpace": "subject side of the class battery: the collapse always engages",
-	"adept/internal/core.ClassIndex.Expand":      "inverse of the collapse; the battery asserts expand(collapse(pool)) is a permutation of the pool",
-	"adept/internal/scenario.ChurnFamilies":      "the corpus the churn tests range over, so a new family cannot go untested",
-	"adept/internal/service.PlanCache.Contains":  "peeks at the cache without refreshing recency, which is how the LRU-order tests see what was evicted",
-	"adept/internal/service.Server.SLOTick":      "drives the sampler and the SLO engine with explicit timestamps instead of racing a wall clock",
-	"adept/internal/service.Registry.Delete":     "the unconditional delete of the journal tests: the file goes with the entry and a restart does not resurrect it",
+	"adept/internal/blas.Dgemm":                 "the naive triple loop the blocked kernel is checked against",
+	"adept/internal/core.ClassIndex.Expand":     "inverse of the collapse; the battery asserts expand(collapse(pool)) is a permutation of the pool",
+	"adept/internal/scenario.ChurnFamilies":     "the corpus the churn tests range over, so a new family cannot go untested",
+	"adept/internal/service.PlanCache.Contains": "peeks at the cache without refreshing recency, which is how the LRU-order tests see what was evicted",
+	"adept/internal/service.Server.SLOTick":     "drives the sampler and the SLO engine with explicit timestamps instead of racing a wall clock",
+	"adept/internal/service.Registry.Delete":    "the unconditional delete of the journal tests: the file goes with the entry and a restart does not resurrect it",
 }
 
 // TestEveryDeclarationHasACaller holds ROADMAP north-star 2 ("every

@@ -8,11 +8,12 @@ import (
 )
 
 // PlacementEvaluator is the throughput-evaluation engine a planner drives
-// while it grows or mutates a deployment. It mirrors the deployment state
-// (who is an agent, who is a server, degrees, backing powers) and answers
-// the two question families every planner hot loop asks:
+// while it grows or mutates a deployment. It keeps the deployment's one
+// per-node record (nodeTable: who is an agent, who is a server, degrees,
+// backing powers and links) and answers the two question families every
+// planner hot loop asks:
 //
-//   - Eval: the current ρ_sched / ρ_service of the mirrored deployment;
+//   - Eval: the current ρ_sched / ρ_service of the recorded deployment;
 //   - what-ifs (RhoAfter*): the demand-uncapped ρ the deployment would have
 //     after a speculative placement or node swap, WITHOUT mutating state.
 //
@@ -21,7 +22,8 @@ import (
 // exist: the incremental Evaluator (O(1)–O(log n) per operation, the
 // production engine) and the NaiveEvaluator reference (full recompute per
 // query, the pre-refactor cost profile) retained for property/fuzz tests
-// and benchmarks.
+// and benchmarks. Both keep their record through the same nodeTable, so
+// the two agree on it field for field, stamps included.
 // Per-node link bandwidths: every placement primitive carries the backing
 // node's link bandwidth alongside its power (zero = the platform default
 // handed to the constructor), so deployments over multi-cluster platforms
@@ -59,6 +61,9 @@ type PlacementEvaluator interface {
 	RhoAfterDrop(serverID, parentID int) float64
 	// Reset clears all state, retaining capacity for reuse.
 	Reset()
+	// table returns the evaluator's node record, which the growth driver
+	// reads instead of keeping its own.
+	table() *nodeTable
 }
 
 // roleAgent/roleServer track what each id currently is; the zero value is
@@ -69,15 +74,69 @@ const (
 	roleServer
 )
 
-// evalNode is the per-id state shared by both evaluator implementations.
-// bw is the node's *resolved* link bandwidth (the zero override already
-// replaced by the platform default at registration).
+// evalNode is one id's entry in a nodeTable. bw is the node's *resolved*
+// link bandwidth (the zero override already replaced by the platform
+// default at registration).
 type evalNode struct {
 	power  float64
 	bw     float64
 	degree int
 	role   int8
 	stamp  uint32 // bumped on every change; stale heap entries self-invalidate
+}
+
+// nodeTable is the per-id record of a deployment that both evaluators keep
+// and the growth driver reads: every change to a node bumps its stamp, so a
+// lazy heap keyed on the table drops entries that outlived their node's
+// state. Placing a node bumps its parent's degree and stamp; promoting or
+// re-backing one bumps its own.
+type nodeTable struct {
+	bw    float64 // default link bandwidth (platform B)
+	nodes []evalNode
+}
+
+func (t *nodeTable) table() *nodeTable { return t }
+
+// Reset clears the table, retaining capacity for reuse.
+func (t *nodeTable) Reset() { t.nodes = t.nodes[:0] }
+
+// link resolves a per-node bandwidth override against the default.
+func (t *nodeTable) link(bw float64) float64 {
+	if bw > 0 {
+		return bw
+	}
+	return t.bw
+}
+
+// place records id as a childless node of the given role under parent (-1
+// for the root).
+func (t *nodeTable) place(id, parent int, role int8, power, linkBW float64) {
+	for len(t.nodes) <= id {
+		t.nodes = append(t.nodes, evalNode{})
+	}
+	n := &t.nodes[id]
+	n.power, n.bw, n.degree, n.role = power, t.link(linkBW), 0, role
+	n.stamp++
+	if parent >= 0 {
+		p := &t.nodes[parent]
+		p.degree++
+		p.stamp++
+	}
+}
+
+// promote converts server id into a childless agent; its parent's degree
+// is unchanged (the node keeps its slot).
+func (t *nodeTable) promote(id int) {
+	n := &t.nodes[id]
+	n.role, n.degree = roleAgent, 0
+	n.stamp++
+}
+
+// reback re-backs id with another physical node, keeping role and degree.
+func (t *nodeTable) reback(id int, power, linkBW float64) {
+	n := &t.nodes[id]
+	n.power, n.bw = power, t.link(linkBW)
+	n.stamp++
 }
 
 // serviceFromAggregates computes ρ_service (Eq. 15) from the server count
@@ -218,14 +277,12 @@ func (h *lazyHeap) reset() { h.ents = h.ents[:0] }
 // bandwidth) and the bandwidth heap is constant, so results are
 // bit-identical to the pre-heterogeneous evaluator.
 //
-// An Evaluator mirrors exactly the mutations the owning planner applies to
-// its hierarchy; use LoadHierarchy to mirror an existing tree wholesale.
+// An Evaluator records exactly the mutations its owner applies; use
+// LoadHierarchy to record an existing tree wholesale.
 type Evaluator struct {
 	costs model.Costs
-	bw    float64 // default link bandwidth (platform B)
 	wapp  float64
-
-	nodes []evalNode
+	nodeTable
 
 	nServers int
 	sumPow   float64 // Neumaier-compensated Σ server power
@@ -240,32 +297,17 @@ type Evaluator struct {
 // calibration; bandwidth is the default link bandwidth for nodes without a
 // per-node override.
 func NewEvaluator(c model.Costs, bandwidth, wapp float64) *Evaluator {
-	return &Evaluator{costs: c, bw: bandwidth, wapp: wapp}
-}
-
-// link resolves a per-node bandwidth override against the default.
-func (e *Evaluator) link(bw float64) float64 {
-	if bw > 0 {
-		return bw
-	}
-	return e.bw
+	return &Evaluator{costs: c, wapp: wapp, nodeTable: nodeTable{bw: bandwidth}}
 }
 
 // Reset implements PlacementEvaluator.
 func (e *Evaluator) Reset() {
-	e.nodes = e.nodes[:0]
+	e.nodeTable.Reset()
 	e.nServers = 0
 	e.sumPow, e.sumComp = 0, 0
 	e.agentThr.reset()
 	e.servPred.reset()
 	e.servBW.reset()
-}
-
-// ensure grows the node table to cover id.
-func (e *Evaluator) ensure(id int) {
-	for len(e.nodes) <= id {
-		e.nodes = append(e.nodes, evalNode{})
-	}
 }
 
 // sumAdd adds v to the server power sum with Neumaier compensation, so
@@ -287,67 +329,58 @@ func (e *Evaluator) sumAdd(v float64) {
 // serverSum returns the compensated Σ server power.
 func (e *Evaluator) serverSum() float64 { return e.sumPow + e.sumComp }
 
-func (e *Evaluator) bumpParent(parent int) {
-	if parent < 0 {
+// pushAgent enters agent id's scheduling throughput at its current state;
+// -1 (the root's parent) is no agent.
+func (e *Evaluator) pushAgent(id int) {
+	if id < 0 {
 		return
 	}
-	p := &e.nodes[parent]
-	p.degree++
-	p.stamp++
-	e.agentThr.push(heapEnt{val: model.AgentThroughput(e.costs, p.bw, p.power, p.degree), id: parent, stamp: p.stamp})
+	n := &e.nodes[id]
+	e.agentThr.push(heapEnt{val: model.AgentThroughput(e.costs, n.bw, n.power, n.degree), id: id, stamp: n.stamp})
+}
+
+// pushServer enters server id's prediction throughput and link.
+func (e *Evaluator) pushServer(id int) {
+	n := &e.nodes[id]
+	e.servPred.push(heapEnt{val: model.ServerPredictionThroughput(e.costs, n.bw, n.power), id: id, stamp: n.stamp})
+	e.servBW.push(heapEnt{val: n.bw, id: id, stamp: n.stamp})
 }
 
 // AddAgent implements PlacementEvaluator.
 func (e *Evaluator) AddAgent(id, parent int, power, linkBW float64) {
-	e.ensure(id)
-	bw := e.link(linkBW)
-	n := &e.nodes[id]
-	n.power, n.bw, n.degree, n.role = power, bw, 0, roleAgent
-	n.stamp++
-	e.agentThr.push(heapEnt{val: model.AgentThroughput(e.costs, bw, power, 0), id: id, stamp: n.stamp})
-	e.bumpParent(parent)
+	e.place(id, parent, roleAgent, power, linkBW)
+	e.pushAgent(id)
+	e.pushAgent(parent)
 }
 
 // AddServer implements PlacementEvaluator.
 func (e *Evaluator) AddServer(id, parent int, power, linkBW float64) {
-	e.ensure(id)
-	bw := e.link(linkBW)
-	n := &e.nodes[id]
-	n.power, n.bw, n.degree, n.role = power, bw, 0, roleServer
-	n.stamp++
+	e.place(id, parent, roleServer, power, linkBW)
 	e.nServers++
 	e.sumAdd(power)
-	e.servPred.push(heapEnt{val: model.ServerPredictionThroughput(e.costs, bw, power), id: id, stamp: n.stamp})
-	e.servBW.push(heapEnt{val: bw, id: id, stamp: n.stamp})
-	e.bumpParent(parent)
+	e.pushServer(id)
+	e.pushAgent(parent)
 }
 
-// Promote implements PlacementEvaluator. The node's degree restarts at
-// zero; its parent's degree is unchanged (the node keeps its slot).
+// Promote implements PlacementEvaluator.
 func (e *Evaluator) Promote(id int) {
-	n := &e.nodes[id]
 	e.nServers--
-	e.sumAdd(-n.power)
-	n.role, n.degree = roleAgent, 0
-	n.stamp++
-	e.agentThr.push(heapEnt{val: model.AgentThroughput(e.costs, n.bw, n.power, 0), id: id, stamp: n.stamp})
+	e.sumAdd(-e.nodes[id].power)
+	e.promote(id)
+	e.pushAgent(id)
 }
 
 // SetBacking implements PlacementEvaluator.
 func (e *Evaluator) SetBacking(id int, power, linkBW float64) {
-	bw := e.link(linkBW)
-	n := &e.nodes[id]
-	if n.role == roleServer {
-		e.sumAdd(power - n.power)
+	if e.nodes[id].role == roleServer {
+		e.sumAdd(power - e.nodes[id].power)
 	}
-	n.power, n.bw = power, bw
-	n.stamp++
-	switch n.role {
+	e.reback(id, power, linkBW)
+	switch e.nodes[id].role {
 	case roleAgent:
-		e.agentThr.push(heapEnt{val: model.AgentThroughput(e.costs, bw, power, n.degree), id: id, stamp: n.stamp})
+		e.pushAgent(id)
 	case roleServer:
-		e.servPred.push(heapEnt{val: model.ServerPredictionThroughput(e.costs, bw, power), id: id, stamp: n.stamp})
-		e.servBW.push(heapEnt{val: bw, id: id, stamp: n.stamp})
+		e.pushServer(id)
 	}
 }
 
@@ -462,7 +495,7 @@ func (e *Evaluator) RhoAfterDrop(serverID, parentID int) float64 {
 	return math.Min(sched, service)
 }
 
-// LoadHierarchy mirrors an existing hierarchy into an evaluator (nodes fed
+// LoadHierarchy records an existing hierarchy in an evaluator (nodes fed
 // in ID order, so parents always precede children). Planners that refine a
 // finished plan (the swap refiner) start here instead of replaying growth.
 func LoadHierarchy(ev PlacementEvaluator, h *hierarchy.Hierarchy) {

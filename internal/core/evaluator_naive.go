@@ -6,11 +6,12 @@ import (
 	"adept/internal/model"
 )
 
-// NaiveEvaluator is the reference PlacementEvaluator: it keeps the same
-// deployment mirror as the incremental Evaluator but answers every query
-// with a full Θ(n) sweep over all nodes, exactly what the planner hot path
-// did before the incremental engine existed (per-candidate model rebuilds
-// in rhoAfterAdd / cappedRho).
+// NaiveEvaluator is the reference PlacementEvaluator: it records the
+// deployment in the nodeTable the incremental Evaluator records it in — the
+// two agree on it field for field — but answers every query with a full
+// Θ(n) sweep over all nodes, exactly what the planner hot path did before
+// the incremental engine existed (per-candidate model rebuilds in
+// rhoAfterAdd / cappedRho).
 //
 // It is retained on purpose, not as dead code:
 //
@@ -23,63 +24,31 @@ import (
 //     at 5k nodes).
 type NaiveEvaluator struct {
 	costs model.Costs
-	bw    float64 // default link bandwidth
 	wapp  float64
-	nodes []evalNode
+	nodeTable
 }
 
 // NewNaiveEvaluator returns an empty reference evaluator; bandwidth is the
 // default link bandwidth for nodes without a per-node override.
 func NewNaiveEvaluator(c model.Costs, bandwidth, wapp float64) *NaiveEvaluator {
-	return &NaiveEvaluator{costs: c, bw: bandwidth, wapp: wapp}
-}
-
-// Reset implements PlacementEvaluator.
-func (e *NaiveEvaluator) Reset() { e.nodes = e.nodes[:0] }
-
-func (e *NaiveEvaluator) ensure(id int) {
-	for len(e.nodes) <= id {
-		e.nodes = append(e.nodes, evalNode{})
-	}
-}
-
-// link resolves a per-node bandwidth override against the default.
-func (e *NaiveEvaluator) link(bw float64) float64 {
-	if bw > 0 {
-		return bw
-	}
-	return e.bw
+	return &NaiveEvaluator{costs: c, wapp: wapp, nodeTable: nodeTable{bw: bandwidth}}
 }
 
 // AddAgent implements PlacementEvaluator.
 func (e *NaiveEvaluator) AddAgent(id, parent int, power, linkBW float64) {
-	e.ensure(id)
-	e.nodes[id] = evalNode{power: power, bw: e.link(linkBW), role: roleAgent}
-	if parent >= 0 {
-		e.nodes[parent].degree++
-	}
+	e.place(id, parent, roleAgent, power, linkBW)
 }
 
 // AddServer implements PlacementEvaluator.
 func (e *NaiveEvaluator) AddServer(id, parent int, power, linkBW float64) {
-	e.ensure(id)
-	e.nodes[id] = evalNode{power: power, bw: e.link(linkBW), role: roleServer}
-	if parent >= 0 {
-		e.nodes[parent].degree++
-	}
+	e.place(id, parent, roleServer, power, linkBW)
 }
 
 // Promote implements PlacementEvaluator.
-func (e *NaiveEvaluator) Promote(id int) {
-	e.nodes[id].role = roleAgent
-	e.nodes[id].degree = 0
-}
+func (e *NaiveEvaluator) Promote(id int) { e.promote(id) }
 
 // SetBacking implements PlacementEvaluator.
-func (e *NaiveEvaluator) SetBacking(id int, power, linkBW float64) {
-	e.nodes[id].power = power
-	e.nodes[id].bw = e.link(linkBW)
-}
+func (e *NaiveEvaluator) SetBacking(id int, power, linkBW float64) { e.reback(id, power, linkBW) }
 
 // sweep recomputes ρ_sched and ρ_service from scratch. The override hooks
 // graft one hypothetical change into the sweep without mutating state:
@@ -155,7 +124,7 @@ func (e *NaiveEvaluator) sweep(ov naiveOverride) (sched, service float64) {
 	return sched, service
 }
 
-// noOverride evaluates the mirror as-is.
+// noOverride evaluates the recorded deployment as-is.
 var noOverride = naiveOverride{agentID: -1, agentPower: -1, serverID: -1, extraServer: -1, dropServer: -1}
 
 // Eval implements PlacementEvaluator.

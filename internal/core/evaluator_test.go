@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adept/internal/model"
@@ -10,8 +11,10 @@ import (
 
 // TestEvaluatorMatchesNaiveUnderRandomOps drives the incremental and the
 // naive evaluator through identical randomized mutation sequences
-// (attach, promote, re-back, backing change) and checks every query agrees
-// to 1e-9 after each step — including the min-excluding what-ifs that
+// (attach, promote, re-back, backing change) and checks after each step
+// that their node tables are equal field for field, stamps included — the
+// growth driver reads whichever one it plans through — and that every
+// query agrees to 1e-9, including the min-excluding what-ifs that
 // exercise the lazy-heap invalidation paths. Every node draws a random
 // link bandwidth (zero = default included), so the prediction-throughput
 // and min-bandwidth heaps are stressed under heterogeneous links, not
@@ -43,6 +46,13 @@ func TestEvaluatorMatchesNaiveUnderRandomOps(t *testing.T) {
 		inc.AddAgent(0, -1, rootPow, rootBW)
 		nai.AddAgent(0, -1, rootPow, rootBW)
 		nodes := []nodeInfo{{id: 0, parent: -1, agent: true}}
+		sameTable := func(step int) {
+			t.Helper()
+			if a, b := inc.table().nodes, nai.table().nodes; !slices.Equal(a, b) {
+				t.Fatalf("trial %d step %d: node tables diverged:\n incremental %+v\n naive       %+v", trial, step, a, b)
+			}
+		}
+		sameTable(-1)
 
 		steps := 5 + rng.Intn(60)
 		for s := 0; s < steps; s++ {
@@ -81,6 +91,7 @@ func TestEvaluatorMatchesNaiveUnderRandomOps(t *testing.T) {
 				nai.SetBacking(nodes[i].id, w, l)
 			}
 
+			sameTable(s)
 			is, iv := inc.Eval()
 			ns, nv := nai.Eval()
 			if !close(is, ns) || !close(iv, nv) {

@@ -13,6 +13,7 @@ import (
 
 	"adept/internal/core"
 	"adept/internal/model"
+	"adept/internal/obs"
 	"adept/internal/platform"
 	"adept/internal/scenario"
 	"adept/internal/workload"
@@ -94,6 +95,7 @@ var goldenModes = []struct {
 //	go test ./internal/core -run TestGoldenPlanDigests -update
 func TestGoldenPlanDigests(t *testing.T) {
 	got := map[string]planDigest{}
+	wins := map[string]int{}
 	record := func(label string, plat *platform.Platform, demand workload.Demand) {
 		req := core.Request{
 			Platform: plat,
@@ -102,10 +104,12 @@ func TestGoldenPlanDigests(t *testing.T) {
 			Demand:   demand,
 		}
 		for _, m := range goldenModes {
-			plan, err := m.planner().PlanContext(t.Context(), req)
+			tr := obs.NewTraceRecorder()
+			plan, err := m.planner().PlanContext(obs.ContextWithTrace(t.Context(), tr), req)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", label, m.name, err)
 			}
+			wins[checkTraceShape(t, label+"/"+m.name, tr.Trace())]++
 			sum := sha256.Sum256([]byte(mustXML(t, plan)))
 			got[label+"/"+m.name] = planDigest{
 				XMLSHA256:    hex.EncodeToString(sum[:]),
@@ -133,6 +137,12 @@ func TestGoldenPlanDigests(t *testing.T) {
 	}
 	both("collide/n8", collidingPlatform())
 	both("collide/fleet", collidingFleet(t))
+
+	// Both sides of the trace-shape check must have been seen.
+	t.Logf("snapshot kinds planned: %v", wins)
+	if wins["grown"] == 0 || len(wins) < 2 {
+		t.Errorf("snapshot kinds planned: %v; want grown answers and others", wins)
+	}
 
 	path := filepath.Join("testdata", "plan_digests.json")
 	if *update {
@@ -163,4 +173,31 @@ func TestGoldenPlanDigests(t *testing.T) {
 			t.Errorf("%s drifted from golden:\n got  %+v\n want %+v", label, g, w)
 		}
 	}
+}
+
+// checkTraceShape holds a plan's trace to the planner's one build: a
+// replay phase — building the grown answer from its op-log prefix — appears
+// exactly when the grown answer won. It returns the winning snapshot kind.
+func checkTraceShape(t *testing.T, label string, tr *obs.PlanTrace) string {
+	t.Helper()
+	win := tr.Attrs["snapshot_win"]
+	switch win {
+	case "grown", "star", "pair", "seed":
+	default:
+		t.Errorf("%s: snapshot_win %q", label, win)
+	}
+	replay := 0
+	for _, p := range tr.Phases {
+		if p.Name == "replay" {
+			replay++
+		}
+	}
+	want := 0
+	if win == "grown" {
+		want = 1
+	}
+	if replay != want {
+		t.Errorf("%s: %d replay phases for a %q answer, want %d", label, replay, win, want)
+	}
+	return win
 }

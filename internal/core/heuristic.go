@@ -50,11 +50,14 @@ import (
 //
 // Scaling: the growth loop plans through a PlacementEvaluator, so one
 // placement step costs O(log n) instead of the Θ(n) model sweep of a naive
-// implementation, and the best deployment is recorded as a growth-op count
-// and replayed at the end instead of being cloned per improvement. The three
-// placement passes are driven by lazy heaps (gated slack, promotion power)
-// that reproduce the paper's linear scans bit-for-bit, including their
-// tie-breaking towards lower node IDs.
+// implementation. Growth builds no tree: the evaluator's node table is the
+// deployment being grown (a node's ID is its index there, the root 0), and
+// the op log records how it was reached, so the best deployment is an
+// op-log prefix. Every answer — that prefix, the seed, the star, the pair —
+// is a root plus a list of ops, built into a hierarchy once (answer). The
+// three placement passes are driven by lazy heaps (gated slack, promotion
+// power) that reproduce the paper's linear scans bit-for-bit, including
+// their tie-breaking towards lower node IDs.
 //
 // There is one planner body. It runs over a sortedPool (pool.go): the
 // sort_nodes order stored as runs of consecutive nodes sharing one
@@ -113,16 +116,6 @@ func NewHeuristic() *Heuristic { return &Heuristic{} }
 // deployments as NewHeuristic. Always plans at node granularity.
 func NewHeuristicNaive() *Heuristic { return &Heuristic{naive: true, mode: poolNodesOnly} }
 
-// NewHeuristicNodeSpace returns the planner pinned to node granularity:
-// the class collapse never engages. The differential battery uses it as the
-// reference side.
-func NewHeuristicNodeSpace() *Heuristic { return &Heuristic{mode: poolNodesOnly} }
-
-// NewHeuristicClassSpace returns the planner pinned to class granularity
-// regardless of pool size or compressibility. The differential battery uses
-// it as the subject side.
-func NewHeuristicClassSpace() *Heuristic { return &Heuristic{mode: poolClassesOnly} }
-
 // Name implements Planner.
 func (*Heuristic) Name() string { return "heuristic" }
 
@@ -148,27 +141,27 @@ func (p *Heuristic) classIndexFor(cols *platform.Columns) *ClassIndex {
 }
 
 // growthOp is one recorded growth decision: attach the node at sorted
-// position pos under agent parent, or promote node id to an agent. The best
-// deployment is a prefix of the op log, replayed after growth ends.
+// position pos under agent id, or promote server id to an agent. A
+// deployment is a root and a list of ops (answer); the grown one is a
+// prefix of the growth's op log, whose first op is the seed's server.
 type growthOp struct {
 	promote bool
-	parent  int // attach: parent agent hierarchy ID
+	id      int // attach: the parent agent's ID; promote: the server's ID
 	pos     int // attach: sorted position of the attached node
-	id      int // promote: hierarchy ID of the promoted server
 }
 
-// growth is the planner's working state: the hierarchy under construction,
-// its evaluator mirror, and the heap-backed placement indexes.
+// growth is the planner's working state: the evaluator, whose node table is
+// the deployment being grown, the op log that rebuilds it, and the
+// heap-backed placement indexes.
 type growth struct {
 	req    Request
-	h      *hierarchy.Hierarchy
 	ev     PlacementEvaluator
+	tab    *nodeTable // ev's: a node's ID is its index, the root is 0
 	target float64
 	pool   *sortedPool // positions 0 and 1 are the seed; growth consumes 2..n-1
 
-	nodes    []evalNode // driver mirror: role/degree/power/stamp per hierarchy ID
-	gateCap  []int      // per-ID supported_children at the target rate (agents)
-	agentIDs []int      // live agent IDs, ascending (pass-3 scan order)
+	gateCap  []int // per-ID supported_children at the target rate (agents)
+	agentIDs []int // live agent IDs, ascending (pass-3 scan order)
 
 	// deficient counts non-root agents with fewer than two children: zero
 	// means the current tree satisfies hierarchy.Final without an O(n) walk.
@@ -191,25 +184,18 @@ type growth struct {
 }
 
 // bestMark is the op-log prefix of the best valid deployment seen during
-// growth; the seed deployment (zero ops) is always valid.
+// growth; the seed deployment (the log's first op) is always valid.
 type bestMark struct {
 	ops    int
 	capped float64
 	nodes  int
 }
 
-func (g *growth) ensure(id int) {
-	for len(g.nodes) <= id {
-		g.nodes = append(g.nodes, evalNode{})
-		g.gateCap = append(g.gateCap, 0)
-	}
-}
-
 // registerAgent indexes a (root or promoted) agent for gated placement.
 // Call only after g.target is set. The agent's own link bandwidth governs
 // its supported_children count.
 func (g *growth) registerAgent(id int) {
-	n := &g.nodes[id]
+	n := &g.tab.nodes[id]
 	g.gateCap[id] = supportedChildren(g.req.Costs, n.bw, n.power, g.target, g.pool.n-1)
 	g.pushOpen(id)
 	// Binary-insert to keep pass 3 scanning agents in ascending ID order,
@@ -232,7 +218,7 @@ func (g *growth) registerAgent(id int) {
 // has gated capacity. The heap key is the scheduling power the agent would
 // retain with one more child — the "slack" the reference scan maximised.
 func (g *growth) pushOpen(id int) {
-	n := &g.nodes[id]
+	n := &g.tab.nodes[id]
 	if n.degree >= g.gateCap[id] {
 		return
 	}
@@ -241,45 +227,29 @@ func (g *growth) pushOpen(id int) {
 }
 
 // attach places the node at sorted position pos as a server under parent,
-// updating the hierarchy, the evaluator, and every placement index.
-func (g *growth) attach(parent, pos int) error {
+// with the next free ID, updating the evaluator and every placement index.
+func (g *growth) attach(parent, pos int) {
 	node := g.pool.at(pos)
-	id, err := g.h.AddServer(parent, node.Name, node.Power, node.LinkBandwidth)
-	if err != nil {
-		return err
-	}
+	id := len(g.tab.nodes)
 	g.ev.AddServer(id, parent, node.Power, node.LinkBandwidth)
-	g.ensure(id)
-	nodeBW := node.Link(g.req.Columns.Bandwidth)
-	g.nodes[id] = evalNode{power: node.Power, bw: nodeBW, role: roleServer, stamp: 1}
-	if g.promotable(node.Power, nodeBW) {
-		g.promo.push(heapEnt{val: node.Power, id: id, stamp: 1})
+	g.gateCap = append(g.gateCap, 0)
+	if n := &g.tab.nodes[id]; g.promotable(n.power, n.bw) {
+		g.promo.push(heapEnt{val: n.power, id: id, stamp: n.stamp})
 	}
-	p := &g.nodes[parent]
-	p.degree++
-	p.stamp++
-	if parent != g.h.Root() && p.degree == 2 {
+	if parent != 0 && g.tab.nodes[parent].degree == 2 {
 		g.deficient--
 	}
 	g.pushOpen(parent)
-	g.ops = append(g.ops, growthOp{parent: parent, pos: pos})
-	return nil
+	g.ops = append(g.ops, growthOp{id: parent, pos: pos})
 }
 
 // promote converts server id into an agent (shift_nodes).
-func (g *growth) promote(id int) error {
-	if err := g.h.PromoteToAgent(id); err != nil {
-		return err
-	}
+func (g *growth) promote(id int) {
 	g.stats.promotions++
 	g.ev.Promote(id)
-	n := &g.nodes[id]
-	n.role, n.degree = roleAgent, 0
-	n.stamp++
 	g.deficient++ // zero children until the growth loop feeds it two
 	g.registerAgent(id)
 	g.ops = append(g.ops, growthOp{promote: true, id: id})
-	return nil
 }
 
 // promotable reports whether a server of power w on a link of bandwidth bw
@@ -294,31 +264,23 @@ func (g *growth) promotable(w, bw float64) bool {
 	return calcSchPow(g.req.Costs, bw, w, 2) >= g.target
 }
 
-// seedGrowth mirrors the seed deployment (root + strongest server, sorted
-// positions 0 and 1) into a fresh growth state and indexes the root for
-// gated placement. Both placement heaps are max-heaps: pass 1 takes the
-// most slack, pass 2 the most power.
-func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float64, pool *sortedPool, rootID, firstServerID int) *growth {
-	bw := req.Columns.Bandwidth
+// seedGrowth starts growth from the seed deployment — the root (sorted
+// position 0, ID 0) and the strongest server (position 1) under it — and
+// indexes the root for gated placement. Both placement heaps are
+// max-heaps: pass 1 takes the most slack, pass 2 the most power.
+func (p *Heuristic) seedGrowth(req Request, target float64, pool *sortedPool) *growth {
+	ev := p.newEvaluator(req)
 	g := &growth{
-		req: req, h: h, ev: p.newEvaluator(req), target: target,
-		pool:  pool,
-		open:  lazyHeap{max: true},
-		promo: lazyHeap{max: true},
+		req: req, ev: ev, tab: ev.table(), target: target,
+		pool:    pool,
+		gateCap: []int{0},
+		open:    lazyHeap{max: true},
+		promo:   lazyHeap{max: true},
 	}
-	root, first := pool.at(0), pool.at(1)
-	g.ev.AddAgent(rootID, -1, root.Power, root.LinkBandwidth)
-	g.ensure(rootID)
-	g.nodes[rootID] = evalNode{power: root.Power, bw: root.Link(bw), role: roleAgent, stamp: 1}
-	g.ev.AddServer(firstServerID, rootID, first.Power, first.LinkBandwidth)
-	g.ensure(firstServerID)
-	firstBW := first.Link(bw)
-	g.nodes[firstServerID] = evalNode{power: first.Power, bw: firstBW, role: roleServer, stamp: 1}
-	g.nodes[rootID].degree = 1
-	if g.promotable(first.Power, firstBW) {
-		g.promo.push(heapEnt{val: first.Power, id: firstServerID, stamp: 1})
-	}
-	g.registerAgent(rootID)
+	root := pool.at(0)
+	ev.AddAgent(0, -1, root.Power, root.LinkBandwidth)
+	g.attach(0, 1)
+	g.registerAgent(0)
 	return g
 }
 
@@ -327,14 +289,13 @@ func (p *Heuristic) seedGrowth(req Request, h *hierarchy.Hierarchy, target float
 // iteration, so cancellation latency is one placement step.
 func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 	req := g.req
-	h := g.h
 	tr := obs.TraceFrom(ctx)
 	evalCapped := func() float64 {
 		g.stats.evaluatorOps++
 		sched, service := g.ev.Eval()
 		return req.Demand.Cap(math.Min(sched, service))
 	}
-	best := bestMark{ops: 0, capped: evalCapped(), nodes: h.Len()}
+	best := bestMark{ops: len(g.ops), capped: evalCapped(), nodes: len(g.tab.nodes)}
 
 	// The phase and the counters are flushed on every exit: an interrupted
 	// plan is the one whose trace an operator most wants to read.
@@ -365,64 +326,28 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 			break
 		}
 
-		parent, promoted, err := g.placeNext(next)
-		if err != nil {
-			return best, err
-		}
+		parent, promoted := g.placeNext(next)
 		if parent < 0 {
 			break
 		}
-		if err := g.attach(parent, next); err != nil {
-			return best, err
-		}
+		g.attach(parent, next)
 		next++
 
 		// A promoted agent must end with at least two children to satisfy
 		// the paper's shape invariant; feed it a second server immediately
 		// when available (inner while of Steps 18–24).
 		if promoted && next < n {
-			if err := g.attach(parent, next); err != nil {
-				return best, err
-			}
+			g.attach(parent, next)
 			next++
 		}
 
 		if g.deficient == 0 {
-			if cur := evalCapped(); cur > best.capped || (cur == best.capped && h.Len() < best.nodes) {
-				best = bestMark{ops: len(g.ops), capped: cur, nodes: h.Len()}
+			if cur, nodes := evalCapped(), len(g.tab.nodes); cur > best.capped || (cur == best.capped && nodes < best.nodes) {
+				best = bestMark{ops: len(g.ops), capped: cur, nodes: nodes}
 			}
 		}
 	}
 	return best, nil
-}
-
-// replay rebuilds the deployment reached after the first upto growth ops
-// (Steps 28–34 generalised — IDs are assigned sequentially, so the replay
-// reproduces the original hierarchy exactly).
-func (g *growth) replay(ctx context.Context, upto int) (*hierarchy.Hierarchy, error) {
-	defer obs.TraceFrom(ctx).Phase("replay")()
-	root, first := g.pool.at(0), g.pool.at(1)
-	replay := hierarchy.New(deploymentName(g.req))
-	replayRoot, err := replay.AddRoot(root.Name, root.Power, root.LinkBandwidth)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := replay.AddServer(replayRoot, first.Name, first.Power, first.LinkBandwidth); err != nil {
-		return nil, err
-	}
-	for _, op := range g.ops[:upto] {
-		if op.promote {
-			if err := replay.PromoteToAgent(op.id); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		nd := g.pool.at(op.pos)
-		if _, err := replay.AddServer(op.parent, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
-			return nil, err
-		}
-	}
-	return replay, nil
 }
 
 // PlanContext implements Planner; the context is polled once per growth
@@ -466,12 +391,6 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	rootBW := root.Link(bw)
 	uniform := pool.uniformLinks(bw)
 
-	h := hierarchy.New(deploymentName(req))
-	rootID, err := h.AddRoot(root.Name, root.Power, root.LinkBandwidth)
-	if err != nil {
-		return nil, err
-	}
-
 	// Steps 3–5: virtual maximum scheduling power of the best node with one
 	// child versus the servicing power of the best prospective server. Each
 	// node's own link bandwidth enters its term.
@@ -482,25 +401,20 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		minSerCV = float64(req.Demand)
 	}
 
-	firstServerID, err := h.AddServer(rootID, first.Name, first.Power, first.LinkBandwidth)
-	if err != nil {
-		return nil, err
-	}
-
 	// Step 6: agent-limited shortcut — one agent, one server. Under
 	// heterogeneous links the sorted head is no longer the best pair root
 	// (the d = n−1 ranking punishes slow links far harder than degree 1
 	// does), so the shortcut considers every pair before committing.
 	if virMaxSchPow < minSerCV {
 		if !uniform {
-			floor := req.Demand.Cap(h.Evaluate(c, bw, wapp).Rho)
-			if pr, ps, ok := bestPair(req, pool, floor); ok {
-				tr.Set("snapshot_win", "pair")
-				return buildPairNodes(p.Name(), req, pool.peek(pr), pool.peek(ps))
+			seed := model.EvaluateLinks(c, bw, wapp,
+				[]model.Agent{{Power: root.Power, Degree: 1, Bandwidth: root.LinkBandwidth}},
+				[]model.Server{{Power: first.Power, Bandwidth: first.LinkBandwidth}})
+			if pr, ps, ok := bestPair(req, pool, req.Demand.Cap(seed.Rho)); ok {
+				return p.answer(ctx, req, "pair", pool.peek, pr, []growthOp{{pos: ps}})
 			}
 		}
-		tr.Set("snapshot_win", "seed")
-		return Finalize(p.Name(), req, h)
+		return p.answer(ctx, req, "seed", pool.at, 0, []growthOp{{pos: 1}})
 	}
 
 	// The target rate used for supported_children: the best servicing power
@@ -525,7 +439,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		target = calcSchPow(c, rootBW, root.Power, 2)
 	}
 
-	g := p.seedGrowth(req, h, target, pool, rootID, firstServerID)
+	g := p.seedGrowth(req, target, pool)
 	best, err := g.run(ctx, p.Name())
 	if err != nil {
 		return nil, err
@@ -596,39 +510,57 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	if !uniform {
 		if pr, ps, ok := bestPair(req, pool, math.Max(best.capped, starCapped)); ok {
 			endSnapshots()
-			tr.Set("snapshot_win", "pair")
-			return buildPairNodes(p.Name(), req, pool.peek(pr), pool.peek(ps))
+			return p.answer(ctx, req, "pair", pool.peek, pr, []growthOp{{pos: ps}})
 		}
 	}
 	endSnapshots()
 
 	if starCapped > best.capped {
-		tr.Set("snapshot_win", "star")
-		star := hierarchy.New(deploymentName(req))
-		rootNd := pool.at(starRootPos)
-		starRoot, err := star.AddRoot(rootNd.Name, rootNd.Power, rootNd.LinkBandwidth)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if i == starRootPos {
-				continue
-			}
-			nd := pool.at(i)
-			if _, err := star.AddServer(starRoot, nd.Name, nd.Power, nd.LinkBandwidth); err != nil {
-				return nil, err
+		ops := make([]growthOp, 0, n-1)
+		for pos := range n {
+			if pos != starRootPos {
+				ops = append(ops, growthOp{pos: pos})
 			}
 		}
-		return Finalize(p.Name(), req, star)
+		return p.answer(ctx, req, "star", pool.at, starRootPos, ops)
 	}
+	// The grown tree wins: the best prefix of the op log.
+	return p.answer(ctx, req, "grown", pool.at, 0, g.ops[:best.ops])
+}
 
-	// The grown tree wins: the live hierarchy when its last state is the
-	// best, otherwise the best op-log prefix replayed.
-	tr.Set("snapshot_win", "grown")
-	if best.ops < len(g.ops) {
-		if h, err = g.replay(ctx, best.ops); err != nil {
-			return nil, err
+// answer builds the deployment a plan returns and finalizes it: the one
+// place this planner makes a hierarchy. The node at sorted position root
+// becomes the root agent, ID 0, and each op in turn attaches the node at
+// op.pos under agent op.id with the next ID, or promotes server op.id.
+// Growth assigned IDs the same way, so a prefix of its op log rebuilds the
+// tree it had reached after that prefix (Steps 28–34 generalised). node
+// names a sorted position: pool.at, or pool.peek for a pair picked deep in
+// the pool. win is the snapshot kind the trace records; building a grown
+// answer is the trace's replay phase.
+func (p *Heuristic) answer(ctx context.Context, req Request, win string, node func(pos int) platform.Node, root int, ops []growthOp) (*Plan, error) {
+	tr := obs.TraceFrom(ctx)
+	tr.Set("snapshot_win", win)
+	endBuild := func() {}
+	if win == "grown" {
+		endBuild = tr.Phase("replay")
+	}
+	h := hierarchy.New(fmt.Sprintf("%s-wapp%.3g", req.Columns.Name, req.Wapp))
+	r := node(root)
+	_, err := h.AddRoot(r.Name, r.Power, r.LinkBandwidth)
+	for _, op := range ops {
+		if err != nil {
+			break
 		}
+		if op.promote {
+			err = h.PromoteToAgent(op.id)
+			continue
+		}
+		nd := node(op.pos)
+		_, err = h.AddServer(op.id, nd.Name, nd.Power, nd.LinkBandwidth)
+	}
+	endBuild()
+	if err != nil {
+		return nil, err
 	}
 	return Finalize(p.Name(), req, h)
 }
@@ -657,20 +589,18 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 //     the move strictly improves the demand-capped throughput, evaluated
 //     with one evaluator what-if per agent. (The what-ifs pop lazy-heap
 //     state, so this scan must stay sequential.)
-func (g *growth) placeNext(next int) (parent int, promoted bool, err error) {
+func (g *growth) placeNext(next int) (parent int, promoted bool) {
 	// Pass 1: gated attachment under the agent that keeps the most slack.
-	if e, ok := g.open.peek(g.nodes, roleAgent); ok {
-		return e.id, false, nil
+	if e, ok := g.open.peek(g.tab.nodes, roleAgent); ok {
+		return e.id, false
 	}
 
 	// Pass 2 (Steps 16–17): promotion. Needs at least two unused nodes so
 	// the new agent can reach the two-children invariant.
 	if g.pool.n-next >= 2 {
-		if e, ok := g.promo.peek(g.nodes, roleServer); ok {
-			if err := g.promote(e.id); err != nil {
-				return -1, false, err
-			}
-			return e.id, true, nil
+		if e, ok := g.promo.peek(g.tab.nodes, roleServer); ok {
+			g.promote(e.id)
+			return e.id, true
 		}
 	}
 
@@ -691,11 +621,7 @@ func (g *growth) placeNext(next int) (parent int, promoted bool, err error) {
 			bestParent, bestRho = id, rho
 		}
 	}
-	return bestParent, false, nil
-}
-
-func deploymentName(req Request) string {
-	return fmt.Sprintf("%s-wapp%.3g", req.Columns.Name, req.Wapp)
+	return bestParent, false
 }
 
 // bestPair scans every one-agent/one-server pair of the pool and returns
@@ -742,18 +668,4 @@ func bestPair(req Request, pool *sortedPool, floor float64) (rootPos, servPos in
 		return am.i, top.i2, true
 	}
 	return am.i, top.i1, true
-}
-
-// buildPairNodes materialises and finalises a one-agent/one-server
-// deployment from concrete nodes.
-func buildPairNodes(name string, req Request, root, serv platform.Node) (*Plan, error) {
-	pair := hierarchy.New(deploymentName(req))
-	pairRoot, err := pair.AddRoot(root.Name, root.Power, root.LinkBandwidth)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := pair.AddServer(pairRoot, serv.Name, serv.Power, serv.LinkBandwidth); err != nil {
-		return nil, err
-	}
-	return Finalize(name, req, pair)
 }

@@ -192,8 +192,8 @@ func (r *SwapRefiner) bestMove(req Request, h *hierarchy.Hierarchy, ev *Evaluato
 		ev.AddServer(id, attachAgent, attachCand.power, attachCand.bw)
 		return h, bestRho, true
 	case dropID >= 0:
-		// Rebuild without the dropped leaf; IDs shift, so the evaluator
-		// mirror is reloaded from scratch (drops are rare and O(n)).
+		// Rebuild without the dropped leaf; IDs shift, so the evaluator's
+		// table is reloaded from scratch (drops are rare and O(n)).
 		newH := rebuildWithout(h, dropID)
 		ev.Reset()
 		LoadHierarchy(ev, newH)
