@@ -89,13 +89,22 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 		t.Errorf("%s: naive-evaluator plan rho %.12g != incremental %.12g", label, np.Eval.Rho, hp.Eval.Rho)
 	}
 
-	// 6. The swap refiner never loses throughput.
+	// 6. The swap refiner never loses to the plain heuristic, in the
+	// portfolio's order (throughput, then fewer nodes), and answers under
+	// its own name.
 	rp, err := (&core.SwapRefiner{}).PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("%s: swap: %v", label, err)
 	}
 	if rp.Capped < hp.Capped {
 		t.Errorf("%s: swap-refined capped %.9g below plain %.9g", label, rp.Capped, hp.Capped)
+	}
+	if hp.Beats(rp) {
+		t.Errorf("%s: plain heuristic (capped %.9g, %d nodes) beats swap-refined (capped %.9g, %d nodes)",
+			label, hp.Capped, hp.NodesUsed, rp.Capped, rp.NodesUsed)
+	}
+	if rp.Planner != "heuristic+swap" {
+		t.Errorf("%s: swap-refined plan labelled %q", label, rp.Planner)
 	}
 
 	// 7. Class-collapse invariants: expand(collapse(pool)) preserves the

@@ -183,6 +183,28 @@ func TestSwapRefinerClosesTheGap(t *testing.T) {
 	}
 }
 
+// TestSwapRefinerNamesItsPlan: on a homogeneous 10-node pool at DGEMM 310
+// no move improves Algorithm 1's plan, so the refiner returns that plan —
+// under its own name, since it is the heuristic+swap planner's answer.
+func TestSwapRefinerNamesItsPlan(t *testing.T) {
+	req := testRequest(t, 10, 400, 310)
+	heur, err := core.NewHeuristic().PlanContext(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := (&core.SwapRefiner{}).PlanContext(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.Planner != "heuristic+swap" {
+		t.Errorf("refined plan is labelled %q, want heuristic+swap", refined.Planner)
+	}
+	if refined.Capped != heur.Capped || refined.NodesUsed != heur.NodesUsed {
+		t.Errorf("refined plan (capped %g, %d nodes) is not Algorithm 1's (capped %g, %d nodes)",
+			refined.Capped, refined.NodesUsed, heur.Capped, heur.NodesUsed)
+	}
+}
+
 func TestHeuristicPlanIsValidAndWithinPlatform(t *testing.T) {
 	p, err := platform.Generate(platform.GenSpec{
 		Name: "gen", N: 60, Bandwidth: 100, MinPower: 50, MaxPower: 800, Seed: 42,

@@ -135,6 +135,14 @@ func (p *Plan) XML() (string, error) {
 	return p.Hierarchy.MarshalXMLString()
 }
 
+// Beats reports whether p comes before q in the portfolio's order: a
+// strictly higher demand-capped throughput or, at equal throughput,
+// strictly fewer nodes (the paper's "preferring the deployment using the
+// fewest resources").
+func (p *Plan) Beats(q *Plan) bool {
+	return p.Capped > q.Capped || (p.Capped == q.Capped && p.NodesUsed < q.NodesUsed)
+}
+
 // Summary renders a one-line description for reports.
 func (p *Plan) Summary() string {
 	s := p.Hierarchy.ComputeStats()

@@ -32,8 +32,11 @@ import (
 //     agent, after which attaching freed pool nodes is the move that
 //     escapes the small-deployment basin.
 //
-// The refiner only ever improves the demand-capped throughput; when no
-// move improves it the input plan is returned unchanged.
+// The refiner owns the plan it refines: it plans Algorithm 1 itself and
+// edits that tree in place. It returns the refined plan only when the
+// finalized plan beats Algorithm 1's in the portfolio's order (Plan.Beats);
+// otherwise it returns Algorithm 1's plan, under its own name. The loop is
+// bounded by two rounds per pool node and polls ctx once a round.
 //
 // Every candidate move is scored with one O(log n) evaluator what-if
 // (RhoAfterSwap / RhoAfterReback / RhoAfterDrop) instead of the clone +
@@ -45,36 +48,24 @@ type SwapRefiner struct{}
 // Name implements Planner.
 func (*SwapRefiner) Name() string { return "heuristic+swap" }
 
-// PlanContext implements Planner: the heuristic's plan, refined. The
+// PlanContext implements Planner: Algorithm 1's plan, refined. The
 // request is resolved once, here, for both.
 func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, error) {
 	req, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	endInner := obs.TraceFrom(ctx).Phase("inner_plan")
+	tr := obs.TraceFrom(ctx)
+	endInner := tr.Phase("inner_plan")
 	plan, err := NewHeuristic().PlanContext(ctx, req)
 	endInner()
 	if err != nil {
 		return nil, err
 	}
-	return r.Refine(ctx, req, plan)
-}
-
-// Refine runs the improvement loop on a finished plan for req — the
-// heuristic's, or one the caller already holds — and returns the refined
-// plan, or plan itself when no move improves it. plan is not modified. The
-// loop is bounded by two rounds per pool node and polls ctx once a round.
-func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Plan, error) {
-	req, err := req.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.TraceFrom(ctx)
-	h := plan.Hierarchy.Clone()
+	h := plan.Hierarchy
 	ev := NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
 	LoadHierarchy(ev, h)
-	bestCapped := plan.Capped
+	capped := plan.Capped
 
 	moves := int64(0)
 	endRefine := tr.Phase("refine")
@@ -83,21 +74,29 @@ func (r *SwapRefiner) Refine(ctx context.Context, req Request, plan *Plan) (*Pla
 		if err := CheckContext(ctx, r.Name()); err != nil {
 			return nil, err
 		}
-		newH, newCapped, ok := r.bestMove(req, h, ev, bestCapped)
+		newH, newCapped, ok := r.bestMove(req, h, ev, capped)
 		if !ok {
 			break
 		}
-		h = newH
-		bestCapped = newCapped
+		h, capped = newH, newCapped
 		moves++
 	}
 	endRefine()
 	tr.Count("refine_rounds", int64(round))
 	tr.Count("refine_moves", moves)
-	if moves == 0 || bestCapped <= plan.Capped {
-		return plan, nil
+	if moves > 0 {
+		refined, err := Finalize(r.Name(), req, h)
+		if err != nil || refined.Beats(plan) {
+			return refined, err
+		}
+		// The moves edited Algorithm 1's tree in place and the evaluator's
+		// gain did not survive the model's evaluation: plan it again.
+		if plan, err = NewHeuristic().PlanContext(ctx, req); err != nil {
+			return nil, err
+		}
 	}
-	return Finalize(r.Name(), req, h)
+	plan.Planner = r.Name()
+	return plan, nil
 }
 
 // bestMove scores every swap and drop candidate with an evaluator what-if

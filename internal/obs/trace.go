@@ -209,7 +209,7 @@ func TraceFrom(ctx context.Context) *TraceRecorder {
 }
 
 // DetachTrace masks any recorder attached to ctx. Portfolio variants
-// run under a detached context so that five planners' inner phases don't
+// run under a detached context so that the planners' inner phases don't
 // pile up under the same names in the request's recorder — the portfolio
 // records per-variant summaries itself.
 func DetachTrace(ctx context.Context) context.Context {

@@ -99,6 +99,34 @@ func TestGoldenPortfolioDigests(t *testing.T) {
 	}
 }
 
+// TestPortfolioRowsCanWin makes every row pay rent: each variant the
+// portfolio reports must be the recorded winner of at least one
+// portfolio_digests.json fixture: a row that never wins only costs time.
+func TestPortfolioRowsCanWin(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "portfolio_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixtures map[string]portfolioDigest
+	if err := json.Unmarshal(data, &fixtures); err != nil {
+		t.Fatal(err)
+	}
+	wins := map[string]int{}
+	for _, d := range fixtures {
+		wins[d.Winner]++
+	}
+	req := corpusRequest(t, scenario.Spec{Family: scenario.Bimodal, N: 4, Seed: 7}, workload.DGEMM{N: 100}.MFlop())
+	_, stats, err := portfolio.New().PlanWithStats(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stats {
+		if wins["portfolio:"+st.Variant] == 0 {
+			t.Errorf("row %q wins none of the %d recorded fixtures (winners: %v)", st.Variant, len(fixtures), wins)
+		}
+	}
+}
+
 func digestOf(t *testing.T, plan *core.Plan) portfolioDigest {
 	t.Helper()
 	xml, err := plan.XML()

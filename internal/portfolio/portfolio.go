@@ -1,25 +1,26 @@
 // Package portfolio runs several deployment planners over the same
 // request and returns the best plan, in the spirit of algorithm-portfolio
-// schedulers: Algorithm 1 is strongest on scheduling-rich heterogeneous
-// pools, the swap refinement wins when powerful nodes should serve rather
-// than schedule, the flat star occasionally beats both on tiny or
-// agent-limited pools, the complete-spanning-d-ary search of [10] dominates
+// schedulers: Algorithm 1, refined by the swap refiner, is strongest on
+// heterogeneous pools, the complete-spanning-d-ary search of [10] dominates
 // on homogeneous clusters, and the exhaustive search is the ground truth on
 // very small pools. No single planner wins everywhere; the portfolio takes
 // the per-request maximum, so its predicted throughput is ≥ every member's
 // on every platform — a property the test suite enforces across the whole
-// scenario corpus.
+// scenario corpus, against the plain heuristic and the star as well.
+// Neither of those two is a row, because neither can win: the refiner
+// returns Algorithm 1's plan unless its own beats it, and Algorithm 1
+// scores the full star itself, so a star is never ahead on throughput and,
+// using every node, never ahead on a tie.
 //
 // The portfolio is a sequential fold over a fixed table, on the caller's
 // goroutine: every eligible variant runs, in table order, and the
-// incumbent is replaced only by a plan with a strictly higher
-// demand-capped throughput or, at equal throughput, strictly fewer nodes
-// (the paper's "preferring the deployment using the fewest resources"),
-// so table position breaks exact ties. The answer is therefore a function
-// of the request alone. The fold is all-or-nothing: a context that fires
-// before the last eligible variant has finished yields the context's
-// error, never the best plan so far — a caller may cache the answer under
-// the request's address.
+// incumbent is replaced only by a plan that beats it (core.Plan.Beats: a
+// strictly higher demand-capped throughput or, at equal throughput,
+// strictly fewer nodes), so table position breaks exact ties. The answer
+// is therefore a function of the request alone. The fold is
+// all-or-nothing: a context that fires before the last eligible variant
+// has finished yields the context's error, never the best plan so far — a
+// caller may cache the answer under the request's address.
 package portfolio
 
 import (
@@ -46,8 +47,6 @@ type variant struct {
 // exhaustive enumeration's Θ(n·nⁿ) latency (seconds and up) buys nothing.
 var table = [...]variant{
 	{name: "heuristic+swap", planner: &core.SwapRefiner{}},
-	{name: "heuristic", planner: core.NewHeuristic()},
-	{name: "star", planner: &baseline.Star{}},
 	{name: "homogeneous", planner: &baseline.OptimalDAry{}},
 	{name: "exhaustive", planner: &baseline.Exhaustive{}, maxNodes: 6},
 }
@@ -66,8 +65,8 @@ type Result struct {
 	Rho       float64 `json:"rho,omitempty"`
 	Capped    float64 `json:"capped,omitempty"`
 	NodesUsed int     `json:"nodes_used,omitempty"`
-	// ElapsedMS is the wall time the variant would have taken alone:
-	// Algorithm 1's time is counted on both rows built on its plan.
+	// ElapsedMS is the variant's wall time: the heuristic+swap row's
+	// includes Algorithm 1, which it plans itself.
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
@@ -98,17 +97,11 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 		return nil, nil, err
 	}
 	tr := obs.TraceFrom(ctx)
-	// Variants get a detached trace context: five planners' inner phases
+	// Variants get a detached trace context: the planners' inner phases
 	// (sort_nodes, grow, ...) under the same names would say nothing about
 	// the request. The portfolio reports per-variant spans instead.
 	variantCtx := obs.DetachTrace(ctx)
 	defer tr.Phase("race")()
-
-	// Algorithm 1 is planned once: the heuristic row reports its plan and
-	// the heuristic+swap row refines it.
-	var base *core.Plan
-	var baseErr error
-	baseMS := timed(func() { base, baseErr = core.NewHeuristic().PlanContext(variantCtx, req) })
 
 	results := make([]Result, len(table))
 	var errs []string
@@ -123,16 +116,7 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 		}
 		var plan *core.Plan
 		var err error
-		switch planner := v.planner.(type) {
-		case *core.Heuristic:
-			plan, err, r.ElapsedMS = base, baseErr, baseMS
-		case *core.SwapRefiner:
-			if err = baseErr; err == nil {
-				r.ElapsedMS = baseMS + timed(func() { plan, err = planner.Refine(variantCtx, req, base) })
-			}
-		default:
-			r.ElapsedMS = timed(func() { plan, err = v.planner.PlanContext(variantCtx, req) })
-		}
+		r.ElapsedMS = timed(func() { plan, err = v.planner.PlanContext(variantCtx, req) })
 		// All or nothing: the best of the variants that happened to finish
 		// is not the answer to the request (and a dead context never
 		// produces a plan).
@@ -145,8 +129,7 @@ func (p *Planner) PlanWithStats(ctx context.Context, req core.Request) (*core.Pl
 			continue
 		}
 		r.Rho, r.Capped, r.NodesUsed = plan.Eval.Rho, plan.Capped, plan.NodesUsed
-		if best == nil || plan.Capped > best.Capped ||
-			(plan.Capped == best.Capped && plan.NodesUsed < best.NodesUsed) {
+		if best == nil || plan.Beats(best) {
 			best, winner = plan, i
 		}
 	}
