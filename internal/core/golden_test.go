@@ -19,7 +19,7 @@ import (
 	"adept/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/plan_digests.json from the current planner output")
+var update = flag.Bool("update", false, "rewrite the golden digests under testdata from the current planner output")
 
 // planDigest is the absolute pin on one plan: the XML bytes, the predicted
 // throughput bit for bit, and which granularity planned it.
