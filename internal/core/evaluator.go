@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"adept/internal/hierarchy"
 	"adept/internal/model"
 )
 
@@ -15,14 +14,14 @@ import (
 //
 //   - Eval: the current ρ_sched / ρ_service of the recorded deployment;
 //   - what-ifs (RhoAfter*): the demand-uncapped ρ the deployment would have
-//     after a speculative placement or node swap, WITHOUT mutating state.
+//     after one speculative attach, swap or drop, WITHOUT mutating state.
 //
-// Node ids are the caller's dense identifiers (hierarchy node IDs for the
-// growth planners, pool indices for enumerators). Two implementations
-// exist: the incremental Evaluator (O(1)–O(log n) per operation, the
-// production engine) and the NaiveEvaluator reference (full recompute per
-// query, the pre-refactor cost profile) retained for property/fuzz tests
-// and benchmarks. Both keep their record through the same nodeTable, so
+// Node ids are the caller's dense identifiers, parents before children:
+// the ID a node has in the deployment its owner builds (growth, the swap
+// refiner's record). Two implementations exist: the incremental Evaluator
+// (O(1)–O(log n) per operation, the production engine) and the
+// NaiveEvaluator reference (full recompute per query, the pre-refactor
+// cost profile) retained for property/fuzz tests and benchmarks. Both keep their record through the same nodeTable, so
 // the two agree on it field for field, stamps included.
 // Per-node link bandwidths: every placement primitive carries the backing
 // node's link bandwidth alongside its power (zero = the platform default
@@ -38,8 +37,8 @@ type PlacementEvaluator interface {
 	AddServer(id, parent int, power, linkBW float64)
 	// Promote converts server id into a childless agent (shift_nodes).
 	Promote(id int)
-	// SetBacking re-backs node id with a different physical node (the swap
-	// refiner's primitive), keeping its role and degree.
+	// SetBacking re-backs node id with a different physical node (one half
+	// of the swap refiner's exchange), keeping its role and degree.
 	SetBacking(id int, power, linkBW float64)
 	// Eval returns the current ρ_sched and ρ_service (Eqs. 14–15);
 	// ρ = min of the two. A deployment with no servers evaluates to (0, 0),
@@ -48,10 +47,6 @@ type PlacementEvaluator interface {
 	// RhoAfterAttach returns the ρ the deployment would have with one more
 	// server of the given power and link attached under agent parent.
 	RhoAfterAttach(parent int, power, linkBW float64) float64
-	// RhoAfterReback returns the ρ the deployment would have with agent id
-	// re-backed by a node of the given power and link (the old backing
-	// leaves).
-	RhoAfterReback(agentID int, power, linkBW float64) float64
 	// RhoAfterSwap returns the ρ the deployment would have after agent and
 	// server exchange backing nodes (powers and links travel together).
 	RhoAfterSwap(agentID, serverID int) float64
@@ -277,8 +272,8 @@ func (h *lazyHeap) reset() { h.ents = h.ents[:0] }
 // bandwidth) and the bandwidth heap is constant, so results are
 // bit-identical to the pre-heterogeneous evaluator.
 //
-// An Evaluator records exactly the mutations its owner applies; use
-// LoadHierarchy to record an existing tree wholesale.
+// An Evaluator records exactly the mutations its owner applies: a
+// deployment is recorded node by node, parents first.
 type Evaluator struct {
 	costs model.Costs
 	wapp  float64
@@ -462,16 +457,6 @@ func (e *Evaluator) RhoAfterAttach(parent int, power, linkBW float64) float64 {
 	return math.Min(sched, service)
 }
 
-// RhoAfterReback implements PlacementEvaluator.
-func (e *Evaluator) RhoAfterReback(agentID int, power, linkBW float64) float64 {
-	bw := e.link(linkBW)
-	a := e.nodes[agentID]
-	thr := model.AgentThroughput(e.costs, bw, power, a.degree)
-	sched := e.schedWith(agentID, thr, e.minServerPred(-1))
-	service := serviceFromAggregates(e.costs, e.minServerBW(-1), e.wapp, e.nServers, e.serverSum())
-	return math.Min(sched, service)
-}
-
 // RhoAfterSwap implements PlacementEvaluator.
 func (e *Evaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	a, s := e.nodes[agentID], e.nodes[serverID]
@@ -493,17 +478,4 @@ func (e *Evaluator) RhoAfterDrop(serverID, parentID int) float64 {
 	sched := e.schedWith(parentID, thr, e.minServerPred(serverID))
 	service := serviceFromAggregates(e.costs, e.minServerBW(serverID), e.wapp, e.nServers-1, e.serverSum()-s.power)
 	return math.Min(sched, service)
-}
-
-// LoadHierarchy records an existing hierarchy in an evaluator (nodes fed
-// in ID order, so parents always precede children). Planners that refine a
-// finished plan (the swap refiner) start here instead of replaying growth.
-func LoadHierarchy(ev PlacementEvaluator, h *hierarchy.Hierarchy) {
-	for _, n := range h.Nodes() {
-		if n.Role == hierarchy.RoleAgent {
-			ev.AddAgent(n.ID, n.Parent, n.Power, n.Bandwidth)
-		} else {
-			ev.AddServer(n.ID, n.Parent, n.Power, n.Bandwidth)
-		}
-	}
 }

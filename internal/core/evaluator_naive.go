@@ -141,14 +141,6 @@ func (e *NaiveEvaluator) RhoAfterAttach(parent int, power, linkBW float64) float
 	return math.Min(sched, service)
 }
 
-// RhoAfterReback implements PlacementEvaluator.
-func (e *NaiveEvaluator) RhoAfterReback(agentID int, power, linkBW float64) float64 {
-	ov := noOverride
-	ov.agentID, ov.agentPower, ov.agentBW = agentID, power, e.link(linkBW)
-	sched, service := e.sweep(ov)
-	return math.Min(sched, service)
-}
-
 // RhoAfterSwap implements PlacementEvaluator.
 func (e *NaiveEvaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	ov := noOverride

@@ -63,8 +63,15 @@ func planInvariants(t *testing.T, req core.Request, label string) {
 	// finished deployment and on a speculative what-if.
 	inc := core.NewEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
 	naive := core.NewNaiveEvaluator(req.Costs, req.Platform.Bandwidth, req.Wapp)
-	core.LoadHierarchy(inc, hp.Hierarchy)
-	core.LoadHierarchy(naive, hp.Hierarchy)
+	for _, ev := range []core.PlacementEvaluator{inc, naive} {
+		for _, n := range hp.Hierarchy.Nodes() {
+			if n.Role == hierarchy.RoleAgent {
+				ev.AddAgent(n.ID, n.Parent, n.Power, n.Bandwidth)
+			} else {
+				ev.AddServer(n.ID, n.Parent, n.Power, n.Bandwidth)
+			}
+		}
+	}
 	is, iv := inc.Eval()
 	ns, nv := naive.Eval()
 	if !relClose(is, ns, 1e-9) || !relClose(iv, nv, 1e-9) {

@@ -53,11 +53,12 @@ import (
 // implementation. Growth builds no tree: the evaluator's node table is the
 // deployment being grown (a node's ID is its index there, the root 0), and
 // the op log records how it was reached, so the best deployment is an
-// op-log prefix. Every answer — that prefix, the seed, the star, the pair —
-// is a root plus a list of ops, built into a hierarchy once (answer). The
-// three placement passes are driven by lazy heaps (gated slack, promotion
-// power) that reproduce the paper's linear scans bit-for-bit, including
-// their tie-breaking towards lower node IDs.
+// op-log prefix. Every answer in the core — that prefix, the seed, the
+// star, the pair, and the swap refiner's — is a root column plus a list of
+// ops in ID order, built into a hierarchy once, by one builder (build).
+// The three placement passes are driven by lazy heaps (gated slack,
+// promotion power) that reproduce the paper's linear scans bit-for-bit,
+// including their tie-breaking towards lower node IDs.
 //
 // There is one planner body. It runs over a sortedPool (pool.go): the
 // sort_nodes order stored as runs of consecutive nodes sharing one
@@ -140,14 +141,14 @@ func (p *Heuristic) classIndexFor(cols *platform.Columns) *ClassIndex {
 	return nil
 }
 
-// growthOp is one recorded growth decision: attach the node at sorted
-// position pos under agent id, or promote server id to an agent. A
-// deployment is a root and a list of ops (answer); the grown one is a
-// prefix of the growth's op log, whose first op is the seed's server.
+// growthOp is one recorded growth decision: attach the node at column col
+// under agent id, or promote server id to an agent. A deployment is a root
+// column and a list of ops (build); the grown one is a prefix of the
+// growth's op log, whose first op is the seed's server.
 type growthOp struct {
 	promote bool
 	id      int // attach: the parent agent's ID; promote: the server's ID
-	pos     int // attach: sorted position of the attached node
+	col     int // attach: column index of the attached node
 }
 
 // growth is the planner's working state: the evaluator, whose node table is
@@ -229,9 +230,10 @@ func (g *growth) pushOpen(id int) {
 // attach places the node at sorted position pos as a server under parent,
 // with the next free ID, updating the evaluator and every placement index.
 func (g *growth) attach(parent, pos int) {
-	node := g.pool.at(pos)
+	col := g.pool.at(pos)
+	power, link := g.pool.cols.Spec(col)
 	id := len(g.tab.nodes)
-	g.ev.AddServer(id, parent, node.Power, node.LinkBandwidth)
+	g.ev.AddServer(id, parent, power, link)
 	g.gateCap = append(g.gateCap, 0)
 	if n := &g.tab.nodes[id]; g.promotable(n.power, n.bw) {
 		g.promo.push(heapEnt{val: n.power, id: id, stamp: n.stamp})
@@ -240,7 +242,7 @@ func (g *growth) attach(parent, pos int) {
 		g.deficient--
 	}
 	g.pushOpen(parent)
-	g.ops = append(g.ops, growthOp{id: parent, pos: pos})
+	g.ops = append(g.ops, growthOp{id: parent, col: col})
 }
 
 // promote converts server id into an agent (shift_nodes).
@@ -277,8 +279,8 @@ func (p *Heuristic) seedGrowth(req Request, target float64, pool *sortedPool) *g
 		open:    lazyHeap{max: true},
 		promo:   lazyHeap{max: true},
 	}
-	root := pool.at(0)
-	ev.AddAgent(0, -1, root.Power, root.LinkBandwidth)
+	power, link := pool.cols.Spec(pool.at(0))
+	ev.AddAgent(0, -1, power, link)
 	g.attach(0, 1)
 	g.registerAgent(0)
 	return g
@@ -384,18 +386,18 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		pool = newNodePool(c, req.Columns, borrowScratch(ctx))
 		defer pool.release()
 	}
-	root, first := pool.at(0), pool.at(1)
+	root, first := &pool.runs[0], &pool.runs[pool.runOf(1)]
 	endSort()
 	n := pool.n
 	tr.Count("pool_nodes", int64(n))
-	rootBW := root.Link(bw)
+	rootBW := root.bw(bw)
 	uniform := pool.uniformLinks(bw)
 
 	// Steps 3–5: virtual maximum scheduling power of the best node with one
 	// child versus the servicing power of the best prospective server. Each
 	// node's own link bandwidth enters its term.
-	virMaxSchPow := calcSchPow(c, rootBW, root.Power, 1)
-	virMaxSerPow := calcHierSerPow(c, first.Link(bw), wapp, []float64{first.Power})
+	virMaxSchPow := calcSchPow(c, rootBW, root.power, 1)
+	virMaxSerPow := calcHierSerPow(c, first.bw(bw), wapp, []float64{first.power})
 	minSerCV := virMaxSerPow
 	if req.Demand.Bounded() && float64(req.Demand) < minSerCV {
 		minSerCV = float64(req.Demand)
@@ -408,13 +410,13 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	if virMaxSchPow < minSerCV {
 		if !uniform {
 			seed := model.EvaluateLinks(c, bw, wapp,
-				[]model.Agent{{Power: root.Power, Degree: 1, Bandwidth: root.LinkBandwidth}},
-				[]model.Server{{Power: first.Power, Bandwidth: first.LinkBandwidth}})
+				[]model.Agent{{Power: root.power, Degree: 1, Bandwidth: root.link}},
+				[]model.Server{{Power: first.power, Bandwidth: first.link}})
 			if pr, ps, ok := bestPair(req, pool, req.Demand.Cap(seed.Rho)); ok {
-				return p.answer(ctx, req, "pair", pool.peek, pr, []growthOp{{pos: ps}})
+				return p.answer(ctx, req, "pair", pool.peek(pr), []growthOp{{col: pool.peek(ps)}})
 			}
 		}
-		return p.answer(ctx, req, "seed", pool.at, 0, []growthOp{{pos: 1}})
+		return p.answer(ctx, req, "seed", pool.at(0), []growthOp{{col: pool.at(1)}})
 	}
 
 	// The target rate used for supported_children: the best servicing power
@@ -436,7 +438,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	// steers construction towards the deep low-degree trees that are
 	// optimal in this regime (cf. Table 4's degree-2 row).
 	if target > virMaxSchPow {
-		target = calcSchPow(c, rootBW, root.Power, 2)
+		target = calcSchPow(c, rootBW, root.power, 2)
 	}
 
 	g := p.seedGrowth(req, target, pool)
@@ -459,7 +461,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	// guaranteed to carry the prediction minimum (the sort key mixes power
 	// and link), so scan the whole pool; on uniform platforms the minimum
 	// is exactly the old tail value.
-	starSched := math.Min(calcSchPow(c, rootBW, root.Power, n-1),
+	starSched := math.Min(calcSchPow(c, rootBW, root.power, n-1),
 		pool.poolMin(bw, func(w, nbw float64) float64 { return model.ServerPredictionThroughput(c, nbw, w) }))
 	starCapped := req.Demand.Cap(math.Min(starSched, poolService))
 	starRootPos := 0 // sorted position; 0 is the default (paper) root
@@ -510,7 +512,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	if !uniform {
 		if pr, ps, ok := bestPair(req, pool, math.Max(best.capped, starCapped)); ok {
 			endSnapshots()
-			return p.answer(ctx, req, "pair", pool.peek, pr, []growthOp{{pos: ps}})
+			return p.answer(ctx, req, "pair", pool.peek(pr), []growthOp{{col: pool.peek(ps)}})
 		}
 	}
 	endSnapshots()
@@ -519,33 +521,40 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		ops := make([]growthOp, 0, n-1)
 		for pos := range n {
 			if pos != starRootPos {
-				ops = append(ops, growthOp{pos: pos})
+				ops = append(ops, growthOp{col: pool.at(pos)})
 			}
 		}
-		return p.answer(ctx, req, "star", pool.at, starRootPos, ops)
+		return p.answer(ctx, req, "star", pool.at(starRootPos), ops)
 	}
 	// The grown tree wins: the best prefix of the op log.
-	return p.answer(ctx, req, "grown", pool.at, 0, g.ops[:best.ops])
+	return p.answer(ctx, req, "grown", pool.at(0), g.ops[:best.ops])
 }
 
-// answer builds the deployment a plan returns and finalizes it: the one
-// place this planner makes a hierarchy. The node at sorted position root
-// becomes the root agent, ID 0, and each op in turn attaches the node at
-// op.pos under agent op.id with the next ID, or promotes server op.id.
-// Growth assigned IDs the same way, so a prefix of its op log rebuilds the
-// tree it had reached after that prefix (Steps 28–34 generalised). node
-// names a sorted position: pool.at, or pool.peek for a pair picked deep in
-// the pool. win is the snapshot kind the trace records; building a grown
-// answer is the trace's replay phase.
-func (p *Heuristic) answer(ctx context.Context, req Request, win string, node func(pos int) platform.Node, root int, ops []growthOp) (*Plan, error) {
+// answer builds the deployment a plan returns: win is the snapshot kind
+// the trace records, and building a grown answer is the trace's replay
+// phase.
+func (p *Heuristic) answer(ctx context.Context, req Request, win string, root int, ops []growthOp) (*Plan, error) {
 	tr := obs.TraceFrom(ctx)
 	tr.Set("snapshot_win", win)
 	endBuild := func() {}
 	if win == "grown" {
 		endBuild = tr.Phase("replay")
 	}
-	h := hierarchy.New(fmt.Sprintf("%s-wapp%.3g", req.Columns.Name, req.Wapp))
-	r := node(root)
+	defer endBuild()
+	return build(p.Name(), req, root, ops)
+}
+
+// build makes the hierarchy a deployment's record describes — the one
+// place the core makes one — and finalizes it as planner name's plan. The
+// node at column root becomes the root agent, ID 0, and each op in turn
+// attaches the node at column op.col under agent op.id with the next ID,
+// or promotes server op.id. Growth assigned IDs the same way, so a prefix
+// of its op log rebuilds the tree it had reached after that prefix (Steps
+// 28–34 generalised). A node is named here, when it is deployed.
+func build(name string, req Request, root int, ops []growthOp) (*Plan, error) {
+	cols := req.Columns
+	h := hierarchy.New(fmt.Sprintf("%s-wapp%.3g", cols.Name, req.Wapp))
+	r := cols.Node(root)
 	_, err := h.AddRoot(r.Name, r.Power, r.LinkBandwidth)
 	for _, op := range ops {
 		if err != nil {
@@ -555,14 +564,13 @@ func (p *Heuristic) answer(ctx context.Context, req Request, win string, node fu
 			err = h.PromoteToAgent(op.id)
 			continue
 		}
-		nd := node(op.pos)
+		nd := cols.Node(op.col)
 		_, err = h.AddServer(op.id, nd.Name, nd.Power, nd.LinkBandwidth)
 	}
-	endBuild()
 	if err != nil {
 		return nil, err
 	}
-	return Finalize(p.Name(), req, h)
+	return Finalize(name, req, h)
 }
 
 // placeNext decides where the node at sorted position next goes. It returns
@@ -611,13 +619,13 @@ func (g *growth) placeNext(next int) (parent int, promoted bool) {
 	g.stats.evaluatorOps++
 	sched, service := g.ev.Eval()
 	cur := g.req.Demand.Cap(math.Min(sched, service))
-	nextNode := g.pool.at(next)
+	power, link := g.pool.cols.Spec(g.pool.at(next))
 	bestParent := -1
 	bestRho := cur
 	g.stats.candidateScans += int64(len(g.agentIDs))
 	g.stats.evaluatorOps += int64(len(g.agentIDs))
 	for _, id := range g.agentIDs {
-		if rho := g.req.Demand.Cap(g.ev.RhoAfterAttach(id, nextNode.Power, nextNode.LinkBandwidth)); rho > bestRho {
+		if rho := g.req.Demand.Cap(g.ev.RhoAfterAttach(id, power, link)); rho > bestRho {
 			bestParent, bestRho = id, rho
 		}
 	}

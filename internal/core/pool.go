@@ -27,17 +27,18 @@ import (
 // (golden_test.go) hold both constructors to byte-identical plans.
 //
 // At either granularity the pool is a permutation of int32 indices into
-// the request's columns, and an index becomes a platform.Node — a name —
-// only when at or peek hands that node to the planner. The ranking itself
-// is no comparison sort: Columns.RankDesc radix-sorts the nodes' keys (a
-// few passes over an array of bits, whatever the pool's order) and
-// platform.RankDesc the classes'. Wherever sort_nodes breaks a tie by name
-// (the ranking of nodes that share a sort key, the order members of a run
-// are spent in, the interleaving of classes that share a sort key) the
-// pool asks the columns' name order, never the index: over generated names
-// the two part ways at 10 000 nodes, where "pool-10000" sorts between
-// "pool-1000" and "pool-1001" (columndiff_test.go plans across that edge
-// against the materialised platform).
+// the request's columns. at and peek hand the planner a column index, and
+// an index becomes a platform.Node — a name — only when the plan deploys
+// that node (build). The ranking itself is no comparison sort:
+// Columns.RankDesc radix-sorts the nodes' keys (a few passes over an array
+// of bits, whatever the pool's order) and platform.RankDesc the classes'.
+// Wherever sort_nodes breaks a tie by name (the ranking of nodes that
+// share a sort key, the order members of a run are spent in, the
+// interleaving of classes that share a sort key) the pool asks the
+// columns' name order, never the index: over generated names the two part
+// ways at 10 000 nodes, where "pool-10000" sorts between "pool-1000" and
+// "pool-1001" (columndiff_test.go plans across that edge against the
+// materialised platform).
 
 // run is a maximal block of the sorted pool sharing one spec.
 type run struct {
@@ -76,9 +77,10 @@ type sortedPool struct {
 	// order[start:start+count], spent in ascending name order by at and
 	// peek whatever order they are stored in.
 	order []int32
-	// nodes is the materialised prefix of the sorted expansion: a plan that
-	// deploys a few hundred of a million nodes never names the rest.
-	nodes []platform.Node
+	// prefix is the materialised prefix of the sorted expansion, as column
+	// indices: a plan that deploys a few hundred of a million nodes never
+	// spends the rest.
+	prefix []int32
 	// loaded counts the runs whose members have been loaded for spending:
 	// spend holds the current run's members, and heap spends them in
 	// ascending name order (see heapInit).
@@ -217,10 +219,11 @@ func (sp *sortedPool) members(j int) []int32 {
 	return sp.order[r.start : r.start+r.count]
 }
 
-// at returns the node at sorted position i, materialising the expansion up
-// to it: runs in order, each run's members in ascending name order.
-func (sp *sortedPool) at(i int) platform.Node {
-	for i >= len(sp.nodes) {
+// at returns the column index of the node at sorted position i,
+// materialising the expansion up to it: runs in order, each run's members
+// in ascending name order.
+func (sp *sortedPool) at(i int) int {
+	for i >= len(sp.prefix) {
 		for len(sp.heap) == 0 {
 			sp.spend, sp.cuts = sp.members(sp.loaded), nil
 			if len(sp.spend) > 1 {
@@ -239,20 +242,25 @@ func (sp *sortedPool) at(i int) platform.Node {
 			sp.heapInit()
 			sp.loaded++
 		}
-		sp.nodes = append(sp.nodes, sp.cols.Node(int(sp.heapPop())))
+		sp.prefix = append(sp.prefix, sp.heapPop())
 	}
-	return sp.nodes[i]
+	return int(sp.prefix[i])
 }
 
-// peek returns the node at a candidate position (a run's first or second
-// member) without materialising the expansion before it: the pair snapshot
-// may pick a node deep in the pool, and naming a million nodes to reach it
-// would cost more than the plan.
-func (sp *sortedPool) peek(pos int) platform.Node {
-	if pos < len(sp.nodes) {
-		return sp.nodes[pos]
+// runOf returns the run holding sorted position pos.
+func (sp *sortedPool) runOf(pos int) int {
+	return sort.Search(len(sp.runs), func(j int) bool { return sp.runs[j].start > pos }) - 1
+}
+
+// peek returns the column index of the node at a candidate position (a
+// run's first or second member) without materialising the expansion
+// before it: the pair snapshot may pick a node deep in the pool, and
+// spending a million nodes to reach it would cost more than the plan.
+func (sp *sortedPool) peek(pos int) int {
+	if pos < len(sp.prefix) {
+		return int(sp.prefix[pos])
 	}
-	j := sort.Search(len(sp.runs), func(j int) bool { return sp.runs[j].start > pos }) - 1
+	j := sp.runOf(pos)
 	first, second := int32(-1), int32(-1)
 	for _, m := range sp.members(j) {
 		switch {
@@ -265,7 +273,7 @@ func (sp *sortedPool) peek(pos int) platform.Node {
 	if pos > sp.runs[j].start {
 		first = second
 	}
-	return sp.cols.Node(int(first))
+	return int(first)
 }
 
 // uniformLinks is Platform.HasUniformLinks computed over runs.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"adept/internal/hierarchy"
 	"adept/internal/obs"
@@ -10,14 +11,12 @@ import (
 // SwapRefiner is a post-planning local-search extension (beyond the paper's
 // Algorithm 1, in the direction its future-work section sketches): it takes
 // Algorithm 1's finished plan and repeatedly applies the best strictly
-// improving move from three families, keeping the tree shape otherwise
-// fixed:
+// improving move from three families:
 //
-//   - swap: re-back an agent with a weaker node (a deployed server — the
-//     two exchange backings — or an unused pool node). On service-limited
-//     deployments this releases powerful nodes from scheduling duty back
-//     into serving, which Algorithm 1 cannot do because it always drafts
-//     the most powerful nodes as agents first.
+//   - swap: an agent and a weaker deployed server exchange backings. On
+//     service-limited deployments this releases powerful nodes from
+//     scheduling duty back into serving, which Algorithm 1 cannot do
+//     because it always drafts the most powerful nodes as agents first.
 //   - drop: remove a weak leaf server. Every server pays the Wpre
 //     prediction cost on every request and the weakest server can carry
 //     the prediction bottleneck (Eq. 14), so on hub-dominated pools
@@ -32,14 +31,16 @@ import (
 //     agent, after which attaching freed pool nodes is the move that
 //     escapes the small-deployment basin.
 //
-// The refiner owns the plan it refines: it plans Algorithm 1 itself and
-// edits that tree in place. It returns the refined plan only when the
-// finalized plan beats Algorithm 1's in the portfolio's order (Plan.Beats);
-// otherwise it returns Algorithm 1's plan, under its own name. The loop is
-// bounded by two rounds per pool node and polls ctx once a round.
+// The refiner plans Algorithm 1 itself and never edits that plan's tree:
+// it refines its own record of the deployment (refinement) and builds the
+// refined tree once, with the builder of every Algorithm 1 answer. It
+// returns the refined plan only when that plan beats Algorithm 1's in the
+// portfolio's order (Plan.Beats); otherwise it returns Algorithm 1's plan
+// as it is, under its own name. The loop is bounded by two rounds per
+// pool node and polls ctx once a round.
 //
 // Every candidate move is scored with one O(log n) evaluator what-if
-// (RhoAfterSwap / RhoAfterReback / RhoAfterDrop) instead of the clone +
+// (RhoAfterSwap / RhoAfterDrop / RhoAfterAttach) instead of the clone +
 // full-model evaluation of the naive formulation; swaps never change the
 // tree shape and drops are validated by a degree check, so no
 // per-candidate validation pass is needed either.
@@ -62,9 +63,7 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	h := plan.Hierarchy
-	ev := NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
-	LoadHierarchy(ev, h)
+	rf := newRefinement(req, plan.Hierarchy)
 	capped := plan.Capped
 
 	moves := int64(0)
@@ -74,168 +73,197 @@ func (r *SwapRefiner) PlanContext(ctx context.Context, req Request) (*Plan, erro
 		if err := CheckContext(ctx, r.Name()); err != nil {
 			return nil, err
 		}
-		newH, newCapped, ok := r.bestMove(req, h, ev, capped)
+		next, ok := rf.bestMove(capped)
 		if !ok {
 			break
 		}
-		h, capped = newH, newCapped
+		capped = next
 		moves++
 	}
 	endRefine()
 	tr.Count("refine_rounds", int64(round))
 	tr.Count("refine_moves", moves)
 	if moves > 0 {
-		refined, err := Finalize(r.Name(), req, h)
+		refined, err := build(r.Name(), req, rf.col[0], rf.ops())
 		if err != nil || refined.Beats(plan) {
 			return refined, err
-		}
-		// The moves edited Algorithm 1's tree in place and the evaluator's
-		// gain did not survive the model's evaluation: plan it again.
-		if plan, err = NewHeuristic().PlanContext(ctx, req); err != nil {
-			return nil, err
 		}
 	}
 	plan.Planner = r.Name()
 	return plan, nil
 }
 
-// bestMove scores every swap and drop candidate with an evaluator what-if
-// and applies the single best strictly improving one, returning the
-// (possibly replaced) hierarchy. ok is false when nothing improves.
-func (r *SwapRefiner) bestMove(req Request, h *hierarchy.Hierarchy, ev *Evaluator, cur float64) (*hierarchy.Hierarchy, float64, bool) {
-	cols := req.Columns
-	deployed := make(map[int]int, h.Len()) // column index -> node ID
-	for _, n := range h.Nodes() {
-		if i, ok := cols.Lookup(n.Name); ok {
-			deployed[i] = n.ID
-		}
-	}
-
-	// A candidate is named only if its move wins: over a generated pool a
-	// name is minted per call.
-	type cand struct {
-		node  int // column index
-		power float64
-		bw    float64 // raw link override (0 = platform default)
-		id    int     // deployed server ID, or -1 for an unused pool node
-	}
-	var cands []cand
-	for i := range cols.Len() {
-		power, link := cols.Spec(i)
-		if id, ok := deployed[i]; ok {
-			if h.MustNode(id).Role == hierarchy.RoleServer {
-				cands = append(cands, cand{i, power, link, id})
-			}
-			continue
-		}
-		cands = append(cands, cand{i, power, link, -1})
-	}
-
-	bestAgent := -1
-	var bestCand cand
-	dropID := -1
-	bestRho := cur
-	for _, aid := range h.Agents() {
-		agent := h.MustNode(aid)
-		for _, cd := range cands {
-			if cd.power >= agent.Power {
-				continue // only release power, never hoard more of it
-			}
-			var rho float64
-			if cd.id >= 0 {
-				rho = ev.RhoAfterSwap(aid, cd.id)
-			} else {
-				rho = ev.RhoAfterReback(aid, cd.power, cd.bw)
-			}
-			if capped := req.Demand.Cap(rho); capped > bestRho {
-				bestAgent, bestCand, dropID, bestRho = aid, cd, -1, capped
-			}
-		}
-	}
-	for _, sid := range h.Servers() {
-		s := h.MustNode(sid)
-		pdeg := h.Degree(s.Parent)
-		// The parent must stay shape-valid: one child for the root, two
-		// for any other agent.
-		min := 2
-		if s.Parent == h.Root() {
-			min = 1
-		}
-		if pdeg-1 < min {
-			continue
-		}
-		if capped := req.Demand.Cap(ev.RhoAfterDrop(sid, s.Parent)); capped > bestRho {
-			bestAgent, dropID, bestRho = -1, sid, capped
-		}
-	}
-	attachAgent, attachCand := -1, cand{}
-	for _, cd := range cands {
-		if cd.id >= 0 {
-			continue // deployed; only unused pool nodes can be attached
-		}
-		for _, aid := range h.Agents() {
-			if capped := req.Demand.Cap(ev.RhoAfterAttach(aid, cd.power, cd.bw)); capped > bestRho {
-				bestAgent, dropID, bestRho = -1, -1, capped
-				attachAgent, attachCand = aid, cd
-			}
-		}
-	}
-
-	switch {
-	case attachAgent >= 0:
-		// Grow: deploy the unused pool node as a server leaf.
-		id, err := h.AddServer(attachAgent, cols.NodeName(attachCand.node), attachCand.power, attachCand.bw)
-		if err != nil {
-			return h, cur, false // cannot happen on validated trees; stop refining
-		}
-		ev.AddServer(id, attachAgent, attachCand.power, attachCand.bw)
-		return h, bestRho, true
-	case dropID >= 0:
-		// Rebuild without the dropped leaf; IDs shift, so the evaluator's
-		// table is reloaded from scratch (drops are rare and O(n)).
-		newH := rebuildWithout(h, dropID)
-		ev.Reset()
-		LoadHierarchy(ev, newH)
-		return newH, bestRho, true
-	case bestAgent >= 0:
-		// Apply the winning swap: re-back the agent with the candidate
-		// node; when the candidate is a deployed server the two exchange
-		// backings (powers and links travel together), otherwise the
-		// agent's old backing leaves the deployment. IDs and node data
-		// come from the live hierarchy, so SetBacking cannot fail here.
-		agent := h.MustNode(bestAgent)
-		_ = h.SetBacking(bestAgent, cols.NodeName(bestCand.node), bestCand.power, bestCand.bw)
-		ev.SetBacking(bestAgent, bestCand.power, bestCand.bw)
-		if bestCand.id >= 0 {
-			_ = h.SetBacking(bestCand.id, agent.Name, agent.Power, agent.Bandwidth)
-			ev.SetBacking(bestCand.id, agent.Power, agent.Bandwidth)
-		}
-		return h, bestRho, true
-	}
-	return h, cur, false
+// refinement is the swap refiner's one record of the deployment it
+// refines: the evaluator, whose node table holds each node's role, degree
+// and backing spec, and beside it each node's parent and backing column,
+// and each column's node. IDs are dense, the root is 0, and a parent's ID
+// is below its children's.
+type refinement struct {
+	req    Request
+	ev     *Evaluator
+	parent []int // per ID: the parent's ID, -1 for the root
+	col    []int // per ID: the pool column backing the node
+	node   []int // per column: the ID of the node it backs, or -1 if unused
 }
 
-// rebuildWithout returns a copy of h with leaf node drop removed.
-func rebuildWithout(h *hierarchy.Hierarchy, drop int) *hierarchy.Hierarchy {
-	out := hierarchy.New(h.Name)
-	var rec func(id, parent int)
-	rec = func(id, parent int) {
-		if id == drop {
-			return
-		}
+// newRefinement records Algorithm 1's deployment h in one pass over its
+// nodes, in ID order.
+func newRefinement(req Request, h *hierarchy.Hierarchy) *refinement {
+	rf := &refinement{
+		req:  req,
+		ev:   NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp),
+		node: slices.Repeat([]int{-1}, req.Columns.Len()),
+	}
+	for id := range h.Len() {
 		n := h.MustNode(id)
-		var nid int
-		if parent < 0 {
-			nid, _ = out.AddRoot(n.Name, n.Power, n.Bandwidth)
-		} else if n.Role == hierarchy.RoleAgent {
-			nid, _ = out.AddAgent(parent, n.Name, n.Power, n.Bandwidth)
-		} else {
-			nid, _ = out.AddServer(parent, n.Name, n.Power, n.Bandwidth)
-		}
-		for _, c := range n.Children {
-			rec(c, nid)
+		c, _ := req.Columns.Lookup(n.Name) // Finalize checked h against the columns
+		rf.add(n.Parent, c, n.Role == hierarchy.RoleAgent)
+	}
+	return rf
+}
+
+// add records the node at column c under parent with the next ID.
+func (rf *refinement) add(parent, c int, agent bool) {
+	id := len(rf.col)
+	power, link := rf.req.Columns.Spec(c)
+	if agent {
+		rf.ev.AddAgent(id, parent, power, link)
+	} else {
+		rf.ev.AddServer(id, parent, power, link)
+	}
+	rf.parent = append(rf.parent, parent)
+	rf.col = append(rf.col, c)
+	rf.node[c] = id
+}
+
+// ops returns the record as build's ops, in ID order: each non-root node
+// attached under its parent, and promoted at once when it is an agent.
+// The model sums server powers in ID order, so ρ depends on it to the
+// last bit.
+func (rf *refinement) ops() []growthOp {
+	ops := make([]growthOp, 0, len(rf.col))
+	for id := 1; id < len(rf.col); id++ {
+		ops = append(ops, growthOp{id: rf.parent[id], col: rf.col[id]})
+		if rf.ev.nodes[id].role == roleAgent {
+			ops = append(ops, growthOp{promote: true, id: id})
 		}
 	}
-	rec(h.Root(), -1)
-	return out
+	return ops
+}
+
+// The move families, in the order bestMove scans them.
+const (
+	noMove = iota
+	swapMove
+	dropMove
+	attachMove
+)
+
+// bestMove scores every swap, drop and attach candidate with an evaluator
+// what-if and applies the single best one whose demand-capped ρ strictly
+// beats cur, returning that ρ. ok is false when nothing improves. Agents
+// are scanned in ascending ID order, a swap's servers in ascending column
+// order, drops in ascending ID order and attaches over the unused columns
+// in ascending order, each against every agent; a later candidate wins
+// only by strictly beating an earlier one.
+func (rf *refinement) bestMove(cur float64) (float64, bool) {
+	ev, demand := rf.ev, rf.req.Demand
+	nodes := ev.nodes
+	move, a, b := noMove, -1, -1
+	for aid := range nodes {
+		if nodes[aid].role != roleAgent {
+			continue
+		}
+		for _, sid := range rf.node {
+			// Only release power, never hoard more of it.
+			if sid < 0 || nodes[sid].role != roleServer || nodes[sid].power >= nodes[aid].power {
+				continue
+			}
+			if rho := demand.Cap(ev.RhoAfterSwap(aid, sid)); rho > cur {
+				move, a, b, cur = swapMove, aid, sid, rho
+			}
+		}
+	}
+	for sid := range nodes {
+		if nodes[sid].role != roleServer {
+			continue
+		}
+		// The parent must stay shape-valid: one child for the root, two
+		// for any other agent.
+		if p := rf.parent[sid]; nodes[p].degree > 2 || p == 0 && nodes[p].degree > 1 {
+			if rho := demand.Cap(ev.RhoAfterDrop(sid, p)); rho > cur {
+				move, a, cur = dropMove, sid, rho
+			}
+		}
+	}
+	for c, id := range rf.node {
+		if id >= 0 {
+			continue
+		}
+		power, link := rf.req.Columns.Spec(c)
+		for aid := range nodes {
+			if nodes[aid].role != roleAgent {
+				continue
+			}
+			if rho := demand.Cap(ev.RhoAfterAttach(aid, power, link)); rho > cur {
+				move, a, b, cur = attachMove, aid, c, rho
+			}
+		}
+	}
+
+	switch move {
+	case swapMove:
+		// The agent and the server exchange columns; powers and links
+		// travel with them.
+		ac, sc := rf.col[a], rf.col[b]
+		power, link := rf.req.Columns.Spec(sc)
+		ev.SetBacking(a, power, link)
+		power, link = rf.req.Columns.Spec(ac)
+		ev.SetBacking(b, power, link)
+		rf.col[a], rf.col[b] = sc, ac
+		rf.node[ac], rf.node[sc] = b, a
+	case dropMove:
+		rf.drop(a)
+	case attachMove:
+		rf.add(a, b, false)
+	}
+	return cur, move != noMove
+}
+
+// drop removes leaf server leaf from the record and renumbers the rest
+// depth first, children in ID order, reloading the evaluator in that
+// order. The numbering decides later ties (every scan runs in ID order)
+// and the order the evaluator sums server powers in, so plans depend on
+// it to the last bit.
+func (rf *refinement) drop(leaf int) {
+	old := *rf
+	n := len(old.col)
+	size := make([]int, n) // each subtree's node count without the leaf
+	for id := n - 1; id > 0; id-- {
+		if id != leaf {
+			size[id]++
+			size[old.parent[id]] += size[id]
+		}
+	}
+	// A node's new ID is the first one free in its parent's range once the
+	// subtrees of its earlier siblings are numbered (next). order maps new
+	// IDs to old ones; the root keeps 0.
+	order, newID, next := make([]int, n-1), make([]int, n), make([]int, n)
+	next[0] = 1
+	for id := 1; id < n; id++ {
+		if p := old.parent[id]; id != leaf {
+			newID[id], next[id] = next[p], next[p]+1
+			next[p] += size[id]
+			order[newID[id]] = id
+		}
+	}
+	rf.node[old.col[leaf]] = -1
+	rf.ev, rf.parent, rf.col = NewEvaluator(rf.req.Costs, rf.req.Columns.Bandwidth, rf.req.Wapp), nil, nil
+	for _, id := range order {
+		parent := old.parent[id]
+		if parent >= 0 {
+			parent = newID[parent]
+		}
+		rf.add(parent, old.col[id], old.ev.nodes[id].role == roleAgent)
+	}
 }
