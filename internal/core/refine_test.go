@@ -29,9 +29,11 @@ type refineDigest struct {
 // 4 to 1 000 nodes, DGEMM 100 and 1000, unbounded and under a demand of 50
 // and of 300 req/s), the same at DGEMM 310, a slice quantised to four
 // power levels — equal-spec candidates tie there, and the lowest column
-// must win — and the one fixture known to have re-backed an agent with an
-// unused node. Each row is also classed by what the refiner did to
-// Algorithm 1's plan, and every move family must show up somewhere: a
+// must win — and cluster-grid n=12 at DGEMM 310, the one fixture of a
+// 2 240-fixture sweep on which re-backing an agent with an unused weaker
+// node ever won a round (the refiner has no such move; that plan's ρ is
+// the same without it). Each row is also classed by what the refiner did
+// to Algorithm 1's plan, and every move family must show up somewhere: a
 // corpus edit cannot silently stop exercising one. Regenerate with:
 //
 //	go test ./internal/core -run TestGoldenRefinerDigests -update

@@ -265,8 +265,8 @@ func (h *Hierarchy) PromoteToAgent(id int) error {
 }
 
 // SetBacking re-assigns the physical platform node backing a deployed
-// element, keeping the tree shape intact. Planner refiners use it to trade
-// node roles (e.g. hand an agent's powerful node back to serving duty).
+// element, keeping the tree shape intact: the autonomic loop re-rates a
+// node's power with it, WithLinkBandwidths re-binds links.
 // The optional trailing argument sets the new backing node's link
 // bandwidth; when omitted the element keeps its current one (the common
 // case of re-rating the same physical node's power belief).
