@@ -215,7 +215,7 @@ func BenchmarkHeuristicPlanClustered5k(b *testing.B) {
 // enforces an absolute ceiling of one second per 1M-node plan
 // (-require-max-ns), the headline latency this path exists for.
 func benchClassPlanner(b *testing.B, n int) {
-	cols, err := (scenario.Spec{Family: scenario.ClusterGrid, N: n, Seed: 7, Clusters: 8, PowerLevels: 20}).Columns(b.Context())
+	cols, err := (scenario.Spec{Family: scenario.ClusterGrid, N: n, Seed: 7, Clusters: 8, PowerLevels: 20}).Columns(b.Context(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -590,8 +590,13 @@ func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
 // Then it deals the pool out class by class, folds Eq. 15 over the sorted
 // runs once, plans from the classes (spending a class's members by
 // merging its digit-width runs of names), appends the deployment XML into
-// one buffer, and encodes. It must not build the nodes: a miss that
-// materialises 100 000 names is over scripts/bench.sh's ceiling.
+// one buffer, and encodes. The power, class and dealt-order columns and
+// the XML buffer are the job's memory, which the server keeps for the next
+// job, and the encoder is kept too: past the first miss no column is
+// allocated, ~0.5 MB per op against 2.6 MB drawn afresh. It must not build
+// the nodes: a miss that materialises 100 000 names is over
+// scripts/bench.sh's ceilings, and so is one that allocates its columns
+// again (1 MiB/op).
 func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 	srv, err := service.New(service.Config{})
 	if err != nil {
@@ -600,11 +605,9 @@ func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 	defer srv.Close()
 	handler := srv.Handler()
 	families := []scenario.Family{scenario.ClusterGrid, scenario.FatTree}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	miss := func(fam scenario.Family, seed int64) {
 		body, err := json.Marshal(service.PlanRequest{
-			Scenario: &scenario.Spec{Family: families[i%2], N: 100_000, Seed: int64(1000 + i), PowerLevels: 8},
+			Scenario: &scenario.Spec{Family: fam, N: 100_000, Seed: seed, PowerLevels: 8},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -614,6 +617,16 @@ func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+	// A daemon's first misses grow the job memory it keeps for every miss
+	// after them; that one-off is not what a miss costs.
+	for _, fam := range families {
+		miss(fam, 999)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(families[i%2], int64(1000+i))
 	}
 }
 

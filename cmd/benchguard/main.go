@@ -28,6 +28,12 @@
 //	    for headline latency contracts (a million-node plan stays
 //	    sub-second) with the ceiling at a comfortable multiple of the
 //	    measured cost.
+//
+//	benchguard -new BENCH_plan.json \
+//	    -require-max-bytes BenchmarkServicePlanScenarioCold100k:1048576
+//	    Enforce an absolute B/op ceiling. What a benchmark allocates does
+//	    not drift with the host the way its ns/op does, so the ceiling can
+//	    sit close to the measured figure.
 package main
 
 import (
@@ -70,10 +76,11 @@ func main() {
 	newPath := flag.String("new", "", "recorded BENCH_plan.json the gates read")
 	requireSpeedup := flag.Float64("require-speedup", 0, "minimum slow/fast ns/op ratio for every -speedup-pair")
 	requireMaxRatio := flag.Float64("require-max-ratio", 0, "maximum first/second ns/op ratio for every -max-ratio-pair")
-	var pairs, ratioPairs, maxNs multiFlag
+	var pairs, ratioPairs, maxNs, maxBytes multiFlag
 	flag.Var(&pairs, "speedup-pair", "slowBench:fastBench pair for -require-speedup (repeatable)")
 	flag.Var(&ratioPairs, "max-ratio-pair", "bench:baselineBench pair for -require-max-ratio (repeatable)")
 	flag.Var(&maxNs, "require-max-ns", "bench:ns absolute ns/op ceiling (repeatable)")
+	flag.Var(&maxBytes, "require-max-bytes", "bench:bytes absolute B/op ceiling (repeatable)")
 	flag.Parse()
 
 	if *parse != "" {
@@ -95,7 +102,7 @@ func main() {
 		fmt.Printf("benchguard: wrote %d benchmarks to %s\n", len(f.Benchmarks), *out)
 	}
 
-	if *requireSpeedup <= 0 && *requireMaxRatio <= 0 && len(maxNs) == 0 {
+	if *requireSpeedup <= 0 && *requireMaxRatio <= 0 && len(maxNs) == 0 && len(maxBytes) == 0 {
 		return
 	}
 	if *newPath == "" {
@@ -138,20 +145,28 @@ func main() {
 			fail("ratio %.2fx above allowed %.2fx", r, *requireMaxRatio)
 		}
 	}
-	for _, pair := range maxNs {
+	// ceiling reads a bench:limit pair and holds the benchmark's figure in
+	// unit, as read by value, to the limit.
+	ceiling := func(gate, unit, pair string, value func(*Metrics) float64) {
 		name, limStr, ok := strings.Cut(pair, ":")
 		if !ok {
-			fail("malformed -require-max-ns %q (want bench:ns)", pair)
+			fail("malformed %s %q (want bench:limit)", gate, pair)
 		}
 		lim, err := strconv.ParseFloat(limStr, 64)
 		if err != nil || lim <= 0 {
-			fail("malformed -require-max-ns limit %q", limStr)
+			fail("malformed %s limit %q", gate, limStr)
 		}
-		m := bench("-require-max-ns", name)
-		fmt.Printf("benchguard: %s = %.0f ns/op (required ≤ %.0f)\n", name, m.NsPerOp, lim)
-		if m.NsPerOp > lim {
-			fail("%s ns/op %.0f above ceiling %.0f", name, m.NsPerOp, lim)
+		v := value(bench(gate, name))
+		fmt.Printf("benchguard: %s = %.0f %s (required ≤ %.0f)\n", name, v, unit, lim)
+		if v > lim {
+			fail("%s %s %.0f above ceiling %.0f", name, unit, v, lim)
 		}
+	}
+	for _, pair := range maxNs {
+		ceiling("-require-max-ns", "ns/op", pair, func(m *Metrics) float64 { return m.NsPerOp })
+	}
+	for _, pair := range maxBytes {
+		ceiling("-require-max-bytes", "B/op", pair, func(m *Metrics) float64 { return m.BytesPerOp })
 	}
 }
 

@@ -39,7 +39,7 @@ func TestReconfigurationTargetsAgree(t *testing.T) {
 	var cases []patchCase
 
 	for _, spec := range scenario.Corpus(3, 12, 40) {
-		cols, err := spec.Columns(t.Context())
+		cols, err := spec.Columns(t.Context(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestGoldenBaselineDigests(t *testing.T) {
 	for _, fam := range scenario.Families() {
 		for _, n := range []int{6, 25, 400, 4000} {
 			for _, seed := range []int64{1, 2} {
-				cols, err := scenario.Spec{Family: fam, N: n, Seed: seed}.Columns(t.Context())
+				cols, err := scenario.Spec{Family: fam, N: n, Seed: seed}.Columns(t.Context(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

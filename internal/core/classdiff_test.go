@@ -385,12 +385,19 @@ func TestConcurrentPlanContextStress(t *testing.T) {
 // another size left behind: each plan must be byte-identical to its
 // reference, planned with no Scratch. Under -race it is also the probe
 // that workers with their own Scratch share nothing.
-func TestNodePoolScratchReuse(t *testing.T) {
+func TestNodePoolScratchReuse(t *testing.T) { scratchReuse(t, core.NewHeuristicNodeSpace) }
+
+// TestClassPoolScratchReuse is TestNodePoolScratchReuse for class pools,
+// which deal their order into the Scratch.
+func TestClassPoolScratchReuse(t *testing.T) { scratchReuse(t, core.NewHeuristicClassSpace) }
+
+func scratchReuse(t *testing.T, planner func() *core.Heuristic) {
 	specs := []scenario.Spec{
 		{Family: scenario.PowerLaw, N: 4000, Seed: 7},
 		{Family: scenario.Bimodal, N: 300, Seed: 8},
 		{Family: scenario.ClusterGrid, N: 1500, Seed: 9},
 		{Family: scenario.Clustered, N: 40, Seed: 10},
+		{Family: scenario.FatTree, N: 5000, Seed: 11, PowerLevels: 8},
 	}
 	reqs := make([]core.Request, len(specs))
 	refs := make([]string, len(specs))
@@ -400,7 +407,7 @@ func TestNodePoolScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs[i] = core.Request{Platform: plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 310}.MFlop()}
-		plan, err := core.NewHeuristicNodeSpace().PlanContext(t.Context(), reqs[i])
+		plan, err := planner().PlanContext(t.Context(), reqs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +423,7 @@ func TestNodePoolScratchReuse(t *testing.T) {
 			ctx := core.ContextWithScratch(t.Context(), new(core.Scratch))
 			for k := 0; k < rounds*len(specs); k++ {
 				i := (w + k) % len(specs)
-				plan, err := core.NewHeuristicNodeSpace().PlanContext(ctx, reqs[i])
+				plan, err := planner().PlanContext(ctx, reqs[i])
 				if err != nil {
 					errs <- err
 					return

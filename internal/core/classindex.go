@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"adept/internal/platform"
@@ -72,15 +73,18 @@ func buildClassIndexCapped(cols *platform.Columns, maxClasses int) *ClassIndex {
 
 // deal lays the pool out class by class in the order rank gives the
 // classes: the members of class rank[0] first, then those of rank[1], and
-// so on, each class's members in pool order — four bytes a node.
-func (ix *ClassIndex) deal(rank []int32) []int32 {
+// so on, each class's members in pool order — four bytes a node, in
+// into's memory grown to the pool (every entry is written).
+//
+//adeptvet:hotpath
+func (ix *ClassIndex) deal(rank, into []int32) []int32 {
 	next := make([]int32, len(ix.classes))
 	off := int32(0)
 	for _, k := range rank {
 		next[k] = off
 		off += ix.classes[k].Count
 	}
-	order := make([]int32, len(ix.classOf))
+	order := slices.Grow(into[:0], len(ix.classOf))[:len(ix.classOf)]
 	for i, k := range ix.classOf {
 		order[next[k]] = int32(i)
 		next[k]++
@@ -106,7 +110,7 @@ func (ix *ClassIndex) Expand() []platform.Node {
 	for k := range rank {
 		rank[k] = int32(k)
 	}
-	order := ix.deal(rank)
+	order := ix.deal(rank, nil)
 	out := make([]platform.Node, 0, len(order))
 	for start, k := 0, 0; k < len(ix.classes); k++ {
 		block := order[start : start+int(ix.classes[k].Count)]

@@ -27,7 +27,7 @@ import (
 func columnsVsPlatform(t *testing.T, spec scenario.Spec, dgemm int, demands ...workload.Demand) *core.Plan {
 	t.Helper()
 	label := fmt.Sprintf("%s/n%d/s%d/L%d", spec.Family, spec.N, spec.Seed, spec.PowerLevels)
-	cols, err := spec.Columns(context.Background())
+	cols, err := spec.Columns(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -123,7 +123,7 @@ func TestColumnsVsPlatformNameOrder(t *testing.T) {
 // platform.
 func TestColumnsModesAgree(t *testing.T) {
 	spec := scenario.Spec{Family: scenario.FatTree, N: 300, Seed: 5, PowerLevels: 4}
-	cols, err := spec.Columns(context.Background())
+	cols, err := spec.Columns(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -375,7 +375,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	var pool *sortedPool
 	if ix != nil {
 		tr.Count("pool_classes", int64(ix.NumClasses()))
-		pool = newClassPool(c, ix)
+		pool = newClassPool(c, ix, borrowScratch(ctx))
 		defer func() {
 			if plan != nil {
 				plan.ClassPlanned = true
@@ -384,8 +384,8 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		}()
 	} else {
 		pool = newNodePool(c, req.Columns, borrowScratch(ctx))
-		defer pool.release()
 	}
+	defer pool.release()
 	root, first := &pool.runs[0], &pool.runs[pool.runOf(1)]
 	endSort()
 	n := pool.n

@@ -91,24 +91,33 @@ type sortedPool struct {
 	// spend for each run not yet spent, its next member.
 	cuts []int
 	heap []int32
-	// scratch holds a node pool's sort keys, order and runs, lent for the
-	// plan (borrowScratch) and handed back by release; nil in a class pool.
+	// scratch holds the pool's order — and a node pool's sort keys and
+	// runs — lent for the plan (borrowScratch) and handed back by release.
 	scratch *Scratch
 }
 
-// Scratch is memory a plan may build its node pool in: the sort keys, the
-// ranking and the runs, ~220 KB for a 4 000-node pool and most of what
-// planning it allocates. A plan borrows the Scratch its context carries
-// (ContextWithScratch) for as long as it runs and leaves it, grown to
-// the pool, for the next plan; a caller that plans over and over — the
-// serving layer, one Scratch per running job — so reuses one pool's
-// memory instead of leaving a pool's worth to the collector per plan.
+// Scratch is one planning job's pool-sized memory: the columns of a pool
+// generated for the job (Columns), and what a plan builds its pool in — a
+// node pool's sort keys, ranking and runs (~220 KB at 4 000 nodes), a
+// class pool's dealt order (four bytes a node). It is most of what a job
+// allocates. A plan borrows the Scratch its context carries
+// (ContextWithScratch) for as long as it runs and leaves it, grown to the
+// pool, for the next plan; a caller that plans over and over — the serving
+// layer, which keeps one spare Scratch between jobs — so reuses one pool's
+// memory instead of leaving a pool's worth to the collector per job.
 type Scratch struct {
 	lent    bool
 	keys    []float64
 	runs    []run
 	ranking platform.Ranking
+	order   []int32
+	cols    platform.Columns
 }
+
+// Columns returns the memory in s a pool may be generated into
+// (scenario.Spec.Columns), to plan under s. Whatever was generated there
+// before is gone: hand s on only when nothing reads the columns any more.
+func (s *Scratch) Columns() *platform.Columns { return &s.cols }
 
 type scratchCtxKey struct{}
 
@@ -155,13 +164,12 @@ func newNodePool(c model.Costs, cols *platform.Columns, s *Scratch) *sortedPool 
 	return &sortedPool{runs: s.runs, n: n, cols: cols, order: order, scratch: s}
 }
 
-// release hands a node pool's Scratch back once its plan is done with the
-// pool; a class pool has none.
+// release hands the pool's Scratch back once its plan is done with the
+// pool.
 func (sp *sortedPool) release() {
-	if s := sp.scratch; s != nil {
-		*sp = sortedPool{}
-		s.lent = false
-	}
+	s := sp.scratch
+	*sp = sortedPool{}
+	s.lent = false
 }
 
 // newClassPool ranks the classes of ix by the sort_nodes key (scheduling
@@ -171,7 +179,8 @@ func (sp *sortedPool) release() {
 // to it) cannot be laid out as blocks: sort_nodes interleaves their members
 // by name, so they are emitted as single-member runs in name order —
 // exactly that interleaving, whatever order the tied classes arrive in.
-func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
+// The pool is dealt into s, which release hands back.
+func newClassPool(c model.Costs, ix *ClassIndex, s *Scratch) *sortedPool {
 	cols := ix.cols
 	n := ix.NumNodes()
 	d := max(n-1, 1)
@@ -182,7 +191,8 @@ func newClassPool(c model.Costs, ix *ClassIndex) *sortedPool {
 		keys[i] = calcSchPow(c, cl.Link(cols.Bandwidth), cl.Power, d)
 	}
 	rank := platform.RankDesc(keys)
-	sp := &sortedPool{n: n, runs: make([]run, 0, nc), cols: cols, order: ix.deal(rank)}
+	s.order = ix.deal(rank, s.order)
+	sp := &sortedPool{n: n, runs: make([]run, 0, nc), cols: cols, order: s.order, scratch: s}
 	pos := 0
 	for j := 0; j < nc; {
 		k := j + 1

@@ -38,7 +38,7 @@ const (
 // WriteXML emits the GoDIET-style deployment XML to w. This is the
 // heuristic's write_xml step: the artifact handed to the deployment tool.
 func (h *Hierarchy) WriteXML(w io.Writer) error {
-	b, err := h.appendXML(nil)
+	b, err := h.AppendXML(nil)
 	if err != nil {
 		return err
 	}
@@ -48,16 +48,19 @@ func (h *Hierarchy) WriteXML(w io.Writer) error {
 
 // MarshalXMLString returns the deployment XML as a string.
 func (h *Hierarchy) MarshalXMLString() (string, error) {
-	b, err := h.appendXML(nil)
+	b, err := h.AppendXML(nil)
 	return string(b), err
 }
 
-// appendXML appends the deployment XML to b: the document encoding/xml
-// writes for xmlDeployment under Indent("", "  "), between xml.Header and
-// a final newline, byte for byte — attribute values escaped as
-// xml.EscapeText escapes them, powers formatted as strconv's shortest 'g',
-// a zero bandwidth omitted, and every element closed by an end tag.
-func (h *Hierarchy) appendXML(b []byte) ([]byte, error) {
+// AppendXML appends the deployment XML to b and returns the extended
+// buffer: the document encoding/xml writes for xmlDeployment under
+// Indent("", "  "), between xml.Header and a final newline, byte for byte
+// — attribute values escaped as xml.EscapeText escapes them, powers
+// formatted as strconv's shortest 'g', a zero bandwidth omitted, and every
+// element closed by an end tag. A caller that renders deployment after
+// deployment appends each into the last one's buffer, emptied, and copies
+// out what it keeps: the buffer then stops growing.
+func (h *Hierarchy) AppendXML(b []byte) ([]byte, error) {
 	if h.root == -1 {
 		return b, fmt.Errorf("hierarchy: cannot serialise empty hierarchy")
 	}

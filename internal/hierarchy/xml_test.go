@@ -107,7 +107,7 @@ func roundTrip(t *testing.T, doc string) {
 func TestWriteXMLMatchesEncodingXML(t *testing.T) {
 	planner := core.NewHeuristic()
 	for _, spec := range scenario.Corpus(11, 4, 40, 400) {
-		cols, err := spec.Columns(t.Context())
+		cols, err := spec.Columns(t.Context(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

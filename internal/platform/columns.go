@@ -538,6 +538,16 @@ func (c *Columns) Classify(classes []SpecClass, classOf []int32) {
 	c.classes, c.classOf = classes, classOf
 }
 
+// Recycle empties c for another pool to be drawn into it and hands back
+// the memory of its power, link and class columns, each emptied, for the
+// producer to grow instead of allocating: whatever read the old pool must
+// be done with it.
+func (c *Columns) Recycle() (powers, links []float64, classOf []int32) {
+	powers, links, classOf = c.Powers[:0], c.Links[:0], c.classOf[:0]
+	*c = Columns{}
+	return powers, links, classOf
+}
+
 // Classes buckets the pool into spec equivalence classes: two nodes share
 // a class iff their power and raw link override have identical float64 bit
 // patterns, so near-duplicates (one ulp apart) are distinct classes. It

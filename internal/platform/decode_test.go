@@ -249,7 +249,7 @@ func TestDecodeJSONDigestAcrossFamilies(t *testing.T) {
 	for _, fam := range scenario.Families() {
 		for _, n := range []int{2, 25, 400} {
 			spec := scenario.Spec{Family: fam, N: n, Seed: 3}
-			generated, err := spec.Columns(t.Context())
+			generated, err := spec.Columns(t.Context(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestEveryPlannerReadsBothForms(t *testing.T) {
 	var pools []*platform.Platform
 	for _, fam := range scenario.Families() {
 		for _, n := range []int{6, 25, 100, 400} {
-			cols, err := scenario.Spec{Family: fam, N: n, Seed: 13}.Columns(t.Context())
+			cols, err := scenario.Spec{Family: fam, N: n, Seed: 13}.Columns(t.Context(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,10 @@ package scenario_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"adept/internal/platform"
 	"adept/internal/scenario"
 )
 
@@ -20,7 +22,7 @@ import (
 // as they were drawn: whether handing out their classes allocates nothing.
 func sameAsReference(t testing.TB, spec scenario.Spec) (classed bool) {
 	t.Helper()
-	got, err := spec.Columns(context.Background())
+	got, err := spec.Columns(context.Background(), nil)
 	want, wantErr := spec.ReferenceColumns()
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
@@ -170,4 +172,75 @@ func FuzzSpecClasses(f *testing.F) {
 		}
 		sameAsReference(t, spec)
 	})
+}
+
+// TestColumnsIntoUsedMemory: a spec drawn into columns another spec was
+// drawn into last — a larger one, classed as it was drawn or carrying a
+// link column — is the spec drawn fresh, bit for bit: the same name,
+// bandwidth, powers and links, the same classes, classed as drawn or not
+// alike, or the same error. The specs are generate_digests.json's corpus,
+// every family at four power levels, and classSpecs, whose quantizers give
+// up their class tables or never build one.
+func TestColumnsIntoUsedMemory(t *testing.T) {
+	specs := goldenSpecs()
+	for _, fam := range scenario.Families() {
+		for _, n := range []int{40, 4000, 10_001} {
+			specs = append(specs, scenario.Spec{Family: fam, N: n, Seed: 3, PowerLevels: 4})
+		}
+	}
+	specs = append(specs, classSpecs...)
+	ctx := context.Background()
+	mem := new(platform.Columns)
+	for k, spec := range specs {
+		last := scenario.Spec{Family: scenario.ClusterGrid, N: spec.N + spec.N/2 + 100, Seed: spec.Seed + 1, PowerLevels: 8}
+		if k%2 == 1 {
+			last = scenario.Spec{Family: scenario.FatTree, N: spec.N + spec.N/2 + 100, Seed: spec.Seed + 1}
+		}
+		if _, err := last.Columns(ctx, mem); err != nil {
+			t.Fatalf("%+v: %v", last, err)
+		}
+		got, err := spec.Columns(ctx, mem)
+		want, wantErr := spec.Columns(ctx, nil)
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%+v: error %v into used memory, %v fresh", spec, err, wantErr)
+			}
+			continue
+		}
+		if got != mem {
+			t.Fatalf("%+v: drawn into new memory, not the memory it was handed", spec)
+		}
+		if got.Name != want.Name || math.Float64bits(got.Bandwidth) != math.Float64bits(want.Bandwidth) || got.Len() != want.Len() {
+			t.Fatalf("%+v: %q at %v with %d nodes into used memory, %q at %v with %d fresh",
+				spec, got.Name, got.Bandwidth, got.Len(), want.Name, want.Bandwidth, want.Len())
+		}
+		n := want.Len()
+		for i := range n {
+			gp, gl := got.Spec(i)
+			wp, wl := want.Spec(i)
+			if math.Float64bits(gp) != math.Float64bits(wp) || math.Float64bits(gl) != math.Float64bits(wl) {
+				t.Fatalf("%+v: node %d is (%v, %v) into used memory, (%v, %v) fresh", spec, i, gp, gl, wp, wl)
+			}
+		}
+		if (got.Links == nil) != (want.Links == nil) {
+			t.Fatalf("%+v: link column %v into used memory, %v fresh", spec, got.Links != nil, want.Links != nil)
+		}
+		// Columns classed as drawn hand their classes out without a pass.
+		var classes, wantClasses []platform.SpecClass
+		var classOf, wantOf []int32
+		classed := testing.AllocsPerRun(1, func() { classes, classOf = got.Classes(n) }) == 0
+		wantClassed := testing.AllocsPerRun(1, func() { wantClasses, wantOf = want.Classes(n) }) == 0
+		if classed != wantClassed {
+			t.Fatalf("%+v: classed as drawn %v into used memory, %v fresh", spec, classed, wantClassed)
+		}
+		if !slices.EqualFunc(classes, wantClasses, sameClass) || !slices.Equal(classOf, wantOf) {
+			t.Fatalf("%+v: classes differ from a fresh draw's", spec)
+		}
+	}
+}
+
+// sameClass reports whether two spec classes are one bit for bit.
+func sameClass(a, b platform.SpecClass) bool {
+	return math.Float64bits(a.Power) == math.Float64bits(b.Power) &&
+		math.Float64bits(a.LinkBandwidth) == math.Float64bits(b.LinkBandwidth) && a.Count == b.Count
 }

@@ -154,11 +154,11 @@ func (c *countdownCtx) Err() error {
 // drawing the powers, and stops there if it is done.
 func TestColumnsPollsContext(t *testing.T) {
 	spec := scenario.Spec{Family: scenario.PowerLaw, N: 32, Seed: 5}
-	c, err := spec.Columns(&countdownCtx{Context: context.Background(), polls: 0})
+	c, err := spec.Columns(&countdownCtx{Context: context.Background(), polls: 0}, nil)
 	if !errors.Is(err, context.Canceled) || c != nil {
 		t.Errorf("context done at the poll: got (%v, %v), want context.Canceled", c, err)
 	}
-	c, err = spec.Columns(&countdownCtx{Context: context.Background(), polls: 1})
+	c, err = spec.Columns(&countdownCtx{Context: context.Background(), polls: 1}, nil)
 	if err != nil {
 		t.Fatalf("a context that outlives generation: %v", err)
 	}

@@ -24,20 +24,8 @@ var update = flag.Bool("update", false, "rewrite testdata/generate_digests.json 
 //
 //	go test ./internal/scenario -run TestGoldenGenerateDigests -update
 func TestGoldenGenerateDigests(t *testing.T) {
-	var specs []scenario.Spec
-	for _, fam := range scenario.Families() {
-		for _, n := range []int{2, 40, 4000, 9999, 10_001, 100_000} {
-			for _, seed := range []int64{3, 1 << 40} {
-				for _, levels := range []int{0, 8} {
-					specs = append(specs, scenario.Spec{Family: fam, N: n, Seed: seed, PowerLevels: levels})
-				}
-			}
-		}
-	}
-	specs = append(specs, scenario.Spec{Family: scenario.FatTree, Name: "pool", N: 12_000, Seed: 5, PowerLevels: 8})
-
 	got := map[string]string{}
-	for _, spec := range specs {
+	for _, spec := range goldenSpecs() {
 		p, err := spec.Generate()
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
@@ -78,4 +66,19 @@ func TestGoldenGenerateDigests(t *testing.T) {
 			t.Errorf("%s: Generate drifted from the recorded platform:\n got  %s\n want %s", label, g, w)
 		}
 	}
+}
+
+// goldenSpecs are the specs whose platforms generate_digests.json pins.
+func goldenSpecs() []scenario.Spec {
+	var specs []scenario.Spec
+	for _, fam := range scenario.Families() {
+		for _, n := range []int{2, 40, 4000, 9999, 10_001, 100_000} {
+			for _, seed := range []int64{3, 1 << 40} {
+				for _, levels := range []int{0, 8} {
+					specs = append(specs, scenario.Spec{Family: fam, N: n, Seed: seed, PowerLevels: levels})
+				}
+			}
+		}
+	}
+	return append(specs, scenario.Spec{Family: scenario.FatTree, Name: "pool", N: 12_000, Seed: 5, PowerLevels: 8})
 }

@@ -285,15 +285,22 @@ func (s Spec) Digest() [sha256.Size]byte {
 // planner reads; Generate is its expansion. The result is deterministic in
 // the spec. Columns polls ctx once, between drawing the powers and laying
 // out the links, and gives up with ctx's error once it has fired.
-func (s Spec) Columns(ctx context.Context) (*platform.Columns, error) {
-	return s.columns(ctx.Err)
+//
+// A nil into allocates the columns. Otherwise they are drawn into *into,
+// which Columns returns: its power, link and class columns are grown in
+// place (platform.Columns.Recycle), so a caller that draws pool after pool
+// through one Columns allocates only when a pool outgrows the last. The
+// result then lives in into's memory and is overwritten by the next draw
+// into it.
+func (s Spec) Columns(ctx context.Context, into *platform.Columns) (*platform.Columns, error) {
+	return s.columns(ctx.Err, into)
 }
 
 // Generate expands the spec into a validated platform: Columns, then
 // platform.Columns.Platform. The result is deterministic in the spec
 // (byte-identical JSON across calls and goroutines).
 func (s Spec) Generate() (*platform.Platform, error) {
-	c, err := s.columns(func() error { return nil })
+	c, err := s.columns(func() error { return nil }, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -302,18 +309,23 @@ func (s Spec) Generate() (*platform.Platform, error) {
 
 // columns is Columns; interrupted is polled between drawing the powers and
 // laying out the links and aborts the generation with the error it returns.
-func (s Spec) columns(interrupted func() error) (*platform.Columns, error) {
+func (s Spec) columns(interrupted func() error, into *platform.Columns) (*platform.Columns, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	s = s.withDefaults()
+	c := into
+	if c == nil {
+		c = new(platform.Columns)
+	}
+	powers, links, classOf := c.Recycle()
 	rng := rand.New(rand.NewSource(s.Seed))
-	powers := s.powers(rng)
+	powers = s.powers(rng, powers)
 	if err := interrupted(); err != nil {
 		return nil, err
 	}
-	c := &platform.Columns{Name: s.Name, Bandwidth: s.Bandwidth, Powers: powers}
-	s.layOut(c)
+	c.Name, c.Bandwidth, c.Powers = s.Name, s.Bandwidth, powers
+	s.layOut(c, links, classOf)
 	// Names are unique by construction (platform.Columns.NodeName is
 	// injective); what a spec from outside can still get wrong — a knob that
 	// drives a power negative, a spread that overflows one — is a range.
@@ -372,10 +384,11 @@ func (lay *linkLayout) each(n int, visit func(lo, hi, k int)) {
 // (platform.Columns.Classify), so that no consumer hashes every node's
 // spec back into the few classes it was drawn from. The classes then hold
 // the links; any other pool of a heterogeneous-link family gets a link
-// column.
-func (s Spec) layOut(c *platform.Columns) {
+// column. The class column is grown from classOf and the link column from
+// links, both empty: every entry is written before anything reads it.
+func (s Spec) layOut(c *platform.Columns, links []float64, classOf []int32) {
 	lay := s.linkLayout()
-	if q := s.quantizer(c.Powers, lay.links); q != nil {
+	if q := s.quantizer(c.Powers, lay.links, classOf); q != nil {
 		lay.each(s.N, func(lo, hi, k int) { q.snap(c.Powers, lo, hi, k) })
 		if q.cells != nil {
 			c.Classify(q.classes, q.classOf)
@@ -383,7 +396,7 @@ func (s Spec) layOut(c *platform.Columns) {
 		}
 	}
 	if lay.links != nil {
-		c.Links = make([]float64, s.N)
+		c.Links = slices.Grow(links, s.N)[:s.N]
 		lay.each(s.N, func(lo, hi, k int) {
 			for i := lo; i < hi; i++ {
 				c.Links[i] = lay.links[k]
@@ -419,9 +432,10 @@ func jitter(rng *rand.Rand, base, spread float64) float64 {
 	return base * f
 }
 
-// powers draws the node power vector, in node order, for a validated spec.
-func (s Spec) powers(rng *rand.Rand) []float64 {
-	out := make([]float64, s.N)
+// powers draws the node power vector, in node order, for a validated spec,
+// into out (empty) grown to the pool: every family writes every entry.
+func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
+	out = slices.Grow(out, s.N)[:s.N]
 	switch s.Family {
 	case Star:
 		out[0] = s.HubFactor * s.LeafPower
@@ -518,8 +532,9 @@ func (s Spec) powers(rng *rand.Rand) []float64 {
 // returns nil too. A draw that cannot be tabled leaves cells nil and is
 // only snapped: a non-finite range, more cells than the pool has nodes
 // (the table is sized by the pool, never by the knob), and — found on the
-// way — a level out of range or a NaN power.
-func (s Spec) quantizer(powers, links []float64) *quantizer {
+// way — a level out of range or a NaN power. A table's class column is
+// classOf (empty) grown to the pool.
+func (s Spec) quantizer(powers, links []float64, classOf []int32) *quantizer {
 	if s.PowerLevels < 1 {
 		return nil
 	}
@@ -556,7 +571,7 @@ func (s Spec) quantizer(powers, links []float64) *quantizer {
 	}
 	q.levels = s.PowerLevels
 	q.cells = make([]int32, s.PowerLevels*len(links))
-	q.classOf = make([]int32, len(powers))
+	q.classOf = slices.Grow(classOf, len(powers))[:len(powers)]
 	return q
 }
 
@@ -575,6 +590,8 @@ type quantizer struct {
 }
 
 // snap snaps powers[lo:hi], nodes in link class k, and classes them.
+//
+//adeptvet:hotpath
 func (q *quantizer) snap(powers []float64, lo, hi, k int) {
 	base, step, levels, width := q.lo, q.step, float64(q.levels), len(q.links)
 	cells, classOf := q.cells, q.classOf

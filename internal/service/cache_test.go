@@ -104,7 +104,7 @@ func TestKeyForSensitivity(t *testing.T) {
 
 func mustRender(t *testing.T, plan *core.Plan, req core.Request) *CachedPlan {
 	t.Helper()
-	entry, err := Render(plan, req)
+	entry, err := Render(plan, req, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,8 @@ func (s *Server) planForLaunch(w http.ResponseWriter, r *http.Request, pr *PlanR
 		writePlanError(w, r, err)
 		return nil, false
 	}
-	req, err := in.request(r.Context())
+	// Materialised in memory of its own: it becomes the launched platform.
+	req, err := in.request(r.Context(), nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "materialise platform: %v", err)
 		return nil, false

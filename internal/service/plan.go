@@ -182,21 +182,41 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInp
 	return s.respond(r, in, tr, start, fr, coalesced), in, nil
 }
 
-// planScratch recycles the memory planners build node pools in, one
-// core.Scratch per running job: a registry that re-publishes a pool has it
-// planned again after every write, and each plan would otherwise leave a
-// pool's worth of garbage to the collector.
-var planScratch = sync.Pool{New: func() any { return new(core.Scratch) }}
+// job is one planning job's pool-sized memory: the core.Scratch a
+// scenario's columns are generated in and the planner builds its pool in,
+// and the buffer the plan's XML is rendered in.
+type job struct {
+	scratch core.Scratch
+	xml     []byte
+}
+
+// spare keeps at most one T between the uses that take and return it:
+// take hands out the kept one, or a new one when none is kept, and put
+// keeps the one it is given in place of whatever was kept. Take and put
+// are one atomic swap each, so two users never hold one T.
+type spare[T any] struct{ kept atomic.Pointer[T] }
+
+func (s *spare[T]) take() *T {
+	if v := s.kept.Swap(nil); v != nil {
+		return v
+	}
+	return new(T)
+}
+
+func (s *spare[T]) put(v *T) { s.kept.Store(v) }
 
 // runPlan is the body of a flight: one planning run on the pool — admit,
 // materialise the platform, plan, all under one slot, so admission control
 // covers the generation of a fleet as it covers planning it — then render
-// the plan and refresh the cache. ctx is either the request's own context
-// (no_cache: a private run) or a flight context detached from any single
-// client (the shared, coalesced run), which is why the leader's trace
-// recorder arrives as an argument and not down the context chain. Joiners
-// that requested a trace of their own still get only their service-side
-// phases — the planner phases belong to the flight leader's recorder.
+// the plan and refresh the cache. The job holds its memory (Server.jobs)
+// from materialising until the entry is cached — rendering is the last
+// read of the generated columns — and the entry keeps nothing of it. ctx
+// is either the request's own context (no_cache: a private run) or a
+// flight context detached from any single client (the shared, coalesced
+// run), which is why the leader's trace recorder arrives as an argument
+// and not down the context chain. Joiners that requested a trace of their
+// own still get only their service-side phases — the planner phases belong
+// to the flight leader's recorder.
 func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecorder, noCache bool) flightResult {
 	ctx = obs.ContextWithTrace(ctx, tr)
 	if !noCache {
@@ -210,10 +230,17 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 	}
 	var req core.Request
 	var variants []portfolio.Result
+	var mem *job
+	defer func() {
+		if mem != nil {
+			s.jobs.put(mem)
+		}
+	}()
 	endPlan := tr.Phase("plan")
 	plan, err := s.pool.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
+		mem = s.jobs.take()
 		var err error
-		if req, err = in.request(ctx); err != nil {
+		if req, err = in.request(ctx, mem.scratch.Columns()); err != nil {
 			// The request's fault, unless the context cut generation
 			// short — planStatus looks for that first.
 			return nil, requestError{err}
@@ -223,9 +250,7 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc := planScratch.Get().(*core.Scratch)
-		defer planScratch.Put(sc)
-		ctx = core.ContextWithScratch(ctx, sc)
+		ctx = core.ContextWithScratch(ctx, &mem.scratch)
 		if pf, ok := in.planner.(*portfolio.Planner); ok {
 			// Keep the per-variant stats for the response.
 			var p *core.Plan
@@ -239,7 +264,7 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 		return flightResult{err: err}
 	}
 	endRender := tr.Phase("render")
-	entry, err := Render(plan, req)
+	entry, err := Render(plan, req, &mem.xml)
 	endRender()
 	if err != nil {
 		return flightResult{err: err}

@@ -110,17 +110,19 @@ type planInput struct {
 // columns whatever its source — materialising what resolve left out, which
 // only a cache miss (and the two handlers that launch what was planned,
 // planForLaunch) ever needs. A scenario is drawn as columns (range-checked
-// by Spec.Columns: the one validation a generated pool gets); an inline
-// platform is converted into columns, which is its one validation, and
-// keeps its Platform; a registered platform's columns were built when it
-// was written.
-func (in *planInput) request(ctx context.Context) (core.Request, error) {
+// by Spec.Columns: the one validation a generated pool gets) — into into,
+// a job's memory, when it is not nil, so that the request lives only as
+// long as the job; an inline platform is converted into columns, which is
+// its one validation, and keeps its Platform; a registered platform's
+// columns were built when it was written. Neither of those two is ever
+// written into into.
+func (in *planInput) request(ctx context.Context, into *platform.Columns) (core.Request, error) {
 	req := in.req
 	var err error
 	switch {
 	case in.scenario != nil:
 		defer obs.TraceFrom(ctx).Phase("generate")()
-		if req.Columns, err = in.scenario.Columns(ctx); err != nil {
+		if req.Columns, err = in.scenario.Columns(ctx, into); err != nil {
 			return req, fmt.Errorf("generate scenario: %w", err)
 		}
 	case req.Columns == nil:

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -118,6 +119,14 @@ type Server struct {
 	// classPlans counts fresh planning runs answered by the heuristic's
 	// class-collapsed path (cache hits do not re-count).
 	classPlans atomic.Uint64
+
+	// jobs keeps one planning job's memory between jobs (runPlan). A miss
+	// otherwise leaves its pool's worth to the collector — a 100k-node
+	// scenario's power, class and dealt-order columns, 1.6 MB — and so does
+	// a registry write, which has its pool planned again. One spare, not one
+	// per P: concurrent jobs past the first allocate, and no more than one
+	// set outlives them.
+	jobs spare[job]
 }
 
 // New builds a Server: an empty registry, an empty cache, an open pool
@@ -259,12 +268,44 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// encoder is where a response body is encoded: a buffer and an indenting
+// json.Encoder bound to it, whose indent buffer survives between bodies.
+type encoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encoders keeps one encoder between responses, as Server.jobs keeps one
+// job's memory: a body encoded from scratch regrows both buffers from
+// empty, a few hundred KB of garbage for one fleet answer.
+var encoders spare[encoder]
+
+// maxSpareBody bounds the body whose encoder is kept: a larger one (a
+// platform GET of a fleet) leaves its buffers to the collector rather
+// than pinning them until the next body that size.
+const maxSpareBody = 1 << 20
+
+// writeJSON answers v, indented, with status — once v has encoded: a value
+// that does not (a NaN or an infinity) is answered 500 with the usual error
+// body, never a status with an empty body. The body goes out in one Write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	e := encoders.take()
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+		e.enc.SetIndent("", "  ")
+	}
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		e.buf.Reset()
+		_ = e.enc.Encode(apiError{Error: fmt.Sprintf("encode response: %v", err)}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(e.buf.Bytes())
+	if e.buf.Cap() <= maxSpareBody {
+		encoders.put(e)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

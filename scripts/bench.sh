@@ -49,7 +49,16 @@
 #      fixed few times (draw, range-check, class, deal, one Eq. 15 fold):
 #      4.4 ms median on a 2-vCPU sandbox, where a table probe sized for
 #      the class cap, a per-node tier search, a twice-built power vector and
-#      reflective XML cost 6.2-6.8 ms.
+#      reflective XML cost 6.2-6.8 ms;
+#   4. what those two scenario requests allocate: the cold miss at most
+#      1 MiB/op and the hit at most 160 KiB/op (absolute B/op ceilings,
+#      which do not drift with the host as ns/op does). A miss generates
+#      its columns, deals its pool and renders its XML in a job's memory
+#      the daemon keeps between jobs, and every answer is encoded through
+#      a kept encoder: 0.77 MB per miss as recorded here (~0.5 MB over 50
+#      seeds) and ~90 KB per hit, where drawing the power, class and
+#      dealt-order columns afresh (1.6 MB at 100k nodes) and regrowing the
+#      encoder's buffers recorded 3.0 MB and 475 KB.
 #
 # There is no baseline compare: absolute ns/op drifts with the host by more
 # than any tolerance worth setting (+25…+70 % between sessions on one
@@ -79,4 +88,6 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
   -require-max-ns BenchmarkServicePlanScenarioCold100k:13000000 \
   -require-max-ns BenchmarkKeyFor100k:16000000 \
-  -require-max-ns BenchmarkPlatformPut4000:2500000
+  -require-max-ns BenchmarkPlatformPut4000:2500000 \
+  -require-max-bytes BenchmarkServicePlanScenarioCold100k:1048576 \
+  -require-max-bytes BenchmarkServicePlanScenarioHit100k:163840
