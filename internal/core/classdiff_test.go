@@ -129,51 +129,57 @@ func TestClassVsNodeUnderDemand(t *testing.T) {
 	}
 }
 
-// TestClassAutoThreshold pins the auto-mode engagement rule: large
-// spec-repetitive pools plan in class space, small or incompressible pools
-// stay in node space.
+// TestClassAutoThreshold pins the one pool-form rule, through the
+// production planner and at its edges: a pool is class-planned from 4 096
+// nodes (classMinNodes) when it has at most n/8 distinct specs
+// (classMinCompression), and planned node by node otherwise.
 func TestClassAutoThreshold(t *testing.T) {
-	costs := model.DIETDefaults()
-	wapp := workload.DGEMM{N: 1000}.MFlop()
-
-	bigQuant, err := scenario.Spec{Family: scenario.ClusterGrid, N: 5000, Seed: 7, PowerLevels: 8}.Generate()
-	if err != nil {
-		t.Fatal(err)
+	generate := func(spec scenario.Spec) *platform.Platform {
+		p, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	p, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: bigQuant, Costs: costs, Wapp: wapp})
-	if err != nil {
-		t.Fatal(err)
+	// cycle returns n nodes cycling over specs distinct powers, on the
+	// platform's default link.
+	cycle := func(n, specs int) *platform.Platform {
+		p := &platform.Platform{Name: "form", Bandwidth: 100, Nodes: make([]platform.Node, n)}
+		for i := range p.Nodes {
+			p.Nodes[i] = platform.Node{Name: fmt.Sprintf("n%04d", i), Power: 100 + float64(i%specs)}
+		}
+		return p
 	}
-	if !p.ClassPlanned {
-		t.Errorf("5000-node quantised pool (distinct=%d) did not engage class planning",
-			platform.DistinctSpecs(bigQuant.Nodes))
-	}
-	if p.PoolClasses == 0 || p.PoolClasses > 5000/8 {
-		t.Errorf("unexpected PoolClasses %d for quantised pool", p.PoolClasses)
-	}
-
-	bigDistinct, err := scenario.Spec{Family: scenario.PowerLaw, N: 5000, Seed: 7}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err = core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: bigDistinct, Costs: costs, Wapp: wapp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ClassPlanned {
-		t.Errorf("all-distinct pool (distinct=%d) engaged class planning", platform.DistinctSpecs(bigDistinct.Nodes))
-	}
-
-	smallQuant, err := scenario.Spec{Family: scenario.ClusterGrid, N: 120, Seed: 7, PowerLevels: 8}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err = core.NewHeuristic().PlanContext(t.Context(), core.Request{Platform: smallQuant, Costs: costs, Wapp: wapp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ClassPlanned {
-		t.Error("120-node pool engaged class planning below the node floor")
+	for _, tc := range []struct {
+		name         string
+		plat         *platform.Platform
+		classPlanned bool
+	}{
+		{"quantised/5000", generate(scenario.Spec{Family: scenario.ClusterGrid, N: 5000, Seed: 7, PowerLevels: 8}), true},
+		{"all-distinct/5000", generate(scenario.Spec{Family: scenario.PowerLaw, N: 5000, Seed: 7}), false},
+		{"quantised/120", generate(scenario.Spec{Family: scenario.ClusterGrid, N: 120, Seed: 7, PowerLevels: 8}), false},
+		{"8-specs/4095", cycle(4095, 8), false},
+		{"8-specs/4096", cycle(4096, 8), true},
+		{"512-specs/4096", cycle(4096, 512), true},
+		{"513-specs/4096", cycle(4096, 513), false},
+	} {
+		p, err := core.NewHeuristic().PlanContext(t.Context(), core.Request{
+			Platform: tc.plat, Costs: model.DIETDefaults(), Wapp: workload.DGEMM{N: 1000}.MFlop(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		distinct := platform.DistinctSpecs(tc.plat.Nodes)
+		if p.ClassPlanned != tc.classPlanned {
+			t.Errorf("%s: %d nodes over %d specs: ClassPlanned = %v, want %v", tc.name, len(tc.plat.Nodes), distinct, p.ClassPlanned, tc.classPlanned)
+		}
+		want := 0
+		if tc.classPlanned {
+			want = distinct
+		}
+		if p.PoolClasses != want {
+			t.Errorf("%s: PoolClasses = %d, want %d", tc.name, p.PoolClasses, want)
+		}
 	}
 }
 
@@ -391,7 +397,7 @@ func TestNodePoolScratchReuse(t *testing.T) { scratchReuse(t, core.NewHeuristicN
 // which deal their order into the Scratch.
 func TestClassPoolScratchReuse(t *testing.T) { scratchReuse(t, core.NewHeuristicClassSpace) }
 
-func scratchReuse(t *testing.T, planner func() *core.Heuristic) {
+func scratchReuse(t *testing.T, planner func() core.Planner) {
 	specs := []scenario.Spec{
 		{Family: scenario.PowerLaw, N: 4000, Seed: 7},
 		{Family: scenario.Bimodal, N: 300, Seed: 8},

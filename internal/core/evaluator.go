@@ -6,28 +6,25 @@ import (
 	"adept/internal/model"
 )
 
-// PlacementEvaluator is the throughput-evaluation engine a planner drives
-// while it grows or mutates a deployment. It keeps the deployment's one
+// placementEvaluator is the throughput-evaluation engine Algorithm 1's
+// growth drives while it grows a deployment. It keeps the deployment's one
 // per-node record (nodeTable: who is an agent, who is a server, degrees,
-// backing powers and links) and answers the two question families every
-// planner hot loop asks:
-//
-//   - Eval: the current ρ_sched / ρ_service of the recorded deployment;
-//   - what-ifs (RhoAfter*): the demand-uncapped ρ the deployment would have
-//     after one speculative attach, swap or drop, WITHOUT mutating state.
+// backing powers and links), which growth reads instead of keeping its
+// own, and answers the two questions growth asks: Eval, the current
+// ρ_sched / ρ_service of the recorded deployment, and RhoAfterAttach, the
+// demand-uncapped ρ after one speculative attach, WITHOUT mutating state.
 //
 // Node ids are the caller's dense identifiers, parents before children:
 // the ID a node has in the deployment its owner builds (growth, the swap
-// refiner's record). Two implementations exist: the incremental Evaluator
-// (O(1)–O(log n) per operation, the production engine) and the
-// NaiveEvaluator reference (full recompute per query, the pre-refactor
-// cost profile) retained for property/fuzz tests and benchmarks. Both keep their record through the same nodeTable, so
-// the two agree on it field for field, stamps included.
+// refiner's record). Production plans through the incremental Evaluator;
+// the package's tests also plan through a full-recompute reference that
+// keeps its record in the same nodeTable, so the two agree on it field
+// for field, stamps included.
 // Per-node link bandwidths: every placement primitive carries the backing
 // node's link bandwidth alongside its power (zero = the platform default
 // handed to the constructor), so deployments over multi-cluster platforms
 // evaluate each node's communication terms at its own link speed.
-type PlacementEvaluator interface {
+type placementEvaluator interface {
 	// AddAgent registers node id as an agent with no children yet. parent
 	// is the agent's parent id, or -1 for the root; the parent's degree is
 	// incremented.
@@ -37,9 +34,6 @@ type PlacementEvaluator interface {
 	AddServer(id, parent int, power, linkBW float64)
 	// Promote converts server id into a childless agent (shift_nodes).
 	Promote(id int)
-	// SetBacking re-backs node id with a different physical node (one half
-	// of the swap refiner's exchange), keeping its role and degree.
-	SetBacking(id int, power, linkBW float64)
 	// Eval returns the current ρ_sched and ρ_service (Eqs. 14–15);
 	// ρ = min of the two. A deployment with no servers evaluates to (0, 0),
 	// matching model.Evaluate.
@@ -47,17 +41,7 @@ type PlacementEvaluator interface {
 	// RhoAfterAttach returns the ρ the deployment would have with one more
 	// server of the given power and link attached under agent parent.
 	RhoAfterAttach(parent int, power, linkBW float64) float64
-	// RhoAfterSwap returns the ρ the deployment would have after agent and
-	// server exchange backing nodes (powers and links travel together).
-	RhoAfterSwap(agentID, serverID int) float64
-	// RhoAfterDrop returns the ρ the deployment would have with server id
-	// removed from under parent (weak servers can lower ρ: each one pays
-	// the Wpre prediction cost and may carry the prediction bottleneck).
-	RhoAfterDrop(serverID, parentID int) float64
-	// Reset clears all state, retaining capacity for reuse.
-	Reset()
-	// table returns the evaluator's node record, which the growth driver
-	// reads instead of keeping its own.
+	// table returns the evaluator's node record.
 	table() *nodeTable
 }
 
@@ -252,7 +236,7 @@ func (h *lazyHeap) peekExcluding(nodes []evalNode, role int8, skip int) (heapEnt
 
 func (h *lazyHeap) reset() { h.ents = h.ents[:0] }
 
-// Evaluator is the incremental PlacementEvaluator: it maintains
+// Evaluator is the incremental placementEvaluator: it maintains
 //
 //   - a compensated running sum and count of server powers, making the
 //     computation part of the service term (Eq. 15) O(1);
@@ -295,7 +279,7 @@ func NewEvaluator(c model.Costs, bandwidth, wapp float64) *Evaluator {
 	return &Evaluator{costs: c, wapp: wapp, nodeTable: nodeTable{bw: bandwidth}}
 }
 
-// Reset implements PlacementEvaluator.
+// Reset clears all state, retaining capacity for reuse.
 func (e *Evaluator) Reset() {
 	e.nodeTable.Reset()
 	e.nServers = 0
@@ -341,14 +325,14 @@ func (e *Evaluator) pushServer(id int) {
 	e.servBW.push(heapEnt{val: n.bw, id: id, stamp: n.stamp})
 }
 
-// AddAgent implements PlacementEvaluator.
+// AddAgent implements placementEvaluator.
 func (e *Evaluator) AddAgent(id, parent int, power, linkBW float64) {
 	e.place(id, parent, roleAgent, power, linkBW)
 	e.pushAgent(id)
 	e.pushAgent(parent)
 }
 
-// AddServer implements PlacementEvaluator.
+// AddServer implements placementEvaluator.
 func (e *Evaluator) AddServer(id, parent int, power, linkBW float64) {
 	e.place(id, parent, roleServer, power, linkBW)
 	e.nServers++
@@ -357,7 +341,7 @@ func (e *Evaluator) AddServer(id, parent int, power, linkBW float64) {
 	e.pushAgent(parent)
 }
 
-// Promote implements PlacementEvaluator.
+// Promote implements placementEvaluator.
 func (e *Evaluator) Promote(id int) {
 	e.nServers--
 	e.sumAdd(-e.nodes[id].power)
@@ -365,7 +349,8 @@ func (e *Evaluator) Promote(id int) {
 	e.pushAgent(id)
 }
 
-// SetBacking implements PlacementEvaluator.
+// SetBacking re-backs node id with a different physical node (one half
+// of the swap refiner's exchange), keeping its role and degree.
 func (e *Evaluator) SetBacking(id int, power, linkBW float64) {
 	if e.nodes[id].role == roleServer {
 		e.sumAdd(power - e.nodes[id].power)
@@ -435,7 +420,7 @@ func (e *Evaluator) minServerBW(skip int) float64 {
 	return ent.val
 }
 
-// Eval implements PlacementEvaluator.
+// Eval implements placementEvaluator.
 func (e *Evaluator) Eval() (sched, service float64) {
 	if e.nServers == 0 {
 		return 0, 0
@@ -445,7 +430,7 @@ func (e *Evaluator) Eval() (sched, service float64) {
 	return sched, service
 }
 
-// RhoAfterAttach implements PlacementEvaluator.
+// RhoAfterAttach implements placementEvaluator.
 func (e *Evaluator) RhoAfterAttach(parent int, power, linkBW float64) float64 {
 	bw := e.link(linkBW)
 	p := e.nodes[parent]
@@ -457,7 +442,9 @@ func (e *Evaluator) RhoAfterAttach(parent int, power, linkBW float64) float64 {
 	return math.Min(sched, service)
 }
 
-// RhoAfterSwap implements PlacementEvaluator.
+// RhoAfterSwap returns the ρ the deployment would have after agent and
+// server exchange backing nodes (powers and links travel together),
+// without mutating state.
 func (e *Evaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	a, s := e.nodes[agentID], e.nodes[serverID]
 	thr := model.AgentThroughput(e.costs, s.bw, s.power, a.degree)
@@ -468,7 +455,10 @@ func (e *Evaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	return math.Min(sched, service)
 }
 
-// RhoAfterDrop implements PlacementEvaluator.
+// RhoAfterDrop returns the ρ the deployment would have with server id
+// removed from under parent (weak servers can lower ρ: each one pays the
+// Wpre prediction cost and may carry the prediction bottleneck), without
+// mutating state.
 func (e *Evaluator) RhoAfterDrop(serverID, parentID int) float64 {
 	if e.nServers <= 1 {
 		return 0

@@ -6,22 +6,22 @@ import (
 	"adept/internal/model"
 )
 
-// NaiveEvaluator is the reference PlacementEvaluator: it records the
+// NaiveEvaluator is the reference placementEvaluator: it records the
 // deployment in the nodeTable the incremental Evaluator records it in — the
 // two agree on it field for field — but answers every query with a full
 // Θ(n) sweep over all nodes, exactly what the planner hot path did before
 // the incremental engine existed (per-candidate model rebuilds in
 // rhoAfterAdd / cappedRho).
 //
-// It is retained on purpose, not as dead code:
+// It lives in the package's tests:
 //
 //   - the property/fuzz tests hold Evaluator and NaiveEvaluator to 1e-9
 //     agreement on every generated scenario — including heterogeneous
 //     per-node link bandwidths — so the incremental bookkeeping can never
 //     silently drift from the §3 model;
-//   - the BenchmarkHeuristicPlanNaive* benchmarks plan through it to
-//     quantify the incremental speedup (the CI bench gate requires ≥10x
-//     at 5k nodes).
+//   - the BenchmarkHeuristicPlanNaive* benchmarks (bench_test.go) plan
+//     through it to quantify the incremental speedup (scripts/bench.sh
+//     requires ≥10x at 5k nodes).
 type NaiveEvaluator struct {
 	costs model.Costs
 	wapp  float64
@@ -34,20 +34,20 @@ func NewNaiveEvaluator(c model.Costs, bandwidth, wapp float64) *NaiveEvaluator {
 	return &NaiveEvaluator{costs: c, wapp: wapp, nodeTable: nodeTable{bw: bandwidth}}
 }
 
-// AddAgent implements PlacementEvaluator.
+// AddAgent implements placementEvaluator.
 func (e *NaiveEvaluator) AddAgent(id, parent int, power, linkBW float64) {
 	e.place(id, parent, roleAgent, power, linkBW)
 }
 
-// AddServer implements PlacementEvaluator.
+// AddServer implements placementEvaluator.
 func (e *NaiveEvaluator) AddServer(id, parent int, power, linkBW float64) {
 	e.place(id, parent, roleServer, power, linkBW)
 }
 
-// Promote implements PlacementEvaluator.
+// Promote implements placementEvaluator.
 func (e *NaiveEvaluator) Promote(id int) { e.promote(id) }
 
-// SetBacking implements PlacementEvaluator.
+// SetBacking is Evaluator.SetBacking by a full sweep.
 func (e *NaiveEvaluator) SetBacking(id int, power, linkBW float64) { e.reback(id, power, linkBW) }
 
 // sweep recomputes ρ_sched and ρ_service from scratch. The override hooks
@@ -96,7 +96,6 @@ func (e *NaiveEvaluator) sweep(ov naiveOverride) (sched, service float64) {
 				power, bw = ov.serverPower, ov.serverBW
 			}
 			nServers++
-			//adeptvet:allow floataccum naive reference evaluator; the fuzz harness holds it to the compensated one within 1e-9
 			sum += power
 			if bw < minBW {
 				minBW = bw
@@ -108,7 +107,6 @@ func (e *NaiveEvaluator) sweep(ov naiveOverride) (sched, service float64) {
 	}
 	if ov.extraServer >= 0 {
 		nServers++
-		//adeptvet:allow floataccum naive reference evaluator; the fuzz harness holds it to the compensated one within 1e-9
 		sum += ov.extraServer
 		if ov.extraBW < minBW {
 			minBW = ov.extraBW
@@ -127,12 +125,12 @@ func (e *NaiveEvaluator) sweep(ov naiveOverride) (sched, service float64) {
 // noOverride evaluates the recorded deployment as-is.
 var noOverride = naiveOverride{agentID: -1, agentPower: -1, serverID: -1, extraServer: -1, dropServer: -1}
 
-// Eval implements PlacementEvaluator.
+// Eval implements placementEvaluator.
 func (e *NaiveEvaluator) Eval() (sched, service float64) {
 	return e.sweep(noOverride)
 }
 
-// RhoAfterAttach implements PlacementEvaluator.
+// RhoAfterAttach implements placementEvaluator.
 func (e *NaiveEvaluator) RhoAfterAttach(parent int, power, linkBW float64) float64 {
 	ov := noOverride
 	ov.agentID, ov.degreeDelta = parent, 1
@@ -141,7 +139,7 @@ func (e *NaiveEvaluator) RhoAfterAttach(parent int, power, linkBW float64) float
 	return math.Min(sched, service)
 }
 
-// RhoAfterSwap implements PlacementEvaluator.
+// RhoAfterSwap is Evaluator.RhoAfterSwap by a full sweep.
 func (e *NaiveEvaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	ov := noOverride
 	ov.agentID, ov.agentPower, ov.agentBW = agentID, e.nodes[serverID].power, e.nodes[serverID].bw
@@ -150,7 +148,7 @@ func (e *NaiveEvaluator) RhoAfterSwap(agentID, serverID int) float64 {
 	return math.Min(sched, service)
 }
 
-// RhoAfterDrop implements PlacementEvaluator.
+// RhoAfterDrop is Evaluator.RhoAfterDrop by a full sweep.
 func (e *NaiveEvaluator) RhoAfterDrop(serverID, parentID int) float64 {
 	ov := noOverride
 	ov.agentID, ov.degreeDelta = parentID, -1

@@ -77,9 +77,9 @@ func collidingFleet(t *testing.T) *platform.Platform {
 // goldenModes are the three ways a pool's granularity gets chosen.
 var goldenModes = []struct {
 	name    string
-	planner func() *core.Heuristic
+	planner func() core.Planner
 }{
-	{"auto", core.NewHeuristic},
+	{"auto", func() core.Planner { return core.NewHeuristic() }},
 	{"node", core.NewHeuristicNodeSpace},
 	{"class", core.NewHeuristicClassSpace},
 }

@@ -48,7 +48,7 @@ import (
 // (hierarchy.Final) and uses the fewest nodes among the snapshots achieving
 // the best capped throughput.
 //
-// Scaling: the growth loop plans through a PlacementEvaluator, so one
+// Scaling: the growth loop plans through the incremental Evaluator, so one
 // placement step costs O(log n) instead of the Θ(n) model sweep of a naive
 // implementation. Growth builds no tree: the evaluator's node table is the
 // deployment being grown (a node's ID is its index there, the root 0), and
@@ -73,33 +73,12 @@ import (
 // tie by position and float accumulations run in sorted order at either
 // granularity. A plan runs on the calling goroutine alone, so it is the
 // same at any GOMAXPROCS.
-type Heuristic struct {
-	// naive, when set, plans through the Θ(n)-per-query NaiveEvaluator.
-	// Kept for benchmarks and the property tests that pin the incremental
-	// evaluator to the reference; NewHeuristic always builds the fast one.
-	naive bool
-	// mode selects the granularity of the sorted pool.
-	mode poolMode
-}
+type Heuristic struct{}
 
-// poolMode selects how PlanContext builds the sorted pool.
-type poolMode int
-
-const (
-	// poolAuto builds the pool from spec classes when it is large and
-	// compresses well (see classMinNodes, classMinCompression), node by node
-	// otherwise.
-	poolAuto poolMode = iota
-	// poolNodesOnly always builds one run per node.
-	poolNodesOnly
-	// poolClassesOnly always builds the pool from spec classes.
-	poolClassesOnly
-)
-
-// Auto-mode thresholds: the class-backed pool engages at classMinNodes
-// nodes when the pool has at most n/classMinCompression distinct specs.
-// Below the node floor a per-node pool plans in microseconds anyway; above
-// it, the capped index build keeps the probe O(n/classMinCompression) on
+// The pool-form rule: the class-backed pool engages at classMinNodes nodes
+// when the pool has at most n/classMinCompression distinct specs. Below
+// the node floor a per-node pool plans in microseconds anyway; above it,
+// the capped index build keeps the probe O(n/classMinCompression) on
 // incompressible pools.
 const (
 	classMinNodes       = 4096
@@ -111,34 +90,17 @@ const (
 // automatically.
 func NewHeuristic() *Heuristic { return &Heuristic{} }
 
-// NewHeuristicNaive returns the Algorithm 1 planner backed by the
-// full-recompute NaiveEvaluator: the pre-incremental cost profile, retained
-// as the benchmark and property-test reference. It produces the same
-// deployments as NewHeuristic. Always plans at node granularity.
-func NewHeuristicNaive() *Heuristic { return &Heuristic{naive: true, mode: poolNodesOnly} }
-
 // Name implements Planner.
 func (*Heuristic) Name() string { return "heuristic" }
 
-// newEvaluator builds the placement evaluator this planner variant uses.
-func (p *Heuristic) newEvaluator(req Request) PlacementEvaluator {
-	if p.naive {
-		return NewNaiveEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
+// classIndexFor decides whether a plan's pool is built from spec classes:
+// it returns the class index when the pool's size and compressibility call
+// for one, and nil when the pool is planned per node.
+func classIndexFor(cols *platform.Columns) *ClassIndex {
+	if cols.Len() < classMinNodes {
+		return nil
 	}
-	return NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp)
-}
-
-// classIndexFor decides whether this plan's pool is built from spec
-// classes: it returns the class index when the mode, or the pool's size and
-// compressibility, call for one, and nil when the pool is planned per node.
-func (p *Heuristic) classIndexFor(cols *platform.Columns) *ClassIndex {
-	switch {
-	case p.mode == poolClassesOnly:
-		return buildClassIndexCapped(cols, cols.Len())
-	case p.mode == poolAuto && cols.Len() >= classMinNodes:
-		return buildClassIndexCapped(cols, cols.Len()/classMinCompression)
-	}
-	return nil
+	return buildClassIndexCapped(cols, cols.Len()/classMinCompression)
 }
 
 // growthOp is one recorded growth decision: attach the node at column col
@@ -156,7 +118,7 @@ type growthOp struct {
 // heap-backed placement indexes.
 type growth struct {
 	req    Request
-	ev     PlacementEvaluator
+	ev     placementEvaluator
 	tab    *nodeTable // ev's: a node's ID is its index, the root is 0
 	target float64
 	pool   *sortedPool // positions 0 and 1 are the seed; growth consumes 2..n-1
@@ -266,12 +228,12 @@ func (g *growth) promotable(w, bw float64) bool {
 	return calcSchPow(g.req.Costs, bw, w, 2) >= g.target
 }
 
-// seedGrowth starts growth from the seed deployment — the root (sorted
-// position 0, ID 0) and the strongest server (position 1) under it — and
-// indexes the root for gated placement. Both placement heaps are
-// max-heaps: pass 1 takes the most slack, pass 2 the most power.
-func (p *Heuristic) seedGrowth(req Request, target float64, pool *sortedPool) *growth {
-	ev := p.newEvaluator(req)
+// seedGrowth starts growth in the empty evaluator ev from the seed
+// deployment — the root (sorted position 0, ID 0) and the strongest server
+// (position 1) under it — and indexes the root for gated placement. Both
+// placement heaps are max-heaps: pass 1 takes the most slack, pass 2 the
+// most power.
+func seedGrowth(req Request, target float64, pool *sortedPool, ev placementEvaluator) *growth {
 	g := &growth{
 		req: req, ev: ev, tab: ev.table(), target: target,
 		pool:    pool,
@@ -354,8 +316,9 @@ func (g *growth) run(ctx context.Context, name string) (bestMark, error) {
 
 // PlanContext implements Planner; the context is polled once per growth
 // iteration, so cancellation latency is one placement step.
-func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, err error) {
-	if req, err = req.Resolve(); err != nil {
+func (p *Heuristic) PlanContext(ctx context.Context, req Request) (*Plan, error) {
+	req, err := req.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	// Checked before the agent-limited shortcut too, so a dead context
@@ -363,14 +326,23 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 	if err := CheckContext(ctx, p.Name()); err != nil {
 		return nil, err
 	}
+	return p.plan(ctx, req, classIndexFor(req.Columns), NewEvaluator(req.Costs, req.Columns.Bandwidth, req.Wapp))
+}
+
+// plan is the body of Algorithm 1 over a resolved request: the pool is
+// built from the class index ix, or node by node when ix is nil, and
+// growth records the deployment in ev, an empty evaluator. PlanContext
+// passes the pool form the input calls for and the incremental evaluator;
+// the package's tests pin either form, or plan through a naive reference
+// evaluator, by passing other arguments.
+func (p *Heuristic) plan(ctx context.Context, req Request, ix *ClassIndex, ev placementEvaluator) (plan *Plan, err error) {
 	c := req.Costs
 	bw := req.Columns.Bandwidth
 	wapp := req.Wapp
 	tr := obs.TraceFrom(ctx)
 
-	// Steps 1–2, at the granularity the input calls for. Everything below
-	// sees only the sorted pool.
-	ix := p.classIndexFor(req.Columns)
+	// Steps 1–2, at the granularity ix gives. Everything below sees only
+	// the sorted pool.
 	endSort := tr.Phase("sort_nodes")
 	var pool *sortedPool
 	if ix != nil {
@@ -441,7 +413,7 @@ func (p *Heuristic) PlanContext(ctx context.Context, req Request) (plan *Plan, e
 		target = calcSchPow(c, rootBW, root.power, 2)
 	}
 
-	g := p.seedGrowth(req, target, pool)
+	g := seedGrowth(req, target, pool, ev)
 	best, err := g.run(ctx, p.Name())
 	if err != nil {
 		return nil, err

@@ -68,9 +68,10 @@ func KeyFor(planner string, req core.Request) (CacheKey, error) {
 }
 
 // CachedPlan is the immutable rendered form of a plan as stored in the
-// cache: the plan itself (a private clone, to be treated as read-only),
-// the deployment XML and hierarchy stats precomputed once at Render time,
-// and what a response reports about the platform the plan was made on.
+// cache: the plan's scalar fields (a private copy without its hierarchy,
+// to be treated as read-only), the deployment XML and hierarchy stats
+// precomputed once at Render time, and what a response reports about the
+// platform the plan was made on.
 // Hot cache hits are answered entirely from this struct: concurrent
 // readers never touch a shared mutable *core.Plan, and a hit never needs
 // the platform — which for a scenario request does not exist until a miss
@@ -91,14 +92,16 @@ type CachedPlan struct {
 // property of the client's request.
 var errRenderPlan = errors.New("service: render plan")
 
-// Render clones plan and precomputes its XML, its hierarchy stats and the
-// pool figures of the request it was planned for, read off its columns
+// Render precomputes plan's XML, its hierarchy stats and the pool figures
+// of the request it was planned for, read off its columns
 // (core.Request.Resolve: O(1) on the daemon's requests, which carry them),
-// producing the immutable entry the cache stores. The clone isolates the
-// cache from any later mutation of the caller's plan. The XML is appended
-// into *buf, emptied, which is left grown for the next render; the entry
-// holds a copy, never the buffer, and nothing of req's columns either, so
-// it outlives the memory they were generated in.
+// producing the immutable entry the cache stores. The entry keeps a copy
+// of the plan's scalar fields with no hierarchy — the XML and the stats
+// are all a response reads of the tree — so no later mutation of the
+// caller's plan reaches it. The XML is appended into *buf, emptied, which
+// is left grown for the next render; the entry holds a copy, never the
+// buffer, and nothing of req's columns either, so it outlives the memory
+// they were generated in.
 func Render(plan *core.Plan, req core.Request, buf *[]byte) (*CachedPlan, error) {
 	b, err := plan.Hierarchy.AppendXML((*buf)[:0])
 	*buf = b
@@ -109,7 +112,7 @@ func Render(plan *core.Plan, req core.Request, buf *[]byte) (*CachedPlan, error)
 		return nil, fmt.Errorf("%w: %v", errRenderPlan, err)
 	}
 	cp := *plan
-	cp.Hierarchy = plan.Hierarchy.Clone()
+	cp.Hierarchy = nil
 	entry := &CachedPlan{Plan: &cp, XML: string(b), Stats: plan.Hierarchy.ComputeStats(), PoolNodes: req.Columns.Len()}
 	entry.MinLinkBandwidth, entry.MaxLinkBandwidth = req.Columns.LinkRange()
 	return entry, nil
@@ -147,21 +150,12 @@ func NewPlanCache(capacity int) (*PlanCache, error) {
 	return c, nil
 }
 
-// Get returns the cached rendered plan for key, recording a hit or miss
-// and refreshing the entry's recency on a hit. The returned entry is
-// shared between callers and must be treated as read-only.
-func (c *PlanCache) Get(key CacheKey) (*CachedPlan, bool) {
-	entry, ok := c.Lookup(key)
-	if !ok {
-		c.NoteMiss(key)
-	}
-	return entry, ok
-}
-
-// Lookup is Get without the miss accounting: a hit is recorded (and
-// recency refreshed), an absence is reported silently. The serving layer
-// uses it so that a thundering herd coalescing onto one flight charges
-// one miss — attributed where the planning run happens — rather than N.
+// Lookup returns the cached rendered plan for key, recording a hit and
+// refreshing the entry's recency; an absence is reported silently, and
+// the caller charges it with NoteMiss. The serving layer splits the two so
+// that a thundering herd coalescing onto one flight charges one miss —
+// attributed where the planning run happens — rather than N. The returned
+// entry is shared between callers and must be treated as read-only.
 func (c *PlanCache) Lookup(key CacheKey) (*CachedPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

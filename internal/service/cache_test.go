@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adept/internal/core"
@@ -122,9 +123,10 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := cache.Get(key); ok {
+	if _, ok := cache.Lookup(key); ok {
 		t.Fatal("hit on empty cache")
 	}
+	cache.NoteMiss(key)
 	plan, err := core.NewHeuristic().PlanContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +138,7 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Get(key2)
+	got, ok := cache.Lookup(key2)
 	if !ok {
 		t.Fatal("identical request missed")
 	}
@@ -157,7 +159,8 @@ func TestCacheHitOnIdenticalRequest(t *testing.T) {
 
 // The cached entry must be isolated from the plan the planner handed
 // over: mutating the original hierarchy after Put cannot corrupt what
-// other goroutines read back.
+// other goroutines read back, and the entry keeps no hierarchy of its own
+// (the XML and the stats are all a response reads of the tree).
 func TestCacheEntryIsolatedFromCallerPlan(t *testing.T) {
 	cache, err := NewPlanCache(4)
 	if err != nil {
@@ -174,22 +177,30 @@ func TestCacheEntryIsolatedFromCallerPlan(t *testing.T) {
 	}
 	cache.Put(key, mustRender(t, plan, req))
 
-	agents := plan.Hierarchy.ComputeStats().Agents
-	// Vandalise the caller's copy.
+	stats := plan.Hierarchy.ComputeStats()
+	// Vandalise the caller's copy: a new agent level under the root.
 	if err := plan.Hierarchy.SetBacking(plan.Hierarchy.Root(), "vandal", 1); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Get(key)
+	leaf := plan.Hierarchy.Servers()[0]
+	if err := plan.Hierarchy.PromoteToAgent(leaf); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Hierarchy.ComputeStats() == stats {
+		t.Fatal("vandalism left the caller's stats as they were")
+	}
+	got, ok := cache.Lookup(key)
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if got.Stats.Agents != agents {
-		t.Errorf("cached stats mutated: agents %d, want %d", got.Stats.Agents, agents)
+	if got.Stats != stats {
+		t.Errorf("cached stats mutated: %+v, want %+v", got.Stats, stats)
 	}
-	for _, n := range got.Plan.Hierarchy.Nodes() {
-		if n.Name == "vandal" {
-			t.Fatal("caller mutation leaked into cached hierarchy")
-		}
+	if strings.Contains(got.XML, "vandal") {
+		t.Error("caller mutation leaked into cached XML")
+	}
+	if got.Plan.Hierarchy != nil {
+		t.Error("cached entry holds a hierarchy")
 	}
 }
 
@@ -215,7 +226,7 @@ func TestCacheMissOnChangedWapp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Get(changedKey); ok {
+	if _, ok := cache.Lookup(changedKey); ok {
 		t.Error("changed-Wapp request hit the cache")
 	}
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # bench.sh — the planner kernel record and its guards.
 #
-# Runs the BenchmarkHeuristicPlan{100,1k,5k} scaling benchmarks (plus their
-# Naive twins planning through the retained full-recompute evaluator), the
-# BenchmarkHeuristicPlanClustered5k heterogeneous-links twin, the
-# BenchmarkHeuristicPlan{100k,1M} class-collapsed fleet-scale benchmarks,
+# Runs, in internal/core, the BenchmarkHeuristicPlan{100,1k,5k} scaling
+# benchmarks (plus their Naive twins, planning through the full-recompute
+# evaluator that only that package's tests build) and the
+# BenchmarkHeuristicPlanClustered5k heterogeneous-links twin; then, in the
+# root package, the BenchmarkHeuristicPlan{100k,1M} class-collapsed
+# fleet-scale benchmarks,
 # BenchmarkHeuristicPlanChurn4000 (replan_churn's miss: a registered
 # 4 000-node pool ranked node by node from its columns),
 # the BenchmarkPortfolioPlan{1k,Mix} portfolio folds (one 1k pool; the
@@ -74,7 +76,7 @@ COUNT="${COUNT:-5}"
 
 go test -run '^$' \
   -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$' \
-  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/platform | tee bench_plan.txt
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/platform | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
 
