@@ -589,6 +589,45 @@ func BenchmarkServicePlanScenarioCold100k(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePlanInline400 is mix_small's per-request floor: one POST
+// /v1/plan through the handler that is a cache hit on an inline 400-node
+// platform, the workload's largest. The body is read into a kept buffer,
+// its platform decoded straight into columns and digested, the rest
+// decoded by encoding/json, and the cached answer encoded; nothing is
+// planned or validated. scripts/bench.sh gates its B/op at ~2x the
+// recorded median, over which the reflective decode of the platform into
+// nodes lands (~190 KB/op).
+func BenchmarkServicePlanInline400(b *testing.B) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	handler := srv.Handler()
+	plat, err := (scenario.Spec{Family: scenario.ClusterGrid, N: 400, Seed: 7}).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(service.PlanRequest{Platform: plat})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post() // prime: the one miss
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
 // BenchmarkKeyFor100k prices content-addressing a 100 000-node platform
 // the hard way — streaming every node through SHA-256, as an inline
 // request (or a registry write) must.

@@ -44,6 +44,10 @@ import (
 // pass over the finished columns: checking each node as its object closes
 // measured slower, the name table's probes costing the same either way,
 // and a document may give its bandwidth after its nodes.
+//
+// DecodeMember is the same pass over a platform that is a member of a
+// larger object, in strict mode: there an unknown member is refused, not
+// skipped, as encoding/json's DisallowUnknownFields refuses it.
 func DecodeJSON(data []byte) (*Columns, error) {
 	d := decoder{data: data}
 	if err := d.document(); err != nil {
@@ -56,6 +60,77 @@ func DecodeJSON(data []byte) (*Columns, error) {
 	return c, nil
 }
 
+// DecodeMember decodes the platform description that is the value of one
+// member of the JSON object data — the member whose key is spelled exactly
+// key, with no escape — in strict mode, and returns it as columns, as
+// decoded: not validated, so the caller runs Columns.Validate before it
+// reads them as a pool. It returns where the value starts and ends in data
+// too, so that the rest of the object can be decoded without it.
+//
+// It is DecodeJSON's pass, taking the platform as encoding/json with
+// DisallowUnknownFields takes it: a member of the platform or of a node that
+// the schema does not know is an error, not skipped. The object's other
+// members are syntax-checked and skipped, and nothing after its closing
+// brace is read. It refuses, rather than guess, whatever encoding/json might
+// read another way: an object with no such member or with two, any other
+// key that folds to key (encoding/json matches a field case-insensitively),
+// a null value, and anything DecodeJSON's decoding refuses, anywhere in the
+// object. key is lower-case ASCII.
+func DecodeMember(data []byte, key string) (c *Columns, start, end int, err error) {
+	d := decoder{data: data, strict: true}
+	if start, end, err = d.member(key); err != nil {
+		return nil, 0, 0, err
+	}
+	return d.columns(), start, end, nil
+}
+
+// member decodes the object at off, its member spelled exactly key as the
+// platform and every other member skipped, and returns the span of that
+// member's value.
+func (d *decoder) member(key string) (start, end int, err error) {
+	quoted := `"` + key + `"`
+	found := false
+	more, err := d.openObject("the request")
+	for more && err == nil {
+		d.ws()
+		exact := d.at(d.off, quoted)
+		var k []byte
+		if k, err = d.key(); err != nil {
+			break
+		}
+		switch {
+		case exact && !found:
+			found = true
+			if d.ws(); d.peek() == 'n' {
+				return 0, 0, fmt.Errorf("platform: decode: %s is null", key)
+			}
+			start = d.off
+			err = d.platform()
+			end = d.off
+		case foldEqual(k, key):
+			return 0, 0, fmt.Errorf("platform: decode: a second member folds to %s at byte %d", key, d.off)
+		default:
+			err = d.skip()
+		}
+		if err == nil {
+			more, err = d.nextMember()
+		}
+	}
+	if err == nil && !found {
+		err = fmt.Errorf("platform: decode: no member %s", key)
+	}
+	return start, end, err
+}
+
+// other consumes the value of a member the schema does not know: skipped,
+// or in strict mode refused.
+func (d *decoder) other() error {
+	if d.strict {
+		return fmt.Errorf("platform: decode: unknown member before byte %d", d.off)
+	}
+	return d.skip()
+}
+
 // maxDepth is encoding/json's nesting limit: objects and arrays may be
 // nested this deep and no deeper.
 const maxDepth = 10000
@@ -65,6 +140,8 @@ const maxDepth = 10000
 type decoder struct {
 	data []byte
 	off  int
+	// strict refuses a member the schema does not know (DecodeMember).
+	strict bool
 	// depth counts the objects and arrays open at off; inArray[depth]
 	// records, for the ones skip opened, whether it is an array.
 	depth   int
@@ -206,7 +283,7 @@ func (d *decoder) platform() error {
 		case fieldNodes:
 			err = d.nodes()
 		default:
-			err = d.skip()
+			err = d.other()
 		}
 		if err == nil {
 			more, err = d.nextMember()
@@ -397,7 +474,7 @@ func (d *decoder) node(i int) error {
 		case fieldLink:
 			err = d.link(i)
 		default:
-			err = d.skip()
+			err = d.other()
 		}
 		if err == nil {
 			more, err = d.nextMember()

@@ -414,6 +414,49 @@ func TestDecodeJSONFastPathsAgree(t *testing.T) {
 	}
 }
 
+// TestDecodeMember pins what DecodeMember takes — the member spelled
+// exactly as asked, its value's span, other members skipped whatever they
+// hold, nothing read past the object — and what it refuses, where
+// encoding/json with DisallowUnknownFields might read the object another
+// way: an unknown member of the platform or of a node, another spelling of
+// the key, a second member, null, no member, and a syntax error anywhere.
+func TestDecodeMember(t *testing.T) {
+	const plat = `{"name":"x","bandwidth_mbps":100,"nodes":[{"name":"a","power":1,"link_bandwidth_mbps":10}]}`
+	for _, body := range []string{
+		`{"platform":` + plat + `}`,
+		` { "a" : [1,{"platform":null}] , "platform" : ` + plat + ` , "z":"\u0070latform"} and then not JSON`,
+	} {
+		c, start, end, err := platform.DecodeMember([]byte(body), "platform")
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if body[start:end] != plat {
+			t.Errorf("%s: the value spans %q", body, body[start:end])
+		}
+		if power, link := c.Spec(0); c.Len() != 1 || c.NodeName(0) != "a" || power != 1 || link != 10 || c.Name != "x" || c.Bandwidth != 100 {
+			t.Errorf("%s: decoded %+v", body, c.Platform())
+		}
+	}
+	for _, body := range []string{
+		`{"platform":{"name":"x","colour":"red","bandwidth_mbps":100,"nodes":[{"name":"a","power":1}]}}`,
+		`{"platform":{"name":"x","bandwidth_mbps":100,"nodes":[{"name":"a","power":1,"colour":"red"}]}}`,
+		`{"Platform":` + plat + `}`,
+		`{"pl\u0061tform":` + plat + `}`,
+		`{"platform":` + plat + `,"platform":` + plat + `}`,
+		`{"platform":` + plat + `,"PLATFORM":null}`,
+		`{"platform":null}`,
+		`{"platforms":` + plat + `}`,
+		`[` + plat + `]`,
+		`{"platform":` + plat + `,}`,
+		`{"platform":` + plat,
+		`{"platform":{"name":"x","bandwidth_mbps":"100"}}`,
+	} {
+		if _, _, _, err := platform.DecodeMember([]byte(body), "platform"); err == nil {
+			t.Errorf("%s: taken", body)
+		}
+	}
+}
+
 // BenchmarkDecodeJSON4000 is the decoder alone on replan_churn's PUT body:
 // bytes to validated columns.
 func BenchmarkDecodeJSON4000(b *testing.B) {

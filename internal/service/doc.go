@@ -26,7 +26,8 @@
 //     and how it is resolved (the planners table, PlanRequest, resolve);
 //     plan.go is how it is answered: Server.plan stage by stage, the
 //     flight body (runPlan), the one error → status decision (planStatus),
-//     and the /v1/plan and /v1/plan/batch handlers
+//     and the /v1/plan and /v1/plan/batch handlers — /v1/plan decoding its
+//     inline platform straight into columns (decodePlanRequest)
 //   - launch.go, autonomic.go — the two handlers that launch what was
 //     planned, /v1/deploy and /v1/autonomic/*, behind one hand-off
 //     (planForLaunch) and one launcher (internal/deploy)

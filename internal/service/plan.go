@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -12,6 +15,7 @@ import (
 
 	"adept/internal/core"
 	"adept/internal/obs"
+	"adept/internal/platform"
 	"adept/internal/portfolio"
 )
 
@@ -139,6 +143,11 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInp
 		// error.
 		if s.cluster != nil && r.Header.Get(ForwardedHeader) == "" {
 			endForward := tr.Phase("forward")
+			if pr.Platform == nil && pr.columns != nil {
+				// The owner is sent the request as it came: the platform
+				// travels as its nodes.
+				pr.Platform = pr.columns.Platform()
+			}
 			cresp, ok := s.cluster.ForwardPlan(r.Context(), in.key, pr)
 			endForward()
 			if ok {
@@ -340,7 +349,7 @@ func writePlanError(w http.ResponseWriter, r *http.Request, err error) {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var pr PlanRequest
-	if !decodeBody(w, r, &pr) {
+	if !decodePlanRequest(w, r, &pr) {
 		return
 	}
 	resp, _, err := s.plan(r, &pr)
@@ -349,6 +358,63 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodePlanRequest decodes a /v1/plan body into pr. The body is read
+// whole into a kept buffer; its top-level member spelled exactly
+// "platform" is decoded straight into columns (platform.DecodeMember,
+// strict, unvalidated) into pr.columns, and encoding/json, with
+// DisallowUnknownFields, decodes the rest from the same bytes with that
+// value replaced by null. A body that path does not take — no such member,
+// a second key that folds to it, an unknown member, a null platform, a
+// failed read, any syntax or type error — is decoded again, from the bytes
+// read and the read's error, by decodeBody's decoder, whose verdict and
+// message are the answer: a refusal is worded as it always was, and
+// FuzzPlanRequestDecode holds the two paths to one answer. On failure it
+// has answered the client and reports false.
+func decodePlanRequest(w http.ResponseWriter, r *http.Request, pr *PlanRequest) bool {
+	body := bodyBuffers.Get().(*bytes.Buffer)
+	defer bodyBuffers.Put(body)
+	body.Reset()
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	data := body.Bytes()
+	if err == nil {
+		cols, start, end, perr := platform.DecodeMember(data, "platform")
+		if perr == nil {
+			dec := json.NewDecoder(&spliced{parts: [3][]byte{data[:start], null, data[end:]}})
+			dec.DisallowUnknownFields()
+			if dec.Decode(pr) == nil {
+				pr.columns = cols
+				return true
+			}
+			// What encoding/json refused of the rest, it refuses of the
+			// whole body too: whatever pr now holds is not an answer.
+		}
+	}
+	return decodeFrom(w, &spliced{parts: [3][]byte{data}, err: err}, pr)
+}
+
+var null = []byte("null")
+
+// spliced reads its parts end to end and then fails with err, or ends
+// (io.EOF) when err is nil.
+type spliced struct {
+	parts [3][]byte
+	err   error
+}
+
+func (s *spliced) Read(p []byte) (int, error) {
+	for i := range s.parts {
+		if len(s.parts[i]) > 0 {
+			n := copy(p, s.parts[i])
+			s.parts[i] = s.parts[i][n:]
+			return n, nil
+		}
+	}
+	if s.err != nil {
+		return 0, s.err
+	}
+	return 0, io.EOF
 }
 
 // BatchRequest fans one call out over many plan requests — e.g. the same

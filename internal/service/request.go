@@ -62,8 +62,12 @@ func PlannerNames() []string {
 // cost comes from Wapp when positive, else from DgemmN (defaulting to the
 // paper's 310×310 DGEMM).
 type PlanRequest struct {
-	Platform     *platform.Platform `json:"platform,omitempty"`
-	PlatformName string             `json:"platform_name,omitempty"`
+	Platform *platform.Platform `json:"platform,omitempty"`
+	// columns is an inline platform as /v1/plan decodes it
+	// (decodePlanRequest): straight into columns, unvalidated, with
+	// Platform left nil.
+	columns      *platform.Columns
+	PlatformName string `json:"platform_name,omitempty"`
 	// Scenario generates the platform server-side from a declarative spec
 	// (internal/scenario). Generation is deterministic, so the same spec
 	// content-addresses the same cache entry; this is the intended way to
@@ -100,10 +104,14 @@ type planInput struct {
 	planner core.Planner
 	key     CacheKey
 	// req holds the model inputs. Its Columns are the registry's resident
-	// (read-only) columns, or nil: for a scenario, and for an inline
-	// platform, which req.Platform holds unchecked.
-	req      core.Request
-	scenario *scenario.Spec
+	// (read-only) columns, an inline platform's decoded columns (unchecked),
+	// or nil: for a scenario, and for an inline platform encoding/json
+	// decoded (a batch item, a deploy), which req.Platform holds unchecked.
+	req core.Request
+	// unchecked marks req.Columns as decoded from the request and not yet
+	// validated: only a miss validates them.
+	unchecked bool
+	scenario  *scenario.Spec
 }
 
 // request returns the core.Request the planner sees, with the pool in
@@ -112,10 +120,12 @@ type planInput struct {
 // planForLaunch) ever needs. A scenario is drawn as columns (range-checked
 // by Spec.Columns: the one validation a generated pool gets) — into into,
 // a job's memory, when it is not nil, so that the request lives only as
-// long as the job; an inline platform is converted into columns, which is
-// its one validation, and keeps its Platform; a registered platform's
-// columns were built when it was written. Neither of those two is ever
-// written into into.
+// long as the job; an inline platform's decoded columns are validated
+// (Columns.Validate), which is their one validation, and one that
+// encoding/json decoded into nodes is converted into columns, which
+// validates it the same way, in the same words, and keeps its Platform; a
+// registered platform's columns were built when it was written. None of
+// those three is ever written into into.
 func (in *planInput) request(ctx context.Context, into *platform.Columns) (core.Request, error) {
 	req := in.req
 	var err error
@@ -125,6 +135,8 @@ func (in *planInput) request(ctx context.Context, into *platform.Columns) (core.
 		if req.Columns, err = in.scenario.Columns(ctx, into); err != nil {
 			return req, fmt.Errorf("generate scenario: %w", err)
 		}
+	case in.unchecked:
+		err = req.Columns.Validate()
 	case req.Columns == nil:
 		req.Columns, err = req.Platform.Columns()
 	}
@@ -143,11 +155,14 @@ func (e requestError) Unwrap() error { return e.error }
 // inline platform it does O(1) work: it checks everything that can be
 // checked without the nodes (the source, the planner, the costs, the pool
 // size, a scenario's ranges) and addresses the request by what names its
-// platform (planKey). Whether the nodes themselves are valid is left to
-// the miss path — a hit proves an identical input already passed.
+// platform (planKey). An inline platform is digested as it arrived:
+// decoded columns by Columns.Digest, which is Platform.Digest of the nodes
+// they describe, so either form of one platform has one key, and so does
+// that platform registered. Whether the nodes themselves are valid is left
+// to the miss path — a hit proves an identical input already passed.
 func (s *Server) resolve(pr *PlanRequest) (*planInput, error) {
 	sources := 0
-	for _, set := range []bool{pr.Platform != nil, pr.PlatformName != "", pr.Scenario != nil} {
+	for _, set := range []bool{pr.Platform != nil || pr.columns != nil, pr.PlatformName != "", pr.Scenario != nil} {
 		if set {
 			sources++
 		}
@@ -188,6 +203,9 @@ func (s *Server) resolve(pr *PlanRequest) (*planInput, error) {
 	var source [sha256.Size]byte
 	var poolNodes int
 	switch {
+	case pr.columns != nil:
+		in.req.Columns, in.unchecked = pr.columns, true
+		source, poolNodes = pr.columns.Digest(), pr.columns.Len()
 	case pr.Platform != nil:
 		in.req.Platform = pr.Platform
 		source, poolNodes = pr.Platform.Digest(), len(pr.Platform.Nodes)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	gort "runtime"
@@ -322,11 +323,19 @@ func bodyErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeBody decodes the request's JSON body into v. On failure it has
+// decodeBody decodes the request's JSON body into v with encoding/json,
+// refusing a member v does not have, as the body streams in: a value that
+// ends before the limit is decoded whatever follows it. On failure it has
 // answered the client (413 for a body over maxRequestBody, else 400) and
-// reports false.
+// reports false. /v1/plan decodes its own way (decodePlanRequest) and
+// keeps this decoder to word its refusals.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, maxRequestBody), v)
+}
+
+// decodeFrom is decodeBody over body.
+func decodeFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, bodyErrorStatus(err), "decode request: %v", err)

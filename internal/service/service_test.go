@@ -376,38 +376,6 @@ func TestPlatformPutHostileBodies(t *testing.T) {
 	}
 }
 
-// TestPlatformUnknownMembers pins the asymmetry the README documents: a PUT
-// skips a platform member it does not know, an inline platform in a plan
-// request is refused for it (the request is decoded with
-// DisallowUnknownFields).
-func TestPlatformUnknownMembers(t *testing.T) {
-	_, ts := newTestServer(t)
-	body := []byte(`{"name":"x","colour":"red","bandwidth_mbps":100,"nodes":[{"name":"a","power":100},{"name":"b","power":200}]}`)
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/platforms/x", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("PUT with an unknown member: status %d, want 200", resp.StatusCode)
-	}
-	plan := append(append([]byte(`{"platform":`), body...), '}')
-	resp, err = http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var apiErr apiError
-	err = json.NewDecoder(resp.Body).Decode(&apiErr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, `unknown field "colour"`) {
-		t.Errorf("inline platform with an unknown member: status %d, %q (%v); want 400 naming the field", resp.StatusCode, apiErr.Error, err)
-	}
-}
-
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	plat := testPlatform(15)

@@ -19,7 +19,9 @@
 # BenchmarkServicePlanScenarioHit100k (a primed 100k-node scenario: the
 # O(1)-hit contract) and BenchmarkServicePlanScenarioCold100k (a new
 # 100k-node catalogue scenario every iteration, fleet_cold's shape: the
-# columnar-miss contract) — BenchmarkKeyFor100k (streaming 100k nodes
+# columnar-miss contract) — BenchmarkServicePlanInline400 (a cache hit on
+# an inline 400-node platform, mix_small's per-request floor),
+# BenchmarkKeyFor100k (streaming 100k nodes
 # into a key) and BenchmarkPlatformPut4000 (replan_churn's 4 000-node PUT
 # through the handler: read, decode into validated columns, store), and two
 # of that PUT's layers in internal/platform, recorded, not gated —
@@ -60,7 +62,13 @@
 #      a kept encoder: 0.77 MB per miss as recorded here (~0.5 MB over 50
 #      seeds) and ~90 KB per hit, where drawing the power, class and
 #      dealt-order columns afresh (1.6 MB at 100k nodes) and regrowing the
-#      encoder's buffers recorded 3.0 MB and 475 KB.
+#      encoder's buffers recorded 3.0 MB and 475 KB;
+#   5. what a hit on an inline 400-node platform allocates: at most 64 KiB/op
+#      (an absolute B/op ceiling at ~2x the recorded median, ~31 KB). The
+#      body is read into a kept buffer and its platform decoded straight
+#      into columns; decoding the platform into nodes by reflection, as
+#      /v1/plan did before, allocates ~188 KB/op (~1.0 ms/op against
+#      ~0.25 ms on a 2-vCPU sandbox) and is over the ceiling.
 #
 # There is no baseline compare: absolute ns/op drifts with the host by more
 # than any tolerance worth setting (+25…+70 % between sessions on one
@@ -75,7 +83,7 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$' \
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkServicePlanInline400$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$' \
   -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/platform | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
@@ -92,4 +100,5 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ns BenchmarkKeyFor100k:16000000 \
   -require-max-ns BenchmarkPlatformPut4000:2500000 \
   -require-max-bytes BenchmarkServicePlanScenarioCold100k:1048576 \
-  -require-max-bytes BenchmarkServicePlanScenarioHit100k:163840
+  -require-max-bytes BenchmarkServicePlanScenarioHit100k:163840 \
+  -require-max-bytes BenchmarkServicePlanInline400:65536
