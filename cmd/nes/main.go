@@ -12,7 +12,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"adept/internal/deploy"
@@ -84,14 +86,17 @@ func run() error {
 	}
 	fmt.Println()
 
-	for name, count := range dep.System.ServedCounts() {
-		if count > 0 {
+	served := dep.System.ServedCounts()
+	for _, name := range slices.Sorted(maps.Keys(served)) {
+		if count := served[name]; count > 0 {
 			fmt.Printf("  %-24s %6d served\n", name, count)
 		}
 	}
 	if dep.Meter != nil {
 		fmt.Println("traffic:")
-		for typ, st := range dep.Meter.Stats() {
+		traffic := dep.Meter.Stats()
+		for _, typ := range slices.Sorted(maps.Keys(traffic)) {
+			st := traffic[typ]
 			fmt.Printf("  %-28s %8d msgs %10d bytes (%.1f B/msg)\n",
 				typ, st.Count, st.Bytes, float64(st.Bytes)/float64(st.Count))
 		}

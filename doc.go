@@ -21,8 +21,11 @@
 //     (star, bimodal, power-law, clustered, trace-perturbed)
 //   - internal/portfolio   — every stock planner run in order; the best plan wins
 //   - internal/baseline    — star / balanced / d-ary / exhaustive planners
-//   - internal/sim         — discrete-event M(r,s,w) simulator
+//   - internal/nes         — the two-phase NES protocol, written once for
+//     both executors below
+//   - internal/sim         — discrete-event M(r,s,w) simulator running it
 //   - internal/runtime     — concurrent goroutine middleware (chan/TCP)
+//     running it live
 //   - internal/deploy      — GoDIET-style XML launcher
 //   - internal/service     — planning daemon: registry, plan cache, pool
 //   - internal/workload    — DGEMM workloads and client demands

@@ -13,7 +13,7 @@ import (
 // LiveTarget adapts a deployed runtime.System to the control loop: each
 // Observe drives a cohort of closed-loop clients for a real-time window
 // and drains the per-server service-time accumulators; Apply hands the
-// patch to the system's ApplyPatch.
+// patch to the system op by op.
 type LiveTarget struct {
 	// Clients is the closed-loop client count per measurement window.
 	Clients int
@@ -84,7 +84,7 @@ func (t *LiveTarget) Apply(ctx context.Context, p hierarchy.Patch) (int, error) 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return t.System().ApplyPatch(p)
+	return hierarchy.ApplyEach(t.System(), p)
 }
 
 // CanRedeploy implements Target: possible whenever a transport factory

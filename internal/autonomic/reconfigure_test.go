@@ -233,7 +233,7 @@ func checkTargetsAgree(t *testing.T, name string, from *hierarchy.Hierarchy, p h
 		t.Fatal(err)
 	}
 	defer sys.Stop()
-	n, err = sys.ApplyPatch(p)
+	n, err = hierarchy.ApplyEach(sys, p)
 	agree("runtime", n, err, sys.Snapshot())
 }
 

@@ -9,15 +9,19 @@
 //     one-agent/one-server deployment.
 //   - Wrep(d): the paper timed response processing for star deployments of
 //     varying degree and fitted a line (correlation coefficient 0.97). Here
-//     the runtime records timed reply-treatment samples per degree and the
-//     same least-squares fit recovers slope (Wsel) and intercept (Wfix).
+//     the runtime records timed reply-treatment samples per degree and a
+//     least-squares line through each degree's fastest sample recovers
+//     slope (Wsel) and intercept (Wfix): a stopwatch's noise — a late
+//     wake-up, a preempted thread — only ever lengthens a reading.
 //   - Node power: the paper used a Linpack mini-benchmark; here powers come
 //     with the platform description (measured elsewhere or synthetic).
 package calib
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"adept/internal/deploy"
@@ -82,20 +86,21 @@ func MeasureMessageSizes(agentPower, serverPower float64, opts runtime.Options, 
 
 // WrepCalibration is the measured reply-treatment cost model.
 type WrepCalibration struct {
-	// Fit is the least-squares line of reply-treatment seconds against
-	// degree; Fit.R plays the role of the paper's 0.97 correlation.
+	// Fit is the least-squares line of each degree's fastest timed reply
+	// treatment (seconds) against degree; Fit.R plays the role of the
+	// paper's 0.97 correlation.
 	Fit stats.Fit
 	// WfixMFlop and WselMFlop are the fitted cost parameters converted back
 	// to MFlop via the agent's power and the configured time scale.
 	WfixMFlop float64
 	WselMFlop float64
-	// Samples is the number of timed observations used.
+	// Samples is the number of timed observations taken.
 	Samples int
 }
 
 // MeasureWrep deploys stars of each given degree, drives load through them,
 // collects the runtime's timed reply-treatment samples, and fits the linear
-// Wrep(d) model.
+// Wrep(d) model through each degree's fastest sample.
 func MeasureWrep(agentPower, serverPower float64, opts runtime.Options, degrees []int, perDegree time.Duration) (WrepCalibration, error) {
 	if len(degrees) < 2 {
 		return WrepCalibration{}, fmt.Errorf("calib: need at least two degrees, got %d", len(degrees))
@@ -127,11 +132,13 @@ func MeasureWrep(agentPower, serverPower float64, opts runtime.Options, degrees 
 		}
 		samples := dep.System.WrepSamples()
 		dep.Stop()
-		for _, s := range samples {
-			xs = append(xs, float64(s.Degree))
-			ys = append(ys, s.Seconds)
-			total++
+		if len(samples) == 0 {
+			continue
 		}
+		fastest := slices.MinFunc(samples, func(a, b runtime.WrepSample) int { return cmp.Compare(a.Seconds, b.Seconds) })
+		xs = append(xs, float64(d))
+		ys = append(ys, fastest.Seconds)
+		total += len(samples)
 	}
 	fit, err := stats.LinearFit(xs, ys)
 	if err != nil {

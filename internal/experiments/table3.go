@@ -61,7 +61,7 @@ func Table3(_ context.Context, p Params) (Report, error) {
 			{"server", "Srep (Mb)", fmtF(sizes.ServiceReply), fmtF(c.ServerSrep)},
 		},
 		Notes: []string{
-			fmt.Sprintf("captured %d messages; Wrep fit over %d samples, correlation R = %.3f (paper: 0.97)",
+			fmt.Sprintf("captured %d messages; Wrep fit through each degree's fastest of %d samples, correlation R = %.3f (paper: 0.97)",
 				sizes.Messages, wrep.Samples, wrep.Fit.R),
 			"measured message sizes are gob wire bytes (paper: tcpdump+Ethereal captures, CORBA encoding), so absolute values differ; the agent/server asymmetry and the linear Wrep(d) law are the reproduced results",
 		},

@@ -250,12 +250,27 @@ func Apply(h *Hierarchy, p Patch) (*Hierarchy, error) {
 		return nil, fmt.Errorf("hierarchy: apply: %w", err)
 	}
 	out := h.Clone()
-	for i, op := range p.Ops {
-		if err := out.step(op); err != nil {
-			return nil, fmt.Errorf("hierarchy: patch op %d (%s): %w", i, op, err)
-		}
+	if _, err := ApplyEach(out, p); err != nil {
+		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	return out, nil
+}
+
+// ApplyOp carries out op on h in place, as Step judges it; a refused op
+// leaves h as it was. It makes a tree one more reconfiguration target.
+func (h *Hierarchy) ApplyOp(op Op) error { return h.step(op) }
+
+// ApplyEach applies a patch to a reconfiguration target op by op, stopping
+// at the first op the target refuses; the count says how many ops it
+// applied. It is the one fold of a patch over a tree, the simulator's
+// Managed and the runtime's System.
+func ApplyEach(target interface{ ApplyOp(Op) error }, p Patch) (int, error) {
+	for i, op := range p.Ops {
+		if err := target.ApplyOp(op); err != nil {
+			return i, fmt.Errorf("patch op %d (%s): %w", i, op, err)
+		}
+	}
+	return len(p.Ops), nil
 }
 
 // step judges op against h and, once every check has passed, applies it in

@@ -7,9 +7,14 @@
 // stack: deployments planned by internal/core are instantiated here and
 // their throughput measured with wall-clock clients.
 //
-// Fidelity to the machine model M(r,s,w) is approximated by giving every
-// element a single message-processing loop: one goroutine per element
-// serialises its receives, computations, and sends.
+// The protocol itself — what each agent and server step does and what it
+// occupies at the node's own power and link — is internal/nes, the same
+// code the simulator runs. This package supplies its live clock and
+// network: each element is one goroutine owning a port that sleeps scaled
+// virtual time (the M(r,s,w) discipline) and drains the element's inbox
+// into the port's two lanes meanwhile; candidates travel with the estimate
+// their server sent. Its crash fault model is silence: a crashed server
+// answers nothing, and each agent's reply timeout answers without it.
 package runtime
 
 import (
@@ -61,32 +66,6 @@ type ServiceReply struct {
 	Err string
 }
 
-// Shutdown asks an element's loop to exit.
-type Shutdown struct{}
-
-// Attach asks an agent to start routing scheduling requests to a new child
-// (live reconfiguration: add-server, reparent).
-type Attach struct {
-	// Child is the element name to add to the agent's child list.
-	Child string
-}
-
-// Detach asks an agent to stop routing scheduling requests to a child. The
-// child element itself keeps running until it is drained and deregistered;
-// in-flight requests it already accepted complete normally.
-type Detach struct {
-	// Child is the element name to remove from the agent's child list.
-	Child string
-}
-
-// SetPower updates an element's recorded computing power. Servers fold the
-// new value into their performance predictions immediately, which is how a
-// reconfiguration patch teaches the scheduling phase about learned drift.
-type SetPower struct {
-	// Power is the new power in MFlop/s.
-	Power float64
-}
-
 // Envelope wraps a message with its sender for transports that cannot
 // recover it from the connection.
 type Envelope struct {
@@ -100,10 +79,6 @@ func init() {
 	gob.Register(SchedReply{})
 	gob.Register(ServiceRequest{})
 	gob.Register(ServiceReply{})
-	gob.Register(Shutdown{})
-	gob.Register(Attach{})
-	gob.Register(Detach{})
-	gob.Register(SetPower{})
 }
 
 // String renders an envelope compactly for traces.

@@ -1,34 +1,25 @@
 package runtime
 
 import (
-	"encoding/gob"
 	"fmt"
-	"math"
-	"sort"
+	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"adept/internal/blas"
 	"adept/internal/model"
+	"adept/internal/nes"
 )
-
-// maxForwardedCandidates bounds the sorted response list forwarded up the
-// tree, mirroring internal/sim.
-const maxForwardedCandidates = 8
-
-// schedTimeout is the internal self-message an agent schedules to bound the
-// wait for children replies (failure tolerance: a crashed server must not
-// wedge the whole platform).
-type schedTimeout struct{ ID uint64 }
-
-func init() { gob.Register(schedTimeout{}) }
 
 // Options configures a deployed runtime system.
 type Options struct {
 	// Costs are the middleware cost parameters (Table 3).
 	Costs model.Costs
-	// Bandwidth is the virtual link bandwidth in Mb/s.
+	// Bandwidth is the default virtual link bandwidth in Mb/s; a node
+	// planned with its own link (hierarchy.Node.Bandwidth) sends and
+	// receives at that instead.
 	Bandwidth float64
 	// Wapp is the service cost in MFlop.
 	Wapp float64
@@ -53,12 +44,126 @@ func (o Options) replyTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-// sleepVirtual blocks for the scaled equivalent of sec virtual seconds.
-func (o Options) sleepVirtual(sec float64) {
-	if o.TimeScale <= 0 || sec <= 0 {
-		return
+// port is a live element's single port (nes.Port): one goroutine runs all
+// of the element's protocol steps. It waits out each activity's scaled
+// virtual time, priority lane first, and meanwhile hands the element every
+// message that arrives on its inbox and runs the calls other goroutines
+// post; the steps these start queue more activities. Element state is
+// touched on this goroutine only.
+//
+// The port keeps its own schedule: an activity starts when the one before
+// was due to end, or now if that has passed, so a late wake-up is made up
+// by the activities after it. It sleeps a wait down to its last
+// resolution and polls the rest, yielding to other goroutines: an idle Go
+// runtime wakes timers to the millisecond, and at small time scales nearly
+// every occupation is shorter than that. Polling costs CPU for as long as
+// a short occupation lasts.
+type port struct {
+	scale float64
+	lanes [2][]activity // priority, normal
+	began time.Time     // when the running activity started
+	end   time.Time     // when it is due to end
+
+	calls chan func()
+	done  chan struct{} // closed when run returns
+
+	// queued counts activities queued or running and last stamps the
+	// port's last event (unix nanos): the drain of a retiring server
+	// reads both from outside.
+	queued atomic.Int64
+	last   atomic.Int64
+}
+
+// resolution is the end of every wait the port polls rather than sleeps.
+const resolution = time.Millisecond
+
+// ready is always ready to receive from: the due channel of a polled wait.
+var ready = func() chan time.Time { c := make(chan time.Time); close(c); return c }()
+
+type activity struct {
+	dur  float64
+	done func()
+}
+
+func newPort(scale float64) *port {
+	return &port{scale: scale, calls: make(chan func()), done: make(chan struct{})}
+}
+
+// Do implements nes.Port.
+func (p *port) Do(dur float64, done func()) { p.push(1, dur, done) }
+
+// DoPriority implements nes.Port.
+func (p *port) DoPriority(dur float64, done func()) { p.push(0, dur, done) }
+
+func (p *port) push(lane int, dur float64, done func()) {
+	p.queued.Add(1)
+	p.lanes[lane] = append(p.lanes[lane], activity{dur: dur, done: done})
+}
+
+// run serves the element until its inbox closes.
+func (p *port) run(inbox <-chan Envelope, handle func(Envelope)) {
+	defer close(p.done)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var cur *activity
+	for {
+		if cur == nil {
+			if cur = p.next(); cur != nil {
+				if p.began = time.Now(); p.end.After(p.began) {
+					p.began = p.end
+				}
+				p.end = p.began.Add(time.Duration(cur.dur * p.scale * float64(time.Second)))
+			}
+		}
+		var due <-chan time.Time
+		if cur != nil {
+			if wait := time.Until(p.end); wait < resolution {
+				due = ready
+			} else {
+				timer.Reset(wait - resolution)
+				due = timer.C
+			}
+		}
+		select {
+		case env, ok := <-inbox:
+			if !ok {
+				return
+			}
+			handle(env)
+		case call := <-p.calls:
+			call()
+		case <-due:
+			if time.Now().Before(p.end) {
+				goruntime.Gosched()
+				continue
+			}
+			a := cur
+			cur = nil
+			a.done()
+			p.queued.Add(-1)
+		}
+		p.last.Store(time.Now().UnixNano())
 	}
-	time.Sleep(time.Duration(sec * o.TimeScale * float64(time.Second)))
+}
+
+// next takes the activity to run next, priority lane first.
+func (p *port) next() *activity {
+	for i, q := range p.lanes {
+		if len(q) > 0 {
+			p.lanes[i] = q[1:]
+			return &q[0]
+		}
+	}
+	return nil
+}
+
+// post runs call on the port's goroutine, ahead of anything the port does
+// next; it returns at once if the element has exited.
+func (p *port) post(call func()) {
+	select {
+	case p.calls <- call:
+	case <-p.done:
+	}
 }
 
 // WrepSample is one timed reply-treatment observation: the calibration
@@ -73,259 +178,161 @@ type WrepSample struct {
 // maxWrepSamples bounds the per-agent sample memory.
 const maxWrepSamples = 4096
 
-// agentElem is one deployed agent: a single goroutine serialising all of
-// its receives, computations, and sends (the M(r,s,w) discipline).
+// agentElem is one deployed agent: the protocol's agent on a live port,
+// reaching its children by name and listing candidates as they travel.
 type agentElem struct {
-	sys      *System
-	name     string
-	power    float64
-	children []string
+	nes.Agent[string, Candidate]
+	sys  *System
+	port *port
 
-	pending map[uint64]*replyAgg
-
-	// done is closed when the element loop exits, so reconfiguration can
-	// wait for retirement.
-	done chan struct{}
+	// pending holds the gathers in flight by request ID.
+	pending map[uint64]*nes.Gather[string, Candidate]
 
 	sampleMu    sync.Mutex
 	wrepSamples []WrepSample
 }
 
-type replyAgg struct {
-	requester  string
-	want       int
-	got        int
-	candidates []Candidate
-	done       bool
-}
-
-func (a *agentElem) run(inbox <-chan Envelope) {
-	defer a.sys.wg.Done()
-	defer close(a.done)
-	o := a.sys.opts
-	c := o.Costs
-	for env := range inbox {
-		switch msg := env.Msg.(type) {
-		case Shutdown:
-			return
-		case Attach:
-			a.attach(msg.Child)
-		case Detach:
-			a.detach(msg.Child)
-		case SetPower:
-			// Agents have no server-side prediction to refresh; the rated
-			// power lives in the system topology for replanning.
-		case SchedRequest:
-			o.sleepVirtual(c.AgentSreq / o.Bandwidth) // receive request
-			o.sleepVirtual(c.AgentWreq / a.power)     // Wreq
-			agg := &replyAgg{requester: env.From, want: len(a.children)}
-			a.pending[msg.ID] = agg
-			for _, child := range a.children {
-				o.sleepVirtual(c.AgentSreq / o.Bandwidth) // send to child
-				if err := a.sys.send(a.name, child, SchedRequest{ID: msg.ID, ReplyTo: a.name}); err != nil {
-					agg.want--
-				}
-			}
-			if agg.want <= 0 {
-				a.finish(msg.ID, agg)
-				continue
-			}
-			id := msg.ID
-			self := a.name
-			time.AfterFunc(o.replyTimeout(), func() {
-				_ = a.sys.send(self, self, schedTimeout{ID: id})
-			})
-		case SchedReply:
-			agg, ok := a.pending[msg.ID]
-			if !ok || agg.done {
-				continue // reply after timeout
-			}
-			o.sleepVirtual(c.AgentSrep / o.Bandwidth) // receive reply
-			agg.candidates = append(agg.candidates, msg.Candidates...)
-			agg.got++
-			if agg.got >= agg.want {
-				a.finish(msg.ID, agg)
-			}
-		case schedTimeout:
-			if agg, ok := a.pending[msg.ID]; ok && !agg.done {
-				a.finish(msg.ID, agg)
-			}
-		default:
-			a.sys.noteError(fmt.Errorf("agent %s: unexpected message %T", a.name, env.Msg))
+func (a *agentElem) handle(env Envelope) {
+	switch msg := env.Msg.(type) {
+	case SchedRequest:
+		a.schedule(env.From, msg.ID)
+	case SchedReply:
+		if g, ok := a.pending[msg.ID]; ok {
+			g.Reply(msg.Candidates)
 		}
+	default:
+		a.sys.noteError(fmt.Errorf("agent %s: unexpected message %T", a.Name, env.Msg))
 	}
 }
 
-// finish sorts and truncates the candidate list (Wrep), sends it to the
-// requester, and clears the per-request state.
-func (a *agentElem) finish(id uint64, agg *replyAgg) {
-	o := a.sys.opts
-	c := o.Costs
-	agg.done = true
-	delete(a.pending, id)
-	start := time.Now()
-	o.sleepVirtual(c.WrepAgent(len(a.children)) / a.power)
-	sort.SliceStable(agg.candidates, func(i, j int) bool {
-		return agg.candidates[i].Estimate < agg.candidates[j].Estimate
+// schedule runs one scheduling request through the agent. A child whose
+// request cannot be sent is not waited for, and the reply timeout answers
+// with the candidates gathered so far — a crashed server must not wedge
+// the platform. The timer stops when the gather completes.
+func (a *agentElem) schedule(requester string, id uint64) {
+	var timeout *time.Timer
+	g := a.Schedule(func(child string, g *nes.Gather[string, Candidate]) {
+		if a.sys.send(a.Name, child, SchedRequest{ID: id, ReplyTo: a.Name}) != nil {
+			g.Drop()
+		}
+	}, func(ranked []Candidate) {
+		timeout.Stop()
+		delete(a.pending, id)
+		a.recordWrep(time.Since(a.port.began).Seconds() - a.ReplySend()*a.port.scale)
+		_ = a.sys.send(a.Name, requester, SchedReply{ID: id, Candidates: ranked})
 	})
-	if len(agg.candidates) > maxForwardedCandidates {
-		agg.candidates = agg.candidates[:maxForwardedCandidates]
-	}
-	a.recordWrep(time.Since(start))
-	o.sleepVirtual(c.AgentSrep / o.Bandwidth)
-	_ = a.sys.send(a.name, agg.requester, SchedReply{ID: id, Candidates: agg.candidates})
+	a.pending[id] = g
+	timeout = time.AfterFunc(a.sys.opts.replyTimeout(), func() { a.port.post(g.Close) })
 }
 
-// attach adds a child to the routing list (idempotent). It runs inside the
-// agent's own loop, so the children slice is never touched concurrently.
-func (a *agentElem) attach(child string) {
-	for _, c := range a.children {
-		if c == child {
-			return
-		}
-	}
-	a.children = append(a.children, child)
-}
-
-// detach removes a child from the routing list. Aggregations already in
-// flight keep their original fan-out count; a reply from the detached child
-// is still accepted, and the scheduling timeout covers the case where it
-// never arrives.
-func (a *agentElem) detach(child string) {
-	for i, c := range a.children {
-		if c == child {
-			a.children = append(a.children[:i], a.children[i+1:]...)
-			return
-		}
-	}
-}
-
-// recordWrep stores one timed reply-treatment sample for calibration.
-func (a *agentElem) recordWrep(d time.Duration) {
+// recordWrep stores one timed reply treatment for calibration: the ranking
+// occupation as the wall clock saw it, less its modelled reply send.
+func (a *agentElem) recordWrep(seconds float64) {
 	a.sampleMu.Lock()
 	defer a.sampleMu.Unlock()
 	if len(a.wrepSamples) < maxWrepSamples {
-		a.wrepSamples = append(a.wrepSamples, WrepSample{
-			Agent:   a.name,
-			Degree:  len(a.children),
-			Seconds: d.Seconds(),
-		})
+		a.wrepSamples = append(a.wrepSamples, WrepSample{Agent: a.Name, Degree: len(a.Children), Seconds: seconds})
 	}
 }
 
-// serverElem is one deployed server (SeD).
+// attach adds a child to the routing list (idempotent).
+func (a *agentElem) attach(child string) {
+	if !slices.Contains(a.Children, child) {
+		a.Children = append(a.Children, child)
+	}
+}
+
+// detach removes a child from the routing list. Gathers already in flight
+// keep their fan-out count; a reply from the detached child is still
+// accepted, and the reply timeout covers the case where it never arrives.
+func (a *agentElem) detach(child string) {
+	a.Children = slices.DeleteFunc(a.Children, func(c string) bool { return c == child })
+}
+
+// serverElem is one deployed server (SeD). Its power, link, rated power,
+// background load and pending count belong to its port's goroutine.
 type serverElem struct {
 	sys   *System
 	name  string
+	port  *port
 	power float64 // physical speed (MFlop/s) the node actually delivers
+	link  float64
 
-	// ratedBits is the power the server *believes* it has and folds into
-	// its scheduling-phase predictions (float64 bits). It starts equal to
-	// the physical power and is refreshed by SetPower patches; the gap
-	// between rated and effective speed is exactly the drift the autonomic
-	// loop closes.
-	ratedBits atomic.Uint64
+	// rated is the power the server *believes* it has and folds into its
+	// predictions. It starts equal to the physical power and is refreshed
+	// by set-power ops; the gap between rated and effective speed is
+	// exactly the drift the autonomic loop closes.
+	rated float64
 
-	// bgBits is the background-load factor (float64 bits): the injected
-	// slowdown of §5.3's heterogenisation. Effective speed is
-	// power / factor. Zero bits mean factor 1 (no load).
-	bgBits atomic.Uint64
+	// bg is the background-load factor, the injected slowdown of §5.3's
+	// heterogenisation: effective speed is power / bg.
+	bg float64
 
-	pending atomic.Int64 // selected-but-unfinished service requests
+	pending int // service requests accepted and not finished
 
-	// Served counts completed service requests, for Ni accounting.
+	// crashed servers are silent (failure injection).
+	crashed atomic.Bool
+
+	// served counts completed service requests, for Ni accounting.
 	served atomic.Int64
 
 	// svcMu guards the per-server observed service-time accumulation the
 	// autonomic monitor consumes.
 	svcMu sync.Mutex
 	svc   ServiceStat
-
-	// lastActive is the unix-nano timestamp of the last processed message,
-	// for the remove-server drain heuristic.
-	lastActive atomic.Int64
-
-	// done is closed when the element loop exits.
-	done chan struct{}
-
-	// crashed servers ignore all traffic (failure injection).
-	crashed atomic.Bool
 }
 
-// rated returns the believed power used in predictions.
-func (s *serverElem) rated() float64 {
-	if bits := s.ratedBits.Load(); bits != 0 {
-		return math.Float64frombits(bits)
+// Completion makes a listed candidate comparable by the estimate its
+// server sent.
+func (c Candidate) Completion() float64 { return c.Estimate }
+
+func (s *serverElem) handle(env Envelope) {
+	if s.crashed.Load() {
+		return
 	}
-	return s.power
-}
-
-// loadFactor returns the injected background-load slowdown (>= 1 nominally).
-func (s *serverElem) loadFactor() float64 {
-	if bits := s.bgBits.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return 1
-}
-
-func (s *serverElem) run(inbox <-chan Envelope) {
-	defer s.sys.wg.Done()
-	defer close(s.done)
-	o := s.sys.opts
-	c := o.Costs
-	for env := range inbox {
-		s.lastActive.Store(time.Now().UnixNano())
-		switch msg := env.Msg.(type) {
-		case Shutdown:
-			return
-		case SetPower:
-			if msg.Power > 0 {
-				s.ratedBits.Store(math.Float64bits(msg.Power))
-			}
-		case SchedRequest:
+	o := &s.sys.opts
+	switch msg := env.Msg.(type) {
+	case SchedRequest:
+		nes.Predict(s.port, &o.Costs, s.power, s.link, func() {
 			if s.crashed.Load() {
-				continue
+				return
 			}
-			o.sleepVirtual(c.ServerSreq / o.Bandwidth) // Eq. 3
-			o.sleepVirtual(c.ServerWpre / s.power)     // prediction
-			est := float64(s.pending.Load()+1) * (o.Wapp / s.rated())
-			o.sleepVirtual(c.ServerSrep / o.Bandwidth) // Eq. 4
 			_ = s.sys.send(s.name, env.From, SchedReply{
 				ID:         msg.ID,
-				Candidates: []Candidate{{Server: s.name, Estimate: est}},
+				Candidates: []Candidate{{Server: s.name, Estimate: nes.Estimate(s.pending, o.Wapp, s.rated)}},
 			})
-		case ServiceRequest:
-			if s.crashed.Load() {
-				continue
+		})
+	case ServiceRequest:
+		// A real DGEMM runs as the occupation ends, in place of the
+		// modelled computation.
+		dgemm := msg.N > 0 && o.DgemmN > 0
+		compute := o.Wapp * s.bg / s.power
+		if dgemm {
+			compute = 0
+		}
+		nes.Serve(s.port, &o.Costs, s.link, compute, &s.pending, func() {
+			var err error
+			if dgemm {
+				compute, err = s.dgemm(msg)
 			}
-			s.pending.Add(1)
-			o.sleepVirtual(c.ServerSreq / o.Bandwidth)
-			seconds, err := s.execute(msg)
-			s.pending.Add(-1)
-			o.sleepVirtual(c.ServerSrep / o.Bandwidth)
+			if s.crashed.Load() {
+				return
+			}
 			reply := ServiceReply{ID: msg.ID, OK: err == nil}
 			if err != nil {
 				reply.Err = err.Error()
 			} else {
 				s.served.Add(1)
-				s.recordService(seconds)
+				s.svcMu.Lock()
+				s.svc.Seconds += compute
+				s.svc.Count++
+				s.svcMu.Unlock()
 			}
 			_ = s.sys.send(s.name, msg.ReplyTo, reply)
-		default:
-			s.sys.noteError(fmt.Errorf("server %s: unexpected message %T", s.name, env.Msg))
-		}
-		s.lastActive.Store(time.Now().UnixNano())
+		})
+	default:
+		s.sys.noteError(fmt.Errorf("server %s: unexpected message %T", s.name, env.Msg))
 	}
-}
-
-// recordService accumulates one observed service execution time (virtual
-// seconds), the raw signal the autonomic monitor turns into effective
-// per-node power.
-func (s *serverElem) recordService(seconds float64) {
-	s.svcMu.Lock()
-	s.svc.Seconds += seconds
-	s.svc.Count++
-	s.svcMu.Unlock()
 }
 
 // takeService drains the accumulated service-time observations.
@@ -337,33 +344,23 @@ func (s *serverElem) takeService() ServiceStat {
 	return st
 }
 
-// execute performs the service work and reports its duration in virtual
-// seconds: a real DGEMM when configured (measured wall-clock), the
-// calibrated sleep otherwise (the modelled time, scaled by the injected
-// background load).
-func (s *serverElem) execute(msg ServiceRequest) (float64, error) {
-	o := s.sys.opts
-	if n := msg.N; n > 0 && o.DgemmN > 0 {
-		start := time.Now()
-		a := blas.RandomMatrix(n, n, int64(msg.ID))
-		b := blas.RandomMatrix(n, n, int64(msg.ID)+1)
-		out := blas.NewMatrix(n, n)
-		err := blas.DgemmBlocked(1, a, b, 0, &out, 0)
-		elapsed := time.Since(start).Seconds() * s.loadFactor()
-		// Background load on a real-compute server is modelled as the extra
-		// wall time the co-scheduled job would steal.
-		if extra := elapsed - time.Since(start).Seconds(); extra > 0 {
-			time.Sleep(time.Duration(extra * float64(time.Second)))
-		}
-		// Report in virtual seconds like the calibrated path, so the
-		// monitor's effective-power inversion (Wapp / seconds) sees one
-		// consistent time base regardless of execution mode.
-		if o.TimeScale > 0 {
-			elapsed /= o.TimeScale
-		}
-		return elapsed, err
+// dgemm performs a real DGEMM of the request's dimension and reports its
+// duration in virtual seconds, like the modelled computation, so the
+// monitor's effective-power inversion (Wapp / seconds) sees one time base.
+// Background load is the extra wall time a co-scheduled job would steal.
+func (s *serverElem) dgemm(msg ServiceRequest) (float64, error) {
+	n := msg.N
+	start := time.Now()
+	a := blas.RandomMatrix(n, n, int64(msg.ID))
+	b := blas.RandomMatrix(n, n, int64(msg.ID)+1)
+	out := blas.NewMatrix(n, n)
+	err := blas.DgemmBlocked(1, a, b, 0, &out, 0)
+	elapsed := time.Since(start).Seconds() * s.bg
+	if extra := elapsed - time.Since(start).Seconds(); extra > 0 {
+		time.Sleep(time.Duration(extra * float64(time.Second)))
 	}
-	virtual := o.Wapp * s.loadFactor() / s.power
-	o.sleepVirtual(virtual)
-	return virtual, nil
+	if scale := s.sys.opts.TimeScale; scale > 0 {
+		elapsed /= scale
+	}
+	return elapsed, err
 }

@@ -399,7 +399,7 @@ func TestLivePatchMatchesDiff(t *testing.T) {
 	if patch.Len() >= target.Len() {
 		t.Fatalf("patch (%d ops) not smaller than a redeploy (%d elements):\n%s", patch.Len(), target.Len(), patch)
 	}
-	if n, err := sys.ApplyPatch(patch); err != nil {
+	if n, err := hierarchy.ApplyEach(sys, patch); err != nil {
 		t.Fatalf("applied %d/%d ops: %v", n, patch.Len(), err)
 	}
 	after := sys.Snapshot()
@@ -448,5 +448,148 @@ func TestBackgroundLoadSlowsServer(t *testing.T) {
 	loadedMean := loaded["sed-a"].Seconds / float64(loaded["sed-a"].Count)
 	if loadedMean < 1.5*baseMean {
 		t.Errorf("background load barely visible: %.4fs -> %.4fs", baseMean, loadedMean)
+	}
+}
+
+// TestLiveLoadSharingFollowsPower: on a 400/200 star every server's
+// estimate counts the service requests it has accepted and not finished,
+// so the slower server takes its share instead of none, and the faster
+// one serves more.
+func TestLiveLoadSharingFollowsPower(t *testing.T) {
+	h := hierarchy.New("share")
+	root, _ := h.AddRoot("agent-0", 400)
+	for name, power := range map[string]float64{"fast": 400, "slow": 200} {
+		if _, err := h.AddServer(root, name, power); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := runtime.Deploy(h, runtime.NewChanTransport(), testOptions(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	stats, err := sys.RunClients(context.Background(), 4, 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := sys.ServedCounts()
+	total := served["fast"] + served["slow"]
+	if total != stats.Completed || total == 0 {
+		t.Fatalf("served %v, completed %d", served, stats.Completed)
+	}
+	for name, n := range served {
+		if float64(n) < 0.15*float64(total) {
+			t.Errorf("%s served %d of %d completions, want at least 15%%", name, n, total)
+		}
+	}
+	if served["fast"] <= served["slow"] {
+		t.Errorf("the 400 MFlop/s server served %d, the 200 one %d", served["fast"], served["slow"])
+	}
+}
+
+// probe sends one scheduling request to the root as a client would, on
+// an inbox registered as "probe", and returns the reply and its round
+// trip in virtual seconds.
+func probe(t *testing.T, tr runtime.Transport, inbox <-chan runtime.Envelope, id uint64, scale float64) (runtime.SchedReply, float64) {
+	t.Helper()
+	start := time.Now()
+	if err := tr.Send("probe", "agent-0", runtime.SchedRequest{ID: id, ReplyTo: "probe"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-inbox:
+		return env.Msg.(runtime.SchedReply), time.Since(start).Seconds() / scale
+	case <-time.After(5 * time.Second):
+		t.Fatal("no scheduling reply")
+	}
+	return runtime.SchedReply{}, 0
+}
+
+// TestLiveWideStarReturnsEveryCandidate: the ranked list reaches the
+// client whole, however many servers reply.
+func TestLiveWideStarReturnsEveryCandidate(t *testing.T) {
+	tr := runtime.NewChanTransport()
+	sys, err := runtime.Deploy(buildStar(t, 12), tr, testOptions(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	inbox, err := tr.Register("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := probe(t, tr, inbox, 1, 1)
+	if len(reply.Candidates) != 12 {
+		t.Fatalf("client got %d candidates from 12 servers: %v", len(reply.Candidates), reply.Candidates)
+	}
+}
+
+// TestLiveElementsSendAtTheirOwnLink: a server on a slow link slows the
+// scheduling round trip by its own messages' time, whether the link comes
+// from Deploy, from an add op or from a set-power op.
+func TestLiveElementsSendAtTheirOwnLink(t *testing.T) {
+	const slow = 1e-3 // Mb/s: a server's two scheduling messages take > 0.1 s
+	h := hierarchy.New("links")
+	root, _ := h.AddRoot("agent-0", 400)
+	if _, err := h.AddServer(root, "sed-a", 400, slow); err != nil {
+		t.Fatal(err)
+	}
+	tr := runtime.NewChanTransport()
+	opts := testOptions(200)
+	opts.TimeScale = 1
+	sys, err := runtime.Deploy(h, tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	inbox, err := tr.Register("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := opts.Costs
+	slowTrip := (c.ServerSreq + c.ServerSrep) / slow
+	check := func(id uint64, stage string, wantSlow bool) {
+		t.Helper()
+		_, trip := probe(t, tr, inbox, id, opts.TimeScale)
+		if wantSlow && trip < slowTrip || !wantSlow && trip > slowTrip/2 {
+			t.Errorf("%s: round trip %.3f s, slow link alone takes %.3f s", stage, trip, slowTrip)
+		}
+	}
+	check(1, "deployed on a slow link", true)
+	if err := sys.ApplyOp(hierarchy.Op{Kind: hierarchy.OpSetPower, Name: "sed-a", Power: 400}); err != nil {
+		t.Fatal(err)
+	}
+	check(2, "set-power back to the default link", false)
+	if err := sys.ApplyOp(hierarchy.Op{Kind: hierarchy.OpAdd, Name: "sed-b", Parent: "agent-0", Power: 400, Role: hierarchy.RoleServer, Bandwidth: slow}); err != nil {
+		t.Fatal(err)
+	}
+	check(3, "added on a slow link", true)
+	if err := sys.ApplyOp(hierarchy.Op{Kind: hierarchy.OpSetPower, Name: "sed-b", Power: 400, Bandwidth: 100}); err != nil {
+		t.Fatal(err)
+	}
+	check(4, "set-power onto a fast link", false)
+}
+
+// TestMeteredRunCarriesNoTimerTraffic: an agent's reply timeout is its
+// own business; a run longer than ReplyTimeout puts nothing but protocol
+// messages on the wire.
+func TestMeteredRunCarriesNoTimerTraffic(t *testing.T) {
+	mt := runtime.NewMeteredTransport(runtime.NewChanTransport())
+	opts := testOptions(100)
+	opts.ReplyTimeout = 50 * time.Millisecond
+	sys, err := runtime.Deploy(buildStar(t, 2), mt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	if _, err := sys.RunClients(context.Background(), 2, 400*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for typ := range mt.Stats() {
+		switch typ {
+		case "runtime.SchedRequest", "runtime.SchedReply", "runtime.ServiceRequest", "runtime.ServiceReply":
+		default:
+			t.Errorf("metered %s traffic: %v", typ, mt.Stats()[typ])
+		}
 	}
 }

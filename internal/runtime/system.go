@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"adept/internal/hierarchy"
+	"adept/internal/nes"
 )
 
 // System is a deployed middleware instance: the live realisation of one
@@ -64,12 +65,7 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 		tree:      h.Clone(),
 	}
 
-	type pendingStart struct {
-		run   func(<-chan Envelope)
-		inbox <-chan Envelope
-	}
-	var starts []pendingStart
-
+	var starts []func()
 	var build func(id int) error
 	build = func(id int) error {
 		n := h.MustNode(id)
@@ -84,7 +80,8 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 			}
 			children = append(children, h.MustNode(c).Name)
 		}
-		starts = append(starts, pendingStart{run: sys.element(n.Name, n.Power, n.Role, children), inbox: inbox})
+		run := sys.element(n.Name, n.Power, n.Link(opts.Bandwidth), n.Role, children)
+		starts = append(starts, func() { run(inbox) })
 		return nil
 	}
 	if err := build(h.Root()); err != nil {
@@ -92,33 +89,32 @@ func Deploy(h *hierarchy.Hierarchy, transport Transport, opts Options) (*System,
 		return nil, err
 	}
 	sys.root = h.MustNode(h.Root()).Name
-	for _, st := range starts {
+	for _, start := range starts {
 		sys.wg.Add(1)
-		go st.run(st.inbox)
+		go start()
 	}
 	sys.started = true
 	return sys, nil
 }
 
-// element creates the element of a node (an agent with its children),
-// records it, and returns its loop for the caller to start. The caller
-// holds mu or has s to itself.
-func (s *System) element(name string, power float64, role hierarchy.Role, children []string) func(<-chan Envelope) {
+// element creates the element of a node (an agent with its children) at
+// its own link, records it, and returns its loop for the caller to start.
+// The caller holds mu or has s to itself.
+func (s *System) element(name string, power, link float64, role hierarchy.Role, children []string) func(<-chan Envelope) {
+	p := newPort(s.opts.TimeScale)
 	if role == hierarchy.RoleServer {
-		srv := &serverElem{sys: s, name: name, power: power, done: make(chan struct{})}
+		srv := &serverElem{sys: s, name: name, port: p, power: power, link: link, rated: power, bg: 1}
 		s.servers[name] = srv
-		return srv.run
+		return func(inbox <-chan Envelope) { defer s.wg.Done(); p.run(inbox, srv.handle) }
 	}
 	a := &agentElem{
-		sys:      s,
-		name:     name,
-		power:    power,
-		children: children,
-		pending:  make(map[uint64]*replyAgg),
-		done:     make(chan struct{}),
+		Agent:   nes.Agent[string, Candidate]{Name: name, Port: p, Costs: &s.opts.Costs, Power: power, Link: link, Children: children},
+		sys:     s,
+		port:    p,
+		pending: make(map[uint64]*nes.Gather[string, Candidate]),
 	}
 	s.agents[name] = a
-	return a.run
+	return func(inbox <-chan Envelope) { defer s.wg.Done(); p.run(inbox, a.handle) }
 }
 
 // Snapshot returns a copy of the deployed hierarchy, which the autonomic
@@ -182,7 +178,7 @@ func (s *System) SetBackgroundLoad(name string, factor float64) error {
 	if !ok {
 		return fmt.Errorf("runtime: no server %q", name)
 	}
-	srv.bgBits.Store(math.Float64bits(factor))
+	srv.port.post(func() { srv.bg = factor })
 	return nil
 }
 
@@ -266,20 +262,15 @@ var errStopped = errors.New("runtime: system stopped")
 //   - reparent changes only the routing; the element, and an agent's whole
 //     subtree, keeps running;
 //   - set-power refreshes the rated power that predictions and the next
-//     replan use;
+//     replan use, and the node's link;
 //   - promote and demote drain and retire the element, and re-register it
 //     in its new role under the same name and parent (the live analog of
 //     the heuristic's shift_nodes).
 //
-// When a mechanic fails halfway the tree records what runs: a promote or
-// demote whose re-register fails leaves the node out of it.
-//
-// Links: the live runtime models a single shared wire (Options.Bandwidth),
-// the paper's homogeneous-links testbed, so op.Bandwidth is bookkeeping
-// only. Snapshot reports it, but every element sends and receives at the
-// uniform wire speed. Per-node link speeds are modelled by the
-// discrete-event simulator (internal/sim); plan deployments for
-// heterogeneous links there.
+// An element added or re-registered sends and receives at the link the op
+// gives it, zero meaning Options.Bandwidth, as at Deploy. When a mechanic
+// fails halfway the tree records what runs: a promote or demote whose
+// re-register fails leaves the node out of it.
 func (s *System) ApplyOp(op hierarchy.Op) error {
 	if s.stopped.Load() {
 		return errStopped
@@ -301,18 +292,29 @@ func (s *System) ApplyOp(op hierarchy.Op) error {
 		if rerr != nil {
 			return rerr
 		}
-		s.start(op.Name, op.Power, op.Role, inbox)
-		err = s.send("system", op.Parent, Attach{Child: op.Name})
+		n, _ := next.Lookup(op.Name)
+		s.start(n, inbox)
+		err = s.routing(op.Parent, func(a *agentElem) { a.attach(op.Name) })
 	case hierarchy.OpRemove:
 		err = s.retire(parent, op.Name)
 	case hierarchy.OpReparent:
 		if parent != op.Parent {
-			if err = s.send("system", parent, Detach{Child: op.Name}); err == nil {
-				err = s.send("system", op.Parent, Attach{Child: op.Name})
+			if err = s.routing(parent, func(a *agentElem) { a.detach(op.Name) }); err == nil {
+				err = s.routing(op.Parent, func(a *agentElem) { a.attach(op.Name) })
 			}
 		}
 	case hierarchy.OpSetPower:
-		err = s.send("system", op.Name, SetPower{Power: op.Power})
+		n, _ := next.Lookup(op.Name)
+		link := n.Link(s.opts.Bandwidth)
+		s.mu.RLock()
+		srv, agent := s.servers[op.Name], s.agents[op.Name]
+		s.mu.RUnlock()
+		switch {
+		case srv != nil:
+			srv.port.post(func() { srv.rated, srv.link = n.Power, link })
+		case agent != nil:
+			agent.port.post(func() { agent.Link = link })
+		}
 	case hierarchy.OpPromote, hierarchy.OpDemote:
 		next, err = s.convert(cur, next, op.Name, parent)
 	}
@@ -323,12 +325,24 @@ func (s *System) ApplyOp(op hierarchy.Op) error {
 }
 
 // start runs a new element for a node on its registered inbox.
-func (s *System) start(name string, power float64, role hierarchy.Role, inbox <-chan Envelope) {
+func (s *System) start(n hierarchy.Node, inbox <-chan Envelope) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	run := s.element(name, power, role, nil)
+	run := s.element(n.Name, n.Power, n.Link(s.opts.Bandwidth), n.Role, nil)
 	s.wg.Add(1)
 	go run(inbox)
+}
+
+// routing edits an agent's children on the agent's own goroutine.
+func (s *System) routing(name string, edit func(*agentElem)) error {
+	s.mu.RLock()
+	a := s.agents[name]
+	s.mu.RUnlock()
+	if a == nil {
+		return fmt.Errorf("runtime: no agent %q", name)
+	}
+	a.port.post(func() { edit(a) })
+	return nil
 }
 
 // convert retires a childless element and re-registers it under the same
@@ -347,14 +361,14 @@ func (s *System) convert(cur, next *hierarchy.Hierarchy, name, parent string) (*
 		return gone, err
 	}
 	n, _ := next.Lookup(name)
-	s.start(name, n.Power, n.Role, inbox)
-	return next, s.send("system", parent, Attach{Child: name})
+	s.start(n, inbox)
+	return next, s.routing(parent, func(a *agentElem) { a.attach(name) })
 }
 
 // retire detaches an element from its parent's routing, drains it, and
 // deregisters it from the transport, waiting for the element loop to exit.
 func (s *System) retire(parentName, name string) error {
-	if err := s.send("system", parentName, Detach{Child: name}); err != nil {
+	if err := s.routing(parentName, func(a *agentElem) { a.detach(name) }); err != nil {
 		return err
 	}
 	s.mu.RLock()
@@ -364,9 +378,9 @@ func (s *System) retire(parentName, name string) error {
 	var done chan struct{}
 	if srv != nil {
 		s.drainServer(srv, DefaultDrainTimeout)
-		done = srv.done
+		done = srv.port.done
 	} else if agent != nil {
-		done = agent.done
+		done = agent.port.done
 	}
 	if err := s.transport.Deregister(name); err != nil {
 		return err
@@ -385,8 +399,8 @@ func (s *System) retire(parentName, name string) error {
 	return nil
 }
 
-// drainServer waits until the server has no pending execution and has been
-// idle for drainQuiet, or the timeout fires. Crashed servers are not
+// drainServer waits until the server's port has nothing queued and has
+// been idle for drainQuiet, or the timeout fires. Crashed servers are not
 // waited on — they will never go quiet in any meaningful sense.
 func (s *System) drainServer(srv *serverElem, timeout time.Duration) {
 	if srv.crashed.Load() {
@@ -394,52 +408,19 @@ func (s *System) drainServer(srv *serverElem, timeout time.Duration) {
 	}
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		idle := time.Duration(time.Now().UnixNano() - srv.lastActive.Load())
-		if srv.pending.Load() == 0 && idle > drainQuiet {
+		idle := time.Duration(time.Now().UnixNano() - srv.port.last.Load())
+		if srv.port.queued.Load() == 0 && idle > drainQuiet {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// ApplyPatch applies a reconfiguration patch op by op, stopping at the
-// first failure. The returned count says how many ops were applied.
-func (s *System) ApplyPatch(p hierarchy.Patch) (int, error) {
-	for i, op := range p.Ops {
-		if err := s.ApplyOp(op); err != nil {
-			return i, fmt.Errorf("runtime: patch op %d (%s): %w", i, op, err)
-		}
-	}
-	return len(p.Ops), nil
-}
-
-// Stop shuts every element down and closes the transport.
+// Stop shuts every element down: closing the transport closes each
+// element's inbox, which ends its loop.
 func (s *System) Stop() {
 	if !s.started || !s.stopped.CompareAndSwap(false, true) {
 		return
-	}
-	s.mu.RLock()
-	names := make([]string, 0, len(s.agents)+len(s.servers))
-	for name := range s.agents {
-		names = append(names, name)
-	}
-	for name := range s.servers {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	// Deterministic shutdown order, so teardown traces and any
-	// shutdown-races the soak harness shakes out replay identically.
-	sort.Strings(names)
-	for _, name := range names {
-		_ = s.transport.Send("system", name, Shutdown{})
-	}
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		// Elements blocked on a dead peer: closing the transport below
-		// unblocks them by closing their inboxes.
 	}
 	s.transport.Close()
 	s.wg.Wait()
@@ -540,7 +521,7 @@ func (s *System) clientLoop(ctx context.Context, idx uint64, name string, inbox 
 			failed.Add(1)
 			continue
 		}
-		best := reply.Candidates[0]
+		best := nes.Pick(reply.Candidates)
 		if s.send(name, best.Server, ServiceRequest{ID: id, ReplyTo: name, N: s.opts.DgemmN}) != nil {
 			if s.stopped.Load() {
 				return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"adept/internal/hierarchy"
@@ -48,9 +49,9 @@ type Managed struct {
 	dep *Deployment
 
 	// tree is the deployed hierarchy every op is judged against; byName
-	// finds the simulated entity behind each of its nodes.
+	// finds the *simAgent or *simServer behind each of its nodes.
 	tree   *hierarchy.Hierarchy
-	byName map[string]entity
+	byName map[string]any
 
 	// window baselines for Observe deltas.
 	lastCompleted int64
@@ -75,13 +76,13 @@ func NewManaged(h *hierarchy.Hierarchy, costs model.Costs, bandwidth, wapp float
 		eng:          eng,
 		dep:          dep,
 		tree:         h.Clone(),
-		byName:       make(map[string]entity),
+		byName:       make(map[string]any),
 		lastServed:   make(map[string]int64),
 		lastSvcSec:   make(map[string]float64),
 		lastSvcCount: make(map[string]int64),
 	}
 	for _, a := range dep.agents {
-		m.byName[a.name] = a
+		m.byName[a.Name] = a
 	}
 	for _, s := range dep.servers {
 		m.byName[s.name] = s
@@ -264,7 +265,13 @@ func (m *Managed) ApplyOp(op hierarchy.Op) error {
 	}
 	switch op.Kind {
 	case hierarchy.OpAdd:
-		m.add(op)
+		var ent any
+		if op.Role == hierarchy.RoleAgent {
+			ent = m.dep.newAgent(op.Name, op.Power, m.link(op.Bandwidth), NewResource(m.eng))
+		} else {
+			ent = m.dep.newServer(op.Name, op.Power, m.link(op.Bandwidth), NewResource(m.eng))
+		}
+		m.attach(op.Parent, op.Name, ent)
 	case hierarchy.OpRemove:
 		m.detach(op.Name)
 		delete(m.byName, op.Name)
@@ -273,31 +280,24 @@ func (m *Managed) ApplyOp(op hierarchy.Op) error {
 	case hierarchy.OpReparent:
 		ent := m.byName[op.Name]
 		m.detach(op.Name)
-		np := m.byName[op.Parent].(*simAgent)
-		np.children = append(np.children, ent)
+		m.attach(op.Parent, op.Name, ent)
 	case hierarchy.OpSetPower:
 		switch ent := m.byName[op.Name].(type) {
 		case *simServer:
 			ent.rated, ent.bw = op.Power, m.link(op.Bandwidth)
 		case *simAgent:
-			ent.bw = m.link(op.Bandwidth)
+			ent.Link = m.link(op.Bandwidth)
 		}
 	case hierarchy.OpPromote:
 		srv := m.byName[op.Name].(*simServer)
-		a := &simAgent{dep: m.dep, name: op.Name, power: srv.power, bw: srv.bw, res: srv.res}
 		parent := m.detach(op.Name)
 		m.dep.servers = filterServers(m.dep.servers, op.Name)
-		m.dep.agents = append(m.dep.agents, a)
-		m.byName[op.Name] = a
-		parent.children = append(parent.children, a)
+		m.attach(parent, op.Name, m.dep.newAgent(op.Name, srv.power, srv.bw, srv.res))
 	case hierarchy.OpDemote:
 		a := m.byName[op.Name].(*simAgent)
-		s := &simServer{dep: m.dep, name: op.Name, power: a.power, bw: a.bw, rated: a.power, bg: 1, res: a.res}
 		parent := m.detach(op.Name)
 		m.dep.agents = filterAgents(m.dep.agents, op.Name)
-		m.dep.servers = append(m.dep.servers, s)
-		m.byName[op.Name] = s
-		parent.children = append(parent.children, s)
+		m.attach(parent, op.Name, m.dep.newServer(op.Name, a.Power, a.Link, a.Port.(*Resource)))
 	}
 	m.tree = next
 	return nil
@@ -305,34 +305,17 @@ func (m *Managed) ApplyOp(op hierarchy.Op) error {
 
 // ApplyPatch applies a patch op by op, stopping at the first failure; the
 // count says how many ops were applied.
-func (m *Managed) ApplyPatch(p hierarchy.Patch) (int, error) {
-	for i, op := range p.Ops {
-		if err := m.ApplyOp(op); err != nil {
-			return i, fmt.Errorf("sim: patch op %d (%s): %w", i, op, err)
-		}
-	}
-	return len(p.Ops), nil
-}
+func (m *Managed) ApplyPatch(p hierarchy.Patch) (int, error) { return hierarchy.ApplyEach(m, p) }
 
 // Snapshot returns a copy of the deployed hierarchy: the rated powers of
 // every set-power so far, and each node's link as the ops recorded it.
 func (m *Managed) Snapshot() *hierarchy.Hierarchy { return m.tree.Clone() }
 
-// add deploys the new element of an accepted add op under its parent.
-func (m *Managed) add(op hierarchy.Op) {
-	var ent entity
-	if op.Role == hierarchy.RoleAgent {
-		a := &simAgent{dep: m.dep, name: op.Name, power: op.Power, bw: m.link(op.Bandwidth), res: NewResource(m.eng)}
-		m.dep.agents = append(m.dep.agents, a)
-		ent = a
-	} else {
-		s := &simServer{dep: m.dep, name: op.Name, power: op.Power, bw: m.link(op.Bandwidth), rated: op.Power, bg: 1, res: NewResource(m.eng)}
-		m.dep.servers = append(m.dep.servers, s)
-		ent = s
-	}
-	m.byName[op.Name] = ent
-	parent := m.byName[op.Parent].(*simAgent)
-	parent.children = append(parent.children, ent)
+// attach hooks a deployed element under the named parent agent.
+func (m *Managed) attach(parent, name string, ent any) {
+	m.byName[name] = ent
+	p := m.byName[parent].(*simAgent)
+	p.Children = append(p.Children, ent)
 }
 
 // link resolves an op's link bandwidth against the deployment default.
@@ -344,36 +327,20 @@ func (m *Managed) link(bw float64) float64 {
 }
 
 // detach unhooks a non-root element from its parent agent's children and
-// returns that parent, as the deployed tree names it.
-func (m *Managed) detach(name string) *simAgent {
+// returns that parent's name, as the deployed tree names it.
+func (m *Managed) detach(name string) string {
 	n, _ := m.tree.Lookup(name)
-	parent := m.byName[m.tree.MustNode(n.Parent).Name].(*simAgent)
+	parent := m.tree.MustNode(n.Parent).Name
+	p := m.byName[parent].(*simAgent)
 	ent := m.byName[name]
-	for i, c := range parent.children {
-		if c == ent {
-			parent.children = append(parent.children[:i], parent.children[i+1:]...)
-			break
-		}
-	}
+	p.Children = slices.DeleteFunc(p.Children, func(c any) bool { return c == ent })
 	return parent
 }
 
 func filterAgents(in []*simAgent, name string) []*simAgent {
-	out := in[:0]
-	for _, a := range in {
-		if a.name != name {
-			out = append(out, a)
-		}
-	}
-	return out
+	return slices.DeleteFunc(in, func(a *simAgent) bool { return a.Name == name })
 }
 
 func filterServers(in []*simServer, name string) []*simServer {
-	out := in[:0]
-	for _, s := range in {
-		if s.name != name {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.DeleteFunc(in, func(s *simServer) bool { return s.name == name })
 }

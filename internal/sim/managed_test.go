@@ -263,3 +263,48 @@ func TestManagedCrashUnknownServer(t *testing.T) {
 		t.Fatal("Crash(root) succeeded on an agent")
 	}
 }
+
+// TestManagedChildlessAgentAnswers: an agent a patch leaves without
+// children answers with no candidate instead of holding every request
+// above it, and a root left without children fails its clients' requests
+// after the client timeout.
+func TestManagedChildlessAgentAnswers(t *testing.T) {
+	h := hierarchy.New("childless")
+	root, _ := h.AddRoot("root", 500)
+	a1, _ := h.AddAgent(root, "a1", 300)
+	for _, s := range []struct {
+		parent int
+		name   string
+	}{{a1, "s1"}, {root, "s2"}} {
+		if _, err := h.AddServer(s.parent, s.name, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManaged(h, model.DIETDefaults(), 100, 10, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ApplyOp(hierarchy.Op{Kind: hierarchy.OpRemove, Name: "s1"}); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := m.Observe(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Served["s2"] == 0 || ws.Failed != 0 {
+		t.Fatalf("with a childless agent beside it, s2 served %d (%d failed)", ws.Served["s2"], ws.Failed)
+	}
+	for _, name := range []string{"s2", "a1"} {
+		if err := m.ApplyOp(hierarchy.Op{Kind: hierarchy.OpRemove, Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Observe(10) // requests s2 had accepted still complete
+	ws, err = m.Observe(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Completed != 0 || ws.Failed == 0 {
+		t.Fatalf("a childless root completed %d and failed %d requests", ws.Completed, ws.Failed)
+	}
+}

@@ -3,10 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"adept/internal/hierarchy"
 	"adept/internal/model"
+	"adept/internal/nes"
 )
 
 // Deployment is a hierarchy instantiated inside the simulator: one Resource
@@ -26,8 +26,8 @@ type Deployment struct {
 	Completed int64
 	// SchedCompleted counts scheduling phases completed at the root.
 	SchedCompleted int64
-	// Failed counts service requests that timed out against a crashed
-	// server (the client retries after clientTimeout).
+	// Failed counts requests that timed out against a crashed server or
+	// found no candidate (the client retries after clientTimeout).
 	Failed int64
 	// PerServer counts service completions per server, in deployment order.
 	PerServer map[string]int64
@@ -57,15 +57,9 @@ func (d *Deployment) Latencies() []float64 {
 	return append([]float64(nil), d.latencies...)
 }
 
-// simAgent is a deployed scheduling agent.
-type simAgent struct {
-	dep      *Deployment
-	name     string
-	power    float64
-	bw       float64 // the node's own link bandwidth
-	res      *Resource
-	children []entity
-}
+// simAgent is a deployed scheduling agent; its children are *simAgent and
+// *simServer values.
+type simAgent = nes.Agent[any, *simServer]
 
 // simServer is a deployed computational server (SeD).
 type simServer struct {
@@ -99,31 +93,15 @@ type simServer struct {
 	svcCount   int64
 }
 
-// entity is the common scheduling-phase interface of agents and servers.
-type entity interface {
-	// deliverSched delivers a scheduling request arriving on this node's
-	// port; replyTo fires after this node's reply has been fully sent.
-	deliverSched(replyTo func(schedResult))
-}
-
-// schedResult is the reply flowing back up: the candidate servers of the
-// subtree, sorted best-first ("response sorted & forwarded up", Fig. 1
-// step 4). Candidates are compared by their *current* expected completion
-// time (estimate) wherever a sort or selection happens, not by a value
-// frozen when the server computed its prediction: the paper's agents
-// "select potential servers from a list of servers maintained in the
-// database by frequent monitoring" (footnote 1), so comparison data is
-// fresher than the in-band prediction. Without this, a deterministic
-// simulator herds every request onto one server, because by the time a
-// frozen prediction is compared the server's queue has drained.
-type schedResult struct {
-	servers []*simServer
-}
-
-// Note: the full sorted candidate list is forwarded up the tree, like
-// DIET's response lists. Truncating it (an earlier design) starves all but
-// the top few servers under heavy concurrent load, because batches of
-// requests aggregated back-to-back would share the same truncated list.
+// Candidates are the servers themselves, compared by their *current*
+// estimate wherever a ranking or pick happens, not by a value frozen when
+// the server predicted: the paper's agents "select potential servers from a
+// list of servers maintained in the database by frequent monitoring"
+// (footnote 1), so comparison data is fresher than the in-band prediction.
+// Without this, a deterministic simulator herds every request onto one
+// server, because by the time a frozen prediction is compared the server's
+// queue has drained. The full ranked list is forwarded up the tree, like
+// DIET's response lists.
 
 // Instantiate builds a simulated deployment from a hierarchy. bandwidth
 // is the default link bandwidth; nodes carrying a per-node override
@@ -144,28 +122,39 @@ func Instantiate(eng *Engine, h *hierarchy.Hierarchy, costs model.Costs, bandwid
 		wapp:      wapp,
 		PerServer: make(map[string]int64),
 	}
-	var build func(id int) entity
-	build = func(id int) entity {
+	var build func(id int) any
+	build = func(id int) any {
 		n := h.MustNode(id)
 		if n.Role == hierarchy.RoleServer {
-			s := &simServer{dep: d, name: n.Name, power: n.Power, bw: n.Link(bandwidth), rated: n.Power, bg: 1, res: NewResource(eng)}
-			d.servers = append(d.servers, s)
-			return s
+			return d.newServer(n.Name, n.Power, n.Link(bandwidth), NewResource(eng))
 		}
-		a := &simAgent{dep: d, name: n.Name, power: n.Power, bw: n.Link(bandwidth), res: NewResource(eng)}
-		d.agents = append(d.agents, a)
+		a := d.newAgent(n.Name, n.Power, n.Link(bandwidth), NewResource(eng))
 		for _, c := range n.Children {
-			a.children = append(a.children, build(c))
+			a.Children = append(a.Children, build(c))
 		}
 		return a
 	}
-	rootEnt := build(h.Root())
-	root, ok := rootEnt.(*simAgent)
+	root, ok := build(h.Root()).(*simAgent)
 	if !ok {
 		return nil, fmt.Errorf("sim: root is not an agent")
 	}
 	d.root = root
 	return d, nil
+}
+
+// newAgent deploys an agent on a resource, with no children yet.
+func (d *Deployment) newAgent(name string, power, bw float64, res *Resource) *simAgent {
+	a := &simAgent{Name: name, Port: res, Costs: &d.costs, Power: power, Link: bw}
+	d.agents = append(d.agents, a)
+	return a
+}
+
+// newServer deploys a server on a resource, its predictions rating it at
+// its physical power.
+func (d *Deployment) newServer(name string, power, bw float64, res *Resource) *simServer {
+	s := &simServer{dep: d, name: name, power: power, bw: bw, rated: power, bg: 1, res: res}
+	d.servers = append(d.servers, s)
+	return s
 }
 
 // --- scheduling phase -------------------------------------------------
@@ -180,109 +169,30 @@ func Instantiate(eng *Engine, h *hierarchy.Hierarchy, costs model.Costs, bandwid
 // The summed occupation is exactly what the §3 model integrates per
 // request, so predicted and measured throughput still agree.
 
-// deliverSched implements entity for agents: receive the request, process
-// it (Wreq), forward serially to every child, collect the replies, select
-// the best server (Wrep), and send the reply up.
-func (a *simAgent) deliverSched(replyTo func(schedResult)) {
-	c, bw := a.dep.costs, a.bw
-	// Eq. 1 request part + Eq. 5 Wreq part.
-	a.res.Do(c.AgentSreq/bw+c.AgentWreq/a.power, func() {
-		a.broadcast(replyTo)
-	})
-}
-
-// broadcast forwards the request to every child and aggregates replies.
-func (a *simAgent) broadcast(replyTo func(schedResult)) {
-	c, bw := a.dep.costs, a.bw
-	d := len(a.children)
-	agg := &aggregator{want: d}
-	for _, child := range a.children {
-		child := child
-		// The send occupies the agent's port (Eq. 2, d·Sreq part); its
-		// completion delivers the message to the child's port.
-		a.res.Do(c.AgentSreq/bw, func() {
-			child.deliverSched(func(r schedResult) {
-				a.receiveReply(agg, r, replyTo)
-			})
-		})
+// send delivers a scheduling request an agent forwarded to child, an agent
+// or a server, and routes the child's reply into g.
+func (d *Deployment) send(child any, g *nes.Gather[any, *simServer]) {
+	switch c := child.(type) {
+	case *simAgent:
+		c.Schedule(d.send, g.Reply)
+	case *simServer:
+		nes.Predict(c.res, &d.costs, c.power, c.bw, func() { g.Reply([]*simServer{c}) })
 	}
 }
 
-// receiveReply accounts one child reply (Eq. 1, d·Srep part); once all
-// replies are in, the agent runs the selection computation Wrep(d) (Eq. 5)
-// and sends the merged reply to its parent (Eq. 2, Srep part).
-func (a *simAgent) receiveReply(agg *aggregator, r schedResult, replyTo func(schedResult)) {
-	c, bw := a.dep.costs, a.bw
-	a.res.Do(c.AgentSrep/bw, func() {
-		agg.add(r)
-		if !agg.complete() {
-			return
-		}
-		d := len(a.children)
-		// Wrep(d) selection plus the reply transmission (Eq. 2, Srep part),
-		// as one contiguous occupation.
-		a.res.Do(c.WrepAgent(d)/a.power+c.AgentSrep/bw, func() {
-			replyTo(agg.merged())
-		})
-	})
-}
-
-// aggregator collects children replies and merges their candidate lists.
-type aggregator struct {
-	want int
-	got  int
-	all  []*simServer
-}
-
-func (g *aggregator) add(r schedResult) {
-	g.all = append(g.all, r.servers...)
-	g.got++
-}
-
-// merged sorts the collected candidates best-first by current estimate
-// (stable, so ties keep child order like DIET's sort) — the work the
-// Wrep(d) computation cost accounts for.
-func (g *aggregator) merged() schedResult {
-	sort.SliceStable(g.all, func(i, j int) bool {
-		return g.all[i].estimate() < g.all[j].estimate()
-	})
-	return schedResult{servers: g.all}
-}
-
-func (g *aggregator) complete() bool { return g.got == g.want }
-
-// deliverSched implements entity for servers: receive the request, compute
-// the performance prediction (Wpre), and send the reply back.
-func (s *simServer) deliverSched(replyTo func(schedResult)) {
-	c, bw := s.dep.costs, s.bw
-	// Scheduling-phase work takes the priority lane: predictions are tiny
-	// interactive operations that a real server answers while batch service
-	// jobs wait; see Resource for why the simulator must model this.
-	// Eq. 3 receive + prediction + Eq. 4 reply, one contiguous occupation.
-	s.res.DoPriority(c.ServerSreq/bw+c.ServerWpre/s.power+c.ServerSrep/bw, func() {
-		replyTo(schedResult{servers: []*simServer{s}})
-	})
-}
-
-// estimate is this server's current expected completion time for one more
-// service request: the backlog of already-selected requests plus its own
-// execution, normalised by the *rated* power — the earliest-completion
-// metric DIET's performance prediction feeds into the agents' monitoring
-// database. Rated power goes stale under background-load drift until a
-// SetPower patch refreshes it: exactly the mis-scheduling the autonomic
-// loop corrects.
-func (s *simServer) estimate() float64 {
-	return float64(s.pending+1) * (s.dep.wapp / s.rated)
+// Completion is this server's current estimate (nes.Estimate): the
+// backlog of already-selected requests plus its own execution, normalised
+// by the *rated* power. Rated power goes stale under background-load drift
+// until a SetPower patch refreshes it: exactly the mis-scheduling the
+// autonomic loop corrects.
+func (s *simServer) Completion() float64 {
+	return nes.Estimate(s.pending, s.dep.wapp, s.rated)
 }
 
 // --- service phase ----------------------------------------------------
 
-// submitService runs the service phase on the selected server: request
-// receive + execution + response (Eq. 15's per-request terms) as one
-// contiguous occupation.
+// submitService runs the service phase on the selected server.
 func (d *Deployment) submitService(s *simServer, onDone func()) {
-	c, bw := d.costs, s.bw
-	s.pending++
 	if s.crashed {
 		// The request is sent into a dead node: no service ever runs, the
 		// client burns its reply timeout, counts the request as failed,
@@ -290,16 +200,15 @@ func (d *Deployment) submitService(s *simServer, onDone func()) {
 		// rises and falls so the node's advertised estimate behaves like a
 		// loaded-but-alive server — exactly the stale-monitoring trap that
 		// keeps attracting traffic until the autonomic loop evicts it.
+		s.pending++
 		d.eng.At(d.eng.Now()+clientTimeout, func() {
 			s.pending--
-			d.Failed++
-			onDone()
+			d.fail(onDone)
 		})
 		return
 	}
 	compute := d.wapp * s.bg / s.power
-	s.res.Do(c.ServerSreq/bw+compute+c.ServerSrep/bw, func() {
-		s.pending--
+	nes.Serve(s.res, &d.costs, s.bw, compute, &s.pending, func() {
 		s.svcSeconds += compute
 		s.svcCount++
 		d.Completed++
@@ -308,29 +217,30 @@ func (d *Deployment) submitService(s *simServer, onDone func()) {
 	})
 }
 
+// fail counts a request that timed out and resumes its client.
+func (d *Deployment) fail(onDone func()) {
+	d.Failed++
+	onDone()
+}
+
 // --- clients ------------------------------------------------------------
 
 // Submit runs one complete request (scheduling phase then service phase),
 // calling onDone when the service response is back.
 func (d *Deployment) Submit(onDone func()) {
 	start := d.eng.Now()
-	d.root.deliverSched(func(r schedResult) {
+	d.root.Schedule(d.send, func(servers []*simServer) {
 		d.SchedCompleted++
-		if len(r.servers) == 0 {
-			// No server replied — cannot happen on validated hierarchies,
-			// but fail loudly in case of protocol bugs.
-			panic("sim: scheduling reply carries no server")
+		if len(servers) == 0 {
+			// An agent left without children (mid-reconfiguration) answers
+			// with no candidate: the client times out and retries.
+			d.eng.After(clientTimeout, func() { d.fail(onDone) })
+			return
 		}
-		// Final selection: the best candidate by *current* estimate, which
-		// may differ from the ranking at merge time (the client-visible
-		// "scheduling response" of Fig. 1 carries the sorted list).
-		best := r.servers[0]
-		for _, s := range r.servers[1:] {
-			if s.estimate() < best.estimate() {
-				best = s
-			}
-		}
-		d.submitService(best, func() {
+		// Final selection by *current* estimate, which may differ from the
+		// ranking at merge time (the client-visible "scheduling response"
+		// of Fig. 1 carries the ranked list).
+		d.submitService(nes.Pick(servers), func() {
 			d.recordLatency(start)
 			onDone()
 		})
@@ -384,7 +294,7 @@ func (d *Deployment) Utilization() map[string]float64 {
 		return out
 	}
 	for _, a := range d.agents {
-		out[a.name] = math.Min(1, a.res.BusyTime/t)
+		out[a.Name] = math.Min(1, a.Port.(*Resource).BusyTime/t)
 	}
 	for _, s := range d.servers {
 		out[s.name] = math.Min(1, s.res.BusyTime/t)
