@@ -541,11 +541,14 @@ func BenchmarkServicePlanScenarioHit100k(b *testing.B) {
 // fleet_cold's shape: one POST /v1/plan through the handler for a
 // 100 000-node catalogue scenario nobody has asked for before — a new seed
 // every iteration, cluster-grid and fat-tree alternating. A miss reads
-// each node a fixed few times: it draws the power column, and one more
-// pass, cluster by cluster or tier by tier, snaps each power to its level
-// and classes the node through a small level × link-class table — the
-// pool carries its ~16 classes out of generation, so nothing range-checks,
+// each node a fixed few times: it draws the power column, which hands
+// over the column's range as it is written, and one more pass, cluster by
+// cluster or tier by tier, snaps each power to its level (rounding by
+// truncation, exactly as math.Round) and classes the node through a small
+// level × link-class table, counting each cell's members — the pool
+// carries its ~16 classes out of generation, so nothing range-checks,
 // hashes or scans a link per node after it, and no link column is built.
+// Generation alone is BenchmarkSpecColumns100k (internal/scenario).
 // Then it deals the pool out class by class, folds Eq. 15 over the sorted
 // runs once, plans from the classes (spending a class's members by
 // merging its digit-width runs of names), appends the deployment XML into

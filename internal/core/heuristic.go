@@ -522,10 +522,13 @@ func (p *Heuristic) answer(ctx context.Context, req Request, win string, root in
 // attaches the node at column op.col under agent op.id with the next ID,
 // or promotes server op.id. Growth assigned IDs the same way, so a prefix
 // of its op log rebuilds the tree it had reached after that prefix (Steps
-// 28–34 generalised). A node is named here, when it is deployed.
+// 28–34 generalised). A node is named here, when it is deployed. The tree
+// is sized for the root and one node per op before anything is attached
+// (a promotion attaches none, so that is an upper bound).
 func build(name string, req Request, root int, ops []growthOp) (*Plan, error) {
 	cols := req.Columns
 	h := hierarchy.New(fmt.Sprintf("%s-wapp%.3g", cols.Name, req.Wapp))
+	h.Grow(1 + len(ops))
 	r := cols.Node(root)
 	_, err := h.AddRoot(r.Name, r.Power, r.LinkBandwidth)
 	for _, op := range ops {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"adept/internal/model"
@@ -84,6 +85,13 @@ type Hierarchy struct {
 // New creates an empty hierarchy. The first added agent becomes the root.
 func New(name string) *Hierarchy {
 	return &Hierarchy{Name: name, root: -1}
+}
+
+// Grow makes room for n more elements, so that adding them does not
+// regrow the tree's node table: a builder that knows how many elements it
+// will add says so first.
+func (h *Hierarchy) Grow(n int) {
+	h.nodes = slices.Grow(h.nodes, n)
 }
 
 // Len returns the number of deployed elements.

@@ -51,7 +51,7 @@ func (s Spec) ReferenceColumns() (*platform.Columns, error) {
 		return nil, err
 	}
 	s = s.withDefaults()
-	powers := s.powers(rand.New(rand.NewSource(s.Seed)), nil)
+	powers, _, _ := s.powers(rand.New(rand.NewSource(s.Seed)), nil)
 	s.Quantize(powers)
 	c := &platform.Columns{Name: s.Name, Bandwidth: s.Bandwidth, Powers: powers}
 	switch s.Family {

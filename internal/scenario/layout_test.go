@@ -110,13 +110,13 @@ func TestLayoutRangesMatchPositions(t *testing.T) {
 // homogeneous-link families).
 func linksOf(s Spec) []float64 {
 	c := &platform.Columns{Powers: make([]float64, s.N)}
-	s.layOut(c, nil, nil)
+	s.layOut(c, 0, 0, nil, nil)
 	return c.Links
 }
 
 func samePowers(t *testing.T, s Spec) {
 	t.Helper()
-	got := s.powers(rand.New(rand.NewSource(s.Seed)), nil)
+	got, _, _ := s.powers(rand.New(rand.NewSource(s.Seed)), nil)
 	for i, w := range positionalPowers(s) {
 		if math.Float64bits(got[i]) != math.Float64bits(w) {
 			t.Fatalf("%s n=%d clusters=%d tiers=%d: node %d power %v, positional %v", s.Family, s.N, s.Clusters, s.Tiers, i, got[i], w)

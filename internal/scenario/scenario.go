@@ -145,10 +145,12 @@ type Spec struct {
 	// exploits; 0 (the default) keeps the continuous draw untouched. The
 	// snap is a post-pass over the power vector, so it never perturbs the
 	// spec's random stream: PowerLevels=0 stays byte-identical to specs
-	// that predate the knob. The snap also classifies: at 2 levels or more
-	// it assigns each node its class as it snaps it, through a table of
-	// levels × link classes that must fit in the pool (a larger knob is
-	// only snapped, and its pool classed by whoever needs it).
+	// that predate the knob. The draw hands it the range it snaps over, so
+	// a quantised pool is read twice, by the draw and by the snap. The
+	// snap also classifies: at 2 levels or more it assigns each node its
+	// class as it snaps it, through a table of levels × link classes that
+	// must fit in the pool (a larger knob is only snapped, and its pool
+	// classed by whoever needs it).
 	PowerLevels int `json:"power_levels,omitempty"`
 	// Tiers (FatTree) is the number of bandwidth tiers (default 3): tier t
 	// runs its links at Bandwidth/2^t and holds twice the nodes of tier
@@ -320,12 +322,12 @@ func (s Spec) columns(interrupted func() error, into *platform.Columns) (*platfo
 	}
 	powers, links, classOf := c.Recycle()
 	rng := rand.New(rand.NewSource(s.Seed))
-	powers = s.powers(rng, powers)
+	powers, lo, hi := s.powers(rng, powers)
 	if err := interrupted(); err != nil {
 		return nil, err
 	}
 	c.Name, c.Bandwidth, c.Powers = s.Name, s.Bandwidth, powers
-	s.layOut(c, links, classOf)
+	s.layOut(c, lo, hi, links, classOf)
 	// Names are unique by construction (platform.Columns.NodeName is
 	// injective); what a spec from outside can still get wrong — a knob that
 	// drives a power negative, a spread that overflows one — is a range.
@@ -369,27 +371,18 @@ func (s Spec) linkLayout() linkLayout {
 	}
 }
 
-// each calls visit for every run of the layout, in pool order: nodes
-// [lo, hi) are in link class k.
-func (lay *linkLayout) each(n int, visit func(lo, hi, k int)) {
-	for base := 0; base < n; base += lay.period {
-		for k := range len(lay.bounds) - 1 {
-			visit(base+lay.bounds[k], min(base+lay.bounds[k+1], n), k)
-		}
-	}
-}
-
-// layOut completes drawn columns: it snaps the powers to PowerLevels and,
-// when the quantizer has a class table, classes the pool in the same pass
-// (platform.Columns.Classify), so that no consumer hashes every node's
-// spec back into the few classes it was drawn from. The classes then hold
-// the links; any other pool of a heterogeneous-link family gets a link
-// column. The class column is grown from classOf and the link column from
+// layOut completes drawn columns, whose powers range over [lo, hi]: it
+// snaps the powers to PowerLevels and, when the quantizer has a class
+// table, classes the pool in the same pass (platform.Columns.Classify), so
+// that no consumer hashes every node's spec back into the few classes it
+// was drawn from. The classes then hold the links; any other pool of a
+// heterogeneous-link family gets a link column, filled run by run of the
+// layout. The class column is grown from classOf and the link column from
 // links, both empty: every entry is written before anything reads it.
-func (s Spec) layOut(c *platform.Columns, links []float64, classOf []int32) {
+func (s Spec) layOut(c *platform.Columns, lo, hi float64, links []float64, classOf []int32) {
 	lay := s.linkLayout()
-	if q := s.quantizer(c.Powers, lay.links, classOf); q != nil {
-		lay.each(s.N, func(lo, hi, k int) { q.snap(c.Powers, lo, hi, k) })
+	if q := s.quantizer(c.Powers, lo, hi, lay.links, classOf); q != nil {
+		q.snap(c.Powers, &lay)
 		if q.cells != nil {
 			c.Classify(q.classes, q.classOf)
 			return
@@ -397,11 +390,14 @@ func (s Spec) layOut(c *platform.Columns, links []float64, classOf []int32) {
 	}
 	if lay.links != nil {
 		c.Links = slices.Grow(links, s.N)[:s.N]
-		lay.each(s.N, func(lo, hi, k int) {
-			for i := lo; i < hi; i++ {
-				c.Links[i] = lay.links[k]
+		for start := 0; start < s.N; start += lay.period {
+			for k, link := range lay.links {
+				run := c.Links[start+lay.bounds[k] : min(start+lay.bounds[k+1], s.N)]
+				for i := range run {
+					run[i] = link
+				}
 			}
-		})
+		}
 	}
 }
 
@@ -433,14 +429,18 @@ func jitter(rng *rand.Rand, base, spread float64) float64 {
 }
 
 // powers draws the node power vector, in node order, for a validated spec,
-// into out (empty) grown to the pool: every family writes every entry.
-func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
+// into out (empty) grown to the pool: every family writes every entry. It
+// returns the column's range too, taken as each entry gets its final
+// value: lo and hi are the least and the greatest power, as a scan from
+// node 0 that skips NaN finds them — NaN both when node 0's power is NaN.
+func (s Spec) powers(rng *rand.Rand, out []float64) (col []float64, lo, hi float64) {
 	out = slices.Grow(out, s.N)[:s.N]
+	r := span{lo: math.Inf(1), hi: math.Inf(-1)}
 	switch s.Family {
 	case Star:
-		out[0] = s.HubFactor * s.LeafPower
+		out[0] = r.put(s.HubFactor * s.LeafPower)
 		for i := 1; i < s.N; i++ {
-			out[i] = jitter(rng, s.LeafPower, s.Spread)
+			out[i] = r.put(jitter(rng, s.LeafPower, s.Spread))
 		}
 	case Bimodal:
 		high := int(math.Round(s.HighFraction * float64(s.N)))
@@ -452,7 +452,7 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 			if i < high {
 				base = s.HighPower
 			}
-			out[i] = jitter(rng, base, s.Spread)
+			out[i] = r.put(jitter(rng, base, s.Spread))
 		}
 	case PowerLaw:
 		for i := 0; i < s.N; i++ {
@@ -462,7 +462,7 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 			if w > s.MaxPower {
 				w = s.MaxPower
 			}
-			out[i] = w
+			out[i] = r.put(w)
 		}
 	case Clustered, ClusterGrid:
 		// Cluster means spread geometrically across [MinPower, MaxPower];
@@ -480,7 +480,7 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 		}
 		for i := 0; i < s.N; i += s.Clusters {
 			for k, mean := range means[:min(s.Clusters, s.N-i)] {
-				out[i+k] = jitter(rng, mean, s.Spread)
+				out[i+k] = r.put(jitter(rng, mean, s.Spread))
 			}
 		}
 	case FatTree:
@@ -493,7 +493,7 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 				base = s.MinPower
 			}
 			for i := bounds[t]; i < bounds[t+1]; i++ {
-				out[i] = jitter(rng, base, s.Spread)
+				out[i] = r.put(jitter(rng, base, s.Spread))
 			}
 		}
 	case TracePerturbed:
@@ -510,10 +510,30 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 			out[perm[k]] *= factors[k%len(factors)]
 		}
 		for i := 0; i < s.N; i++ {
-			out[i] = jitter(rng, out[i], s.Spread/5)
+			out[i] = r.put(jitter(rng, out[i], s.Spread/5))
 		}
 	}
-	return out
+	if math.IsNaN(out[0]) {
+		return out, out[0], out[0]
+	}
+	return out, r.lo, r.hi
+}
+
+// span is the range of the values a column is written with. Every family
+// writes its final values in node order, so from [+Inf, −Inf] it meets
+// them as a scan of the column would: a NaN moves neither bound, and of
+// −0 and +0 the first met is kept.
+type span struct{ lo, hi float64 }
+
+// put widens the span to w and returns w.
+func (r *span) put(w float64) float64 {
+	if w < r.lo {
+		r.lo = w
+	}
+	if w > r.hi {
+		r.hi = w
+	}
+	return w
 }
 
 // quantizer snaps a power column to PowerLevels evenly spaced levels over
@@ -521,33 +541,22 @@ func (s Spec) powers(rng *rand.Rand, out []float64) []float64 {
 // a machine catalogue of PowerLevels SKUs — and, where it can, classes the
 // pool as it snaps it: a node's level and its link class pick a cell of a
 // small direct table, levels × link classes, and the cell holds the
-// node's class. The classes are those a hash of every node's (power, link)
-// bits would find (platform.Columns.Classes), in the same order of first
-// appearance: cells whose snapped specs share their bits — two levels that
-// round to one power, two tiers whose links underflow to one — are one
-// class.
+// node's class and counts its members there. The classes are those a hash
+// of every node's (power, link) bits would find
+// (platform.Columns.Classes), in the same order of first appearance:
+// cells whose snapped specs share their bits — two levels that round to
+// one power, two tiers whose links underflow to one — are one class.
 //
-// It returns nil when there is nothing to snap: the knob is unset, or the
-// column constant. PowerLevels 1 snaps every power to the minimum here and
-// returns nil too. A draw that cannot be tabled leaves cells nil and is
-// only snapped: a non-finite range, more cells than the pool has nodes
-// (the table is sized by the pool, never by the knob), and — found on the
-// way — a level out of range or a NaN power. A table's class column is
-// classOf (empty) grown to the pool.
-func (s Spec) quantizer(powers, links []float64, classOf []int32) *quantizer {
-	if s.PowerLevels < 1 {
-		return nil
-	}
-	lo, hi := powers[0], powers[0]
-	for _, w := range powers {
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
-	}
-	if lo == hi {
+// The draw hands it the column's range, lo and hi, so it reads no power
+// itself. It returns nil when there is nothing to snap: the knob is unset,
+// or the column constant. PowerLevels 1 snaps every power to the minimum
+// here and returns nil too. A draw that cannot be tabled leaves cells nil
+// and is only snapped: a non-finite range, more cells than the pool has
+// nodes (the table is sized by the pool, never by the knob), and — found
+// on the way — a level out of range or a NaN power. A table's class
+// column is classOf (empty) grown to the pool.
+func (s Spec) quantizer(powers []float64, lo, hi float64, links []float64, classOf []int32) *quantizer {
+	if s.PowerLevels < 1 || lo == hi {
 		return nil
 	}
 	if s.PowerLevels == 1 {
@@ -570,7 +579,7 @@ func (s Spec) quantizer(powers, links []float64, classOf []int32) *quantizer {
 		}
 	}
 	q.levels = s.PowerLevels
-	q.cells = make([]int32, s.PowerLevels*len(links))
+	q.cells = make([]cell, s.PowerLevels*len(links))
 	q.classOf = slices.Grow(classOf, len(powers))[:len(powers)]
 	return q
 }
@@ -582,64 +591,126 @@ type quantizer struct {
 	levels   int
 	links    []float64 // each link class's raw override
 	canon    []int     // each link class's first class with the same link bits
-	// cells holds, at level·len(links) + link class, the class (+1; 0 =
-	// not met yet) of that level behind that link.
-	cells   []int32
+	// cells holds, at link class·levels + level, that level behind that
+	// link.
+	cells   []cell
 	classes []platform.SpecClass
 	classOf []int32
 }
 
-// snap snaps powers[lo:hi], nodes in link class k, and classes them.
+// cell is one level behind one link class in a quantizer's table.
+type cell struct {
+	// class is the cell's class (+1; 0 = not met yet), members the number
+	// of nodes snapped into the cell.
+	class, members int32
+	// power is the level's power, lo + level·step, once the cell is met.
+	power float64
+}
+
+// snap snaps the column and classes each node while the table holds: one
+// pass over the pool, cluster by cluster or tier by tier (snapRuns), that
+// counts each cell's members and adds them to the classes once at the
+// end. It leaves that pass only at a node whose cell is met for the first
+// time, which opens or joins its class (class), and at the table's end —
+// a NaN power, a level past the table — from which node on every power is
+// snapped by math.Round, to the power the table would have snapped it to.
+func (q *quantizer) snap(powers []float64, lay *linkLayout) {
+	n, top := len(powers), float64(q.levels)-0.5
+	start, k, i := 0, 0, 0
+	for q.cells != nil {
+		if start, k, i = q.snapRuns(powers, lay, start, k, i); i == n {
+			for _, c := range q.cells {
+				if c.class != 0 {
+					q.classes[c.class-1].Count += c.members
+				}
+			}
+			return
+		}
+		y := (powers[i] - q.lo) / q.step
+		if !inTable(y, top) {
+			q.cells = nil
+		} else if r := round(y); q.class(r, k, q.lo+float64(r)*q.step) == 0 {
+			q.cells = nil
+		}
+	}
+	for ; i < n; i++ {
+		powers[i] = q.lo + math.Round((powers[i]-q.lo)/q.step)*q.step
+	}
+}
+
+// snapRuns snaps and classes the column from node i on — in link class k
+// of the period that opens at node start; lay's runs are contiguous, so i
+// runs on from one into the next — and returns where it stopped: at the
+// first node that is no member of a cell already met, or at the end of
+// the column (i = n). A node's level is round's, when inTable has it.
+// The loop makes no call, which keeps its state in registers: a first
+// meeting is snap's to handle.
 //
 //adeptvet:hotpath
-func (q *quantizer) snap(powers []float64, lo, hi, k int) {
-	base, step, levels, width := q.lo, q.step, float64(q.levels), len(q.links)
-	cells, classOf := q.cells, q.classOf
-	for i := lo; i < hi; i++ {
-		r := math.Round((powers[i] - base) / step)
-		powers[i] = base + r*step
-		if cells == nil {
-			continue
-		}
-		if !(r >= 0 && r < levels) {
-			cells = nil // a NaN power, or a level past the table
-			continue
-		}
-		cell := int(r)*width + k
-		id := cells[cell]
-		if id == 0 {
-			if id = q.class(int(r), k, powers[i]); id == 0 {
-				cells = nil
-				continue
+func (q *quantizer) snapRuns(powers []float64, lay *linkLayout, start, k, i int) (int, int, int) {
+	n, period, bounds := len(powers), lay.period, lay.bounds
+	base, step, top := q.lo, q.step, float64(q.levels)-0.5
+	for ; start < n; start, k = start+period, 0 {
+		for ; k < len(bounds)-1; k++ {
+			run := powers[:min(start+bounds[k+1], n)]
+			of, row := q.classOf[:len(run)], q.cells[k*q.levels:][:q.levels]
+			for ; i < len(run); i++ {
+				y := (run[i] - base) / step
+				if !inTable(y, top) {
+					return start, k, i
+				}
+				t := round(y)
+				c := &row[t]
+				if c.class == 0 {
+					return start, k, i
+				}
+				run[i] = c.power
+				of[i] = c.class - 1
+				c.members++
 			}
-			cells[cell] = id
 		}
-		classOf[i] = id - 1
-		q.classes[id-1].Count++
 	}
-	q.cells = cells
+	return start, k, i
+}
+
+// inTable reports whether y = (w−lo)/step snaps to a level of the table,
+// top being levels − ½: whether 0 ≤ math.Round(y) < levels. A NaN,
+// negative or out-of-range y does not.
+func inTable(y, top float64) bool {
+	return y >= 0 && y < top
+}
+
+// round returns math.Round(y) for 0 ≤ y < 2⁵³ by integer truncation,
+// which costs a fraction of math.Round's bit manipulation: the fraction
+// f = y − ⌊y⌋ is exact (Sterbenz), and so is 2f, whose integer part is 1
+// just when f ≥ ½ — adding it rounds half away from zero, as math.Round
+// does, with no branch on the fraction for the draw to mispredict.
+func round(y float64) int {
+	t := int(y)
+	return t + int(2*(y-float64(t)))
 }
 
 // class returns the class (+1) of the first node met at level r behind
-// link class k, its power snapped to w: the class of the canonical cell —
-// the first level whose power has w's bits, behind the first link class
-// whose link has k's — which it opens when it is new. The snapped powers
-// never fall as the level rises, so the levels of one power are a range
-// and a binary search finds its first. It returns 0 if that level's power
-// is w only as a float, not in bits (−0 against +0): no table then.
+// link class k, its power snapped to w, and enters it and w in that cell:
+// the class of the canonical cell — the first level whose power has w's
+// bits, behind the first link class whose link has k's — which it opens
+// when it is new. The snapped powers never fall as the level rises, so
+// the levels of one power are a range and a binary search finds its
+// first. It returns 0 if that level's power is w only as a float, not in
+// bits (−0 against +0): no table then.
 func (q *quantizer) class(r, k int, w float64) int32 {
 	j := sort.Search(r, func(j int) bool { return q.lo+float64(j)*q.step >= w })
 	if math.Float64bits(q.lo+float64(j)*q.step) != math.Float64bits(w) {
 		return 0
 	}
-	cell := j*len(q.links) + q.canon[k]
-	if id := q.cells[cell]; id != 0 {
-		return id
+	c := &q.cells[q.canon[k]*q.levels+j]
+	if c.class == 0 {
+		q.classes = append(q.classes, platform.SpecClass{Power: w, LinkBandwidth: q.links[k]})
+		c.class, c.power = int32(len(q.classes)), w
 	}
-	q.classes = append(q.classes, platform.SpecClass{Power: w, LinkBandwidth: q.links[k]})
-	id := int32(len(q.classes))
-	q.cells[cell] = id
-	return id
+	met := &q.cells[k*q.levels+r]
+	met.class, met.power = c.class, w
+	return c.class
 }
 
 // Corpus returns one spec per (family, size) pair, seeds derived from the

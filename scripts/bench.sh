@@ -26,7 +26,10 @@
 # through the handler: read, decode into validated columns, store), and two
 # of that PUT's layers in internal/platform, recorded, not gated —
 # BenchmarkDecodeJSON4000 (the decoder alone) and BenchmarkColumnsDigest4000
-# (the registry's content address of what it decoded); writes
+# (the registry's content address of what it decoded) — and, in
+# internal/scenario, BenchmarkSpecColumns100k (that cold miss's generation
+# alone: a new 100k-node catalogue scenario every iteration, drawn into
+# one reused Columns); writes
 # BENCH_plan.json (per benchmark: the median of COUNT runs, with the
 # per-run ns/op samples beside it), and gates only what means the same on
 # every machine, or is a stated contract:
@@ -44,16 +47,19 @@
 #      sort is over the ceiling, and so is the 1.5-2.1 ms of copying and
 #      stably sorting node structs before that);
 #   3. a cache hit on a 100k-node scenario must stay under 3 ms, a cold
-#      miss on one under 13 ms, content-addressing 100k inline nodes
-#      under 16 ms, and a 4 000-node platform PUT under 2.5 ms (absolute
-#      ceilings at ~3x the measured medians: a hit that generates, a miss
-#      that materialises the nodes it generated, a key that marshals, or a
-#      PUT decoded by reflection — 3.3-4.9 ms where the columns decoder
-#      takes 0.7-0.8 ms — is over its ceiling). The cold miss reads each node a
-#      fixed few times (draw, range-check, class, deal, one Eq. 15 fold):
-#      4.4 ms median on a 2-vCPU sandbox, where a table probe sized for
-#      the class cap, a per-node tier search, a twice-built power vector and
-#      reflective XML cost 6.2-6.8 ms;
+#      miss on one under 13 ms, generating that miss's columns alone
+#      under 7.5 ms, content-addressing 100k inline nodes under 16 ms,
+#      and a 4 000-node platform PUT under 2.5 ms (absolute ceilings at ~3x
+#      the measured medians: a hit that generates, a miss that
+#      materialises the nodes it generated, a key that marshals, or a PUT
+#      decoded by reflection — 3.3-4.9 ms where the columns decoder takes
+#      0.7-0.8 ms — is over its ceiling). The cold miss reads each node a
+#      fixed few times (the draw, one snap-and-class pass, deal, one Eq. 15
+#      fold): 4.4 ms median on a 2-vCPU sandbox, where a table probe sized
+#      for the class cap, a per-node tier search, a twice-built power
+#      vector and reflective XML cost 6.2-6.8 ms. Its generation alone
+#      recorded 2.3 ms, in a slow phase of the same noisy host that put the
+#      miss at 4.3 ms;
 #   4. what those two scenario requests allocate: the cold miss at most
 #      1 MiB/op and the hit at most 160 KiB/op (absolute B/op ceilings,
 #      which do not drift with the host as ns/op does). A miss generates
@@ -83,8 +89,8 @@ BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
 
 go test -run '^$' \
-  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkServicePlanInline400$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$' \
-  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/platform | tee bench_plan.txt
+  -bench 'BenchmarkHeuristicPlan(100|1k|5k|100k|1M|Churn4000)$|BenchmarkHeuristicPlanNaive(100|1k|5k)$|BenchmarkHeuristicPlanClustered5k$|BenchmarkPortfolioPlan(1k|Mix)$|BenchmarkServicePlanThroughput$|BenchmarkServicePlanTrace$|BenchmarkObsStoreSample$|BenchmarkServicePlanScenario(Hit|Cold)100k$|BenchmarkServicePlanInline400$|BenchmarkKeyFor100k$|BenchmarkPlatformPut4000$|BenchmarkDecodeJSON4000$|BenchmarkColumnsDigest4000$|BenchmarkSpecColumns100k$' \
+  -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/platform ./internal/scenario | tee bench_plan.txt
 
 go run ./cmd/benchguard -parse bench_plan.txt -out BENCH_plan.json
 
@@ -97,6 +103,7 @@ go run ./cmd/benchguard -new BENCH_plan.json \
   -require-max-ns BenchmarkHeuristicPlanChurn4000:600000 \
   -require-max-ns BenchmarkServicePlanScenarioHit100k:3000000 \
   -require-max-ns BenchmarkServicePlanScenarioCold100k:13000000 \
+  -require-max-ns BenchmarkSpecColumns100k:7500000 \
   -require-max-ns BenchmarkKeyFor100k:16000000 \
   -require-max-ns BenchmarkPlatformPut4000:2500000 \
   -require-max-bytes BenchmarkServicePlanScenarioCold100k:1048576 \
