@@ -1,34 +1,22 @@
 // Command adeptvet machine-enforces the planner's determinism, hot-path,
 // and observability invariants with a project-specific static-analysis
-// suite (see internal/analysis).
-//
-// Standalone, from the module root:
+// suite (see internal/analysis). From the module root:
 //
 //	adeptvet ./...
 //
-// or as a vet tool, which shards the work across the build cache exactly
-// like the built-in vet:
-//
-//	go vet -vettool=$(which adeptvet) ./...
-//
-// Both modes exit nonzero on any unsuppressed finding. Intentional
-// exceptions are annotated in source as //adeptvet:allow <analyzer>
-// <reason>; `adeptvet -allows ./...` lists every such directive for
-// audit. Individual analyzers can be selected with their name as a flag
-// (e.g. -maporder); when a subset is selected, the audit of stale allow
-// directives is skipped, since only a full run can prove a directive
-// dead.
+// runs every analyzer over the matched packages, audits the
+// //adeptvet:allow directives (a stale or malformed one is a finding),
+// prints each unsuppressed finding and exits nonzero if there is one.
+// Intentional exceptions are annotated in source as
+// //adeptvet:allow <analyzer> <reason>; `adeptvet -allows ./...` lists
+// every such directive instead of the findings.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"strings"
 
 	"adept/internal/analysis"
 )
@@ -37,188 +25,49 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adeptvet: ")
 
-	all := analysis.All()
-	selected := make(map[string]*bool, len(all))
-	for _, a := range all {
-		selected[a.Name] = flag.Bool(a.Name, false, "run only "+a.Name+": "+a.Doc)
-	}
-	var (
-		printFlags  = flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
-		jsonOut     = flag.Bool("json", false, "emit findings as JSON")
-		listAllows  = flag.Bool("allows", false, "list every //adeptvet:allow directive instead of findings")
-		showAllowed = flag.Bool("showallowed", false, "also print suppressed findings with their reasons")
-	)
-	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
+	listAllows := flag.Bool("allows", false, "list every //adeptvet:allow directive instead of findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: adeptvet [flags] ./...          (standalone)\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which adeptvet) ./...\n\nAnalyzers:\n")
-		for _, a := range all {
+		fmt.Fprintf(os.Stderr, "usage: adeptvet [-allows] ./...\n\nAnalyzers:\n")
+		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(os.Stderr, "\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *printFlags {
-		emitFlagsJSON()
-		return
-	}
-
-	analyzers := all
-	full := true
-	var subset []*analysis.Analyzer
-	for _, a := range all {
-		if *selected[a.Name] {
-			subset = append(subset, a)
-		}
-	}
-	if len(subset) > 0 {
-		analyzers, full = subset, false
-	}
-	opt := analysis.RunOptions{ReportStale: full}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetUnit(args[0], analyzers, opt)
-		return
-	}
-	if len(args) == 0 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runStandalone(args, analyzers, opt, *jsonOut, *listAllows, *showAllowed)
-}
 
-// runVetUnit analyzes one compilation unit under the go vet -vettool
-// protocol: findings go to stderr, exit 1 tells go vet the package
-// failed.
-func runVetUnit(cfg string, analyzers []*analysis.Analyzer, opt analysis.RunOptions) {
-	findings, err := analysis.VetUnit(cfg, analyzers, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exit := 0
-	for _, f := range analysis.Unsuppressed(findings) {
-		fmt.Fprintln(os.Stderr, f)
-		exit = 1
-	}
-	os.Exit(exit)
-}
-
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opt analysis.RunOptions, jsonOut, listAllows, showAllowed bool) {
 	wd, err := os.Getwd()
 	if err != nil {
 		log.Fatal(err)
 	}
-	units, err := analysis.Load(wd, patterns)
+	units, err := analysis.Load(wd, flag.Args())
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var findings []analysis.Finding
-	var allows []analysis.AllowRecord
+	failed := false
 	for _, u := range units {
-		fs, as, err := analysis.RunUnit(u, analyzers, opt)
+		findings, allows, err := analysis.RunUnit(u)
 		if err != nil {
 			log.Fatalf("%s: %v", u.ImportPath, err)
 		}
-		findings = append(findings, fs...)
-		allows = append(allows, as...)
-	}
-
-	if listAllows {
-		if jsonOut {
-			writeJSON(os.Stdout, allows)
-			return
-		}
-		for _, a := range allows {
-			fmt.Printf("%s: allow %s: %s\n", a.Pos, a.Analyzer, a.Reason)
-		}
-		return
-	}
-
-	bad := analysis.Unsuppressed(findings)
-	if jsonOut {
-		out := findings
-		if !showAllowed {
-			out = bad
-		}
-		if out == nil {
-			out = []analysis.Finding{}
-		}
-		writeJSON(os.Stdout, out)
-	} else {
-		for _, f := range findings {
-			if f.Suppressed {
-				if showAllowed {
-					fmt.Printf("%s: %s: allowed: %s (%s)\n", f.Pos, f.Analyzer, f.Message, f.Reason)
-				}
-				continue
+		if *listAllows {
+			for _, a := range allows {
+				fmt.Printf("%s: allow %s: %s\n", a.Pos, a.Analyzer, a.Reason)
 			}
-			fmt.Println(f)
+			continue
+		}
+		for _, f := range findings {
+			if !f.Suppressed {
+				fmt.Println(f)
+				failed = true
+			}
 		}
 	}
-	if len(bad) > 0 {
+	if failed {
 		os.Exit(1)
 	}
-}
-
-func writeJSON(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitFlagsJSON implements the `-flags` half of the go vet protocol:
-// cmd/go asks the tool which flags it accepts before splitting its own
-// command line into flags and package patterns.
-func emitFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{}
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// versionFlag implements the `-V=full` half of the go vet protocol: the
-// tool must describe itself with a content hash so the build cache can
-// key vet results on the tool's identity.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
 }

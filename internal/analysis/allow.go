@@ -54,14 +54,9 @@ type allowSet struct {
 }
 
 // collectAllows parses every //adeptvet:allow directive in the files.
-// Files named *_test.go are skipped: the invariants govern production
-// code, and go vet analyzes test variants of each package.
 func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 	s := &allowSet{fset: fset}
 	for _, f := range files {
-		if isTestFile(fset, f.Pos()) {
-			continue
-		}
 		// Directives inside a declaration's doc comment scope to the
 		// whole declaration; remember each doc group's extent.
 		type docScope struct{ start, end token.Pos }
@@ -135,8 +130,7 @@ func (s *allowSet) suppresses(d Diagnostic) (reason string, ok bool) {
 	return "", false
 }
 
-// stale reports directives that suppressed nothing. Only meaningful after
-// the full analyzer suite ran (a partial run would see false positives).
+// stale reports directives that suppressed nothing.
 func (s *allowSet) stale() []Diagnostic {
 	var out []Diagnostic
 	for _, a := range s.allows {

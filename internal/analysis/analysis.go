@@ -39,9 +39,10 @@
 //
 // The framework would normally be golang.org/x/tools/go/analysis +
 // analysistest, but this module is deliberately dependency-free (see the
-// note in go.mod), so the loader speaks `go list -export` and the driver
-// speaks the `go vet -vettool` unit-checker protocol using only the
-// standard library.
+// note in go.mod), so the loader (Load) speaks `go list -export` and
+// type-checks each package from source against the export data, and the
+// driver (RunUnit) runs the whole suite over it, using only the standard
+// library.
 package analysis
 
 import (
@@ -58,7 +59,7 @@ type Analyzer struct {
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer checks,
-	// shown by `adeptvet help`.
+	// shown by adeptvet's usage message.
 	Doc string
 
 	// SkipMainPackages excludes package main from the analysis (command

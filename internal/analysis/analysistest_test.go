@@ -19,11 +19,10 @@ import (
 //	expr // want <analyzer> suppressed
 //	// want -1 <analyzer>        (finding expected one line above)
 //
-// The harness loads the whole fixture module through the same loader
-// the standalone adeptvet binary uses, runs the full suite with the
-// stale-directive audit on, and demands an exact match: every expected
-// finding present with the right suppression state, no finding
-// unexpected.
+// The harness loads the whole fixture module through the loader the
+// adeptvet binary uses, runs the suite (stale-directive audit included),
+// and demands an exact match: every expected finding present with the
+// right suppression state, no finding unexpected.
 
 var wantRE = regexp.MustCompile(`^// want(?: ([+-]\d+))? ([a-z]+)( suppressed)?$`)
 
@@ -82,7 +81,7 @@ func checkFixture(t *testing.T, name string) {
 			continue
 		}
 		ran++
-		findings, _, err := RunUnit(u, All(), RunOptions{ReportStale: true})
+		findings, _, err := RunUnit(u)
 		if err != nil {
 			t.Fatalf("%s: %v", u.ImportPath, err)
 		}
@@ -151,30 +150,6 @@ func TestFixtureWantsExercised(t *testing.T) {
 	}
 }
 
-// TestStaleDirectiveSkippedOnPartialRun checks that a subset run does
-// not misreport in-use directives as stale: only the full suite can
-// tell stale from not-yet-exercised.
-func TestStaleDirectiveSkippedOnPartialRun(t *testing.T) {
-	units, err := testdataUnits()
-	if err != nil {
-		t.Fatalf("loading testdata module: %v", err)
-	}
-	for _, u := range units {
-		if u.ImportPath != "vettest/maporder/core" {
-			continue
-		}
-		findings, _, err := RunUnit(u, []*Analyzer{NonDet}, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			t.Errorf("partial nondet run over maporder fixture reported %s: %s", f.Analyzer, f.Message)
-		}
-		return
-	}
-	t.Fatal("fixture package vettest/maporder/core not loaded")
-}
-
 // TestRepoSelfScan is the acceptance gate: the full suite over the
 // repository itself must report zero unsuppressed findings — every
 // invariant holds, and every exception carries an audited
@@ -193,7 +168,7 @@ func TestRepoSelfScan(t *testing.T) {
 	var allows int
 	var suppressed int
 	for _, u := range units {
-		findings, records, err := RunUnit(u, All(), RunOptions{ReportStale: true})
+		findings, records, err := RunUnit(u)
 		if err != nil {
 			t.Fatalf("%s: %v", u.ImportPath, err)
 		}
@@ -214,8 +189,8 @@ func TestRepoSelfScan(t *testing.T) {
 	}
 }
 
-// position formatting sanity for Finding.String, used verbatim in vet
-// output.
+// position formatting sanity for Finding.String, the line adeptvet
+// prints per finding.
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Analyzer: "maporder",

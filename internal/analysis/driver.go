@@ -5,12 +5,9 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// A Unit is one loaded, type-checked package ready for analysis: the
-// common currency between the standalone loader (load.go) and the
-// `go vet -vettool` protocol (unit.go).
+// A Unit is one loaded, type-checked package ready for analysis (Load).
 type Unit struct {
 	ImportPath string
 	Fset       *token.FileSet
@@ -22,34 +19,28 @@ type Unit struct {
 // A Finding is one diagnostic after suppression matching, positioned and
 // ready to print.
 type Finding struct {
-	Analyzer   string         `json:"analyzer"`
-	Message    string         `json:"message"`
-	Pos        token.Position `json:"pos"`
-	Suppressed bool           `json:"suppressed,omitempty"`
+	Analyzer   string
+	Message    string
+	Pos        token.Position
+	Suppressed bool
 	// Reason carries the //adeptvet:allow justification when Suppressed.
-	Reason string `json:"reason,omitempty"`
+	Reason string
 }
 
 func (f Finding) String() string {
 	return f.Pos.String() + ": " + f.Analyzer + ": " + f.Message
 }
 
-// RunOptions controls a driver run.
-type RunOptions struct {
-	// ReportStale audits unused and malformed //adeptvet:allow
-	// directives. Enable only when the full analyzer suite runs —
-	// a partial run cannot tell stale from not-yet-exercised.
-	ReportStale bool
-}
-
-// RunUnit applies the analyzers to one package, matches findings against
-// //adeptvet:allow directives, and returns every finding (suppressed ones
-// included, flagged) in stable position order, plus the allow audit.
-func RunUnit(u *Unit, analyzers []*Analyzer, opt RunOptions) ([]Finding, []AllowRecord, error) {
+// RunUnit applies the whole suite (All) to one package, matches findings
+// against //adeptvet:allow directives, and returns every finding
+// (suppressed ones included, flagged) in stable position order — the
+// stale and malformed directives among them, as allowaudit findings —
+// plus the audit view of every directive.
+func RunUnit(u *Unit) ([]Finding, []AllowRecord, error) {
 	allows := collectAllows(u.Fset, u.Files)
 
 	var diags []Diagnostic
-	for _, a := range analyzers {
+	for _, a := range All() {
 		if a.SkipMainPackages && u.Pkg.Name() == "main" {
 			continue
 		}
@@ -68,33 +59,15 @@ func RunUnit(u *Unit, analyzers []*Analyzer, opt RunOptions) ([]Finding, []Allow
 
 	var findings []Finding
 	for _, d := range diags {
-		if isTestFile(u.Fset, d.Pos) {
-			// go vet hands us test variants of each package; the
-			// invariants govern production code only.
-			continue
-		}
 		f := Finding{Analyzer: d.Analyzer, Message: d.Message, Pos: u.Fset.Position(d.Pos)}
 		f.Reason, f.Suppressed = allows.suppresses(d)
 		findings = append(findings, f)
 	}
-	if opt.ReportStale {
-		for _, d := range append(allows.malformed, allows.stale()...) {
-			findings = append(findings, Finding{Analyzer: d.Analyzer, Message: d.Message, Pos: u.Fset.Position(d.Pos)})
-		}
+	for _, d := range append(allows.malformed, allows.stale()...) {
+		findings = append(findings, Finding{Analyzer: d.Analyzer, Message: d.Message, Pos: u.Fset.Position(d.Pos)})
 	}
 	sortFindings(findings)
 	return findings, allows.records(), nil
-}
-
-// Unsuppressed filters to the findings that fail a run.
-func Unsuppressed(fs []Finding) []Finding {
-	var out []Finding
-	for _, f := range fs {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func sortFindings(fs []Finding) {
@@ -114,8 +87,4 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

@@ -244,10 +244,6 @@ type GenSpec struct {
 	// draws from a fresh source seeded with this value, never from the
 	// global math/rand source.
 	Seed int64
-	// Rand, when non-nil, supplies the random source directly and takes
-	// precedence over Seed. Use it to thread one deterministic stream
-	// through a whole scenario (several platforms, background loads, …).
-	Rand *rand.Rand
 
 	// Clusters, when at least 2, generates a multi-cluster grid instead of
 	// a flat pool: nodes are assigned round-robin to K clusters and named
@@ -265,16 +261,6 @@ type GenSpec struct {
 	// and shows up in the generated Platform's String(). Only consulted
 	// when Clusters >= 2.
 	InterBandwidth float64
-}
-
-// source returns the random stream to draw from: the explicit Rand when
-// set, otherwise a fresh Seed-derived source (the compatible default —
-// identical specs keep producing identical platforms).
-func (spec GenSpec) source() *rand.Rand {
-	if spec.Rand != nil {
-		return spec.Rand
-	}
-	return rand.New(rand.NewSource(spec.Seed))
 }
 
 // Generate builds a synthetic heterogeneous platform with uniformly
@@ -311,7 +297,7 @@ func Generate(spec GenSpec) (*Platform, error) {
 			return nil, fmt.Errorf("platform: invalid cluster bandwidths intra=%g inter=%g", intra, inter)
 		}
 	}
-	rng := spec.source()
+	rng := rand.New(rand.NewSource(spec.Seed))
 	p := &Platform{Name: spec.Name, Bandwidth: spec.Bandwidth}
 	for i := 0; i < spec.N; i++ {
 		w := spec.MinPower
@@ -343,8 +329,6 @@ type BackgroundLoad struct {
 	LoadFactors []float64
 	// Seed selects the loaded-node subset reproducibly.
 	Seed int64
-	// Rand, when non-nil, takes precedence over Seed (see GenSpec.Rand).
-	Rand *rand.Rand
 }
 
 // Heterogenize returns a copy of p with background load applied to a random
@@ -364,11 +348,7 @@ func Heterogenize(p *Platform, bg BackgroundLoad) (*Platform, error) {
 		}
 	}
 	cp := p.Clone()
-	rng := bg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(bg.Seed))
-	}
-	perm := rng.Perm(len(cp.Nodes))
+	perm := rand.New(rand.NewSource(bg.Seed)).Perm(len(cp.Nodes))
 	loaded := int(bg.Fraction * float64(len(cp.Nodes)))
 	for k := 0; k < loaded; k++ {
 		idx := perm[k]

@@ -2,7 +2,6 @@ package platform_test
 
 import (
 	"bytes"
-	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -236,66 +235,6 @@ func TestGenerateReproducible(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical platforms")
-	}
-}
-
-// An explicit *rand.Rand takes precedence over Seed and threads one
-// deterministic stream through several generations.
-func TestGenerateExplicitRand(t *testing.T) {
-	spec := platform.GenSpec{
-		Name: "stream", N: 10, Bandwidth: 100, MinPower: 100, MaxPower: 800,
-	}
-
-	gen2 := func(seed int64) (*platform.Platform, *platform.Platform) {
-		rng := rand.New(rand.NewSource(seed))
-		s := spec
-		s.Rand = rng
-		a, err := platform.Generate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := platform.Generate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, b
-	}
-
-	a1, b1 := gen2(7)
-	a2, b2 := gen2(7)
-	// The shared stream advances: the second platform differs from the
-	// first...
-	if a1.Nodes[0] == b1.Nodes[0] && a1.Nodes[1] == b1.Nodes[1] {
-		t.Error("shared stream did not advance between generations")
-	}
-	// ...but the whole two-platform scenario replays exactly from the
-	// stream seed.
-	for i := range a1.Nodes {
-		if a1.Nodes[i] != a2.Nodes[i] || b1.Nodes[i] != b2.Nodes[i] {
-			t.Fatalf("scenario not reproducible at node %d", i)
-		}
-	}
-
-	// Heterogenize honours an explicit stream the same way.
-	base := platform.Homogeneous("h", 20, 400, 100)
-	bg := platform.BackgroundLoad{
-		Fraction:    0.5,
-		LoadFactors: []float64{0.25, 0.5},
-		Rand:        rand.New(rand.NewSource(3)),
-	}
-	h1, err := platform.Heterogenize(base, bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg.Rand = rand.New(rand.NewSource(3))
-	h2, err := platform.Heterogenize(base, bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range h1.Nodes {
-		if h1.Nodes[i] != h2.Nodes[i] {
-			t.Fatalf("Heterogenize with equal streams diverged at node %d", i)
-		}
 	}
 }
 

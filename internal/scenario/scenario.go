@@ -243,6 +243,11 @@ func (s Spec) Validate() error {
 	if s.Tiers < 0 || s.Tiers > maxTiers {
 		return fmt.Errorf("scenario: tiers must be in [0, %d], got %d", maxTiers, s.Tiers)
 	}
+	// A fraction at or below 0 loads no node; above 1 there are not the
+	// nodes to load. Only TracePerturbed reads it.
+	if s.Family == TracePerturbed && s.LoadFraction > 1 {
+		return fmt.Errorf("scenario: load fraction must be at most 1, got %g", s.LoadFraction)
+	}
 	return nil
 }
 
@@ -500,23 +505,54 @@ func (s Spec) powers(rng *rand.Rand, out []float64) (col []float64, lo, hi float
 		// §5.3 replayed: a homogeneous cluster, background load pinning a
 		// seeded subset to 1/4, 1/2 or 3/4 of its power, plus measurement
 		// jitter on every node.
-		factors := []float64{0.25, 0.5, 0.75}
-		perm := rng.Perm(s.N)
-		loaded := int(s.LoadFraction * float64(s.N))
-		for i := 0; i < s.N; i++ {
-			out[i] = s.BasePower
-		}
-		for k := 0; k < loaded; k++ {
-			out[perm[k]] *= factors[k%len(factors)]
-		}
-		for i := 0; i < s.N; i++ {
-			out[i] = r.put(jitter(rng, out[i], s.Spread/5))
+		factors := [...]float64{0.25, 0.5, 0.75, 1}
+		loadSubset(rng, out, int(s.LoadFraction*float64(s.N)))
+		for i, code := range out {
+			out[i] = r.put(jitter(rng, s.BasePower*factors[int(-1-code)], s.Spread/5))
 		}
 	}
 	if math.IsNaN(out[0]) {
 		return out, out[0], out[0]
 	}
 	return out, r.lo, r.hi
+}
+
+// loadSubset picks the nodes that carry background load as the first
+// loaded entries of rng.Perm(len(out)) and leaves in out[i] node i's load
+// code: −1−(k mod 3) when it is the k-th entry, −4 when it is idle. It
+// draws what Perm draws, so the stream that follows is Perm's, but keeps
+// only the entries ever read, in out itself: Perm's step m[i] = m[j];
+// m[j] = i is taken for i < loaded, and for a later i only its write below
+// loaded matters.
+func loadSubset(rng *rand.Rand, out []float64, loaded int) {
+	const idle = -4
+	for i := range out {
+		j := rng.Intn(i + 1)
+		if i < loaded {
+			out[i] = out[j]
+		}
+		if j < loaded {
+			out[j] = float64(i)
+		}
+	}
+	for i := max(loaded, 0); i < len(out); i++ {
+		out[i] = idle
+	}
+	// Scatter the head's node indices (≥ 0) into codes (< 0) in place: a
+	// code lands on its node, and a node in the head whose entry is not yet
+	// scattered hands that entry on to be scattered next.
+	for k := range loaded {
+		if out[k] < 0 {
+			continue
+		}
+		node, at := out[k], k
+		out[k] = idle
+		for node >= 0 {
+			next := int(node)
+			node, out[next] = out[next], float64(-1-at%3)
+			at = next
+		}
+	}
 }
 
 // span is the range of the values a column is written with. Every family

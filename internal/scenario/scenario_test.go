@@ -88,6 +88,9 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := (scenario.Spec{Family: scenario.Star, N: 4, Seed: 1, Bandwidth: -1}).Generate(); err == nil {
 		t.Error("negative bandwidth accepted")
 	}
+	if _, err := (scenario.Spec{Family: scenario.TracePerturbed, N: 50, Seed: 1, LoadFraction: 2}).Generate(); err == nil {
+		t.Error("load fraction 2 accepted")
+	}
 }
 
 // TestFamilyShapes spot-checks each family produces its advertised shape.
