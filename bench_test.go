@@ -96,9 +96,7 @@ func BenchmarkFig7LargeProblem(b *testing.B) { runExperiment(b, "fig7") }
 
 func planningRequest(b *testing.B, nodes int, dgemmN int, seed int64) core.Request {
 	b.Helper()
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "bench", N: nodes, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: seed,
-	})
+	plat, err := scenario.Spec{Family: scenario.Clustered, Name: "bench", N: nodes, MinPower: 100, MaxPower: 800, Seed: seed}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,9 +337,7 @@ func BenchmarkServicePlanCache(b *testing.B) {
 	defer srv.Close()
 	handler := srv.Handler()
 
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "bench-svc", N: 200, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 7,
-	})
+	plat, err := scenario.Spec{Family: scenario.Clustered, Name: "bench-svc", N: 200, MinPower: 100, MaxPower: 800, Seed: 7}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,10 +391,10 @@ func BenchmarkServicePlanThroughput(b *testing.B) {
 		const hotKeys = 8
 		hotBodies := make([][]byte, hotKeys)
 		for i := range hotBodies {
-			plat, err := platform.Generate(platform.GenSpec{
-				Name: fmt.Sprintf("bench-tp-%d", i), N: 120,
-				Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: int64(100 + i),
-			})
+			plat, err := scenario.Spec{
+				Family: scenario.Clustered, Name: fmt.Sprintf("bench-tp-%d", i), N: 120,
+				MinPower: 100, MaxPower: 800, Seed: int64(100 + i),
+			}.Generate()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -470,9 +466,7 @@ func BenchmarkServicePlanTrace(b *testing.B) {
 		defer srv.Close()
 		handler := srv.Handler()
 
-		plat, err := platform.Generate(platform.GenSpec{
-			Name: "bench-trace", N: 120, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 7,
-		})
+		plat, err := scenario.Spec{Family: scenario.Clustered, Name: "bench-trace", N: 120, MinPower: 100, MaxPower: 800, Seed: 7}.Generate()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,26 +9,31 @@
 //	adept -platform platform.json -dgemm 310 [-planner heuristic]
 //	      [-demand 100] [-out deployment.xml] [-dot deployment.dot]
 //
-// Generate a synthetic platform to experiment with:
+// Generate a synthetic platform to experiment with: -scenario takes the
+// spec /v1/plan takes as its "scenario" member (package scenario), writes
+// the platform it generates to -platform and exits.
 //
-//	adept -gen 200 -gen-min 100 -gen-max 800 -platform out.json
+//	adept -scenario '{"family":"clustered","n":200,"seed":1,"min_power":100,"max_power":800}' -platform out.json
 //
-// Or a heterogeneous-links multi-cluster grid (cluster 0 on the fast
-// intra-cluster link, the rest behind the slow inter-cluster uplink):
+// Or a heterogeneous-links multi-cluster grid (cluster 0 on the platform
+// bandwidth, the rest behind the slow inter-cluster uplink):
 //
-//	adept -gen 15 -gen-clusters 3 -gen-intra 100 -gen-inter 2 -platform grid.json
+//	adept -scenario '{"family":"cluster-grid","n":15,"clusters":3,"inter_bandwidth_mbps":2}' -platform grid.json
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"adept/internal/core"
 	"adept/internal/model"
 	"adept/internal/obs"
 	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/service"
 	"adept/internal/workload"
 )
@@ -49,14 +54,7 @@ func run() error {
 		demand       = flag.Float64("demand", 0, "client demand in requests/second (0 = maximize)")
 		outXML       = flag.String("out", "", "write deployment XML to this file ('-' for stdout)")
 		outDOT       = flag.String("dot", "", "write Graphviz DOT rendering to this file")
-		genN         = flag.Int("gen", 0, "generate a synthetic platform with this many nodes and exit")
-		genMin       = flag.Float64("gen-min", 100, "synthetic platform: minimum node power (MFlop/s)")
-		genMax       = flag.Float64("gen-max", 800, "synthetic platform: maximum node power (MFlop/s)")
-		genBW        = flag.Float64("gen-bw", 100, "synthetic platform: link bandwidth (Mb/s)")
-		genSeed      = flag.Int64("gen-seed", 1, "synthetic platform: random seed")
-		genClusters  = flag.Int("gen-clusters", 0, "synthetic platform: multi-cluster grid with this many clusters (>= 2; cluster 0 keeps the fast intra link, the rest sit behind the inter-cluster uplink)")
-		genIntra     = flag.Float64("gen-intra", 0, "multi-cluster: intra-cluster link bandwidth in Mb/s (default -gen-bw)")
-		genInter     = flag.Float64("gen-inter", 0, "multi-cluster: inter-cluster uplink bandwidth in Mb/s (default intra/10)")
+		scenarioJSON = flag.String("scenario", "", "generate the platform this scenario spec describes (the JSON of /v1/plan's \"scenario\" member), write it to -platform and exit")
 		logFormat    = flag.String("log-format", "text", "diagnostic log format: text, json (plan output stays on stdout)")
 		logLevel     = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
 	)
@@ -71,15 +69,17 @@ func run() error {
 		return err
 	}
 
-	if *genN > 0 {
+	if *scenarioJSON != "" {
 		if *platformPath == "" {
-			return fmt.Errorf("-gen requires -platform for the output path")
+			return fmt.Errorf("-scenario requires -platform for the output path")
 		}
-		p, err := platform.Generate(platform.GenSpec{
-			Name: "generated", N: *genN, Bandwidth: *genBW,
-			MinPower: *genMin, MaxPower: *genMax, Seed: *genSeed,
-			Clusters: *genClusters, IntraBandwidth: *genIntra, InterBandwidth: *genInter,
-		})
+		dec := json.NewDecoder(strings.NewReader(*scenarioJSON))
+		dec.DisallowUnknownFields()
+		var spec scenario.Spec
+		if err := dec.Decode(&spec); err != nil {
+			return fmt.Errorf("-scenario: %w", err)
+		}
+		p, err := spec.Generate()
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ import (
 	"time"
 
 	"adept/internal/obs"
-	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/stats"
 )
 
@@ -159,10 +159,10 @@ func run() error {
 	// invalidation webhooks; the convergence wait below makes sure every
 	// member can resolve the names before load starts.
 	for i := 0; i < *hotKeys; i++ {
-		p, err := platform.Generate(platform.GenSpec{
-			Name: fmt.Sprintf("adeptload-hot-%d", i), N: *nodes,
-			Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: *seed + int64(i),
-		})
+		p, err := scenario.Spec{
+			Family: scenario.Clustered, Name: fmt.Sprintf("adeptload-hot-%d", i), N: *nodes,
+			MinPower: 100, MaxPower: 800, Seed: *seed + int64(i),
+		}.Generate()
 		if err != nil {
 			return err
 		}

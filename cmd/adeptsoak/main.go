@@ -38,7 +38,6 @@ import (
 	"adept/internal/core"
 	"adept/internal/model"
 	"adept/internal/obs"
-	"adept/internal/platform"
 	"adept/internal/scenario"
 	"adept/internal/service"
 	"adept/internal/sim"
@@ -124,9 +123,10 @@ func run() error {
 	cycles := int(*duration / *window)
 
 	// Plan the initial deployment, exactly as adeptd would.
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "soak", N: *nodes, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: *seed,
-	})
+	plat, err := scenario.Spec{
+		Family: scenario.Clustered, Name: "soak", N: *nodes,
+		MinPower: 100, MaxPower: 800, Seed: *seed,
+	}.Generate()
 	if err != nil {
 		return err
 	}

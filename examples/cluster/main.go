@@ -30,7 +30,7 @@ import (
 	"time"
 
 	"adept/internal/cluster"
-	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/service"
 )
 
@@ -81,9 +81,9 @@ func main() {
 
 	// 1. Register a platform on peer 0; the versioned write fans out to
 	// the other peers as HMAC-signed invalidation webhooks.
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "shared", N: 24, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 7,
-	})
+	plat, err := scenario.Spec{
+		Family: scenario.Clustered, Name: "shared", N: 24, MinPower: 100, MaxPower: 800, Seed: 7,
+	}.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 
 	"adept/internal/core"
 	"adept/internal/model"
-	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/sim"
 	"adept/internal/workload"
 )
@@ -29,20 +29,16 @@ func main() {
 	ctx := context.Background()
 	// The grid: cluster 0 is local (modest power, fast 100 Mb/s LAN);
 	// clusters 1 and 2 are remote compute beasts behind a 2 Mb/s uplink —
-	// the shape that makes link-blind planning catastrophic, because raw
-	// power ranks the remote nodes first for agent duty.
-	grid, err := platform.Generate(platform.GenSpec{
-		Name: "grid", N: 15, Bandwidth: 100,
-		MinPower: 300, MaxPower: 500, Seed: 42,
-		Clusters: 3, IntraBandwidth: 100, InterBandwidth: 2,
-	})
+	// the cluster-grid family spreads the cluster means geometrically from
+	// MinPower (cluster 0) to MaxPower. It is the shape that makes
+	// link-blind planning catastrophic, because raw power ranks the remote
+	// nodes first for agent duty.
+	grid, err := scenario.Spec{
+		Family: scenario.ClusterGrid, Name: "grid", N: 15, Clusters: 3,
+		Bandwidth: 100, InterBandwidth: 2, MinPower: 300, MaxPower: 1500, Seed: 42,
+	}.Generate()
 	if err != nil {
 		panic(err)
-	}
-	for i := range grid.Nodes {
-		if i%3 != 0 { // clusters 1 and 2: triple the horsepower
-			grid.Nodes[i].Power *= 3
-		}
 	}
 	fmt.Println(grid)
 

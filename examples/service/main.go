@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/service"
 )
 
@@ -40,9 +41,9 @@ func main() {
 	fmt.Printf("adeptd serving at %s\n\n", ts.URL)
 
 	// 1. Register a 50-node heterogeneous platform under a name.
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "orsay", N: 50, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 5,
-	})
+	plat, err := scenario.Spec{
+		Family: scenario.Clustered, Name: "orsay", N: 50, MinPower: 100, MaxPower: 800, Seed: 5,
+	}.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,9 +66,9 @@ func main() {
 	// 3. Thundering herd: concurrent identical requests on a cold key
 	// coalesce onto a single planning run — the joiners answer with
 	// "coalesced": true and the daemon burns one pool worker, not eight.
-	herd, err := platform.Generate(platform.GenSpec{
-		Name: "herd", N: 300, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 11,
-	})
+	herd, err := scenario.Spec{
+		Family: scenario.Clustered, Name: "herd", N: 300, MinPower: 100, MaxPower: 800, Seed: 11,
+	}.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"adept/internal/model"
 	"adept/internal/platform"
 	"adept/internal/runtime"
+	"adept/internal/scenario"
 	"adept/internal/sim"
 	"adept/internal/stats"
 	"adept/internal/workload"
@@ -23,9 +24,7 @@ import (
 // XML hand-off, reload it, and verify the simulator measures the analytic
 // model's prediction on the reloaded deployment.
 func TestEndToEndPlanXMLSimulate(t *testing.T) {
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "e2e", N: 40, Bandwidth: 100, MinPower: 150, MaxPower: 700, Seed: 99,
-	})
+	plat, err := scenario.Spec{Family: scenario.Clustered, Name: "e2e", N: 40, MinPower: 150, MaxPower: 700, Seed: 99}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 					s.malformed = append(s.malformed, Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: StaleName,
-						Message:  "malformed //adeptvet:allow directive: first word must name an analyzer (maporder, nondet, floataccum, ctxflow, metricname, hotalloc)",
+						Message:  "malformed //adeptvet:allow directive: first word must name an analyzer (" + analyzerNames() + ")",
 					})
 					continue
 				}
@@ -105,6 +105,15 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 		}
 	}
 	return s
+}
+
+// analyzerNames lists the suite's names, comma-separated, for messages.
+func analyzerNames() string {
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // suppresses reports whether some directive covers the diagnostic, and

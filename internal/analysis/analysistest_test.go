@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"regexp"
 	"strconv"
@@ -205,4 +207,23 @@ func TestFindingString(t *testing.T) {
 func ExampleByName() {
 	fmt.Println(ByName("maporder").Name, ByName("nope") == nil)
 	// Output: maporder true
+}
+
+// TestMalformedAllowNamesEveryAnalyzer: the message refusing a directive
+// that names no analyzer lists the whole suite.
+func TestMalformedAllowNamesEveryAnalyzer(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "x.go", "package x\n\n//adeptvet:allow bogus some reason\nvar X int\n", parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := collectAllows(fset, []*ast.File{f})
+	if len(s.malformed) != 1 {
+		t.Fatalf("%d malformed directives reported, want 1", len(s.malformed))
+	}
+	for _, a := range All() {
+		if msg := s.malformed[0].Message; !strings.Contains(msg, a.Name) {
+			t.Errorf("malformed-directive message omits %s: %s", a.Name, msg)
+		}
+	}
 }

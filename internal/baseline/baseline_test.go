@@ -9,6 +9,7 @@ import (
 	"adept/internal/hierarchy"
 	"adept/internal/model"
 	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/workload"
 )
 
@@ -21,9 +22,7 @@ func request(n int, power float64, dgemmN int) core.Request {
 }
 
 func heteroRequest(n, dgemmN int, seed int64) core.Request {
-	p, err := platform.Generate(platform.GenSpec{
-		Name: "bh", N: n, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: seed,
-	})
+	p, err := scenario.Spec{Family: scenario.Clustered, Name: "bh", N: n, MinPower: 100, MaxPower: 800, Seed: seed}.Generate()
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,8 @@
 package baseline_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"adept/internal/baseline"
@@ -40,11 +42,11 @@ func gapPlatforms(t *testing.T) []*platform.Platform {
 				}
 				out = append(out, p)
 			}
-			uni, err := platform.Generate(platform.GenSpec{
-				Name: "uni", N: n, Bandwidth: 100, MinPower: 20, MaxPower: 2000, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
+			// A uniform draw over [20, 2000).
+			uni := &platform.Platform{Name: "uni", Bandwidth: 100}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < n; i++ {
+				uni.Nodes = append(uni.Nodes, platform.Node{Name: fmt.Sprintf("uni-%03d", i), Power: 20 + rng.Float64()*1980})
 			}
 			out = append(out, uni)
 			out = append(out, platform.Homogeneous("homo", n, 400, 100))

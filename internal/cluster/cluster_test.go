@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/service"
 )
 
@@ -29,9 +30,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func testPlatform(n int) *platform.Platform {
-	p, err := platform.Generate(platform.GenSpec{
-		Name: "cluster-test", N: n, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 42,
-	})
+	p, err := scenario.Spec{Family: scenario.Clustered, Name: "cluster-test", N: n, MinPower: 100, MaxPower: 800, Seed: 42}.Generate()
 	if err != nil {
 		panic(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"adept/internal/model"
 	"adept/internal/obs"
 	"adept/internal/platform"
+	"adept/internal/scenario"
 	"adept/internal/workload"
 )
 
@@ -206,9 +207,7 @@ func TestSwapRefinerNamesItsPlan(t *testing.T) {
 }
 
 func TestHeuristicPlanIsValidAndWithinPlatform(t *testing.T) {
-	p, err := platform.Generate(platform.GenSpec{
-		Name: "gen", N: 60, Bandwidth: 100, MinPower: 50, MaxPower: 800, Seed: 42,
-	})
+	p, err := scenario.Spec{Family: scenario.Clustered, Name: "gen", N: 60, MinPower: 50, MaxPower: 800, Seed: 42}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,8 @@ func (sp *sortedPool) peek(pos int) int {
 	return int(first)
 }
 
-// uniformLinks is Platform.HasUniformLinks computed over runs.
+// uniformLinks reports whether every node's link is the platform default
+// def — the regime the paper's model assumes — computed over runs.
 func (sp *sortedPool) uniformLinks(def float64) bool {
 	for j := range sp.runs {
 		if l := sp.runs[j].link; l > 0 && l != def {

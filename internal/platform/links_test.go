@@ -52,85 +52,6 @@ func TestValidateHeterogeneousLinks(t *testing.T) {
 	}
 }
 
-// TestGenerateMultiCluster is the table-driven malformed-GenSpec sweep for
-// the multi-cluster generator, plus the accepted inter>intra inversion.
-func TestGenerateMultiCluster(t *testing.T) {
-	base := platform.GenSpec{
-		Name: "grid", N: 12, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 3,
-		Clusters: 3,
-	}
-	cases := []struct {
-		name    string
-		mutate  func(s *platform.GenSpec)
-		wantErr string
-	}{
-		{"valid 3 clusters", func(s *platform.GenSpec) {}, ""},
-		{"cluster count exceeds N", func(s *platform.GenSpec) { s.Clusters = 13 }, "cluster count 13 exceeds node count 12"},
-		{"negative clusters", func(s *platform.GenSpec) { s.Clusters = -1 }, "Clusters must be non-negative"},
-		{"negative inter bandwidth", func(s *platform.GenSpec) { s.InterBandwidth = -4 }, "invalid cluster bandwidths"},
-		{"negative intra bandwidth", func(s *platform.GenSpec) { s.IntraBandwidth = -1 }, "invalid cluster bandwidths"},
-		{"inversion inter faster than intra accepted", func(s *platform.GenSpec) { s.IntraBandwidth = 10; s.InterBandwidth = 1000 }, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := base
-			tc.mutate(&spec)
-			p, err := platform.Generate(spec)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if err := p.Validate(); err != nil {
-				t.Fatalf("generated platform invalid: %v", err)
-			}
-		})
-	}
-
-	// Shape of a valid multi-cluster grid: cluster 0 on the intra link,
-	// the others behind the inter uplink, round-robin, cluster-tagged
-	// names.
-	p, err := platform.Generate(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range p.Nodes {
-		k := i % base.Clusters
-		wantBW := 100.0 // intra defaults to Bandwidth
-		if k != 0 {
-			wantBW = 10 // inter defaults to intra/10
-		}
-		if n.LinkBandwidth != wantBW {
-			t.Errorf("node %d (cluster %d): link %g, want %g", i, k, n.LinkBandwidth, wantBW)
-		}
-		if !strings.Contains(n.Name, "-c"+string(rune('0'+k))+"-") {
-			t.Errorf("node %d name %q missing cluster tag c%d", i, n.Name, k)
-		}
-	}
-	if lo, hi := p.LinkRange(); lo != 10 || hi != 100 {
-		t.Errorf("LinkRange = [%g, %g], want [10, 100]", lo, hi)
-	}
-	if p.HasUniformLinks() {
-		t.Error("multi-cluster grid must not report uniform links")
-	}
-
-	// The inversion is accepted and surfaces in String() as the link
-	// spread.
-	inv := base
-	inv.IntraBandwidth, inv.InterBandwidth = 10, 1000
-	pi, err := platform.Generate(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := pi.String(); !strings.Contains(s, "links [10, 1000]") {
-		t.Errorf("inverted grid String() hides the spread: %s", s)
-	}
-}
-
 // TestLinkJSONRoundTrip: pre-heterogeneous descriptions (no link field)
 // round-trip byte-identically, and per-node links survive a round trip.
 func TestLinkJSONRoundTrip(t *testing.T) {

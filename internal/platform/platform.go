@@ -5,10 +5,10 @@
 //
 // The paper evaluates on Grid'5000 clusters (Lyon, Orsay); this package
 // replaces that physical substrate with platform descriptions that can be
-// generated synthetically, loaded from JSON, or "heterogenised" from a
-// homogeneous cluster exactly the way the paper does in §5.3 (launching
-// background matrix-multiplication load on a subset of nodes and re-running
-// the Linpack mini-benchmark).
+// generated synthetically (package scenario), loaded from JSON, or
+// "heterogenised" from a homogeneous cluster exactly the way the paper does
+// in §5.3 (launching background matrix-multiplication load on a subset of
+// nodes and re-running the Linpack mini-benchmark).
 package platform
 
 import (
@@ -157,18 +157,6 @@ func (p *Platform) LinkRange() (min, max float64) {
 	return min, max
 }
 
-// HasUniformLinks reports whether every node's effective link bandwidth
-// equals the platform default — the regime the paper's model (and the
-// optimality proof behind baseline.OptimalDAry) assumes.
-func (p *Platform) HasUniformLinks() bool {
-	for _, n := range p.Nodes {
-		if n.LinkBandwidth > 0 && n.LinkBandwidth != p.Bandwidth {
-			return false
-		}
-	}
-	return true
-}
-
 // Powers returns the slice of node powers, in node order.
 func (p *Platform) Powers() []float64 {
 	ws := make([]float64, len(p.Nodes))
@@ -230,93 +218,6 @@ func Homogeneous(name string, n int, power, bandwidth float64) *Platform {
 		p.Nodes = append(p.Nodes, Node{Name: fmt.Sprintf("%s-%03d", name, i), Power: power})
 	}
 	return p
-}
-
-// GenSpec configures synthetic heterogeneous platform generation.
-type GenSpec struct {
-	Name      string
-	N         int
-	Bandwidth float64
-	// MinPower and MaxPower bound the uniform power distribution (MFlop/s).
-	MinPower float64
-	MaxPower float64
-	// Seed makes generation reproducible: every call with the same spec
-	// draws from a fresh source seeded with this value, never from the
-	// global math/rand source.
-	Seed int64
-
-	// Clusters, when at least 2, generates a multi-cluster grid instead of
-	// a flat pool: nodes are assigned round-robin to K clusters and named
-	// "<name>-c<k>-<i>". Cluster 0 is the local site — its nodes keep the
-	// fast intra-cluster link — while every other cluster is reached over
-	// the slow inter-cluster uplink. Zero or one keeps the flat
-	// homogeneous-links generation (byte-identical to pre-cluster output).
-	Clusters int
-	// IntraBandwidth is the local-site link bandwidth in Mb/s (default:
-	// Bandwidth). Only consulted when Clusters >= 2.
-	IntraBandwidth float64
-	// InterBandwidth is the link bandwidth of nodes reached across the WAN
-	// (default: IntraBandwidth/10). An inversion (inter > intra) is
-	// accepted — some grids really do have faster backbones than site LANs —
-	// and shows up in the generated Platform's String(). Only consulted
-	// when Clusters >= 2.
-	InterBandwidth float64
-}
-
-// Generate builds a synthetic heterogeneous platform with uniformly
-// distributed node powers. It is the substitute for reserving Grid'5000
-// nodes: the planner and models only consume (power, bandwidth) pairs.
-// With Clusters >= 2 it builds a multi-cluster grid with heterogeneous
-// links (see GenSpec.Clusters).
-func Generate(spec GenSpec) (*Platform, error) {
-	if spec.N <= 0 {
-		return nil, errors.New("platform: GenSpec.N must be positive")
-	}
-	if spec.MinPower <= 0 || spec.MaxPower < spec.MinPower {
-		return nil, fmt.Errorf("platform: invalid power range [%g, %g]", spec.MinPower, spec.MaxPower)
-	}
-	if spec.Bandwidth <= 0 {
-		return nil, errors.New("platform: GenSpec.Bandwidth must be positive")
-	}
-	if spec.Clusters < 0 {
-		return nil, fmt.Errorf("platform: GenSpec.Clusters must be non-negative, got %d", spec.Clusters)
-	}
-	if spec.Clusters > spec.N {
-		return nil, fmt.Errorf("platform: cluster count %d exceeds node count %d", spec.Clusters, spec.N)
-	}
-	multi := spec.Clusters >= 2
-	intra, inter := spec.IntraBandwidth, spec.InterBandwidth
-	if multi {
-		if intra == 0 {
-			intra = spec.Bandwidth
-		}
-		if inter == 0 {
-			inter = intra / 10
-		}
-		if intra <= 0 || inter <= 0 {
-			return nil, fmt.Errorf("platform: invalid cluster bandwidths intra=%g inter=%g", intra, inter)
-		}
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	p := &Platform{Name: spec.Name, Bandwidth: spec.Bandwidth}
-	for i := 0; i < spec.N; i++ {
-		w := spec.MinPower
-		if spec.MaxPower > spec.MinPower {
-			w = spec.MinPower + rng.Float64()*(spec.MaxPower-spec.MinPower)
-		}
-		n := Node{Name: fmt.Sprintf("%s-%03d", spec.Name, i), Power: w}
-		if multi {
-			k := i % spec.Clusters
-			n.Name = fmt.Sprintf("%s-c%d-%03d", spec.Name, k, i)
-			if k == 0 {
-				n.LinkBandwidth = intra
-			} else {
-				n.LinkBandwidth = inter
-			}
-		}
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p, nil
 }
 
 // BackgroundLoad describes the §5.3 heterogenisation procedure: a fraction

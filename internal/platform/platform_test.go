@@ -62,42 +62,6 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	spec := platform.GenSpec{Name: "g", N: 20, Bandwidth: 100, MinPower: 50, MaxPower: 500, Seed: 7}
-	a, err := platform.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := platform.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("generation not deterministic at node %d", i)
-		}
-	}
-	for _, n := range a.Nodes {
-		if n.Power < 50 || n.Power > 500 {
-			t.Errorf("node %s power %g out of [50, 500]", n.Name, n.Power)
-		}
-	}
-}
-
-func TestGenerateRejectsBadSpecs(t *testing.T) {
-	bad := []platform.GenSpec{
-		{N: 0, Bandwidth: 1, MinPower: 1, MaxPower: 2},
-		{N: 1, Bandwidth: 0, MinPower: 1, MaxPower: 2},
-		{N: 1, Bandwidth: 1, MinPower: 0, MaxPower: 2},
-		{N: 1, Bandwidth: 1, MinPower: 3, MaxPower: 2},
-	}
-	for i, spec := range bad {
-		if _, err := platform.Generate(spec); err == nil {
-			t.Errorf("bad spec %d accepted", i)
-		}
-	}
-}
-
 func TestHeterogenize(t *testing.T) {
 	base := platform.Homogeneous("h", 100, 400, 100)
 	het, err := platform.Heterogenize(base, platform.BackgroundLoad{
@@ -201,28 +165,29 @@ func TestPropertyHeterogenizeOnlyDegrades(t *testing.T) {
 	}
 }
 
-// Generation must be reproducible: the same GenSpec yields the same
-// platform on every call (no global math/rand state involved).
+// Heterogenisation must be reproducible: the same BackgroundLoad seed
+// loads the same nodes on every call (no global math/rand state involved),
+// and another seed loads others. Synthetic generation itself is
+// scenario.Spec's, held by scenario's TestGenerateDeterministicAcrossGoroutines.
 func TestGenerateReproducible(t *testing.T) {
-	spec := platform.GenSpec{
-		Name: "repro", N: 40, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 99,
-	}
-	a, err := platform.Generate(spec)
+	base := platform.Homogeneous("repro", 40, 400, 100)
+	bg := platform.BackgroundLoad{Fraction: 0.5, LoadFactors: []float64{0.25, 0.5, 0.75}, Seed: 99}
+	a, err := platform.Heterogenize(base, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := platform.Generate(spec)
+	b, err := platform.Heterogenize(base, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Nodes {
 		if a.Nodes[i] != b.Nodes[i] {
-			t.Fatalf("node %d differs across identical specs: %+v vs %+v", i, a.Nodes[i], b.Nodes[i])
+			t.Fatalf("node %d differs across identical loads: %+v vs %+v", i, a.Nodes[i], b.Nodes[i])
 		}
 	}
-	// A different seed produces a different pool.
-	spec.Seed = 100
-	c, err := platform.Generate(spec)
+	// A different seed loads a different subset.
+	bg.Seed = 100
+	c, err := platform.Heterogenize(base, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +204,14 @@ func TestGenerateReproducible(t *testing.T) {
 }
 
 // TestGenerateByteIdenticalAcrossRunsAndGoroutines is the determinism
-// contract the scenario corpus, the fuzz harness, and the golden
-// benchmarks all lean on: the same GenSpec (or the same Heterogenize
-// seed) must yield byte-identical platforms no matter how many goroutines
-// generate concurrently. Any map-iteration or shared-state
-// nondeterminism in generation would surface here as diverging JSON.
+// contract the experiment goldens lean on: the same Heterogenize seed must
+// yield byte-identical platforms no matter how many goroutines
+// heterogenise concurrently. Any map-iteration or shared-state
+// nondeterminism would surface here as diverging JSON.
 func TestGenerateByteIdenticalAcrossRunsAndGoroutines(t *testing.T) {
-	spec := platform.GenSpec{
-		Name: "det", N: 200, Bandwidth: 100, MinPower: 50, MaxPower: 2000, Seed: 42,
-	}
-	ref, err := platform.Generate(spec)
+	base := platform.Homogeneous("det", 200, 400, 100)
+	bg := platform.BackgroundLoad{Fraction: 0.6, LoadFactors: []float64{0.25, 0.5, 0.75}, Seed: 7}
+	ref, err := platform.Heterogenize(base, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,45 +219,24 @@ func TestGenerateByteIdenticalAcrossRunsAndGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refHet, err := platform.Heterogenize(ref, platform.BackgroundLoad{
-		Fraction: 0.6, LoadFactors: []float64{0.25, 0.5, 0.75}, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refHetJSON, err := refHet.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const workers = 16
-	type out struct{ gen, het []byte }
-	results := make([]out, workers)
+	results := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := platform.Generate(spec)
+			h, err := platform.Heterogenize(base, bg)
 			if err != nil {
 				return
 			}
-			results[w].gen, _ = p.MarshalIndent()
-			h, err := platform.Heterogenize(p, platform.BackgroundLoad{
-				Fraction: 0.6, LoadFactors: []float64{0.25, 0.5, 0.75}, Seed: 7,
-			})
-			if err != nil {
-				return
-			}
-			results[w].het, _ = h.MarshalIndent()
+			results[w], _ = h.MarshalIndent()
 		}(w)
 	}
 	wg.Wait()
 	for w, r := range results {
-		if !bytes.Equal(r.gen, refJSON) {
-			t.Errorf("goroutine %d: Generate bytes diverged", w)
-		}
-		if !bytes.Equal(r.het, refHetJSON) {
+		if !bytes.Equal(r, refJSON) {
 			t.Errorf("goroutine %d: Heterogenize bytes diverged", w)
 		}
 	}

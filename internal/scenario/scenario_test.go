@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,6 +92,9 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := (scenario.Spec{Family: scenario.TracePerturbed, N: 50, Seed: 1, LoadFraction: 2}).Generate(); err == nil {
 		t.Error("load fraction 2 accepted")
 	}
+	if _, err := (scenario.Spec{Family: scenario.ClusterGrid, N: 12, Seed: 1, InterBandwidth: -4}).Generate(); err == nil {
+		t.Error("negative inter-cluster bandwidth accepted")
+	}
 }
 
 // TestFamilyShapes spot-checks each family produces its advertised shape.
@@ -164,7 +168,7 @@ func TestHeterogeneousLinkFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cg.HasUniformLinks() {
+	if lo, hi := cg.LinkRange(); lo == hi {
 		t.Error("cluster-grid generated uniform links")
 	}
 	interBW := cg.Bandwidth / 10
@@ -177,12 +181,21 @@ func TestHeterogeneousLinkFamilies(t *testing.T) {
 			t.Errorf("cluster-grid node %d: link %g, want %g", i, n.LinkBandwidth, want)
 		}
 	}
+	// An inverted grid — an uplink faster than the local site — is
+	// accepted and shows in String() as the link spread.
+	inv, err := (scenario.Spec{Family: scenario.ClusterGrid, N: 12, Seed: 3, Bandwidth: 10, InterBandwidth: 1000}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := inv.String(); !strings.Contains(s, "links [10, 1000]") {
+		t.Errorf("inverted grid String() hides the spread: %s", s)
+	}
 
 	ft, err := (scenario.Spec{Family: scenario.FatTree, N: 40, Seed: 5}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.HasUniformLinks() {
+	if lo, hi := ft.LinkRange(); lo == hi {
 		t.Error("fat-tree generated uniform links")
 	}
 	// Links taper monotonically with node index (core first, leaves last)

@@ -10,20 +10,13 @@ import (
 
 	"adept/internal/core"
 	"adept/internal/model"
-	"adept/internal/platform"
 	"adept/internal/workload"
 )
 
 func testRequest(t *testing.T, seed int64) core.Request {
 	t.Helper()
-	plat, err := platform.Generate(platform.GenSpec{
-		Name: "cache-test", N: 12, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return core.Request{
-		Platform: plat,
+		Platform: uniformPool("cache-test", 12, seed),
 		Costs:    model.DIETDefaults(),
 		Wapp:     workload.DGEMM{N: 310}.MFlop(),
 	}

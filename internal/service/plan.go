@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,9 +87,9 @@ func planStatus(r *http.Request, err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrPoolClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errRenderPlan):
-		// The planner succeeded and the daemon failed to render its
-		// output: our fault, not the request's.
+	case errors.Is(err, errRenderPlan), errors.Is(err, errPlanPanic):
+		// The daemon failed to render a plan, or a planner panicked: our
+		// fault, not the request's.
 		return http.StatusInternalServerError
 	case errors.As(err, new(requestError)):
 		return http.StatusBadRequest
@@ -165,18 +166,19 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInp
 	reqCtx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
+	reqID := obs.RequestIDFrom(r.Context())
 	var fr flightResult
 	coalesced := false
 	if pr.NoCache {
 		// An explicit fresh run is never shared and never shares: the
 		// caller asked for its own planner execution.
-		fr = s.runPlan(reqCtx, in, tr, true)
+		fr = s.runPlan(reqCtx, in, tr, reqID, true)
 	} else {
 		// The shared run is bounded by the server-wide cap, not the leader's
 		// possibly shortened timeout_ms: one impatient leader must not doom
 		// joiners with bigger budgets to a 504. Each waiter's own reqCtx
 		// still enforces its personal deadline on the wait.
-		run := func(ctx context.Context) flightResult { return s.runPlan(ctx, in, tr, false) }
+		run := func(ctx context.Context) flightResult { return s.runPlan(ctx, in, tr, reqID, false) }
 		fl, leader := s.flights.join(in.key, s.cfg.PlanTimeout, run)
 		endWait := tr.Phase("flight_wait")
 		fr = s.flights.wait(reqCtx, fl)
@@ -190,6 +192,11 @@ func (s *Server) plan(r *http.Request, pr *PlanRequest) (*PlanResponse, *planInp
 	}
 	return s.respond(r, in, tr, start, fr, coalesced), in, nil
 }
+
+// errPlanPanic marks a planning job that panicked. The panic is recovered
+// in the job, so that it costs the request a 500 and not the daemon its
+// life.
+var errPlanPanic = errors.New("service: planner panicked")
 
 // job is one planning job's pool-sized memory: the core.Scratch a
 // scenario's columns are generated in and the planner builds its pool in,
@@ -225,8 +232,11 @@ func (s *spare[T]) put(v *T) { s.kept.Store(v) }
 // run), which is why the leader's trace recorder arrives as an argument
 // and not down the context chain. Joiners that requested a trace of their
 // own still get only their service-side phases — the planner phases belong
-// to the flight leader's recorder.
-func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecorder, noCache bool) flightResult {
+// to the flight leader's recorder. A job that panics answers errPlanPanic:
+// its stack is logged under reqID, the request that started the run, its
+// memory is dropped rather than kept for the next job, and nothing is
+// cached.
+func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecorder, reqID string, noCache bool) flightResult {
 	ctx = obs.ContextWithTrace(ctx, tr)
 	if !noCache {
 		// A previous flight may have landed between our cache miss and this
@@ -246,9 +256,17 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 		}
 	}()
 	endPlan := tr.Phase("plan")
-	plan, err := s.pool.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
+	plan, err := s.pool.Submit(ctx, func(ctx context.Context) (_ *core.Plan, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				s.logger.LogAttrs(ctx, slog.LevelError, "planner panic",
+					slog.String("request_id", reqID),
+					slog.Any("panic", v),
+					slog.String("stack", string(debug.Stack())))
+				mem, err = nil, errPlanPanic
+			}
+		}()
 		mem = s.jobs.take()
-		var err error
 		if req, err = in.request(ctx, mem.scratch.Columns()); err != nil {
 			// The request's fault, unless the context cut generation
 			// short — planStatus looks for that first.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -56,12 +57,15 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func testPlatform(n int) *platform.Platform {
-	p, err := platform.Generate(platform.GenSpec{
-		Name: "svc-test", N: n, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 42,
-	})
-	if err != nil {
-		panic(err)
+func testPlatform(n int) *platform.Platform { return uniformPool("svc-test", n, 42) }
+
+// uniformPool draws n powers uniformly from [100, 800) under seed and names
+// the nodes "<name>-%03d": the pools http_golden.json pins.
+func uniformPool(name string, n int, seed int64) *platform.Platform {
+	rng := rand.New(rand.NewSource(seed))
+	p := &platform.Platform{Name: name, Bandwidth: 100}
+	for i := 0; i < n; i++ {
+		p.Nodes = append(p.Nodes, platform.Node{Name: fmt.Sprintf("%s-%03d", name, i), Power: 100 + rng.Float64()*700})
 	}
 	return p
 }
@@ -1088,9 +1092,7 @@ func TestPlannerContextCancellation(t *testing.T) {
 		if name == "exhaustive" {
 			// The exhaustive planner rejects 20 nodes before looking at the
 			// context; give it a pool it accepts but cannot finish fast.
-			small, _ := platform.Generate(platform.GenSpec{
-				Name: "small", N: 8, Bandwidth: 100, MinPower: 100, MaxPower: 800, Seed: 7,
-			})
+			small, _ := scenario.Spec{Family: scenario.Clustered, N: 8, MinPower: 100, MaxPower: 800, Seed: 7}.Generate()
 			r := req
 			r.Platform = small
 			if _, err := planner.PlanContext(ctx, r); !errors.Is(err, context.Canceled) {
@@ -1177,10 +1179,10 @@ func TestPlanPortfolioOption(t *testing.T) {
 // and the plan's XML carrying per-node bandwidth attributes.
 func TestPlanHeterogeneousLinks(t *testing.T) {
 	_, ts := newTestServer(t)
-	grid, err := platform.Generate(platform.GenSpec{
-		Name: "grid", N: 12, Bandwidth: 100, MinPower: 200, MaxPower: 900, Seed: 7,
-		Clusters: 3, IntraBandwidth: 100, InterBandwidth: 5,
-	})
+	grid, err := scenario.Spec{
+		Family: scenario.ClusterGrid, Name: "grid", N: 12, Clusters: 3,
+		InterBandwidth: 5, MinPower: 200, MaxPower: 900, Seed: 7,
+	}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
