@@ -66,22 +66,28 @@ func main() {
 	// 3. Thundering herd: concurrent identical requests on a cold key
 	// coalesce onto a single planning run — the joiners answer with
 	// "coalesced": true and the daemon burns one pool worker, not eight.
-	herd, err := scenario.Spec{
-		Family: scenario.Clustered, Name: "herd", N: 300, MinPower: 100, MaxPower: 800, Seed: 11,
-	}.Generate()
+	// The key names a 400 000-node pool the daemon draws itself, whose run
+	// takes tens of milliseconds: long enough for the eight requests,
+	// released at once with one body, to join it.
+	herd, err := json.Marshal(service.PlanRequest{Scenario: &scenario.Spec{
+		Family: scenario.Clustered, Name: "herd", N: 400_000, MinPower: 100, MaxPower: 800, Seed: 11,
+	}, DgemmN: 310})
 	if err != nil {
 		log.Fatal(err)
 	}
 	const herdSize = 8
 	herdResults := make([]service.PlanResponse, herdSize)
+	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < herdSize; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			postJSON(ts.URL+"/v1/plan", service.PlanRequest{Platform: herd, DgemmN: 310}, &herdResults[i])
+			<-release
+			post(ts.URL+"/v1/plan", herd, &herdResults[i])
 		}(i)
 	}
+	close(release)
 	wg.Wait()
 	coalesced, cached := 0, 0
 	for _, pr := range herdResults {
@@ -149,7 +155,12 @@ func postJSON(url string, in, out any) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	post(url, data, out)
+}
+
+// post sends body to url and decodes the answer into out.
+func post(url string, body []byte, out any) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,15 +1,14 @@
-package platform
+package platform_test
 
 import (
 	"encoding/json"
-	"math"
-	"strconv"
-	"strings"
 	"testing"
+
+	"adept/internal/platform"
 )
 
 // numberSeeds are FuzzDecodeNumber's seed corpus: the edges of exactNumber's
-// fast path and the tokens it must leave to number and strconv.
+// exact division and the tokens it must leave to strconv or refuse.
 var numberSeeds = []string{
 	// Mantissas at 2^53: the last two are exact, the next falls back.
 	"9007199254740991", "9007199254740992", "9007199254740993",
@@ -34,53 +33,27 @@ var numberSeeds = []string{
 	"null", "nul", `"1"`, "true", "[1]",
 }
 
-// FuzzDecodeNumber holds exactNumber to the path it short-cuts. On any
-// bytes, a number it takes is the token number reads there, to the byte,
-// and has strconv.ParseFloat's value for that token, bit for bit; a number
-// it declines it leaves unread, for number and strconv. The decoder is
-// otherwise one path, so a document decodes — or fails, message and byte
-// offset included — as it does with every number read by strconv. Over a
-// body {"bandwidth_mbps":<s>}, the decode fails exactly when
-// encoding/json's does, and when s is one number the bandwidth is
-// strconv.ParseFloat(s)'s bits.
+// FuzzDecodeNumber holds the fast path's numbers to encoding/json's: over
+// a body that gives s as the bandwidth and as a node's power (read after a
+// literal key), if the fast path takes the body, json.Unmarshal takes it
+// too, with the same bits in both fields: the two digest alike, and the
+// digest holds every float's bits.
 func FuzzDecodeNumber(f *testing.F) {
 	for _, s := range numberSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, s []byte) {
-		if len(s) > 0 && (s[0] == '-' || isDigit(s[0])) {
-			fast, slow := decoder{data: s}, decoder{data: s}
-			v, ok := fast.exactNumber()
-			num, err := slow.number()
-			switch {
-			case !ok && fast.off != 0:
-				t.Fatalf("exactNumber(%q) declined after reading %d bytes", s, fast.off)
-			case ok && (err != nil || fast.off != slow.off):
-				t.Fatalf("exactNumber(%q) read %d bytes; number read %d (%v)", s, fast.off, slow.off, err)
-			case ok:
-				want, err := strconv.ParseFloat(string(num), 64)
-				if err != nil || math.Float64bits(v) != math.Float64bits(want) {
-					t.Fatalf("exactNumber(%q) = %v (%#x); strconv.ParseFloat(%q) = %v (%#x), %v",
-						s, v, math.Float64bits(v), num, want, math.Float64bits(want), err)
-				}
-			}
-		}
-		body := append(append([]byte(`{"bandwidth_mbps":`), s...), '}')
-		d := decoder{data: body}
-		err := d.document()
-		if jsonErr := json.Unmarshal(body, new(Platform)); (err == nil) != (jsonErr == nil) {
-			t.Fatalf("%q: decoder says %v, encoding/json says %v", body, err, jsonErr)
-		}
-		if err != nil || !json.Valid(s) || len(s) == 0 || s[0] != '-' && !isDigit(s[0]) {
+		body := []byte(`{"bandwidth_mbps":` + string(s) + `,"nodes":[{"power":` + string(s) + `}]}`)
+		c, ok := platform.DecodeFast(body)
+		if !ok {
 			return
 		}
-		want, err := strconv.ParseFloat(strings.TrimRight(string(s), " \t\r\n"), 64)
-		if err != nil {
-			t.Fatalf("%q: the decoder reads %v; strconv.ParseFloat fails: %v", body, d.bandwidth, err)
+		var p platform.Platform
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatalf("%q: the fast path takes it; encoding/json says %v", body, err)
 		}
-		if math.Float64bits(d.bandwidth) != math.Float64bits(want) {
-			t.Fatalf("%q: bandwidth %v (%#x), strconv.ParseFloat says %v (%#x)",
-				body, d.bandwidth, math.Float64bits(d.bandwidth), want, math.Float64bits(want))
+		if c.Digest() != p.Digest() {
+			t.Fatalf("%q: the fast path reads %+v, encoding/json %+v", body, c.Platform(), p)
 		}
 	})
 }

@@ -14,7 +14,8 @@
 //     through one step that decides its version, journals it and only then
 //     installs it. A live entry keeps the platform as columns and its
 //     content digest, both built once when it is written — a PUT body and
-//     a journal are decoded straight into the columns (DecodeJSON)
+//     a journal are decoded into the columns by DecodeJSON, straight when
+//     they are in the form pools are written in
 //   - cache.go — PlanCache: content-addressed plan cache, one LRU
 //     (internal/lru) under one mutex, and the one key function (planKey)
 //   - pool.go, coalesce.go — Pool: counting semaphore bounding concurrent

@@ -32,6 +32,16 @@ func (p panicky) PlanContext(ctx context.Context, req core.Request) (*core.Plan,
 	return core.NewHeuristic().PlanContext(ctx, req)
 }
 
+// hollow is a planner with a bug that only rendering meets: it answers a
+// plan with no deployment tree.
+type hollow struct{}
+
+func (hollow) Name() string { return "hollow" }
+
+func (hollow) PlanContext(context.Context, core.Request) (*core.Plan, error) {
+	return &core.Plan{Planner: "hollow"}, nil
+}
+
 // lockedBuffer is a log sink the daemon's goroutines write while the test
 // reads it.
 type lockedBuffer struct {
@@ -55,14 +65,17 @@ func (l *lockedBuffer) String() string {
 // that ran it a 500 — every request of a coalesced flight, and a no_cache
 // run — and not the daemon its life. The panic is logged with its stack
 // under the request's ID, the daemon goes on answering, and the panicked
-// run caches nothing.
+// run caches nothing. So does a plan that panics in Render, on the
+// flight's goroutine after the planning job.
 func TestPlannerPanicIsContained(t *testing.T) {
 	p := panicky{release: make(chan struct{}), armed: new(atomic.Bool)}
 	p.armed.Store(true)
-	planners = append(planners, planners[0])
-	planners[len(planners)-1].name = "panicky"
-	planners[len(planners)-1].make = func() core.Planner { return p }
-	t.Cleanup(func() { planners = planners[:len(planners)-1] })
+	for _, bug := range []core.Planner{p, hollow{}} {
+		planners = append(planners, planners[0])
+		planners[len(planners)-1].name = bug.Name()
+		planners[len(planners)-1].make = func() core.Planner { return bug }
+	}
+	t.Cleanup(func() { planners = planners[:len(planners)-2] })
 
 	var logs lockedBuffer
 	srv, err := New(Config{CacheSize: 16, Workers: 4, QueueDepth: 16, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
@@ -148,5 +161,20 @@ func TestPlannerPanicIsContained(t *testing.T) {
 	p.armed.Store(false)
 	if code, pr := post(buggy, "resend"); code != http.StatusOK || pr.Cached {
 		t.Errorf("resend: status %d cached %v, want 200 and not cached", code, pr.Cached)
+	}
+
+	// A plan with no tree panics in Render. Nothing is cached, so the
+	// resend renders, and panics, again.
+	hollowReq := PlanRequest{Platform: testPlatform(10), Planner: "hollow", DgemmN: 310}
+	for _, id := range []string{"hollow-1", "hollow-2"} {
+		if code, _ := post(hollowReq, id); code != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, want 500", id, code)
+		}
+		if !strings.Contains(logs.String(), `"request_id":"`+id+`"`) {
+			t.Errorf("no panic logged under %s\n%s", id, logs.String())
+		}
+	}
+	if code, _ := post(PlanRequest{Platform: testPlatform(10), DgemmN: 310}, "after render"); code != http.StatusOK {
+		t.Errorf("plan after the render panics: status %d, want 200", code)
 	}
 }

@@ -232,11 +232,12 @@ func (s *spare[T]) put(v *T) { s.kept.Store(v) }
 // run), which is why the leader's trace recorder arrives as an argument
 // and not down the context chain. Joiners that requested a trace of their
 // own still get only their service-side phases — the planner phases belong
-// to the flight leader's recorder. A job that panics answers errPlanPanic:
-// its stack is logged under reqID, the request that started the run, its
-// memory is dropped rather than kept for the next job, and nothing is
-// cached.
-func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecorder, reqID string, noCache bool) flightResult {
+// to the flight leader's recorder. A job that panics — generating,
+// planning or rendering — answers errPlanPanic: its stack is logged under
+// reqID, the request that started the run, its memory is dropped rather
+// than kept for the next job, and nothing is cached. The pool runs the job
+// on this goroutine, so the one recover here contains all three.
+func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecorder, reqID string, noCache bool) (fr flightResult) {
 	ctx = obs.ContextWithTrace(ctx, tr)
 	if !noCache {
 		// A previous flight may have landed between our cache miss and this
@@ -251,21 +252,20 @@ func (s *Server) runPlan(ctx context.Context, in *planInput, tr *obs.TraceRecord
 	var variants []portfolio.Result
 	var mem *job
 	defer func() {
+		if v := recover(); v != nil {
+			s.logger.LogAttrs(ctx, slog.LevelError, "planner panic",
+				slog.String("request_id", reqID),
+				slog.Any("panic", v),
+				slog.String("stack", string(debug.Stack())))
+			fr, mem = flightResult{err: errPlanPanic}, nil
+		}
 		if mem != nil {
 			s.jobs.put(mem)
 		}
 	}()
 	endPlan := tr.Phase("plan")
-	plan, err := s.pool.Submit(ctx, func(ctx context.Context) (_ *core.Plan, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				s.logger.LogAttrs(ctx, slog.LevelError, "planner panic",
-					slog.String("request_id", reqID),
-					slog.Any("panic", v),
-					slog.String("stack", string(debug.Stack())))
-				mem, err = nil, errPlanPanic
-			}
-		}()
+	plan, err := s.pool.Submit(ctx, func(ctx context.Context) (*core.Plan, error) {
+		var err error
 		mem = s.jobs.take()
 		if req, err = in.request(ctx, mem.scratch.Columns()); err != nil {
 			// The request's fault, unless the context cut generation
@@ -380,16 +380,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // decodePlanRequest decodes a /v1/plan body into pr. The body is read
 // whole into a kept buffer; its top-level member spelled exactly
-// "platform" is decoded straight into columns (platform.DecodeMember,
-// strict, unvalidated) into pr.columns, and encoding/json, with
-// DisallowUnknownFields, decodes the rest from the same bytes with that
-// value replaced by null. A body that path does not take — no such member,
-// a second key that folds to it, an unknown member, a null platform, a
-// failed read, any syntax or type error — is decoded again, from the bytes
-// read and the read's error, by decodeBody's decoder, whose verdict and
-// message are the answer: a refusal is worded as it always was, and
-// FuzzPlanRequestDecode holds the two paths to one answer. On failure it
-// has answered the client and reports false.
+// "platform" is decoded straight into columns (platform.DecodeMember: the
+// platform decoder's fast path, unvalidated) into pr.columns, and
+// encoding/json, with DisallowUnknownFields, decodes the rest — which
+// DecodeMember stepped over unchecked — from the same bytes with that
+// value replaced by null. A body that path does not take — one
+// DecodeMember refuses, a failed read, anything encoding/json refuses of
+// the rest — is decoded again, from the bytes read and the read's error,
+// by decodeBody's decoder, whose verdict and message are the answer: a
+// refusal is worded as it always was, and FuzzPlanRequestDecode holds the
+// two paths to one answer. On failure it has answered the client and
+// reports false.
 func decodePlanRequest(w http.ResponseWriter, r *http.Request, pr *PlanRequest) bool {
 	body := bodyBuffers.Get().(*bytes.Buffer)
 	defer bodyBuffers.Put(body)

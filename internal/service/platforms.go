@@ -83,11 +83,11 @@ func (s *Server) handlePlatformPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The body is read into a reused buffer and decoded straight into the
-	// columns the registry stores — its one validation; what they keep of
-	// the body is copied out. No node list is built: the platform is
-	// expanded only to be broadcast to peers (and journalled, when the
-	// registry persists).
+	// The body is read into a reused buffer and decoded into the columns
+	// the registry stores — its one validation; what they keep of the body
+	// is copied out. A body in the form pools are written in builds no node
+	// list: the platform is expanded only to be broadcast to peers (and
+	// journalled, when the registry persists).
 	body := bodyBuffers.Get().(*bytes.Buffer)
 	defer bodyBuffers.Put(body)
 	body.Reset()
